@@ -52,8 +52,7 @@ fn bench_lookup(c: &mut Criterion) {
     });
 }
 
-/// Reference build: one precedence-resolving insert per entry — the hot
-/// path the sorted-run bulk build replaced.
+/// Reference build: one precedence-resolving insert per entry.
 fn build_via_insert(entries: &[IndexEntry]) -> GlobalIndex {
     let mut g = GlobalIndex::new();
     for e in entries {
@@ -62,8 +61,9 @@ fn build_via_insert(entries: &[IndexEntry]) -> GlobalIndex {
     g
 }
 
-/// The acceptance workload: a large strided checkpoint (64 writers ×
-/// 1,000 entries each), bulk build vs the per-entry overlay.
+/// A large strided checkpoint (64 writers × 1,000 entries each) handed
+/// over as one concatenated sequence: the kernel finds the 64 ascending
+/// runs itself. Against the per-entry overlay.
 fn bench_build_large(c: &mut Criterion) {
     let mut g = c.benchmark_group("index_build_large_64x1000");
     let entries = strided_entries(64, 1000, 65536);
@@ -100,53 +100,26 @@ fn bench_merge(c: &mut Criterion) {
     });
 }
 
-/// Insert-based reference merge (what `merge` did before the zipper).
-fn merge_via_insert(mut acc: GlobalIndex, other: &GlobalIndex) -> GlobalIndex {
-    for e in other.to_entries() {
-        acc.insert(&e);
+/// The read-open kernel over per-writer runs, as `Container::aggregate`
+/// feeds it: one ascending run per index log, resolved in one k-way pass
+/// and bulk-built into the map once. `compacted` is the terminal
+/// aggregation (`acquire_index`); on a strided checkpoint logical
+/// neighbours belong to different writers, so it merges nothing and only
+/// pays the check.
+fn bench_aggregate_runs(c: &mut Criterion) {
+    for (writers, per_writer) in [(128u64, 1024u64), (2048, 1000)] {
+        let all = strided_entries(writers, per_writer, 1024);
+        let runs: Vec<&[IndexEntry]> = all.chunks(per_writer as usize).collect();
+        let mut g = c.benchmark_group(format!("aggregate_runs_{writers}x{per_writer}"));
+        g.throughput(Throughput::Elements(all.len() as u64));
+        g.sample_size(10);
+        for (name, compact) in [("uncompacted", false), ("compacted", true)] {
+            g.bench_function(name, |b| {
+                b.iter(|| black_box(GlobalIndex::from_runs(black_box(&runs), compact)));
+            });
+        }
+        g.finish();
     }
-    acc
-}
-
-/// Merge of two disjoint sorted indices — the Parallel Index Read group
-/// collapse on a strided checkpoint. Zipper vs per-span insertion.
-fn bench_merge_disjoint(c: &mut Criterion) {
-    let all = strided_entries(64, 1000, 65536);
-    let halves: Vec<GlobalIndex> = (0..2)
-        .map(|h| {
-            GlobalIndex::from_entries(all.iter().copied().filter(|e| e.writer % 2 == h))
-        })
-        .collect();
-    let mut g = c.benchmark_group("index_merge_disjoint_64x1000");
-    g.throughput(Throughput::Elements(all.len() as u64));
-    g.sample_size(10);
-    g.bench_function("zipper_merge", |b| {
-        b.iter(|| {
-            let mut m = halves[0].clone();
-            m.merge(black_box(&halves[1]));
-            black_box(m)
-        });
-    });
-    g.bench_function("per_span_insert", |b| {
-        b.iter(|| black_box(merge_via_insert(halves[0].clone(), black_box(&halves[1]))));
-    });
-    g.finish();
-}
-
-/// Hierarchical collapse of many per-shard partials, as threaded
-/// `acquire_index` and the Parallel Index Read hierarchy run it.
-fn bench_merge_all(c: &mut Criterion) {
-    let all = strided_entries(64, 1000, 65536);
-    let parts: Vec<GlobalIndex> = (0..8)
-        .map(|s| GlobalIndex::from_entries(all.iter().copied().filter(|e| e.writer % 8 == s)))
-        .collect();
-    let mut g = c.benchmark_group("index_merge_all_8_shards");
-    g.throughput(Throughput::Elements(all.len() as u64));
-    g.sample_size(10);
-    g.bench_function("hierarchical", |b| {
-        b.iter(|| black_box(GlobalIndex::merge_all(black_box(parts.clone()))));
-    });
-    g.finish();
 }
 
 fn bench_lookup_coalesced(c: &mut Criterion) {
@@ -223,8 +196,7 @@ criterion_group!(
     bench_lookup_coalesced,
     bench_ondisk_lookup,
     bench_merge,
-    bench_merge_disjoint,
-    bench_merge_all,
+    bench_aggregate_runs,
     bench_serialization
 );
 criterion_main!(benches);

@@ -65,9 +65,9 @@ fn main() {
     );
 
     // (e) The aggregation kernel itself, measured on this host rather
-    // than simulated: the sorted-run bulk build against the per-entry
-    // overlay it replaced, at the workload's 1,000 index entries per
-    // stream (50 MB in 50 KB increments).
+    // than simulated: the one-pass bulk build over the writers' sorted
+    // runs against the per-entry overlay, at the workload's 1,000 index
+    // entries per stream (50 MB in 50 KB increments).
     let mut slow = Series::new("per-entry insert");
     let mut fast = Series::new("sorted-run bulk build");
     for &n in &xs {

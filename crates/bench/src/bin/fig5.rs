@@ -57,8 +57,8 @@ fn main() {
 
     // Parallel Index Read's merge stage, measured on this host: one
     // partial index per 64-writer group (the driver's default group
-    // size), collapsed through the hierarchical merge.
-    let mut merged = harness::Series::new("hierarchical merge_all");
+    // size), collapsed through one k-way `merge_all` pass.
+    let mut merged = harness::Series::new("k-way merge_all");
     for &n in &xs {
         let all = plfs_bench::agg_kernel::strided_entries(n as u64, 100, 1 << 20);
         let parts: Vec<plfs::GlobalIndex> = all

@@ -25,7 +25,7 @@ use crate::content::Content;
 use crate::error::{PlfsError, Result, DEFAULT_RETRY_ATTEMPTS};
 use crate::federation::Federation;
 use crate::index::ondisk::{self, OnDiskIndex, SpanIdxWriter};
-use crate::index::{GlobalIndex, IndexEntry, SpanCache, WriterId};
+use crate::index::{self, GlobalIndex, IndexEntry, SpanCache, WriterId};
 use crate::ioplane::{self, async_plane, IoOp};
 use crate::path::{basename, join, normalize, parent};
 use crate::telemetry;
@@ -422,8 +422,12 @@ impl Container {
     /// batch over the resolved dirs (absent subdirs simply hold no
     /// droppings — lazy creation).
     pub fn list_writers<B: Backend>(&self, b: &B) -> Result<Vec<WriterId>> {
+        self.writers_in(b, &self.subdirs_phys_batch(b)?)
+    }
+
+    /// [`Container::list_writers`] over subdirs already resolved.
+    fn writers_in<B: Backend>(&self, b: &B, resolved: &[Option<String>]) -> Result<Vec<WriterId>> {
         let mut ids = Vec::new();
-        let resolved = self.subdirs_phys_batch(b)?;
         let lists: Vec<IoOp> = resolved
             .iter()
             .flatten()
@@ -448,21 +452,34 @@ impl Container {
     /// open).
     pub fn read_index_log<B: Backend>(&self, b: &B, writer: WriterId) -> Result<Vec<IndexEntry>> {
         let path = self.index_log(b, writer)?;
-        Self::read_logs_whole(b, &[path]).map(|mut v| v.pop().unwrap_or_default())
+        Self::read_logs_whole(b, &[path], 1).map(|mut v| v.pop().unwrap_or_default())
     }
 
-    /// Read and decode many writers' index logs through the plane: one
-    /// `Size` batch and one `ReadAt` batch for the whole set, instead of
-    /// two round-trips per writer. Entries come back concatenated in
-    /// writer order. `resolved` is a [`Container::subdirs_phys_batch`]
-    /// result, so the subdir probes are paid once per aggregation, not
-    /// once per writer.
+    /// [`Container::read_index_runs`] on the calling thread, with the
+    /// logs concatenated in writer order.
     pub fn read_index_logs<B: Backend>(
         &self,
         b: &B,
         resolved: &[Option<String>],
         writers: &[WriterId],
     ) -> Result<Vec<IndexEntry>> {
+        Ok(self.read_index_runs(b, resolved, writers, 1)?.concat())
+    }
+
+    /// Read and decode many writers' index logs through the plane: one
+    /// run of entries per writer, in writer order, each in log order —
+    /// the input shape of [`GlobalIndex::from_runs`]. `resolved` is a
+    /// [`Container::subdirs_phys_batch`] result, so the subdir probes are
+    /// paid once per aggregation, not once per writer. At most
+    /// `max_threads` threads share the work; the batches submitted are
+    /// the same at every thread count.
+    pub fn read_index_runs<B: Backend>(
+        &self,
+        b: &B,
+        resolved: &[Option<String>],
+        writers: &[WriterId],
+        max_threads: usize,
+    ) -> Result<Vec<Vec<IndexEntry>>> {
         let mut paths = Vec::with_capacity(writers.len());
         for &w in writers {
             let sub = self.subdir_for(w);
@@ -471,20 +488,20 @@ impl Container {
             })?;
             paths.push(join(dir, &format!("{INDEX_PREFIX}{w}")));
         }
-        let mut entries = Vec::new();
-        for decoded in Self::read_logs_whole(b, &paths)? {
-            entries.extend(decoded);
-        }
-        Ok(entries)
+        Self::read_logs_whole(b, &paths, max_threads)
     }
 
     /// Size-then-read each path whole and decode the records: one `Size`
-    /// batch, then the `ReadAt`s in [`READ_OVERLAP_CHUNK`]-op slices
-    /// submitted **asynchronously** and drained in order — on a reactor
-    /// backend the data reads for chunk `k+1` proceed while chunk `k` is
-    /// being decoded; on a plain backend the inline-completing default
-    /// makes this exactly the old two-batch behaviour.
-    fn read_logs_whole<B: Backend>(b: &B, paths: &[String]) -> Result<Vec<Vec<IndexEntry>>> {
+    /// batch for every path on the calling thread, then the `ReadAt`s in
+    /// [`READ_OVERLAP_CHUNK`]-op slices dealt in contiguous shares to at
+    /// most `max_threads` scoped threads, so the round trips depend on
+    /// the path count alone. Each shard thread reopens `index.aggregate`
+    /// under the caller's span, so what it submits keeps its ancestry.
+    fn read_logs_whole<B: Backend>(
+        b: &B,
+        paths: &[String],
+        max_threads: usize,
+    ) -> Result<Vec<Vec<IndexEntry>>> {
         let size_ops: Vec<IoOp> = paths
             .iter()
             .map(|p| IoOp::Size { path: p.clone() })
@@ -498,12 +515,46 @@ impl Container {
                 len: ioplane::as_size(outcome)?,
             });
         }
-        let chunks: Vec<&[IoOp]> = read_ops.chunks(READ_OVERLAP_CHUNK.max(1)).collect();
+        let chunks: Vec<&[IoOp]> = read_ops.chunks(READ_OVERLAP_CHUNK).collect();
+        let threads = max_threads.clamp(1, chunks.len().max(1));
+        if threads == 1 {
+            return Self::read_chunks(b, &chunks);
+        }
+        let parent = telemetry::current_span_id();
+        let shards: Vec<Result<Vec<Vec<IndexEntry>>>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = chunks
+                .chunks(chunks.len().div_ceil(threads))
+                .map(|share| {
+                    scope.spawn(move || {
+                        let _span =
+                            telemetry::span_with_parent(telemetry::SPAN_INDEX_AGGREGATE, parent);
+                        Self::read_chunks(b, share)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                // plfs-lint: allow(panic-in-core): a panicked worker must propagate, not masquerade as an I/O error
+                .map(|h| h.join().expect("index aggregation thread panicked"))
+                .collect()
+        });
+        let mut out = Vec::with_capacity(paths.len());
+        for shard in shards {
+            out.extend(shard?);
+        }
+        Ok(out)
+    }
+
+    /// Submit every `ReadAt` slice **asynchronously**, then drain and
+    /// decode in order — on a reactor backend the data reads for slice
+    /// `k+1` proceed while slice `k` is being decoded; on a plain backend
+    /// the inline-completing default makes this one batch per slice.
+    fn read_chunks<B: Backend>(b: &B, chunks: &[&[IoOp]]) -> Result<Vec<Vec<IndexEntry>>> {
         let tickets: Vec<async_plane::Ticket> = chunks
             .iter()
             .map(|c| async_plane::submit_tracked(b, c))
             .collect();
-        let mut out = Vec::with_capacity(paths.len());
+        let mut out = Vec::new();
         // A decode/read failure must not abandon the tickets of the
         // chunks not reached yet: their batches are still in flight on
         // the reactor, holding window slots. Drain every ticket first,
@@ -530,70 +581,37 @@ impl Container {
         }
     }
 
-    /// Aggregate a global index by reading every writer's index log — the
-    /// "Original PLFS Design" path (every reader does all the work itself).
-    ///
-    /// Serial reference implementation; [`Container::aggregate_index_parallel`]
-    /// produces the identical span set across a thread pool.
+    /// Aggregate a global index by reading every writer's index log on
+    /// the calling thread — the "Original PLFS Design" path (every reader
+    /// does all the work itself). Uncompacted.
     pub fn aggregate_index<B: Backend>(&self, b: &B) -> Result<GlobalIndex> {
-        let _span = telemetry::span(telemetry::SPAN_INDEX_AGGREGATE);
-        let resolved = self.subdirs_phys_batch(b)?;
-        let writers = self.list_writers(b)?;
-        Ok(GlobalIndex::from_entries(
-            self.read_index_logs(b, &resolved, &writers)?,
-        ))
+        self.aggregate(b, 1, false)
     }
 
-    /// Aggregate index logs across a bounded `std::thread::scope` pool —
-    /// the paper's Parallel Index Read choreography run intra-process.
-    /// Writers are sharded over at most `max_threads` threads; each shard
-    /// reads its logs and builds a partial [`GlobalIndex`], and the
-    /// partials collapse through the hierarchical [`GlobalIndex::merge_all`]
-    /// (disjoint shards — the checkpoint case — zipper linearly at every
-    /// level). The result equals [`Container::aggregate_index`] exactly.
+    /// [`Container::aggregate_index`] with the index-log reads and decodes
+    /// shared by at most `max_threads` scoped threads — the read half of
+    /// the paper's Parallel Index Read run intra-process. The per-writer
+    /// runs then resolve in one [`GlobalIndex::from_runs`] pass on the
+    /// calling thread: same result, same batches at every thread count.
     pub fn aggregate_index_parallel<B: Backend>(
         &self,
         b: &B,
         max_threads: usize,
     ) -> Result<GlobalIndex> {
+        self.aggregate(b, max_threads, false)
+    }
+
+    fn aggregate<B: Backend>(
+        &self,
+        b: &B,
+        max_threads: usize,
+        compact: bool,
+    ) -> Result<GlobalIndex> {
         let _span = telemetry::span(telemetry::SPAN_INDEX_AGGREGATE);
         let resolved = self.subdirs_phys_batch(b)?;
-        let writers = self.list_writers(b)?;
-        let threads = max_threads.clamp(1, writers.len().max(1));
-        if threads <= 1 {
-            // Serial shard, but reuse the listing and subdir resolution
-            // already paid for rather than delegating to
-            // `aggregate_index` (which would re-probe everything).
-            return Ok(GlobalIndex::from_entries(
-                self.read_index_logs(b, &resolved, &writers)?,
-            ));
-        }
-        let shard_size = writers.len().div_ceil(threads);
-        let partials: Vec<Result<GlobalIndex>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = writers
-                .chunks(shard_size)
-                .map(|shard| {
-                    let resolved = &resolved;
-                    scope.spawn(move || -> Result<GlobalIndex> {
-                        // Each shard submits its whole log set as two
-                        // batches (sizes, then reads).
-                        Ok(GlobalIndex::from_entries(
-                            self.read_index_logs(b, resolved, shard)?,
-                        ))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // plfs-lint: allow(panic-in-core): a panicked worker must propagate, not masquerade as an I/O error
-                .map(|h| h.join().expect("index aggregation thread panicked"))
-                .collect()
-        });
-        let mut parts = Vec::with_capacity(partials.len());
-        for p in partials {
-            parts.push(p?);
-        }
-        Ok(GlobalIndex::merge_all(parts))
+        let writers = self.writers_in(b, &resolved)?;
+        let runs = self.read_index_runs(b, &resolved, &writers, max_threads)?;
+        Ok(GlobalIndex::from_runs(&runs, compact))
     }
 
     /// Physical path of the flattened (spanidx) index file.
@@ -611,21 +629,25 @@ impl Container {
         Ok(())
     }
 
-    /// Index Flatten without materializing the merged index: the partial
-    /// per-writer indices stream through [`GlobalIndex::merge_streamed`]
-    /// straight into a [`SpanIdxWriter`], so the aggregation working set
-    /// is O(overlap window + chunk) while the emitted file is
-    /// bit-identical to [`Container::write_flattened`] of the merged,
+    /// Index Flatten without materializing the merged index: the writers'
+    /// entry runs stream through the resolve-and-compact kernel straight
+    /// into a [`SpanIdxWriter`] — working set O(overlap window + chunk),
+    /// file bit-identical to [`Container::write_flattened`] of the merged,
     /// compacted whole.
+    pub fn write_flattened_runs<B: Backend>(&self, b: &B, runs: &[Vec<IndexEntry>]) -> Result<()> {
+        let mut w = SpanIdxWriter::create(b, &self.flattened_path(), FLATTEN_CHUNK_ENTRIES)?;
+        index::stream_runs(runs, FLATTEN_CHUNK_ENTRIES, |run| w.push_run(run))?;
+        w.finish()?;
+        Ok(())
+    }
+
+    /// [`Container::write_flattened_runs`] over partial indices.
     pub fn write_flattened_streamed<B: Backend>(
         &self,
         b: &B,
         parts: Vec<GlobalIndex>,
     ) -> Result<()> {
-        let mut w = SpanIdxWriter::create(b, &self.flattened_path(), FLATTEN_CHUNK_ENTRIES)?;
-        GlobalIndex::merge_streamed(parts, FLATTEN_CHUNK_ENTRIES, |run| w.push_run(run))?;
-        w.finish()?;
-        Ok(())
+        self.write_flattened_runs(b, &GlobalIndex::part_runs(parts))
     }
 
     /// Open the flattened index for memory-bounded lookups: fences and
@@ -661,27 +683,26 @@ impl Container {
         let len = b.size(&path)?;
         let bytes = b.read_at(&path, 0, len)?.materialize();
         match ondisk::parse_file(&bytes) {
-            Ok((_, records, _)) => Ok(Some(GlobalIndex::from_entries(IndexEntry::decode_all(
-                records,
-            )?))),
+            // Checksummed, sorted records: one run, no re-sort.
+            Ok((_, records, _)) => Ok(Some(GlobalIndex::from_runs(
+                &[IndexEntry::decode_all(records)?],
+                false,
+            ))),
             Err(PlfsError::CorruptContainer(_)) => Ok(None),
             Err(e) => Err(e),
         }
     }
 
     /// Preferred index acquisition for a lone (non-collective) reader:
-    /// the flattened index when present, else threaded aggregation of the
-    /// per-writer logs, compacted before use. Compaction is applied only
-    /// here — at the terminal aggregation point — never to partial indices
-    /// that may still be merged (see the complexity notes in DESIGN.md).
+    /// the flattened index when present, else one-pass aggregation of the
+    /// per-writer logs (reads and decodes threaded), compacted inline.
+    /// Compaction is applied only here — at the terminal aggregation
+    /// point — never to partial indices that may still be merged (see
+    /// the complexity notes in DESIGN.md §5b).
     pub fn acquire_index<B: Backend>(&self, b: &B) -> Result<GlobalIndex> {
         match self.read_flattened(b)? {
             Some(idx) => Ok(idx),
-            None => {
-                let mut idx = self.aggregate_index_parallel(b, default_aggregation_threads())?;
-                idx.compact();
-                Ok(idx)
-            }
+            None => self.aggregate(b, default_aggregation_threads(), true),
         }
     }
 
@@ -723,7 +744,7 @@ impl Container {
 }
 
 /// Index-log reads per asynchronously submitted `ReadAt` slice in
-/// [`Container::read_index_logs`]'s whole-log fan-out: small enough that
+/// [`Container::read_index_runs`]'s whole-log fan-out: small enough that
 /// several tickets are in flight for a fig4-shaped open (16 writers), big
 /// enough to amortize submission.
 const READ_OVERLAP_CHUNK: usize = 4;

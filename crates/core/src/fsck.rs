@@ -425,7 +425,7 @@ pub fn check<B: Backend>(b: &B, container: &Container) -> Result<CheckReport> {
     // against fresh aggregation — by *resolution*, not representation
     // (flatten compacts spans, so the mapping boundaries differ while
     // the bytes resolve identically).
-    let fresh = GlobalIndex::from_entries(entries);
+    let fresh = GlobalIndex::from_runs(&[&entries], false);
     let flat_path = container.flattened_path();
     if b.exists(&flat_path) {
         let mut outs = ioplane::submit_retried(
@@ -453,11 +453,8 @@ pub fn check<B: Backend>(b: &B, container: &Container) -> Result<CheckReport> {
                 let (_, records, _) = crate::index::ondisk::parse_file(&bytes)
                     // plfs-lint: allow(panic-in-core): verify_deep just validated the regions
                     .expect("verified spanidx parses");
-                let mut flat = GlobalIndex::from_entries(IndexEntry::decode_all(records)?);
-                let mut fresh_c = fresh.clone();
-                flat.compact();
-                fresh_c.compact();
-                if flat != fresh_c {
+                let flat = GlobalIndex::from_runs(&[IndexEntry::decode_all(records)?], true);
+                if flat != GlobalIndex::from_runs(&[&entries], true) {
                     report.issues.push(Issue::StaleFlattenedIndex);
                 }
             }
@@ -546,7 +543,10 @@ pub fn space_usage<B: Backend>(b: &B, container: &Container) -> Result<SpaceUsag
         usage.data_bytes += ioplane::as_size(ioplane::take(&mut sizes))?;
         usage.index_bytes += ioplane::as_size(ioplane::take(&mut sizes))?;
     }
-    let idx = GlobalIndex::from_entries(container.read_index_logs(b, &resolved, &writers)?);
+    let idx = GlobalIndex::from_runs(
+        &container.read_index_runs(b, &resolved, &writers, 1)?,
+        false,
+    );
     usage.logical_bytes = idx.eof();
     // Live bytes = data-log bytes still referenced by the resolved index.
     let live: u64 = idx.to_entries().iter().map(|e| e.length).sum();

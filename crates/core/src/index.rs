@@ -18,7 +18,7 @@
 //! partial merges for Parallel Index Read).
 
 use crate::error::{PlfsError, Result};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 pub mod ondisk;
 pub mod spancache;
@@ -63,21 +63,37 @@ impl IndexEntry {
 
     /// Deserialize one record.
     pub fn from_bytes(b: &[u8]) -> Result<IndexEntry> {
-        if b.len() < INDEX_RECORD_BYTES as usize {
-            return Err(PlfsError::CorruptContainer(format!(
-                "index record truncated: {} bytes",
-                b.len()
-            )));
-        }
-        // plfs-lint: allow(panic-in-core): length checked against INDEX_RECORD_BYTES above; every 8-byte slice exists
-        let u = |r: std::ops::Range<usize>| u64::from_le_bytes(b[r].try_into().expect("8 bytes"));
-        Ok(IndexEntry {
-            logical_offset: u(0..8),
-            length: u(8..16),
-            physical_offset: u(16..24),
-            writer: u(24..32),
-            timestamp: u(32..40),
+        b.first_chunk().map(Self::from_record).ok_or_else(|| {
+            PlfsError::CorruptContainer(format!("index record truncated: {} bytes", b.len()))
         })
+    }
+
+    /// Decode one whole record; the array type carries the length check.
+    fn from_record(r: &[u8; INDEX_RECORD_BYTES as usize]) -> IndexEntry {
+        let (words, _) = r.as_chunks::<8>();
+        let u = |i: usize| u64::from_le_bytes(words[i]);
+        IndexEntry {
+            logical_offset: u(0),
+            length: u(1),
+            physical_offset: u(2),
+            writer: u(3),
+            timestamp: u(4),
+        }
+    }
+
+    /// One past the last logical byte the record covers.
+    fn end(&self) -> u64 {
+        self.logical_offset + self.length
+    }
+
+    /// The part of this record covering logical `[from, to)`.
+    fn cut(&self, from: u64, to: u64) -> IndexEntry {
+        IndexEntry {
+            logical_offset: from,
+            length: to - from,
+            physical_offset: self.physical_offset + (from - self.logical_offset),
+            ..*self
+        }
     }
 
     /// Serialize a batch of entries.
@@ -90,21 +106,21 @@ impl IndexEntry {
     }
 
     /// Deserialize a batch; the byte length must be a whole number of
-    /// records. Decodes in place from `&[u8]` chunks — no intermediate
-    /// copy of the buffer is made.
+    /// records. One length check covers the whole log; each record then
+    /// decodes straight out of its fixed-width chunk, with no per-record
+    /// `Result` and no intermediate copy of the buffer.
     pub fn decode_all(bytes: &[u8]) -> Result<Vec<IndexEntry>> {
-        let tail = bytes.len() % INDEX_RECORD_BYTES as usize;
-        if tail != 0 {
+        const REC: usize = INDEX_RECORD_BYTES as usize;
+        let (records, tail) = bytes.as_chunks::<REC>();
+        if !tail.is_empty() {
             return Err(PlfsError::CorruptContainer(format!(
-                "index log length {} not a multiple of record size: {} whole records then {tail} trailing bytes",
+                "index log length {} not a multiple of record size: {} whole records then {} trailing bytes",
                 bytes.len(),
-                bytes.len() / INDEX_RECORD_BYTES as usize
+                records.len(),
+                tail.len()
             )));
         }
-        bytes
-            .chunks_exact(INDEX_RECORD_BYTES as usize)
-            .map(IndexEntry::from_bytes)
-            .collect()
+        Ok(records.iter().map(IndexEntry::from_record).collect())
     }
 
     /// Decode records straight out of a [`crate::Content`]: real bytes are
@@ -158,9 +174,16 @@ struct Span {
 /// The merged view of all writers' index logs: logical offset → data-log
 /// position, with overwrites resolved.
 ///
-/// Conflict rule: higher timestamp wins; on an exact timestamp tie the
-/// higher writer id wins (any deterministic tiebreak is acceptable — real
-/// PLFS relies on clocks differing; the simulation can produce exact ties).
+/// Conflict rule: higher timestamp wins; on a timestamp tie the higher
+/// writer id wins; on an exact `(timestamp, writer)` tie the record
+/// **later in the input** wins — later in that writer's log, whichever
+/// record starts lower (real PLFS relies on clocks differing; the
+/// simulation and same-tick rewrites can produce exact ties).
+///
+/// Every bulk build (`from_entries`, `from_runs`, `merge`, `merge_all`,
+/// `merge_streamed`, `compact`) is a thin caller of one k-way
+/// resolve-and-compact kernel: O(n log k) over `k` ascending runs, one
+/// pass, one map build (cost model in DESIGN.md §5b).
 ///
 /// # Examples
 ///
@@ -189,61 +212,41 @@ impl GlobalIndex {
         GlobalIndex::default()
     }
 
-    /// Build from unordered entries across any number of writers.
-    ///
-    /// Detects the dominant checkpoint shape — entries pairwise disjoint in
-    /// logical space (N-1 strided writes never overlap) — and bulk-builds
-    /// the interval map from one sorted run, skipping the per-entry overlay
-    /// with its blocker scans and span splitting. Genuinely overlapping
-    /// workloads fall back to the precedence-resolving overlay path.
-    /// Both paths produce the identical span set.
+    /// Build from entries in issue order, across any number of writers:
+    /// [`GlobalIndex::from_runs`] of that one sequence, uncompacted.
     pub fn from_entries<I: IntoIterator<Item = IndexEntry>>(entries: I) -> Self {
-        let mut v: Vec<IndexEntry> = entries.into_iter().filter(|e| e.length > 0).collect();
-        // Probe for the disjoint shape on a sorted view of the entries; `v`
-        // itself must stay in issue order so that the fallback's stable
-        // precedence sort breaks (timestamp, writer) ties by issue order,
-        // exactly like overlaying one entry at a time.
-        let mut order: Vec<u32> = (0..v.len() as u32).collect();
-        order.sort_unstable_by_key(|&i| v[i as usize].logical_offset);
-        let disjoint = order.windows(2).all(|w| {
-            let a = &v[w[0] as usize];
-            let b = &v[w[1] as usize];
-            a.logical_offset + a.length <= b.logical_offset
-        });
-        if disjoint {
-            // Sorted + disjoint: each entry is already the winner of its
-            // range, so the spans can be assembled in one ordered pass.
-            return GlobalIndex {
-                spans: order
-                    .into_iter()
-                    .map(|i| {
-                        let e = &v[i as usize];
-                        (
-                            e.logical_offset,
-                            Span {
-                                len: e.length,
-                                writer: e.writer,
-                                phys: e.physical_offset,
-                                ts: e.timestamp,
-                            },
-                        )
-                    })
-                    .collect(),
+        Self::from_runs(&[entries.into_iter().collect::<Vec<_>>()], false)
+    }
+
+    /// Build from any number of entry sequences — one per writer log, in
+    /// log order — in a single pass: a k-way merge that resolves
+    /// overwrites, compacts inline when `compact` is set (by
+    /// [`GlobalIndex::compact`]'s rule; for terminal aggregations only,
+    /// see DESIGN.md §5b) and bulk-builds the interval map once. The
+    /// outcome is what overlaying the concatenated sequences one entry at
+    /// a time would give.
+    pub fn from_runs<R: AsRef<[IndexEntry]>>(runs: &[R], compact: bool) -> Self {
+        let _span = crate::telemetry::span(crate::telemetry::SPAN_INDEX_MERGE);
+        let mut spans = Vec::with_capacity(runs.iter().map(|r| r.as_ref().len()).sum());
+        resolve_runs(runs, compact, |e| {
+            let span = Span {
+                len: e.length,
+                writer: e.writer,
+                phys: e.physical_offset,
+                ts: e.timestamp,
             };
+            spans.push((e.logical_offset, span));
+        });
+        // Already sorted and disjoint: the map bulk-builds from the run.
+        GlobalIndex {
+            spans: spans.into_iter().collect(),
         }
-        // Sort so later-precedence entries are overlaid last.
-        v.sort_by_key(|e| (e.timestamp, e.writer));
-        let mut idx = GlobalIndex::new();
-        for e in &v {
-            idx.overlay_unchecked(e);
-        }
-        idx
     }
 
     /// Add one entry, resolving conflicts by (timestamp, writer) precedence.
     ///
-    /// Unlike [`GlobalIndex::from_entries`] this is order-independent: an
-    /// entry that loses to an already-present span leaves the span intact.
+    /// Order-independent: an entry that loses to an already-present span
+    /// leaves the span intact (an exact tie goes to the later insert).
     pub fn insert(&mut self, e: &IndexEntry) {
         if e.length == 0 {
             return;
@@ -257,7 +260,7 @@ impl GlobalIndex {
             // Find the first existing span that overlaps p and outranks it.
             let mut blocker: Option<(u64, Span)> = None;
             for (&start, span) in self.overlapping(p.logical_offset, p_end) {
-                if rank(span.ts, span.writer) > rank(p.timestamp, p.writer) {
+                if (span.ts, span.writer) > (p.timestamp, p.writer) {
                     blocker = Some((start, *span));
                     break;
                 }
@@ -267,20 +270,10 @@ impl GlobalIndex {
                 Some((bs, bspan)) => {
                     let b_end = bs + bspan.len;
                     if p.logical_offset < bs {
-                        let head_len = bs - p.logical_offset;
-                        pieces.push(IndexEntry {
-                            length: head_len,
-                            ..p
-                        });
+                        pieces.push(p.cut(p.logical_offset, bs));
                     }
                     if p_end > b_end {
-                        let cut = b_end - p.logical_offset;
-                        pieces.push(IndexEntry {
-                            logical_offset: b_end,
-                            length: p_end - b_end,
-                            physical_offset: p.physical_offset + cut,
-                            ..p
-                        });
+                        pieces.push(p.cut(b_end, p_end));
                     }
                 }
             }
@@ -356,111 +349,27 @@ impl GlobalIndex {
     }
 
     /// Merge another index into this one (used by Parallel Index Read group
-    /// leaders). Order-independent: precedence decides, not merge order.
-    ///
-    /// When the two indices cover disjoint logical ranges — the common case
-    /// for partial indices built from different writers of a strided
-    /// checkpoint — the merge is a linear two-pointer zipper over the two
-    /// sorted span runs. Overlapping indices fall back to per-span
-    /// precedence-resolving insertion; both paths yield the same span set.
+    /// leaders). Order-independent: precedence decides, not merge order
+    /// (an exact `(timestamp, writer)` tie goes to `other`).
     pub fn merge(&mut self, other: &GlobalIndex) {
-        if other.spans.is_empty() {
-            return;
-        }
-        if self.spans.is_empty() {
-            self.spans = other.spans.clone();
-            return;
-        }
-        if self.disjoint_from(other) {
-            let mine = std::mem::take(&mut self.spans);
-            let mut merged: Vec<(u64, Span)> = Vec::with_capacity(mine.len() + other.spans.len());
-            let mut a = mine.into_iter().peekable();
-            let mut b = other.spans.iter().map(|(&s, sp)| (s, *sp)).peekable();
-            loop {
-                match (a.peek(), b.peek()) {
-                    (Some(&(sa, _)), Some(&(sb, _))) => {
-                        if sa <= sb {
-                            // plfs-lint: allow(panic-in-core): peek() returned Some on this branch
-                            merged.push(a.next().expect("peeked"));
-                        } else {
-                            // plfs-lint: allow(panic-in-core): peek() returned Some on this branch
-                            merged.push(b.next().expect("peeked"));
-                        }
-                    }
-                    (Some(_), None) => {
-                        merged.extend(a);
-                        break;
-                    }
-                    (None, _) => {
-                        merged.extend(b);
-                        break;
-                    }
-                }
-            }
-            self.spans = merged.into_iter().collect();
-        } else {
-            for (&start, span) in &other.spans {
-                self.insert(&IndexEntry {
-                    logical_offset: start,
-                    length: span.len,
-                    physical_offset: span.phys,
-                    writer: span.writer,
-                    timestamp: span.ts,
-                });
-            }
+        if !other.is_empty() {
+            *self = Self::from_runs(&[self.to_entries(), other.to_entries()], false);
         }
     }
 
-    /// Linear two-pointer test: do `self` and `other` cover disjoint
-    /// logical ranges?
-    fn disjoint_from(&self, other: &GlobalIndex) -> bool {
-        let mut a = self.spans.iter().peekable();
-        let mut b = other.spans.iter().peekable();
-        while let (Some(&(&sa, pa)), Some(&(&sb, pb))) = (a.peek(), b.peek()) {
-            if sa + pa.len <= sb {
-                a.next();
-            } else if sb + pb.len <= sa {
-                b.next();
-            } else {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Merge many partial indices into one, hierarchically: pairwise
-    /// rounds, halving the population each time — the Parallel Index Read
-    /// group tree run in-process. Each span participates in O(log k)
-    /// merges instead of being re-inserted into one ever-growing
-    /// accumulator k−1 times, and disjoint pairs (the checkpoint case)
-    /// take the linear zipper at every level.
+    /// Merge many partial indices into one — the Parallel Index Read
+    /// group tree collapsed into a single k-way pass over the parts'
+    /// sorted spans (an exact tie goes to the later part).
     pub fn merge_all<I: IntoIterator<Item = GlobalIndex>>(parts: I) -> GlobalIndex {
-        let _span = crate::telemetry::span(crate::telemetry::SPAN_INDEX_MERGE);
-        let mut layer: Vec<GlobalIndex> = parts.into_iter().collect();
-        if layer.is_empty() {
-            return GlobalIndex::new();
-        }
-        while layer.len() > 1 {
-            let mut next = Vec::with_capacity(layer.len().div_ceil(2));
-            let mut it = layer.into_iter();
-            while let Some(mut a) = it.next() {
-                if let Some(b) = it.next() {
-                    // Merge the smaller into the larger: the zipper clones
-                    // `other`'s spans, the fallback re-inserts them.
-                    if b.span_count() > a.span_count() {
-                        let mut b = b;
-                        b.merge(&a);
-                        next.push(b);
-                        continue;
-                    }
-                    a.merge(&b);
-                }
-                next.push(a);
-            }
-            layer = next;
-        }
-        // plfs-lint: allow(panic-in-core): empty input returned early above and each round keeps >= 1 part
-        layer.pop().expect("at least one part")
+        Self::from_runs(&Self::part_runs(parts), false)
+    }
+
+    /// Each part's spans as one ascending run; the maps drop as they go.
+    pub(crate) fn part_runs<I>(parts: I) -> Vec<Vec<IndexEntry>>
+    where
+        I: IntoIterator<Item = GlobalIndex>,
+    {
+        parts.into_iter().map(|p| p.to_entries()).collect()
     }
 
     /// Resolve a logical read into data-log extents and holes.
@@ -594,35 +503,7 @@ impl GlobalIndex {
     /// cannot change any outcome because the merged spans were already
     /// the winners of their ranges).
     pub fn compact(&mut self) {
-        let mut compacted: BTreeMap<u64, Span> = BTreeMap::new();
-        let mut cur: Option<(u64, Span)> = None;
-        for (&start, span) in &self.spans {
-            match cur.take() {
-                None => cur = Some((start, *span)),
-                Some((cstart, cspan)) => {
-                    let contiguous = cstart + cspan.len == start
-                        && cspan.writer == span.writer
-                        && cspan.phys + cspan.len == span.phys;
-                    if contiguous {
-                        cur = Some((
-                            cstart,
-                            Span {
-                                len: cspan.len + span.len,
-                                ts: cspan.ts.max(span.ts),
-                                ..cspan
-                            },
-                        ));
-                    } else {
-                        compacted.insert(cstart, cspan);
-                        cur = Some((start, *span));
-                    }
-                }
-            }
-        }
-        if let Some((s, sp)) = cur {
-            compacted.insert(s, sp);
-        }
-        self.spans = compacted;
+        *self = Self::from_runs(&[self.to_entries()], true);
     }
 
     /// Serialize as index records (for the flattened `global.index` file).
@@ -639,113 +520,197 @@ impl GlobalIndex {
             .collect()
     }
 
-    /// Bounded-window streaming form of [`GlobalIndex::merge_all`] `+`
+    /// Streaming form of [`GlobalIndex::merge_all`] `+`
     /// [`GlobalIndex::compact`]: merge the partial indices and hand the
     /// resolved, compacted entries to `emit` in sorted chunks of at most
-    /// `chunk_entries`, without ever materializing the merged index.
-    ///
-    /// Each part's spans stream out in ascending logical order through a
-    /// k-way heap; a small working window resolves precedence exactly like
-    /// [`GlobalIndex::insert`]. A window span whose end is at or before
-    /// the next incoming start can never be disturbed again (every later
-    /// entry starts at or past that point), so it finalizes immediately —
-    /// working memory is O(k + deepest overlap cluster + chunk), not
-    /// O(total entries). The emitted stream is bit-for-bit the entry
-    /// sequence `merge_all` + `compact` + [`GlobalIndex::to_entries`]
-    /// would produce.
-    pub fn merge_streamed<I, F>(parts: I, chunk_entries: usize, mut emit: F) -> Result<()>
+    /// `chunk_entries`, without ever building the merged map. The emitted
+    /// stream is bit-for-bit the entry sequence `merge_all` + `compact` +
+    /// [`GlobalIndex::to_entries`] would produce.
+    pub fn merge_streamed<I, F>(parts: I, chunk_entries: usize, emit: F) -> Result<()>
     where
         I: IntoIterator<Item = GlobalIndex>,
         F: FnMut(&[IndexEntry]) -> Result<()>,
     {
-        let _span = crate::telemetry::span(crate::telemetry::SPAN_INDEX_MERGE);
-        let chunk = chunk_entries.max(1);
-        let mut runs: Vec<_> = parts
-            .into_iter()
-            .map(|p| p.spans.into_iter())
-            .collect();
-        // Heap of (next start offset, run) — min-first via Reverse. Heads
-        // are staged beside the heap so popping yields the span too.
-        let mut heads: Vec<Option<(u64, Span)>> = runs.iter_mut().map(Iterator::next).collect();
-        let mut heap = std::collections::BinaryHeap::with_capacity(runs.len());
-        for (i, head) in heads.iter().enumerate() {
-            if let Some(&(start, _)) = head.as_ref() {
-                heap.push(std::cmp::Reverse((start, i)));
-            }
-        }
-        let mut window = GlobalIndex::new();
-        let mut carry: Option<IndexEntry> = None;
-        let mut out: Vec<IndexEntry> = Vec::with_capacity(chunk);
-        let flush_final =
-            |window: &mut GlobalIndex,
-             carry: &mut Option<IndexEntry>,
-             out: &mut Vec<IndexEntry>,
-             horizon: Option<u64>,
-             emit: &mut F|
-             -> Result<()> {
-                while let Some((&start, &span)) = window.spans.first_key_value() {
-                    if horizon.is_some_and(|h| start + span.len > h) {
-                        break;
-                    }
-                    window.spans.remove(&start);
-                    let fin = IndexEntry {
-                        logical_offset: start,
-                        length: span.len,
-                        physical_offset: span.phys,
-                        writer: span.writer,
-                        timestamp: span.ts,
-                    };
-                    // Compact across finalization boundaries exactly like
-                    // `compact`: contiguous logically and physically within
-                    // one writer's log, keeping the later timestamp.
-                    match carry.take() {
-                        Some(mut c)
-                            if c.logical_offset + c.length == fin.logical_offset
-                                && c.writer == fin.writer
-                                && c.physical_offset + c.length == fin.physical_offset =>
-                        {
-                            c.length += fin.length;
-                            c.timestamp = c.timestamp.max(fin.timestamp);
-                            *carry = Some(c);
-                        }
-                        Some(c) => {
-                            out.push(c);
-                            *carry = Some(fin);
-                            if out.len() >= chunk {
-                                emit(out)?;
-                                out.clear();
-                            }
-                        }
-                        None => *carry = Some(fin),
-                    }
-                }
-                Ok(())
-            };
-        while let Some(std::cmp::Reverse((start, i))) = heap.pop() {
-            // plfs-lint: allow(panic-in-core): a heap key exists only while heads[i] is staged
-            let (_, span) = heads[i].take().expect("staged head for popped key");
-            if let Some(next) = runs[i].next() {
-                heap.push(std::cmp::Reverse((next.0, i)));
-                heads[i] = Some(next);
-            }
-            flush_final(&mut window, &mut carry, &mut out, Some(start), &mut emit)?;
-            window.insert(&IndexEntry {
-                logical_offset: start,
-                length: span.len,
-                physical_offset: span.phys,
-                writer: span.writer,
-                timestamp: span.ts,
-            });
-        }
-        flush_final(&mut window, &mut carry, &mut out, None, &mut emit)?;
-        if let Some(c) = carry {
-            out.push(c);
-        }
-        if !out.is_empty() {
-            emit(&out)?;
-        }
-        Ok(())
+        stream_runs(&Self::part_runs(parts), chunk_entries, emit)
     }
+}
+
+/// Resolve and compact `runs` (see [`GlobalIndex::from_runs`]) straight
+/// into `emit`, in sorted chunks of at most `chunk_entries`: Index
+/// Flatten's path from the writers' entry buffers to the spanidx file.
+/// Working memory beyond the input is O(runs + deepest overlap cluster +
+/// chunk). Once `emit` fails nothing more is emitted.
+pub(crate) fn stream_runs<R, F>(runs: &[R], chunk_entries: usize, mut emit: F) -> Result<()>
+where
+    R: AsRef<[IndexEntry]>,
+    F: FnMut(&[IndexEntry]) -> Result<()>,
+{
+    let _span = crate::telemetry::span(crate::telemetry::SPAN_INDEX_MERGE);
+    let chunk = chunk_entries.max(1);
+    let mut out: Vec<IndexEntry> = Vec::with_capacity(chunk);
+    let mut status = Ok(());
+    resolve_runs(runs, true, |e| {
+        if status.is_ok() {
+            out.push(e);
+            if out.len() >= chunk {
+                status = emit(&out);
+                out.clear();
+            }
+        }
+    });
+    if !out.is_empty() && status.is_ok() {
+        status = emit(&out);
+    }
+    status
+}
+
+/// A resolved piece waiting in the precedence window, with the input
+/// position of the entry it was cut from.
+type Ranked = (IndexEntry, u64);
+
+/// The kernel behind every bulk index build: k-way merge any number of
+/// entry sequences by logical offset, resolve overwrites, optionally
+/// compact, and hand the result — sorted, pairwise disjoint — to `emit`.
+///
+/// Each sequence is split where its offsets descend, so every run the
+/// heap sees is ascending (a writer's log of a forward checkpoint is one
+/// run; the concatenation of `k` such logs is `k` runs; a log written
+/// backwards is one run per record). Precedence is the total order
+/// `(timestamp, writer, position in the concatenated input)`, so the
+/// output does not depend on pop order. Entries pop in ascending start
+/// order; a piece whose end is at or before the next incoming start can
+/// never be disturbed again and finalizes immediately, so the window only
+/// ever holds the current overlap cluster. An entry that meets an empty
+/// window and ends at or before the next incoming start — every entry of
+/// a disjoint checkpoint — skips the window altogether.
+fn resolve_runs<R, F>(logs: &[R], compact: bool, mut emit: F)
+where
+    R: AsRef<[IndexEntry]>,
+    F: FnMut(IndexEntry),
+{
+    use std::cmp::Reverse;
+    use std::collections::binary_heap::{BinaryHeap, PeekMut};
+
+    // Each run: what is left of it, and the position of its first entry
+    // in the concatenated input.
+    let mut runs: Vec<(&[IndexEntry], u64)> = Vec::with_capacity(logs.len());
+    let mut seq = 0u64;
+    for log in logs {
+        for run in log
+            .as_ref()
+            .chunk_by(|a, b| a.logical_offset <= b.logical_offset)
+        {
+            runs.push((run, seq));
+            seq += run.len() as u64;
+        }
+    }
+    // Min-heap of (next start, run).
+    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = runs
+        .iter()
+        .enumerate()
+        .map(|(i, (run, _))| Reverse((run[0].logical_offset, i)))
+        .collect();
+
+    // Output stage: compaction across finalization boundaries — contiguous
+    // logically and physically within one writer's log, keeping the later
+    // timestamp.
+    let mut carry: Option<IndexEntry> = None;
+    let mut finalize = |fin: IndexEntry| match &mut carry {
+        Some(c)
+            if compact
+                && c.end() == fin.logical_offset
+                && c.writer == fin.writer
+                && c.physical_offset + c.length == fin.physical_offset =>
+        {
+            c.length += fin.length;
+            c.timestamp = c.timestamp.max(fin.timestamp);
+        }
+        _ => {
+            if let Some(done) = carry.replace(fin) {
+                emit(done);
+            }
+        }
+    };
+
+    let mut window: VecDeque<Ranked> = VecDeque::new();
+    let mut scratch: Vec<Ranked> = Vec::new();
+    loop {
+        let Some(mut top) = heap.peek_mut() else {
+            break;
+        };
+        let (rest, next_seq) = &mut runs[top.0 .1];
+        let (e, seq) = (rest[0], *next_seq);
+        *rest = &rest[1..];
+        *next_seq += 1;
+        // Re-key the run in place: one sift instead of a pop and a push.
+        match rest.first() {
+            Some(next) => {
+                top.0 .0 = next.logical_offset;
+                drop(top);
+            }
+            None => {
+                PeekMut::pop(top);
+            }
+        }
+        if e.length == 0 {
+            continue;
+        }
+        while let Some(&(p, _)) = window.front() {
+            if p.end() > e.logical_offset {
+                break;
+            }
+            finalize(p);
+            window.pop_front();
+        }
+        let next_start = heap.peek().map_or(u64::MAX, |r| r.0 .0);
+        if window.is_empty() && next_start >= e.end() {
+            finalize(e);
+        } else {
+            overlay(&mut window, &mut scratch, e, seq);
+        }
+    }
+    window.into_iter().for_each(|(p, _)| finalize(p));
+    if let Some(done) = carry {
+        emit(done);
+    }
+}
+
+/// Overlay `e` onto the window. Every window piece ends past `e`'s start
+/// (the rest were finalized) and the pieces are sorted and disjoint, so
+/// the ones `e` touches are a prefix; it is rebuilt with each byte going
+/// to the higher `(timestamp, writer, seq)`. Each entry keeps the maximal
+/// stretches it wins, exactly like [`GlobalIndex::insert`].
+fn overlay(window: &mut VecDeque<Ranked>, scratch: &mut Vec<Ranked>, e: IndexEntry, seq: u64) {
+    let end = e.end();
+    // First byte of `e` not yet given to anyone.
+    let mut cursor = e.logical_offset;
+    // What sticks out past `end` of the last piece `e` beat.
+    let mut tail = None;
+    while let Some(&(p, pseq)) = window.front() {
+        if p.logical_offset >= end {
+            break;
+        }
+        window.pop_front();
+        if (p.timestamp, p.writer, pseq) > (e.timestamp, e.writer, seq) {
+            if p.logical_offset > cursor {
+                scratch.push((e.cut(cursor, p.logical_offset), seq));
+            }
+            scratch.push((p, pseq));
+            cursor = p.end();
+        } else {
+            if p.logical_offset < e.logical_offset {
+                scratch.push((p.cut(p.logical_offset, e.logical_offset), pseq));
+            }
+            if p.end() > end {
+                tail = Some((p.cut(end, p.end()), pseq));
+            }
+        }
+    }
+    if cursor < end {
+        scratch.push((e.cut(cursor, end), seq));
+    }
+    scratch.extend(tail);
+    scratch.drain(..).rev().for_each(|r| window.push_front(r));
 }
 
 /// Coalesce adjacent mergeable mappings in `v[base..]` in place: runs of
@@ -816,11 +781,6 @@ impl SpanLookup for GlobalIndex {
     fn eof(&self) -> u64 {
         GlobalIndex::eof(self)
     }
-}
-
-#[inline]
-fn rank(ts: u64, writer: WriterId) -> (u64, WriterId) {
-    (ts, writer)
 }
 
 #[cfg(test)]
@@ -1149,13 +1109,12 @@ mod tests {
         idx.insert(&e(5, 0, 0, 1, 1));
         assert!(idx.is_empty());
         assert_eq!(idx.eof(), 0);
-        // The bulk-build fast path must filter them too.
+        // The bulk build must filter them too.
         let bulk = GlobalIndex::from_entries([e(5, 0, 0, 1, 1), e(0, 4, 0, 2, 1)]);
         assert_eq!(bulk.span_count(), 1);
     }
 
-    /// Slow-path reference merge: per-span precedence-resolving insert,
-    /// exactly what `merge` did before the zipper fast path existed.
+    /// Reference merge: per-span precedence-resolving insert.
     fn merge_by_insert(dst: &mut GlobalIndex, src: &GlobalIndex) {
         for entry in src.to_entries() {
             dst.insert(&entry);
@@ -1165,7 +1124,7 @@ mod tests {
     #[test]
     fn zipper_merge_of_disjoint_indices_matches_insert_path() {
         // Interleaved strided halves: even blocks in one index, odd in the
-        // other — fully disjoint, so merge takes the zipper.
+        // other — fully disjoint, so no entry ever enters the window.
         let evens =
             GlobalIndex::from_entries((0..64u64).map(|b| e(2 * b * 100, 100, b * 100, 1, 1)));
         let odds =
@@ -1371,6 +1330,84 @@ mod tests {
         })
         .unwrap();
         assert!(chunks > 1, "expected incremental emission");
+    }
+
+    /// Reference build: overlay one entry at a time in precedence order,
+    /// ties in input order.
+    fn built_by_insert(entries: &[IndexEntry]) -> GlobalIndex {
+        let mut sorted = entries.to_vec();
+        sorted.sort_by_key(|e| (e.timestamp, e.writer));
+        let mut idx = GlobalIndex::new();
+        for e in &sorted {
+            idx.insert(e);
+        }
+        idx
+    }
+
+    #[test]
+    fn window_fast_path_boundary() {
+        for (ts_a, ts_b) in [(1, 2), (2, 1)] {
+            // Next start == this end: disjoint, the window is never used.
+            let touching = [e(0, 10, 0, 1, ts_a), e(10, 10, 0, 2, ts_b)];
+            let idx = GlobalIndex::from_runs(&[&touching[..1], &touching[1..]], false);
+            assert_eq!(idx, built_by_insert(&touching));
+            assert_eq!(idx.to_entries(), touching);
+            // Next start == this end - 1: one shared byte, so the first
+            // entry must wait in the window and one of the two is cut.
+            let overlapping = [e(0, 10, 0, 1, ts_a), e(9, 10, 0, 2, ts_b)];
+            let idx = GlobalIndex::from_runs(&[&overlapping[..1], &overlapping[1..]], false);
+            assert_eq!(idx, built_by_insert(&overlapping));
+            let want = if ts_a < ts_b {
+                vec![e(0, 9, 0, 1, ts_a), e(9, 10, 0, 2, ts_b)]
+            } else {
+                vec![e(0, 10, 0, 1, ts_a), e(10, 9, 1, 2, ts_b)]
+            };
+            assert_eq!(idx.to_entries(), want);
+        }
+    }
+
+    #[test]
+    fn exact_tie_goes_to_the_later_record_in_the_log() {
+        // Same writer, same timestamp, overlapping: the record written
+        // later wins the shared bytes, whichever starts lower — offset
+        // order alone would hand [5,10) to the wrong one here.
+        let log = [e(5, 10, 0, 1, 7), e(0, 10, 10, 1, 7)];
+        let idx = GlobalIndex::from_entries(log);
+        assert_eq!(idx, built_by_insert(&log));
+        assert_eq!(
+            idx.to_entries(),
+            vec![e(0, 10, 10, 1, 7), e(10, 5, 5, 1, 7)]
+        );
+        let log = [e(0, 10, 0, 1, 7), e(5, 10, 10, 1, 7)];
+        let idx = GlobalIndex::from_entries(log);
+        assert_eq!(idx, built_by_insert(&log));
+        assert_eq!(idx.to_entries(), vec![e(0, 5, 0, 1, 7), e(5, 10, 10, 1, 7)]);
+        // Across runs the position in the concatenation decides.
+        let (a, b) = ([e(0, 10, 0, 1, 7)], [e(0, 10, 10, 1, 7)]);
+        assert_eq!(GlobalIndex::from_runs(&[a, b], false).to_entries(), b);
+        assert_eq!(GlobalIndex::from_runs(&[b, a], false).to_entries(), a);
+    }
+
+    #[test]
+    fn from_runs_compacts_inline_like_compact() {
+        // Two writers' segmented regions, plus an overwrite that splits
+        // one of them: inline compaction must equal build-then-compact.
+        let runs = vec![
+            (0..8u64)
+                .map(|k| e(k * 10, 10, k * 10, 1, 1))
+                .collect::<Vec<_>>(),
+            vec![e(35, 10, 0, 2, 9)],
+            Vec::new(),
+            (0..8u64)
+                .rev()
+                .map(|k| e(100 + k * 10, 10, k * 10, 3, 1))
+                .collect(),
+        ];
+        let mut want = built_by_insert(&runs.concat());
+        assert_eq!(GlobalIndex::from_runs(&runs, false), want);
+        want.compact();
+        assert_eq!(GlobalIndex::from_runs(&runs, true), want);
+        assert_eq!(want.span_count(), 4);
     }
 
     #[test]

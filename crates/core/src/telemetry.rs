@@ -94,7 +94,7 @@ pub const SPAN_READ_OPEN: &str = "read.open";
 pub const SPAN_READ_LOOKUP: &str = "read.lookup";
 /// Span: container-level index aggregation (serial or threaded).
 pub const SPAN_INDEX_AGGREGATE: &str = "index.aggregate";
-/// Span: hierarchical merge of per-writer subindices.
+/// Span: one k-way resolve of index runs into a bulk index build.
 pub const SPAN_INDEX_MERGE: &str = "index.merge";
 /// Span: `fsck::check` — the full container scan phase.
 pub const SPAN_FSCK_SCAN: &str = "fsck.scan";

@@ -17,7 +17,7 @@ use crate::backend::Backend;
 use crate::container::Container;
 use crate::content::Content;
 use crate::error::{retry_transient, PlfsError, Result, DEFAULT_RETRY_ATTEMPTS};
-use crate::index::{GlobalIndex, IndexEntry, WriterId, INDEX_RECORD_BYTES};
+use crate::index::{IndexEntry, WriterId, INDEX_RECORD_BYTES};
 use crate::ioplane::async_plane::{self, Ticket};
 use crate::ioplane::{self, IoOp};
 use crate::telemetry;
@@ -599,22 +599,21 @@ pub fn flatten_close<B: Backend>(
 ) -> Result<bool> {
     let _span = telemetry::span(telemetry::SPAN_WRITE_FLATTEN);
     let all_can_flatten = handles.iter().all(|h| h.can_flatten());
-    // Gather one partial index per writer (each writer's own entries are
-    // disjoint sorted runs, so the partial build and the hierarchical
-    // merge below both take the linear zipper path).
-    let mut partials: Vec<GlobalIndex> = Vec::with_capacity(handles.len());
+    // Gather each writer's closed entry buffer: one run per writer, in
+    // log order.
+    let mut runs: Vec<Vec<IndexEntry>> = Vec::with_capacity(handles.len());
     for h in handles {
-        partials.push(GlobalIndex::from_entries(h.close(timestamp)?));
+        runs.push(h.close(timestamp)?);
     }
     if !all_can_flatten {
         return Ok(false);
     }
-    // Stream the merge straight to disk: partials zipper through the
-    // bounded-window merge into spanidx record chunks, so the flatten
-    // never materializes the merged index. The emitted records are the
-    // compacted merge (segmented checkpoints collapse to one span per
-    // writer, shrinking the flattened index every reader pays for).
-    container.write_flattened_streamed(backend, partials)?;
+    // Stream the merge straight to disk: the runs go through the
+    // resolve-and-compact kernel into spanidx record chunks, so the
+    // flatten never materializes the merged index. The emitted records
+    // are the compacted merge (segmented checkpoints collapse to one span
+    // per writer, shrinking the flattened index every reader pays for).
+    container.write_flattened_runs(backend, &runs)?;
     Ok(true)
 }
 
@@ -680,11 +679,7 @@ where
             // as its explicit parent, so the tree keeps its ancestry even
             // though the work hopped threads.
             let _span = telemetry::span_with_parent(telemetry::SPAN_WRITE_FLATTEN, parent);
-            let partials: Vec<GlobalIndex> = contributions
-                .into_iter()
-                .map(GlobalIndex::from_entries)
-                .collect();
-            container.write_flattened_streamed(backend.as_ref(), partials)?;
+            container.write_flattened_runs(backend.as_ref(), &contributions)?;
             Ok(true)
         })
         .map_err(|e| PlfsError::Io(format!("spawn background flatten: {e}")))?;

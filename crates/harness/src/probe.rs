@@ -28,7 +28,8 @@ const SUBDIRS: usize = 4;
 /// fan-out that Figure 4 of the paper measures — not the byte reads.
 /// The span forest shows `read.open` with an `index.aggregate` child on
 /// the opening thread; when aggregation fans out to worker threads,
-/// their `ioplane.submit` spans surface as separate per-thread roots.
+/// each reopens `index.aggregate` under the opener's span, so their
+/// `ioplane.submit` spans stay inside the same tree.
 ///
 /// Telemetry is process-global: the probe resets it, records only its
 /// own read-open window (the container build happens *before* recording
@@ -138,12 +139,16 @@ mod tests {
         );
 
         // The I/O plane is exercised underneath: subdir listings and
-        // index-log reads all go through submit. Worker threads surface
-        // their submits as their own per-thread roots, so require
+        // index-log reads all go through submit — on the opening thread
+        // or under a shard thread's nested `index.aggregate`, so require
         // presence anywhere in the forest rather than a fixed parent.
         assert!(
             count_named(&snap.spans, SPAN_IOPLANE_SUBMIT) > 0,
             "read-open must hit the I/O plane"
+        );
+        assert!(
+            snap.spans.iter().all(|n| n.name != SPAN_IOPLANE_SUBMIT),
+            "a shard thread's submit must never be an orphan root"
         );
 
         // And the rollup agrees with the raw records.

@@ -209,8 +209,8 @@ fn render_results(profiles: &[Profile]) -> String {
     format!(
         "# I/O-plane op counts: batched round trips per workload\n\
          \n\
-         Generated by `cargo run --bin io_plane -- --write results/io_plane.md`\n\
-         (debug build, `TracingBackend<MemFs>`; shapes in `src/bin/io_plane.rs`).\n\
+         Generated by `cargo run --release --bin io_plane -- --write results/io_plane.md`\n\
+         (release build, `TracingBackend<MemFs>`; shapes in `src/bin/io_plane.rs`).\n\
          `ops` is the number of backend operations issued — before the I/O\n\
          plane, each was its own round trip. `trips` is the round trips now:\n\
          one per submitted batch plus one per op still issued alone. `wall`\n\
@@ -224,7 +224,10 @@ fn render_results(profiles: &[Profile]) -> String {
          read-open carries 3 extra trips since the async plane landed: the\n\
          index reads go up in `READ_OVERLAP_CHUNK`-op tickets instead of\n\
          one batch, buying the overlap ratcheted in `results/io_async.md`\n\
-         (DESIGN.md \u{a7}5h) at the cost of chunk-count trips here.\n\
+         (DESIGN.md \u{a7}5h) at the cost of chunk-count trips here. The slices\n\
+         are cut by log count, not by aggregation thread: the opening thread\n\
+         sizes every index log in one batch and the shard threads only share\n\
+         out the read slices, so the row is the same at any thread count.\n\
          \n\
          {}",
         render_table(profiles)
