@@ -4,7 +4,6 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use simcore::{EventArena, EventQueue, Fifo, SimDuration, SimTime};
 use std::hint::black_box;
-use std::time::Duration;
 
 fn bench_event_queue(c: &mut Criterion) {
     let mut g = c.benchmark_group("event_queue");
@@ -76,33 +75,6 @@ fn bench_arena_vs_heap(c: &mut Criterion) {
     }
 }
 
-/// The whole dispatch stack, not just the queue: the identical
-/// write/retry/barrier job run through the seed interpreter
-/// (per-op materialization + BinaryHeap) and the rebuilt one (bytecode
-/// programs + calendar arena), at 1k/16k/64k ranks. `engine_64k` is the
-/// group ratcheted in `results/sim_scale.md`.
-fn bench_engine_stacks(c: &mut Criterion) {
-    use plfs_bench::engine::{
-        rebuilt_stack, rebuilt_stack_with, seed_stack, RETRIES_PER_WRITE, WRITES_PER_RANK,
-    };
-    use simcore::SchedulerKind;
-
-    for ranks in [1_024usize, 16_384, 65_536] {
-        let mut g = c.benchmark_group(format!("engine_{}k", ranks / 1024));
-        // Whole-job iterations are seconds long at 64k; keep samples low.
-        g.sample_size(10);
-        g.measurement_time(Duration::from_secs(12));
-        let events_per_rank = (WRITES_PER_RANK * (RETRIES_PER_WRITE + 1) + 3) as u64;
-        g.throughput(Throughput::Elements(ranks as u64 * events_per_rank));
-        g.bench_function("seed_stack", |b| b.iter(|| black_box(seed_stack(ranks))));
-        g.bench_function("rebuilt_heap", |b| {
-            b.iter(|| black_box(rebuilt_stack_with(ranks, SchedulerKind::Heap)))
-        });
-        g.bench_function("rebuilt_arena", |b| b.iter(|| black_box(rebuilt_stack(ranks))));
-        g.finish();
-    }
-}
-
 fn bench_full_sim_event_rate(c: &mut Criterion) {
     use mpio::ops::{FileTag, LogicalOp};
     use mpio::{Ctx, Exec, Layout, PlfsDriver, PlfsDriverConfig, ReadStrategy};
@@ -151,7 +123,6 @@ criterion_group!(
     bench_event_queue,
     bench_arena_vs_heap,
     bench_fifo,
-    bench_engine_stacks,
     bench_full_sim_event_rate
 );
 criterion_main!(benches);

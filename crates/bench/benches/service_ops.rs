@@ -1,5 +1,5 @@
 //! Criterion microbenches for the service layer's per-op overheads —
-//! the costs every one of the 1,024 `svc_scale` clients pays on every
+//! the costs every client of a shared `Service` pays on every
 //! operation: an admission probe, a handle-table hit, and (for the
 //! trace itself) generating one heavy-tailed client event.
 

@@ -18,8 +18,6 @@ use harness::{repeat, ClusterProfile, Middleware, RunOutput, Series};
 use simcore::Summary;
 use workloads::Workload;
 
-pub mod engine;
-
 /// Repetitions per data point.
 pub fn reps() -> u64 {
     if quick() {
@@ -64,34 +62,12 @@ pub fn sweep(
     s
 }
 
-/// Peak resident set size of this process in kilobytes (`VmHWM` from
-/// `/proc/self/status`); 0 where procfs is unavailable.
-pub fn peak_rss_kb() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines().find_map(|l| {
-                l.strip_prefix("VmHWM:")?
-                    .trim()
-                    .trim_end_matches(" kB")
-                    .trim()
-                    .parse()
-                    .ok()
-            })
-        })
-        .unwrap_or(0)
-}
-
 /// One-line engine report for a run — wall-clock, events, events/sec,
 /// peak live events — appended to the large-scale figure panels.
 pub fn engine_line(label: &str, o: &RunOutput) -> String {
     format!(
-        "# engine[{label}]: {} events in {:.2}s wall ({:.0} events/s), peak {} live, peak RSS {} kB",
-        o.events,
-        o.wall_s,
-        o.events_per_sec,
-        o.peak_live_events,
-        peak_rss_kb()
+        "# engine[{label}]: {} events in {:.2}s wall ({:.0} events/s), peak {} live",
+        o.events, o.wall_s, o.events_per_sec, o.peak_live_events
     )
 }
 

@@ -22,10 +22,11 @@
 //! and the default `submit` is exactly a sequential loop over them.
 
 use crate::content::Content;
-use crate::error::{retry_transient, PlfsError, Result, DEFAULT_RETRY_ATTEMPTS};
+use crate::error::{retry_transient, PlfsError, Result};
 use crate::ioplane::async_plane::Ticket;
 use crate::ioplane::{self, IoOp, IoOutcome};
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// What a path names.
@@ -74,7 +75,7 @@ pub trait Backend: Send + Sync {
     /// over (or writing off) state it could not see.
     fn exists(&self, path: &str) -> bool {
         !matches!(
-            retry_transient(DEFAULT_RETRY_ATTEMPTS, || self.kind(path)),
+            retry_transient(|| self.kind(path)),
             Err(PlfsError::NotFound(_))
         )
     }
@@ -131,6 +132,7 @@ pub trait Backend: Send + Sync {
 pub struct TracingBackend<B: Backend> {
     inner: B,
     trace: Arc<Mutex<Vec<IoOp>>>,
+    trips: AtomicU64,
 }
 
 impl<B: Backend> TracingBackend<B> {
@@ -139,6 +141,7 @@ impl<B: Backend> TracingBackend<B> {
         TracingBackend {
             inner,
             trace: Arc::new(Mutex::new(Vec::new())),
+            trips: AtomicU64::new(0),
         }
     }
 
@@ -152,8 +155,22 @@ impl<B: Backend> TracingBackend<B> {
         std::mem::take(&mut *self.trace.lock())
     }
 
+    /// Round trips so far: one per call into any [`Backend`] method of
+    /// this wrapper, so a batch of N ops is one trip and N trace entries.
+    /// Unlike [`ioplane::stats`] the count belongs to this instance, so
+    /// tests running in parallel in one process do not see each other.
+    pub fn trips(&self) -> u64 {
+        self.trips.load(Ordering::Relaxed)
+    }
+
     fn record(&self, op: IoOp) {
+        self.trips.fetch_add(1, Ordering::Relaxed);
         self.trace.lock().push(op);
+    }
+
+    fn record_batch(&self, batch: &[IoOp]) {
+        self.trips.fetch_add(1, Ordering::Relaxed);
+        self.trace.lock().extend(batch.iter().cloned());
     }
 }
 
@@ -231,14 +248,14 @@ impl<B: Backend> Backend for TracingBackend<B> {
     /// the trace is preserved: a batch of N ops records N entries,
     /// exactly as the sequential path would.
     fn submit(&self, batch: &[IoOp]) -> Vec<IoOutcome> {
-        self.trace.lock().extend(batch.iter().cloned());
+        self.record_batch(batch);
         self.inner.submit(batch)
     }
 
     /// Record at submission time (not completion), so the trace preserves
     /// the program's submission order even when completions reorder.
     fn submit_async(&self, batch: &[IoOp]) -> Ticket {
-        self.trace.lock().extend(batch.iter().cloned());
+        self.record_batch(batch);
         self.inner.submit_async(batch)
     }
 }
@@ -341,6 +358,10 @@ mod tests {
         let out = t.submit(&batch);
         assert!(out.iter().all(Result::is_ok));
         assert_eq!(t.take_trace(), batch, "batch of N records N entries");
+        assert_eq!(t.trips(), 1, "and is one round trip");
+        t.size("/d/f").unwrap();
+        assert_eq!(t.submit_async(&batch).wait().outcomes.len(), 2);
+        assert_eq!(t.trips(), 3, "a lone op and an async batch are a trip each");
     }
 
     #[test]

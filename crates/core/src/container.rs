@@ -22,7 +22,7 @@
 
 use crate::backend::{Backend, NodeKind};
 use crate::content::Content;
-use crate::error::{PlfsError, Result, DEFAULT_RETRY_ATTEMPTS};
+use crate::error::{PlfsError, Result};
 use crate::federation::Federation;
 use crate::index::ondisk::{self, OnDiskIndex, SpanIdxWriter};
 use crate::index::{self, GlobalIndex, IndexEntry, SpanCache, WriterId};
@@ -135,7 +135,7 @@ impl Container {
                 exclusive: true,
             },
         ];
-        let mut out = ioplane::submit_retried(b, DEFAULT_RETRY_ATTEMPTS, &batch).into_iter();
+        let mut out = ioplane::submit_retried(b, &batch).into_iter();
         ioplane::as_unit(ioplane::take(&mut out))?;
         match ioplane::as_unit(ioplane::take(&mut out)) {
             Ok(()) | Err(PlfsError::AlreadyExists(_)) => {}
@@ -176,8 +176,7 @@ impl Container {
                         exclusive: true,
                     },
                 ];
-                let mut out =
-                    ioplane::submit_retried(b, DEFAULT_RETRY_ATTEMPTS, &stage).into_iter();
+                let mut out = ioplane::submit_retried(b, &stage).into_iter();
                 ioplane::as_unit(ioplane::take(&mut out))?;
                 match ioplane::as_unit(ioplane::take(&mut out)) {
                     Ok(()) => {
@@ -229,7 +228,7 @@ impl Container {
             .iter()
             .map(|e| IoOp::Kind { path: e.clone() })
             .collect();
-        let kinds = ioplane::submit_retried(b, DEFAULT_RETRY_ATTEMPTS, &probes);
+        let kinds = ioplane::submit_retried(b, &probes);
         let mut resolved: Vec<Option<String>> = vec![None; k];
         let mut links: Vec<usize> = Vec::new();
         for (i, outcome) in kinds.into_iter().enumerate() {
@@ -249,7 +248,7 @@ impl Container {
                 path: entries[i].clone(),
             })
             .collect();
-        let sizes = ioplane::submit_retried(b, DEFAULT_RETRY_ATTEMPTS, &size_ops);
+        let sizes = ioplane::submit_retried(b, &size_ops);
         let mut read_ops = Vec::with_capacity(links.len());
         for (&i, outcome) in links.iter().zip(sizes) {
             read_ops.push(IoOp::ReadAt {
@@ -258,7 +257,7 @@ impl Container {
                 len: ioplane::as_size(outcome)?,
             });
         }
-        let reads = ioplane::submit_retried(b, DEFAULT_RETRY_ATTEMPTS, &read_ops);
+        let reads = ioplane::submit_retried(b, &read_ops);
         for (&i, outcome) in links.iter().zip(reads) {
             let bytes = ioplane::as_data(outcome)?.materialize();
             resolved[i] = Some(String::from_utf8(bytes).map_err(|_| {
@@ -302,7 +301,7 @@ impl Container {
                 exclusive: false,
             },
         ];
-        let mut out = ioplane::submit_retried(b, DEFAULT_RETRY_ATTEMPTS, &batch).into_iter();
+        let mut out = ioplane::submit_retried(b, &batch).into_iter();
         match ioplane::as_unit(ioplane::take(&mut out)) {
             Ok(()) | Err(PlfsError::AlreadyExists(_)) => {}
             Err(e) => return Err(e),
@@ -351,7 +350,7 @@ impl Container {
                 exclusive: false,
             },
         ];
-        let mut out = ioplane::submit_retried(b, DEFAULT_RETRY_ATTEMPTS, &batch).into_iter();
+        let mut out = ioplane::submit_retried(b, &batch).into_iter();
         match ioplane::as_unit(ioplane::take(&mut out)) {
             Ok(()) | Err(PlfsError::AlreadyExists(_)) => {}
             Err(e) => return Err(e),
@@ -383,7 +382,7 @@ impl Container {
                 path: join(&self.inner_dir_path(OPENHOSTS), &format!("host.{writer}")),
             },
         ];
-        let mut out = ioplane::submit_retried(b, DEFAULT_RETRY_ATTEMPTS, &batch).into_iter();
+        let mut out = ioplane::submit_retried(b, &batch).into_iter();
         match ioplane::as_unit(ioplane::take(&mut out)) {
             Ok(()) | Err(PlfsError::AlreadyExists(_)) => {}
             Err(e) => return Err(e),
@@ -433,7 +432,7 @@ impl Container {
             .flatten()
             .map(|d| IoOp::Readdir { path: d.clone() })
             .collect();
-        for outcome in ioplane::submit_retried(b, DEFAULT_RETRY_ATTEMPTS, &lists) {
+        for outcome in ioplane::submit_retried(b, &lists) {
             for name in ioplane::as_names(outcome)? {
                 if let Some(id) = name.strip_prefix(INDEX_PREFIX) {
                     if let Ok(w) = id.parse::<u64>() {
@@ -506,7 +505,7 @@ impl Container {
             .iter()
             .map(|p| IoOp::Size { path: p.clone() })
             .collect();
-        let sizes = ioplane::submit_retried(b, DEFAULT_RETRY_ATTEMPTS, &size_ops);
+        let sizes = ioplane::submit_retried(b, &size_ops);
         let mut read_ops = Vec::with_capacity(paths.len());
         for (p, outcome) in paths.iter().zip(sizes) {
             read_ops.push(IoOp::ReadAt {
@@ -561,7 +560,7 @@ impl Container {
         // then propagate the earliest error.
         let mut first_err: Option<PlfsError> = None;
         for (chunk, ticket) in chunks.iter().zip(tickets) {
-            let outcomes = async_plane::drain_retried(b, DEFAULT_RETRY_ATTEMPTS, chunk, ticket);
+            let outcomes = async_plane::drain_retried(b, chunk, ticket);
             if first_err.is_some() {
                 continue;
             }
@@ -718,10 +717,7 @@ impl Container {
         batch.push(IoOp::RemoveAll {
             path: self.canonical.clone(),
         });
-        for (i, outcome) in ioplane::submit_retried(b, DEFAULT_RETRY_ATTEMPTS, &batch)
-            .into_iter()
-            .enumerate()
-        {
+        for (i, outcome) in ioplane::submit_retried(b, &batch).into_iter().enumerate() {
             match ioplane::as_unit(outcome) {
                 Ok(()) => {}
                 Err(PlfsError::NotFound(_)) if i < shadows => {}

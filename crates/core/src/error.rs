@@ -68,15 +68,14 @@ pub fn next_backoff_us(backoff_us: u64) -> u64 {
     backoff_us.saturating_mul(2).min(RETRY_BACKOFF_CAP_US)
 }
 
-/// Run `op` up to `attempts` times, retrying only [`PlfsError::Transient`]
-/// failures with capped exponential backoff (microseconds — these are
-/// in-process backends; the bound is what matters, not the wait). Any
-/// non-transient error, or transient failure on the final attempt, is
-/// returned to the caller.
-pub fn retry_transient<T>(attempts: u32, mut op: impl FnMut() -> Result<T>) -> Result<T> {
-    let attempts = attempts.max(1);
+/// Run `op` up to [`DEFAULT_RETRY_ATTEMPTS`] times, retrying only
+/// [`PlfsError::Transient`] failures with capped exponential backoff
+/// (microseconds — these are in-process backends; the bound is what
+/// matters, not the wait). Any non-transient error, or transient failure
+/// on the final attempt, is returned to the caller.
+pub fn retry_transient<T>(mut op: impl FnMut() -> Result<T>) -> Result<T> {
     let mut backoff_us = RETRY_BACKOFF_START_US;
-    for _ in 1..attempts {
+    for _ in 1..DEFAULT_RETRY_ATTEMPTS {
         match op() {
             Ok(v) => return Ok(v),
             Err(e) if e.is_transient() => {

@@ -36,7 +36,7 @@ use crate::container::{
     REALIGN_SUFFIX, SUBDIR_PREFIX,
 };
 use crate::content::Content;
-use crate::error::{retry_transient, PlfsError, Result, DEFAULT_RETRY_ATTEMPTS};
+use crate::error::{retry_transient, PlfsError, Result};
 use crate::index::{GlobalIndex, IndexEntry, WriterId, INDEX_RECORD_BYTES};
 use crate::ioplane::{self, IoOp};
 use crate::telemetry;
@@ -193,10 +193,7 @@ pub fn check<B: Backend>(b: &B, container: &Container) -> Result<CheckReport> {
         .collect();
     let mut resolved: Vec<Option<String>> = vec![None; k];
     let mut links: Vec<usize> = Vec::new();
-    for (i, outcome) in ioplane::submit_retried(b, DEFAULT_RETRY_ATTEMPTS, &probes)
-        .into_iter()
-        .enumerate()
-    {
+    for (i, outcome) in ioplane::submit_retried(b, &probes).into_iter().enumerate() {
         match ioplane::as_kind(outcome) {
             Ok(NodeKind::Dir) => resolved[i] = Some(entries[i].clone()),
             Ok(NodeKind::File) => links.push(i),
@@ -216,11 +213,7 @@ pub fn check<B: Backend>(b: &B, container: &Container) -> Result<CheckReport> {
             .collect();
         let mut read_links = Vec::with_capacity(links.len());
         let mut read_ops = Vec::with_capacity(links.len());
-        for (&i, outcome) in links.iter().zip(ioplane::submit_retried(
-            b,
-            DEFAULT_RETRY_ATTEMPTS,
-            &size_ops,
-        )) {
+        for (&i, outcome) in links.iter().zip(ioplane::submit_retried(b, &size_ops)) {
             match ioplane::as_size(outcome) {
                 Ok(len) => {
                     read_links.push(i);
@@ -236,11 +229,7 @@ pub fn check<B: Backend>(b: &B, container: &Container) -> Result<CheckReport> {
                 }),
             }
         }
-        for (&i, outcome) in read_links.iter().zip(ioplane::submit_retried(
-            b,
-            DEFAULT_RETRY_ATTEMPTS,
-            &read_ops,
-        )) {
+        for (&i, outcome) in read_links.iter().zip(ioplane::submit_retried(b, &read_ops)) {
             match ioplane::as_data(outcome).map(|c| String::from_utf8(c.materialize())) {
                 Ok(Ok(target)) => resolved[i] = Some(target),
                 Ok(Err(_)) => report.issues.push(Issue::BrokenSubdir {
@@ -273,11 +262,10 @@ pub fn check<B: Backend>(b: &B, container: &Container) -> Result<CheckReport> {
         .iter()
         .map(|(_, d)| IoOp::Readdir { path: (*d).clone() })
         .collect();
-    for ((i, _), outcome) in list_targets.iter().zip(ioplane::submit_retried(
-        b,
-        DEFAULT_RETRY_ATTEMPTS,
-        &list_ops,
-    )) {
+    for ((i, _), outcome) in list_targets
+        .iter()
+        .zip(ioplane::submit_retried(b, &list_ops))
+    {
         let names = match ioplane::as_names(outcome) {
             Ok(n) => n,
             Err(e) => {
@@ -348,11 +336,11 @@ pub fn check<B: Backend>(b: &B, container: &Container) -> Result<CheckReport> {
         .map(|p| IoOp::Size { path: p.clone() })
         .collect();
     let mut read_ops = Vec::with_capacity(index_logs.len());
-    for ((&w, ipath), outcome) in index_logs.iter().zip(&ipaths).zip(ioplane::submit_retried(
-        b,
-        DEFAULT_RETRY_ATTEMPTS,
-        &size_ops,
-    )) {
+    for ((&w, ipath), outcome) in index_logs
+        .iter()
+        .zip(&ipaths)
+        .zip(ioplane::submit_retried(b, &size_ops))
+    {
         let len = ioplane::as_size(outcome)?;
         let whole = len / INDEX_RECORD_BYTES;
         let trailing = len % INDEX_RECORD_BYTES;
@@ -370,7 +358,7 @@ pub fn check<B: Backend>(b: &B, container: &Container) -> Result<CheckReport> {
         });
     }
     let mut decoded_per_writer = Vec::with_capacity(index_logs.len());
-    for outcome in ioplane::submit_retried(b, DEFAULT_RETRY_ATTEMPTS, &read_ops) {
+    for outcome in ioplane::submit_retried(b, &read_ops) {
         decoded_per_writer.push(IndexEntry::decode_content(&ioplane::as_data(outcome)?)?);
     }
     // Data-log sizes for the writers that have one, as a single batch.
@@ -386,11 +374,7 @@ pub fn check<B: Backend>(b: &B, container: &Container) -> Result<CheckReport> {
         });
     }
     let mut dsizes: std::collections::HashMap<WriterId, u64> = std::collections::HashMap::new();
-    for (&w, outcome) in with_data.iter().zip(ioplane::submit_retried(
-        b,
-        DEFAULT_RETRY_ATTEMPTS,
-        &dsize_ops,
-    )) {
+    for (&w, outcome) in with_data.iter().zip(ioplane::submit_retried(b, &dsize_ops)) {
         dsizes.insert(w, ioplane::as_size(outcome)?);
     }
 
@@ -430,7 +414,6 @@ pub fn check<B: Backend>(b: &B, container: &Container) -> Result<CheckReport> {
     if b.exists(&flat_path) {
         let mut outs = ioplane::submit_retried(
             b,
-            DEFAULT_RETRY_ATTEMPTS,
             &[IoOp::Size {
                 path: flat_path.clone(),
             }],
@@ -439,7 +422,6 @@ pub fn check<B: Backend>(b: &B, container: &Container) -> Result<CheckReport> {
         let len = ioplane::as_size(ioplane::take(&mut outs))?;
         let mut outs = ioplane::submit_retried(
             b,
-            DEFAULT_RETRY_ATTEMPTS,
             &[IoOp::ReadAt {
                 path: flat_path.clone(),
                 offset: 0,
@@ -538,7 +520,7 @@ pub fn space_usage<B: Backend>(b: &B, container: &Container) -> Result<SpaceUsag
             path: format!("{dir}/{INDEX_PREFIX}{w}"),
         });
     }
-    let mut sizes = ioplane::submit_retried(b, DEFAULT_RETRY_ATTEMPTS, &size_ops).into_iter();
+    let mut sizes = ioplane::submit_retried(b, &size_ops).into_iter();
     for _ in &writers {
         usage.data_bytes += ioplane::as_size(ioplane::take(&mut sizes))?;
         usage.index_bytes += ioplane::as_size(ioplane::take(&mut sizes))?;
@@ -555,7 +537,6 @@ pub fn space_usage<B: Backend>(b: &B, container: &Container) -> Result<SpaceUsag
     if b.exists(&flat_path) {
         let mut outs = ioplane::submit_retried(
             b,
-            DEFAULT_RETRY_ATTEMPTS,
             &[IoOp::Size {
                 path: flat_path.clone(),
             }],
@@ -691,11 +672,10 @@ pub fn repair<B: Backend>(b: &B, container: &Container) -> Result<RepairOutcome>
         });
     }
     let mut reclaim_ops = Vec::new();
-    for ((w, issue), outcome) in orphan_data.into_iter().zip(ioplane::submit_retried(
-        b,
-        DEFAULT_RETRY_ATTEMPTS,
-        &orphan_size_ops,
-    )) {
+    for ((w, issue), outcome) in orphan_data
+        .into_iter()
+        .zip(ioplane::submit_retried(b, &orphan_size_ops))
+    {
         if ioplane::as_size(outcome)? == 0 {
             reclaim_ops.push(IoOp::Unlink {
                 path: format!("{}/{DATA_PREFIX}{w}", writer_dir(w)?),
@@ -725,11 +705,7 @@ pub fn repair<B: Backend>(b: &B, container: &Container) -> Result<RepairOutcome>
         .map(|p| IoOp::Size { path: p.clone() })
         .collect();
     let mut read_ops = Vec::with_capacity(rewrite_list.len());
-    for (ipath, outcome) in ipaths.iter().zip(ioplane::submit_retried(
-        b,
-        DEFAULT_RETRY_ATTEMPTS,
-        &isize_ops,
-    )) {
+    for (ipath, outcome) in ipaths.iter().zip(ioplane::submit_retried(b, &isize_ops)) {
         let whole = ioplane::as_size(outcome)? / INDEX_RECORD_BYTES;
         read_ops.push(IoOp::ReadAt {
             path: ipath.clone(),
@@ -737,9 +713,9 @@ pub fn repair<B: Backend>(b: &B, container: &Container) -> Result<RepairOutcome>
             len: whole * INDEX_RECORD_BYTES,
         });
     }
-    let reads = ioplane::submit_retried(b, DEFAULT_RETRY_ATTEMPTS, &read_ops);
+    let reads = ioplane::submit_retried(b, &read_ops);
     // An absent data log reads as size 0 (every extent dangles).
-    let dsizes = ioplane::submit_retried(b, DEFAULT_RETRY_ATTEMPTS, &dsize_ops);
+    let dsizes = ioplane::submit_retried(b, &dsize_ops);
     let mut kept_per_writer = Vec::with_capacity(rewrite_list.len());
     for (read, dsize) in reads.into_iter().zip(dsizes) {
         let decoded = IndexEntry::decode_content(&ioplane::as_data(read)?)?;
@@ -762,7 +738,7 @@ pub fn repair<B: Backend>(b: &B, container: &Container) -> Result<RepairOutcome>
             exclusive: false,
         })
         .collect();
-    let truncates = ioplane::submit_retried(b, DEFAULT_RETRY_ATTEMPTS, &truncate_ops);
+    let truncates = ioplane::submit_retried(b, &truncate_ops);
     let mut append_ops = Vec::new();
     let mut first_err = None;
     for ((ipath, kept), outcome) in ipaths.iter().zip(&kept_per_writer).zip(truncates) {
@@ -775,7 +751,7 @@ pub fn repair<B: Backend>(b: &B, container: &Container) -> Result<RepairOutcome>
             Err(e) => first_err = first_err.or(Some(e)),
         }
     }
-    for outcome in ioplane::submit_retried(b, DEFAULT_RETRY_ATTEMPTS, &append_ops) {
+    for outcome in ioplane::submit_retried(b, &append_ops) {
         if let Err(e) = ioplane::as_offset(outcome) {
             first_err = first_err.or(Some(e));
         }
@@ -812,7 +788,7 @@ pub fn repair<B: Backend>(b: &B, container: &Container) -> Result<RepairOutcome>
         });
     }
     let host_range = host_start..host_start + stale_hosts.len();
-    for (j, outcome) in ioplane::submit_retried(b, DEFAULT_RETRY_ATTEMPTS, &reclaim_ops)
+    for (j, outcome) in ioplane::submit_retried(b, &reclaim_ops)
         .into_iter()
         .enumerate()
     {
@@ -853,7 +829,7 @@ pub fn repair<B: Backend>(b: &B, container: &Container) -> Result<RepairOutcome>
             fixed.push(issue.clone());
         }
     }
-    for outcome in ioplane::submit_retried(b, DEFAULT_RETRY_ATTEMPTS, &exposed_ops) {
+    for outcome in ioplane::submit_retried(b, &exposed_ops) {
         ioplane::as_unit(outcome)?;
     }
     let mut trimmed_tails = Vec::new();
@@ -876,7 +852,7 @@ pub fn repair<B: Backend>(b: &B, container: &Container) -> Result<RepairOutcome>
             len: t.indexed_bytes,
         })
         .collect();
-    let mut keeps = ioplane::submit_retried(b, DEFAULT_RETRY_ATTEMPTS, &keep_ops).into_iter();
+    let mut keeps = ioplane::submit_retried(b, &keep_ops).into_iter();
     let mut kept_tails = Vec::with_capacity(mid.tails.len());
     for t in &mid.tails {
         kept_tails.push(if t.indexed_bytes > 0 {
@@ -893,16 +869,11 @@ pub fn repair<B: Backend>(b: &B, container: &Container) -> Result<RepairOutcome>
         })
         .collect();
     let mut tail_appends = Vec::new();
-    for ((t, path), (kept, outcome)) in
-        mid.tails
-            .iter()
-            .zip(&tail_paths)
-            .zip(kept_tails.into_iter().zip(ioplane::submit_retried(
-                b,
-                DEFAULT_RETRY_ATTEMPTS,
-                &trunc_ops,
-            )))
-    {
+    for ((t, path), (kept, outcome)) in mid.tails.iter().zip(&tail_paths).zip(
+        kept_tails
+            .into_iter()
+            .zip(ioplane::submit_retried(b, &trunc_ops)),
+    ) {
         ioplane::as_unit(outcome)?;
         if let Some(k) = kept {
             tail_appends.push(IoOp::Append {
@@ -912,7 +883,7 @@ pub fn repair<B: Backend>(b: &B, container: &Container) -> Result<RepairOutcome>
         }
         trimmed_tails.push(t.clone());
     }
-    for outcome in ioplane::submit_retried(b, DEFAULT_RETRY_ATTEMPTS, &tail_appends) {
+    for outcome in ioplane::submit_retried(b, &tail_appends) {
         ioplane::as_offset(outcome)?;
     }
 
@@ -921,7 +892,7 @@ pub fn repair<B: Backend>(b: &B, container: &Container) -> Result<RepairOutcome>
     if refresh_metadir {
         let idx = container.aggregate_index(b)?;
         let metadir = format!("{}/{METADIR}", container.canonical_path());
-        match retry_transient(DEFAULT_RETRY_ATTEMPTS, || b.list(&metadir)) {
+        match retry_transient(|| b.list(&metadir)) {
             Ok(names) => {
                 let stale_ops: Vec<IoOp> = names
                     .iter()
@@ -930,7 +901,7 @@ pub fn repair<B: Backend>(b: &B, container: &Container) -> Result<RepairOutcome>
                         path: format!("{metadir}/{n}"),
                     })
                     .collect();
-                for outcome in ioplane::submit_retried(b, DEFAULT_RETRY_ATTEMPTS, &stale_ops) {
+                for outcome in ioplane::submit_retried(b, &stale_ops) {
                     ioplane::as_unit(outcome)?;
                 }
             }

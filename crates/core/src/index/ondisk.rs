@@ -27,7 +27,7 @@
 
 use crate::backend::Backend;
 use crate::content::Content;
-use crate::error::{PlfsError, Result, DEFAULT_RETRY_ATTEMPTS};
+use crate::error::{PlfsError, Result};
 use crate::index::spancache::SpanCache;
 use crate::index::{
     coalesce_mappings_from, IndexEntry, Mapping, Source, SpanLookup, INDEX_RECORD_BYTES,
@@ -254,7 +254,7 @@ impl<'a, B: Backend> SpanIdxWriter<'a, B> {
             path: path.to_string(),
             exclusive: false,
         }];
-        let mut out = ioplane::submit_retried(backend, DEFAULT_RETRY_ATTEMPTS, &batch).into_iter();
+        let mut out = ioplane::submit_retried(backend, &batch).into_iter();
         ioplane::as_unit(ioplane::take(&mut out))?;
         Ok(SpanIdxWriter {
             backend,
@@ -301,8 +301,7 @@ impl<'a, B: Backend> SpanIdxWriter<'a, B> {
             path: self.path.clone(),
             content: chunk,
         }];
-        let mut out =
-            ioplane::submit_retried(self.backend, DEFAULT_RETRY_ATTEMPTS, &batch).into_iter();
+        let mut out = ioplane::submit_retried(self.backend, &batch).into_iter();
         ioplane::as_offset(ioplane::take(&mut out))?;
         Ok(())
     }
@@ -329,8 +328,7 @@ impl<'a, B: Backend> SpanIdxWriter<'a, B> {
             path: self.path.clone(),
             content: Content::bytes(trailer),
         }];
-        let mut out =
-            ioplane::submit_retried(self.backend, DEFAULT_RETRY_ATTEMPTS, &batch).into_iter();
+        let mut out = ioplane::submit_retried(self.backend, &batch).into_iter();
         ioplane::as_offset(ioplane::take(&mut out))?;
         Ok(footer)
     }
@@ -361,7 +359,7 @@ impl OnDiskIndex {
         let probe = [IoOp::Size {
             path: path.to_string(),
         }];
-        let mut out = ioplane::submit_retried(b, DEFAULT_RETRY_ATTEMPTS, &probe).into_iter();
+        let mut out = ioplane::submit_retried(b, &probe).into_iter();
         let size = match ioplane::as_size(ioplane::take(&mut out)) {
             Ok(s) => s,
             Err(PlfsError::NotFound(_)) => return Ok(None),
@@ -375,7 +373,7 @@ impl OnDiskIndex {
             offset: size - SPANIDX_FOOTER_BYTES,
             len: SPANIDX_FOOTER_BYTES,
         }];
-        let mut out = ioplane::submit_retried(b, DEFAULT_RETRY_ATTEMPTS, &foot_read).into_iter();
+        let mut out = ioplane::submit_retried(b, &foot_read).into_iter();
         let foot_bytes = ioplane::as_data(ioplane::take(&mut out))?.materialize();
         let footer = match SpanIdxFooter::from_bytes(&foot_bytes) {
             Ok(f) => f,
@@ -390,7 +388,7 @@ impl OnDiskIndex {
             offset: footer.record_count * INDEX_RECORD_BYTES,
             len: footer.fence_count * SPANIDX_FENCE_BYTES,
         }];
-        let mut out = ioplane::submit_retried(b, DEFAULT_RETRY_ATTEMPTS, &fence_read).into_iter();
+        let mut out = ioplane::submit_retried(b, &fence_read).into_iter();
         let fences = decode_fences(&ioplane::as_data(ioplane::take(&mut out))?.materialize())?;
         Ok(Some(OnDiskIndex {
             path: path.into(),
@@ -556,7 +554,7 @@ impl OnDiskIndex {
         }
         if !missing.is_empty() {
             let ranges: Vec<(u64, u64)> = missing.iter().map(|&(_, r)| r).collect();
-            let reads = ioplane::list_read(b, DEFAULT_RETRY_ATTEMPTS, &self.path, &ranges)?;
+            let reads = ioplane::list_read(b, &self.path, &ranges)?;
             let mut filled = got.iter_mut().filter(|g| g.is_none());
             for ((w, _), content) in missing.into_iter().zip(reads) {
                 let entries = Arc::new(IndexEntry::decode_content(&content)?);
@@ -730,15 +728,14 @@ mod tests {
         write_idx(&traced, "/idx", &entries);
         let mut odx = OnDiskIndex::open(&traced, "/idx", cache).unwrap().unwrap();
         traced.take_trace();
-        let s0 = ioplane::stats();
+        let t0 = traced.trips();
         // A read spanning both windows: both miss, ONE submission.
         odx.lookup(&traced, 0, 2 * SPANIDX_FENCE_STRIDE * 10).unwrap();
-        assert_eq!(ioplane::stats().batches - s0.batches, 1);
+        assert_eq!(traced.trips() - t0, 1);
         // Both windows now cached: zero further submissions.
-        let s1 = ioplane::stats();
         odx.lookup(&traced, 5, 50).unwrap();
         odx.lookup(&traced, SPANIDX_FENCE_STRIDE * 10 + 5, 50).unwrap();
-        assert_eq!(ioplane::stats().batches, s1.batches);
+        assert_eq!(traced.trips() - t0, 1);
         assert!(traced.take_trace().len() <= 1);
     }
 }

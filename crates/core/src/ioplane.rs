@@ -37,7 +37,9 @@
 
 use crate::backend::{Backend, NodeKind};
 use crate::content::Content;
-use crate::error::{next_backoff_us, PlfsError, Result, RETRY_BACKOFF_START_US};
+use crate::error::{
+    next_backoff_us, PlfsError, Result, DEFAULT_RETRY_ATTEMPTS, RETRY_BACKOFF_START_US,
+};
 use crate::telemetry;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -355,7 +357,7 @@ fn account(batch: &[IoOp], outcomes: &[IoOutcome]) {
 /// bytes). Non-transient failures are final immediately; ops after a
 /// failed op still run (partial-batch outcomes). Counters are updated
 /// here, uniformly for every backend.
-pub fn submit_retried<B: Backend + ?Sized>(b: &B, attempts: u32, batch: &[IoOp]) -> Vec<IoOutcome> {
+pub fn submit_retried<B: Backend + ?Sized>(b: &B, batch: &[IoOp]) -> Vec<IoOutcome> {
     if batch.is_empty() {
         return Vec::new();
     }
@@ -381,7 +383,7 @@ pub fn submit_retried<B: Backend + ?Sized>(b: &B, attempts: u32, batch: &[IoOp])
         batch.len(),
         "submit must be 1:1 with its batch"
     );
-    retry_pending_slots(b, attempts, batch, &mut outcomes);
+    retry_pending_slots(b, batch, &mut outcomes);
     account(batch, &outcomes);
     outcomes
 }
@@ -393,13 +395,11 @@ pub fn submit_retried<B: Backend + ?Sized>(b: &B, attempts: u32, batch: &[IoOp])
 /// cases an op that already succeeded is never executed again.
 pub(crate) fn retry_pending_slots<B: Backend + ?Sized>(
     b: &B,
-    attempts: u32,
     batch: &[IoOp],
     outcomes: &mut [IoOutcome],
 ) {
-    let attempts = attempts.max(1);
     let mut backoff_us = RETRY_BACKOFF_START_US;
-    for _ in 1..attempts {
+    for _ in 1..DEFAULT_RETRY_ATTEMPTS {
         let pending: Vec<usize> = outcomes
             .iter()
             .enumerate()
@@ -528,12 +528,11 @@ impl ListReadPlan {
 /// Read many ranges of one file as a single retried plane submission.
 pub fn list_read<B: Backend + ?Sized>(
     b: &B,
-    attempts: u32,
     path: &str,
     ranges: &[(u64, u64)],
 ) -> Result<Vec<Content>> {
     let plan = plan_list_read(path, ranges);
-    let outcomes = submit_retried(b, attempts, plan.ops());
+    let outcomes = submit_retried(b, plan.ops());
     plan.split(outcomes)
 }
 
@@ -717,7 +716,7 @@ mod tests {
                 path: "/d/missing".into(),
             }, // non-transient failure
         ];
-        let out = submit_retried(&spy, 8, &batch);
+        let out = submit_retried(&spy, &batch);
         assert!(out[0].is_ok());
         assert!(out[1].is_ok(), "transient exhausted after 2 injections");
         assert!(matches!(out[2], Err(PlfsError::NotFound(_))));
@@ -737,9 +736,12 @@ mod tests {
             path: "/d/f".into(),
             exclusive: true,
         }];
-        let out = submit_retried(&spy, 4, &batch);
+        let out = submit_retried(&spy, &batch);
         assert!(matches!(out[0], Err(PlfsError::Transient(_))));
-        assert_eq!(spy.executions("create", "/d/f"), 4);
+        assert_eq!(
+            spy.executions("create", "/d/f"),
+            DEFAULT_RETRY_ATTEMPTS as usize
+        );
     }
 
     #[test]
@@ -764,7 +766,7 @@ mod tests {
                 len: 4,
             },
         ];
-        let out = submit_retried(&spy, 8, &batch);
+        let out = submit_retried(&spy, &batch);
         assert!(out.iter().all(Result::is_ok));
         let after = stats();
         // Counters are monotonic and shared with concurrently-running
@@ -803,7 +805,7 @@ mod tests {
     #[test]
     fn empty_batch_is_free() {
         let before = stats();
-        let out = submit_retried(&MemFs::new(), 8, &[]);
+        let out = submit_retried(&MemFs::new(), &[]);
         assert!(out.is_empty());
         assert_eq!(stats().batches, before.batches);
     }

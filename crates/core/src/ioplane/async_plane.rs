@@ -39,8 +39,8 @@
 //! span forest nests reactor work under the span that submitted it
 //! instead of orphaning it as a per-thread root. Waiting time is
 //! accounted to [`telemetry::CTR_ASYNC_BLOCKED_NS`]; the overlap ratio
-//! `1 - blocked/total` is the plane's figure of merit, ratcheted in
-//! `results/io_async.md`.
+//! `1 - blocked/total` is the plane's figure of merit; the benchmark
+//! reports the numerator as `ioplane.async_blocked_ms`.
 //!
 //! [`Backend::submit`]: crate::backend::Backend::submit
 //! [`Backend::submit_async`]: crate::backend::Backend::submit_async
@@ -188,18 +188,14 @@ pub fn submit_tracked<B: Backend + ?Sized>(b: &B, batch: &[IoOp]) -> Ticket {
 }
 
 /// Redeem `ticket` and apply the plane's completion-time retry policy:
-/// wait for the batch to complete, then re-submit — synchronously,
-/// bounded by `attempts`, with the shared capped backoff — **only the
-/// indices whose outcome is transient**. An op that succeeded on the
-/// async submission is never executed again; non-transient failures are
-/// final. `batch` must be the same ops the ticket was submitted with
-/// (the retry needs them; outcomes are positional).
-pub fn drain_retried<B: Backend + ?Sized>(
-    b: &B,
-    attempts: u32,
-    batch: &[IoOp],
-    ticket: Ticket,
-) -> Vec<IoOutcome> {
+/// wait for the batch to complete, then re-submit — synchronously, at
+/// most `DEFAULT_RETRY_ATTEMPTS` tries in all, with the shared capped
+/// backoff — **only the indices whose outcome is transient**. An op
+/// that succeeded on the async submission is never executed again;
+/// non-transient failures are final. `batch` must be the same ops the
+/// ticket was submitted with (the retry needs them; outcomes are
+/// positional).
+pub fn drain_retried<B: Backend + ?Sized>(b: &B, batch: &[IoOp], ticket: Ticket) -> Vec<IoOutcome> {
     let _span = telemetry::span(telemetry::SPAN_ASYNC_DRAIN);
     let mut outcomes = ticket.wait().outcomes;
     if outcomes.len() != batch.len() {
@@ -211,7 +207,7 @@ pub fn drain_retried<B: Backend + ?Sized>(
             ))
         });
     }
-    retry_pending_slots(b, attempts, batch, &mut outcomes);
+    retry_pending_slots(b, batch, &mut outcomes);
     account(batch, &outcomes);
     outcomes
 }
@@ -434,7 +430,6 @@ mod tests {
     use super::*;
     use crate::content::Content;
     use crate::memfs::MemFs;
-    use crate::DEFAULT_RETRY_ATTEMPTS;
 
     fn write_batch(path: &str, payload: Vec<u8>) -> Vec<IoOp> {
         vec![
@@ -659,7 +654,7 @@ mod tests {
             },
         ];
         let ticket = submit_tracked(&reactor, &batch);
-        let out = drain_retried(&reactor, DEFAULT_RETRY_ATTEMPTS, &batch, ticket);
+        let out = drain_retried(&reactor, &batch, ticket);
         assert!(out.iter().all(Result::is_ok), "{out:?}");
         let execs = flaky.execs.lock();
         // The acknowledged append ran exactly once; the flaky one ran

@@ -20,7 +20,7 @@
 use crate::backend::Backend;
 use crate::container::Container;
 use crate::content::Content;
-use crate::error::{PlfsError, Result, DEFAULT_RETRY_ATTEMPTS};
+use crate::error::{PlfsError, Result};
 use crate::index::{GlobalIndex, Mapping, OnDiskIndex, Source, SpanCache, SpanLookup, WriterId};
 use crate::ioplane::{self, IoOp};
 use crate::telemetry;
@@ -186,8 +186,7 @@ impl<B: Backend> ReadHandle<B> {
                 }
             }
         }
-        let mut reads =
-            ioplane::submit_retried(&self.backend, DEFAULT_RETRY_ATTEMPTS, &batch).into_iter();
+        let mut reads = ioplane::submit_retried(&self.backend, &batch).into_iter();
         let mut pieces = Vec::with_capacity(mappings.len());
         for (m, planned) in mappings.iter().zip(plan) {
             let Some((path, physical_offset, length)) = planned else {

@@ -9,8 +9,8 @@
 //! flatten, the read-open fan-out, subindex merge, coalesced lookup,
 //! fsck scan/repair, federation routing, and every [`Backend::submit`]
 //! batch — records into one process-global registry that exports as a
-//! [`TelemetrySnapshot`] (`plfsctl obs`, the harness probe in
-//! `harness::obs`, and the `io_plane --spans` profiler all consume it).
+//! [`TelemetrySnapshot`] (`plfsctl obs` and the harness probe in
+//! `harness::obs` consume it).
 //!
 //! [`Backend::submit`]: crate::backend::Backend::submit
 //!
@@ -880,28 +880,6 @@ fn json_str(s: &str) -> String {
 mod tests {
     use super::*;
 
-    /// Telemetry state is process-global; tests that toggle it are
-    /// serialized through this lock (and always restore disabled+reset).
-    fn guard() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(())).lock()
-    }
-
-    struct Scope;
-    impl Scope {
-        fn new() -> Self {
-            reset();
-            set_enabled(true);
-            Scope
-        }
-    }
-    impl Drop for Scope {
-        fn drop(&mut self) {
-            set_enabled(false);
-            reset();
-        }
-    }
-
     #[test]
     fn bucket_boundaries_are_powers_of_two() {
         assert_eq!(bucket_index(0), 0);
@@ -920,240 +898,5 @@ mod tests {
                 assert!(bucket_index(bucket_floor_ns(i) - 1) < i);
             }
         }
-    }
-
-    #[test]
-    fn spans_nest_and_export_as_a_tree() {
-        let _g = guard();
-        let _s = Scope::new();
-        {
-            let _root = span(SPAN_READ_OPEN);
-            {
-                let _child = span(SPAN_INDEX_AGGREGATE);
-                let _grandchild = span(SPAN_INDEX_MERGE);
-            }
-            let _sibling = span(SPAN_READ_LOOKUP);
-        }
-        let snap = snapshot();
-        assert_eq!(snap.spans.len(), 1);
-        let root = &snap.spans[0];
-        assert_eq!(root.name, SPAN_READ_OPEN);
-        assert_eq!(root.children.len(), 2);
-        assert_eq!(root.children[0].name, SPAN_INDEX_AGGREGATE);
-        assert_eq!(root.children[0].children[0].name, SPAN_INDEX_MERGE);
-        assert_eq!(root.children[1].name, SPAN_READ_LOOKUP);
-        assert_eq!(snap.span_stats[SPAN_READ_OPEN].count, 1);
-    }
-
-    #[test]
-    fn early_return_and_panic_keep_nesting_well_formed() {
-        let _g = guard();
-        let _s = Scope::new();
-        fn early(x: bool) -> u32 {
-            let _s = span(SPAN_WRITE_FLUSH);
-            if x {
-                return 1; // guard drops here
-            }
-            2
-        }
-        assert_eq!(early(true), 1);
-        let caught = std::panic::catch_unwind(|| {
-            let _root = span(SPAN_WRITE_CLOSE);
-            let _child = span(SPAN_WRITE_FLUSH);
-            panic!("boom");
-        });
-        assert!(caught.is_err());
-        // Stack unwound cleanly: a fresh root still exports as a root.
-        {
-            let _r = span(SPAN_FSCK_SCAN);
-        }
-        let snap = snapshot();
-        let roots: Vec<&str> = snap.spans.iter().map(|s| s.name.as_str()).collect();
-        assert!(roots.contains(&SPAN_WRITE_FLUSH), "{roots:?}");
-        assert!(roots.contains(&SPAN_WRITE_CLOSE), "{roots:?}");
-        assert!(roots.contains(&SPAN_FSCK_SCAN), "{roots:?}");
-        // The panicking pair still closed child-inside-parent.
-        let close = snap
-            .spans
-            .iter()
-            .find(|s| s.name == SPAN_WRITE_CLOSE)
-            .unwrap();
-        assert_eq!(close.children.len(), 1);
-        assert_eq!(close.children[0].name, SPAN_WRITE_FLUSH);
-    }
-
-    #[test]
-    fn leaked_child_guard_does_not_corrupt_the_stack() {
-        let _g = guard();
-        let _s = Scope::new();
-        {
-            let root = span(SPAN_WRITE_OPEN);
-            let child = span(SPAN_WRITE_APPEND);
-            // Drop out of order: root first, then child.
-            drop(root);
-            drop(child);
-        }
-        {
-            let _next = span(SPAN_FSCK_REPAIR);
-        }
-        let snap = snapshot();
-        let roots: Vec<&str> = snap.spans.iter().map(|s| s.name.as_str()).collect();
-        // The next span must be a root, not a child of the leaked one.
-        assert!(roots.contains(&SPAN_FSCK_REPAIR), "{roots:?}");
-    }
-
-    #[test]
-    fn disabled_mode_records_nothing() {
-        let _g = guard();
-        reset();
-        set_enabled(false);
-        {
-            let _s = span(SPAN_READ_OPEN);
-            count(CTR_READ_BYTES, 100);
-            record_ns(HIST_IOPLANE_READ_AT, 500);
-        }
-        let snap = snapshot();
-        assert!(snap.spans.is_empty());
-        assert!(snap.counters.is_empty());
-        assert!(snap.histograms.is_empty());
-        assert!(snap.span_stats.is_empty());
-    }
-
-    #[test]
-    fn counters_and_histograms_accumulate() {
-        let _g = guard();
-        let _s = Scope::new();
-        count(CTR_WRITE_BYTES, 10);
-        count(CTR_WRITE_BYTES, 5);
-        record_ns(HIST_IOPLANE_APPEND, 3); // bucket 1
-        record_ns(HIST_IOPLANE_APPEND, 3);
-        record_ns(HIST_IOPLANE_APPEND, 1 << 20); // bucket 20
-        let snap = snapshot();
-        assert_eq!(snap.counters[CTR_WRITE_BYTES], 15);
-        let h = &snap.histograms[HIST_IOPLANE_APPEND];
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.buckets[1], 2);
-        assert_eq!(h.buckets[20], 1);
-    }
-
-    #[test]
-    fn merge_is_associative_and_snapshot_nondestructive() {
-        let _g = guard();
-        let _s = Scope::new();
-        count(CTR_READ_BYTES, 7);
-        let a = snapshot();
-        let b = snapshot();
-        assert_eq!(a, b, "snapshot must not drain state");
-        let mut ab = a.clone();
-        ab.merge(&b);
-        assert_eq!(ab.counters[CTR_READ_BYTES], 14);
-    }
-
-    #[test]
-    fn per_thread_stacks_are_independent() {
-        let _g = guard();
-        let _s = Scope::new();
-        std::thread::scope(|sc| {
-            let _outer = span(SPAN_READ_OPEN);
-            sc.spawn(|| {
-                let _inner = span(SPAN_INDEX_MERGE);
-            });
-        });
-        let snap = snapshot();
-        // The spawned thread's span is a root of its own, never a child
-        // of the other thread's open span.
-        let merge_root = snap.spans.iter().find(|s| s.name == SPAN_INDEX_MERGE);
-        assert!(merge_root.is_some(), "{:?}", snap.spans);
-    }
-
-    #[test]
-    fn explicit_parent_carries_ancestry_across_threads() {
-        let _g = guard();
-        let _s = Scope::new();
-        std::thread::scope(|sc| {
-            let outer = span(SPAN_WRITE_FLUSH);
-            let parent = current_span_id();
-            assert!(parent.is_some());
-            sc.spawn(move || {
-                // Without the explicit parent this would export as an
-                // orphan root on the worker thread.
-                let _exec = span_with_parent(SPAN_ASYNC_EXEC, parent);
-                let _inner = span(SPAN_IOPLANE_SUBMIT);
-            })
-            .join()
-            .unwrap();
-            drop(outer);
-        });
-        let snap = snapshot();
-        let root = snap
-            .spans
-            .iter()
-            .find(|s| s.name == SPAN_WRITE_FLUSH)
-            .expect("submitting span must be a root");
-        let exec = root
-            .children
-            .iter()
-            .find(|c| c.name == SPAN_ASYNC_EXEC)
-            .expect("worker span must nest under the submitter");
-        // TLS nesting still works underneath the carried parent.
-        assert_eq!(exec.children[0].name, SPAN_IOPLANE_SUBMIT);
-        // And no orphan copy of the worker span exists at the top level.
-        assert!(snap.spans.iter().all(|s| s.name != SPAN_ASYNC_EXEC));
-    }
-
-    #[test]
-    fn current_span_id_is_none_when_disabled_or_idle() {
-        let _g = guard();
-        {
-            let _s = Scope::new();
-            assert_eq!(current_span_id(), None);
-            let _root = span(SPAN_READ_OPEN);
-            assert!(current_span_id().is_some());
-        }
-        // Disabled again: even inside a (no-op) span, no id.
-        let _dead = span(SPAN_READ_OPEN);
-        assert_eq!(current_span_id(), None);
-    }
-
-    #[test]
-    fn json_export_is_structurally_sound() {
-        let _g = guard();
-        let _s = Scope::new();
-        {
-            let _r = span(SPAN_READ_OPEN);
-            count(CTR_READ_BYTES, 1);
-            record_ns(HIST_IOPLANE_READ_AT, 100);
-        }
-        let j = snapshot().render_json();
-        for key in [
-            "\"counters\"",
-            "\"histograms\"",
-            "\"span_stats\"",
-            "\"spans\"",
-            "\"dropped_spans\"",
-        ] {
-            assert!(j.contains(key), "missing {key} in {j}");
-        }
-        assert!(j.contains("\"read.open\""));
-        // Balanced braces/brackets (cheap structural check; the CLI test
-        // exercises a real consumer).
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-    }
-
-    #[test]
-    fn capacity_cap_drops_trees_but_keeps_stats() {
-        let _g = guard();
-        let _s = Scope::new();
-        for _ in 0..(SPAN_CAPACITY + 10) {
-            let _s = span(SPAN_WRITE_APPEND);
-        }
-        let snap = snapshot();
-        assert_eq!(snap.spans.len(), SPAN_CAPACITY);
-        assert_eq!(snap.dropped_spans, 10);
-        assert_eq!(
-            snap.span_stats[SPAN_WRITE_APPEND].count,
-            (SPAN_CAPACITY + 10) as u64
-        );
     }
 }

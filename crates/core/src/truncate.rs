@@ -19,7 +19,7 @@
 use crate::backend::Backend;
 use crate::container::{Container, DATA_PREFIX, INDEX_PREFIX};
 use crate::content::Content;
-use crate::error::{PlfsError, Result, DEFAULT_RETRY_ATTEMPTS};
+use crate::error::{PlfsError, Result};
 use crate::index::IndexEntry;
 use crate::ioplane::{self, IoOp};
 
@@ -62,11 +62,7 @@ pub fn truncate<B: Backend>(b: &B, container: &Container, size: u64) -> Result<(
         .map(|p| IoOp::Size { path: p.clone() })
         .collect();
     let mut read_ops = Vec::with_capacity(ipaths.len());
-    for (p, outcome) in ipaths.iter().zip(ioplane::submit_retried(
-        b,
-        DEFAULT_RETRY_ATTEMPTS,
-        &size_ops,
-    )) {
+    for (p, outcome) in ipaths.iter().zip(ioplane::submit_retried(b, &size_ops)) {
         read_ops.push(IoOp::ReadAt {
             path: p.clone(),
             offset: 0,
@@ -74,7 +70,7 @@ pub fn truncate<B: Backend>(b: &B, container: &Container, size: u64) -> Result<(
         });
     }
     let mut kept_per_writer = Vec::with_capacity(ipaths.len());
-    for outcome in ioplane::submit_retried(b, DEFAULT_RETRY_ATTEMPTS, &read_ops) {
+    for outcome in ioplane::submit_retried(b, &read_ops) {
         let entries = IndexEntry::decode_all(&ioplane::as_data(outcome)?.materialize())?;
         let kept: Vec<IndexEntry> = entries
             .into_iter()
@@ -105,7 +101,7 @@ pub fn truncate<B: Backend>(b: &B, container: &Container, size: u64) -> Result<(
             exclusive: false,
         })
         .collect();
-    for outcome in ioplane::submit_retried(b, DEFAULT_RETRY_ATTEMPTS, &trunc_ops) {
+    for outcome in ioplane::submit_retried(b, &trunc_ops) {
         ioplane::as_unit(outcome)?; // truncate the log itself
     }
     let append_ops: Vec<IoOp> = ipaths
@@ -117,7 +113,7 @@ pub fn truncate<B: Backend>(b: &B, container: &Container, size: u64) -> Result<(
             content: Content::bytes(IndexEntry::encode_all(kept)),
         })
         .collect();
-    for outcome in ioplane::submit_retried(b, DEFAULT_RETRY_ATTEMPTS, &append_ops) {
+    for outcome in ioplane::submit_retried(b, &append_ops) {
         ioplane::as_offset(outcome)?;
     }
 
@@ -136,11 +132,7 @@ fn truncate_to_zero<B: Backend>(b: &B, container: &Container) -> Result<()> {
         .map(|d| IoOp::Readdir { path: (*d).clone() })
         .collect();
     let mut unlink_ops = Vec::new();
-    for (dir, outcome) in dirs.iter().zip(ioplane::submit_retried(
-        b,
-        DEFAULT_RETRY_ATTEMPTS,
-        &list_ops,
-    )) {
+    for (dir, outcome) in dirs.iter().zip(ioplane::submit_retried(b, &list_ops)) {
         for name in ioplane::as_names(outcome)? {
             if name.starts_with(DATA_PREFIX) || name.starts_with(INDEX_PREFIX) {
                 unlink_ops.push(IoOp::Unlink {
@@ -149,7 +141,7 @@ fn truncate_to_zero<B: Backend>(b: &B, container: &Container) -> Result<()> {
             }
         }
     }
-    for outcome in ioplane::submit_retried(b, DEFAULT_RETRY_ATTEMPTS, &unlink_ops) {
+    for outcome in ioplane::submit_retried(b, &unlink_ops) {
         ioplane::as_unit(outcome)?;
     }
     refresh_metadata(b, container, 0, 0)?;
@@ -171,7 +163,7 @@ fn refresh_metadata<B: Backend>(b: &B, container: &Container, eof: u64, bytes: u
                     path: format!("{metadir}/{n}"),
                 })
                 .collect();
-            for outcome in ioplane::submit_retried(b, DEFAULT_RETRY_ATTEMPTS, &stale) {
+            for outcome in ioplane::submit_retried(b, &stale) {
                 ioplane::as_unit(outcome)?;
             }
         }

@@ -5,7 +5,7 @@
 
 use crate::backend::{Backend, NodeKind};
 use crate::container::Container;
-use crate::error::{PlfsError, Result, DEFAULT_RETRY_ATTEMPTS};
+use crate::error::{PlfsError, Result};
 use crate::federation::Federation;
 use crate::ioplane::{self, IoOp};
 use crate::path::{join, try_normalize};
@@ -106,7 +106,7 @@ impl<B: Backend + Clone> Plfs<B> {
             .iter()
             .map(|ns| IoOp::MkdirAll { path: ns.clone() })
             .collect();
-        for outcome in ioplane::submit_retried(&backend, DEFAULT_RETRY_ATTEMPTS, &batch) {
+        for outcome in ioplane::submit_retried(&backend, &batch) {
             ioplane::as_unit(outcome)?;
         }
         Ok(Plfs {
@@ -234,7 +234,7 @@ impl<B: Backend + Clone> Plfs<B> {
                 path: phys_path(ns, &logical),
             })
             .collect();
-        for outcome in ioplane::submit_retried(&self.backend, DEFAULT_RETRY_ATTEMPTS, &batch) {
+        for outcome in ioplane::submit_retried(&self.backend, &batch) {
             ioplane::as_unit(outcome)?;
         }
         Ok(())
@@ -261,11 +261,10 @@ impl<B: Backend + Clone> Plfs<B> {
             .collect();
         let mut children: Vec<(String, String)> = Vec::new();
         let mut found_any = false;
-        for (p, outcome) in phys.iter().zip(ioplane::submit_retried(
-            &self.backend,
-            DEFAULT_RETRY_ATTEMPTS,
-            &list_ops,
-        )) {
+        for (p, outcome) in phys
+            .iter()
+            .zip(ioplane::submit_retried(&self.backend, &list_ops))
+        {
             match ioplane::as_names(outcome) {
                 Ok(names) => {
                     found_any = true;
@@ -291,7 +290,7 @@ impl<B: Backend + Clone> Plfs<B> {
             })
             .collect();
         let mut kinds = Vec::with_capacity(children.len());
-        for outcome in ioplane::submit_retried(&self.backend, DEFAULT_RETRY_ATTEMPTS, &kind_ops) {
+        for outcome in ioplane::submit_retried(&self.backend, &kind_ops) {
             kinds.push(ioplane::as_kind(outcome)?);
         }
         let dirs: Vec<usize> = (0..children.len())
@@ -304,11 +303,10 @@ impl<B: Backend + Clone> Plfs<B> {
             })
             .collect();
         let mut is_container = vec![false; children.len()];
-        for (&i, outcome) in dirs.iter().zip(ioplane::submit_retried(
-            &self.backend,
-            DEFAULT_RETRY_ATTEMPTS,
-            &marker_ops,
-        )) {
+        for (&i, outcome) in dirs
+            .iter()
+            .zip(ioplane::submit_retried(&self.backend, &marker_ops))
+        {
             is_container[i] = !matches!(ioplane::as_kind(outcome), Err(PlfsError::NotFound(_)));
         }
         let mut out: BTreeMap<String, LogicalKind> = BTreeMap::new();
@@ -386,11 +384,10 @@ impl<B: Backend + Clone> Plfs<B> {
             .iter()
             .map(|e| IoOp::Kind { path: e.clone() })
             .collect();
-        let live: Vec<bool> =
-            ioplane::submit_retried(&self.backend, DEFAULT_RETRY_ATTEMPTS, &probe_ops)
-                .into_iter()
-                .map(|o| !matches!(ioplane::as_kind(o), Err(PlfsError::NotFound(_))))
-                .collect();
+        let live: Vec<bool> = ioplane::submit_retried(&self.backend, &probe_ops)
+            .into_iter()
+            .map(|o| !matches!(ioplane::as_kind(o), Err(PlfsError::NotFound(_))))
+            .collect();
         for i in 0..fed.subdirs_per_container() {
             let entry = entries[i].clone();
             if !live[i] {

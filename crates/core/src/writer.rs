@@ -16,7 +16,7 @@
 use crate::backend::Backend;
 use crate::container::Container;
 use crate::content::Content;
-use crate::error::{retry_transient, PlfsError, Result, DEFAULT_RETRY_ATTEMPTS};
+use crate::error::{retry_transient, PlfsError, Result};
 use crate::index::{IndexEntry, WriterId, INDEX_RECORD_BYTES};
 use crate::ioplane::async_plane::{self, Ticket};
 use crate::ioplane::{self, IoOp};
@@ -116,7 +116,7 @@ impl<B: Backend> WriteHandle<B> {
         // Container::create is idempotent (first creator wins; racers see
         // AlreadyExists internally and succeed), so retrying the whole
         // composite after a transient is safe.
-        retry_transient(DEFAULT_RETRY_ATTEMPTS, || container.create(&backend))?;
+        retry_transient(|| container.create(&backend))?;
         container.register_open(&backend, writer)?;
         let mut handle = Self::bare(backend, container, writer, policy);
         handle.ensure_logs()?;
@@ -169,9 +169,7 @@ impl<B: Backend> WriteHandle<B> {
         // re-sending would duplicate it — the error surfaces, the write
         // stays unacknowledged, and the dead prefix bytes are never
         // referenced by any index entry (fsck reclaims such tails).
-        let phys = retry_transient(DEFAULT_RETRY_ATTEMPTS, || {
-            self.backend.append(&data_log, content)
-        })?;
+        let phys = retry_transient(|| self.backend.append(&data_log, content))?;
         // The log may have grown past our last acknowledged write (dead
         // bytes from a torn append), so trust the backend's offset rather
         // than asserting contiguity.
@@ -221,8 +219,7 @@ impl<B: Backend> WriteHandle<B> {
                     exclusive: false,
                 },
             ];
-            let mut out =
-                ioplane::submit_retried(&self.backend, DEFAULT_RETRY_ATTEMPTS, &batch).into_iter();
+            let mut out = ioplane::submit_retried(&self.backend, &batch).into_iter();
             ioplane::as_unit(ioplane::take(&mut out))?;
             ioplane::as_unit(ioplane::take(&mut out))?;
             self.logs = Some((data, index));
@@ -355,8 +352,7 @@ impl<B: Backend> WriteHandle<B> {
             records,
             ticket,
         } = inflight;
-        let mut out = async_plane::drain_retried(backend, DEFAULT_RETRY_ATTEMPTS, &batch, ticket)
-            .into_iter();
+        let mut out = async_plane::drain_retried(backend, &batch, ticket).into_iter();
         let landed = ioplane::as_unit(ioplane::take(&mut out))
             .and_then(|()| ioplane::as_offset(ioplane::take(&mut out)).map(|_| ()));
         wb.scratch.push(staging);
@@ -418,7 +414,7 @@ impl<B: Backend> WriteHandle<B> {
             .iter()
             .map(|p| IoOp::Unlink { path: p.clone() })
             .collect();
-        let outcomes = ioplane::submit_retried(&self.backend, DEFAULT_RETRY_ATTEMPTS, &batch);
+        let outcomes = ioplane::submit_retried(&self.backend, &batch);
         let mut failed = Vec::new();
         let mut first_err = None;
         for (path, outcome) in scratch.into_iter().zip(outcomes) {
@@ -461,9 +457,7 @@ impl<B: Backend> WriteHandle<B> {
             self.flush_failed = false;
         }
         let bytes = Content::bytes(IndexEntry::encode_all(&self.buffered));
-        match retry_transient(DEFAULT_RETRY_ATTEMPTS, || {
-            self.backend.append(&index_log, &bytes)
-        }) {
+        match retry_transient(|| self.backend.append(&index_log, &bytes)) {
             Ok(_) => {
                 self.buffered.clear();
                 Ok(())
@@ -486,7 +480,7 @@ impl<B: Backend> WriteHandle<B> {
     /// out, with pure metadata operations. A scratch file orphaned by a
     /// crash holds nothing the log doesn't, and fsck reclaims it.
     fn realign_index_log(&self, index_log: &str) -> Result<()> {
-        let size = retry_transient(DEFAULT_RETRY_ATTEMPTS, || self.backend.size(index_log))?;
+        let size = retry_transient(|| self.backend.size(index_log))?;
         let rem = size % INDEX_RECORD_BYTES;
         if rem == 0 {
             return Ok(());
@@ -507,22 +501,17 @@ impl<B: Backend> WriteHandle<B> {
                 len: keep,
             },
         ];
-        let mut out =
-            ioplane::submit_retried(&self.backend, DEFAULT_RETRY_ATTEMPTS, &stage).into_iter();
+        let mut out = ioplane::submit_retried(&self.backend, &stage).into_iter();
         ioplane::as_unit(ioplane::take(&mut out))?;
         let prefix = ioplane::as_data(ioplane::take(&mut out))?;
         if keep > 0 {
-            retry_transient(DEFAULT_RETRY_ATTEMPTS, || {
-                self.backend.append(&staged, &prefix)
-            })?;
+            retry_transient(|| self.backend.append(&staged, &prefix))?;
         }
         // The swap stays sequential: the rename must not run unless the
         // unlink committed (per-op batch retry could otherwise interleave
         // a hard rename failure into the unlink's retry window).
-        retry_transient(DEFAULT_RETRY_ATTEMPTS, || self.backend.unlink(index_log))?;
-        retry_transient(DEFAULT_RETRY_ATTEMPTS, || {
-            self.backend.rename(&staged, index_log)
-        })?;
+        retry_transient(|| self.backend.unlink(index_log))?;
+        retry_transient(|| self.backend.rename(&staged, index_log))?;
         Ok(())
     }
 

@@ -7,7 +7,7 @@
 //! runs differ in timing but never in the work performed. Throttled
 //! probes are retried after backing off — admission is backpressure,
 //! and the bench counts how often it engaged. Used by `plfsctl serve
-//! --bench` and by the tier-1 `svc_scale` ratchet.
+//! --bench`.
 
 use plfs::service::{Admitted, Service, ServiceConfig};
 use plfs::{telemetry, Content, MemFs, PlfsConfig, Reactor};
@@ -41,8 +41,8 @@ pub struct SvcBenchConfig {
 }
 
 impl SvcBenchConfig {
-    /// The tier-1 `svc_scale` shape: 1,024 clients over 32 tenants,
-    /// rates high enough that throughput is lock- not policy-limited.
+    /// The full-scale shape: 1,024 clients over 32 tenants, rates high
+    /// enough that throughput is lock- not policy-limited.
     pub fn scale(seed: u64) -> SvcBenchConfig {
         SvcBenchConfig {
             clients: 1024,

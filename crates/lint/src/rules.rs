@@ -775,7 +775,7 @@ mod tests {
     fn retry_wrapped_calls_pass_unretried() {
         let src = r#"
             fn f(&self) -> Result<()> {
-                retry_transient(N, || self.backend.append(&log, &bytes))?;
+                retry_transient(|| self.backend.append(&log, &bytes))?;
                 self.backend.unlink(&old)?;
                 Ok(())
             }
@@ -791,7 +791,7 @@ mod tests {
             fn bad(&self) -> Result<()> {
                 let ticket = submit_tracked(&self.backend, batch);
                 let probe = self.backend.submit(&others);
-                let outcomes = drain_retried(&self.backend, n, rebuilt, ticket);
+                let outcomes = drain_retried(&self.backend, rebuilt, ticket);
                 Ok(())
             }
         "#;
@@ -811,7 +811,7 @@ mod tests {
                 let probe = self.backend.submit(&others);
                 let t2 = submit_tracked(&self.backend, more);
                 tickets.push(t2);
-                let probe2 = submit_retried(&self.backend, n, &others);
+                let probe2 = submit_retried(&self.backend, &others);
                 Ok(())
             }
         "#;

@@ -466,7 +466,7 @@ mod tests {
                 let tickets: Vec<Ticket> = chunks.iter().map(|c| submit_tracked(b, c)).collect();
                 let mut out = Vec::new();
                 for (chunk, ticket) in chunks.iter().zip(tickets) {
-                    for outcome in drain_retried(b, n, rebuild(chunk), ticket) {
+                    for outcome in drain_retried(b, rebuild(chunk), ticket) {
                         out.push(decode(as_data(outcome)?)?);
                     }
                 }
@@ -488,7 +488,7 @@ mod tests {
                 let mut out = Vec::new();
                 let mut err = None;
                 for (chunk, ticket) in chunks.iter().zip(tickets) {
-                    for outcome in drain_retried(b, n, rebuild(chunk), ticket) {
+                    for outcome in drain_retried(b, rebuild(chunk), ticket) {
                         match decode(outcome) {
                             Ok(e) => out.push(e),
                             Err(e) => { if err.is_none() { err = Some(e); } }

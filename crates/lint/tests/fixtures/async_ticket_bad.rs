@@ -9,9 +9,9 @@ pub fn stage_then_probe<B: Backend>(b: &B, batch: Vec<IoOp>, probe: Vec<IoOp>) -
     let outcomes = b.submit(&probe);
     record(outcomes);
     // BAD: the retried wrapper is just as blocking.
-    let more = submit_retried(b, DEFAULT_RETRY_ATTEMPTS, &probe);
+    let more = submit_retried(b, &probe);
     record(more);
-    let drained = drain_retried(b, DEFAULT_RETRY_ATTEMPTS, rebuilt(), ticket);
+    let drained = drain_retried(b, rebuilt(), ticket);
     account(drained);
     Ok(())
 }

@@ -3,7 +3,7 @@
 
 pub fn drain_then_probe<B: Backend>(b: &B, batch: Vec<IoOp>, probe: Vec<IoOp>) -> Result<()> {
     let ticket = submit_tracked(b, batch);
-    let drained = drain_retried(b, DEFAULT_RETRY_ATTEMPTS, rebuilt(), ticket);
+    let drained = drain_retried(b, rebuilt(), ticket);
     account(drained);
     // Fine: nothing is in flight any more.
     let outcomes = b.submit(&probe);
@@ -18,7 +18,7 @@ pub fn scoped_ticket<B: Backend>(b: &B, batch: Vec<IoOp>, probe: Vec<IoOp>) -> R
         record(outcomes.outcomes);
     }
     // Fine: the ticket died with its block.
-    let after = submit_retried(b, DEFAULT_RETRY_ATTEMPTS, &probe);
+    let after = submit_retried(b, &probe);
     record(after);
     Ok(())
 }

@@ -7,7 +7,7 @@ pub fn scan(b: &dyn Backend, dirs: &[String]) -> Result<u64> {
         .iter()
         .map(|d| IoOp::Size { path: d.clone() })
         .collect();
-    let mut out = ioplane::submit_retried(b, DEFAULT_RETRY_ATTEMPTS, &size_ops).into_iter();
+    let mut out = ioplane::submit_retried(b, &size_ops).into_iter();
     let mut total = 0;
     for _ in dirs {
         total += ioplane::as_size(ioplane::take(&mut out))?;
@@ -18,9 +18,9 @@ pub fn scan(b: &dyn Backend, dirs: &[String]) -> Result<u64> {
 pub fn swap(b: &dyn Backend, pairs: &[(String, String)]) -> Result<()> {
     for (old, new) in pairs {
         // plfs-lint: allow(raw-backend-in-batch-path): unlink→rename is order-dependent; the rename must not run (or retry) unless the unlink committed
-        retry_transient(DEFAULT_RETRY_ATTEMPTS, || b.unlink(old))?;
+        retry_transient(|| b.unlink(old))?;
         // plfs-lint: allow(raw-backend-in-batch-path): second half of the order-dependent swap above
-        retry_transient(DEFAULT_RETRY_ATTEMPTS, || b.rename(new, old))?;
+        retry_transient(|| b.rename(new, old))?;
     }
     Ok(())
 }

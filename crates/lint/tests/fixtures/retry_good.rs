@@ -8,14 +8,14 @@
 //! iteration.
 
 pub fn scan_subdir<B: Backend>(b: &B, dir: &str) -> Result<u64> {
-    let names = retry_transient(DEFAULT_RETRY_ATTEMPTS, || b.list(dir))?;
+    let names = retry_transient(|| b.list(dir))?;
     let size_ops: Vec<IoOp> = names
         .iter()
         .map(|name| IoOp::Size {
             path: join(dir, name),
         })
         .collect();
-    let mut out = ioplane::submit_retried(b, DEFAULT_RETRY_ATTEMPTS, &size_ops).into_iter();
+    let mut out = ioplane::submit_retried(b, &size_ops).into_iter();
     let mut total = 0;
     for _ in &names {
         total += ioplane::as_size(ioplane::take(&mut out))?;

@@ -10,10 +10,9 @@
 //!
 //! The loop is built for 65,536-rank scale:
 //!
-//! * events go through [`simcore::Scheduler`] — the calendar-queue arena
-//!   by default, the seed [`simcore::EventQueue`] heap as a differential
-//!   oracle ([`Exec::run_with_scheduler`] picks explicitly;
-//!   `PLFS_SIM_SCHED=heap` flips the default);
+//! * events go through [`simcore::Scheduler`] — the calendar-queue
+//!   arena; the seed [`simcore::EventQueue`] heap stays as a
+//!   differential oracle that only [`Exec::run_with_scheduler`] selects;
 //! * a rank's decoded current op is cached across `Step::Yield`
 //!   micro-steps instead of re-derived from the program every event;
 //! * collective rendezvous state is one reusable arrival buffer — SPMD
@@ -67,10 +66,9 @@ impl<'a, P: Program, D: Driver> Exec<'a, P, D> {
     }
 
     /// Run all ranks to program completion; panics on deadlock (a
-    /// collective some ranks never reach). Uses the scheduler selected by
-    /// the environment (the arena unless `PLFS_SIM_SCHED=heap`).
+    /// collective some ranks never reach).
     pub fn run(self) -> RunResult {
-        self.run_impl(SchedulerKind::from_env(), None)
+        self.run_impl(SchedulerKind::Arena, None)
     }
 
     /// Like [`Exec::run`] with an explicit scheduler choice — the
@@ -82,7 +80,7 @@ impl<'a, P: Program, D: Driver> Exec<'a, P, D> {
     /// Like [`Exec::run`], additionally recording every completed op into
     /// `timeline` (opt-in: costs one span per op).
     pub fn run_with_timeline(self, timeline: &mut Timeline) -> RunResult {
-        self.run_impl(SchedulerKind::from_env(), Some(timeline))
+        self.run_impl(SchedulerKind::Arena, Some(timeline))
     }
 
     fn run_impl(self, sched: SchedulerKind, mut timeline: Option<&mut Timeline>) -> RunResult {

@@ -414,17 +414,6 @@ pub enum SchedulerKind {
     Arena,
 }
 
-impl SchedulerKind {
-    /// Scheduler selection for production runs: the arena, unless
-    /// `PLFS_SIM_SCHED=heap` asks for the oracle.
-    pub fn from_env() -> Self {
-        match std::env::var("PLFS_SIM_SCHED") {
-            Ok(v) if v == "heap" => SchedulerKind::Heap,
-            _ => SchedulerKind::Arena,
-        }
-    }
-}
-
 enum SchedulerImpl {
     Heap(EventQueue<(u32, u32)>),
     Arena(EventArena),
@@ -441,7 +430,7 @@ impl std::fmt::Debug for SchedulerImpl {
 
 /// A uniform front over the two scheduler implementations, with the
 /// engine-throughput counters (`events popped`, `peak live events`) the
-/// telemetry plane and the `sim_scale` ratchet report.
+/// telemetry plane, `tests/budgets.rs` and the benchmark report.
 #[derive(Debug)]
 pub struct Scheduler {
     inner: SchedulerImpl,

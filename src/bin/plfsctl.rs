@@ -34,7 +34,7 @@
 //! tail latency, and how often admission engaged. Flags: `--clients`,
 //! `--tenants`, `--ops` (per client), `--threads`, `--seed`,
 //! `--token-rate`, `--token-burst`, `--dirty-budget` (all optional; the
-//! defaults are the tier-1 `svc_scale` shape scaled down).
+//! defaults are `SvcBenchConfig::scale`, 1,024 clients, scaled down).
 //!
 //! `--io-stats` (any command, any position) prints the I/O plane's
 //! per-op counters to stderr after the command: ops vs batches (the
@@ -237,8 +237,8 @@ fn cmd_obs(args: &[String]) -> ExitCode {
 /// sustained throughput, tail latency, and admission activity.
 fn cmd_serve(args: &[String]) -> ExitCode {
     let mut cfg = harness::SvcBenchConfig::scale(7);
-    // A laptop-friendly default; the tier-1 svc_scale stage runs the
-    // full 1,024-client shape.
+    // A laptop-friendly default; `--clients 1024 --tenants 32 --ops 96`
+    // restores the full shape.
     cfg.clients = 256;
     cfg.tenants = 16;
     cfg.ops_per_client = 48;

@@ -1,0 +1,326 @@
+//! The numbers this repository pins exactly. Speed is measured in one
+//! place, `benchmark/` (BENCHMARK.json); what does not depend on the
+//! clock is asserted here, in tier-1, on any core count:
+//!
+//! * backend ops and round trips of four canonical I/O-plane profiles
+//!   (DESIGN.md §5e), and that read-open's are the same at every
+//!   aggregation thread count;
+//! * the peak RSS, ops and round trips of a memory-bounded read-open
+//!   over an index several times larger than the RSS ceiling (§5j);
+//! * the simulator's event count and O(ranks) event footprint (§5g).
+//!
+//! The budgets are the `const`s below. They only move down, except by a
+//! deliberate one-line diff here. `-- --nocapture` prints what was
+//! measured.
+
+mod common;
+
+use common::TempDir;
+use harness::{run_workload, ClusterProfile, Middleware};
+use mpio::ReadStrategy;
+use plfs::index::ondisk::SpanIdxWriter;
+use plfs::index::INDEX_RECORD_BYTES;
+use plfs::reader::ReadHandle;
+use plfs::writer::{IndexPolicy, WriteHandle};
+use plfs::{
+    fsck, Backend, Container, Content, Federation, IndexEntry, LocalFs, MemFs, SpanCache,
+    TracingBackend,
+};
+use std::process::Command;
+use std::sync::Arc;
+use workloads::{mpiio_test, nn_checkpoint, Workload};
+
+// ---------------------------------------------------------------------
+// I/O-plane profiles.
+
+/// What one profile may cost: `ops` is the length of the backend trace,
+/// `trips` the calls into the backend (a batch of N ops is one trip).
+struct IoBudget {
+    profile: &'static str,
+    ops: u64,
+    trips: u64,
+}
+
+/// Before the I/O plane every op was its own trip: write-close 33,
+/// read-open 57, strided-read 336, fsck-scan 92 (DESIGN.md §5e).
+#[rustfmt::skip]
+const IO_BUDGETS: [IoBudget; 4] = [
+    IoBudget { profile: "write-close",  ops: 33,  trips: 27 },
+    IoBudget { profile: "read-open",    ops: 41,  trips: 8 },
+    IoBudget { profile: "strided-read", ops: 336, trips: 36 },
+    IoBudget { profile: "fsck-scan",    ops: 60,  trips: 9 },
+];
+
+const KB: u64 = 1024;
+const WRITERS: u64 = 16;
+const BLOCKS: u64 = 20;
+const BLOCK: u64 = 4 * KB;
+const SUBDIRS: usize = 4;
+
+type Traced = Arc<TracingBackend<MemFs>>;
+
+fn traced_memfs() -> Traced {
+    Arc::new(TracingBackend::new(MemFs::new()))
+}
+
+/// `writers` × 20 × 4 KB strided writes, each writer opened and closed
+/// in turn.
+fn build_container(b: &Traced, cont: &Container, writers: u64) {
+    for w in 0..writers {
+        let mut h =
+            WriteHandle::open(Arc::clone(b), cont.clone(), w, IndexPolicy::WriteClose).unwrap();
+        for k in 0..BLOCKS {
+            h.write(
+                (k * writers + w) * BLOCK,
+                &Content::synthetic(w, BLOCK),
+                k + 1,
+            )
+            .unwrap();
+        }
+        h.close(99).unwrap();
+    }
+}
+
+/// The 16-writer container the read-side profiles share.
+fn shared_container() -> (Traced, Container) {
+    let b = traced_memfs();
+    let cont = Container::new("/ckpt", &Federation::single("/panfs", SUBDIRS));
+    build_container(&b, &cont, WRITERS);
+    (b, cont)
+}
+
+/// `(ops, trips)` that `f` costs on `b`.
+fn measure<T>(b: &TracingBackend<impl Backend>, f: impl FnOnce() -> T) -> (T, u64, u64) {
+    b.take_trace();
+    let trips = b.trips();
+    let out = f();
+    (out, b.take_trace().len() as u64, b.trips() - trips)
+}
+
+fn assert_within(profile: &str, ops: u64, trips: u64) {
+    let budget = IO_BUDGETS
+        .iter()
+        .find(|b| b.profile == profile)
+        .expect("profile has a budget row");
+    println!("{profile}: {ops} ops, {trips} trips");
+    assert!(
+        ops <= budget.ops && trips <= budget.trips,
+        "{profile}: {ops} ops / {trips} trips, budget {} / {}",
+        budget.ops,
+        budget.trips
+    );
+}
+
+#[test]
+fn io_plane_profiles_stay_within_budget() {
+    // write-close: a lone writer's whole lifecycle.
+    let b = traced_memfs();
+    let cont = Container::new("/wc", &Federation::single("/panfs", SUBDIRS));
+    let ((), ops, trips) = measure(&b, || build_container(&b, &cont, 1));
+    assert_within("write-close", ops, trips);
+
+    // read-open: the index aggregation fan-out alone.
+    let (b, cont) = shared_container();
+    let (rh, ops, trips) = measure(&b, || ReadHandle::open(Arc::clone(&b), cont.clone()));
+    assert_within("read-open", ops, trips);
+    let mut rh = rh.unwrap();
+
+    // strided-read: the whole logical file as 20 × 64 KB slices.
+    let total = WRITERS * BLOCKS * BLOCK;
+    let slice = 64 * KB;
+    let ((), ops, trips) = measure(&b, || {
+        for off in (0..total).step_by(slice as usize) {
+            assert_eq!(rh.read(off, slice).unwrap().len() as u64, slice);
+        }
+    });
+    assert_within("strided-read", ops, trips);
+
+    // fsck-scan: a full container check.
+    let (report, ops, trips) = measure(&b, || fsck::check(&*b, &cont));
+    assert_within("fsck-scan", ops, trips);
+    assert!(report.unwrap().is_clean());
+}
+
+#[test]
+fn read_open_trips_are_the_same_at_every_thread_count() {
+    let (b, cont) = shared_container();
+    let runs: Vec<_> = [1, 2, 8]
+        .into_iter()
+        .map(|threads| {
+            let (index, ops, trips) = measure(&b, || cont.aggregate_index_parallel(&*b, threads));
+            (index.unwrap(), ops, trips)
+        })
+        .collect();
+    for (threads, run) in [2, 8].into_iter().zip(&runs[1..]) {
+        assert_eq!(run, &runs[0], "{threads} threads against 1");
+    }
+    // Aggregation is read-open minus the flattened-index probe.
+    assert_within("read-open", runs[0].1, runs[0].2);
+}
+
+// ---------------------------------------------------------------------
+// Memory-bounded read-open.
+
+/// Records in the flattened index: 38 MiB of spanidx, which keeps the
+/// debug-profile build in seconds.
+const RSS_ENTRIES: u64 = 1_000_000;
+/// Logical bytes per record.
+const RSS_SPAN: u64 = 64;
+/// Real data-log bytes the records point into, cyclically: the index is
+/// what is measured, so the data log stays small.
+const RSS_DATA_BYTES: u64 = 1 << 20;
+/// Scattered reads after the open, and bytes per read.
+const RSS_READS: u64 = 8;
+const RSS_READ_LEN: u64 = 64 * KB;
+/// Ceiling on the child's `VmHWM`: 1.5 × the 5,236 kB measured in
+/// the debug profile. A quarter of the index file is 9,765 kB, so an
+/// open that materializes the index cannot pass.
+const RSS_CEILING_KB: u64 = 7_854;
+/// Backend ops and round trips of the open plus the scattered reads.
+const RSS_OPS: u64 = 20;
+const RSS_TRIPS: u64 = 20;
+/// Carries the probe directory to the re-executed child.
+const RSS_CHILD_DIR: &str = "PLFS_BUDGETS_RSS_DIR";
+
+fn rss_container() -> Container {
+    Container::new("/bigread", &Federation::single("/m", 4))
+}
+
+/// A small real data log plus a flattened index of [`RSS_ENTRIES`]
+/// records, streamed so the build itself stays O(chunk).
+fn build_rss_probe(dir: &TempDir) {
+    let b = Arc::new(LocalFs::new(dir.path()).unwrap());
+    let cont = rss_container();
+    let mut h =
+        WriteHandle::open(Arc::clone(&b), cont.clone(), 0, IndexPolicy::WriteClose).unwrap();
+    let block = 64 * KB;
+    for k in 0..RSS_DATA_BYTES / block {
+        h.write(
+            k * block,
+            &Content::synthetic(0, RSS_DATA_BYTES).slice(k * block, block),
+            k + 1,
+        )
+        .unwrap();
+    }
+    h.close(99).unwrap();
+
+    let chunk = 64 * KB;
+    let mut w = SpanIdxWriter::create(b.as_ref(), &cont.flattened_path(), chunk as usize).unwrap();
+    let slots = RSS_DATA_BYTES / RSS_SPAN;
+    let mut run = Vec::with_capacity(chunk as usize);
+    for start in (0..RSS_ENTRIES).step_by(chunk as usize) {
+        run.clear();
+        run.extend((start..RSS_ENTRIES.min(start + chunk)).map(|i| IndexEntry {
+            logical_offset: i * RSS_SPAN,
+            length: RSS_SPAN,
+            physical_offset: (i % slots) * RSS_SPAN,
+            writer: 0,
+            timestamp: 1,
+        }));
+        w.push_run(&run).unwrap();
+    }
+    w.finish().unwrap();
+}
+
+/// Peak resident set of this process in kB.
+fn vmhwm_kb() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap();
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"));
+    line.and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
+        .expect("a VmHWM line in /proc/self/status")
+}
+
+/// The measured half: run alone in a fresh process, so `VmHWM` is the
+/// read path's peak RSS and not the build's or another test's.
+#[test]
+#[ignore = "re-executed by bounded_open_peak_rss_stays_far_below_the_index_size"]
+fn bounded_open_child() {
+    let dir = std::env::var(RSS_CHILD_DIR).expect("set by the parent test");
+    let b = Arc::new(TracingBackend::new(LocalFs::new(&dir).unwrap()));
+    let cache = Arc::new(SpanCache::new());
+    let mut rh =
+        ReadHandle::open_bounded(Arc::clone(&b), rss_container(), Arc::clone(&cache)).unwrap();
+    assert!(rh.index().is_none(), "fell back to the in-memory index");
+    let eof = rh.size();
+    assert_eq!(eof, RSS_ENTRIES * RSS_SPAN);
+    for i in 0..RSS_READS {
+        let got = rh.read(i * (eof / RSS_READS), RSS_READ_LEN).unwrap();
+        assert_eq!(got.len() as u64, RSS_READ_LEN);
+    }
+    let (ops, trips) = (b.take_trace().len() as u64, b.trips());
+    println!(
+        "bounded-open: ops={ops} trips={trips} vmhwm_kb={}",
+        vmhwm_kb()
+    );
+    assert!(
+        ops <= RSS_OPS && trips <= RSS_TRIPS,
+        "{ops} ops / {trips} trips, budget {RSS_OPS} / {RSS_TRIPS}"
+    );
+    assert!(cache.resident_bytes() <= cache.budget());
+}
+
+#[test]
+fn bounded_open_peak_rss_stays_far_below_the_index_size() {
+    let index_kb = RSS_ENTRIES * INDEX_RECORD_BYTES / KB;
+    assert!(
+        RSS_CEILING_KB < index_kb / 4,
+        "the ceiling must rule out a materialized index"
+    );
+
+    let dir = TempDir::new("plfs-budgets-rss");
+    build_rss_probe(&dir);
+    let child = Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", "bounded_open_child", "--ignored", "--nocapture"])
+        .env(RSS_CHILD_DIR, dir.path())
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&child.stdout);
+    assert!(
+        child.status.success(),
+        "{stdout}\n{}",
+        String::from_utf8_lossy(&child.stderr)
+    );
+    let report = stdout.lines().find(|l| l.starts_with("bounded-open:"));
+    let kb: u64 = report
+        .and_then(|l| l.rsplit_once("vmhwm_kb=")?.1.parse().ok())
+        .unwrap_or_else(|| panic!("no vmhwm_kb in:\n{stdout}"));
+    println!("{} (index file {index_kb} kB)", report.unwrap_or_default());
+    assert!(
+        kb <= RSS_CEILING_KB,
+        "VmHWM {kb} kB, ceiling {RSS_CEILING_KB} kB"
+    );
+}
+
+// ---------------------------------------------------------------------
+// Simulator engine.
+
+const SIM_RANKS: usize = 4096;
+const SIM_SEED: u64 = 42;
+
+/// Events popped by a pinned-seed run on the Cielo profile through PLFS
+/// with Parallel Index Read. `benchmark/`'s `sim_64k` reports the same
+/// two counts at 65,536 ranks.
+struct SimBudget {
+    name: &'static str,
+    workload: fn(usize) -> Workload,
+    events: u64,
+}
+
+#[rustfmt::skip]
+const SIM_BUDGETS: [SimBudget; 2] = [
+    SimBudget { name: "mpiio_test",    workload: mpiio_test,    events: 98_305 },
+    SimBudget { name: "nn_checkpoint", workload: nn_checkpoint, events: 139_264 },
+];
+
+#[test]
+fn engine_events_are_pinned_and_live_events_are_one_per_rank() {
+    let cluster = ClusterProfile::cielo();
+    let mw = Middleware::plfs(ReadStrategy::ParallelIndexRead, 1);
+    for b in SIM_BUDGETS {
+        let out = run_workload(&(b.workload)(SIM_RANKS), &cluster, &mw, SIM_SEED);
+        let (name, live) = (b.name, out.peak_live_events);
+        println!("{name}: {} events, {live} peak live", out.events);
+        assert_eq!(out.events, b.events, "{name}: events");
+        assert_eq!(live, SIM_RANKS, "{name}: peak live events");
+    }
+}

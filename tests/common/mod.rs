@@ -1,0 +1,35 @@
+//! Shared by the integration tests that touch the real file system
+//! (`mod common;`).
+
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// A directory under the system temp dir that belongs to one caller:
+/// the name carries the pid and a per-process counter, so tests running
+/// in parallel in one binary (or in two binaries at once) never share
+/// it. Removed on drop, also when the test panics.
+pub struct TempDir(PathBuf);
+
+impl TempDir {
+    /// Reserve `<tmp>/<tag>-<pid>-<n>`, clearing anything a killed
+    /// earlier run with the same pid left there. The directory itself is
+    /// created by whoever writes into it (`LocalFs::new` does).
+    pub fn new(tag: &str) -> TempDir {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("{tag}-{}-{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        TempDir(dir)
+    }
+
+    /// The directory's path.
+    pub fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}

@@ -1,5 +1,8 @@
 //! Integration test of the `plfsctl` CLI against a real on-disk mount.
 
+mod common;
+
+use common::TempDir;
 use plfs::writer::{IndexPolicy, WriteHandle};
 use plfs::{Container, Content, Federation, LocalFs};
 use std::process::Command;
@@ -8,10 +11,11 @@ fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_plfsctl")
 }
 
-fn make_mount() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("plfsctl-test-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let backend = LocalFs::new(&dir).unwrap();
+/// A three-writer container on a mount of its own: the tests in this
+/// file run in parallel and some of them corrupt or truncate it.
+fn make_mount() -> TempDir {
+    let dir = TempDir::new("plfsctl-test");
+    let backend = LocalFs::new(dir.path()).unwrap();
     let fed = Federation::single("/", 4);
     let cont = Container::new("/ckpt", &fed);
     for w in 0..3u64 {
@@ -29,7 +33,7 @@ fn make_mount() -> std::path::PathBuf {
 #[test]
 fn ls_stat_map_check_cat_roundtrip() {
     let dir = make_mount();
-    let root = dir.to_str().unwrap();
+    let root = dir.path().to_str().unwrap();
 
     let ls = Command::new(bin()).args(["ls", root]).output().unwrap();
     assert!(ls.status.success());
@@ -67,16 +71,14 @@ fn ls_stat_map_check_cat_roundtrip() {
     assert_eq!(cat.stdout.len(), 768);
     // First 64 bytes are writer 0's stream head.
     assert_eq!(cat.stdout[..64], Content::synthetic(0, 64).materialize());
-
-    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
 fn check_flags_corruption_and_repair_fixes_it() {
     let dir = make_mount();
-    let root = dir.to_str().unwrap();
+    let root = dir.path().to_str().unwrap();
     // Truncate an index log mid-record.
-    let backend = LocalFs::new(&dir).unwrap();
+    let backend = LocalFs::new(dir.path()).unwrap();
     let cont = Container::new("/ckpt", &Federation::single("/", 4));
     let ipath = cont.index_log(&backend, 1).unwrap();
     use plfs::Backend;
@@ -102,7 +104,6 @@ fn check_flags_corruption_and_repair_fixes_it() {
         .output()
         .unwrap();
     assert!(again.status.success());
-    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
@@ -114,7 +115,7 @@ fn bad_usage_exits_nonzero() {
 #[test]
 fn truncate_subcommand_works() {
     let dir = make_mount();
-    let root = dir.to_str().unwrap();
+    let root = dir.path().to_str().unwrap();
     let out = Command::new(bin())
         .args(["truncate", root, "/ckpt", "300"])
         .output()
@@ -131,13 +132,12 @@ fn truncate_subcommand_works() {
         .output()
         .unwrap();
     assert!(!bad.status.success());
-    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
 fn du_reports_overheads() {
     let dir = make_mount();
-    let root = dir.to_str().unwrap();
+    let root = dir.path().to_str().unwrap();
     let out = Command::new(bin()).args(["du", root, "/ckpt"]).output().unwrap();
     assert!(out.status.success(), "{out:?}");
     let text = String::from_utf8_lossy(&out.stdout).to_string();
@@ -145,7 +145,6 @@ fn du_reports_overheads() {
     assert!(text.contains("data logs  : 768 bytes"), "{text}");
     assert!(text.contains("index logs : 480 bytes"), "{text}"); // 12 records
     assert!(text.contains("dead       : 0 bytes"), "{text}");
-    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
@@ -201,7 +200,7 @@ fn obs_emits_spans_counters_and_histograms() {
 #[test]
 fn io_stats_flag_reports_and_reset_is_accepted() {
     let dir = make_mount();
-    let root = dir.to_str().unwrap();
+    let root = dir.path().to_str().unwrap();
     // --io-stats prints the plane's counters to stderr after the
     // command; reading them is non-destructive within the process and
     // `--reset` (position-independent, like --io-stats) zeroes them
@@ -214,5 +213,4 @@ fn io_stats_flag_reports_and_reset_is_accepted() {
     let err = String::from_utf8_lossy(&out.stderr).to_string();
     assert!(err.contains("io-plane:"), "{err}");
     assert!(err.contains("op(s)"), "{err}");
-    let _ = std::fs::remove_dir_all(dir);
 }

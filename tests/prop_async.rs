@@ -15,9 +15,7 @@ use plfs::fsck;
 use plfs::ioplane::async_plane;
 use plfs::reader::ReadHandle;
 use plfs::writer::{IndexPolicy, WriteHandle};
-use plfs::{
-    Backend, Container, Content, Federation, IoOp, MemFs, Reactor, DEFAULT_RETRY_ATTEMPTS,
-};
+use plfs::{Backend, Container, Content, Federation, IoOp, MemFs, Reactor};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -65,7 +63,7 @@ fn submit_then_drain<B: Backend>(
         .collect();
     let mut acked: HashMap<String, u64> = HashMap::new();
     for (batch, ticket) in batches.iter().zip(tickets) {
-        let outcomes = async_plane::drain_retried(reactor, DEFAULT_RETRY_ATTEMPTS, batch, ticket);
+        let outcomes = async_plane::drain_retried(reactor, batch, ticket);
         for (op, outcome) in batch.iter().zip(&outcomes) {
             if let (IoOp::Append { path, content }, Ok(_)) = (op, outcome) {
                 *acked.entry(path.clone()).or_insert(0) += content.len();

@@ -195,7 +195,7 @@ proptest! {
                 content: Content::synthetic(len, len),
             })
             .collect();
-        let outcomes = ioplane::submit_retried(&b, 8, &batch);
+        let outcomes = ioplane::submit_retried(&b, &batch);
         let acknowledged: u64 = outcomes
             .iter()
             .zip(&lens)
@@ -264,7 +264,7 @@ proptest! {
             })
             .collect();
         let ticket = async_plane::submit_tracked(&b, &batch);
-        let outcomes = async_plane::drain_retried(&b, 8, &batch, ticket);
+        let outcomes = async_plane::drain_retried(&b, &batch, ticket);
         let acknowledged: u64 = outcomes
             .iter()
             .zip(&lens)
