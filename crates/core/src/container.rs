@@ -39,6 +39,11 @@ pub const METADIR: &str = "metadir";
 pub const OPENHOSTS: &str = "openhosts";
 /// File holding the flattened global index, when Index Flatten ran.
 pub const FLATTENED_INDEX: &str = "flattened.index";
+/// The per-namespace generation file, in each namespace root: its size
+/// is the namespace's generation, advanced by every operation that
+/// removes or rewrites an index log or a flattened index (see
+/// [`IndexStamp`]).
+pub const GENERATION_FILE: &str = ".plfsgen";
 /// Prefix of the per-group subdir entries (`subdir.<i>`).
 pub const SUBDIR_PREFIX: &str = "subdir.";
 /// Prefix of per-writer data logs (`dropping.data.<id>`).
@@ -214,22 +219,36 @@ impl Container {
         }
     }
 
+    /// The `subdir.<i>` entries of the canonical container, in order.
+    fn subdir_entries(&self) -> Vec<String> {
+        (0..self.fed.subdirs_per_container())
+            .map(|i| join(&self.canonical, &format!("{SUBDIR_PREFIX}{i}")))
+            .collect()
+    }
+
     /// Resolve the physical path of **every** subdir with batched
     /// submissions: one `Kind` probe batch over all entries, then (only
     /// for metalinked subdirs) one `Size` batch and one `ReadAt` batch —
     /// three plane round-trips for the whole container instead of one to
     /// three per subdir. `None` marks a subdir no writer has created yet.
     pub fn subdirs_phys_batch<B: Backend>(&self, b: &B) -> Result<Vec<Option<String>>> {
-        let k = self.fed.subdirs_per_container();
-        let entries: Vec<String> = (0..k)
-            .map(|i| join(&self.canonical, &format!("{SUBDIR_PREFIX}{i}")))
-            .collect();
+        let entries = self.subdir_entries();
         let probes: Vec<IoOp> = entries
             .iter()
             .map(|e| IoOp::Kind { path: e.clone() })
             .collect();
-        let kinds = ioplane::submit_retried(b, &probes);
-        let mut resolved: Vec<Option<String>> = vec![None; k];
+        Self::resolve_subdirs(b, &entries, ioplane::submit_retried(b, &probes))
+    }
+
+    /// The rest of [`Container::subdirs_phys_batch`] once the `Kind`
+    /// outcomes of `entries` are in hand (they may have ridden a larger
+    /// batch): metalinked subdirs cost one `Size` and one `ReadAt` batch.
+    fn resolve_subdirs<B: Backend>(
+        b: &B,
+        entries: &[String],
+        kinds: impl IntoIterator<Item = ioplane::IoOutcome>,
+    ) -> Result<Vec<Option<String>>> {
+        let mut resolved: Vec<Option<String>> = vec![None; entries.len()];
         let mut links: Vec<usize> = Vec::new();
         for (i, outcome) in kinds.into_iter().enumerate() {
             match ioplane::as_kind(outcome) {
@@ -479,6 +498,17 @@ impl Container {
         writers: &[WriterId],
         max_threads: usize,
     ) -> Result<Vec<Vec<IndexEntry>>> {
+        let paths = self.index_log_paths(resolved, writers)?;
+        Self::read_logs_whole(b, &paths, max_threads)
+    }
+
+    /// Physical path of each of `writers`' index logs under subdirs
+    /// already resolved.
+    fn index_log_paths(
+        &self,
+        resolved: &[Option<String>],
+        writers: &[WriterId],
+    ) -> Result<Vec<String>> {
         let mut paths = Vec::with_capacity(writers.len());
         for &w in writers {
             let sub = self.subdir_for(w);
@@ -487,33 +517,54 @@ impl Container {
             })?;
             paths.push(join(dir, &format!("{INDEX_PREFIX}{w}")));
         }
-        Self::read_logs_whole(b, &paths, max_threads)
+        Ok(paths)
     }
 
-    /// Size-then-read each path whole and decode the records: one `Size`
-    /// batch for every path on the calling thread, then the `ReadAt`s in
-    /// [`READ_OVERLAP_CHUNK`]-op slices dealt in contiguous shares to at
-    /// most `max_threads` scoped threads, so the round trips depend on
-    /// the path count alone. Each shard thread reopens `index.aggregate`
-    /// under the caller's span, so what it submits keeps its ancestry.
+    /// Size-then-read each path whole and decode the records:
+    /// [`Container::log_sizes`] then [`Container::read_logs_sized`].
     fn read_logs_whole<B: Backend>(
         b: &B,
         paths: &[String],
         max_threads: usize,
     ) -> Result<Vec<Vec<IndexEntry>>> {
+        let sizes = Self::log_sizes(b, paths)?;
+        Self::read_logs_sized(b, paths, &sizes, max_threads)
+    }
+
+    /// Current size of every path: one `Size` batch on the calling thread.
+    fn log_sizes<B: Backend>(b: &B, paths: &[String]) -> Result<Vec<u64>> {
         let size_ops: Vec<IoOp> = paths
             .iter()
             .map(|p| IoOp::Size { path: p.clone() })
             .collect();
-        let sizes = ioplane::submit_retried(b, &size_ops);
-        let mut read_ops = Vec::with_capacity(paths.len());
-        for (p, outcome) in paths.iter().zip(sizes) {
-            read_ops.push(IoOp::ReadAt {
+        ioplane::submit_retried(b, &size_ops)
+            .into_iter()
+            .map(ioplane::as_size)
+            .collect()
+    }
+
+    /// Read exactly the first `sizes[i]` bytes of `paths[i]` and decode
+    /// the records — bytes a log grew by after it was sized are not read.
+    /// The `ReadAt`s go in [`READ_OVERLAP_CHUNK`]-op slices dealt in
+    /// contiguous shares to at most `max_threads` scoped threads, so the
+    /// round trips depend on the path count alone. Each shard thread
+    /// reopens `index.aggregate` under the caller's span, so what it
+    /// submits keeps its ancestry.
+    fn read_logs_sized<B: Backend>(
+        b: &B,
+        paths: &[String],
+        sizes: &[u64],
+        max_threads: usize,
+    ) -> Result<Vec<Vec<IndexEntry>>> {
+        let read_ops: Vec<IoOp> = paths
+            .iter()
+            .zip(sizes)
+            .map(|(p, &len)| IoOp::ReadAt {
                 path: p.clone(),
                 offset: 0,
-                len: ioplane::as_size(outcome)?,
-            });
-        }
+                len,
+            })
+            .collect();
         let chunks: Vec<&[IoOp]> = read_ops.chunks(READ_OVERLAP_CHUNK).collect();
         let threads = max_threads.clamp(1, chunks.len().max(1));
         if threads == 1 {
@@ -584,7 +635,7 @@ impl Container {
     /// the calling thread — the "Original PLFS Design" path (every reader
     /// does all the work itself). Uncompacted.
     pub fn aggregate_index<B: Backend>(&self, b: &B) -> Result<GlobalIndex> {
-        self.aggregate(b, 1, false)
+        self.aggregate(b, 1)
     }
 
     /// [`Container::aggregate_index`] with the index-log reads and decodes
@@ -597,20 +648,15 @@ impl Container {
         b: &B,
         max_threads: usize,
     ) -> Result<GlobalIndex> {
-        self.aggregate(b, max_threads, false)
+        self.aggregate(b, max_threads)
     }
 
-    fn aggregate<B: Backend>(
-        &self,
-        b: &B,
-        max_threads: usize,
-        compact: bool,
-    ) -> Result<GlobalIndex> {
+    fn aggregate<B: Backend>(&self, b: &B, max_threads: usize) -> Result<GlobalIndex> {
         let _span = telemetry::span(telemetry::SPAN_INDEX_AGGREGATE);
         let resolved = self.subdirs_phys_batch(b)?;
         let writers = self.writers_in(b, &resolved)?;
         let runs = self.read_index_runs(b, &resolved, &writers, max_threads)?;
-        Ok(GlobalIndex::from_runs(&runs, compact))
+        Ok(GlobalIndex::from_runs(&runs, false))
     }
 
     /// Physical path of the flattened (spanidx) index file.
@@ -676,11 +722,26 @@ impl Container {
     /// fall back to log aggregation and fsck flags the bad file.
     pub fn read_flattened<B: Backend>(&self, b: &B) -> Result<Option<GlobalIndex>> {
         let path = self.flattened_path();
-        if !b.exists(&path) {
-            return Ok(None);
+        let mut out = ioplane::submit_retried(b, &[IoOp::Size { path: path.clone() }]).into_iter();
+        match absent_as_none(ioplane::as_size(ioplane::take(&mut out)))? {
+            Some(len) => Self::read_flattened_sized(b, &path, len),
+            None => Ok(None),
         }
-        let len = b.size(&path)?;
-        let bytes = b.read_at(&path, 0, len)?.materialize();
+    }
+
+    /// [`Container::read_flattened`] of a file already sized.
+    fn read_flattened_sized<B: Backend>(
+        b: &B,
+        path: &str,
+        len: u64,
+    ) -> Result<Option<GlobalIndex>> {
+        let read = [IoOp::ReadAt {
+            path: path.to_string(),
+            offset: 0,
+            len,
+        }];
+        let mut out = ioplane::submit_retried(b, &read).into_iter();
+        let bytes = ioplane::as_data(ioplane::take(&mut out))?.materialize();
         match ondisk::parse_file(&bytes) {
             // Checksummed, sorted records: one run, no re-sort.
             Ok((_, records, _)) => Ok(Some(GlobalIndex::from_runs(
@@ -697,17 +758,122 @@ impl Container {
     /// per-writer logs (reads and decodes threaded), compacted inline.
     /// Compaction is applied only here — at the terminal aggregation
     /// point — never to partial indices that may still be merged (see
-    /// the complexity notes in DESIGN.md §5b).
+    /// the complexity notes in DESIGN.md §5b). Uncached: a mount shares
+    /// one acquisition among its readers through
+    /// [`Container::probe_index`].
     pub fn acquire_index<B: Backend>(&self, b: &B) -> Result<GlobalIndex> {
-        match self.read_flattened(b)? {
-            Some(idx) => Ok(idx),
-            None => self.aggregate(b, default_aggregation_threads(), true),
+        self.probe(b, &[])?.1.load(b)
+    }
+
+    /// Physical path of the generation file of this container's canonical
+    /// namespace (see [`IndexStamp`]).
+    pub fn generation_path(&self) -> String {
+        let ns = &self.fed.namespaces()[self.fed.container_namespace(&self.logical)];
+        join(ns, GENERATION_FILE)
+    }
+
+    /// The two ops that advance this container's namespace generation,
+    /// for the tail of a batch that unlinked, renamed or truncated an
+    /// index log or the flattened index: an exclusive create (callers
+    /// tolerate `AlreadyExists`) and a one-byte append.
+    pub(crate) fn generation_bump_ops(&self) -> [IoOp; 2] {
+        let path = self.generation_path();
+        [
+            IoOp::Create {
+                path: path.clone(),
+                exclusive: true,
+            },
+            IoOp::Append {
+                path,
+                content: Content::bytes(vec![0]),
+            },
+        ]
+    }
+
+    /// Check the outcomes of [`Container::generation_bump_ops`].
+    pub(crate) fn generation_bumped(
+        outcomes: &mut std::vec::IntoIter<ioplane::IoOutcome>,
+    ) -> Result<()> {
+        match ioplane::as_unit(ioplane::take(outcomes)) {
+            Ok(()) | Err(PlfsError::AlreadyExists(_)) => {}
+            Err(e) => return Err(e),
         }
+        ioplane::as_offset(ioplane::take(outcomes)).map(|_| ())
+    }
+
+    /// Advance this container's namespace generation on its own (one
+    /// batch), for destructive paths with no batch of their own to ride.
+    pub fn bump_generation<B: Backend>(&self, b: &B) -> Result<()> {
+        let mut out = ioplane::submit_retried(b, &self.generation_bump_ops()).into_iter();
+        Self::generation_bumped(&mut out)
+    }
+
+    /// What a mount's read-open starts with: one batch carrying the
+    /// access-file probe, the namespace generation, the flattened index's
+    /// size and the subdir probes, then the writer listing and one `Size`
+    /// batch over the index logs — no log is read. `None` when there is
+    /// no container here. The returned probe holds the [`IndexStamp`] to
+    /// validate a cached index against and can [`IndexProbe::load`] the
+    /// index that stamp describes.
+    pub fn probe_index<B: Backend>(&self, b: &B) -> Result<Option<IndexProbe>> {
+        let lead = [
+            IoOp::Kind {
+                path: join(&self.canonical, ACCESS_FILE),
+            },
+            IoOp::Size {
+                path: self.generation_path(),
+            },
+        ];
+        let (mut lead, mut probe) = self.probe(b, &lead)?;
+        // Only a definitive `NotFound` means "no container", as for
+        // [`Backend::exists`].
+        if let Err(PlfsError::NotFound(_)) = ioplane::as_kind(ioplane::take(&mut lead)) {
+            return Ok(None);
+        }
+        probe.stamp.generation =
+            absent_as_none(ioplane::as_size(ioplane::take(&mut lead)))?.unwrap_or(0);
+        Ok(Some(probe))
+    }
+
+    /// The opening batches of an index acquisition, with `lead` riding in
+    /// front of the first: returns `lead`'s outcomes and the probe
+    /// (generation 0 — only [`Container::probe_index`] reads it).
+    fn probe<B: Backend>(
+        &self,
+        b: &B,
+        lead: &[IoOp],
+    ) -> Result<(std::vec::IntoIter<ioplane::IoOutcome>, IndexProbe)> {
+        let entries = self.subdir_entries();
+        let flattened_path = self.flattened_path();
+        let mut batch = lead.to_vec();
+        batch.push(IoOp::Size {
+            path: flattened_path.clone(),
+        });
+        batch.extend(entries.iter().map(|e| IoOp::Kind { path: e.clone() }));
+        let mut out = ioplane::submit_retried(b, &batch);
+        let mut rest = out.split_off(lead.len()).into_iter();
+        let flattened = absent_as_none(ioplane::as_size(ioplane::take(&mut rest)))?;
+        let resolved = Self::resolve_subdirs(b, &entries, rest)?;
+        let writers = self.writers_in(b, &resolved)?;
+        let log_paths = self.index_log_paths(&resolved, &writers)?;
+        let sizes = Self::log_sizes(b, &log_paths)?;
+        let probe = IndexProbe {
+            stamp: IndexStamp {
+                generation: 0,
+                flattened,
+                logs: writers.into_iter().zip(sizes).collect(),
+            },
+            flattened_path,
+            log_paths,
+        };
+        Ok((out.into_iter(), probe))
     }
 
     /// Remove the container and any shadow subdirs in other namespaces:
     /// one `RemoveAll` batch (shadows tolerate `NotFound`; the canonical
-    /// tree, last in the batch, does not).
+    /// tree does not) that ends by advancing the namespace generation —
+    /// a container re-created at this path can repeat the old one's
+    /// writer ids and log sizes exactly.
     pub fn remove<B: Backend>(&self, b: &B) -> Result<()> {
         let mut batch: Vec<IoOp> = (0..self.fed.subdirs_per_container())
             .filter_map(|i| self.fed.shadow_subdir_path(&self.logical, i))
@@ -717,14 +883,16 @@ impl Container {
         batch.push(IoOp::RemoveAll {
             path: self.canonical.clone(),
         });
-        for (i, outcome) in ioplane::submit_retried(b, &batch).into_iter().enumerate() {
-            match ioplane::as_unit(outcome) {
+        batch.extend(self.generation_bump_ops());
+        let mut out = ioplane::submit_retried(b, &batch).into_iter();
+        for i in 0..=shadows {
+            match ioplane::as_unit(ioplane::take(&mut out)) {
                 Ok(()) => {}
                 Err(PlfsError::NotFound(_)) if i < shadows => {}
                 Err(e) => return Err(e),
             }
         }
-        Ok(())
+        Self::generation_bumped(&mut out)
     }
 
     /// Does `name` inside a directory listing look like a container entry
@@ -736,6 +904,81 @@ impl Container {
     /// The basename of the logical file (for directory listings).
     pub fn logical_name(&self) -> &str {
         basename(&self.logical)
+    }
+}
+
+/// `NotFound` as `None`.
+fn absent_as_none<T>(r: Result<T>) -> Result<Option<T>> {
+    match r {
+        Ok(v) => Ok(Some(v)),
+        Err(PlfsError::NotFound(_)) => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
+/// What the opening batches of an index acquisition learn about a
+/// container before any log is read, and what a mount validates a shared
+/// index against (DESIGN.md §5l).
+///
+/// Index logs are append-only within one incarnation of a container, so
+/// an equal writer set with equal sizes means equal bytes and an equal
+/// index: anything *appended* by any mount or process — a write-close, an
+/// index flush, a new writer, a flatten — changes the stamp. What sizes
+/// cannot see — a log removed or rewritten into the same length by
+/// truncate, unlink + re-create, rename, fsck repair or a writer id
+/// reopened — advances the namespace generation instead: each of those
+/// paths appends one byte to the namespace's [`GENERATION_FILE`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IndexStamp {
+    /// Size of the canonical namespace's generation file (0 if absent).
+    generation: u64,
+    /// Size of the flattened index, if there is one.
+    flattened: Option<u64>,
+    /// Every index log's writer and size, in writer order.
+    logs: Vec<(WriterId, u64)>,
+}
+
+impl IndexStamp {
+    /// Bytes this stamp occupies in a cache entry.
+    pub(crate) fn heap_bytes(&self) -> u64 {
+        (self.logs.len() * std::mem::size_of::<(WriterId, u64)>()) as u64
+    }
+
+    /// Everything but the generation: what sizes alone can tell.
+    #[cfg(test)]
+    pub(crate) fn sizes(&self) -> (Option<u64>, &[(WriterId, u64)]) {
+        (self.flattened, &self.logs)
+    }
+}
+
+/// An [`IndexStamp`] and what finishing the acquisition it began needs.
+#[derive(Debug)]
+pub struct IndexProbe {
+    stamp: IndexStamp,
+    flattened_path: String,
+    log_paths: Vec<String>,
+}
+
+impl IndexProbe {
+    /// The stamp these batches fetched.
+    pub fn stamp(&self) -> &IndexStamp {
+        &self.stamp
+    }
+
+    /// The index the stamp describes, byte for byte: the flattened index
+    /// at the size stamped when it parses, else one-pass aggregation of
+    /// exactly the stamped prefix of every log, compacted inline.
+    pub fn load<B: Backend>(&self, b: &B) -> Result<GlobalIndex> {
+        if let Some(len) = self.stamp.flattened {
+            if let Some(idx) = Container::read_flattened_sized(b, &self.flattened_path, len)? {
+                return Ok(idx);
+            }
+        }
+        let _span = telemetry::span(telemetry::SPAN_INDEX_AGGREGATE);
+        let sizes: Vec<u64> = self.stamp.logs.iter().map(|&(_, size)| size).collect();
+        let threads = default_aggregation_threads();
+        let runs = Container::read_logs_sized(b, &self.log_paths, &sizes, threads)?;
+        Ok(GlobalIndex::from_runs(&runs, true))
     }
 }
 
@@ -929,6 +1172,58 @@ mod tests {
         expect.compact();
         assert_eq!(acquired, expect);
         assert_eq!(acquired.span_count(), 1);
+    }
+
+    #[test]
+    fn probe_stamps_what_load_then_reads() {
+        let b = MemFs::new();
+        let c = Container::new("/f", &fed1());
+        assert!(c.probe_index(&b).unwrap().is_none(), "no container yet");
+        c.create(&b).unwrap();
+        seed_index_logs(&b, &c, 3, 2);
+        let probe = c.probe_index(&b).unwrap().unwrap();
+        assert_eq!(probe.stamp().generation, 0, "no generation file yet");
+        assert_eq!(
+            probe.stamp().sizes(),
+            (None, &[(0, 80), (1, 80), (2, 80)][..])
+        );
+        // A log that grows after the stamp is read only up to the stamp.
+        let grown = c.index_log(&b, 1).unwrap();
+        let extra = IndexEntry {
+            logical_offset: 1 << 20,
+            length: 1,
+            physical_offset: 512,
+            writer: 1,
+            timestamp: 9,
+        };
+        b.append(&grown, &Content::bytes(IndexEntry::encode_all(&[extra])))
+            .unwrap();
+        let at_stamp = probe.load(&b).unwrap();
+        assert_eq!(at_stamp.eof(), 6 * 256);
+        let now = c.probe_index(&b).unwrap().unwrap();
+        assert_ne!(now.stamp(), probe.stamp(), "an append changes the stamp");
+        assert_eq!(now.load(&b).unwrap(), c.acquire_index(&b).unwrap());
+        assert_eq!(now.load(&b).unwrap().eof(), (1 << 20) + 1);
+    }
+
+    #[test]
+    fn remove_advances_the_generation() {
+        let b = MemFs::new();
+        let c = Container::new("/f", &fed1());
+        let build = || {
+            c.create(&b).unwrap();
+            seed_index_logs(&b, &c, 2, 3);
+            c.probe_index(&b).unwrap().unwrap()
+        };
+        let first = build();
+        c.remove(&b).unwrap();
+        assert_eq!(b.size(&c.generation_path()).unwrap(), 1);
+        let second = build();
+        assert_eq!(first.stamp().sizes(), second.stamp().sizes());
+        assert_ne!(first.stamp(), second.stamp());
+        // The generation file sits in the namespace root, outside every
+        // container.
+        assert_eq!(c.generation_path(), "/ns0/.plfsgen");
     }
 
     #[test]

@@ -912,6 +912,10 @@ pub fn repair<B: Backend>(b: &B, container: &Container) -> Result<RepairOutcome>
         container.record_meta(b, 0, idx.eof(), live)?;
     }
 
+    // Index logs may have been rewritten or unlinked and the flattened
+    // index dropped; a writer reusing a repaired log's id can grow it
+    // back to the old size with other records.
+    container.bump_generation(b)?;
     let post = check(b, container)?;
     Ok(RepairOutcome {
         fixed,
@@ -952,6 +956,35 @@ mod tests {
         assert_eq!(r.writers, vec![0, 1, 2]);
         assert_eq!(r.logical_size, 1500);
         assert_eq!(r.spans, 15);
+    }
+
+    #[test]
+    fn repair_advances_the_generation_and_check_ignores_its_file() {
+        let (b, cont) = healthy_container();
+        // Cut writer 1's data log under its last record: repair drops the
+        // dangling record, then the log grows back to its old size with
+        // another one.
+        let dpath = cont.data_log(&b, 1).unwrap();
+        let kept = b.read_at(&dpath, 0, 400).unwrap();
+        b.create(&dpath, false).unwrap();
+        b.append(&dpath, &kept).unwrap();
+        let before = cont.probe_index(&b).unwrap().unwrap();
+        // The post-repair check runs with the generation file in place.
+        assert!(repair(&b, &cont).unwrap().fully_repaired());
+        assert!(b.exists(&cont.generation_path()));
+        let other = IndexEntry {
+            logical_offset: 9000,
+            length: 10,
+            physical_offset: 0,
+            writer: 1,
+            timestamp: 30,
+        };
+        let ipath = cont.index_log(&b, 1).unwrap();
+        b.append(&ipath, &Content::bytes(IndexEntry::encode_all(&[other])))
+            .unwrap();
+        let after = cont.probe_index(&b).unwrap().unwrap();
+        assert_eq!(before.stamp().sizes(), after.stamp().sizes());
+        assert_ne!(before.stamp(), after.stamp());
     }
 
     #[test]

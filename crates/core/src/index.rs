@@ -486,6 +486,12 @@ impl GlobalIndex {
         self.spans.len()
     }
 
+    /// Estimated heap bytes of the interval map: one key and one span per
+    /// resolved span (what the mount's index cache budgets by).
+    pub fn heap_bytes(&self) -> u64 {
+        (self.spans.len() * (std::mem::size_of::<u64>() + std::mem::size_of::<Span>())) as u64
+    }
+
     /// Whether nothing has been written (no spans at all).
     pub fn is_empty(&self) -> bool {
         self.spans.is_empty()
@@ -747,10 +753,11 @@ pub(crate) fn coalesce_mappings_from(v: &mut Vec<Mapping>, base: usize) {
 }
 
 /// Read-side index abstraction: [`crate::reader::ReadHandle`] resolves
-/// reads through either the fully materialized [`GlobalIndex`] or the
-/// memory-bounded [`crate::index::ondisk::OnDiskIndex`]. The backend is
-/// passed per call so an on-disk representation can fetch record windows
-/// lazily; the in-memory implementation ignores it and cannot fail.
+/// reads through either the fully materialized [`GlobalIndex`] (behind
+/// the `Arc` its readers share) or the memory-bounded
+/// [`crate::index::ondisk::OnDiskIndex`]. The backend is passed per call
+/// so an on-disk representation can fetch record windows lazily; the
+/// in-memory implementation ignores it and cannot fail.
 pub trait SpanLookup {
     /// Append the coalesced mappings tiling `[offset, offset + len)` to
     /// `out` (pre-existing contents untouched).
@@ -766,7 +773,7 @@ pub trait SpanLookup {
     fn eof(&self) -> u64;
 }
 
-impl SpanLookup for GlobalIndex {
+impl SpanLookup for std::sync::Arc<GlobalIndex> {
     fn resolve_into<B: crate::backend::Backend>(
         &mut self,
         _b: &B,

@@ -53,6 +53,7 @@ pub mod faults;
 pub mod federation;
 pub mod fsck;
 pub mod index;
+mod indexcache;
 pub mod ioplane;
 pub mod localfs;
 pub mod memfs;

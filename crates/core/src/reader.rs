@@ -4,15 +4,19 @@
 //! is obtained is the crux of the paper's Section IV:
 //!
 //! * **Original design** — every reader aggregates every writer's index
-//!   log itself ([`ReadHandle::open`] falls back to this when no
-//!   flattened index exists): N readers × N index logs = N² opens on the
-//!   underlying file system.
+//!   log itself: N readers × N index logs = N² opens on the underlying
+//!   file system. [`ReadHandle::open`] is this, the uncached primitive
+//!   (it falls back to aggregation when no flattened index exists).
 //! * **Index Flatten** — the flattened index written at close is read
 //!   instead (one open).
 //! * **Parallel Index Read** — a collective divides the index logs among
 //!   readers and merges hierarchically; the resulting index is injected
 //!   with [`ReadHandle::open_with_index`]. The collective choreography
 //!   (group leaders, exchanges, broadcast) lives in the `mpio` crate.
+//!   In-process, the mount is the group leader: [`crate::Plfs::open_read`]
+//!   aggregates once per container state and hands every reader the same
+//!   `Arc<GlobalIndex>` (DESIGN.md §5l), so R opens of an unchanged
+//!   container cost one aggregation and R stamps.
 //!
 //! All strategies yield an identical index, so `ReadHandle` behaviour is
 //! strategy-independent after open — asserted by integration tests.
@@ -28,11 +32,12 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// How an open handle resolves logical offsets to data-log extents:
-/// either a fully materialized [`GlobalIndex`] (the PR 1 behaviour) or a
+/// either a fully materialized [`GlobalIndex`] — shared, so every reader
+/// a mount opens on one container state holds the same one — or a
 /// memory-bounded [`OnDiskIndex`] over the spanidx file. Both go through
 /// [`SpanLookup`], so the read path below is representation-blind.
 enum IndexRepr {
-    Mem(GlobalIndex),
+    Mem(Arc<GlobalIndex>),
     Disk(OnDiskIndex),
 }
 
@@ -58,7 +63,11 @@ impl<B: Backend> ReadHandle<B> {
     pub fn open(backend: B, container: Container) -> Result<Self> {
         let _span = telemetry::span(telemetry::SPAN_READ_OPEN);
         let index = container.acquire_index(&backend)?;
-        Ok(Self::with_parts(backend, container, IndexRepr::Mem(index)))
+        Ok(Self::with_parts(
+            backend,
+            container,
+            IndexRepr::Mem(Arc::new(index)),
+        ))
     }
 
     /// Open for read with memory bounded by the span-cache budget: when
@@ -72,15 +81,28 @@ impl<B: Backend> ReadHandle<B> {
             Some(odx) => Ok(Self::with_parts(backend, container, IndexRepr::Disk(odx))),
             None => {
                 let index = container.acquire_index(&backend)?;
-                Ok(Self::with_parts(backend, container, IndexRepr::Mem(index)))
+                Ok(Self::with_parts(
+                    backend,
+                    container,
+                    IndexRepr::Mem(Arc::new(index)),
+                ))
             }
         }
     }
 
     /// Open for read with an index supplied by a collective aggregation
-    /// (Parallel Index Read or a broadcast flattened index).
-    pub fn open_with_index(backend: B, container: Container, index: GlobalIndex) -> Result<Self> {
-        Ok(Self::with_parts(backend, container, IndexRepr::Mem(index)))
+    /// (Parallel Index Read or a broadcast flattened index) — by value,
+    /// or an `Arc` the supplier keeps sharing with other readers.
+    pub fn open_with_index(
+        backend: B,
+        container: Container,
+        index: impl Into<Arc<GlobalIndex>>,
+    ) -> Result<Self> {
+        Ok(Self::with_parts(
+            backend,
+            container,
+            IndexRepr::Mem(index.into()),
+        ))
     }
 
     fn with_parts(backend: B, container: Container, repr: IndexRepr) -> Self {
@@ -108,7 +130,9 @@ impl<B: Backend> ReadHandle<B> {
     /// The in-memory global index this handle resolves reads through —
     /// `None` when the handle is memory-bounded (no materialized index
     /// exists by design; use [`ReadHandle::size`] and the read methods).
-    pub fn index(&self) -> Option<&GlobalIndex> {
+    /// The `Arc` is the one every reader of this container state shares
+    /// when the handle came from [`crate::Plfs::open_read`].
+    pub fn index(&self) -> Option<&Arc<GlobalIndex>> {
         match &self.repr {
             IndexRepr::Mem(idx) => Some(idx),
             IndexRepr::Disk(_) => None,

@@ -134,6 +134,16 @@ pub const CTR_SPANCACHE_HITS: &str = "spancache.hits";
 pub const CTR_SPANCACHE_MISSES: &str = "spancache.misses";
 /// Counter: cached record windows evicted to hold the byte budget.
 pub const CTR_SPANCACHE_EVICTIONS: &str = "spancache.evictions";
+/// Counter: mount read-opens served a shared index (the stamp matched).
+pub const CTR_INDEX_CACHE_HITS: &str = "index.cache.hits";
+/// Counter: mount read-opens that aggregated (nothing shared, or stale).
+pub const CTR_INDEX_CACHE_MISSES: &str = "index.cache.misses";
+/// Counter: mount read-opens that waited on another open's aggregation of
+/// the same container (single-flight followers; each then also counts as
+/// a hit or a miss).
+pub const CTR_INDEX_CACHE_WAITS: &str = "index.cache.waits";
+/// Counter: shared indices dropped to hold the mount's byte budget.
+pub const CTR_INDEX_CACHE_EVICTIONS: &str = "index.cache.evictions";
 /// Counter: service-layer ops admitted and completed (open/append/read/close).
 pub const CTR_SVC_OPS: &str = "svc.ops";
 /// Counter: service-layer admissions deferred by a tenant's token bucket.

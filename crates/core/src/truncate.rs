@@ -151,7 +151,8 @@ fn truncate_to_zero<B: Backend>(b: &B, container: &Container) -> Result<()> {
 /// Drop stale metadir records / flattened index and record the new size
 /// *and* the physical bytes the clipped indices still reference — the
 /// record feeds cached stat and space accounting, so writing `bytes=0`
-/// here would make both lie after a clip-truncate.
+/// here would make both lie after a clip-truncate. Last, advance the
+/// namespace generation: the index logs were just rewritten.
 fn refresh_metadata<B: Backend>(b: &B, container: &Container, eof: u64, bytes: u64) -> Result<()> {
     container.remove_flattened(b)?;
     let metadir = format!("{}/metadir", container.canonical_path());
@@ -173,7 +174,9 @@ fn refresh_metadata<B: Backend>(b: &B, container: &Container, eof: u64, bytes: u
     // One fresh record so stat stays cheap (writer id 0 by convention —
     // truncation is a single-actor operation).
     container.record_meta(b, 0, eof, bytes)?;
-    Ok(())
+    // A clip that lands inside a record rewrites `length` only and keeps
+    // every log's size; truncate(0) + re-write can repeat the old sizes.
+    container.bump_generation(b)
 }
 
 #[cfg(test)]
@@ -240,6 +243,20 @@ mod tests {
         assert!(r.read(450, 100).unwrap().is_empty());
         // Stat agrees.
         assert_eq!(cont.cached_size(&b).unwrap(), Some(450));
+    }
+
+    #[test]
+    fn a_clip_inside_a_record_keeps_every_size_and_advances_the_generation() {
+        let (b, cont) = build();
+        let before = cont.probe_index(&b).unwrap().unwrap();
+        let index_before = before.load(&b).unwrap();
+        // 1150 cuts the last block (1100..1200) in half: no record is
+        // dropped, one is shortened, and every log keeps its length.
+        truncate(&b, &cont, 1150).unwrap();
+        let after = cont.probe_index(&b).unwrap().unwrap();
+        assert_eq!(before.stamp().sizes(), after.stamp().sizes());
+        assert_ne!(before.stamp(), after.stamp());
+        assert_ne!(index_before, after.load(&b).unwrap());
     }
 
     #[test]

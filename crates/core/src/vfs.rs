@@ -4,15 +4,19 @@
 //! directories.
 
 use crate::backend::{Backend, NodeKind};
-use crate::container::Container;
+use crate::container::{Container, GENERATION_FILE};
 use crate::error::{PlfsError, Result};
 use crate::federation::Federation;
+use crate::index::GlobalIndex;
+use crate::indexcache::IndexCache;
 use crate::ioplane::{self, IoOp};
 use crate::path::{join, try_normalize};
 use crate::reader::ReadHandle;
+use crate::telemetry;
 use crate::writer::{reject_read_write, IndexPolicy, WriteHandle};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// How a file is being opened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,6 +99,9 @@ pub struct Plfs<B: Backend + Clone> {
     /// Real PLFS uses synchronized wall clocks across the cluster; any
     /// monotone source with the same ordering works.
     clock: AtomicU64,
+    /// One aggregated index per container state, shared by every reader
+    /// this mount opens (`Service` and `PosixShim` open through it too).
+    indices: IndexCache,
 }
 
 impl<B: Backend + Clone> Plfs<B> {
@@ -113,6 +120,7 @@ impl<B: Backend + Clone> Plfs<B> {
             backend,
             config,
             clock: AtomicU64::new(0),
+            indices: IndexCache::new(),
         })
     }
 
@@ -147,13 +155,27 @@ impl<B: Backend + Clone> Plfs<B> {
         )
     }
 
-    /// Open a logical file for reading.
+    /// Open a logical file for reading. Readers of one container state
+    /// share one index: the open fetches the container's stamp and
+    /// aggregates only when no index built from an equal stamp is cached
+    /// (DESIGN.md §5l).
     pub fn open_read(&self, logical: &str) -> Result<ReadHandle<B>> {
+        let _span = telemetry::span(telemetry::SPAN_READ_OPEN);
         let c = self.container(logical);
-        if !c.exists(&self.backend) {
-            return Err(PlfsError::NotFound(try_normalize(logical)?));
-        }
-        ReadHandle::open(self.backend.clone(), c)
+        let index = self.shared_index(&c)?;
+        ReadHandle::open_with_index(self.backend.clone(), c, index)
+    }
+
+    /// `c`'s index through the mount's cache; `NotFound` when there is no
+    /// container there.
+    fn shared_index(&self, c: &Container) -> Result<Arc<GlobalIndex>> {
+        let Some(probe) = c.probe_index(&self.backend)? else {
+            return Err(PlfsError::NotFound(c.logical_path().to_string()));
+        };
+        self.indices
+            .get_or_load(c.canonical_path(), probe.stamp(), || {
+                probe.load(&self.backend)
+            })
     }
 
     /// Open with an explicit mode; `ReadWrite` is rejected.
@@ -172,7 +194,9 @@ impl<B: Backend + Clone> Plfs<B> {
     }
 
     /// Logical file attributes. Uses cached metadir records when any
-    /// writer has closed; falls back to full index aggregation otherwise.
+    /// writer has closed; falls back to the index otherwise — the mount's
+    /// shared one, so a `stat` loop on a file being written re-aggregates
+    /// only when a log grew.
     pub fn stat(&self, logical: &str) -> Result<FileStat> {
         let c = self.container(logical);
         if !c.exists(&self.backend) {
@@ -188,7 +212,7 @@ impl<B: Backend + Clone> Plfs<B> {
                 });
             }
         }
-        let idx = c.acquire_index(&self.backend)?;
+        let idx = self.shared_index(&c)?;
         Ok(FileStat {
             size: idx.eof(),
             from_cache: false,
@@ -269,7 +293,7 @@ impl<B: Backend + Clone> Plfs<B> {
                 Ok(names) => {
                     found_any = true;
                     for name in names {
-                        if name.starts_with(".plfs_shadow") {
+                        if name.starts_with(".plfs_shadow") || name == GENERATION_FILE {
                             continue;
                         }
                         let child = join(p, &name);
@@ -430,6 +454,12 @@ impl<B: Backend + Clone> Plfs<B> {
                     self.backend.append(&entry, &metalink)?;
                 }
             }
+        }
+        // Index logs left one path and arrived at another: a cached index
+        // of either must not survive on sizes alone (§5l).
+        cf.bump_generation(&self.backend)?;
+        if ct.generation_path() != cf.generation_path() {
+            ct.bump_generation(&self.backend)?;
         }
         Ok(())
     }
@@ -609,6 +639,98 @@ mod tests {
         w2.close(11).unwrap();
         let mut r2 = fs.open_read("/dir/new_name").unwrap();
         assert_eq!(r2.read(4096, 16).unwrap(), vec![5; 16]);
+    }
+
+    /// One writer, two 100-byte writes at the given offsets, closed.
+    fn write_two(fs: &Plfs<Arc<MemFs>>, path: &str, first: u64, second: u64) {
+        let mut w = fs.open_write(path, 0).unwrap();
+        w.write(first, &Content::bytes(vec![1; 100]), fs.timestamp())
+            .unwrap();
+        w.write(second, &Content::bytes(vec![2; 100]), fs.timestamp())
+            .unwrap();
+        w.close(fs.timestamp()).unwrap();
+    }
+
+    #[test]
+    fn readers_of_an_unchanged_file_share_one_index() {
+        let fs = mount();
+        write_two(&fs, "/f", 0, 100);
+        let a = fs.open_read("/f").unwrap();
+        let b = fs.open_read("/f").unwrap();
+        assert!(Arc::ptr_eq(a.index().unwrap(), b.index().unwrap()));
+        // Another writer closing is an append: the next open sees it.
+        let mut w = fs.open_write("/f", 1).unwrap();
+        w.write(200, &Content::bytes(vec![3; 50]), fs.timestamp())
+            .unwrap();
+        w.close(fs.timestamp()).unwrap();
+        let mut c = fs.open_read("/f").unwrap();
+        assert!(!Arc::ptr_eq(a.index().unwrap(), c.index().unwrap()));
+        assert_eq!(c.size(), 250);
+        assert_eq!(c.read(200, 50).unwrap(), vec![3; 50]);
+    }
+
+    #[test]
+    fn rename_and_unlink_never_leave_a_same_sized_stale_index() {
+        let fs = federated_mount(2, 2);
+        // /a and /b: same writer, same record count, swapped placement.
+        write_two(&fs, "/a", 0, 100);
+        write_two(&fs, "/b", 100, 0);
+        let before = fs.container("/a").probe_index(fs.backend()).unwrap();
+        assert_eq!(
+            fs.open_read("/a").unwrap().read(0, 100).unwrap(),
+            vec![1; 100]
+        );
+        // Rename /a away and /b in: sizes at /a are what they were.
+        fs.rename("/a", "/gone").unwrap();
+        fs.rename("/b", "/a").unwrap();
+        let after = fs.container("/a").probe_index(fs.backend()).unwrap();
+        let (before, after) = (before.unwrap(), after.unwrap());
+        assert_eq!(before.stamp().sizes(), after.stamp().sizes());
+        assert_ne!(before.stamp(), after.stamp());
+        assert_eq!(
+            fs.open_read("/a").unwrap().read(0, 100).unwrap(),
+            vec![2; 100]
+        );
+        // Unlink + re-create in the first order again.
+        fs.unlink("/a").unwrap();
+        write_two(&fs, "/a", 0, 100);
+        assert_eq!(
+            fs.open_read("/a").unwrap().read(0, 100).unwrap(),
+            vec![1; 100]
+        );
+    }
+
+    #[test]
+    fn stat_of_a_file_being_written_shares_the_index_too() {
+        let fs = mount();
+        let mut w = fs.open_write("/f", 0).unwrap();
+        w.write(0, &Content::bytes(vec![0; 100]), 1).unwrap();
+        w.flush_index().unwrap();
+        assert_eq!(fs.stat("/f").unwrap().size, 100);
+        let r = fs.open_read("/f").unwrap();
+        assert_eq!(Arc::strong_count(r.index().unwrap()), 2, "stat's and ours");
+        w.write(100, &Content::bytes(vec![0; 50]), 2).unwrap();
+        w.flush_index().unwrap();
+        assert_eq!(
+            fs.stat("/f").unwrap(),
+            FileStat {
+                size: 150,
+                from_cache: false
+            }
+        );
+    }
+
+    #[test]
+    fn the_generation_file_is_not_a_logical_entry() {
+        let fs = mount();
+        write_two(&fs, "/keep", 0, 100);
+        write_two(&fs, "/drop", 0, 100);
+        fs.unlink("/drop").unwrap();
+        assert!(fs.backend().exists("/ns/.plfsgen"));
+        assert_eq!(
+            fs.readdir("/").unwrap(),
+            vec![("keep".to_string(), LogicalKind::File)]
+        );
     }
 
     #[test]

@@ -209,19 +209,33 @@ impl<B: Backend> WriteHandle<B> {
             let index = format!("{sub}/{}{}", crate::container::INDEX_PREFIX, self.writer);
             // Both droppings in one batched submission; the plane retries
             // transients per op.
-            let batch = [
-                IoOp::Create {
-                    path: data.clone(),
-                    exclusive: false,
-                },
-                IoOp::Create {
-                    path: index.clone(),
-                    exclusive: false,
-                },
-            ];
-            let mut out = ioplane::submit_retried(&self.backend, &batch).into_iter();
-            ioplane::as_unit(ioplane::take(&mut out))?;
-            ioplane::as_unit(ioplane::take(&mut out))?;
+            let creates = |exclusive| {
+                [&data, &index].map(|path| IoOp::Create {
+                    path: path.clone(),
+                    exclusive,
+                })
+            };
+            let mut reopened = false;
+            for outcome in ioplane::submit_retried(&self.backend, &creates(true)) {
+                match ioplane::as_unit(outcome) {
+                    Ok(()) => {}
+                    Err(PlfsError::AlreadyExists(_)) => reopened = true,
+                    Err(e) => return Err(e),
+                }
+            }
+            if reopened {
+                // This writer id has written here before: its logs start
+                // over. The new index log can grow back to the old one's
+                // size with other records, which sizes cannot tell apart,
+                // so the namespace generation advances behind the
+                // truncation (DESIGN.md §5l).
+                let mut batch = creates(false).to_vec();
+                batch.extend(self.container.generation_bump_ops());
+                let mut out = ioplane::submit_retried(&self.backend, &batch).into_iter();
+                ioplane::as_unit(ioplane::take(&mut out))?;
+                ioplane::as_unit(ioplane::take(&mut out))?;
+                Container::generation_bumped(&mut out)?;
+            }
             self.logs = Some((data, index));
         }
         self.logs
@@ -723,6 +737,28 @@ mod tests {
         assert_eq!(entries[0].physical_offset, 0);
         assert_eq!(entries[1].logical_offset, 0);
         assert_eq!(entries[1].physical_offset, 10);
+    }
+
+    #[test]
+    fn reopening_a_writer_id_starts_its_logs_over_and_advances_the_generation() {
+        let (b, c) = setup();
+        let write_one = |offset: u64| {
+            let mut w =
+                WriteHandle::open(Arc::clone(&b), c.clone(), 0, IndexPolicy::WriteClose).unwrap();
+            w.write(offset, &Content::bytes(vec![7; 10]), 1).unwrap();
+            w.close(2).unwrap();
+            c.probe_index(&b).unwrap().unwrap()
+        };
+        let first = write_one(0);
+        assert!(
+            !b.exists(&c.generation_path()),
+            "a fresh writer id bumps nothing"
+        );
+        let second = write_one(500);
+        // One record either time, so sizes alone cannot tell them apart.
+        assert_eq!(first.stamp().sizes(), second.stamp().sizes());
+        assert_ne!(first.stamp(), second.stamp());
+        assert_eq!(second.load(&b).unwrap().eof(), 510);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use plfs::service::{Admitted, Service, ServiceConfig};
 use plfs::telemetry::*;
-use plfs::{Content, MemFs};
+use plfs::{Content, MemFs, Plfs, PlfsConfig};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One lock serializes the tests; the plane starts reset and enabled,
@@ -286,4 +286,59 @@ fn svc_telemetry_counts_ops_and_throttles() {
     assert_eq!(snap.counters[CTR_SVC_THROTTLED], 1);
     assert!(snap.counters[CTR_SVC_OPS] >= 2);
     assert!(snap.histograms[HIST_SVC_OP].count() >= 2);
+}
+
+#[test]
+fn index_cache_counts_say_whether_an_open_aggregated_or_shared() {
+    let fs = Plfs::new(Arc::new(MemFs::new()), PlfsConfig::basic("/panfs")).unwrap();
+    let mut w = fs.open_write("/f", 0).unwrap();
+    w.write(0, &Content::bytes(vec![1; 8]), 1).unwrap();
+    w.close(2).unwrap();
+    let _scope = Scope::enabled();
+    for _ in 0..3 {
+        fs.open_read("/f").unwrap();
+    }
+    set_enabled(false);
+    let snap = snapshot();
+    assert_eq!(snap.counters[CTR_INDEX_CACHE_MISSES], 1);
+    assert_eq!(snap.counters[CTR_INDEX_CACHE_HITS], 2);
+    assert!(!snap.counters.contains_key(CTR_INDEX_CACHE_WAITS));
+    assert!(!snap.counters.contains_key(CTR_INDEX_CACHE_EVICTIONS));
+    // All three opens are `read.open` spans; only the miss aggregated.
+    let opens: Vec<_> = snap
+        .spans
+        .iter()
+        .filter(|s| s.name == SPAN_READ_OPEN)
+        .collect();
+    assert_eq!(opens.len(), 3);
+    let aggregated = |s: &&&SpanNode| s.children.iter().any(|c| c.name == SPAN_INDEX_AGGREGATE);
+    assert_eq!(opens.iter().filter(aggregated).count(), 1);
+}
+
+#[test]
+fn index_cache_followers_count_as_waits_and_then_as_hits() {
+    const THREADS: u64 = 4;
+    let store = Arc::new(MemFs::new());
+    let fs = Plfs::new(Arc::clone(&store), PlfsConfig::basic("/panfs")).unwrap();
+    let mut w = fs.open_write("/f", 0).unwrap();
+    w.write(0, &Content::bytes(vec![1; 8]), 1).unwrap();
+    w.close(2).unwrap();
+    let _scope = Scope::enabled();
+    let start = std::sync::Barrier::new(THREADS as usize);
+    std::thread::scope(|scope| {
+        for _ in 0..THREADS {
+            scope.spawn(|| {
+                start.wait();
+                fs.open_read("/f").unwrap();
+            });
+        }
+    });
+    set_enabled(false);
+    let snap = snapshot();
+    // One leader whatever the schedule; a follower waited only if it
+    // arrived while the leader was still aggregating.
+    assert_eq!(snap.counters[CTR_INDEX_CACHE_MISSES], 1);
+    assert_eq!(snap.counters[CTR_INDEX_CACHE_HITS], THREADS - 1);
+    let waits = snap.counters.get(CTR_INDEX_CACHE_WAITS).copied();
+    assert!(waits.unwrap_or(0) < THREADS);
 }

@@ -166,8 +166,9 @@ fn cmd_lint(args: &[String]) -> ExitCode {
 /// (`write.open`/`write.append`/`write.flush`/`write.close`), the read
 /// fan-out (`read.open` → `index.aggregate` → `index.merge`), the I/O
 /// plane underneath (`ioplane.submit` spans plus per-op latency histograms),
-/// and the `spancache.*` hit/miss/eviction counters of the bounded read
-/// path (DESIGN.md §5j).
+/// the `spancache.*` hit/miss/eviction counters of the bounded read
+/// path (DESIGN.md §5j), and the `index.cache.*` counters of two opens
+/// through a mount (§5l).
 fn cmd_obs(args: &[String]) -> ExitCode {
     let mut json = false;
     for arg in args {
@@ -215,6 +216,19 @@ fn cmd_obs(args: &[String]) -> ExitCode {
         let mut r = ReadHandle::open_bounded(std::sync::Arc::clone(&backend), cont, cache)?;
         r.read(0, size)?;
         r.read(0, size)?;
+        // And twice through a mount, whose readers share one index: the
+        // first `read.open` aggregates (`index.cache.misses`), the second
+        // only stamps (`index.cache.hits`, DESIGN.md §5l).
+        let fs = plfs::Plfs::new(
+            std::sync::Arc::clone(&backend),
+            plfs::PlfsConfig {
+                federation: fed,
+                index_policy: IndexPolicy::WriteClose,
+            },
+        )?;
+        for _ in 0..2 {
+            fs.open_read("/obs/demo")?;
+        }
         Ok(())
     })();
     plfs::telemetry::set_enabled(false);

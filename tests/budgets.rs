@@ -2,9 +2,10 @@
 //! place, `benchmark/` (BENCHMARK.json); what does not depend on the
 //! clock is asserted here, in tier-1, on any core count:
 //!
-//! * backend ops and round trips of four canonical I/O-plane profiles
-//!   (DESIGN.md §5e), and that read-open's are the same at every
-//!   aggregation thread count;
+//! * backend ops and round trips of five canonical I/O-plane profiles
+//!   (DESIGN.md §5e), that read-open's are the same at every
+//!   aggregation thread count, and that a mount's re-open of an
+//!   unchanged container reads no index log (§5l);
 //! * the peak RSS, ops and round trips of a memory-bounded read-open
 //!   over an index several times larger than the RSS ceiling (§5j);
 //! * the simulator's event count and O(ranks) event footprint (§5g).
@@ -23,8 +24,8 @@ use plfs::index::INDEX_RECORD_BYTES;
 use plfs::reader::ReadHandle;
 use plfs::writer::{IndexPolicy, WriteHandle};
 use plfs::{
-    fsck, Backend, Container, Content, Federation, IndexEntry, LocalFs, MemFs, SpanCache,
-    TracingBackend,
+    fsck, Backend, Container, Content, Federation, IndexEntry, IoOp, LocalFs, MemFs, Plfs,
+    PlfsConfig, SpanCache, TracingBackend,
 };
 use std::process::Command;
 use std::sync::Arc;
@@ -43,13 +44,20 @@ struct IoBudget {
 
 /// Before the I/O plane every op was its own trip: write-close 33,
 /// read-open 57, strided-read 336, fsck-scan 92 (DESIGN.md §5e).
+/// `read-reopen` is a mount's open of a container it has an index for
+/// (§5l): the stamp's three batches and not one `ReadAt`; a mount's
+/// *first* open is `read-open` plus the two ops only a mount needs, the
+/// access-file probe and the generation `Size`, in the same trips.
 #[rustfmt::skip]
-const IO_BUDGETS: [IoBudget; 4] = [
+const IO_BUDGETS: [IoBudget; 5] = [
     IoBudget { profile: "write-close",  ops: 33,  trips: 27 },
-    IoBudget { profile: "read-open",    ops: 41,  trips: 8 },
+    IoBudget { profile: "read-open",    ops: 41,  trips: 7 },
+    IoBudget { profile: "read-reopen",  ops: 27,  trips: 3 },
     IoBudget { profile: "strided-read", ops: 336, trips: 36 },
     IoBudget { profile: "fsck-scan",    ops: 60,  trips: 9 },
 ];
+/// Ops a mount's open adds in front of `read-open`'s first batch.
+const MOUNT_PROBE_OPS: u64 = 2;
 
 const KB: u64 = 1024;
 const WRITERS: u64 = 16;
@@ -67,18 +75,22 @@ fn traced_memfs() -> Traced {
 /// in turn.
 fn build_container(b: &Traced, cont: &Container, writers: u64) {
     for w in 0..writers {
-        let mut h =
-            WriteHandle::open(Arc::clone(b), cont.clone(), w, IndexPolicy::WriteClose).unwrap();
-        for k in 0..BLOCKS {
-            h.write(
-                (k * writers + w) * BLOCK,
-                &Content::synthetic(w, BLOCK),
-                k + 1,
-            )
-            .unwrap();
-        }
-        h.close(99).unwrap();
+        build_writer(b, cont, w, writers);
     }
+}
+
+/// Writer `w`'s 20 × 4 KB blocks of a `stride`-writer strided file.
+fn build_writer(b: &Traced, cont: &Container, w: u64, stride: u64) {
+    let mut h = WriteHandle::open(Arc::clone(b), cont.clone(), w, IndexPolicy::WriteClose).unwrap();
+    for k in 0..BLOCKS {
+        h.write(
+            (k * stride + w) * BLOCK,
+            &Content::synthetic(w, BLOCK),
+            k + 1,
+        )
+        .unwrap();
+    }
+    h.close(99).unwrap();
 }
 
 /// The 16-writer container the read-side profiles share.
@@ -139,6 +151,43 @@ fn io_plane_profiles_stay_within_budget() {
     let (report, ops, trips) = measure(&b, || fsck::check(&*b, &cont));
     assert_within("fsck-scan", ops, trips);
     assert!(report.unwrap().is_clean());
+}
+
+#[test]
+fn reopen_of_an_unchanged_container_reads_no_log() {
+    let (b, cont) = shared_container();
+    let fs = Plfs::new(Arc::clone(&b), PlfsConfig::basic("/panfs")).unwrap();
+    let open = || {
+        b.take_trace();
+        let trips = b.trips();
+        let handle = fs.open_read("/ckpt").unwrap();
+        let trace = b.take_trace();
+        let log_reads = trace
+            .iter()
+            .filter(|op| matches!(op, IoOp::ReadAt { .. }))
+            .count() as u64;
+        (handle, trace.len() as u64, b.trips() - trips, log_reads)
+    };
+
+    // Cold: a full aggregation, within read-open's trips.
+    let (first, ops, trips, log_reads) = open();
+    assert_within("read-open", ops - MOUNT_PROBE_OPS, trips);
+    assert_eq!(log_reads, WRITERS);
+
+    // Unchanged: the stamp alone.
+    let (second, ops, trips, log_reads) = open();
+    assert_within("read-reopen", ops, trips);
+    assert_eq!(log_reads, 0, "a hit reads no index log");
+    assert!(Arc::ptr_eq(first.index().unwrap(), second.index().unwrap()));
+
+    // One more writer closes: sizes changed, so back to a full aggregation.
+    build_writer(&b, &cont, WRITERS, WRITERS + 1);
+    let (third, _, _, log_reads) = open();
+    assert_eq!(log_reads, WRITERS + 1);
+    assert!(
+        third.size() > second.size(),
+        "and the new writer's blocks show"
+    );
 }
 
 #[test]
