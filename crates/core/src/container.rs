@@ -16,6 +16,12 @@
 //!                                     (federated metadata management, Figure 6)
 //! ```
 //!
+//! A shadowed `subdir.<i>` lives at `<ns>/.plfs_shadow<logical>/subdir.<i>`
+//! in the namespace it hashes to; `<ns>/.plfs_shadow<logical>` is that
+//! namespace's *shadow container*, created with the first subdir that
+//! lands there and removed whole by unlink (and, for the old name, by
+//! rename), so a deleted file leaves no directory behind in any namespace.
+//!
 //! Each subdir holds, per writer, `dropping.data.<id>` (the data log, only
 //! ever appended) and `dropping.index.<id>` (the index log of
 //! [`crate::index::IndexEntry`] records).
@@ -741,8 +747,8 @@ impl Container {
             len,
         }];
         let mut out = ioplane::submit_retried(b, &read).into_iter();
-        let bytes = ioplane::as_data(ioplane::take(&mut out))?.materialize();
-        match ondisk::parse_file(&bytes) {
+        let data = ioplane::as_data(ioplane::take(&mut out))?;
+        match ondisk::parse_file(&data.as_bytes()) {
             // Checksummed, sorted records: one run, no re-sort.
             Ok((_, records, _)) => Ok(Some(GlobalIndex::from_runs(
                 &[IndexEntry::decode_all(records)?],
@@ -869,16 +875,14 @@ impl Container {
         Ok((out.into_iter(), probe))
     }
 
-    /// Remove the container and any shadow subdirs in other namespaces:
-    /// one `RemoveAll` batch (shadows tolerate `NotFound`; the canonical
-    /// tree does not) that ends by advancing the namespace generation —
-    /// a container re-created at this path can repeat the old one's
-    /// writer ids and log sizes exactly.
+    /// Remove the container and its shadow container directory in every
+    /// other namespace (the shadow subdirs go with them, and no empty
+    /// directory is left behind): one `RemoveAll` batch (shadows tolerate
+    /// `NotFound`; the canonical tree does not) that ends by advancing
+    /// the namespace generation — a container re-created at this path
+    /// can repeat the old one's writer ids and log sizes exactly.
     pub fn remove<B: Backend>(&self, b: &B) -> Result<()> {
-        let mut batch: Vec<IoOp> = (0..self.fed.subdirs_per_container())
-            .filter_map(|i| self.fed.shadow_subdir_path(&self.logical, i))
-            .map(|path| IoOp::RemoveAll { path })
-            .collect();
+        let mut batch = self.shadow_removal_ops();
         let shadows = batch.len();
         batch.push(IoOp::RemoveAll {
             path: self.canonical.clone(),
@@ -893,6 +897,17 @@ impl Container {
             }
         }
         Self::generation_bumped(&mut out)
+    }
+
+    /// One `RemoveAll` per shadow container directory this container can
+    /// own in other namespaces (callers tolerate `NotFound` per op);
+    /// empty without subdir spreading.
+    pub(crate) fn shadow_removal_ops(&self) -> Vec<IoOp> {
+        self.fed
+            .shadow_container_paths(&self.logical)
+            .into_iter()
+            .map(|path| IoOp::RemoveAll { path })
+            .collect()
     }
 
     /// Does `name` inside a directory listing look like a container entry

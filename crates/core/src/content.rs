@@ -7,8 +7,16 @@
 //! synthetic extent can be sliced, compared, and — in the real backends —
 //! materialized into actual bytes and later verified, without any payload
 //! ever being stored symbolically.
+//!
+//! Two ways to the bytes. [`Content::as_bytes`] is for code that only
+//! *reads* them — a backend writing a payload out, a decoder, a
+//! comparison: real bytes are borrowed (no allocation, no copy) and only
+//! a synthetic or zero extent is generated. [`Content::materialize`] is
+//! for code that needs to *own* a `Vec<u8>` (to hand on, or to turn into
+//! a `String`); on real bytes it is a full copy.
 
 use bytes::Bytes;
+use std::borrow::Cow;
 
 /// Contents of (part of) a file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,13 +90,23 @@ impl Content {
         }
     }
 
-    /// Materialize into real bytes (synthetic extents are generated).
-    pub fn materialize(&self) -> Vec<u8> {
+    /// The bytes, borrowed when they are real and generated when the
+    /// extent is synthetic or zeros. What every caller that only reads
+    /// the bytes uses: on [`Content::Bytes`] it neither allocates nor
+    /// copies.
+    pub fn as_bytes(&self) -> Cow<'_, [u8]> {
         match self {
-            Content::Bytes(b) => b.to_vec(),
-            Content::Synthetic { seed, start, len } => synth_bytes(*seed, *start, *len),
-            Content::Zeros { len } => vec![0u8; *len as usize],
+            Content::Bytes(b) => Cow::Borrowed(b),
+            Content::Synthetic { seed, start, len } => Cow::Owned(synth_bytes(*seed, *start, *len)),
+            Content::Zeros { len } => Cow::Owned(vec![0u8; *len as usize]),
         }
+    }
+
+    /// Materialize into owned real bytes (a copy of real bytes; synthetic
+    /// extents are generated). Prefer [`Content::as_bytes`] unless the
+    /// `Vec` itself is needed.
+    pub fn materialize(&self) -> Vec<u8> {
+        self.as_bytes().into_owned()
     }
 
     /// Whether two contents denote the same bytes (materializing as needed,
@@ -108,7 +126,7 @@ impl Content {
                     len: l2,
                 },
             ) if s1 == s2 && a1 == a2 => l1 == l2,
-            _ => self.materialize() == other.materialize(),
+            _ => self.as_bytes() == other.as_bytes(),
         }
     }
 }
@@ -189,6 +207,25 @@ mod tests {
         assert_eq!(z.slice(1, 3).len(), 3);
         let b = Content::bytes(vec![1, 2, 3, 4]);
         assert_eq!(b.slice(1, 2).materialize(), vec![2, 3]);
+    }
+
+    #[test]
+    fn as_bytes_borrows_real_bytes_and_generates_the_rest() {
+        let b = Content::bytes(vec![1, 2, 3, 4]);
+        let Cow::Borrowed(view) = b.as_bytes() else {
+            panic!("real bytes must be borrowed, not copied");
+        };
+        let Content::Bytes(inner) = &b else {
+            unreachable!()
+        };
+        assert_eq!(view.as_ptr(), inner.as_ptr());
+        for c in [
+            Content::synthetic(3, 40).slice(5, 20),
+            Content::Zeros { len: 9 },
+        ] {
+            assert!(matches!(c.as_bytes(), Cow::Owned(_)));
+            assert_eq!(c.as_bytes(), c.materialize());
+        }
     }
 
     #[test]

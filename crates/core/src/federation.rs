@@ -130,9 +130,35 @@ impl Federation {
         if home == self.container_namespace(logical) {
             None
         } else {
-            let ns = &self.namespaces[home];
-            Some(format!("{ns}/.plfs_shadow{logical}/subdir.{i}"))
+            Some(format!(
+                "{}/subdir.{i}",
+                self.shadow_container(home, logical)
+            ))
         }
+    }
+
+    /// `logical`'s shadow container in namespace `ns`: the directory that
+    /// holds whichever of its subdirs hash there.
+    fn shadow_container(&self, ns: usize, logical: &str) -> String {
+        format!("{}/.plfs_shadow{logical}", self.namespaces[ns])
+    }
+
+    /// Every shadow container directory `logical` can own: one per
+    /// foreign namespace that at least one of its subdirs hashes to, in
+    /// namespace order. Empty without subdir spreading. What unlink and
+    /// rename remove so that no empty directory outlives the container.
+    pub fn shadow_container_paths(&self, logical: &str) -> Vec<String> {
+        let home = self.container_namespace(logical);
+        let mut foreign: Vec<usize> = (0..self.subdirs_per_container)
+            .map(|i| self.subdir_namespace(logical, i))
+            .filter(|&ns| ns != home)
+            .collect();
+        foreign.sort_unstable();
+        foreign.dedup();
+        foreign
+            .into_iter()
+            .map(|ns| self.shadow_container(ns, logical))
+            .collect()
     }
 }
 
@@ -197,6 +223,25 @@ mod tests {
                 assert!(s.ends_with(&format!("subdir.{i}")), "{s}");
             }
         }
+    }
+
+    #[test]
+    fn shadow_containers_are_the_parents_of_the_shadow_subdirs() {
+        let f = Federation::new((0..4).map(|i| format!("/vol{i}")).collect(), 16, true, true);
+        let want: std::collections::BTreeSet<String> = (0..16)
+            .filter_map(|i| f.shadow_subdir_path("/dir/ckpt", i))
+            .map(|s| crate::path::parent(&s))
+            .collect();
+        let got = f.shadow_container_paths("/dir/ckpt");
+        assert_eq!(got.len(), want.len(), "one path per foreign namespace");
+        assert_eq!(
+            got.into_iter().collect::<std::collections::BTreeSet<_>>(),
+            want
+        );
+        assert!(want.iter().all(|p| p.ends_with("/.plfs_shadow/dir/ckpt")));
+        // No subdir spreading, no shadows.
+        let plain = Federation::new(vec!["/a".into(), "/b".into()], 8, true, false);
+        assert!(plain.shadow_container_paths("/dir/ckpt").is_empty());
     }
 
     #[test]

@@ -429,7 +429,8 @@ pub fn check<B: Backend>(b: &B, container: &Container) -> Result<CheckReport> {
             }],
         )
         .into_iter();
-        let bytes = ioplane::as_data(ioplane::take(&mut outs))?.materialize();
+        let data = ioplane::as_data(ioplane::take(&mut outs))?;
+        let bytes = data.as_bytes();
         match crate::index::ondisk::verify_deep(&bytes) {
             Ok(_) => {
                 let (_, records, _) = crate::index::ondisk::parse_file(&bytes)

@@ -124,14 +124,10 @@ impl IndexEntry {
     }
 
     /// Decode records straight out of a [`crate::Content`]: real bytes are
-    /// borrowed chunk by chunk (no whole-buffer copy); synthetic or zero
-    /// content — which never legitimately holds index records — still
-    /// goes through one materialization.
+    /// borrowed (no whole-buffer copy); synthetic or zero content — which
+    /// never legitimately holds index records — is generated once.
     pub fn decode_content(content: &crate::content::Content) -> Result<Vec<IndexEntry>> {
-        match content {
-            crate::content::Content::Bytes(b) => Self::decode_all(b),
-            other => Self::decode_all(&other.materialize()),
-        }
+        Self::decode_all(&content.as_bytes())
     }
 }
 

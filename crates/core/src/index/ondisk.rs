@@ -374,8 +374,8 @@ impl OnDiskIndex {
             len: SPANIDX_FOOTER_BYTES,
         }];
         let mut out = ioplane::submit_retried(b, &foot_read).into_iter();
-        let foot_bytes = ioplane::as_data(ioplane::take(&mut out))?.materialize();
-        let footer = match SpanIdxFooter::from_bytes(&foot_bytes) {
+        let foot = ioplane::as_data(ioplane::take(&mut out))?;
+        let footer = match SpanIdxFooter::from_bytes(&foot.as_bytes()) {
             Ok(f) => f,
             Err(PlfsError::CorruptContainer(_)) => return Ok(None),
             Err(e) => return Err(e),
@@ -389,7 +389,7 @@ impl OnDiskIndex {
             len: footer.fence_count * SPANIDX_FENCE_BYTES,
         }];
         let mut out = ioplane::submit_retried(b, &fence_read).into_iter();
-        let fences = decode_fences(&ioplane::as_data(ioplane::take(&mut out))?.materialize())?;
+        let fences = decode_fences(&ioplane::as_data(ioplane::take(&mut out))?.as_bytes())?;
         Ok(Some(OnDiskIndex {
             path: path.into(),
             footer,

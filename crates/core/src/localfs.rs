@@ -9,7 +9,7 @@ use crate::backend::{Backend, NodeKind};
 use crate::content::Content;
 use crate::error::{PlfsError, Result};
 use crate::ioplane::{self, IoOp, IoOutcome, IoValue};
-use crate::path::try_normalize;
+use crate::path::{parent, try_normalize};
 use std::fs;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -38,6 +38,44 @@ impl LocalFs {
         Ok(p)
     }
 
+    /// The error `MemFs` gives for the same failure on `path`: the OS's
+    /// "not found" and "already exists" carry the PLFS path, and a path
+    /// *through* a file (ENOTDIR) names nothing, so it is not found.
+    fn os_err(e: std::io::Error, path: &str) -> PlfsError {
+        use std::io::ErrorKind::{AlreadyExists, NotADirectory, NotFound};
+        match e.kind() {
+            NotFound | NotADirectory => PlfsError::NotFound(path.to_string()),
+            AlreadyExists => PlfsError::AlreadyExists(path.to_string()),
+            _ => e.into(),
+        }
+    }
+
+    /// [`Self::os_err`] for an op that adds the name `path` (at `host`):
+    /// there a parent that is a file is the wrong kind, as on `MemFs`.
+    fn os_err_adding(e: std::io::Error, host: &Path, path: &str) -> PlfsError {
+        if host.parent().is_some_and(Path::is_file) {
+            PlfsError::WrongKind {
+                path: parent(path),
+                expected: "directory",
+            }
+        } else {
+            Self::os_err(e, path)
+        }
+    }
+
+    /// `NotFound`, or `WrongKind` when `path` is a directory: what an
+    /// append to anything but a file answers.
+    fn not_a_file(host: &Path, path: &str) -> PlfsError {
+        if host.is_dir() {
+            PlfsError::WrongKind {
+                path: path.to_string(),
+                expected: "file",
+            }
+        } else {
+            PlfsError::NotFound(path.to_string())
+        }
+    }
+
     /// Execute a run of `Append { path, .. }` ops against one open
     /// descriptor instead of re-opening the file per op. On any failure
     /// the failing op gets its error and the rest of the run falls back
@@ -46,7 +84,7 @@ impl LocalFs {
         let opened = (|| -> Result<fs::File> {
             let host = self.host(path)?;
             if !host.is_file() {
-                return Err(PlfsError::NotFound(path.to_string()));
+                return Err(Self::not_a_file(&host, path));
             }
             Ok(fs::OpenOptions::new().append(true).open(&host)?)
         })();
@@ -79,7 +117,7 @@ impl LocalFs {
                 )));
                 continue;
             };
-            match f.write_all(&content.materialize()) {
+            match f.write_all(&content.as_bytes()) {
                 Ok(()) => {
                     out.push(Ok(IoValue::Offset(cursor)));
                     cursor += content.len();
@@ -108,10 +146,7 @@ impl LocalFs {
                     expected: "file",
                 });
             }
-            let f = fs::File::open(&host).map_err(|e| match e.kind() {
-                std::io::ErrorKind::NotFound => PlfsError::NotFound(path.to_string()),
-                _ => PlfsError::from(e),
-            })?;
+            let f = fs::File::open(&host).map_err(|e| Self::os_err(e, path))?;
             let size = f.metadata()?.len();
             Ok((f, size))
         })();
@@ -147,13 +182,23 @@ impl LocalFs {
 
 impl Backend for LocalFs {
     fn mkdir(&self, path: &str) -> Result<()> {
-        fs::create_dir(self.host(path)?)?;
-        Ok(())
+        let host = self.host(path)?;
+        fs::create_dir(&host).map_err(|e| Self::os_err_adding(e, &host, path))
     }
 
     fn mkdir_all(&self, path: &str) -> Result<()> {
-        fs::create_dir_all(self.host(path)?)?;
-        Ok(())
+        let host = self.host(path)?;
+        fs::create_dir_all(&host).map_err(|e| {
+            // A file where a directory is needed, at the path or above it.
+            if host.ancestors().any(|p| p.is_file()) {
+                PlfsError::WrongKind {
+                    path: path.to_string(),
+                    expected: "directory",
+                }
+            } else {
+                Self::os_err(e, path)
+            }
+        })
     }
 
     fn create(&self, path: &str, exclusive: bool) -> Result<()> {
@@ -166,21 +211,22 @@ impl Backend for LocalFs {
             .open(&host);
         match res {
             Ok(_) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                Err(PlfsError::AlreadyExists(path.to_string()))
-            }
-            Err(e) => Err(e.into()),
+            Err(_) if host.is_dir() => Err(PlfsError::WrongKind {
+                path: path.to_string(),
+                expected: "file",
+            }),
+            Err(e) => Err(Self::os_err_adding(e, &host, path)),
         }
     }
 
     fn append(&self, path: &str, content: &Content) -> Result<u64> {
         let host = self.host(path)?;
         if !host.is_file() {
-            return Err(PlfsError::NotFound(path.to_string()));
+            return Err(Self::not_a_file(&host, path));
         }
         let mut f = fs::OpenOptions::new().append(true).open(&host)?;
         let off = f.seek(SeekFrom::End(0))?;
-        f.write_all(&content.materialize())?;
+        f.write_all(&content.as_bytes())?;
         Ok(off)
     }
 
@@ -192,10 +238,7 @@ impl Backend for LocalFs {
                 expected: "file",
             });
         }
-        let mut f = fs::File::open(&host).map_err(|e| match e.kind() {
-            std::io::ErrorKind::NotFound => PlfsError::NotFound(path.to_string()),
-            _ => PlfsError::from(e),
-        })?;
+        let mut f = fs::File::open(&host).map_err(|e| Self::os_err(e, path))?;
         let size = f.metadata()?.len();
         let start = offset.min(size);
         let end = (offset + len).min(size);
@@ -207,10 +250,7 @@ impl Backend for LocalFs {
 
     fn size(&self, path: &str) -> Result<u64> {
         let host = self.host(path)?;
-        let md = fs::metadata(&host).map_err(|e| match e.kind() {
-            std::io::ErrorKind::NotFound => PlfsError::NotFound(path.to_string()),
-            _ => PlfsError::from(e),
-        })?;
+        let md = fs::metadata(&host).map_err(|e| Self::os_err(e, path))?;
         if md.is_dir() {
             return Err(PlfsError::WrongKind {
                 path: path.to_string(),
@@ -222,10 +262,7 @@ impl Backend for LocalFs {
 
     fn kind(&self, path: &str) -> Result<NodeKind> {
         let host = self.host(path)?;
-        let md = fs::metadata(&host).map_err(|e| match e.kind() {
-            std::io::ErrorKind::NotFound => PlfsError::NotFound(path.to_string()),
-            _ => PlfsError::from(e),
-        })?;
+        let md = fs::metadata(&host).map_err(|e| Self::os_err(e, path))?;
         Ok(if md.is_dir() {
             NodeKind::Dir
         } else {
@@ -241,10 +278,7 @@ impl Backend for LocalFs {
                 expected: "directory",
             });
         }
-        let rd = fs::read_dir(&host).map_err(|e| match e.kind() {
-            std::io::ErrorKind::NotFound => PlfsError::NotFound(path.to_string()),
-            _ => PlfsError::from(e),
-        })?;
+        let rd = fs::read_dir(&host).map_err(|e| Self::os_err(e, path))?;
         let mut names: Vec<String> = rd
             .filter_map(|e| e.ok())
             .map(|e| e.file_name().to_string_lossy().into_owned())
@@ -261,10 +295,7 @@ impl Backend for LocalFs {
                 expected: "file",
             });
         }
-        fs::remove_file(&host).map_err(|e| match e.kind() {
-            std::io::ErrorKind::NotFound => PlfsError::NotFound(path.to_string()),
-            _ => PlfsError::from(e),
-        })
+        fs::remove_file(&host).map_err(|e| Self::os_err(e, path))
     }
 
     fn remove_all(&self, path: &str) -> Result<()> {
@@ -283,14 +314,20 @@ impl Backend for LocalFs {
     fn rename(&self, from: &str, to: &str) -> Result<()> {
         let from_host = self.host(from)?;
         let to_host = self.host(to)?;
+        // The OS says EINVAL here too, but as an untyped `Io`; `MemFs`
+        // answers `InvalidArg`, and so does this, before any syscall.
+        if to_host != from_host && to_host.starts_with(&from_host) {
+            return Err(PlfsError::InvalidArg(format!(
+                "cannot rename {from} into itself ({to})"
+            )));
+        }
         if !from_host.exists() {
             return Err(PlfsError::NotFound(from.to_string()));
         }
         if to_host.exists() {
             return Err(PlfsError::AlreadyExists(to.to_string()));
         }
-        fs::rename(&from_host, &to_host)?;
-        Ok(())
+        fs::rename(&from_host, &to_host).map_err(|e| Self::os_err(e, to))
     }
 
     /// Native batched fast path: adjacent same-path appends share one
@@ -393,6 +430,26 @@ mod tests {
         assert!(fs_.exists("/c2/sub/f"));
         fs_.remove_all("/c2").unwrap();
         assert!(!fs_.exists("/c2"));
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn rename_into_own_subtree_is_invalid_arg_like_memfs() {
+        let (fs_, dir) = tmp();
+        fs_.mkdir_all("/d/x").unwrap();
+        fs_.create("/d/x/y", true).unwrap();
+        for to in ["/d/x", "/d/new", "/d/x/new"] {
+            assert!(
+                matches!(fs_.rename("/d", to), Err(PlfsError::InvalidArg(_))),
+                "/d -> {to}"
+            );
+        }
+        assert!(matches!(
+            fs_.rename("/", "/r"),
+            Err(PlfsError::InvalidArg(_))
+        ));
+        fs_.rename("/d", "/dd").unwrap();
+        assert!(fs_.exists("/dd/x/y"));
         fs::remove_dir_all(dir).unwrap();
     }
 

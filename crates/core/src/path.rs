@@ -5,6 +5,7 @@
 //! platform path semantics; `LocalFs` maps these onto a real root.
 
 use crate::error::{PlfsError, Result};
+use std::borrow::Cow;
 
 /// Normalize a path: collapse `//`, resolve `.` segments, require absolute.
 /// `..` is rejected rather than resolved — PLFS never emits it and
@@ -32,6 +33,35 @@ pub fn try_normalize(path: &str) -> Result<String> {
         out.push('/');
     }
     Ok(out)
+}
+
+/// [`try_normalize`] that hands back its input when there is nothing to
+/// do: a path that is already absolute with no empty, `.` or `..`
+/// segment and no trailing `/` — every path PLFS generates itself — is
+/// returned `Borrowed`, with no allocation; anything else gets
+/// [`try_normalize`]'s owned result or its error. For per-op use on a
+/// backend's data path.
+pub fn try_normalize_cow(path: &str) -> Result<Cow<'_, str>> {
+    let normal = path == "/"
+        || path
+            .strip_prefix('/')
+            .is_some_and(|rest| rest.split('/').all(|seg| !matches!(seg, "" | "." | "..")));
+    if normal {
+        Ok(Cow::Borrowed(path))
+    } else {
+        try_normalize(path).map(Cow::Owned)
+    }
+}
+
+/// Whether normalized `path` names something strictly inside normalized
+/// `dir` (every path other than `/` is inside `/`).
+pub fn is_inside(path: &str, dir: &str) -> bool {
+    match dir {
+        "/" => path != "/",
+        _ => path
+            .strip_prefix(dir)
+            .is_some_and(|rest| rest.starts_with('/')),
+    }
 }
 
 /// Infallible [`try_normalize`] for internally-generated paths, whose
@@ -99,6 +129,36 @@ mod tests {
     #[should_panic(expected = "'..' not supported")]
     fn normalize_rejects_dotdot() {
         normalize("/a/../b");
+    }
+
+    #[test]
+    fn borrowed_normalize_is_try_normalize_without_the_allocation() {
+        for p in ["/", "/a", "/a/b/c", "/ns0/.plfs_shadow/f/subdir.3"] {
+            assert!(
+                matches!(try_normalize_cow(p), Ok(Cow::Borrowed(q)) if q == p),
+                "{p:?} is normal and must come back borrowed"
+            );
+        }
+        for p in [
+            "", "a/b", "/a//b/", "/a/./b", "/a/../b", "/", "//", "/a/", ".", "..", "/..", "/a/b",
+        ] {
+            assert_eq!(
+                try_normalize_cow(p).map(Cow::into_owned),
+                try_normalize(p),
+                "{p:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn is_inside_is_strict_and_whole_segment() {
+        assert!(is_inside("/d/x", "/d"));
+        assert!(is_inside("/d/x/y", "/d"));
+        assert!(is_inside("/d", "/"));
+        assert!(!is_inside("/d", "/d"));
+        assert!(!is_inside("/dx", "/d"));
+        assert!(!is_inside("/", "/"));
+        assert!(!is_inside("/d", "/d/x"));
     }
 
     #[test]

@@ -164,7 +164,7 @@ impl<B: Backend> ReadHandle<B> {
         let len = len.min(eof - offset);
         let mut out = Vec::with_capacity(len as usize);
         for piece in self.read_pieces(offset, len)? {
-            out.extend_from_slice(&piece.materialize());
+            out.extend_from_slice(&piece.as_bytes());
         }
         Ok(out)
     }

@@ -71,7 +71,7 @@ pub fn truncate<B: Backend>(b: &B, container: &Container, size: u64) -> Result<(
     }
     let mut kept_per_writer = Vec::with_capacity(ipaths.len());
     for outcome in ioplane::submit_retried(b, &read_ops) {
-        let entries = IndexEntry::decode_all(&ioplane::as_data(outcome)?.materialize())?;
+        let entries = IndexEntry::decode_content(&ioplane::as_data(outcome)?)?;
         let kept: Vec<IndexEntry> = entries
             .into_iter()
             .filter_map(|e| {

@@ -379,6 +379,13 @@ impl<B: Backend + Clone> Plfs<B> {
     pub fn rename(&self, from: &str, to: &str) -> Result<()> {
         let from = try_normalize(from)?;
         let to = try_normalize(to)?;
+        if crate::path::is_inside(&to, &from) {
+            // A logical file has no inside; and the shadow clean-up below
+            // would take the new name's shadows with the old one's.
+            return Err(PlfsError::InvalidArg(format!(
+                "cannot rename {from} into itself ({to})"
+            )));
+        }
         let cf = self.container(&from);
         if !cf.exists(&self.backend) {
             return Err(PlfsError::NotFound(from));
@@ -453,6 +460,14 @@ impl<B: Backend + Clone> Plfs<B> {
                     // plfs-lint: allow(raw-backend-in-batch-path): order-dependent shadow-move chain
                     self.backend.append(&entry, &metalink)?;
                 }
+            }
+        }
+        // Every live shadow has left: drop the old name's (now empty)
+        // shadow container directories, one batch.
+        for outcome in ioplane::submit_retried(&self.backend, &cf.shadow_removal_ops()) {
+            match ioplane::as_unit(outcome) {
+                Ok(()) | Err(PlfsError::NotFound(_)) => {}
+                Err(e) => return Err(e),
             }
         }
         // Index logs left one path and arrived at another: a cached index
@@ -612,6 +627,54 @@ mod tests {
     }
 
     #[test]
+    fn unlink_and_rename_reach_a_steady_node_count() {
+        // Every subdir forced into existence, so every foreign namespace
+        // that can hold a shadow container does.
+        let fs = federated_mount(4, 8);
+        let create = |name: &str| {
+            for w in 0..8 {
+                let mut h = fs.open_write(name, w).unwrap();
+                h.write(w * 10, &Content::bytes(vec![w as u8; 10]), 1)
+                    .unwrap();
+                h.close(2).unwrap();
+            }
+        };
+        let nodes = || fs.backend().node_count();
+        // What may stay is each namespace's `.plfs_shadow` root, empty.
+        let assert_no_shadows = || {
+            for ns in fs.federation().namespaces() {
+                let shadows = fs.backend().list(&join(ns, ".plfs_shadow"));
+                assert!(
+                    shadows.as_ref().map_or(true, Vec::is_empty),
+                    "{ns}: {shadows:?}"
+                );
+            }
+        };
+
+        create("/data");
+        fs.unlink("/data").unwrap();
+        let after_first = nodes();
+        create("/data");
+        fs.unlink("/data").unwrap();
+        assert_eq!(nodes(), after_first, "unlink left directories behind");
+        assert_no_shadows();
+
+        create("/data");
+        fs.rename("/data", "/other").unwrap();
+        fs.rename("/other", "/data").unwrap();
+        let after_round_trip = nodes();
+        fs.rename("/data", "/other").unwrap();
+        fs.rename("/other", "/data").unwrap();
+        assert_eq!(nodes(), after_round_trip, "rename left directories behind");
+        assert_eq!(
+            fs.open_read("/data").unwrap().read(70, 10).unwrap(),
+            [7; 10]
+        );
+        fs.unlink("/data").unwrap();
+        assert_no_shadows();
+    }
+
+    #[test]
     fn rename_preserves_contents_across_namespace_moves() {
         let fs = federated_mount(4, 8);
         let mut w = fs.open_write("/old_name", 3).unwrap();
@@ -731,6 +794,19 @@ mod tests {
             fs.readdir("/").unwrap(),
             vec![("keep".to_string(), LogicalKind::File)]
         );
+    }
+
+    #[test]
+    fn rename_below_the_source_is_invalid() {
+        let fs = federated_mount(4, 4);
+        let mut w = fs.open_write("/a", 0).unwrap();
+        w.write(0, &Content::bytes(vec![1; 8]), 1).unwrap();
+        w.close(2).unwrap();
+        assert!(matches!(
+            fs.rename("/a", "/a/b"),
+            Err(PlfsError::InvalidArg(_))
+        ));
+        assert_eq!(fs.open_read("/a").unwrap().read(0, 8).unwrap(), [1; 8]);
     }
 
     #[test]

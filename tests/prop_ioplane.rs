@@ -14,20 +14,29 @@
 //! synchronous `submit_retried` does. (`tests/prop_async.rs` extends this
 //! to seeded faults with crash points between submission and drain.)
 //!
+//! And the two real backends are checked against each other: `MemFs` is
+//! the reference under every byte-verifying test, so the same op sequence
+//! on `MemFs` and on `LocalFs` must give the same outcome *shapes* (the
+//! value, or the error's variant) and the same final state.
+//!
 //! Seeds mix in `PLFS_FAULT_SEED` when set (as tier-1 does for the crash
 //! suite), so a pinned run replays the same fault schedules.
 
+mod common;
+
+use common::TempDir;
 use plfs::faults::{FaultBackend, FaultConfig};
 use plfs::ioplane::{self, async_plane};
 use plfs::{Backend, Content, IoOp, LocalFs, MemFs, Reactor};
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Small closed path universe so random ops collide often enough to hit
 /// the interesting cases (append runs, create-over-existing, rename onto
-/// a live target, readdir of a file).
-const PATHS: &[&str] = &["/a", "/b", "/d", "/d/x", "/d/y", "/e"];
+/// a live target, readdir of a file), three levels deep so subtree
+/// rename / remove of depth two, rename into the source's own subtree
+/// and a path *through* a file are all generated.
+const PATHS: &[&str] = &["/a", "/b", "/d", "/d/x", "/d/y", "/d/x/z", "/e"];
 
 fn arb_path() -> impl Strategy<Value = String> {
     prop::sample::select(PATHS.iter().map(|p| p.to_string()).collect())
@@ -74,9 +83,29 @@ fn sigs(outcomes: &[ioplane::IoOutcome]) -> Vec<String> {
     outcomes.iter().map(|o| format!("{o:?}")).collect()
 }
 
+/// Outcome shape: the value, or only the error's variant — what two
+/// *different* backends must agree on (their messages cannot: one side's
+/// carry host paths and OS error text).
+fn shapes(outcomes: &[ioplane::IoOutcome]) -> Vec<String> {
+    outcomes
+        .iter()
+        .map(|o| match o {
+            Ok(v) => format!("{v:?}"),
+            Err(e) => {
+                let variant = format!("{e:?}");
+                variant[..variant.find(['(', ' ']).unwrap_or(variant.len())].to_string()
+            }
+        })
+        .collect()
+}
+
 /// Final-state probe: kind, size, full content, and listing of every
 /// universe path, collected through the sequential path on both sides.
 fn probe<B: Backend>(b: &B) -> Vec<String> {
+    sigs(&probe_outcomes(b))
+}
+
+fn probe_outcomes<B: Backend>(b: &B) -> Vec<ioplane::IoOutcome> {
     let ops: Vec<IoOp> = PATHS
         .iter()
         .flat_map(|p| {
@@ -98,7 +127,7 @@ fn probe<B: Backend>(b: &B) -> Vec<String> {
             ]
         })
         .collect();
-    sigs(&ioplane::replay(b, &ops))
+    ioplane::replay(b, &ops)
 }
 
 proptest! {
@@ -120,34 +149,49 @@ proptest! {
     fn localfs_submit_is_equivalent_to_sequential_calls(
         ops in prop::collection::vec(arb_op(), 0..24),
     ) {
-        static CASE: AtomicU64 = AtomicU64::new(0);
-        let case = CASE.fetch_add(1, Ordering::Relaxed);
-        let mk = |tag: &str| {
-            let dir = std::env::temp_dir().join(format!(
-                "plfs-prop-ioplane-{}-{case}-{tag}",
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            (LocalFs::new(&dir).unwrap(), dir)
+        let mk = || {
+            let dir = TempDir::new("plfs-prop-ioplane");
+            (LocalFs::new(dir.path()).unwrap(), dir)
         };
-        let (batched, bdir) = mk("batched");
-        let (sequential, sdir) = mk("seq");
+        let (batched, bdir) = mk();
+        let (sequential, sdir) = mk();
         // Scrub each backend's host root out of error messages so the two
         // sides compare on structure, not on temp-dir names.
         let scrub = |sig: Vec<String>, root: &std::path::Path| -> Vec<String> {
             let root = root.display().to_string();
             sig.into_iter().map(|s| s.replace(&root, "<root>")).collect()
         };
-        let got = scrub(sigs(&batched.submit(&ops)), &bdir);
-        let want = scrub(sigs(&ioplane::replay(&sequential, &ops)), &sdir);
+        let got = scrub(sigs(&batched.submit(&ops)), bdir.path());
+        let want = scrub(sigs(&ioplane::replay(&sequential, &ops)), sdir.path());
         prop_assert_eq!(got, want, "per-op outcomes diverged");
         prop_assert_eq!(
-            scrub(probe(&batched), &bdir),
-            scrub(probe(&sequential), &sdir),
+            scrub(probe(&batched), bdir.path()),
+            scrub(probe(&sequential), sdir.path()),
             "final state diverged"
         );
-        let _ = std::fs::remove_dir_all(&bdir);
-        let _ = std::fs::remove_dir_all(&sdir);
+    }
+
+    #[test]
+    fn memfs_and_localfs_agree_op_for_op(
+        ops in prop::collection::vec(arb_op(), 0..40),
+    ) {
+        // No row of tolerated differences: every divergence this found
+        // (a path through a file, create / append / mkdir_all on the
+        // wrong kind, rename into the source's own subtree) was closed in
+        // `LocalFs`'s error mapping, so the two must now agree outright.
+        let dir = TempDir::new("plfs-prop-differential");
+        let local = LocalFs::new(dir.path()).unwrap();
+        let mem = MemFs::new();
+        let got = shapes(&ioplane::replay(&local, &ops));
+        let want = shapes(&ioplane::replay(&mem, &ops));
+        for (i, op) in ops.iter().enumerate() {
+            prop_assert_eq!(&got[i], &want[i], "op {} of {:?}: LocalFs vs MemFs", i, op);
+        }
+        prop_assert_eq!(
+            shapes(&probe_outcomes(&local)),
+            shapes(&probe_outcomes(&mem)),
+            "final state diverged"
+        );
     }
 
     #[test]
