@@ -9,10 +9,9 @@
 //!   (c) write close time vs streams
 //!   (d) effective write bandwidth vs streams
 
-use harness::{render_figure, ClusterProfile, Middleware, Series};
+use harness::{render_figure, ClusterProfile, Middleware};
 use mpio::{OpKind, ReadStrategy};
-use plfs::GlobalIndex;
-use plfs_bench::{agg_kernel, scales, sweep};
+use plfs_bench::{scales, sweep};
 use workloads::mpiio_test;
 
 fn main() {
@@ -64,33 +63,6 @@ fn main() {
         render_figure("Figure 4d: Write Bandwidth", "streams", "MB/s", &d)
     );
 
-    // (e) The aggregation kernel itself, measured on this host rather
-    // than simulated: the one-pass bulk build over the writers' sorted
-    // runs against the per-entry overlay, at the workload's 1,000 index
-    // entries per stream (50 MB in 50 KB increments).
-    let mut slow = Series::new("per-entry insert");
-    let mut fast = Series::new("sorted-run bulk build");
-    for &n in &xs {
-        let entries = agg_kernel::strided_entries(n as u64, 1000, 50 * 1024);
-        slow.push_value(
-            n as u64,
-            agg_kernel::time_s(3, || agg_kernel::build_via_insert(&entries)),
-        );
-        fast.push_value(
-            n as u64,
-            agg_kernel::time_s(3, || GlobalIndex::from_entries(entries.clone())),
-        );
-    }
-    println!(
-        "{}",
-        render_figure(
-            "Figure 4e: measured index aggregation kernel (this host)",
-            "streams",
-            "seconds",
-            &[slow, fast]
-        )
-    );
-
     // 65,536-stream extension (DESIGN.md §5g): the two scalable designs
     // at the Cielo scale the paper targets. Original is omitted at this
     // scale only because its uncoordinated read open is N² index opens
@@ -116,7 +88,6 @@ fn main() {
                 o.metrics.mean_duration_s(OpKind::CloseWrite),
                 o.metrics.effective_write_bandwidth() / 1e6,
             );
-            println!("{}", plfs_bench::engine_line(label, &o));
         }
         println!();
     }

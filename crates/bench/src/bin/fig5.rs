@@ -55,31 +55,6 @@ fn main() {
         println!("# max PLFS speedup: {:.2}x at {} procs\n", best.1, best.0);
     }
 
-    // Parallel Index Read's merge stage, measured on this host: one
-    // partial index per 64-writer group (the driver's default group
-    // size), collapsed through one k-way `merge_all` pass.
-    let mut merged = harness::Series::new("k-way merge_all");
-    for &n in &xs {
-        let all = plfs_bench::agg_kernel::strided_entries(n as u64, 100, 1 << 20);
-        let parts: Vec<plfs::GlobalIndex> = all
-            .chunks(64 * 100)
-            .map(|c| plfs::GlobalIndex::from_entries(c.to_vec()))
-            .collect();
-        merged.push_value(
-            n as u64,
-            plfs_bench::agg_kernel::time_s(3, || plfs::GlobalIndex::merge_all(parts.clone())),
-        );
-    }
-    println!(
-        "{}",
-        render_figure(
-            "Figure 5x: measured Parallel Index Read merge stage (this host)",
-            "procs",
-            "seconds",
-            &[merged]
-        )
-    );
-
     // 65,536-rank extension (DESIGN.md §5g) on the Cielo profile. PLFS
     // runs every kernel; direct access runs the kernels whose direct
     // path is batched (segmented or collectively buffered). The per-op
@@ -110,11 +85,9 @@ fn main() {
                     "#   {name}: PLFS {p_bw:.0} MB/s vs direct {d_bw:.0} MB/s ({:.2}x)",
                     p_bw / d_bw.max(1e-9)
                 );
-                println!("{}", plfs_bench::engine_line(&format!("{name}/direct"), &d));
             } else {
                 println!("#   {name}: PLFS {p_bw:.0} MB/s (direct omitted: per-op strided)");
             }
-            println!("{}", plfs_bench::engine_line(&format!("{name}/plfs"), &p));
         }
         println!();
     }

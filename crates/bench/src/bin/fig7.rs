@@ -80,7 +80,6 @@ fn main() {
                 o.metrics.mean_duration_s(OpKind::OpenWrite),
                 o.metrics.mean_duration_s(OpKind::CloseWrite),
             );
-            println!("{}", plfs_bench::engine_line(label, &o));
         }
         println!();
     }

@@ -1,5 +1,5 @@
 //! End-to-end demo of the middleware over a real directory, driven through
-//! the POSIX shim — the same call surface a FUSE mount would expose.
+//! the mount API (`Plfs::{open_write, open_read, stat}`).
 //!
 //! N writers strided-write one shared logical file (the classic N-1
 //! checkpoint pattern), then a reader opens it, which aggregates the
@@ -7,14 +7,14 @@
 //! reads from the data logs.
 //!
 //! ```text
-//! cargo run -p plfs --example posix_demo -- <root-dir> [writers] [blocks] [block-bytes] [--corrupt]
+//! cargo run -p plfs --example localfs_demo -- <root-dir> [writers] [blocks] [block-bytes] [--corrupt]
 //! ```
 //!
 //! With `--corrupt`, one data log is truncated on disk after the writers
 //! close, demonstrating that a reader surfaces the damage as a
 //! `CorruptContainer` error instead of returning short data.
 
-use plfs::{LocalFs, OpenFlags, Plfs, PlfsConfig, PosixShim};
+use plfs::{Content, LocalFs, Plfs, PlfsConfig};
 use std::time::Instant;
 
 fn pattern(offset: u64) -> u8 {
@@ -26,7 +26,7 @@ fn main() {
     let corrupt = args.iter().any(|a| a == "--corrupt");
     let pos: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
     let Some(root) = pos.first() else {
-        eprintln!("usage: posix_demo <root-dir> [writers] [blocks] [block-bytes] [--corrupt]");
+        eprintln!("usage: localfs_demo <root-dir> [writers] [blocks] [block-bytes] [--corrupt]");
         std::process::exit(2);
     };
     let writers: u64 = pos.get(1).map_or(4, |s| s.parse().expect("writers"));
@@ -35,20 +35,19 @@ fn main() {
 
     let backend = LocalFs::new(root).expect("backend root");
     let fs = Plfs::new(backend, PlfsConfig::basic("/")).expect("mount");
-    let shim = PosixShim::new(fs, 1000);
 
     // Phase 1: N-1 strided write. Writer w owns every w-th block.
     let t0 = Instant::now();
     for w in 0..writers {
-        let fd = shim
-            .open("/ckpt", OpenFlags::WriteOnly)
-            .expect("open write");
+        let mut handle = fs.open_write("/ckpt", 1000 + w).expect("open write");
         for b in 0..blocks {
             let off = (b * writers + w) * bs;
             let buf: Vec<u8> = (off..off + bs).map(pattern).collect();
-            shim.pwrite(fd, &buf, off).expect("pwrite");
+            handle
+                .write(off, &Content::bytes(buf), fs.timestamp())
+                .expect("write");
         }
-        shim.close(fd).expect("close writer");
+        handle.close(fs.timestamp()).expect("close writer");
     }
     let total = writers * blocks * bs;
     println!(
@@ -74,31 +73,30 @@ fn main() {
 
     // Phase 2: open for read (aggregates the index) and verify every byte.
     let t1 = Instant::now();
-    let fd = match shim.open("/ckpt", OpenFlags::ReadOnly) {
-        Ok(fd) => fd,
+    let mut reader = match fs.open_read("/ckpt") {
+        Ok(reader) => reader,
         Err(e) => {
             println!("open for read failed: {e}");
             std::process::exit(1);
         }
     };
     let open_t = t1.elapsed();
-    let size = shim.mount().stat("/ckpt").expect("stat").size;
+    let size = fs.stat("/ckpt").expect("stat").size;
     let mut got = Vec::with_capacity(size as usize);
     let mut off = 0u64;
     while off < size {
-        let chunk = (size - off).min(1 << 20) as usize;
-        match shim.pread(fd, chunk, off) {
+        let chunk = (size - off).min(1 << 20);
+        match reader.read(off, chunk) {
             Ok(buf) => {
                 off += buf.len() as u64;
                 got.extend_from_slice(&buf);
             }
             Err(e) => {
-                println!("pread at {off} failed: {e}");
+                println!("read at {off} failed: {e}");
                 std::process::exit(1);
             }
         }
     }
-    shim.close(fd).expect("close reader");
 
     let bad = got
         .iter()

@@ -307,6 +307,65 @@ impl<B: Backend + ?Sized> Backend for Arc<B> {
     }
 }
 
+/// The one hand-written test double: runs `gate` on every op — spelled
+/// as the [`IoOp`] it is — and forwards to `inner` only if the gate
+/// passes, so a test injects faults, delays or counters with a closure
+/// instead of a fresh eleven-method `impl Backend`.
+#[cfg(test)]
+pub(crate) struct Gated<B, F> {
+    pub(crate) inner: B,
+    pub(crate) gate: F,
+}
+
+#[cfg(test)]
+impl<B: Backend, F: Fn(&IoOp) -> Result<()> + Send + Sync> Gated<B, F> {
+    fn run(&self, op: IoOp) -> IoOutcome {
+        (self.gate)(&op)?;
+        ioplane::dispatch_one(&self.inner, &op)
+    }
+}
+
+#[cfg(test)]
+impl<B: Backend, F: Fn(&IoOp) -> Result<()> + Send + Sync> Backend for Gated<B, F> {
+    fn mkdir(&self, path: &str) -> Result<()> {
+        ioplane::as_unit(self.run(IoOp::Mkdir { path: path.into() }))
+    }
+    fn mkdir_all(&self, path: &str) -> Result<()> {
+        ioplane::as_unit(self.run(IoOp::MkdirAll { path: path.into() }))
+    }
+    fn create(&self, path: &str, exclusive: bool) -> Result<()> {
+        let path = path.into();
+        ioplane::as_unit(self.run(IoOp::Create { path, exclusive }))
+    }
+    fn append(&self, path: &str, content: &Content) -> Result<u64> {
+        let (path, content) = (path.into(), content.clone());
+        ioplane::as_offset(self.run(IoOp::Append { path, content }))
+    }
+    fn read_at(&self, path: &str, offset: u64, len: u64) -> Result<Content> {
+        let path = path.into();
+        ioplane::as_data(self.run(IoOp::ReadAt { path, offset, len }))
+    }
+    fn size(&self, path: &str) -> Result<u64> {
+        ioplane::as_size(self.run(IoOp::Size { path: path.into() }))
+    }
+    fn kind(&self, path: &str) -> Result<NodeKind> {
+        ioplane::as_kind(self.run(IoOp::Kind { path: path.into() }))
+    }
+    fn list(&self, path: &str) -> Result<Vec<String>> {
+        ioplane::as_names(self.run(IoOp::Readdir { path: path.into() }))
+    }
+    fn unlink(&self, path: &str) -> Result<()> {
+        ioplane::as_unit(self.run(IoOp::Unlink { path: path.into() }))
+    }
+    fn remove_all(&self, path: &str) -> Result<()> {
+        ioplane::as_unit(self.run(IoOp::RemoveAll { path: path.into() }))
+    }
+    fn rename(&self, from: &str, to: &str) -> Result<()> {
+        let (from, to) = (from.into(), to.into());
+        ioplane::as_unit(self.run(IoOp::Rename { from, to }))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,53 +436,17 @@ mod tests {
     /// other than `NotFound`.
     #[test]
     fn exists_distinguishes_not_found_from_other_errors() {
-        struct Failing(&'static str);
-        impl Backend for Failing {
-            fn mkdir(&self, _: &str) -> Result<()> {
-                unreachable!()
-            }
-            fn mkdir_all(&self, _: &str) -> Result<()> {
-                unreachable!()
-            }
-            fn create(&self, _: &str, _: bool) -> Result<()> {
-                unreachable!()
-            }
-            fn append(&self, _: &str, _: &Content) -> Result<u64> {
-                unreachable!()
-            }
-            fn read_at(&self, _: &str, _: u64, _: u64) -> Result<Content> {
-                unreachable!()
-            }
-            fn size(&self, _: &str) -> Result<u64> {
-                unreachable!()
-            }
-            fn kind(&self, path: &str) -> Result<NodeKind> {
-                match self.0 {
-                    "notfound" => Err(PlfsError::NotFound(path.into())),
-                    "io" => Err(PlfsError::Io("permission denied".into())),
-                    _ => Err(PlfsError::Transient("dropped rpc".into())),
-                }
-            }
-            fn list(&self, _: &str) -> Result<Vec<String>> {
-                unreachable!()
-            }
-            fn unlink(&self, _: &str) -> Result<()> {
-                unreachable!()
-            }
-            fn remove_all(&self, _: &str) -> Result<()> {
-                unreachable!()
-            }
-            fn rename(&self, _: &str, _: &str) -> Result<()> {
-                unreachable!()
-            }
-        }
-        assert!(!Failing("notfound").exists("/f"), "NotFound means absent");
+        let failing = |err: fn(String) -> PlfsError| Gated {
+            inner: MemFs::new(),
+            gate: move |op: &IoOp| Err(err(op.path().into())),
+        };
+        assert!(!failing(PlfsError::NotFound).exists("/f"), "NotFound means absent");
         assert!(
-            Failing("io").exists("/f"),
+            failing(PlfsError::Io).exists("/f"),
             "a permission error is not evidence of absence"
         );
         assert!(
-            Failing("transient").exists("/f"),
+            failing(PlfsError::Transient).exists("/f"),
             "a persistent transient is not evidence of absence"
         );
     }
@@ -431,56 +454,20 @@ mod tests {
     /// Transient blips on the probe are retried away entirely.
     #[test]
     fn exists_retries_transient_probes() {
-        use parking_lot::Mutex;
-        struct FlakyKind {
-            inner: MemFs,
-            failures: Mutex<u32>,
-        }
-        impl Backend for FlakyKind {
-            fn mkdir(&self, p: &str) -> Result<()> {
-                self.inner.mkdir(p)
-            }
-            fn mkdir_all(&self, p: &str) -> Result<()> {
-                self.inner.mkdir_all(p)
-            }
-            fn create(&self, p: &str, e: bool) -> Result<()> {
-                self.inner.create(p, e)
-            }
-            fn append(&self, p: &str, c: &Content) -> Result<u64> {
-                self.inner.append(p, c)
-            }
-            fn read_at(&self, p: &str, o: u64, l: u64) -> Result<Content> {
-                self.inner.read_at(p, o, l)
-            }
-            fn size(&self, p: &str) -> Result<u64> {
-                self.inner.size(p)
-            }
-            fn kind(&self, p: &str) -> Result<NodeKind> {
-                let mut f = self.failures.lock();
-                if *f > 0 {
+        let failures = Mutex::new(2u32);
+        let b = Gated {
+            inner: MemFs::new(),
+            gate: |op: &IoOp| {
+                let mut f = failures.lock();
+                if matches!(op, IoOp::Kind { .. }) && *f > 0 {
                     *f -= 1;
                     return Err(PlfsError::Transient("blip".into()));
                 }
-                self.inner.kind(p)
-            }
-            fn list(&self, p: &str) -> Result<Vec<String>> {
-                self.inner.list(p)
-            }
-            fn unlink(&self, p: &str) -> Result<()> {
-                self.inner.unlink(p)
-            }
-            fn remove_all(&self, p: &str) -> Result<()> {
-                self.inner.remove_all(p)
-            }
-            fn rename(&self, a: &str, b: &str) -> Result<()> {
-                self.inner.rename(a, b)
-            }
-        }
-        let b = FlakyKind {
-            inner: MemFs::new(),
-            failures: Mutex::new(2),
+                Ok(())
+            },
         };
         // Nothing created: after the blips clear, the honest answer is no.
         assert!(!b.exists("/nope"));
+        assert_eq!(*failures.lock(), 0, "both blips were spent on retries");
     }
 }

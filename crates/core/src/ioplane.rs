@@ -539,101 +539,54 @@ pub fn list_read<B: Backend + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::Gated;
     use crate::memfs::MemFs;
     use parking_lot::Mutex;
     use std::sync::Arc;
 
-    /// Spy backend: injects one transient failure per scheduled (op,
-    /// path) and counts *executions* per op so tests can prove a
-    /// succeeded op is never re-executed.
+    /// Spy gate: injects the scheduled number of transient failures per
+    /// op and logs every *execution*, so tests can prove a succeeded op
+    /// is never re-executed.
     struct Spy {
-        inner: MemFs,
-        /// (method, path) -> remaining transient failures to inject.
-        flaky: Mutex<Vec<(String, String, u32)>>,
-        /// Execution log: (method, path), one entry per actual call.
-        log: Mutex<Vec<(String, String)>>,
+        /// op -> remaining transient failures to inject.
+        flaky: Mutex<Vec<(IoOp, u32)>>,
+        /// Execution log, one entry per actual call.
+        log: Mutex<Vec<IoOp>>,
     }
 
     impl Spy {
-        fn new(flaky: Vec<(&str, &str, u32)>) -> Self {
+        fn new(flaky: Vec<(IoOp, u32)>) -> Self {
             Spy {
-                inner: MemFs::new(),
-                flaky: Mutex::new(
-                    flaky
-                        .into_iter()
-                        .map(|(m, p, n)| (m.to_string(), p.to_string(), n))
-                        .collect(),
-                ),
+                flaky: Mutex::new(flaky),
                 log: Mutex::new(Vec::new()),
             }
         }
 
-        fn gate(&self, method: &str, path: &str) -> Result<()> {
-            self.log.lock().push((method.to_string(), path.to_string()));
-            let mut flaky = self.flaky.lock();
-            if let Some(slot) = flaky
-                .iter_mut()
-                .find(|(m, p, n)| m == method && p == path && *n > 0)
-            {
-                slot.2 -= 1;
-                return Err(PlfsError::Transient(format!("{method} {path}")));
+        /// A fresh `MemFs` behind this spy's gate.
+        fn backend(&self) -> impl Backend + '_ {
+            Gated {
+                inner: MemFs::new(),
+                gate: |op: &IoOp| {
+                    self.log.lock().push(op.clone());
+                    let mut flaky = self.flaky.lock();
+                    if let Some(slot) = flaky.iter_mut().find(|(f, n)| f == op && *n > 0) {
+                        slot.1 -= 1;
+                        return Err(PlfsError::Transient(format!("{op:?}")));
+                    }
+                    Ok(())
+                },
             }
-            Ok(())
         }
 
-        fn executions(&self, method: &str, path: &str) -> usize {
-            self.log
-                .lock()
-                .iter()
-                .filter(|(m, p)| m == method && p == path)
-                .count()
+        fn executions(&self, op: &IoOp) -> usize {
+            self.log.lock().iter().filter(|o| *o == op).count()
         }
     }
 
-    impl Backend for Spy {
-        fn mkdir(&self, path: &str) -> Result<()> {
-            self.gate("mkdir", path)?;
-            self.inner.mkdir(path)
-        }
-        fn mkdir_all(&self, path: &str) -> Result<()> {
-            self.gate("mkdir_all", path)?;
-            self.inner.mkdir_all(path)
-        }
-        fn create(&self, path: &str, exclusive: bool) -> Result<()> {
-            self.gate("create", path)?;
-            self.inner.create(path, exclusive)
-        }
-        fn append(&self, path: &str, content: &Content) -> Result<u64> {
-            self.gate("append", path)?;
-            self.inner.append(path, content)
-        }
-        fn read_at(&self, path: &str, offset: u64, len: u64) -> Result<Content> {
-            self.gate("read_at", path)?;
-            self.inner.read_at(path, offset, len)
-        }
-        fn size(&self, path: &str) -> Result<u64> {
-            self.gate("size", path)?;
-            self.inner.size(path)
-        }
-        fn kind(&self, path: &str) -> Result<NodeKind> {
-            self.gate("kind", path)?;
-            self.inner.kind(path)
-        }
-        fn list(&self, path: &str) -> Result<Vec<String>> {
-            self.gate("list", path)?;
-            self.inner.list(path)
-        }
-        fn unlink(&self, path: &str) -> Result<()> {
-            self.gate("unlink", path)?;
-            self.inner.unlink(path)
-        }
-        fn remove_all(&self, path: &str) -> Result<()> {
-            self.gate("remove_all", path)?;
-            self.inner.remove_all(path)
-        }
-        fn rename(&self, from: &str, to: &str) -> Result<()> {
-            self.gate("rename", from)?;
-            self.inner.rename(from, to)
+    fn create(path: &str) -> IoOp {
+        IoOp::Create {
+            path: path.into(),
+            exclusive: true,
         }
     }
 
@@ -701,45 +654,34 @@ mod tests {
 
     #[test]
     fn retry_resubmits_only_transient_failures() {
-        let spy = Spy::new(vec![("create", "/d/flaky", 2)]);
-        spy.mkdir("/d").unwrap();
-        let batch = vec![
-            IoOp::Create {
-                path: "/d/ok".into(),
-                exclusive: true,
-            },
-            IoOp::Create {
-                path: "/d/flaky".into(),
-                exclusive: true,
-            },
-            IoOp::Size {
-                path: "/d/missing".into(),
-            }, // non-transient failure
-        ];
-        let out = submit_retried(&spy, &batch);
+        let spy = Spy::new(vec![(create("/d/flaky"), 2)]);
+        let b = spy.backend();
+        b.mkdir("/d").unwrap();
+        let missing = IoOp::Size {
+            path: "/d/missing".into(),
+        }; // non-transient failure
+        let batch = vec![create("/d/ok"), create("/d/flaky"), missing.clone()];
+        let out = submit_retried(&b, &batch);
         assert!(out[0].is_ok());
         assert!(out[1].is_ok(), "transient exhausted after 2 injections");
         assert!(matches!(out[2], Err(PlfsError::NotFound(_))));
         // The succeeded op ran exactly once; the flaky op ran 3 times
         // (2 transient failures + 1 success); the hard failure ran once
         // (non-transient errors are final, never retried).
-        assert_eq!(spy.executions("create", "/d/ok"), 1);
-        assert_eq!(spy.executions("create", "/d/flaky"), 3);
-        assert_eq!(spy.executions("size", "/d/missing"), 1);
+        assert_eq!(spy.executions(&create("/d/ok")), 1);
+        assert_eq!(spy.executions(&create("/d/flaky")), 3);
+        assert_eq!(spy.executions(&missing), 1);
     }
 
     #[test]
     fn retry_budget_is_bounded() {
-        let spy = Spy::new(vec![("create", "/d/f", 1000)]);
-        spy.mkdir("/d").unwrap();
-        let batch = vec![IoOp::Create {
-            path: "/d/f".into(),
-            exclusive: true,
-        }];
-        let out = submit_retried(&spy, &batch);
+        let spy = Spy::new(vec![(create("/d/f"), 1000)]);
+        let b = spy.backend();
+        b.mkdir("/d").unwrap();
+        let out = submit_retried(&b, &[create("/d/f")]);
         assert!(matches!(out[0], Err(PlfsError::Transient(_))));
         assert_eq!(
-            spy.executions("create", "/d/f"),
+            spy.executions(&create("/d/f")),
             DEFAULT_RETRY_ATTEMPTS as usize
         );
     }
@@ -748,25 +690,27 @@ mod tests {
     fn counters_track_ops_batches_bytes_and_retries() {
         // Counters are process-global; measure deltas.
         let before = stats();
-        let spy = Spy::new(vec![("append", "/f", 1)]);
-        spy.create("/f", true).unwrap();
+        let flaky_append = IoOp::Append {
+            path: "/f".into(),
+            content: Content::bytes(vec![0; 10]),
+        };
+        let spy = Spy::new(vec![(flaky_append.clone(), 1)]);
+        let b = spy.backend();
+        b.create("/f", true).unwrap();
         // Seed a second file (un-injected path) for the in-batch read so
         // it does not depend on the flaky append having landed yet: the
         // read succeeds on the first submission and is never retried.
-        spy.create("/r", true).unwrap();
-        spy.append("/r", &Content::bytes(vec![9; 4])).unwrap();
+        b.create("/r", true).unwrap();
+        b.append("/r", &Content::bytes(vec![9; 4])).unwrap();
         let batch = vec![
-            IoOp::Append {
-                path: "/f".into(),
-                content: Content::bytes(vec![0; 10]),
-            },
+            flaky_append,
             IoOp::ReadAt {
                 path: "/r".into(),
                 offset: 0,
                 len: 4,
             },
         ];
-        let out = submit_retried(&spy, &batch);
+        let out = submit_retried(&b, &batch);
         assert!(out.iter().all(Result::is_ok));
         let after = stats();
         // Counters are monotonic and shared with concurrently-running

@@ -428,6 +428,7 @@ impl<B: Backend + 'static> Drop for Reactor<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::Gated;
     use crate::content::Content;
     use crate::memfs::MemFs;
 
@@ -512,47 +513,14 @@ mod tests {
         // observe more than 2 outstanding batches. The probe relies on
         // the submitter itself blocking, so in_flight never exceeds the
         // window even with a deliberately slow consumer.
-        struct Slow(MemFs);
-        impl Backend for Slow {
-            fn mkdir(&self, p: &str) -> crate::error::Result<()> {
-                self.0.mkdir(p)
-            }
-            fn mkdir_all(&self, p: &str) -> crate::error::Result<()> {
-                self.0.mkdir_all(p)
-            }
-            fn create(&self, p: &str, e: bool) -> crate::error::Result<()> {
-                self.0.create(p, e)
-            }
-            fn append(&self, p: &str, c: &Content) -> crate::error::Result<u64> {
-                self.0.append(p, c)
-            }
-            fn read_at(&self, p: &str, o: u64, l: u64) -> crate::error::Result<Content> {
-                self.0.read_at(p, o, l)
-            }
-            fn size(&self, p: &str) -> crate::error::Result<u64> {
-                self.0.size(p)
-            }
-            fn kind(&self, p: &str) -> crate::error::Result<crate::backend::NodeKind> {
-                self.0.kind(p)
-            }
-            fn list(&self, p: &str) -> crate::error::Result<Vec<String>> {
-                self.0.list(p)
-            }
-            fn unlink(&self, p: &str) -> crate::error::Result<()> {
-                self.0.unlink(p)
-            }
-            fn remove_all(&self, p: &str) -> crate::error::Result<()> {
-                self.0.remove_all(p)
-            }
-            fn rename(&self, a: &str, b: &str) -> crate::error::Result<()> {
-                self.0.rename(a, b)
-            }
-            fn submit(&self, batch: &[IoOp]) -> Vec<IoOutcome> {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-                self.0.submit(batch)
-            }
-        }
-        let reactor = Reactor::with_config(Arc::new(Slow(MemFs::new())), 1, 2);
+        let slow = Gated {
+            inner: MemFs::new(),
+            gate: |_: &IoOp| {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                Ok(())
+            },
+        };
+        let reactor = Reactor::with_config(Arc::new(slow), 1, 2);
         let tickets: Vec<(Vec<IoOp>, Ticket)> = (0..6)
             .map(|i| {
                 let batch = write_batch(&format!("/w{i}"), vec![0; 8]);
@@ -582,62 +550,28 @@ mod tests {
 
     #[test]
     fn drain_retried_retries_only_transient_slots() {
-        use parking_lot::Mutex as PlMutex;
-        // Flaky inner: the first N appends to a given path fail
+        // Flaky inner: the first two appends to `/d/flaky` fail
         // transiently; count executions per path.
-        struct Flaky {
-            inner: MemFs,
-            fail: PlMutex<std::collections::HashMap<String, u32>>,
-            execs: PlMutex<std::collections::HashMap<String, u32>>,
-        }
-        impl Backend for Flaky {
-            fn mkdir(&self, p: &str) -> crate::error::Result<()> {
-                self.inner.mkdir(p)
-            }
-            fn mkdir_all(&self, p: &str) -> crate::error::Result<()> {
-                self.inner.mkdir_all(p)
-            }
-            fn create(&self, p: &str, e: bool) -> crate::error::Result<()> {
-                self.inner.create(p, e)
-            }
-            fn append(&self, p: &str, c: &Content) -> crate::error::Result<u64> {
-                *self.execs.lock().entry(p.into()).or_insert(0) += 1;
-                let mut fail = self.fail.lock();
-                if let Some(n) = fail.get_mut(p) {
-                    if *n > 0 {
-                        *n -= 1;
-                        return Err(PlfsError::Transient(format!("inject {p}")));
-                    }
-                }
-                drop(fail);
-                self.inner.append(p, c)
-            }
-            fn read_at(&self, p: &str, o: u64, l: u64) -> crate::error::Result<Content> {
-                self.inner.read_at(p, o, l)
-            }
-            fn size(&self, p: &str) -> crate::error::Result<u64> {
-                self.inner.size(p)
-            }
-            fn kind(&self, p: &str) -> crate::error::Result<crate::backend::NodeKind> {
-                self.inner.kind(p)
-            }
-            fn list(&self, p: &str) -> crate::error::Result<Vec<String>> {
-                self.inner.list(p)
-            }
-            fn unlink(&self, p: &str) -> crate::error::Result<()> {
-                self.inner.unlink(p)
-            }
-            fn remove_all(&self, p: &str) -> crate::error::Result<()> {
-                self.inner.remove_all(p)
-            }
-            fn rename(&self, a: &str, b: &str) -> crate::error::Result<()> {
-                self.inner.rename(a, b)
-            }
-        }
-        let flaky = Arc::new(Flaky {
+        use parking_lot::Mutex as PlMutex;
+        let fail = Arc::new(PlMutex::new(2u32));
+        let execs = Arc::new(PlMutex::new(std::collections::HashMap::<String, u32>::new()));
+        let flaky = Arc::new(Gated {
             inner: MemFs::new(),
-            fail: PlMutex::new([("/d/flaky".to_string(), 2u32)].into_iter().collect()),
-            execs: PlMutex::new(std::collections::HashMap::new()),
+            gate: {
+                let (fail, execs) = (Arc::clone(&fail), Arc::clone(&execs));
+                move |op: &IoOp| {
+                    let IoOp::Append { path, .. } = op else {
+                        return Ok(());
+                    };
+                    *execs.lock().entry(path.clone()).or_insert(0) += 1;
+                    let mut fail = fail.lock();
+                    if path == "/d/flaky" && *fail > 0 {
+                        *fail -= 1;
+                        return Err(PlfsError::Transient(format!("inject {path}")));
+                    }
+                    Ok(())
+                }
+            },
         });
         flaky.mkdir("/d").unwrap();
         flaky.create("/d/ok", true).unwrap();
@@ -656,7 +590,7 @@ mod tests {
         let ticket = submit_tracked(&reactor, &batch);
         let out = drain_retried(&reactor, &batch, ticket);
         assert!(out.iter().all(Result::is_ok), "{out:?}");
-        let execs = flaky.execs.lock();
+        let execs = execs.lock();
         // The acknowledged append ran exactly once; the flaky one ran
         // 2 failures + 1 success. Neither landed twice.
         assert_eq!(execs["/d/ok"], 1);

@@ -58,7 +58,6 @@ pub mod ioplane;
 pub mod localfs;
 pub mod memfs;
 pub mod path;
-pub mod posix;
 pub mod reader;
 pub mod service;
 pub mod telemetry;
@@ -77,7 +76,6 @@ pub use ioplane::async_plane::{Completion, Reactor, Ticket};
 pub use ioplane::{IoOp, IoOutcome, IoStats, IoValue};
 pub use localfs::LocalFs;
 pub use memfs::MemFs;
-pub use posix::{OpenFlags, PosixShim};
 pub use service::{Admitted, Service, ServiceConfig, SvcHandle};
 pub use telemetry::TelemetrySnapshot;
 pub use vfs::{Plfs, PlfsConfig};

@@ -9,9 +9,9 @@
 //!
 //! * **Sharded open-handle table.** Handles live in
 //!   [`SVC_HANDLE_SHARDS`] independently-locked shards
-//!   (`svc-handle-shard`, rank 12 in the §5i hierarchy), generalizing
-//!   the posix shim's per-fd locks: a shard lock is held only for
-//!   lookup/insert/remove, each open handle owns its own session lock
+//!   (`svc-handle-shard`, rank 12 in the §5i hierarchy): a shard lock
+//!   is held only for lookup/insert/remove, each open handle owns its
+//!   own session lock
 //!   (`svc-session`, rank 15), and no lock anywhere spans the whole
 //!   table — clients on different handles never contend, clients on
 //!   different shards never even touch the same cache line.
@@ -71,7 +71,7 @@ use crate::error::{PlfsError, Result};
 use crate::reader::ReadHandle;
 use crate::telemetry;
 use crate::vfs::{Plfs, PlfsConfig};
-use crate::writer::WriteHandle;
+use crate::writer::{WriteHandle, DEFAULT_WRITE_BEHIND_WINDOW};
 use admission::{DirtyBudget, Grant, TokenBucket};
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
@@ -177,9 +177,6 @@ pub struct ServiceConfig {
     /// Expected concurrent handle count, used with
     /// [`SVC_HANDLE_LOAD_FACTOR`] to pre-size the handle shards.
     pub expected_clients: usize,
-    /// Write-behind staging window for writer sessions (0 disables
-    /// write-behind; see [`WriteHandle::enable_write_behind`]).
-    pub write_behind_window: usize,
 }
 
 impl ServiceConfig {
@@ -192,7 +189,6 @@ impl ServiceConfig {
             token_burst: SVC_TOKEN_BURST,
             dirty_budget: SVC_DIRTY_BUDGET,
             expected_clients: 1024,
-            write_behind_window: 4,
         }
     }
 }
@@ -341,7 +337,7 @@ impl<B: Backend + Clone> Service<B> {
             .lock()
             .get(&h.0)
             .cloned()
-            .ok_or_else(|| PlfsError::InvalidArg(format!("stale service handle {}", h.0)))
+            .ok_or_else(|| stale(h))
     }
 
     /// Open a writer session for `tenant` on its logical file
@@ -356,9 +352,7 @@ impl<B: Backend + Clone> Service<B> {
         }
         let id = self.next_handle.fetch_add(1, Ordering::Relaxed);
         let mut handle = self.fs.open_write(&path, id)?;
-        if self.cfg.write_behind_window > 0 {
-            handle.enable_write_behind(self.cfg.write_behind_window);
-        }
+        handle.enable_write_behind(DEFAULT_WRITE_BEHIND_WINDOW);
         let session = Session::Writer {
             handle,
             tenant: tenant.to_string(),
@@ -446,20 +440,28 @@ impl<B: Backend + Clone> Service<B> {
     /// Close session `h`. Never throttled: admission paces work, not
     /// the release of its resources. Closing a writer is its
     /// acknowledgement point (final index flush + metadir record), so
-    /// errors here are real.
+    /// errors here are real — and a failed close keeps the handle in
+    /// the table with its buffered index records, so the caller can
+    /// retry instead of losing acknowledged appends. Once a close has
+    /// succeeded the handle is stale.
     pub fn close(&self, h: SvcHandle) -> Result<()> {
         let start = Instant::now();
-        let Some(session) = self.shard(h.0).lock().remove(&h.0) else {
-            return Err(PlfsError::InvalidArg(format!("stale service handle {}", h.0)));
-        };
+        let session = self.lookup(h)?;
         let mut session_guard = session.lock();
-        match session_guard.take() {
+        match session_guard.as_mut() {
             Some(Session::Writer { handle, .. }) => {
                 let ts = self.fs.timestamp();
-                handle.close(ts)?;
+                // plfs-lint: allow(guard-across-io): the session lock intentionally serializes one handle's I/O; no shard or tenant lock is held here
+                handle.close_in_place(ts)?;
             }
-            Some(Session::Reader { .. }) | None => {}
+            Some(Session::Reader { .. }) => {}
+            // A concurrent close won the session lock and finished first.
+            None => return Err(stale(h)),
         }
+        *session_guard = None;
+        // A shard lock (rank 12) is never taken under a session (rank 15).
+        drop(session_guard);
+        self.shard(h.0).lock().remove(&h.0);
         self.finish_op(start);
         Ok(())
     }
@@ -493,6 +495,11 @@ impl<B: Backend + Clone> Service<B> {
     }
 }
 
+/// The error for a handle that is not (or no longer) in the table.
+fn stale(h: SvcHandle) -> PlfsError {
+    PlfsError::InvalidArg(format!("stale service handle {}", h.0))
+}
+
 /// Mode-mismatch error for a live handle of the wrong kind.
 fn wrong_mode(h: SvcHandle, need: &str) -> PlfsError {
     PlfsError::InvalidArg(format!("service handle {} is not a {need} session", h.0))
@@ -518,13 +525,45 @@ mod tests {
     fn write_read_round_trip_per_tenant() {
         let s = svc();
         let h = grant(s.open_write("t0", "/f").unwrap());
+        // A second open of the same path is a distinct PLFS writer.
+        let h2 = grant(s.open_write("t0", "/f").unwrap());
         s.append(h, 0, &Content::bytes(b"abc".to_vec())).unwrap();
         s.append(h, 3, &Content::bytes(b"def".to_vec())).unwrap();
+        s.append(h2, 6, &Content::bytes(b"ghi".to_vec())).unwrap();
         s.close(h).unwrap();
+        s.close(h2).unwrap();
         let r = grant(s.open_read("t0", "/f").unwrap());
-        assert_eq!(grant(s.read(r, 0, 6).unwrap()), b"abcdef");
+        assert_eq!(grant(s.read(r, 0, 9).unwrap()), b"abcdefghi");
         s.close(r).unwrap();
         assert_eq!(s.open_handles(), 0);
+        let writers = s.fs().container("/t0/f").list_writers(s.fs().backend());
+        assert_eq!(writers.unwrap(), vec![h.id(), h2.id()], "one data log each");
+    }
+
+    #[test]
+    fn failed_close_keeps_handle_and_buffered_index_for_retry() {
+        use crate::faults::{FaultBackend, FaultConfig};
+
+        // Crash the backend exactly at the close-time index flush: the
+        // two appends are data ops 1-2, the flush is op 3.
+        let fb = Arc::new(FaultBackend::new(MemFs::new(), FaultConfig::crash_at(5, 2)));
+        let s = Service::new(Arc::clone(&fb), ServiceConfig::basic("/panfs")).unwrap();
+        let h = grant(s.open_write("t", "/f").unwrap());
+        s.append(h, 0, &Content::bytes(b"acknowledged".to_vec())).unwrap();
+        s.append(h, 12, &Content::bytes(b" data".to_vec())).unwrap();
+        assert!(s.close(h).is_err(), "index flush must hit the crash");
+        // The handle survives the failed close...
+        assert_eq!(s.open_handles(), 1);
+        // ...and once the backend recovers, the retry lands everything.
+        fb.revive();
+        s.close(h).unwrap();
+        assert_eq!(s.open_handles(), 0);
+        let r = grant(s.open_read("t", "/f").unwrap());
+        assert_eq!(grant(s.read(r, 0, 17).unwrap()), b"acknowledged data");
+        s.close(r).unwrap();
+        assert!(crate::fsck::check(&fb, &s.fs().container("/t/f")).unwrap().is_clean());
+        // A close that succeeded is final: the handle is stale now.
+        assert!(s.close(h).is_err());
     }
 
     #[test]

@@ -100,7 +100,7 @@ pub struct Plfs<B: Backend + Clone> {
     /// monotone source with the same ordering works.
     clock: AtomicU64,
     /// One aggregated index per container state, shared by every reader
-    /// this mount opens (`Service` and `PosixShim` open through it too).
+    /// this mount opens (`Service` opens through it too).
     indices: IndexCache,
 }
 

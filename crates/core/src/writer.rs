@@ -22,10 +22,9 @@ use crate::ioplane::async_plane::{self, Ticket};
 use crate::ioplane::{self, IoOp};
 use crate::telemetry;
 use std::collections::VecDeque;
-use std::sync::Arc;
 
-/// Default bound on in-flight asynchronous index flushes per writer when
-/// write-behind is enabled without an explicit window
+/// Bound on in-flight asynchronous index flushes per writer that every
+/// [`crate::service::Service`] writer session runs with
 /// ([`WriteHandle::enable_write_behind`]).
 pub const DEFAULT_WRITE_BEHIND_WINDOW: usize = 4;
 
@@ -558,9 +557,10 @@ impl<B: Backend> WriteHandle<B> {
     }
 
     /// Close without consuming the handle, so a failed close can be
-    /// retried with the buffered index entries intact (the POSIX shim
-    /// relies on this: losing the buffer on a failed `close(2)` would
-    /// silently drop acknowledged writes). Idempotent: closing an
+    /// retried with the buffered index entries intact
+    /// ([`crate::service::Service::close`] relies on this: losing the
+    /// buffer on a failed close would silently drop acknowledged
+    /// writes). Idempotent: closing an
     /// already-closed handle is a no-op returning an empty contribution.
     pub fn close_in_place(&mut self, _timestamp: u64) -> Result<Vec<IndexEntry>> {
         if self.closed {
@@ -620,77 +620,6 @@ pub fn flatten_close<B: Backend>(
     Ok(true)
 }
 
-/// Handle to a background index flatten started by
-/// [`flatten_close_async`]. Dropping it without waiting is safe — the
-/// flatten finishes (or fails) on its own; only its outcome is lost.
-pub struct FlattenHandle {
-    inner: FlattenState,
-}
-
-enum FlattenState {
-    /// Resolved inline (some writer overflowed, nothing to flatten).
-    Done(bool),
-    Pending(std::thread::JoinHandle<Result<bool>>),
-}
-
-impl FlattenHandle {
-    /// Block until the background flatten lands. `Ok(true)` iff a
-    /// flattened index was written.
-    pub fn wait(self) -> Result<bool> {
-        match self.inner {
-            FlattenState::Done(flattened) => Ok(flattened),
-            FlattenState::Pending(join) => join
-                .join()
-                .map_err(|_| PlfsError::Io("background index flatten panicked".into()))?,
-        }
-    }
-}
-
-/// [`flatten_close`], with the index flatten moved off the caller's
-/// critical path: every writer still closes synchronously (close is the
-/// durability point — acknowledged data is on stable storage when this
-/// returns), but the merge/compact/persist of the flattened index runs on
-/// a background thread. Readers that open before the flatten lands simply
-/// aggregate, exactly as if flattening were disabled — the flattened
-/// index is a pure read-time accelerator, never a correctness input.
-pub fn flatten_close_async<B>(
-    backend: Arc<B>,
-    container: &Container,
-    handles: Vec<WriteHandle<Arc<B>>>,
-    timestamp: u64,
-) -> Result<FlattenHandle>
-where
-    B: Backend + Send + Sync + 'static,
-{
-    let _span = telemetry::span(telemetry::SPAN_WRITE_FLATTEN);
-    let all_can_flatten = handles.iter().all(|h| h.can_flatten());
-    let mut contributions = Vec::with_capacity(handles.len());
-    for h in handles {
-        contributions.push(h.close(timestamp)?);
-    }
-    if !all_can_flatten {
-        return Ok(FlattenHandle {
-            inner: FlattenState::Done(false),
-        });
-    }
-    let container = container.clone();
-    let parent = telemetry::current_span_id();
-    let join = std::thread::Builder::new()
-        .name("plfs-flatten".into())
-        .spawn(move || {
-            // The flatten span on the worker carries the submitter's span
-            // as its explicit parent, so the tree keeps its ancestry even
-            // though the work hopped threads.
-            let _span = telemetry::span_with_parent(telemetry::SPAN_WRITE_FLATTEN, parent);
-            container.write_flattened_runs(backend.as_ref(), &contributions)?;
-            Ok(true)
-        })
-        .map_err(|e| PlfsError::Io(format!("spawn background flatten: {e}")))?;
-    Ok(FlattenHandle {
-        inner: FlattenState::Pending(join),
-    })
-}
-
 /// Guard against the access mode PLFS cannot serve (the paper had to
 /// patch IOR and MADbench to stop opening read-write).
 pub fn reject_read_write() -> PlfsError {
@@ -702,8 +631,10 @@ pub fn reject_read_write() -> PlfsError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::Gated;
     use crate::federation::Federation;
     use crate::memfs::MemFs;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     fn setup() -> (Arc<MemFs>, Container) {
@@ -949,59 +880,22 @@ mod tests {
         assert_eq!(c.read_index_log(&b, 0).unwrap().len(), 8);
     }
 
-    /// Delegates to [`MemFs`] but rejects appends to write-behind staging
-    /// scratch with a hard (non-transient) error.
-    struct StagingFaulty {
-        inner: MemFs,
-        fails: std::sync::atomic::AtomicUsize,
-    }
-
-    impl Backend for StagingFaulty {
-        fn mkdir(&self, path: &str) -> Result<()> {
-            self.inner.mkdir(path)
-        }
-        fn mkdir_all(&self, path: &str) -> Result<()> {
-            self.inner.mkdir_all(path)
-        }
-        fn create(&self, path: &str, exclusive: bool) -> Result<()> {
-            self.inner.create(path, exclusive)
-        }
-        fn append(&self, path: &str, content: &Content) -> Result<u64> {
-            if path.ends_with(crate::container::ASYNC_STAGING_SUFFIX) {
-                self.fails
-                    .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                return Err(PlfsError::Io("staging append rejected".into()));
-            }
-            self.inner.append(path, content)
-        }
-        fn read_at(&self, path: &str, offset: u64, len: u64) -> Result<Content> {
-            self.inner.read_at(path, offset, len)
-        }
-        fn size(&self, path: &str) -> Result<u64> {
-            self.inner.size(path)
-        }
-        fn kind(&self, path: &str) -> Result<crate::backend::NodeKind> {
-            self.inner.kind(path)
-        }
-        fn list(&self, path: &str) -> Result<Vec<String>> {
-            self.inner.list(path)
-        }
-        fn unlink(&self, path: &str) -> Result<()> {
-            self.inner.unlink(path)
-        }
-        fn remove_all(&self, path: &str) -> Result<()> {
-            self.inner.remove_all(path)
-        }
-        fn rename(&self, from: &str, to: &str) -> Result<()> {
-            self.inner.rename(from, to)
-        }
-    }
-
     #[test]
     fn write_behind_staging_failure_keeps_records_for_retry() {
-        let b = Arc::new(StagingFaulty {
+        // Appends to write-behind staging scratch are rejected with a
+        // hard (non-transient) error.
+        let fails = AtomicUsize::new(0);
+        let b = Arc::new(Gated {
             inner: MemFs::new(),
-            fails: std::sync::atomic::AtomicUsize::new(0),
+            gate: |op: &IoOp| match op {
+                IoOp::Append { path, .. }
+                    if path.ends_with(crate::container::ASYNC_STAGING_SUFFIX) =>
+                {
+                    fails.fetch_add(1, Ordering::SeqCst);
+                    Err(PlfsError::Io("staging append rejected".into()))
+                }
+                _ => Ok(()),
+            },
         });
         let c = Container::new("/f", &Federation::single("/ns", 2));
         let mut w =
@@ -1014,7 +908,7 @@ mod tests {
             w.close_in_place(9).is_err(),
             "drain must surface the staging failure"
         );
-        assert!(b.fails.load(std::sync::atomic::Ordering::SeqCst) >= 1);
+        assert!(fails.load(Ordering::SeqCst) >= 1);
         // The records were never acknowledged, so they are still here —
         // the retried close lands them through the ordinary synchronous
         // append to the real index log.
@@ -1023,53 +917,6 @@ mod tests {
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].logical_offset, 0);
         assert_eq!(entries[1].logical_offset, 8);
-    }
-
-    #[test]
-    fn flatten_close_async_flattens_in_background() {
-        let (b, c) = setup();
-        let mut handles = Vec::new();
-        for w in 0..4u64 {
-            let mut h = WriteHandle::open(
-                Arc::clone(&b),
-                c.clone(),
-                w,
-                IndexPolicy::Flatten {
-                    threshold_entries: 100,
-                },
-            )
-            .unwrap();
-            h.write(w * 10, &Content::bytes(vec![w as u8; 10]), w + 1)
-                .unwrap();
-            handles.push(h);
-        }
-        let fh = flatten_close_async(Arc::clone(&b), &c, handles, 99).unwrap();
-        // Every writer closed synchronously before the call returned.
-        assert!(c.open_writers(&b).unwrap().is_empty());
-        assert!(fh.wait().unwrap());
-        let idx = c.read_flattened(&b).unwrap().expect("flattened index");
-        assert_eq!(idx.eof(), 40);
-        assert_eq!(idx.span_count(), 4);
-    }
-
-    #[test]
-    fn flatten_close_async_skips_when_a_writer_overflowed() {
-        let (b, c) = setup();
-        let mut h0 = WriteHandle::open(
-            Arc::clone(&b),
-            c.clone(),
-            0,
-            IndexPolicy::Flatten {
-                threshold_entries: 1,
-            },
-        )
-        .unwrap();
-        h0.write(0, &Content::bytes(vec![1; 4]), 1).unwrap();
-        h0.write(4, &Content::bytes(vec![2; 4]), 2).unwrap(); // overflows
-        let fh = flatten_close_async(Arc::clone(&b), &c, vec![h0], 9).unwrap();
-        assert!(!fh.wait().unwrap());
-        assert!(c.read_flattened(&b).unwrap().is_none());
-        assert_eq!(c.aggregate_index(&b).unwrap().eof(), 8);
     }
 
     #[test]

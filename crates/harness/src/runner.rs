@@ -103,10 +103,6 @@ pub struct RunOutput {
     pub events: u64,
     /// Peak simultaneous pending events (engine memory high-water proxy).
     pub peak_live_events: usize,
-    /// Host wall-clock seconds the simulation itself took.
-    pub wall_s: f64,
-    /// Engine throughput: `events / wall_s`.
-    pub events_per_sec: f64,
 }
 
 /// Execute one workload once.
@@ -145,7 +141,6 @@ pub fn run_workload_tweaked(
     // allocation (`Workload::compile`), equivalence-tested against the
     // spec interpreter in the workloads crate.
     let program = w.compile();
-    let t0 = std::time::Instant::now();
     let result = match mw {
         Middleware::Direct => {
             let mut d = DirectDriver::new();
@@ -176,7 +171,6 @@ pub fn run_workload_tweaked(
         }
     };
 
-    let wall_s = t0.elapsed().as_secs_f64();
     RunOutput {
         metrics: result.metrics,
         makespan_s: result.makespan.as_secs_f64(),
@@ -186,8 +180,6 @@ pub fn run_workload_tweaked(
         cache_hit_bytes: ctx.pfs.cache_hit_bytes(),
         events: result.events,
         peak_live_events: result.peak_live_events,
-        wall_s,
-        events_per_sec: result.events as f64 / wall_s.max(1e-9),
     }
 }
 

@@ -1,281 +1,377 @@
-//! format-drift: on-disk format constants must match the authoritative
-//! table in DESIGN.md.
+//! format-drift: what the code says must match the authoritative
+//! tables in DESIGN.md.
 //!
-//! The table lives between `<!-- plfs-lint:format-table -->` and
-//! `<!-- /plfs-lint:format-table -->` markers, one markdown row per
-//! constant: `` | `NAME` | `VALUE` | `path/to/file.rs` | ``. Values are
-//! compared token-wise (both sides lexed and re-joined), so whitespace
-//! and comment differences don't matter but any semantic edit does.
-//! The doc is authoritative: changing a constant without updating the
-//! table — or vice versa — is a finding, as is a table row pointing at
-//! a file or constant that no longer exists.
+//! Each table lives between `<!-- plfs-lint:<name>-table -->` and
+//! `<!-- /plfs-lint:<name>-table -->` markers as an ordinary markdown
+//! table: a header row, a `| --- |` separator, one row per subject.
+//! [`TABLES`] lists them with what their rows are checked against, and
+//! every check runs both ways: a subject in the code with no row is a
+//! finding at the subject, a row with no live subject is a finding at
+//! the row. Values are compared token-wise (both sides lexed and
+//! re-joined), so whitespace and comment differences don't matter but
+//! any semantic edit does. The doc is authoritative: a table that is
+//! missing, unclosed, empty or has a row of the wrong shape is a
+//! configuration error, never a silent pass.
 
 use crate::lexer::{lex, Tok, TokKind};
 use crate::rules::{RawFinding, RuleId};
 
+/// One authoritative table in DESIGN.md.
+#[derive(Debug, Clone, Copy)]
+pub struct TableSpec {
+    /// The table sits between `<!-- plfs-lint:<name>-table -->` markers.
+    pub name: &'static str,
+    /// The DESIGN.md section that holds it, for messages.
+    pub section: &'static str,
+    pub against: Against,
+}
+
+/// What a table's rows are checked against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Against {
+    /// Rows are `` | `NAME` | `VALUE` | `path/to/file.rs` | ``: a `const`
+    /// by name in the file the row names. The fields are
+    /// `(prefixes, noun, contract)`: a `const` in such a file whose name
+    /// starts with one of `prefixes` must have a row, and `noun` and
+    /// `contract` word that finding.
+    Consts(&'static [&'static str], &'static str, &'static str),
+    /// Rows name the variants of `enum IoOp` in [`IOPLANE_RS`].
+    IoOpVariants,
+    /// Rows are `| name | kind | ...`: the `SPAN_`/`CTR_`/`HIST_` string
+    /// constants in [`TELEMETRY_RS`] and the kind each prefix implies.
+    TelemetryConsts,
+    /// Rows are `| class | rank | file | receivers | ...`
+    /// ([`lock_rows`]): the lock acquisition sites the semantic pass
+    /// finds in the whole workspace.
+    LockSites,
+}
+
+pub const IOPLANE_RS: &str = "crates/core/src/ioplane.rs";
+pub const TELEMETRY_RS: &str = "crates/core/src/telemetry.rs";
+
+/// Every table the gate checks, in DESIGN.md order.
+pub const TABLES: [TableSpec; 6] = [
+    TableSpec::new("format", "§5d", Against::Consts(&[], "", "")),
+    TableSpec::new("ioplane", "§5e", Against::IoOpVariants),
+    TableSpec::new("telemetry", "§5f", Against::TelemetryConsts),
+    TableSpec::new("lock", "§5i", Against::LockSites),
+    TableSpec::new(
+        "spanidx",
+        "§5j",
+        Against::Consts(&["SPANIDX_", "SPANCACHE_"], "spanidx", "on-disk format"),
+    ),
+    TableSpec::new("svc", "§5k", Against::Consts(&["SVC_"], "service-layer", "service policy")),
+];
+
+/// The [`TABLES`] entry called `name`.
+pub fn table(name: &str) -> Option<&'static TableSpec> {
+    TABLES.iter().find(|t| t.name == name)
+}
+
+/// One data row of a table: its cells with backticks and padding
+/// stripped, and its line in DESIGN.md for reporting table-side problems.
 #[derive(Debug, Clone)]
-pub struct FormatRow {
-    pub name: String,
-    /// Expected initializer, token-normalized.
-    pub value: String,
-    /// Repo-relative path (forward slashes) of the defining file.
-    pub file: String,
-    /// Line in DESIGN.md, for reporting table-side problems.
+pub struct Row {
+    pub cells: Vec<String>,
     pub doc_line: u32,
 }
 
 /// Token-normalize a Rust expression: lex and re-join with single
 /// spaces so `b"NCL1"` and `b"NCL1" /* magic */` compare equal.
 pub fn normalize_expr(src: &str) -> String {
-    lex(src)
-        .toks
-        .iter()
-        .map(|t| t.text.as_str())
-        .collect::<Vec<_>>()
-        .join(" ")
+    join(&lex(src).toks)
+}
+
+fn join(toks: &[Tok]) -> String {
+    let texts: Vec<&str> = toks.iter().map(|t| t.text.as_str()).collect();
+    texts.join(" ")
 }
 
 fn unbacktick(cell: &str) -> &str {
     cell.trim().trim_matches('`').trim()
 }
 
-/// Parse the format table out of DESIGN.md. Errors if the markers are
-/// missing or unbalanced — the gate must not silently pass because the
-/// doc moved.
-pub fn parse_format_table(doc: &str) -> Result<Vec<FormatRow>, String> {
-    let mut rows = Vec::new();
-    let mut inside = false;
-    let mut seen_open = false;
+/// Parse `table` out of DESIGN.md. The first row between the markers is
+/// the header and fixes the column count, the second is the `---`
+/// separator; every row after that is data and must have the header's
+/// shape — a row that gained or lost a `|` would otherwise drop out of
+/// the check while the gate stays green.
+pub fn parse_table(doc: &str, table: &TableSpec) -> Result<Vec<Row>, String> {
+    let name = table.name;
+    let open = format!("<!-- plfs-lint:{name}-table -->");
+    let close = format!("<!-- /plfs-lint:{name}-table -->");
+    let mut lines: Vec<(u32, Vec<&str>)> = Vec::new();
+    let (mut inside, mut seen_open) = (false, false);
     for (n, line) in doc.lines().enumerate() {
-        let lineno = n as u32 + 1;
-        let trimmed = line.trim();
-        if trimmed.contains("<!-- plfs-lint:format-table -->") {
-            inside = true;
-            seen_open = true;
-            continue;
-        }
-        if trimmed.contains("<!-- /plfs-lint:format-table -->") {
+        let line = line.trim();
+        if line.contains(&open) {
+            (inside, seen_open) = (true, true);
+        } else if line.contains(&close) {
             inside = false;
-            continue;
+        } else if inside && line.starts_with('|') {
+            let cells = line.trim_matches('|').split('|').map(unbacktick).collect();
+            lines.push((n as u32 + 1, cells));
         }
-        if !inside || !trimmed.starts_with('|') {
-            continue;
-        }
-        let cells: Vec<&str> = trimmed.trim_matches('|').split('|').collect();
-        if cells.len() != 3 {
-            continue;
-        }
-        let (name, value, file) = (unbacktick(cells[0]), unbacktick(cells[1]), unbacktick(cells[2]));
-        // Skip the header and separator rows.
-        if name.is_empty() || name == "constant" || name.chars().all(|c| c == '-' || c == ' ') {
-            continue;
-        }
-        rows.push(FormatRow {
-            name: name.to_string(),
-            value: normalize_expr(value),
-            file: file.to_string(),
-            doc_line: lineno,
-        });
     }
     if !seen_open {
-        return Err("DESIGN.md has no `<!-- plfs-lint:format-table -->` marker; the format-drift rule has nothing to check against".into());
+        return Err(format!(
+            "DESIGN.md has no `{open}` marker ({}); the format-drift rule has nothing to check against",
+            table.section
+        ));
     }
     if inside {
-        return Err("DESIGN.md format table is missing its closing `<!-- /plfs-lint:format-table -->` marker".into());
+        return Err(format!("DESIGN.md {name} table is missing its closing `{close}` marker"));
     }
-    if rows.is_empty() {
-        return Err("DESIGN.md format table is empty".into());
+    let is_rule = |cell: &&str| !cell.is_empty() && cell.chars().all(|c| "-: ".contains(c));
+    let [(_, header), (rule_line, rule), data @ ..] = lines.as_slice() else {
+        return Err(format!("DESIGN.md {name} table is empty"));
+    };
+    // The checker indexes the leading columns; prose columns may follow.
+    let reads = match table.against {
+        Against::Consts(..) => 3,
+        Against::IoOpVariants => 1,
+        Against::TelemetryConsts => 2,
+        Against::LockSites => 4,
+    };
+    if header.len() < reads || rule.len() != header.len() || !rule.iter().all(is_rule) {
+        return Err(format!(
+            "DESIGN.md {name} table line {rule_line}: expected a header of at least {reads} \
+             columns with its `| --- |` separator under it"
+        ));
     }
-    Ok(rows)
-}
-
-/// Row of the I/O-plane op vocabulary table (DESIGN.md §5e). Only the
-/// op name is load-bearing; the payload/retry columns are prose.
-#[derive(Debug, Clone)]
-pub struct IoPlaneRow {
-    pub name: String,
-    pub doc_line: u32,
-}
-
-/// Parse the I/O-plane op vocabulary table out of DESIGN.md (between
-/// `<!-- plfs-lint:ioplane-table -->` markers). Like the format table,
-/// missing or unbalanced markers are a configuration error: the op
-/// vocabulary must not drift silently just because the doc moved.
-pub fn parse_ioplane_table(doc: &str) -> Result<Vec<IoPlaneRow>, String> {
-    let mut rows = Vec::new();
-    let mut inside = false;
-    let mut seen_open = false;
-    for (n, line) in doc.lines().enumerate() {
-        let lineno = n as u32 + 1;
-        let trimmed = line.trim();
-        if trimmed.contains("<!-- plfs-lint:ioplane-table -->") {
-            inside = true;
-            seen_open = true;
-            continue;
-        }
-        if trimmed.contains("<!-- /plfs-lint:ioplane-table -->") {
-            inside = false;
-            continue;
-        }
-        if !inside || !trimmed.starts_with('|') {
-            continue;
-        }
-        let cells: Vec<&str> = trimmed.trim_matches('|').split('|').collect();
-        let Some(first) = cells.first() else {
-            continue;
-        };
-        let name = unbacktick(first);
-        if name.is_empty() || name == "op" || name.chars().all(|c| c == '-' || c == ' ') {
-            continue;
-        }
-        rows.push(IoPlaneRow {
-            name: name.to_string(),
-            doc_line: lineno,
-        });
+    if data.is_empty() {
+        return Err(format!("DESIGN.md {name} table is empty"));
     }
-    if !seen_open {
-        return Err("DESIGN.md has no `<!-- plfs-lint:ioplane-table -->` marker; the I/O-plane op vocabulary has no drift source".into());
-    }
-    if inside {
-        return Err("DESIGN.md ioplane table is missing its closing `<!-- /plfs-lint:ioplane-table -->` marker".into());
-    }
-    if rows.is_empty() {
-        return Err("DESIGN.md ioplane table is empty".into());
-    }
-    Ok(rows)
-}
-
-/// Variant names (and lines) of `enum IoOp` in the ioplane source.
-pub fn ioplane_variants(toks: &[Tok]) -> Vec<(String, u32)> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i + 1 < toks.len() {
-        if toks[i].is(TokKind::Ident, "enum") && toks[i + 1].is(TokKind::Ident, "IoOp") {
-            let Some(open_off) = toks[i + 2..]
-                .iter()
-                .position(|t| t.is(TokKind::Punct, "{"))
-            else {
-                return out;
-            };
-            let open = i + 2 + open_off;
-            let close = crate::rules::matching_close(toks, open);
-            let inner = toks[open].depth + 1;
-            // A variant name is an ident at the enum body's depth whose
-            // predecessor is the opening `{` or a separating `,`
-            // (field idents live one brace deeper).
-            for k in open + 1..close {
-                if toks[k].kind == TokKind::Ident
-                    && toks[k].depth == inner
-                    && (toks[k - 1].is(TokKind::Punct, "{") || toks[k - 1].is(TokKind::Punct, ","))
-                {
-                    out.push((toks[k].text.clone(), toks[k].line));
-                }
+    data.iter()
+        .map(|(doc_line, cells)| {
+            if cells.len() != header.len() {
+                return Err(format!(
+                    "DESIGN.md {name} table line {doc_line}: row has {} cells where the header \
+                     has {} (a `|` inside a value, or a column added or dropped); the row would \
+                     go unchecked",
+                    cells.len(),
+                    header.len()
+                ));
             }
-            return out;
+            Ok(Row {
+                cells: cells.iter().map(|c| c.to_string()).collect(),
+                doc_line: *doc_line,
+            })
+        })
+        .collect()
+}
+
+/// Check one scanned file against `table`. Returns findings anchored in
+/// the file plus the indices of rows this file satisfied (the caller
+/// reports rows no file claimed, [`TableSpec::stale_rows`]).
+pub fn check_file(
+    table: &TableSpec,
+    rows: &[Row],
+    rel_path: &str,
+    toks: &[Tok],
+) -> (Vec<RawFinding>, Vec<usize>) {
+    match table.against {
+        Against::Consts(..) => check_consts(table, rows, rel_path, toks),
+        Against::IoOpVariants if rel_path == IOPLANE_RS => check_ioplane(rows, toks),
+        Against::TelemetryConsts if rel_path == TELEMETRY_RS => check_telemetry(rows, toks),
+        _ => (Vec::new(), Vec::new()),
+    }
+}
+
+impl TableSpec {
+    const fn new(name: &'static str, section: &'static str, against: Against) -> Self {
+        TableSpec {
+            name,
+            section,
+            against,
         }
-        i += 1;
+    }
+
+    /// The other drift direction, as `(DESIGN.md line, message)`: every
+    /// row no scanned file matched — or the table as a whole when the one
+    /// file its subjects live in was never `scanned`.
+    pub fn stale_rows(
+        &self,
+        rows: &[Row],
+        matched: &[bool],
+        scanned: impl Fn(&str) -> bool,
+    ) -> Vec<(u32, String)> {
+        let unscanned = match self.against {
+            Against::IoOpVariants => Some(("an I/O-plane op vocabulary", IOPLANE_RS)),
+            Against::TelemetryConsts => Some(("a telemetry vocabulary", TELEMETRY_RS)),
+            Against::Consts(..) | Against::LockSites => None,
+        }
+        .filter(|(_, file)| !scanned(file));
+        if let Some((what, file)) = unscanned {
+            let message = format!(
+                "DESIGN.md documents {what} but {file} was not scanned (file moved or deleted \
+                 without updating the table)"
+            );
+            return vec![(rows.first().map_or(1, |r| r.doc_line), message)];
+        }
+        let stale = rows.iter().zip(matched).filter(|(_, matched)| !**matched);
+        stale
+            .map(|(row, _)| {
+                let name = &row.cells[0];
+                let message = match self.against {
+                    Against::Consts(..) => format!(
+                        "{} table row for `{name}` points at `{}`, which was not scanned \
+                         (file moved or deleted without updating the table)",
+                        self.name, row.cells[2]
+                    ),
+                    Against::IoOpVariants => format!(
+                        "op vocabulary row `{name}` names no live `IoOp` variant; remove the row \
+                         or restore the op"
+                    ),
+                    Against::TelemetryConsts => format!(
+                        "telemetry vocabulary row `{name}` names no recorded \
+                         span/counter/histogram; remove the row or restore the constant"
+                    ),
+                    Against::LockSites => format!(
+                        "lock-hierarchy row `{name}` matched no acquisition site in the \
+                         workspace; remove the row or restore the lock"
+                    ),
+                };
+                (row.doc_line, message)
+            })
+            .collect()
+    }
+}
+
+fn finding(line: u32, message: String) -> RawFinding {
+    RawFinding {
+        trace: Vec::new(),
+        rule: RuleId::FormatDrift,
+        line,
+        message,
+    }
+}
+
+/// Every `const NAME ... = <initializer> ;` in a file, as
+/// `(line, name, token-normalized initializer)`.
+fn consts(toks: &[Tok]) -> Vec<(u32, &str, String)> {
+    let mut out = Vec::new();
+    for (i, pair) in toks.windows(2).enumerate() {
+        if !pair[0].is(TokKind::Ident, "const") || pair[1].kind != TokKind::Ident {
+            continue;
+        }
+        // The type may hold a `;` of its own (`[u8; 4]`): find `=` first.
+        let Some(eq) = toks[i..].iter().position(|t| t.is(TokKind::Punct, "=")) else {
+            break;
+        };
+        let init = &toks[i + eq + 1..];
+        let end = init.iter().position(|t| t.is(TokKind::Punct, ";")).unwrap_or(init.len());
+        out.push((pair[0].line, pair[1].text.as_str(), join(&init[..end])));
     }
     out
 }
 
-/// Check the ioplane source file against the §5e table, both
-/// directions: every `IoOp` variant must have a table row (findings
-/// anchored at the variant), and every table row must name a live
-/// variant (reported by the caller for unmatched indices, like the
-/// format table).
-pub fn check_ioplane_file(rows: &[IoPlaneRow], toks: &[Tok]) -> (Vec<RawFinding>, Vec<usize>) {
-    let variants = ioplane_variants(toks);
+/// A consts table against one scanned file, both ways: every row naming
+/// this file must match a `const` in it, and every `const` here with one
+/// of the table's prefixes must have a row — a new knob off the table is
+/// drift too.
+fn check_consts(
+    table: &TableSpec,
+    rows: &[Row],
+    rel_path: &str,
+    toks: &[Tok],
+) -> (Vec<RawFinding>, Vec<usize>) {
+    let Against::Consts(prefixes, noun, contract) = table.against else {
+        return (Vec::new(), Vec::new());
+    };
+    let consts = consts(toks);
     let mut findings = Vec::new();
     let mut matched = Vec::new();
-    if variants.is_empty() {
-        findings.push(RawFinding {
-            trace: Vec::new(),
-            rule: RuleId::FormatDrift,
-            line: 1,
-            message: "no `enum IoOp` found in the I/O-plane source; the op vocabulary table in \
-                      DESIGN.md §5e has nothing to check against"
-                .into(),
-        });
-        return (findings, matched);
-    }
-    for (name, line) in &variants {
-        if !rows.iter().any(|r| &r.name == name) {
-            findings.push(RawFinding {
-                trace: Vec::new(),
-                rule: RuleId::FormatDrift,
-                line: *line,
-                message: format!(
-                    "`IoOp::{name}` has no row in the DESIGN.md §5e op vocabulary table; every \
-                     op the plane speaks must be documented there (batchability + retry class)"
+    for (idx, row) in rows.iter().enumerate() {
+        let (name, value, file) = (&row.cells[0], normalize_expr(&row.cells[1]), &row.cells[2]);
+        if file != rel_path {
+            continue;
+        }
+        matched.push(idx);
+        match consts.iter().find(|(_, c, _)| c == name) {
+            Some((_, _, actual)) if *actual == value => {}
+            Some((line, _, actual)) => findings.push(finding(
+                *line,
+                format!(
+                    "on-disk format constant `{name}` is `{actual}` but DESIGN.md (line {}) says \
+                     `{value}`; update the authoritative table or revert the constant",
+                    row.doc_line
                 ),
-            });
+            )),
+            None => findings.push(finding(
+                1,
+                format!(
+                    "DESIGN.md (line {}) expects constant `{name}` in this file, but no \
+                     `const {name}` declaration was found",
+                    row.doc_line
+                ),
+            )),
         }
     }
-    for (idx, row) in rows.iter().enumerate() {
-        if variants.iter().any(|(name, _)| name == &row.name) {
-            matched.push(idx);
+    for (line, name, _) in &consts {
+        if prefixes.iter().any(|p| name.starts_with(p))
+            && !rows.iter().any(|r| r.cells[0] == *name && r.cells[2] == rel_path)
+        {
+            findings.push(finding(
+                *line,
+                format!(
+                    "{noun} constant `{name}` has no row in the DESIGN.md {} table; \
+                     add one (the table is the authoritative {contract} contract)",
+                    table.section
+                ),
+            ));
         }
     }
     (findings, matched)
 }
 
-/// Row of the telemetry vocabulary table (DESIGN.md §5f). The recorded
-/// name and its kind (`span`/`counter`/`histogram`) are load-bearing;
-/// the const and notes columns are prose.
-#[derive(Debug, Clone)]
-pub struct TelemetryRow {
-    pub name: String,
-    pub kind: String,
-    pub doc_line: u32,
+/// Variant names (and lines) of `enum IoOp` in the ioplane source.
+fn ioplane_variants(toks: &[Tok]) -> Vec<(String, u32)> {
+    let decl = |w: &[Tok]| w[0].is(TokKind::Ident, "enum") && w[1].is(TokKind::Ident, "IoOp");
+    let Some(at) = toks.windows(2).position(decl) else {
+        return Vec::new();
+    };
+    let Some(open) = toks[at..].iter().position(|t| t.is(TokKind::Punct, "{")) else {
+        return Vec::new();
+    };
+    let open = at + open;
+    let close = crate::rules::matching_close(toks, open);
+    let inner = toks[open].depth + 1;
+    // A variant name is an ident at the enum body's depth whose
+    // predecessor is the opening `{` or a separating `,` (field idents
+    // live one brace deeper).
+    let is_variant = |k: &usize| {
+        let (tok, prev) = (&toks[*k], &toks[*k - 1]);
+        tok.kind == TokKind::Ident
+            && tok.depth == inner
+            && (prev.is(TokKind::Punct, "{") || prev.is(TokKind::Punct, ","))
+    };
+    let variants = (open + 1..close).filter(is_variant);
+    variants.map(|k| (toks[k].text.clone(), toks[k].line)).collect()
 }
 
-/// Parse the telemetry vocabulary table out of DESIGN.md (between
-/// `<!-- plfs-lint:telemetry-table -->` markers). As with the other
-/// authoritative tables, missing or unbalanced markers are a
-/// configuration error, not a silent pass.
-pub fn parse_telemetry_table(doc: &str) -> Result<Vec<TelemetryRow>, String> {
-    let mut rows = Vec::new();
-    let mut inside = false;
-    let mut seen_open = false;
-    for (n, line) in doc.lines().enumerate() {
-        let lineno = n as u32 + 1;
-        let trimmed = line.trim();
-        if trimmed.contains("<!-- plfs-lint:telemetry-table -->") {
-            inside = true;
-            seen_open = true;
-            continue;
-        }
-        if trimmed.contains("<!-- /plfs-lint:telemetry-table -->") {
-            inside = false;
-            continue;
-        }
-        if !inside || !trimmed.starts_with('|') {
-            continue;
-        }
-        let cells: Vec<&str> = trimmed.trim_matches('|').split('|').collect();
-        if cells.len() < 2 {
-            continue;
-        }
-        let (name, kind) = (unbacktick(cells[0]), unbacktick(cells[1]));
-        if name.is_empty() || name == "name" || name.chars().all(|c| c == '-' || c == ' ') {
-            continue;
-        }
-        rows.push(TelemetryRow {
-            name: name.to_string(),
-            kind: kind.to_string(),
-            doc_line: lineno,
-        });
+/// The ioplane source file against the §5e table: every `IoOp` variant
+/// must have a row (findings anchored at the variant), and a row is
+/// matched when it names a live variant.
+fn check_ioplane(rows: &[Row], toks: &[Tok]) -> (Vec<RawFinding>, Vec<usize>) {
+    let variants = ioplane_variants(toks);
+    if variants.is_empty() {
+        let message = "no `enum IoOp` found in the I/O-plane source; the op vocabulary table in \
+                       DESIGN.md §5e has nothing to check against";
+        return (vec![finding(1, message.into())], Vec::new());
     }
-    if !seen_open {
-        return Err("DESIGN.md has no `<!-- plfs-lint:telemetry-table -->` marker; the telemetry vocabulary has no drift source".into());
-    }
-    if inside {
-        return Err("DESIGN.md telemetry table is missing its closing `<!-- /plfs-lint:telemetry-table -->` marker".into());
-    }
-    if rows.is_empty() {
-        return Err("DESIGN.md telemetry table is empty".into());
-    }
-    Ok(rows)
+    let unlisted = variants.iter().filter(|(name, _)| !rows.iter().any(|r| &r.cells[0] == name));
+    let findings = unlisted.map(|(name, line)| {
+        finding(
+            *line,
+            format!(
+                "`IoOp::{name}` has no row in the DESIGN.md §5e op vocabulary table; every \
+                 op the plane speaks must be documented there (batchability + retry class)"
+            ),
+        )
+    });
+    let live = |row: &Row| variants.iter().any(|(name, _)| name == &row.cells[0]);
+    (findings.collect(), (0..rows.len()).filter(|&i| live(&rows[i])).collect())
 }
 
 /// `(const ident, recorded name, kind, line)` of every telemetry
@@ -283,92 +379,51 @@ pub fn parse_telemetry_table(doc: &str) -> Result<Vec<TelemetryRow>, String> {
 /// (span), `CTR_*` (counter), or `HIST_*` (histogram). Non-string
 /// consts with those prefixes (e.g. `HIST_BUCKET_COUNT`) are not part
 /// of the vocabulary.
-pub fn telemetry_registry(toks: &[Tok]) -> Vec<(String, String, String, u32)> {
+fn telemetry_registry(toks: &[Tok]) -> Vec<(&str, String, &'static str, u32)> {
+    const KINDS: [(&str, &str); 3] = [("SPAN_", "span"), ("CTR_", "counter"), ("HIST_", "histogram")];
     let mut out = Vec::new();
-    let mut i = 0;
-    while i + 1 < toks.len() {
-        if toks[i].is(TokKind::Ident, "const") && toks[i + 1].kind == TokKind::Ident {
-            let ident = toks[i + 1].text.clone();
-            let kind = if ident.starts_with("SPAN_") {
-                Some("span")
-            } else if ident.starts_with("CTR_") {
-                Some("counter")
-            } else if ident.starts_with("HIST_") {
-                Some("histogram")
-            } else {
-                None
-            };
-            if let Some(kind) = kind {
-                let mut j = i + 2;
-                while j < toks.len()
-                    && !toks[j].is(TokKind::Punct, "=")
-                    && !toks[j].is(TokKind::Punct, ";")
-                {
-                    j += 1;
-                }
-                if let Some(lit) = toks.get(j + 1) {
-                    if lit.kind == TokKind::Literal && lit.text.starts_with('"') {
-                        let name = lit.text.trim_matches('"').to_string();
-                        out.push((ident, name, kind.to_string(), toks[i].line));
-                    }
-                }
-            }
+    for (line, ident, value) in consts(toks) {
+        let kind = KINDS.iter().find(|(prefix, _)| ident.starts_with(prefix));
+        if let (Some((_, kind)), Some(name)) = (kind, value.strip_prefix('"')) {
+            out.push((ident, name.trim_end_matches('"').to_string(), *kind, line));
         }
-        i += 1;
     }
     out
 }
 
-/// Check the telemetry source file against the §5f table, both
-/// directions: every vocabulary constant must have a table row with the
-/// right kind (findings anchored at the const), and every table row
-/// must name a live constant (unmatched indices reported by the
-/// caller, like the other tables).
-pub fn check_telemetry_file(rows: &[TelemetryRow], toks: &[Tok]) -> (Vec<RawFinding>, Vec<usize>) {
+/// The telemetry source file against the §5f table: every vocabulary
+/// constant must have a row with the right kind (findings anchored at
+/// the const), and a row is matched when it names a live constant.
+fn check_telemetry(rows: &[Row], toks: &[Tok]) -> (Vec<RawFinding>, Vec<usize>) {
     let registry = telemetry_registry(toks);
-    let mut findings = Vec::new();
-    let mut matched = Vec::new();
     if registry.is_empty() {
-        findings.push(RawFinding {
-            trace: Vec::new(),
-            rule: RuleId::FormatDrift,
-            line: 1,
-            message: "no `SPAN_`/`CTR_`/`HIST_` string constants found in the telemetry source; \
-                      the vocabulary table in DESIGN.md §5f has nothing to check against"
-                .into(),
-        });
-        return (findings, matched);
+        let message = "no `SPAN_`/`CTR_`/`HIST_` string constants found in the telemetry source; \
+                       the vocabulary table in DESIGN.md §5f has nothing to check against";
+        return (vec![finding(1, message.into())], Vec::new());
     }
+    let mut findings = Vec::new();
     for (ident, name, kind, line) in &registry {
-        match rows.iter().find(|r| &r.name == name) {
-            None => findings.push(RawFinding {
-                trace: Vec::new(),
-                rule: RuleId::FormatDrift,
-                line: *line,
-                message: format!(
+        match rows.iter().find(|r| &r.cells[0] == name) {
+            None => findings.push(finding(
+                *line,
+                format!(
                     "`{ident}` records `{name}` but the DESIGN.md §5f telemetry vocabulary table \
                      has no such row; every recorded name must be documented there"
                 ),
-            }),
-            Some(row) if &row.kind != kind => findings.push(RawFinding {
-                trace: Vec::new(),
-                rule: RuleId::FormatDrift,
-                line: *line,
-                message: format!(
+            )),
+            Some(row) if row.cells[1] != *kind => findings.push(finding(
+                *line,
+                format!(
                     "`{ident}` records `{name}` as a {kind} but DESIGN.md (line {}) documents it \
                      as a {}; fix the table or rename the constant",
-                    row.doc_line, row.kind
+                    row.doc_line, row.cells[1]
                 ),
-            }),
+            )),
             Some(_) => {}
         }
     }
-    for (idx, row) in rows.iter().enumerate() {
-        if registry.iter().any(|(_, name, _, _)| name == &row.name) {
-            matched.push(idx);
-        }
-    }
-    (findings, matched)
+    let live = |row: &Row| registry.iter().any(|(_, name, _, _)| name == &row.cells[0]);
+    (findings, (0..rows.len()).filter(|&i| live(&rows[i])).collect())
 }
 
 /// Row of the lock-hierarchy table (DESIGN.md §5i). `class` names the
@@ -385,316 +440,45 @@ pub struct LockRow {
     pub doc_line: u32,
 }
 
-/// Parse the lock-hierarchy table out of DESIGN.md (between
-/// `<!-- plfs-lint:lock-table -->` markers). As with the other
-/// authoritative tables, missing or unbalanced markers are a
-/// configuration error, not a silent pass.
-pub fn parse_lock_table(doc: &str) -> Result<Vec<LockRow>, String> {
-    let mut rows = Vec::new();
-    let mut inside = false;
-    let mut seen_open = false;
-    for (n, line) in doc.lines().enumerate() {
-        let lineno = n as u32 + 1;
-        let trimmed = line.trim();
-        if trimmed.contains("<!-- plfs-lint:lock-table -->") {
-            inside = true;
-            seen_open = true;
-            continue;
-        }
-        if trimmed.contains("<!-- /plfs-lint:lock-table -->") {
-            inside = false;
-            continue;
-        }
-        if !inside || !trimmed.starts_with('|') {
-            continue;
-        }
-        let cells: Vec<&str> = trimmed.trim_matches('|').split('|').collect();
-        if cells.len() < 4 {
-            continue;
-        }
-        let (class, rank, file, recvs) = (
-            unbacktick(cells[0]),
-            unbacktick(cells[1]),
-            unbacktick(cells[2]),
-            cells[3].trim(),
-        );
-        if class.is_empty() || class == "class" || class.chars().all(|c| c == '-' || c == ' ') {
-            continue;
-        }
-        let Ok(rank) = rank.parse::<u32>() else {
-            return Err(format!(
-                "DESIGN.md lock table line {lineno}: rank `{rank}` for class `{class}` is not a number"
-            ));
-        };
-        let receivers: Vec<String> = recvs
-            .split(',')
-            .map(|r| unbacktick(r).to_string())
-            .filter(|r| !r.is_empty())
-            .collect();
-        if receivers.is_empty() {
-            return Err(format!(
-                "DESIGN.md lock table line {lineno}: class `{class}` lists no receiver identifiers"
-            ));
-        }
-        rows.push(LockRow {
-            class: class.to_string(),
-            rank,
-            file: file.to_string(),
-            receivers,
-            doc_line: lineno,
-        });
-    }
-    if !seen_open {
-        return Err("DESIGN.md has no `<!-- plfs-lint:lock-table -->` marker; the lock-order rule has no hierarchy to check against".into());
-    }
-    if inside {
-        return Err("DESIGN.md lock table is missing its closing `<!-- /plfs-lint:lock-table -->` marker".into());
-    }
-    if rows.is_empty() {
-        return Err("DESIGN.md lock table is empty".into());
-    }
-    Ok(rows)
-}
-
-/// Extract `const NAME ... = <expr> ;` initializer tokens from a file.
-fn const_value(toks: &[Tok], name: &str) -> Option<(u32, String)> {
-    let mut i = 0;
-    while i + 1 < toks.len() {
-        if toks[i].is(TokKind::Ident, "const") && toks[i + 1].is(TokKind::Ident, name) {
-            // Find `=` then collect to the terminating `;`.
-            let mut j = i + 2;
-            while j < toks.len() && !toks[j].is(TokKind::Punct, "=") {
-                j += 1;
+/// Read the lock table's rows as the hierarchy the semantic pass checks
+/// acquisition sites against.
+pub fn lock_rows(rows: &[Row]) -> Result<Vec<LockRow>, String> {
+    rows.iter()
+        .map(|row| {
+            let (class, rank, lineno) = (&row.cells[0], &row.cells[1], row.doc_line);
+            let Ok(rank) = rank.parse::<u32>() else {
+                return Err(format!(
+                    "DESIGN.md lock table line {lineno}: rank `{rank}` for class `{class}` is not a number"
+                ));
+            };
+            let receivers: Vec<String> = row.cells[3]
+                .split(',')
+                .map(|r| unbacktick(r).to_string())
+                .filter(|r| !r.is_empty())
+                .collect();
+            if receivers.is_empty() {
+                return Err(format!(
+                    "DESIGN.md lock table line {lineno}: class `{class}` lists no receiver identifiers"
+                ));
             }
-            let start = j + 1;
-            let mut k = start;
-            while k < toks.len() && !toks[k].is(TokKind::Punct, ";") {
-                k += 1;
-            }
-            let value = toks[start..k]
-                .iter()
-                .map(|t| t.text.as_str())
-                .collect::<Vec<_>>()
-                .join(" ");
-            return Some((toks[i].line, value));
-        }
-        i += 1;
-    }
-    None
-}
-
-/// Check one scanned file against the table. Returns findings plus the
-/// indices of rows this file satisfied (the caller reports rows never
-/// claimed by any file).
-pub fn check_file(rows: &[FormatRow], rel_path: &str, toks: &[Tok]) -> (Vec<RawFinding>, Vec<usize>) {
-    let mut findings = Vec::new();
-    let mut matched = Vec::new();
-    for (idx, row) in rows.iter().enumerate() {
-        if row.file != rel_path {
-            continue;
-        }
-        match const_value(toks, &row.name) {
-            Some((_, actual)) if actual == row.value => matched.push(idx),
-            Some((line, actual)) => {
-                matched.push(idx);
-                findings.push(RawFinding {
-                    trace: Vec::new(),
-                    rule: RuleId::FormatDrift,
-                    line,
-                    message: format!(
-                        "on-disk format constant `{}` is `{}` but DESIGN.md (line {}) says `{}`; \
-                         update the authoritative table or revert the constant",
-                        row.name, actual, row.doc_line, row.value
-                    ),
-                });
-            }
-            None => {
-                matched.push(idx);
-                findings.push(RawFinding {
-                    trace: Vec::new(),
-                    rule: RuleId::FormatDrift,
-                    line: 1,
-                    message: format!(
-                        "DESIGN.md (line {}) expects constant `{}` in this file, but no \
-                         `const {}` declaration was found",
-                        row.doc_line, row.name, row.name
-                    ),
-                });
-            }
-        }
-    }
-    (findings, matched)
-}
-
-/// Parse the §5j spanidx constants table out of DESIGN.md (between
-/// `<!-- plfs-lint:spanidx-table -->` markers). Same three-column
-/// shape and semantics as the §5d format table, so rows reuse
-/// [`FormatRow`] and the forward check reuses [`check_file`].
-pub fn parse_spanidx_table(doc: &str) -> Result<Vec<FormatRow>, String> {
-    let mut rows = Vec::new();
-    let mut inside = false;
-    let mut seen_open = false;
-    for (n, line) in doc.lines().enumerate() {
-        let lineno = n as u32 + 1;
-        let trimmed = line.trim();
-        if trimmed.contains("<!-- plfs-lint:spanidx-table -->") {
-            inside = true;
-            seen_open = true;
-            continue;
-        }
-        if trimmed.contains("<!-- /plfs-lint:spanidx-table -->") {
-            inside = false;
-            continue;
-        }
-        if !inside || !trimmed.starts_with('|') {
-            continue;
-        }
-        let cells: Vec<&str> = trimmed.trim_matches('|').split('|').collect();
-        if cells.len() != 3 {
-            continue;
-        }
-        let (name, value, file) = (unbacktick(cells[0]), unbacktick(cells[1]), unbacktick(cells[2]));
-        if name.is_empty() || name == "constant" || name.chars().all(|c| c == '-' || c == ' ') {
-            continue;
-        }
-        rows.push(FormatRow {
-            name: name.to_string(),
-            value: normalize_expr(value),
-            file: file.to_string(),
-            doc_line: lineno,
-        });
-    }
-    if !seen_open {
-        return Err("DESIGN.md has no `<!-- plfs-lint:spanidx-table -->` marker; the spanidx format cannot be drift-checked".into());
-    }
-    if inside {
-        return Err("DESIGN.md spanidx table is missing its closing `<!-- /plfs-lint:spanidx-table -->` marker".into());
-    }
-    if rows.is_empty() {
-        return Err("DESIGN.md spanidx table is empty".into());
-    }
-    Ok(rows)
-}
-
-/// Check one spanidx-format file against the §5j table, both ways:
-/// every row claiming this file must match a constant ([`check_file`]),
-/// and every `SPANIDX_`/`SPANCACHE_` constant in the file must have a
-/// row — a new format knob off the table is drift too.
-pub fn check_spanidx_file(
-    rows: &[FormatRow],
-    rel_path: &str,
-    toks: &[Tok],
-) -> (Vec<RawFinding>, Vec<usize>) {
-    let (mut findings, matched) = check_file(rows, rel_path, toks);
-    let mut i = 0;
-    while i + 1 < toks.len() {
-        if toks[i].is(TokKind::Ident, "const") && toks[i + 1].kind == TokKind::Ident {
-            let name = toks[i + 1].text.as_str();
-            if (name.starts_with("SPANIDX_") || name.starts_with("SPANCACHE_"))
-                && !rows.iter().any(|r| r.name == name && r.file == rel_path)
-            {
-                findings.push(RawFinding {
-                    trace: Vec::new(),
-                    rule: RuleId::FormatDrift,
-                    line: toks[i].line,
-                    message: format!(
-                        "spanidx constant `{name}` has no row in the DESIGN.md §5j table; \
-                         add one (the table is the authoritative on-disk format contract)"
-                    ),
-                });
-            }
-        }
-        i += 1;
-    }
-    (findings, matched)
-}
-
-/// Parse the §5k service-layer constants table out of DESIGN.md
-/// (between `<!-- plfs-lint:svc-table -->` markers). Same
-/// three-column shape and semantics as the §5d format table, so rows
-/// reuse [`FormatRow`] and the forward check reuses [`check_file`].
-pub fn parse_svc_table(doc: &str) -> Result<Vec<FormatRow>, String> {
-    let mut rows = Vec::new();
-    let mut inside = false;
-    let mut seen_open = false;
-    for (n, line) in doc.lines().enumerate() {
-        let lineno = n as u32 + 1;
-        let trimmed = line.trim();
-        if trimmed.contains("<!-- plfs-lint:svc-table -->") {
-            inside = true;
-            seen_open = true;
-            continue;
-        }
-        if trimmed.contains("<!-- /plfs-lint:svc-table -->") {
-            inside = false;
-            continue;
-        }
-        if !inside || !trimmed.starts_with('|') {
-            continue;
-        }
-        let cells: Vec<&str> = trimmed.trim_matches('|').split('|').collect();
-        if cells.len() != 3 {
-            continue;
-        }
-        let (name, value, file) = (unbacktick(cells[0]), unbacktick(cells[1]), unbacktick(cells[2]));
-        if name.is_empty() || name == "constant" || name.chars().all(|c| c == '-' || c == ' ') {
-            continue;
-        }
-        rows.push(FormatRow {
-            name: name.to_string(),
-            value: normalize_expr(value),
-            file: file.to_string(),
-            doc_line: lineno,
-        });
-    }
-    if !seen_open {
-        return Err("DESIGN.md has no `<!-- plfs-lint:svc-table -->` marker; the service-layer constants cannot be drift-checked".into());
-    }
-    if inside {
-        return Err("DESIGN.md svc table is missing its closing `<!-- /plfs-lint:svc-table -->` marker".into());
-    }
-    if rows.is_empty() {
-        return Err("DESIGN.md svc table is empty".into());
-    }
-    Ok(rows)
-}
-
-/// Check one file against the §5k service-constants table, both ways:
-/// every row claiming this file must match a constant ([`check_file`]),
-/// and every `SVC_` constant in the file must have a row — a new
-/// service policy knob off the table is drift too.
-pub fn check_svc_file(
-    rows: &[FormatRow],
-    rel_path: &str,
-    toks: &[Tok],
-) -> (Vec<RawFinding>, Vec<usize>) {
-    let (mut findings, matched) = check_file(rows, rel_path, toks);
-    let mut i = 0;
-    while i + 1 < toks.len() {
-        if toks[i].is(TokKind::Ident, "const") && toks[i + 1].kind == TokKind::Ident {
-            let name = toks[i + 1].text.as_str();
-            if name.starts_with("SVC_")
-                && !rows.iter().any(|r| r.name == name && r.file == rel_path)
-            {
-                findings.push(RawFinding {
-                    trace: Vec::new(),
-                    rule: RuleId::FormatDrift,
-                    line: toks[i].line,
-                    message: format!(
-                        "service-layer constant `{name}` has no row in the DESIGN.md §5k table; \
-                         add one (the table is the authoritative service policy contract)"
-                    ),
-                });
-            }
-        }
-        i += 1;
-    }
-    (findings, matched)
+            Ok(LockRow {
+                class: class.clone(),
+                rank,
+                file: row.cells[2].clone(),
+                receivers,
+                doc_line: lineno,
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn spec(name: &str) -> &'static TableSpec {
+        table(name).unwrap()
+    }
 
     const DOC: &str = "\
 intro text
@@ -709,36 +493,36 @@ intro text
 
     #[test]
     fn table_parses_and_matches() {
-        let rows = parse_format_table(DOC).unwrap();
+        let rows = parse_table(DOC, spec("format")).unwrap();
         assert_eq!(rows.len(), 2);
         let toks = lex("const MAGIC: &[u8; 4] = b\"NCL1\"; // four-byte magic").toks;
-        let (f, m) = check_file(&rows, "a/header.rs", &toks);
+        let (f, m) = check_file(spec("format"), &rows, "a/header.rs", &toks);
         assert!(f.is_empty(), "{f:?}");
         assert_eq!(m, vec![0]);
     }
 
     #[test]
     fn drifted_value_is_flagged() {
-        let rows = parse_format_table(DOC).unwrap();
+        let rows = parse_table(DOC, spec("format")).unwrap();
         let toks = lex("pub const HEADER_REGION: u64 = 4096;").toks;
-        let (f, _) = check_file(&rows, "a/lib.rs", &toks);
+        let (f, _) = check_file(spec("format"), &rows, "a/lib.rs", &toks);
         assert_eq!(f.len(), 1);
         assert!(f[0].message.contains("4096"));
     }
 
     #[test]
     fn missing_const_is_flagged() {
-        let rows = parse_format_table(DOC).unwrap();
+        let rows = parse_table(DOC, spec("format")).unwrap();
         let toks = lex("fn unrelated() {}").toks;
-        let (f, _) = check_file(&rows, "a/lib.rs", &toks);
+        let (f, _) = check_file(spec("format"), &rows, "a/lib.rs", &toks);
         assert_eq!(f.len(), 1);
         assert!(f[0].message.contains("no `const HEADER_REGION`"));
     }
 
     #[test]
     fn missing_markers_error() {
-        assert!(parse_format_table("no table here").is_err());
-        assert!(parse_format_table("<!-- plfs-lint:format-table -->\n| `A` | `1` | `f.rs` |\n").is_err());
+        assert!(parse_table("no table here", spec("format")).is_err());
+        assert!(parse_table("<!-- plfs-lint:format-table -->\n| `A` | `1` | `f.rs` |\n", spec("format")).is_err());
     }
 
     const SX_DOC: &str = "\
@@ -752,22 +536,22 @@ intro text
 
     #[test]
     fn spanidx_table_matches_both_ways() {
-        let rows = parse_spanidx_table(SX_DOC).unwrap();
+        let rows = parse_table(SX_DOC, spec("spanidx")).unwrap();
         assert_eq!(rows.len(), 2);
         let toks = lex("pub const SPANIDX_MAGIC: [u8; 8] = *b\"PLFSIDX1\";").toks;
-        let (f, m) = check_spanidx_file(&rows, "a/ondisk.rs", &toks);
+        let (f, m) = check_file(spec("spanidx"), &rows, "a/ondisk.rs", &toks);
         assert!(f.is_empty(), "{f:?}");
         assert_eq!(m, vec![0]);
     }
 
     #[test]
     fn spanidx_constant_without_a_row_is_flagged() {
-        let rows = parse_spanidx_table(SX_DOC).unwrap();
+        let rows = parse_table(SX_DOC, spec("spanidx")).unwrap();
         let toks = lex(
             "pub const SPANCACHE_SHARDS: u64 = 8;\npub const SPANCACHE_NEW_KNOB: u64 = 3;",
         )
         .toks;
-        let (f, m) = check_spanidx_file(&rows, "a/spancache.rs", &toks);
+        let (f, m) = check_file(spec("spanidx"), &rows, "a/spancache.rs", &toks);
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("SPANCACHE_NEW_KNOB"));
         assert_eq!(f[0].line, 2);
@@ -776,18 +560,18 @@ intro text
 
     #[test]
     fn spanidx_drifted_value_is_flagged() {
-        let rows = parse_spanidx_table(SX_DOC).unwrap();
+        let rows = parse_table(SX_DOC, spec("spanidx")).unwrap();
         let toks = lex("pub const SPANCACHE_SHARDS: u64 = 16;").toks;
-        let (f, _) = check_spanidx_file(&rows, "a/spancache.rs", &toks);
+        let (f, _) = check_file(spec("spanidx"), &rows, "a/spancache.rs", &toks);
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("16"));
     }
 
     #[test]
     fn spanidx_missing_markers_error() {
-        assert!(parse_spanidx_table("no table").is_err());
+        assert!(parse_table("no table", spec("spanidx")).is_err());
         assert!(
-            parse_spanidx_table("<!-- plfs-lint:spanidx-table -->\n| `A` | `1` | `f.rs` |\n")
+            parse_table("<!-- plfs-lint:spanidx-table -->\n| `A` | `1` | `f.rs` |\n", spec("spanidx"))
                 .is_err()
         );
     }
@@ -803,27 +587,27 @@ intro text
 
     #[test]
     fn svc_table_matches_both_ways() {
-        let rows = parse_svc_table(SVCTBL_DOC).unwrap();
+        let rows = parse_table(SVCTBL_DOC, spec("svc")).unwrap();
         assert_eq!(rows.len(), 2);
         let toks = lex(
             "pub const SVC_HANDLE_SHARDS: usize = 64;\npub const SVC_TOKEN_RATE: u64 = 65536;",
         )
         .toks;
-        let (f, m) = check_svc_file(&rows, "a/service.rs", &toks);
+        let (f, m) = check_file(spec("svc"), &rows, "a/service.rs", &toks);
         assert!(f.is_empty(), "{f:?}");
         assert_eq!(m, vec![0, 1]);
     }
 
     #[test]
     fn svc_constant_without_a_row_is_flagged() {
-        let rows = parse_svc_table(SVCTBL_DOC).unwrap();
+        let rows = parse_table(SVCTBL_DOC, spec("svc")).unwrap();
         let toks = lex(
             "pub const SVC_HANDLE_SHARDS: usize = 64;\n\
              pub const SVC_TOKEN_RATE: u64 = 65536;\n\
              pub const SVC_NEW_KNOB: u64 = 3;",
         )
         .toks;
-        let (f, m) = check_svc_file(&rows, "a/service.rs", &toks);
+        let (f, m) = check_file(spec("svc"), &rows, "a/service.rs", &toks);
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("SVC_NEW_KNOB"));
         assert!(f[0].message.contains("\u{a7}5k"));
@@ -833,21 +617,21 @@ intro text
 
     #[test]
     fn svc_drifted_value_is_flagged() {
-        let rows = parse_svc_table(SVCTBL_DOC).unwrap();
+        let rows = parse_table(SVCTBL_DOC, spec("svc")).unwrap();
         let toks = lex(
             "pub const SVC_HANDLE_SHARDS: usize = 32;\npub const SVC_TOKEN_RATE: u64 = 65536;",
         )
         .toks;
-        let (f, _) = check_svc_file(&rows, "a/service.rs", &toks);
+        let (f, _) = check_file(spec("svc"), &rows, "a/service.rs", &toks);
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("32"));
     }
 
     #[test]
     fn svc_missing_markers_error() {
-        assert!(parse_svc_table("no table").is_err());
+        assert!(parse_table("no table", spec("svc")).is_err());
         assert!(
-            parse_svc_table("<!-- plfs-lint:svc-table -->\n| `A` | `1` | `f.rs` |\n").is_err()
+            parse_table("<!-- plfs-lint:svc-table -->\n| `A` | `1` | `f.rs` |\n", spec("svc")).is_err()
         );
     }
 }

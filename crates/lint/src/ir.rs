@@ -25,9 +25,9 @@ use crate::rules::{in_ranges, matching_close, test_ranges};
 /// One function, parsed.
 #[derive(Debug)]
 pub struct FnIr {
-    /// Bare name (`pwrite`).
+    /// Bare name (`append`).
     pub name: String,
-    /// Enclosing `impl` type, when inside one (`PosixShim`).
+    /// Enclosing `impl` type, when inside one (`Service`).
     pub impl_ty: Option<String>,
     /// Repo-relative path of the defining file.
     pub file: String,

@@ -22,7 +22,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use callgraph::CallGraph;
-use drift::{FormatRow, LockRow};
+use drift::LockRow;
 use ir::FnIr;
 use lexer::lex;
 use report::{AllowedFinding, Finding, LintReport, LintWarning};
@@ -328,19 +328,12 @@ pub fn run(cfg: &LintConfig) -> Result<LintReport, String> {
         .unwrap_or_else(|| cfg.root.join("DESIGN.md"));
     let doc = fs::read_to_string(&design_path)
         .map_err(|e| format!("cannot read {}: {e}", design_path.display()))?;
-    let rows: Vec<FormatRow> = drift::parse_format_table(&doc)?;
-    let mut row_matched = vec![false; rows.len()];
-    let io_rows = drift::parse_ioplane_table(&doc)?;
-    let mut io_row_matched = vec![false; io_rows.len()];
-    let mut ioplane_seen = false;
-    let tel_rows = drift::parse_telemetry_table(&doc)?;
-    let mut tel_row_matched = vec![false; tel_rows.len()];
-    let mut telemetry_seen = false;
-    let sx_rows = drift::parse_spanidx_table(&doc)?;
-    let mut sx_row_matched = vec![false; sx_rows.len()];
-    let svc_rows = drift::parse_svc_table(&doc)?;
-    let mut svc_row_matched = vec![false; svc_rows.len()];
-    let lock_rows = drift::parse_lock_table(&doc)?;
+    // Every authoritative table, with a matched flag per row.
+    let mut tables = Vec::new();
+    for spec in &drift::TABLES {
+        let rows = drift::parse_table(&doc, spec)?;
+        tables.push((spec, vec![false; rows.len()], rows));
+    }
 
     let mut prod_paths = Vec::new();
     for top in ["crates", "src"] {
@@ -378,46 +371,25 @@ pub fn run(cfg: &LintConfig) -> Result<LintReport, String> {
         }
     }
 
-    let (mut semantic, lock_row_used) = semantic_findings(&sources, &lock_rows);
+    // The lock table's rows are matched by the workspace-wide semantic
+    // pass; every other table's by the per-file checks below.
+    let mut semantic = HashMap::new();
+    for (spec, matched, rows) in &mut tables {
+        if spec.against == drift::Against::LockSites {
+            (semantic, *matched) = semantic_findings(&sources, &drift::lock_rows(rows)?);
+        }
+    }
 
     let mut report = LintReport::default();
     for (rel, src, testish) in &sources {
         let mut extras = semantic.remove(rel).unwrap_or_default();
         if !testish {
-            let lexed_for_drift = lex(src);
-            let (drift_findings, matched) = drift::check_file(&rows, rel, &lexed_for_drift.toks);
-            extras.extend(drift_findings);
-            for idx in matched {
-                row_matched[idx] = true;
-            }
-            let (sx_findings, sx_matched) =
-                drift::check_spanidx_file(&sx_rows, rel, &lexed_for_drift.toks);
-            extras.extend(sx_findings);
-            for idx in sx_matched {
-                sx_row_matched[idx] = true;
-            }
-            let (svc_findings, svc_matched) =
-                drift::check_svc_file(&svc_rows, rel, &lexed_for_drift.toks);
-            extras.extend(svc_findings);
-            for idx in svc_matched {
-                svc_row_matched[idx] = true;
-            }
-            if rel == "crates/core/src/ioplane.rs" {
-                ioplane_seen = true;
-                let (io_findings, io_matched) =
-                    drift::check_ioplane_file(&io_rows, &lexed_for_drift.toks);
-                extras.extend(io_findings);
-                for idx in io_matched {
-                    io_row_matched[idx] = true;
-                }
-            }
-            if rel == "crates/core/src/telemetry.rs" {
-                telemetry_seen = true;
-                let (tel_findings, tel_matched) =
-                    drift::check_telemetry_file(&tel_rows, &lexed_for_drift.toks);
-                extras.extend(tel_findings);
-                for idx in tel_matched {
-                    tel_row_matched[idx] = true;
+            let toks = lex(src).toks;
+            for (spec, matched, rows) in &mut tables {
+                let (findings, hit) = drift::check_file(spec, rows, rel, &toks);
+                extras.extend(findings);
+                for idx in hit {
+                    matched[idx] = true;
                 }
             }
         }
@@ -428,160 +400,17 @@ pub fn run(cfg: &LintConfig) -> Result<LintReport, String> {
         report.files_scanned += 1;
     }
 
-    for (row, used) in lock_rows.iter().zip(&lock_row_used) {
-        if !used {
+    // The other drift direction: rows nothing in the workspace matched.
+    let scanned = |file: &str| sources.iter().any(|(rel, _, testish)| rel == file && !testish);
+    for (spec, matched, rows) in &tables {
+        for (line, message) in spec.stale_rows(rows, matched, scanned) {
             report.findings.push(Finding {
                 rule: RuleId::FormatDrift,
                 file: "DESIGN.md".into(),
-                line: row.doc_line,
-                message: format!(
-                    "lock-hierarchy row `{}` matched no acquisition site in the workspace; \
-                     remove the row or restore the lock",
-                    row.class
-                ),
-                snippet: doc
-                    .lines()
-                    .nth(row.doc_line as usize - 1)
-                    .unwrap_or("")
-                    .trim()
-                    .to_string(),
+                line,
+                message,
+                snippet: doc.lines().nth(line as usize - 1).unwrap_or("").trim().to_string(),
                 trace: Vec::new(),
-            });
-        }
-    }
-
-    if ioplane_seen {
-        for (row, matched) in io_rows.iter().zip(&io_row_matched) {
-            if !matched {
-                report.findings.push(Finding {
-                    rule: RuleId::FormatDrift,
-                    file: "DESIGN.md".into(),
-                    line: row.doc_line,
-                    message: format!(
-                        "op vocabulary row `{}` names no live `IoOp` variant; remove the row or \
-                         restore the op",
-                        row.name
-                    ),
-                    snippet: doc
-                        .lines()
-                        .nth(row.doc_line as usize - 1)
-                        .unwrap_or("")
-                        .trim()
-                        .to_string(),
-                        trace: Vec::new(),
-                });
-            }
-        }
-    } else {
-        report.findings.push(Finding {
-            rule: RuleId::FormatDrift,
-            file: "DESIGN.md".into(),
-            line: io_rows.first().map_or(1, |r| r.doc_line),
-            message: "DESIGN.md documents an I/O-plane op vocabulary but crates/core/src/ioplane.rs \
-                      was not scanned (file moved or deleted without updating the table)"
-                .into(),
-            snippet: String::new(),
-            trace: Vec::new(),
-        });
-    }
-
-    if telemetry_seen {
-        for (row, matched) in tel_rows.iter().zip(&tel_row_matched) {
-            if !matched {
-                report.findings.push(Finding {
-                    rule: RuleId::FormatDrift,
-                    file: "DESIGN.md".into(),
-                    line: row.doc_line,
-                    message: format!(
-                        "telemetry vocabulary row `{}` names no recorded span/counter/histogram; \
-                         remove the row or restore the constant",
-                        row.name
-                    ),
-                    snippet: doc
-                        .lines()
-                        .nth(row.doc_line as usize - 1)
-                        .unwrap_or("")
-                        .trim()
-                        .to_string(),
-                        trace: Vec::new(),
-                });
-            }
-        }
-    } else {
-        report.findings.push(Finding {
-            rule: RuleId::FormatDrift,
-            file: "DESIGN.md".into(),
-            line: tel_rows.first().map_or(1, |r| r.doc_line),
-            message: "DESIGN.md documents a telemetry vocabulary but crates/core/src/telemetry.rs \
-                      was not scanned (file moved or deleted without updating the table)"
-                .into(),
-            snippet: String::new(),
-            trace: Vec::new(),
-        });
-    }
-
-    for (row, matched) in sx_rows.iter().zip(&sx_row_matched) {
-        if !matched {
-            report.findings.push(Finding {
-                rule: RuleId::FormatDrift,
-                file: "DESIGN.md".into(),
-                line: row.doc_line,
-                message: format!(
-                    "spanidx table row for `{}` points at `{}`, which was not scanned \
-                     (file moved or deleted without updating the table)",
-                    row.name, row.file
-                ),
-                snippet: doc
-                    .lines()
-                    .nth(row.doc_line as usize - 1)
-                    .unwrap_or("")
-                    .trim()
-                    .to_string(),
-                    trace: Vec::new(),
-            });
-        }
-    }
-
-    for (row, matched) in svc_rows.iter().zip(&svc_row_matched) {
-        if !matched {
-            report.findings.push(Finding {
-                rule: RuleId::FormatDrift,
-                file: "DESIGN.md".into(),
-                line: row.doc_line,
-                message: format!(
-                    "svc table row for `{}` points at `{}`, which was not scanned \
-                     (file moved or deleted without updating the table)",
-                    row.name, row.file
-                ),
-                snippet: doc
-                    .lines()
-                    .nth(row.doc_line as usize - 1)
-                    .unwrap_or("")
-                    .trim()
-                    .to_string(),
-                trace: Vec::new(),
-            });
-        }
-    }
-
-    for (row, matched) in rows.iter().zip(&row_matched) {
-        if !matched {
-            report.findings.push(Finding {
-                rule: RuleId::FormatDrift,
-                file: "DESIGN.md".into(),
-                line: row.doc_line,
-                message: format!(
-                    "format table row for `{}` points at `{}`, which was not scanned \
-                     (file moved or deleted without updating the table)",
-                    row.name, row.file
-                ),
-                snippet: doc
-                    .lines()
-                    .nth(row.doc_line as usize - 1)
-                    .unwrap_or("")
-                    .trim()
-                    .to_string(),
-                    trace: Vec::new(),
             });
         }
     }
@@ -646,7 +475,7 @@ fn also_clean() {}
         // Out of guard scope: no finding, pragma unused.
         let sim = lint_source("crates/mpio/src/sim.rs", "fn f(&self) { let g = self.m.lock(); self.backend.append(a, b); }\n");
         assert!(sim.findings.is_empty());
-        let core = lint_source("crates/core/src/posix.rs", src);
+        let core = lint_source("crates/core/src/service.rs", src);
         assert!(core.findings.iter().any(|f| f.rule == RuleId::GuardAcrossIo) || !core.allowed.is_empty());
     }
 }

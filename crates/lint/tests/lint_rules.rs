@@ -9,6 +9,10 @@ use plfs_lint::lexer::lex;
 use plfs_lint::rules::RuleId;
 use plfs_lint::{lint_source, lint_source_with};
 
+fn table(name: &str) -> &'static drift::TableSpec {
+    drift::table(name).unwrap()
+}
+
 fn rule_lines(rel: &str, src: &str, rule: RuleId) -> Vec<u32> {
     lint_source(rel, src)
         .findings
@@ -25,7 +29,7 @@ fn total_findings(rel: &str, src: &str) -> usize {
 #[test]
 fn guard_bad_flags_table_mutex_across_io() {
     let src = include_str!("fixtures/guard_bad.rs");
-    let lines = rule_lines("crates/core/src/posix.rs", src, RuleId::GuardAcrossIo);
+    let lines = rule_lines("crates/core/src/service.rs", src, RuleId::GuardAcrossIo);
     // Both the `w.writer.write(data, off)` and the `flush_index()` run
     // with the table guard live.
     assert_eq!(lines.len(), 2, "findings: {lines:?}");
@@ -34,7 +38,7 @@ fn guard_bad_flags_table_mutex_across_io() {
 #[test]
 fn guard_good_is_clean() {
     let src = include_str!("fixtures/guard_good.rs");
-    assert_eq!(total_findings("crates/core/src/posix.rs", src), 0);
+    assert_eq!(total_findings("crates/core/src/service.rs", src), 0);
 }
 
 #[test]
@@ -173,10 +177,10 @@ fn ioplane_table_round_trips_against_the_enum() {
 | `Gone` | yes |
 <!-- /plfs-lint:ioplane-table -->
 ";
-    let rows = drift::parse_ioplane_table(doc).unwrap();
+    let rows = drift::parse_table(doc, table("ioplane")).unwrap();
     assert_eq!(rows.len(), 2);
     let toks = lex("pub enum IoOp { Mkdir { path: String }, Extra { path: String } }").toks;
-    let (raw, matched) = drift::check_ioplane_file(&rows, &toks);
+    let (raw, matched) = drift::check_file(table("ioplane"), &rows, drift::IOPLANE_RS, &toks);
     // `Extra` has no row; row `Gone` names no variant (unmatched index 1).
     assert_eq!(raw.len(), 1, "findings: {raw:?}");
     assert!(raw[0].message.contains("Extra"), "message: {}", raw[0].message);
@@ -195,7 +199,7 @@ fn telemetry_table_round_trips_against_the_constants() {
 | `ioplane.batch` | counter | `HIST_IOPLANE_BATCH` | wrong kind on purpose |
 <!-- /plfs-lint:telemetry-table -->
 ";
-    let rows = drift::parse_telemetry_table(doc).unwrap();
+    let rows = drift::parse_table(doc, table("telemetry")).unwrap();
     assert_eq!(rows.len(), 4);
     let toks = lex("\
 pub const SPAN_WRITE_OPEN: &str = \"write.open\";
@@ -205,7 +209,7 @@ pub const SPAN_EXTRA: &str = \"extra.signal\";
 pub const HIST_BUCKET_COUNT: usize = 32;
 ")
     .toks;
-    let (raw, matched) = drift::check_telemetry_file(&rows, &toks);
+    let (raw, matched) = drift::check_file(table("telemetry"), &rows, drift::TELEMETRY_RS, &toks);
     // `SPAN_EXTRA` has no row; `HIST_IOPLANE_BATCH` is documented with
     // the wrong kind; row `gone.signal` names nothing (unmatched idx 2).
     // `HIST_BUCKET_COUNT` is a non-string const and is ignored.
@@ -218,18 +222,44 @@ pub const HIST_BUCKET_COUNT: usize = 32;
 
 #[test]
 fn telemetry_table_markers_are_mandatory() {
-    assert!(drift::parse_telemetry_table("no table").is_err());
-    assert!(drift::parse_telemetry_table(
-        "<!-- plfs-lint:telemetry-table -->\n| `a.b` | span | `C` | n |\n"
+    assert!(drift::parse_table("no table", table("telemetry")).is_err());
+    assert!(drift::parse_table(
+        "<!-- plfs-lint:telemetry-table -->\n| `a.b` | span | `C` | n |\n",
+        table("telemetry")
     )
     .is_err());
 }
 
+/// A format table whose second data row is `row`. A row that lost or
+/// gained a cell must not drop out of the check in silence: it is a
+/// configuration error naming the DESIGN.md line.
+fn format_table_with(row: &str) -> Result<Vec<drift::Row>, String> {
+    let doc = format!(
+        "<!-- plfs-lint:format-table -->\n| constant | value | file |\n| --- | --- | --- |\n\
+         | `A` | `1` | `a.rs` |\n{row}\n<!-- /plfs-lint:format-table -->\n"
+    );
+    drift::parse_table(&doc, table("format"))
+}
+
+#[test]
+fn table_row_with_too_few_cells_is_a_configuration_error() {
+    assert_eq!(format_table_with("| `B` | `2` | `a.rs` |").unwrap().len(), 2);
+    let err = format_table_with("| `B` | `a.rs` |").unwrap_err();
+    assert!(err.contains("line 5") && err.contains("2 cells"), "{err}");
+}
+
+#[test]
+fn table_row_with_too_many_cells_is_a_configuration_error() {
+    // A `|` inside the value splits it into an extra cell.
+    let err = format_table_with("| `B` | `1 | 2` | `a.rs` |").unwrap_err();
+    assert!(err.contains("line 5") && err.contains("4 cells"), "{err}");
+}
+
 #[test]
 fn drift_bad_flags_changed_constant() {
-    let rows = drift::parse_format_table(include_str!("fixtures/drift_design.md")).unwrap();
+    let rows = drift::parse_table(include_str!("fixtures/drift_design.md"), table("format")).unwrap();
     let src = include_str!("fixtures/drift_bad.rs");
-    let (raw, matched) = drift::check_file(&rows, "crates/formats/src/header.rs", &lex(src).toks);
+    let (raw, matched) = drift::check_file(table("format"), &rows, "crates/formats/src/header.rs", &lex(src).toks);
     assert_eq!(raw.len(), 1, "findings: {raw:?}");
     assert!(raw[0].message.contains("MAGIC"), "message: {}", raw[0].message);
     // The MAGIC row matched (by name) even though its value drifted.
@@ -238,20 +268,20 @@ fn drift_bad_flags_changed_constant() {
 
 #[test]
 fn drift_good_matches_table() {
-    let rows = drift::parse_format_table(include_str!("fixtures/drift_design.md")).unwrap();
+    let rows = drift::parse_table(include_str!("fixtures/drift_design.md"), table("format")).unwrap();
     let src = include_str!("fixtures/drift_good.rs");
-    let (raw, matched) = drift::check_file(&rows, "crates/formats/src/header.rs", &lex(src).toks);
+    let (raw, matched) = drift::check_file(table("format"), &rows, "crates/formats/src/header.rs", &lex(src).toks);
     assert!(raw.is_empty(), "findings: {raw:?}");
     assert_eq!(matched, vec![0]);
 }
 
 #[test]
 fn drift_rows_only_checked_in_their_own_file() {
-    let rows = drift::parse_format_table(include_str!("fixtures/drift_design.md")).unwrap();
+    let rows = drift::parse_table(include_str!("fixtures/drift_design.md"), table("format")).unwrap();
     let src = include_str!("fixtures/drift_bad.rs");
     // Wrong file: no table row names writer.rs, so it is silent even
     // though it declares a drifted MAGIC.
-    let (raw, matched) = drift::check_file(&rows, "crates/core/src/writer.rs", &lex(src).toks);
+    let (raw, matched) = drift::check_file(table("format"), &rows, "crates/core/src/writer.rs", &lex(src).toks);
     assert!(raw.is_empty(), "findings: {raw:?}");
     assert!(matched.is_empty());
 }

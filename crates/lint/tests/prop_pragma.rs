@@ -11,7 +11,7 @@ use proptest::prelude::*;
 
 const CLEAN_SOURCES: &[(&str, &str)] = &[
     (
-        "crates/core/src/posix.rs",
+        "crates/core/src/service.rs",
         include_str!("fixtures/guard_good.rs"),
     ),
     (

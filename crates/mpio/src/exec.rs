@@ -10,9 +10,9 @@
 //!
 //! The loop is built for 65,536-rank scale:
 //!
-//! * events go through [`simcore::Scheduler`] — the calendar-queue
-//!   arena; the seed [`simcore::EventQueue`] heap stays as a
-//!   differential oracle that only [`Exec::run_with_scheduler`] selects;
+//! * events go through the calendar-queue [`simcore::EventArena`]; the
+//!   seed [`simcore::EventQueue`] heap stays as the differential oracle
+//!   the determinism suite hands to [`Exec::run_on`];
 //! * a rank's decoded current op is cached across `Step::Yield`
 //!   micro-steps instead of re-derived from the program every event;
 //! * collective rendezvous state is one reusable arrival buffer — SPMD
@@ -25,7 +25,7 @@ use crate::metrics::{Metrics, OpKind};
 use crate::ops::Program;
 use crate::timeline::Timeline;
 use plfs::telemetry;
-use simcore::{Scheduler, SchedulerKind, SimTime};
+use simcore::{EventArena, EventQueue, SimTime};
 
 /// Executes one job (program × driver × context) to completion.
 pub struct Exec<'a, P: Program, D: Driver> {
@@ -43,6 +43,43 @@ pub struct RunResult {
     pub events: u64,
     /// Highest simultaneous pending-event count the scheduler saw.
     pub peak_live_events: usize,
+}
+
+/// What the loop needs from its event queue: rank wake-ups out in
+/// `(time, push order)` order. Production runs on the [`EventArena`];
+/// the [`EventQueue`] heap is the reference the determinism suite
+/// compares it against.
+pub trait RankQueue {
+    /// Wake `rank` at `at`.
+    fn push(&mut self, at: SimTime, rank: u32);
+    /// The earliest pending wake-up.
+    fn pop(&mut self) -> Option<(SimTime, u32)>;
+    /// Wake-ups not yet popped.
+    fn pending(&self) -> usize;
+}
+
+impl RankQueue for EventArena {
+    fn push(&mut self, at: SimTime, rank: u32) {
+        EventArena::push(self, at, 0, rank);
+    }
+    fn pop(&mut self) -> Option<(SimTime, u32)> {
+        EventArena::pop(self).map(|(at, _kind, rank)| (at, rank))
+    }
+    fn pending(&self) -> usize {
+        EventArena::len(self)
+    }
+}
+
+impl RankQueue for EventQueue<u32> {
+    fn push(&mut self, at: SimTime, rank: u32) {
+        EventQueue::push(self, at, rank);
+    }
+    fn pop(&mut self) -> Option<(SimTime, u32)> {
+        EventQueue::pop(self)
+    }
+    fn pending(&self) -> usize {
+        EventQueue::len(self)
+    }
 }
 
 /// The (single) collective currently gathering arrivals. SPMD programs
@@ -68,24 +105,34 @@ impl<'a, P: Program, D: Driver> Exec<'a, P, D> {
     /// Run all ranks to program completion; panics on deadlock (a
     /// collective some ranks never reach).
     pub fn run(self) -> RunResult {
-        self.run_impl(SchedulerKind::Arena, None)
+        self.run_on(EventArena::new())
     }
 
-    /// Like [`Exec::run`] with an explicit scheduler choice — the
-    /// determinism suite runs the same job under both and compares.
-    pub fn run_with_scheduler(self, kind: SchedulerKind) -> RunResult {
-        self.run_impl(kind, None)
+    /// [`Exec::run`] on a caller-supplied (empty) queue — the
+    /// determinism suite runs the same job on the heap and compares.
+    pub fn run_on(self, queue: impl RankQueue) -> RunResult {
+        self.run_impl(queue, None)
     }
 
     /// Like [`Exec::run`], additionally recording every completed op into
     /// `timeline` (opt-in: costs one span per op).
     pub fn run_with_timeline(self, timeline: &mut Timeline) -> RunResult {
-        self.run_impl(SchedulerKind::Arena, Some(timeline))
+        self.run_impl(EventArena::new(), Some(timeline))
     }
 
-    fn run_impl(self, sched: SchedulerKind, mut timeline: Option<&mut Timeline>) -> RunResult {
+    fn run_impl<Q: RankQueue>(
+        self,
+        mut queue: Q,
+        mut timeline: Option<&mut Timeline>,
+    ) -> RunResult {
         let n = self.ctx.layout.nprocs;
-        let mut queue = Scheduler::new(sched);
+        // Engine counters: events popped, and the most ever pending.
+        let mut events = 0u64;
+        let mut peak_live_events = 0usize;
+        let mut wake = |queue: &mut Q, at: SimTime, rank: usize| {
+            queue.push(at, rank as u32);
+            peak_live_events = peak_live_events.max(queue.pending());
+        };
         // Hot per-rank state in one compact record — program counter and
         // op start time — so dispatching an event touches one cache line
         // of rank state, not parallel vectors.
@@ -113,12 +160,13 @@ impl<'a, P: Program, D: Driver> Exec<'a, P, D> {
             if self.program.len(r) == 0 {
                 done_ranks += 1;
             } else {
-                queue.push(SimTime::ZERO, 0, r as u32);
+                wake(&mut queue, SimTime::ZERO, r);
             }
         }
 
-        while let Some((now, _kind, arg)) = queue.pop() {
-            let rank = arg as usize;
+        while let Some((now, rank)) = queue.pop() {
+            events += 1;
+            let rank = rank as usize;
             let rpc = rs[rank].pc as usize;
             debug_assert!(rpc < self.program.len(rank));
             let op = match cur_op[rank].take() {
@@ -129,7 +177,7 @@ impl<'a, P: Program, D: Driver> Exec<'a, P, D> {
             match self.driver.step(rank, rpc, &op, now, self.ctx) {
                 Step::Yield(at) => {
                     cur_op[rank] = Some(op);
-                    queue.push(at, 0, rank as u32);
+                    wake(&mut queue, at, rank);
                 }
                 Step::Done(fin) => {
                     metrics.record(OpKind::from(&op), begin, fin, op.bytes());
@@ -139,7 +187,7 @@ impl<'a, P: Program, D: Driver> Exec<'a, P, D> {
                     rs[rank].begin = None;
                     rs[rank].pc += 1;
                     if (rs[rank].pc as usize) < self.program.len(rank) {
-                        queue.push(fin, 0, rank as u32);
+                        wake(&mut queue, fin, rank);
                     } else {
                         makespan = makespan.max(fin);
                         done_ranks += 1;
@@ -171,7 +219,7 @@ impl<'a, P: Program, D: Driver> Exec<'a, P, D> {
                             rs[r].begin = None;
                             rs[r].pc += 1;
                             if (rs[r].pc as usize) < self.program.len(r) {
-                                queue.push(release.max(now), 0, r as u32);
+                                wake(&mut queue, release.max(now), r);
                             } else {
                                 makespan = makespan.max(release);
                                 done_ranks += 1;
@@ -188,13 +236,13 @@ impl<'a, P: Program, D: Driver> Exec<'a, P, D> {
             rdv.arrived
         );
         assert_eq!(done_ranks, n, "not all ranks finished their programs");
-        telemetry::count(telemetry::CTR_SIM_EVENTS, queue.popped());
-        telemetry::count(telemetry::CTR_SIM_PEAK_LIVE, queue.peak_live() as u64);
+        telemetry::count(telemetry::CTR_SIM_EVENTS, events);
+        telemetry::count(telemetry::CTR_SIM_PEAK_LIVE, peak_live_events as u64);
         RunResult {
             metrics,
             makespan,
-            events: queue.popped(),
-            peak_live_events: queue.peak_live(),
+            events,
+            peak_live_events,
         }
     }
 }

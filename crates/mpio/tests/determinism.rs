@@ -6,11 +6,12 @@
 //! up as a different makespan, event count, or metric.
 
 use mpio::ops::{FileTag, FnProgram, LogicalOp};
+use mpio::exec::RunResult;
 use mpio::{Ctx, DirectDriver, Exec, Layout, PlfsDriver, PlfsDriverConfig, ReadStrategy};
 use pfs::{PfsParams, SimPfs};
 use plfs::Federation;
 use proptest::prelude::*;
-use simcore::SchedulerKind;
+use simcore::EventQueue;
 use simnet::{Interconnect, InterconnectParams};
 
 /// One generated job shape: every rank opens, writes a (possibly
@@ -100,23 +101,37 @@ fn program_for(shape: &Shape) -> FnProgram<impl Fn(usize, usize) -> LogicalOp + 
     }
 }
 
-/// Run the shape's job on one scheduler; return a full fingerprint.
-fn fingerprint(shape: &Shape, kind: SchedulerKind, plfs: bool) -> String {
+/// What drives the event loop: the reference heap, or `Exec::run`'s
+/// arena.
+#[derive(Clone, Copy)]
+enum Queue {
+    Heap,
+    Arena,
+}
+
+/// Run the shape's job on one queue; return a full fingerprint.
+fn fingerprint(shape: &Shape, queue: Queue, plfs: bool) -> String {
     let mut ctx = Ctx::new(
         SimPfs::new(PfsParams::panfs_production(64), 7),
         Interconnect::new(InterconnectParams::infiniband()),
         Layout::new(shape.nprocs, shape.ppn),
     );
     let program = program_for(shape);
+    fn run<D: mpio::Driver>(exec: Exec<'_, impl mpio::ops::Program, D>, on: Queue) -> RunResult {
+        match on {
+            Queue::Heap => exec.run_on(EventQueue::new()),
+            Queue::Arena => exec.run(),
+        }
+    }
     let result = if plfs {
         let mut d = PlfsDriver::new(PlfsDriverConfig::new(
             Federation::single("/panfs", 4),
             ReadStrategy::ParallelIndexRead,
         ));
-        Exec::new(&program, &mut d, &mut ctx).run_with_scheduler(kind)
+        run(Exec::new(&program, &mut d, &mut ctx), queue)
     } else {
         let mut d = DirectDriver::new();
-        Exec::new(&program, &mut d, &mut ctx).run_with_scheduler(kind)
+        run(Exec::new(&program, &mut d, &mut ctx), queue)
     };
     use mpio::OpKind;
     // Metrics holds a HashMap, so fingerprint the kinds in a fixed order.
@@ -150,8 +165,8 @@ proptest! {
     #[test]
     fn plfs_runs_identical_under_both_schedulers(shape in shape_strategy()) {
         prop_assert_eq!(
-            fingerprint(&shape, SchedulerKind::Heap, true),
-            fingerprint(&shape, SchedulerKind::Arena, true)
+            fingerprint(&shape, Queue::Heap, true),
+            fingerprint(&shape, Queue::Arena, true)
         );
     }
 
@@ -160,8 +175,8 @@ proptest! {
     #[test]
     fn direct_runs_identical_under_both_schedulers(shape in shape_strategy()) {
         prop_assert_eq!(
-            fingerprint(&shape, SchedulerKind::Heap, false),
-            fingerprint(&shape, SchedulerKind::Arena, false)
+            fingerprint(&shape, Queue::Heap, false),
+            fingerprint(&shape, Queue::Arena, false)
         );
     }
 }

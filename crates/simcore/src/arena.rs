@@ -16,13 +16,12 @@
 //! The arena honours the exact stable-FIFO contract of [`EventQueue`]:
 //! pops come out in `(time, seq)` order where `seq` is assignment order,
 //! and scheduling into the past panics with the same message. The heap
-//! stays in-tree as the differential-testing oracle — [`Scheduler`] runs
-//! the simulation loop over either implementation so the determinism
-//! suite can assert byte-identical traces.
+//! stays in-tree as the differential-testing oracle: the determinism
+//! suites run the same pushes (and whole simulated jobs) over both and
+//! assert identical results.
 //!
 //! [`EventQueue`]: crate::events::EventQueue
 
-use crate::events::EventQueue;
 use crate::time::SimTime;
 
 /// One pending event: 24 bytes, `Copy`, no owned payload.
@@ -50,7 +49,8 @@ const INITIAL_SHIFT: u32 = 16;
 /// Widest permissible bucket (2^44 ns ≈ 4.9 h of virtual time).
 const MAX_SHIFT: u32 = 44;
 
-/// A calendar-queue event scheduler with the [`EventQueue`] contract.
+/// A calendar-queue event scheduler with the [`crate::events::EventQueue`]
+/// contract.
 #[derive(Debug)]
 pub struct EventArena {
     /// The wheel: each bucket is a binary min-heap of records ordered by
@@ -209,8 +209,8 @@ impl EventArena {
     ///
     /// # Panics
     /// Panics if `time` is earlier than the last popped event, with the
-    /// same message as [`EventQueue::push`]: scheduling into the past
-    /// indicates a causality bug in the caller.
+    /// same message as [`crate::events::EventQueue::push`]: scheduling
+    /// into the past indicates a causality bug in the caller.
     pub fn push(&mut self, time: SimTime, kind: u32, arg: u32) {
         assert!(
             time >= self.last_popped,
@@ -403,130 +403,10 @@ impl EventArena {
     }
 }
 
-/// Which event-scheduler implementation drives a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// The seed binary heap ([`EventQueue`]) — kept as the differential
-    /// oracle.
-    Heap,
-    /// The calendar-queue arena (default).
-    #[default]
-    Arena,
-}
-
-enum SchedulerImpl {
-    Heap(EventQueue<(u32, u32)>),
-    Arena(EventArena),
-}
-
-impl std::fmt::Debug for SchedulerImpl {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SchedulerImpl::Heap(_) => f.write_str("Heap"),
-            SchedulerImpl::Arena(_) => f.write_str("Arena"),
-        }
-    }
-}
-
-/// A uniform front over the two scheduler implementations, with the
-/// engine-throughput counters (`events popped`, `peak live events`) the
-/// telemetry plane, `tests/budgets.rs` and the benchmark report.
-#[derive(Debug)]
-pub struct Scheduler {
-    inner: SchedulerImpl,
-    popped: u64,
-    peak_live: usize,
-}
-
-impl Scheduler {
-    /// Create an empty scheduler of the given kind.
-    pub fn new(kind: SchedulerKind) -> Self {
-        let inner = match kind {
-            SchedulerKind::Heap => SchedulerImpl::Heap(EventQueue::new()),
-            SchedulerKind::Arena => SchedulerImpl::Arena(EventArena::new()),
-        };
-        Scheduler {
-            inner,
-            popped: 0,
-            peak_live: 0,
-        }
-    }
-
-    /// Which implementation this scheduler runs.
-    pub fn kind(&self) -> SchedulerKind {
-        match self.inner {
-            SchedulerImpl::Heap(_) => SchedulerKind::Heap,
-            SchedulerImpl::Arena(_) => SchedulerKind::Arena,
-        }
-    }
-
-    /// Schedule `(kind, arg)` at `time`.
-    ///
-    /// # Panics
-    /// Panics if `time` is earlier than the last popped event.
-    pub fn push(&mut self, time: SimTime, kind: u32, arg: u32) {
-        match &mut self.inner {
-            SchedulerImpl::Heap(q) => q.push(time, (kind, arg)),
-            SchedulerImpl::Arena(a) => a.push(time, kind, arg),
-        }
-        self.peak_live = self.peak_live.max(self.len());
-    }
-
-    /// Remove and return the earliest event as `(time, kind, arg)`.
-    pub fn pop(&mut self) -> Option<(SimTime, u32, u32)> {
-        let out = match &mut self.inner {
-            SchedulerImpl::Heap(q) => q.pop().map(|(t, (k, a))| (t, k, a)),
-            SchedulerImpl::Arena(a) => a.pop(),
-        };
-        if out.is_some() {
-            self.popped += 1;
-        }
-        out
-    }
-
-    /// Timestamp of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.inner {
-            SchedulerImpl::Heap(q) => q.peek_time(),
-            SchedulerImpl::Arena(a) => a.peek_time(),
-        }
-    }
-
-    /// Pending event count.
-    pub fn len(&self) -> usize {
-        match &self.inner {
-            SchedulerImpl::Heap(q) => q.len(),
-            SchedulerImpl::Arena(a) => a.len(),
-        }
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Virtual time of the most recently popped event.
-    pub fn now(&self) -> SimTime {
-        match &self.inner {
-            SchedulerImpl::Heap(q) => q.now(),
-            SchedulerImpl::Arena(a) => a.now(),
-        }
-    }
-
-    /// Total events popped over the scheduler's lifetime.
-    pub fn popped(&self) -> u64 {
-        self.popped
-    }
-
-    /// Highest simultaneous pending-event count ever observed.
-    pub fn peak_live(&self) -> usize {
-        self.peak_live
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::EventQueue;
     use crate::time::SimDuration;
 
     fn t(s: f64) -> SimTime {
@@ -656,28 +536,5 @@ mod tests {
                 break;
             }
         }
-    }
-
-    #[test]
-    fn scheduler_front_is_uniform_and_counts() {
-        for kind in [SchedulerKind::Heap, SchedulerKind::Arena] {
-            let mut s = Scheduler::new(kind);
-            assert_eq!(s.kind(), kind);
-            s.push(t(1.0), 7, 42);
-            s.push(t(1.0), 7, 43);
-            assert_eq!(s.peak_live(), 2);
-            assert_eq!(s.peek_time(), Some(t(1.0)));
-            assert_eq!(s.pop(), Some((t(1.0), 7, 42)));
-            assert_eq!(s.pop(), Some((t(1.0), 7, 43)));
-            assert_eq!(s.pop(), None);
-            assert_eq!(s.popped(), 2);
-            assert_eq!(s.now(), t(1.0));
-            assert!(s.is_empty());
-        }
-    }
-
-    #[test]
-    fn default_kind_is_arena() {
-        assert_eq!(SchedulerKind::default(), SchedulerKind::Arena);
     }
 }

@@ -6,7 +6,7 @@
 //!   ordered and deterministic (no floating-point drift in the event queue).
 //! * [`EventQueue`] — a min-heap of timestamped events with FIFO tie-breaking;
 //!   retained as the differential-testing oracle for the arena scheduler.
-//! * [`EventArena`] / [`Scheduler`] — the production event scheduler: a
+//! * [`EventArena`] — the production event scheduler: a
 //!   calendar queue over flat `(time, seq, kind, arg)` records with O(1)
 //!   amortized pops, behind the same stable-FIFO contract.
 //! * [`Fifo`] — a multi-server first-come-first-served resource with
@@ -30,7 +30,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use arena::{EventArena, EventRecord, Scheduler, SchedulerKind};
+pub use arena::{EventArena, EventRecord};
 pub use calendar::Calendar;
 pub use events::EventQueue;
 pub use resource::{Fifo, Grant};

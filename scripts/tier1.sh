@@ -1,11 +1,15 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build, full test suite, clippy with warnings
-# denied, and the seeded crash-recovery suite under a pinned fault
-# schedule. Everything runs offline against the vendored dependencies.
+# Tier-1 gate: release build (benchmark package included), full test
+# suite, clippy with warnings denied, and the seeded crash-recovery
+# suite under a pinned fault schedule. Everything runs offline against
+# the vendored dependencies.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline
+# The benchmark is a package outside the workspace: compile it here so
+# an API removal that breaks its imports fails this gate first.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --workspace --offline
 cargo clippy --workspace --offline -- -D warnings
 

@@ -1,5 +1,9 @@
-//! Shared by the integration tests that touch the real file system
-//! (`mod common;`).
+//! Shared by the integration tests (`mod common;`): a private temp
+//! directory for the ones that touch the real file system, the pinned
+//! fault seed for the ones that inject faults.
+
+// Each test binary compiles this module and uses its own subset.
+#![allow(dead_code)]
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,4 +36,14 @@ impl Drop for TempDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
     }
+}
+
+/// Base seed for fault schedules: `default` unless `PLFS_FAULT_SEED`
+/// pins one, as `scripts/tier1.sh` does so that every build replays one
+/// known schedule.
+pub fn fault_seed(default: u64) -> u64 {
+    std::env::var("PLFS_FAULT_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(default)
 }

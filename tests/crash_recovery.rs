@@ -13,6 +13,8 @@
 //! The tier-1 gate runs this suite under a pinned `PLFS_FAULT_SEED` so a
 //! recovery regression reproduces byte-identically in CI.
 
+mod common;
+
 use harness::FaultProfile;
 use plfs::faults::{FaultBackend, FaultConfig};
 use plfs::fsck;
@@ -28,10 +30,7 @@ const SLOT: u64 = 96;
 /// Base seed for the suite: fixed by default, pinnable via environment so
 /// `scripts/tier1.sh` runs one known schedule on every build.
 fn base_seed() -> u64 {
-    std::env::var("PLFS_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xC1_0C20_12)
+    common::fault_seed(0xC1_0C20_12)
 }
 
 /// One finished run: the revived backend, what was written, and which

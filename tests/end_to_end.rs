@@ -2,6 +2,9 @@
 //! real backends (MemFs and LocalFs), spanning container, index, writer,
 //! reader, federation, and VFS layers together.
 
+mod common;
+
+use common::TempDir;
 use plfs::writer::{flatten_close, IndexPolicy, WriteHandle};
 use plfs::reader::ReadHandle;
 use plfs::vfs::LogicalKind;
@@ -67,11 +70,9 @@ fn checkpoint_roundtrip_memfs_federated() {
 
 #[test]
 fn checkpoint_roundtrip_localfs() {
-    let dir = std::env::temp_dir().join(format!("plfs-e2e-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let backend = LocalFs::new(&dir).unwrap();
+    let dir = TempDir::new("plfs-e2e");
+    let backend = LocalFs::new(dir.path()).unwrap();
     checkpoint_roundtrip(backend, &Federation::single("/", 4));
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -267,33 +268,31 @@ fn restart_with_different_reader_count_is_byte_faithful() {
 }
 
 #[test]
-fn posix_shim_over_a_real_directory() {
-    use plfs::{OpenFlags, PosixShim};
-    let dir = std::env::temp_dir().join(format!("plfs-posix-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let fs = Plfs::new(LocalFs::new(&dir).unwrap(), PlfsConfig::basic("/")).unwrap();
-    let shim = PosixShim::new(fs, 5000);
+fn service_over_a_real_directory() {
+    use plfs::service::{Service, ServiceConfig};
+    let dir = TempDir::new("plfs-svc");
+    let svc = Service::new(LocalFs::new(dir.path()).unwrap(), ServiceConfig::basic("/")).unwrap();
+    let open = |h: plfs::Result<plfs::Admitted<plfs::SvcHandle>>| h.unwrap().granted().unwrap();
 
-    // Two "processes" write interleaved regions via pwrite.
-    let a = shim.open("/log", OpenFlags::WriteOnly).unwrap();
-    let b = shim.open("/log", OpenFlags::WriteOnly).unwrap();
+    // Two "processes" open the same file and write interleaved regions.
+    let a = open(svc.open_write("t", "/log"));
+    let b = open(svc.open_write("t", "/log"));
     for k in 0..8u64 {
-        shim.pwrite(a, &[0xA0 + k as u8; 64], k * 128).unwrap();
-        shim.pwrite(b, &[0xB0 + k as u8; 64], k * 128 + 64).unwrap();
+        let (pa, pb) = (vec![0xA0 + k as u8; 64], vec![0xB0 + k as u8; 64]);
+        svc.append(a, k * 128, &Content::bytes(pa)).unwrap();
+        svc.append(b, k * 128 + 64, &Content::bytes(pb)).unwrap();
     }
-    shim.close(a).unwrap();
-    shim.close(b).unwrap();
+    svc.close(a).unwrap();
+    svc.close(b).unwrap();
 
-    let r = shim.open("/log", OpenFlags::ReadOnly).unwrap();
+    let r = open(svc.open_read("t", "/log"));
+    let read = |off| svc.read(r, off, 64).unwrap().granted().unwrap();
     for k in 0..8u64 {
-        assert_eq!(shim.pread(r, 64, k * 128).unwrap(), vec![0xA0 + k as u8; 64]);
-        assert_eq!(
-            shim.pread(r, 64, k * 128 + 64).unwrap(),
-            vec![0xB0 + k as u8; 64]
-        );
+        assert_eq!(read(k * 128), vec![0xA0 + k as u8; 64]);
+        assert_eq!(read(k * 128 + 64), vec![0xB0 + k as u8; 64]);
     }
-    shim.close(r).unwrap();
-    let _ = std::fs::remove_dir_all(dir);
+    svc.close(r).unwrap();
+    assert_eq!(svc.open_handles(), 0);
 }
 
 #[test]

@@ -10,6 +10,8 @@
 //! crash-recovery gate does, so a pinned run replays the same fault
 //! schedules byte-identically.
 
+mod common;
+
 use plfs::faults::{FaultBackend, FaultConfig};
 use plfs::fsck;
 use plfs::ioplane::async_plane;
@@ -26,10 +28,7 @@ const SLOT: u64 = 96;
 
 /// Optional pinned base seed (tier-1 style): mixed into every case.
 fn base_seed() -> u64 {
-    std::env::var("PLFS_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xA5_F0_2012)
+    common::fault_seed(0xA5_F0_2012)
 }
 
 /// Round-robin the generated append lengths over a small file universe

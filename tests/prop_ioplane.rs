@@ -71,10 +71,7 @@ fn arb_op() -> impl Strategy<Value = IoOp> {
 
 /// Optional pinned base seed (tier-1 style): mixed into every case.
 fn base_seed() -> u64 {
-    std::env::var("PLFS_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
+    common::fault_seed(0)
 }
 
 /// Outcome signature: structural equality via Debug (PlfsError does not

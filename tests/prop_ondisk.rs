@@ -16,6 +16,8 @@
 //! Seeds mix in `PLFS_FAULT_SEED` when set, exactly as the tier-1 crash
 //! suite does, so a failure replays byte-identically in CI.
 
+mod common;
+
 use plfs::faults::{FaultBackend, FaultConfig};
 use plfs::index::ondisk::SpanIdxWriter;
 use plfs::reader::ReadHandle;
@@ -266,10 +268,7 @@ proptest! {
 /// Base seed for the crash sweep, pinnable via `PLFS_FAULT_SEED` so
 /// tier-1 runs one known schedule on every build.
 fn base_seed() -> u64 {
-    std::env::var("PLFS_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xC1_0C20_12)
+    common::fault_seed(0xC1_0C20_12)
 }
 
 /// Crash the backend at every point inside the close/flatten sequence in

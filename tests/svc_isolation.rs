@@ -63,11 +63,10 @@ proptest! {
             crash_tears_append: false,
         };
         let backend = Arc::new(FaultBackend::new(MemFs::new(), fault_cfg));
-        let mut svc_cfg = ServiceConfig::basic("/panfs");
-        // Synchronous appends: an error must mean *this* op, so the
-        // no-retry tenant's acked set is well defined.
-        svc_cfg.write_behind_window = 0;
-        let svc = Service::new(Arc::clone(&backend), svc_cfg).unwrap();
+        // Appends stay synchronous — an error means *this* op, so the
+        // no-retry tenant's acked set is well defined: write-behind only
+        // engages past the dirty budget, which this trace never nears.
+        let svc = Service::new(Arc::clone(&backend), ServiceConfig::basic("/panfs")).unwrap();
 
         // Tenant `live`: every append retried until acknowledged.
         let lw = insist(|| svc.open_write("live", "/data"));
