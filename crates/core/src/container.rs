@@ -32,7 +32,7 @@ use crate::error::{PlfsError, Result};
 use crate::federation::Federation;
 use crate::index::ondisk::{self, OnDiskIndex, SpanIdxWriter};
 use crate::index::{self, GlobalIndex, IndexEntry, SpanCache, WriterId};
-use crate::ioplane::{self, async_plane, IoOp};
+use crate::ioplane::{self, IoOp};
 use crate::path::{basename, join, normalize, parent};
 use crate::telemetry;
 
@@ -60,24 +60,6 @@ pub const INDEX_PREFIX: &str = "dropping.index.";
 /// atomically swapping it into place (see `WriteHandle`); one left behind
 /// means the realigning writer died mid-stage and fsck may reclaim it.
 pub const REALIGN_SUFFIX: &str = ".realign";
-/// Suffix of write-behind staging scratch files
-/// (`dropping.index.<id>.<seq>.staging`): an asynchronous index flush
-/// appends its records to a fresh scratch first and only copies them into
-/// the real index log at completion drain, so a torn async append can
-/// never corrupt acknowledged records. While the flush's ticket is
-/// outstanding the writer holds an openhosts entry; fsck therefore treats
-/// a staging file of a **live** writer as in-flight, not as an orphan.
-pub const ASYNC_STAGING_SUFFIX: &str = ".staging";
-
-/// Parse the writer id out of an async-staging scratch name
-/// (`dropping.index.<id>.<seq>.staging`); `None` if `name` is not one.
-pub fn staging_writer(name: &str) -> Option<WriterId> {
-    let stem = name.strip_suffix(ASYNC_STAGING_SUFFIX)?;
-    let rest = stem.strip_prefix(INDEX_PREFIX)?;
-    let (writer, _seq) = rest.split_once('.')?;
-    writer.parse().ok()
-}
-
 /// A handle to one logical file's container.
 ///
 /// `Container` is cheap to construct: it resolves paths but touches the
@@ -551,7 +533,7 @@ impl Container {
 
     /// Read exactly the first `sizes[i]` bytes of `paths[i]` and decode
     /// the records — bytes a log grew by after it was sized are not read.
-    /// The `ReadAt`s go in [`READ_OVERLAP_CHUNK`]-op slices dealt in
+    /// The `ReadAt`s go in [`INDEX_READ_CHUNK`]-op slices dealt in
     /// contiguous shares to at most `max_threads` scoped threads, so the
     /// round trips depend on the path count alone. Each shard thread
     /// reopens `index.aggregate` under the caller's span, so what it
@@ -571,7 +553,7 @@ impl Container {
                 len,
             })
             .collect();
-        let chunks: Vec<&[IoOp]> = read_ops.chunks(READ_OVERLAP_CHUNK).collect();
+        let chunks: Vec<&[IoOp]> = read_ops.chunks(INDEX_READ_CHUNK).collect();
         let threads = max_threads.clamp(1, chunks.len().max(1));
         if threads == 1 {
             return Self::read_chunks(b, &chunks);
@@ -601,40 +583,17 @@ impl Container {
         Ok(out)
     }
 
-    /// Submit every `ReadAt` slice **asynchronously**, then drain and
-    /// decode in order — on a reactor backend the data reads for slice
-    /// `k+1` proceed while slice `k` is being decoded; on a plain backend
-    /// the inline-completing default makes this one batch per slice.
+    /// Submit every `ReadAt` slice, then decode in order. All reads go
+    /// out before the first decode: interleaving the two measured slower.
     fn read_chunks<B: Backend>(b: &B, chunks: &[&[IoOp]]) -> Result<Vec<Vec<IndexEntry>>> {
-        let tickets: Vec<async_plane::Ticket> = chunks
+        let outcomes: Vec<_> = chunks
             .iter()
-            .map(|c| async_plane::submit_tracked(b, c))
+            .flat_map(|chunk| ioplane::submit_retried(b, chunk))
             .collect();
-        let mut out = Vec::new();
-        // A decode/read failure must not abandon the tickets of the
-        // chunks not reached yet: their batches are still in flight on
-        // the reactor, holding window slots. Drain every ticket first,
-        // then propagate the earliest error.
-        let mut first_err: Option<PlfsError> = None;
-        for (chunk, ticket) in chunks.iter().zip(tickets) {
-            let outcomes = async_plane::drain_retried(b, chunk, ticket);
-            if first_err.is_some() {
-                continue;
-            }
-            for outcome in outcomes {
-                match ioplane::as_data(outcome).and_then(|c| IndexEntry::decode_content(&c)) {
-                    Ok(entries) => out.push(entries),
-                    Err(e) => {
-                        first_err = Some(e);
-                        break;
-                    }
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
+        outcomes
+            .into_iter()
+            .map(|outcome| ioplane::as_data(outcome).and_then(|c| IndexEntry::decode_content(&c)))
+            .collect()
     }
 
     /// Aggregate a global index by reading every writer's index log on
@@ -997,11 +956,11 @@ impl IndexProbe {
     }
 }
 
-/// Index-log reads per asynchronously submitted `ReadAt` slice in
-/// [`Container::read_index_runs`]'s whole-log fan-out: small enough that
-/// several tickets are in flight for a fig4-shaped open (16 writers), big
-/// enough to amortize submission.
-const READ_OVERLAP_CHUNK: usize = 4;
+/// Index-log reads per `ReadAt` batch in [`Container::read_index_runs`]'s
+/// whole-log fan-out, and so the unit aggregation threads share: a
+/// fig4-shaped open (16 writers) is four batches, whatever the thread
+/// count.
+const INDEX_READ_CHUNK: usize = 4;
 
 /// Entries buffered per spanidx append (and per streamed-merge emission)
 /// during Index Flatten: 64Ki records ≈ 2.5 MiB per backend op — big
@@ -1239,17 +1198,6 @@ mod tests {
         // The generation file sits in the namespace root, outside every
         // container.
         assert_eq!(c.generation_path(), "/ns0/.plfsgen");
-    }
-
-    #[test]
-    fn staging_names_parse_and_reject_lookalikes() {
-        assert_eq!(staging_writer("dropping.index.7.0.staging"), Some(7));
-        assert_eq!(staging_writer("dropping.index.123.42.staging"), Some(123));
-        // Not staging files:
-        assert_eq!(staging_writer("dropping.index.7"), None);
-        assert_eq!(staging_writer("dropping.index.7.realign"), None);
-        assert_eq!(staging_writer("dropping.data.7.0.staging"), None);
-        assert_eq!(staging_writer("dropping.index.x.0.staging"), None);
     }
 
     #[test]

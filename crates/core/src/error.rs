@@ -50,8 +50,8 @@ impl PlfsError {
 pub const DEFAULT_RETRY_ATTEMPTS: u32 = 8;
 
 /// First retry delay in microseconds. Every transient-retry loop in the
-/// workspace (here and in `ioplane::submit_retried` / the async drain)
-/// starts from this value and steps with [`next_backoff_us`].
+/// workspace (here and in `ioplane::submit_retried`) starts from this
+/// value and steps with [`next_backoff_us`].
 pub const RETRY_BACKOFF_START_US: u64 = 1;
 
 /// Ceiling on the per-retry delay in microseconds. Doubling saturates

@@ -18,10 +18,6 @@
 //!   quiesced containers, so any surviving entry is stale);
 //! * staging files orphaned by a writer that died mid-realignment of its
 //!   index log (safe to reclaim — the real log still holds everything);
-//! * write-behind staging files left by a writer that died with a flush
-//!   ticket outstanding (never acknowledged — reclaimable); staging files
-//!   of writers still registered in `openhosts` are in-flight and are
-//!   *not* flagged;
 //! * metadir size records disagreeing with the replayed indices;
 //! * data-log tail bytes no index record references (reported as
 //!   informational [`DataLogTail`]s, not issues — torn appends and
@@ -32,8 +28,7 @@
 
 use crate::backend::{Backend, NodeKind};
 use crate::container::{
-    staging_writer, Container, ASYNC_STAGING_SUFFIX, DATA_PREFIX, INDEX_PREFIX, METADIR,
-    REALIGN_SUFFIX, SUBDIR_PREFIX,
+    Container, DATA_PREFIX, INDEX_PREFIX, METADIR, REALIGN_SUFFIX, SUBDIR_PREFIX,
 };
 use crate::content::Content;
 use crate::error::{retry_transient, PlfsError, Result};
@@ -105,19 +100,6 @@ pub enum Issue {
     /// between staging its rewritten index log and swapping it in. The
     /// real log was never touched, so the copy is pure garbage.
     StaleRealignTemp {
-        /// Subdir the staging file was found in.
-        subdir: usize,
-        /// Name of the staging file.
-        name: String,
-    },
-    /// A write-behind staging file (`dropping.index.<id>.<seq>.staging`)
-    /// whose writer is no longer registered in `openhosts`: the writer
-    /// died between submitting the asynchronous flush and the close-time
-    /// append that would have acknowledged it. The records it holds were
-    /// never acknowledged, so reclaiming it loses nothing. Staging files
-    /// of writers still registered are *in-flight*, not issues — see
-    /// [`check`].
-    StaleAsyncStaging {
         /// Subdir the staging file was found in.
         subdir: usize,
         /// Name of the staging file.
@@ -245,12 +227,7 @@ pub fn check<B: Backend>(b: &B, container: &Container) -> Result<CheckReport> {
     }
 
     // Phase 2: one `Readdir` batch over every resolved subdir collects
-    // the dropping inventories. The openhosts registry is fetched *first*:
-    // a write-behind staging file whose writer is still registered has an
-    // outstanding flush ticket and must not be classified as an orphan
-    // (the registration is dropped only at close, after every ticket has
-    // drained).
-    let open_set: BTreeSet<WriterId> = container.open_writers(b)?.into_iter().collect();
+    // the dropping inventories.
     let mut data_logs: Vec<WriterId> = Vec::new();
     let mut index_logs: Vec<WriterId> = Vec::new();
     let list_targets: Vec<(usize, &String)> = resolved
@@ -281,15 +258,6 @@ pub fn check<B: Backend>(b: &B, container: &Container) -> Result<CheckReport> {
                 report
                     .issues
                     .push(Issue::StaleRealignTemp { subdir: *i, name });
-            } else if name.ends_with(ASYNC_STAGING_SUFFIX) {
-                match staging_writer(&name) {
-                    // Outstanding write-behind flush of a live writer:
-                    // in-flight, not garbage.
-                    Some(w) if open_set.contains(&w) => {}
-                    _ => report
-                        .issues
-                        .push(Issue::StaleAsyncStaging { subdir: *i, name }),
-                }
             } else if let Some(w) = name.strip_prefix(DATA_PREFIX) {
                 if let Ok(w) = w.parse() {
                     data_logs.push(w);
@@ -450,7 +418,7 @@ pub fn check<B: Backend>(b: &B, container: &Container) -> Result<CheckReport> {
 
     // fsck only runs on quiesced containers, so any surviving openhosts
     // entry belongs to a writer that died without deregistering.
-    for &w in &open_set {
+    for w in container.open_writers(b)? {
         report.issues.push(Issue::StaleOpenHost { writer: w });
     }
 
@@ -625,12 +593,6 @@ pub fn repair<B: Backend>(b: &B, container: &Container) -> Result<RepairOutcome>
                 fixed.push(issue);
             }
             Issue::StaleRealignTemp { subdir, ref name } => {
-                realign_temps.push((subdir, name.clone()));
-                fixed.push(issue);
-            }
-            // Same reclaim as realign temps: a dead writer's staging file
-            // holds only unacknowledged records.
-            Issue::StaleAsyncStaging { subdir, ref name } => {
                 realign_temps.push((subdir, name.clone()));
                 fixed.push(issue);
             }
@@ -810,29 +772,6 @@ pub fn repair<B: Backend>(b: &B, container: &Container) -> Result<RepairOutcome>
     // kept prefixes are all read in one batch *before* the truncating
     // creates go out, then re-appended in a final batch.
     let mid = check(b, container)?;
-
-    // Removing stale openhosts entries above may have *exposed* staging
-    // files as stale: the pre-repair check skipped them because their
-    // (dead) writer still looked registered. Reclaim what the re-check
-    // surfaces so a single repair converges.
-    let mut exposed_ops = Vec::new();
-    for issue in &mid.issues {
-        if let Issue::StaleAsyncStaging { subdir, name } = issue {
-            let dir = resolved
-                .get(*subdir)
-                .and_then(Option::as_ref)
-                .ok_or_else(|| {
-                    PlfsError::CorruptContainer(format!("staging file in unresolved subdir {subdir}"))
-                })?;
-            exposed_ops.push(IoOp::Unlink {
-                path: format!("{dir}/{name}"),
-            });
-            fixed.push(issue.clone());
-        }
-    }
-    for outcome in ioplane::submit_retried(b, &exposed_ops) {
-        ioplane::as_unit(outcome)?;
-    }
     let mut trimmed_tails = Vec::new();
     let mut tail_paths = Vec::with_capacity(mid.tails.len());
     for t in &mid.tails {
@@ -1085,62 +1024,6 @@ mod tests {
         assert!(!b.exists(&staged));
         // The real logs were untouched by the reclaim.
         assert_eq!(cont.read_index_log(&b, 0).unwrap().len(), 5);
-    }
-
-    #[test]
-    fn inflight_write_behind_staging_is_not_an_orphan() {
-        let (b, cont) = healthy_container();
-        // A live writer with a write-behind flush submitted but not yet
-        // drained: its openhosts registration is still in place, so the
-        // staging scratch is in-flight — not garbage.
-        let mut h =
-            WriteHandle::open(Arc::clone(&b), cont.clone(), 5, IndexPolicy::WriteClose).unwrap();
-        h.enable_write_behind(4);
-        h.write(3000, &Content::synthetic(5, 100), 42).unwrap();
-        h.flush_index_async().unwrap();
-        assert_eq!(h.write_behind_depth(), 1, "ticket outstanding");
-        let r = check(&b, &cont).unwrap();
-        assert!(
-            !r.issues
-                .iter()
-                .any(|i| matches!(i, Issue::StaleAsyncStaging { .. })),
-            "in-flight staging misclassified: {:?}",
-            r.issues
-        );
-        // (The surviving openhosts entry is still reported — fsck assumes
-        // a quiesced container — but the staging file is not an orphan.)
-        assert!(r.issues.contains(&Issue::StaleOpenHost { writer: 5 }));
-        h.close(43).unwrap();
-        assert!(check(&b, &cont).unwrap().is_clean());
-    }
-
-    #[test]
-    fn crash_between_submission_and_drain_repairs_cleanly() {
-        let (b, cont) = healthy_container();
-        // Crash point: the writer submitted an asynchronous index flush
-        // (the staging batch landed) and died before the close-time drain
-        // that would have acknowledged it — openhosts entry, staging
-        // scratch, and unindexed data-log bytes all survive.
-        let mut h =
-            WriteHandle::open(Arc::clone(&b), cont.clone(), 5, IndexPolicy::WriteClose).unwrap();
-        h.enable_write_behind(4);
-        h.write(3000, &Content::synthetic(5, 100), 42).unwrap();
-        h.flush_index_async().unwrap();
-        drop(h); // died: never drained, never closed
-        let dir = cont.subdir_phys(&b, cont.subdir_for(5)).unwrap();
-        let staging = format!("{dir}/{INDEX_PREFIX}5.0{ASYNC_STAGING_SUFFIX}");
-        assert!(b.exists(&staging), "crash must leave the staging scratch");
-
-        let after = repair(&b, &cont).unwrap();
-        assert!(after.fully_repaired(), "{after:?}");
-        assert!(!b.exists(&staging), "staging reclaimed");
-        assert!(cont.open_writers(&b).unwrap().is_empty());
-        // The flush was never acknowledged, so its records are *allowed*
-        // to be gone — and must be: nothing may reference the trimmed
-        // data log.
-        let r = check(&b, &cont).unwrap();
-        assert!(r.is_clean(), "{:?}", r.issues);
-        assert_eq!(r.logical_size, 1500, "unacknowledged write not resolved");
     }
 
     #[test]

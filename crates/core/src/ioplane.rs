@@ -383,21 +383,6 @@ pub fn submit_retried<B: Backend + ?Sized>(b: &B, batch: &[IoOp]) -> Vec<IoOutco
         batch.len(),
         "submit must be 1:1 with its batch"
     );
-    retry_pending_slots(b, batch, &mut outcomes);
-    account(batch, &outcomes);
-    outcomes
-}
-
-/// The shared per-slot retry loop: re-submit only the indices whose
-/// outcome is transient, writing results back in place. Used by
-/// [`submit_retried`] right after the first submission and by the async
-/// plane's completion drain ([`async_plane::drain_retried`]) — in both
-/// cases an op that already succeeded is never executed again.
-pub(crate) fn retry_pending_slots<B: Backend + ?Sized>(
-    b: &B,
-    batch: &[IoOp],
-    outcomes: &mut [IoOutcome],
-) {
     let mut backoff_us = RETRY_BACKOFF_START_US;
     for _ in 1..DEFAULT_RETRY_ATTEMPTS {
         let pending: Vec<usize> = outcomes
@@ -418,6 +403,8 @@ pub(crate) fn retry_pending_slots<B: Backend + ?Sized>(
             outcomes[slot] = outcome;
         }
     }
+    account(batch, &outcomes);
+    outcomes
 }
 
 /// Replay a recorded op sequence against a backend, one op per batch —
@@ -432,9 +419,9 @@ pub fn replay<B: Backend + ?Sized>(b: &B, ops: &[IoOp]) -> Vec<IoOutcome> {
 // ---------------------------------------------------------------------
 // List I/O: many byte ranges of one file as one plane submission — the
 // PVFS list-I/O idiom. The planner coalesces touching ranges into single
-// `ReadAt` ops, the whole set goes down as ONE `Backend::submit` (or one
-// async ticket), and the splitter slices each caller range back out of
-// the coalesced reads (a refcount bump on real bytes, not a copy).
+// `ReadAt` ops, the whole set goes down as ONE `Backend::submit`, and the
+// splitter slices each caller range back out of the coalesced reads (a
+// refcount bump on real bytes, not a copy).
 
 /// A planned list read over one file: the coalesced `ReadAt` batch plus,
 /// per requested range, where its bytes live inside that batch.
@@ -489,8 +476,8 @@ pub fn plan_list_read(path: &str, ranges: &[(u64, u64)]) -> ListReadPlan {
 }
 
 impl ListReadPlan {
-    /// The coalesced `ReadAt` batch (for async submission via
-    /// [`async_plane::submit_tracked`]; drain with [`ListReadPlan::split`]).
+    /// The coalesced `ReadAt` batch (submit it, then hand the outcomes to
+    /// [`ListReadPlan::split`]).
     pub fn ops(&self) -> &[IoOp] {
         &self.ops
     }

@@ -1,13 +1,13 @@
 //! The asynchronous I/O plane: submission/completion queues over
 //! [`Backend::submit`].
 //!
-//! PR 4's batched [`IoOp`] vocabulary is an io_uring-shaped interface
+//! The batched [`IoOp`] vocabulary is an io_uring-shaped interface
 //! already — this module adds the completion-based mode on top of it.
 //! [`Backend::submit_async`] returns a [`Ticket`] immediately; the caller
 //! overlaps compute (or more submissions) with the physical I/O and
-//! collects the per-op outcomes later, either raw via [`Ticket::wait`]
-//! or — on middleware paths — via [`drain_retried`], which layers the
-//! plane's completion-time transient retry and accounting on top.
+//! collects the per-op outcomes later with [`Ticket::wait`]. The
+//! middleware itself submits synchronously (DESIGN.md §5h says why); this
+//! is the API for callers that bring their own overlap.
 //!
 //! Two execution shapes stand behind the same interface:
 //!
@@ -20,16 +20,14 @@
 //!   window is full) and workers drain the queue by calling the inner
 //!   backend's `submit`, publishing outcomes into the ticket's slot.
 //!
-//! # Retry stays at the completion drain
+//! # Exactly once per batch
 //!
-//! The plane's cardinal invariant — **an acknowledged append is never
-//! executed twice** — survives the async split because no retry decision
-//! is made at submission. The reactor workers run each batch exactly
-//! once; [`drain_retried`] inspects the completed outcomes and re-submits
-//! (synchronously, bounded, with the shared capped backoff) only the
-//! indices that failed transiently. `tests/prop_async.rs` holds this
-//! under seeded fault injection with a crash point between submission
-//! and drain.
+//! The reactor workers run each submitted batch exactly once and make no
+//! retry decision, so the outcomes a ticket delivers describe the only
+//! execution there was: an op reported `Ok` landed once, an op reported
+//! failed did not land twice. `tests/prop_ioplane.rs` holds this under
+//! seeded fault injection, with a crash point between submission and
+//! wait.
 //!
 //! # Telemetry across the thread boundary
 //!
@@ -45,9 +43,8 @@
 //! [`Backend::submit`]: crate::backend::Backend::submit
 //! [`Backend::submit_async`]: crate::backend::Backend::submit_async
 
-use super::{account, retry_pending_slots, IoOp, IoOutcome, BATCHES, OPS};
+use super::{IoOp, IoOutcome};
 use crate::backend::Backend;
-use crate::error::PlfsError;
 use crate::telemetry;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -95,12 +92,11 @@ impl Slot {
 /// Handle to one asynchronously submitted batch.
 ///
 /// Returned by [`Backend::submit_async`]; redeemed exactly once with
-/// [`Ticket::wait`] (or [`Completion`] via [`drain_retried`] on
-/// middleware paths). Dropping a ticket without waiting abandons the
+/// [`Ticket::wait`]. Dropping a ticket without waiting abandons the
 /// outcomes but not the effects — the batch still executes.
 ///
 /// [`Backend::submit_async`]: crate::backend::Backend::submit_async
-#[must_use = "a dropped ticket abandons its outcomes; wait() or drain_retried() redeems it"]
+#[must_use = "a dropped ticket abandons its outcomes; wait() redeems it"]
 pub struct Ticket {
     id: u64,
     slot: Arc<Slot>,
@@ -170,49 +166,6 @@ pub struct Completion {
 }
 
 // ---------------------------------------------------------------------
-// Tracked entry points: the async counterparts of `submit_retried`.
-// Counters at submission, retry + byte accounting at the drain.
-
-/// Submit a batch through the async plane with plane accounting: counts
-/// the batch/ops exactly like [`super::submit_retried`] and the ticket
-/// under [`telemetry::CTR_ASYNC_TICKETS`]. Pair with [`drain_retried`],
-/// which finishes the job (completion-time retry + byte accounting).
-pub fn submit_tracked<B: Backend + ?Sized>(b: &B, batch: &[IoOp]) -> Ticket {
-    if batch.is_empty() {
-        return Ticket::completed(Vec::new());
-    }
-    BATCHES.fetch_add(1, Ordering::Relaxed);
-    OPS.fetch_add(batch.len() as u64, Ordering::Relaxed);
-    telemetry::count(telemetry::CTR_ASYNC_TICKETS, 1);
-    b.submit_async(batch)
-}
-
-/// Redeem `ticket` and apply the plane's completion-time retry policy:
-/// wait for the batch to complete, then re-submit — synchronously, at
-/// most `DEFAULT_RETRY_ATTEMPTS` tries in all, with the shared capped
-/// backoff — **only the indices whose outcome is transient**. An op
-/// that succeeded on the async submission is never executed again;
-/// non-transient failures are final. `batch` must be the same ops the
-/// ticket was submitted with (the retry needs them; outcomes are
-/// positional).
-pub fn drain_retried<B: Backend + ?Sized>(b: &B, batch: &[IoOp], ticket: Ticket) -> Vec<IoOutcome> {
-    let _span = telemetry::span(telemetry::SPAN_ASYNC_DRAIN);
-    let mut outcomes = ticket.wait().outcomes;
-    if outcomes.len() != batch.len() {
-        // A backend that broke the 1:1 contract: surface typed errors in
-        // the missing slots rather than misaligning the retry loop.
-        outcomes.resize_with(batch.len(), || {
-            Err(PlfsError::Io(
-                "async backend returned fewer outcomes than ops".into(),
-            ))
-        });
-    }
-    retry_pending_slots(b, batch, &mut outcomes);
-    account(batch, &outcomes);
-    outcomes
-}
-
-// ---------------------------------------------------------------------
 // The reactor: a worker pool making `submit_async` genuinely concurrent
 // over any inner backend.
 
@@ -250,8 +203,8 @@ impl Shared {
 /// enqueues, a fixed worker pool drains, outcomes land in the ticket.
 ///
 /// * **Bounded in-flight window** — submission blocks while `window`
-///   batches are outstanding, so write-behind producers cannot queue
-///   unbounded memory. The window counts batches from submission until
+///   batches are outstanding, so a fast producer cannot queue unbounded
+///   memory. The window counts batches from submission until
 ///   their outcomes are published.
 /// * **Backend passthrough** — `Reactor` itself implements [`Backend`]:
 ///   the per-op methods and synchronous `submit` forward straight to the
@@ -546,68 +499,6 @@ mod tests {
         }
         drop(reactor); // drains the queue before joining workers
         assert_eq!(inner.size("/fire").unwrap(), 4);
-    }
-
-    #[test]
-    fn drain_retried_retries_only_transient_slots() {
-        // Flaky inner: the first two appends to `/d/flaky` fail
-        // transiently; count executions per path.
-        use parking_lot::Mutex as PlMutex;
-        let fail = Arc::new(PlMutex::new(2u32));
-        let execs = Arc::new(PlMutex::new(std::collections::HashMap::<String, u32>::new()));
-        let flaky = Arc::new(Gated {
-            inner: MemFs::new(),
-            gate: {
-                let (fail, execs) = (Arc::clone(&fail), Arc::clone(&execs));
-                move |op: &IoOp| {
-                    let IoOp::Append { path, .. } = op else {
-                        return Ok(());
-                    };
-                    *execs.lock().entry(path.clone()).or_insert(0) += 1;
-                    let mut fail = fail.lock();
-                    if path == "/d/flaky" && *fail > 0 {
-                        *fail -= 1;
-                        return Err(PlfsError::Transient(format!("inject {path}")));
-                    }
-                    Ok(())
-                }
-            },
-        });
-        flaky.mkdir("/d").unwrap();
-        flaky.create("/d/ok", true).unwrap();
-        flaky.create("/d/flaky", true).unwrap();
-        let reactor = Reactor::new(Arc::clone(&flaky));
-        let batch = vec![
-            IoOp::Append {
-                path: "/d/ok".into(),
-                content: Content::bytes(vec![1; 8]),
-            },
-            IoOp::Append {
-                path: "/d/flaky".into(),
-                content: Content::bytes(vec![2; 8]),
-            },
-        ];
-        let ticket = submit_tracked(&reactor, &batch);
-        let out = drain_retried(&reactor, &batch, ticket);
-        assert!(out.iter().all(Result::is_ok), "{out:?}");
-        let execs = execs.lock();
-        // The acknowledged append ran exactly once; the flaky one ran
-        // 2 failures + 1 success. Neither landed twice.
-        assert_eq!(execs["/d/ok"], 1);
-        assert_eq!(execs["/d/flaky"], 3);
-        drop(execs);
-        assert_eq!(flaky.inner.size("/d/ok").unwrap(), 8);
-        assert_eq!(flaky.inner.size("/d/flaky").unwrap(), 8);
-    }
-
-    #[test]
-    fn empty_batch_ticket_is_free_and_complete() {
-        let fs = MemFs::new();
-        let before = super::super::stats();
-        let t = submit_tracked(&fs, &[]);
-        assert!(t.is_complete());
-        assert!(t.wait().outcomes.is_empty());
-        assert_eq!(super::super::stats().batches, before.batches);
     }
 
     #[test]

@@ -17,13 +17,14 @@
 //!   different shards never even touch the same cache line.
 //! * **Admission control with per-tenant fairness.** Every tenant has
 //!   a token bucket ([`admission::TokenBucket`]) pacing its op rate
-//!   and a dirty-byte budget ([`admission::DirtyBudget`]) bounding its
-//!   un-flushed write-behind state; both live in [`SVC_TENANT_SHARDS`]
-//!   sharded maps (`svc-tenant-shard`, rank 18). A denied probe
-//!   surfaces as [`Admitted::Throttled`] with a precise retry delay —
-//!   backpressure, not an error — and a tenant crossing its dirty
-//!   budget has its index flush forced through the asynchronous plane
-//!   (§5h) rather than penalizing anyone else.
+//!   and a dirty-byte budget ([`admission::DirtyBudget`]) bounding the
+//!   bytes its open writers have appended but not yet indexed in their
+//!   index logs; both live in [`SVC_TENANT_SHARDS`] sharded maps
+//!   (`svc-tenant-shard`, rank 18). A denied probe surfaces as
+//!   [`Admitted::Throttled`] with a precise retry delay —
+//!   backpressure, not an error — and an append that takes its tenant
+//!   over the dirty budget flushes its own writer's index before it
+//!   returns, rather than penalizing anyone else.
 //! * **Tenant namespace isolation.** A tenant's logical paths are
 //!   prefixed with its name, so two tenants' equal-named files land in
 //!   different containers and a tenant crash mid-append can only ever
@@ -71,7 +72,7 @@ use crate::error::{PlfsError, Result};
 use crate::reader::ReadHandle;
 use crate::telemetry;
 use crate::vfs::{Plfs, PlfsConfig};
-use crate::writer::{WriteHandle, DEFAULT_WRITE_BEHIND_WINDOW};
+use crate::writer::WriteHandle;
 use admission::{DirtyBudget, Grant, TokenBucket};
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
@@ -109,9 +110,9 @@ pub const SVC_TOKEN_RATE: u64 = 65536;
 /// burst above the sustained rate after banking idle time.
 pub const SVC_TOKEN_BURST: u64 = 4096;
 
-/// Default write-behind dirty-byte budget per tenant: appended bytes a
-/// tenant may leave un-flushed before the service forces its writer's
-/// index flush through the asynchronous plane.
+/// Default dirty-byte budget per tenant: bytes a tenant's open writers
+/// may have appended without their index records reaching the index
+/// logs before the service forces the appending writer's index flush.
 pub const SVC_DIRTY_BUDGET: u64 = 8 * 1024 * 1024;
 
 // ---------------------------------------------------------------------
@@ -172,7 +173,7 @@ pub struct ServiceConfig {
     pub token_rate: u64,
     /// Per-tenant token-bucket depth ([`SVC_TOKEN_BURST`]).
     pub token_burst: u64,
-    /// Per-tenant write-behind dirty-byte budget ([`SVC_DIRTY_BUDGET`]).
+    /// Per-tenant unflushed-byte budget ([`SVC_DIRTY_BUDGET`]).
     pub dirty_budget: u64,
     /// Expected concurrent handle count, used with
     /// [`SVC_HANDLE_LOAD_FACTOR`] to pre-size the handle shards.
@@ -202,6 +203,9 @@ enum Session<B: Backend> {
         handle: WriteHandle<B>,
         /// Owning tenant.
         tenant: String,
+        /// Bytes this session has charged to its tenant's dirty budget
+        /// and not yet released (by a flush, a close or an abandon).
+        unflushed: u64,
     },
     /// A reader session.
     Reader {
@@ -322,11 +326,12 @@ impl<B: Backend + Clone> Service<B> {
         (grant, must_flush)
     }
 
-    /// Reset tenant `tenant`'s dirty accounting after a forced flush.
-    fn drain_dirty(&self, tenant: &str) {
+    /// Return `bytes` of tenant `tenant`'s dirty account: a writer
+    /// session's records reached its index log, or the session ended.
+    fn release_dirty(&self, tenant: &str, bytes: u64) {
         let mut tshard = self.tshard(tenant).lock();
         if let Some(state) = tshard.get_mut(tenant) {
-            state.dirty.drain();
+            state.dirty.release(bytes);
         }
     }
 
@@ -351,11 +356,11 @@ impl<B: Backend + Clone> Service<B> {
             return Ok(Admitted::Throttled { wait_ns });
         }
         let id = self.next_handle.fetch_add(1, Ordering::Relaxed);
-        let mut handle = self.fs.open_write(&path, id)?;
-        handle.enable_write_behind(DEFAULT_WRITE_BEHIND_WINDOW);
+        let handle = self.fs.open_write(&path, id)?;
         let session = Session::Writer {
             handle,
             tenant: tenant.to_string(),
+            unflushed: 0,
         };
         self.shard(id)
             .lock()
@@ -390,13 +395,18 @@ impl<B: Backend + Clone> Service<B> {
 
     /// Append `content` at logical `offset` through writer session
     /// `h`. Costs one token and charges the tenant's dirty budget;
-    /// crossing the budget forces this writer's index flush through
-    /// the asynchronous plane before the call returns.
+    /// crossing the budget flushes this writer's index to its index log
+    /// before the call returns and releases what the writer had charged.
     pub fn append(&self, h: SvcHandle, offset: u64, content: &Content) -> Result<Admitted<()>> {
         let start = Instant::now();
         let session = self.lookup(h)?;
         let mut session_guard = session.lock();
-        let Some(Session::Writer { handle, tenant }) = session_guard.as_mut() else {
+        let Some(Session::Writer {
+            handle,
+            tenant,
+            unflushed,
+        }) = session_guard.as_mut()
+        else {
             return Err(wrong_mode(h, "writer"));
         };
         let (grant, must_flush) = self.admit(tenant, content.len());
@@ -404,15 +414,15 @@ impl<B: Backend + Clone> Service<B> {
             telemetry::count(telemetry::CTR_SVC_THROTTLED, 1);
             return Ok(Admitted::Throttled { wait_ns });
         }
+        *unflushed += content.len();
         let ts = self.fs.timestamp();
         // plfs-lint: allow(guard-across-io): the session lock intentionally serializes one handle's I/O; no shard or tenant lock is held here
         handle.write(offset, content, ts)?;
         if must_flush {
-            let tenant = tenant.clone();
-            handle.flush_index_async()?;
+            // plfs-lint: allow(guard-across-io): the session lock intentionally serializes one handle's I/O; no shard or tenant lock is held here
+            handle.flush_index()?;
             telemetry::count(telemetry::CTR_SVC_DIRTY_FLUSHES, 1);
-            drop(session_guard);
-            self.drain_dirty(&tenant);
+            self.release_dirty(tenant, std::mem::take(unflushed));
         }
         self.finish_op(start);
         Ok(Admitted::Granted(()))
@@ -458,20 +468,38 @@ impl<B: Backend + Clone> Service<B> {
             // A concurrent close won the session lock and finished first.
             None => return Err(stale(h)),
         }
-        *session_guard = None;
+        let ended = session_guard.take();
         // A shard lock (rank 12) is never taken under a session (rank 15).
         drop(session_guard);
         self.shard(h.0).lock().remove(&h.0);
+        self.release_session(ended);
         self.finish_op(start);
         Ok(())
     }
 
     /// Abandon session `h` without closing it — the tenant-crash
     /// model: the slot leaves the table but the writer underneath is
-    /// dropped un-closed, exactly as if the client died mid-stream.
-    /// Returns whether the handle was live.
+    /// dropped un-closed, exactly as if the client died mid-stream, and
+    /// its charge leaves the tenant's dirty account with it. Returns
+    /// whether the handle was live.
     pub fn abandon(&self, h: SvcHandle) -> bool {
-        self.shard(h.0).lock().remove(&h.0).is_some()
+        let Some(session) = self.shard(h.0).lock().remove(&h.0) else {
+            return false;
+        };
+        let ended = session.lock().take();
+        self.release_session(ended);
+        true
+    }
+
+    /// Release an ended writer session's charge from its tenant's dirty
+    /// account.
+    fn release_session(&self, ended: Option<Session<B>>) {
+        if let Some(Session::Writer {
+            tenant, unflushed, ..
+        }) = ended
+        {
+            self.release_dirty(&tenant, unflushed);
+        }
     }
 
     /// Handles currently open across all shards (diagnostic).
@@ -629,20 +657,66 @@ mod tests {
         assert_eq!(r.read(0, 1).unwrap(), vec![1]);
     }
 
-    #[test]
-    fn dirty_budget_forces_async_flush() {
+    fn budget_64() -> Service<Arc<MemFs>> {
         let mut cfg = ServiceConfig::basic("/panfs");
         cfg.dirty_budget = 64;
-        let s = Service::new(Arc::new(MemFs::new()), cfg).unwrap();
+        Service::new(Arc::new(MemFs::new()), cfg).unwrap()
+    }
+
+    /// Records in writer session `h`'s index log on the backend.
+    fn logged(s: &Service<Arc<MemFs>>, path: &str, h: SvcHandle) -> usize {
+        let c = s.fs().container(path);
+        c.read_index_log(s.fs().backend(), h.id()).unwrap().len()
+    }
+
+    #[test]
+    fn dirty_budget_forces_index_flush() {
+        let s = budget_64();
         let h = grant(s.open_write("t", "/f").unwrap());
         s.append(h, 0, &Content::bytes(vec![1; 32])).unwrap();
         assert_eq!(s.tenant_dirty("t"), 32);
+        assert_eq!(logged(&s, "/t/f", h), 0, "under budget: index stays buffered");
         s.append(h, 32, &Content::bytes(vec![2; 32])).unwrap();
-        assert_eq!(s.tenant_dirty("t"), 0, "crossing the budget drains the account");
-        s.close(h).unwrap();
+        assert_eq!(s.tenant_dirty("t"), 0, "the flush releases the writer's charge");
+        // Both records are in the index log before close...
+        assert_eq!(logged(&s, "/t/f", h), 2);
+        // ...so a reader opened mid-write sees the flushed prefix.
         let r = grant(s.open_read("t", "/f").unwrap());
-        assert_eq!(grant(s.read(r, 0, 64).unwrap()).len(), 64);
+        assert_eq!(grant(s.read(r, 0, 64).unwrap()), [[1; 32], [2; 32]].concat());
         s.close(r).unwrap();
+        s.close(h).unwrap();
+    }
+
+    #[test]
+    fn dirty_account_is_the_open_writers_unflushed_bytes() {
+        let s = budget_64();
+        let a = grant(s.open_write("t", "/a").unwrap());
+        s.append(a, 0, &Content::bytes(vec![1; 48])).unwrap();
+        s.close(a).unwrap();
+        assert_eq!(s.tenant_dirty("t"), 0, "a closed writer holds no charge");
+        let b = grant(s.open_write("t", "/b").unwrap());
+        s.append(b, 0, &Content::bytes(vec![2; 32])).unwrap();
+        assert_eq!(s.tenant_dirty("t"), 32);
+        assert_eq!(logged(&s, "/t/b", b), 0, "no forced flush");
+        // An abandoned writer's charge leaves with it.
+        assert!(s.abandon(b));
+        assert_eq!(s.tenant_dirty("t"), 0);
+    }
+
+    #[test]
+    fn a_forced_flush_releases_only_the_flushing_writer() {
+        let s = budget_64();
+        let a = grant(s.open_write("t", "/a").unwrap());
+        let b = grant(s.open_write("t", "/b").unwrap());
+        s.append(a, 0, &Content::bytes(vec![1; 40])).unwrap();
+        s.append(b, 0, &Content::bytes(vec![2; 24])).unwrap();
+        // B crossed the line: B's records are flushed, A's still held.
+        assert_eq!(logged(&s, "/t/b", b), 1);
+        assert_eq!(logged(&s, "/t/a", a), 0);
+        assert_eq!(s.tenant_dirty("t"), 40);
+        s.close(a).unwrap();
+        s.close(b).unwrap();
+        assert_eq!(s.tenant_dirty("t"), 0);
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! Admission control primitives for the service layer: per-tenant
-//! token buckets and write-behind dirty-byte budgets.
+//! token buckets and dirty-byte budgets.
 //!
 //! Both types are pure state machines driven by caller-supplied
 //! timestamps, so they are deterministic and directly testable; the
 //! [`Service`](crate::service::Service) wires them to its monotonic
 //! clock and to the DESIGN.md §5k constants. A token bucket paces a
 //! tenant's *operation rate* (open/append/read each cost one token); a
-//! dirty budget bounds how many appended bytes a tenant may leave
-//! buffered before the service forces an index flush through the
-//! asynchronous plane (§5h).
+//! dirty budget bounds how many appended bytes a tenant's open writers
+//! may hold unindexed before the service forces an index flush.
 //!
 //! All arithmetic is integer: tokens are tracked in units of
 //! 10⁻⁹ token (one "token-nano"), so a bucket refilling at `rate`
@@ -122,12 +121,12 @@ impl TokenBucket {
     }
 }
 
-/// Bounded write-behind dirt: bytes a tenant has appended that the
-/// service has not yet pushed through an index flush.
+/// Bounded dirt: bytes a tenant has appended whose index records are
+/// not yet in an index log.
 ///
 /// [`DirtyBudget::charge`] returns `true` when the addition crosses the
-/// limit — the caller's cue to force a flush through the asynchronous
-/// plane and then call [`DirtyBudget::drain`]. Charging is never
+/// limit — the caller's cue to force a flush and then
+/// [`DirtyBudget::release`] what that flush persisted. Charging is never
 /// refused: the byte that crosses the line is accepted and *then* the
 /// flush is forced, so a single oversized append cannot wedge.
 ///
@@ -139,6 +138,8 @@ impl TokenBucket {
 /// let mut dirty = DirtyBudget::new(1024);
 /// assert!(!dirty.charge(512));      // 512 dirty: under budget
 /// assert!(dirty.charge(512));       // 1024 dirty: at the line — flush
+/// dirty.release(512);               // one writer's 512 reached its log
+/// assert_eq!(dirty.dirty(), 512);
 /// dirty.drain();
 /// assert_eq!(dirty.dirty(), 0);
 /// ```
@@ -165,7 +166,13 @@ impl DirtyBudget {
         self.dirty >= self.limit
     }
 
-    /// The flush happened: all accounted dirt is staged or durable.
+    /// `bytes` of accounted dirt were flushed (or their writer went
+    /// away); never drops below zero.
+    pub fn release(&mut self, bytes: u64) {
+        self.dirty = self.dirty.saturating_sub(bytes);
+    }
+
+    /// Every accounted byte was flushed.
     pub fn drain(&mut self) {
         self.dirty = 0;
     }

@@ -104,8 +104,6 @@ pub const SPAN_FSCK_REPAIR: &str = "fsck.repair";
 pub const SPAN_IOPLANE_SUBMIT: &str = "ioplane.submit";
 /// Span: a reactor worker executing one asynchronously submitted batch.
 pub const SPAN_ASYNC_EXEC: &str = "async.exec";
-/// Span: draining one async completion (wait + completion-time retry).
-pub const SPAN_ASYNC_DRAIN: &str = "async.drain";
 
 /// Counter: logical bytes acknowledged on the write path.
 pub const CTR_WRITE_BYTES: &str = "write.bytes";
@@ -124,8 +122,6 @@ pub const CTR_SIM_EVENTS: &str = "sim.events";
 /// Counter: peak simultaneous pending DES events per run (a snapshot
 /// spanning several runs sums their peaks).
 pub const CTR_SIM_PEAK_LIVE: &str = "sim.peak_live";
-/// Counter: tickets issued by `Backend::submit_async`.
-pub const CTR_ASYNC_TICKETS: &str = "async.tickets";
 /// Counter: nanoseconds callers spent blocked in `Ticket::wait`.
 pub const CTR_ASYNC_BLOCKED_NS: &str = "async.blocked_ns";
 /// Counter: span-cache window probes served from the cache.

@@ -18,15 +18,8 @@ use crate::container::Container;
 use crate::content::Content;
 use crate::error::{retry_transient, PlfsError, Result};
 use crate::index::{IndexEntry, WriterId, INDEX_RECORD_BYTES};
-use crate::ioplane::async_plane::{self, Ticket};
 use crate::ioplane::{self, IoOp};
 use crate::telemetry;
-use std::collections::VecDeque;
-
-/// Bound on in-flight asynchronous index flushes per writer that every
-/// [`crate::service::Service`] writer session runs with
-/// ([`WriteHandle::enable_write_behind`]).
-pub const DEFAULT_WRITE_BEHIND_WINDOW: usize = 4;
 
 /// What to do with index information while writing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,40 +56,9 @@ pub struct WriteHandle<B: Backend> {
     /// A previous index-log flush failed partway (possibly tearing a
     /// record); realign the log before appending to it again.
     flush_failed: bool,
-    /// Opt-in write-behind state ([`WriteHandle::enable_write_behind`]).
-    write_behind: Option<WriteBehind>,
     bytes_written: u64,
     eof: u64,
     closed: bool,
-}
-
-/// Write-behind state: a bounded window of in-flight asynchronous index
-/// flushes, each staged into a private scratch file so a torn append can
-/// never land mid-log (the real index log only ever takes the serialized,
-/// realign-guarded appends of [`WriteHandle::append_index_batch`]).
-struct WriteBehind {
-    /// Max in-flight staging tickets before the oldest is drained.
-    window: usize,
-    /// Monotonic sequence naming this writer's staging scratch files.
-    seq: u64,
-    in_flight: VecDeque<InFlight>,
-    /// Records whose staging batch completed. Still *unacknowledged* —
-    /// they rejoin the dirty buffer at close, where the single append to
-    /// the real index log is the acknowledgement point.
-    staged: Vec<IndexEntry>,
-    /// Staging scratch files awaiting reclaim at close. While the writer
-    /// is registered in openhosts, fsck treats these as in-flight rather
-    /// than orphans.
-    scratch: Vec<String>,
-}
-
-/// One asynchronous staging flush: the submitted batch (create + append
-/// of the scratch file), the records it carries, and the ticket to drain.
-struct InFlight {
-    staging: String,
-    batch: Vec<IoOp>,
-    records: Vec<IndexEntry>,
-    ticket: Ticket,
 }
 
 impl<B: Backend> WriteHandle<B> {
@@ -133,7 +95,6 @@ impl<B: Backend> WriteHandle<B> {
             policy,
             overflowed: false,
             flush_failed: false,
-            write_behind: None,
             bytes_written: 0,
             eof: 0,
             closed: false,
@@ -255,201 +216,6 @@ impl<B: Backend> WriteHandle<B> {
         self.append_index_batch()
     }
 
-    /// Opt this writer into write-behind index flushing with at most
-    /// `window` staging flushes in flight (clamped to ≥ 1). With
-    /// write-behind enabled, [`WriteHandle::flush_index_async`] returns as
-    /// soon as the flush is *submitted*; durability is only guaranteed
-    /// once [`WriteHandle::close`] returns — which remains the
-    /// acknowledgement point, exactly as for plain buffered writes.
-    pub fn enable_write_behind(&mut self, window: usize) {
-        let window = window.max(1);
-        match &mut self.write_behind {
-            Some(wb) => wb.window = window,
-            None => {
-                self.write_behind = Some(WriteBehind {
-                    window,
-                    seq: 0,
-                    in_flight: VecDeque::new(),
-                    staged: Vec::new(),
-                    scratch: Vec::new(),
-                });
-            }
-        }
-    }
-
-    /// In-flight write-behind staging flushes (0 when disabled or idle).
-    pub fn write_behind_depth(&self) -> usize {
-        self.write_behind.as_ref().map_or(0, |wb| wb.in_flight.len())
-    }
-
-    /// Write-behind flush: stage the buffered records into a scratch file
-    /// (`dropping.index.<id>.<seq>.staging`) through the asynchronous
-    /// plane and return without waiting. Falls back to the synchronous
-    /// [`WriteHandle::flush_index`] when write-behind is not enabled.
-    ///
-    /// Torn appends stay confined to the scratch file: the real index log
-    /// is only ever written by the serialized close-time append, so a
-    /// crashed or failed staging flush can never corrupt records the log
-    /// already holds. A flush whose staging drain fails is *not*
-    /// acknowledged — its records return to the dirty buffer and are
-    /// retried by the next flush or by close.
-    pub fn flush_index_async(&mut self) -> Result<()> {
-        if matches!(self.policy, IndexPolicy::Flatten { .. }) {
-            self.overflowed = true;
-        }
-        if self.write_behind.is_none() {
-            return self.append_index_batch();
-        }
-        if self.buffered.is_empty() {
-            return Ok(());
-        }
-        let _span = telemetry::span(telemetry::SPAN_WRITE_FLUSH);
-        let index_log = self.ensure_logs()?.1.clone();
-        let records = std::mem::take(&mut self.buffered);
-        let bytes = Content::bytes(IndexEntry::encode_all(&records));
-        let Some(mut wb) = self.write_behind.take() else {
-            return Ok(());
-        };
-        let staging = format!(
-            "{index_log}.{}{}",
-            wb.seq,
-            crate::container::ASYNC_STAGING_SUFFIX
-        );
-        wb.seq += 1;
-        let batch = vec![
-            IoOp::Create {
-                path: staging.clone(),
-                exclusive: false,
-            },
-            IoOp::Append {
-                path: staging.clone(),
-                content: bytes,
-            },
-        ];
-        let ticket = async_plane::submit_tracked(&self.backend, &batch);
-        wb.in_flight.push_back(InFlight {
-            staging,
-            batch,
-            records,
-            ticket,
-        });
-        // Bounded dirty window: block on the oldest staging flush once
-        // the window is full — backpressure instead of unbounded queues.
-        let mut result = Ok(());
-        while wb.in_flight.len() > wb.window {
-            let Some(oldest) = wb.in_flight.pop_front() else {
-                break;
-            };
-            result = Self::drain_inflight(&self.backend, &mut self.buffered, &mut wb, oldest);
-            if result.is_err() {
-                break;
-            }
-        }
-        self.write_behind = Some(wb);
-        result
-    }
-
-    /// Wait for one staging flush. On success its records move to the
-    /// staged set (durable in scratch, unacknowledged until close); on
-    /// failure they return to the front of the dirty buffer. Either way
-    /// the scratch file is queued for close-time reclaim.
-    fn drain_inflight(
-        backend: &B,
-        buffered: &mut Vec<IndexEntry>,
-        wb: &mut WriteBehind,
-        inflight: InFlight,
-    ) -> Result<()> {
-        let InFlight {
-            staging,
-            batch,
-            records,
-            ticket,
-        } = inflight;
-        let mut out = async_plane::drain_retried(backend, &batch, ticket).into_iter();
-        let landed = ioplane::as_unit(ioplane::take(&mut out))
-            .and_then(|()| ioplane::as_offset(ioplane::take(&mut out)).map(|_| ()));
-        wb.scratch.push(staging);
-        match landed {
-            Ok(()) => {
-                wb.staged.extend(records);
-                Ok(())
-            }
-            Err(e) => {
-                // Never acknowledged: requeue ahead of newer dirty
-                // records so close (or the next flush) retries them.
-                let mut requeued = records;
-                // Vec::append would read as a backend call to the
-                // token-level workspace lint (DESIGN.md §5d).
-                #[allow(clippy::extend_with_drain)]
-                requeued.extend(buffered.drain(..));
-                *buffered = requeued;
-                Err(e)
-            }
-        }
-    }
-
-    /// Drain every in-flight staging flush and fold the staged records
-    /// back into the dirty buffer, ready for the close-time append to the
-    /// real index log. A drain failure leaves the remaining tickets
-    /// queued so a retried close picks them up.
-    fn drain_write_behind(&mut self) -> Result<()> {
-        let Some(mut wb) = self.write_behind.take() else {
-            return Ok(());
-        };
-        while let Some(oldest) = wb.in_flight.pop_front() {
-            if let Err(e) = Self::drain_inflight(&self.backend, &mut self.buffered, &mut wb, oldest)
-            {
-                self.write_behind = Some(wb);
-                return Err(e);
-            }
-        }
-        // Staged records rejoin the dirty buffer ahead of anything newer;
-        // the close-time append acknowledges all of them at once.
-        let mut merged = std::mem::take(&mut wb.staged);
-        // Vec::append would read as a backend call to the token-level
-        // workspace lint (DESIGN.md §5d).
-        #[allow(clippy::extend_with_drain)]
-        merged.extend(self.buffered.drain(..));
-        self.buffered = merged;
-        self.write_behind = Some(wb);
-        Ok(())
-    }
-
-    /// Unlink the staging scratch files left behind by drained flushes.
-    /// `NotFound` is tolerated (a retried close may re-reclaim); other
-    /// failures keep the paths queued for the next close attempt.
-    fn reclaim_scratch(&mut self) -> Result<()> {
-        let scratch = match self.write_behind.as_mut() {
-            Some(wb) if !wb.scratch.is_empty() => std::mem::take(&mut wb.scratch),
-            _ => return Ok(()),
-        };
-        let batch: Vec<IoOp> = scratch
-            .iter()
-            .map(|p| IoOp::Unlink { path: p.clone() })
-            .collect();
-        let outcomes = ioplane::submit_retried(&self.backend, &batch);
-        let mut failed = Vec::new();
-        let mut first_err = None;
-        for (path, outcome) in scratch.into_iter().zip(outcomes) {
-            match ioplane::as_unit(outcome) {
-                Ok(()) | Err(PlfsError::NotFound(_)) => {}
-                Err(e) => {
-                    failed.push(path);
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            if let Some(wb) = self.write_behind.as_mut() {
-                wb.scratch = failed;
-            }
-            return Err(e);
-        }
-        Ok(())
-    }
-
     /// Append all buffered entries to the index log, clearing the buffer
     /// only on success — a failed flush keeps every entry for a retry.
     ///
@@ -567,13 +333,8 @@ impl<B: Backend> WriteHandle<B> {
             return Ok(Vec::new());
         }
         let _span = telemetry::span(telemetry::SPAN_WRITE_CLOSE);
-        // Write-behind settles first: every staging ticket drains and the
-        // staged records rejoin the dirty buffer, so the append below —
-        // the acknowledgement point — covers them too.
-        self.drain_write_behind()?;
         let contribution = self.buffered.clone();
         self.append_index_batch()?;
-        self.reclaim_scratch()?;
         // Metadir record + openhosts deregistration as one batch.
         self.container
             .finish_close(&self.backend, self.writer, self.eof, self.bytes_written)?;
@@ -631,10 +392,8 @@ pub fn reject_read_write() -> PlfsError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::Gated;
     use crate::federation::Federation;
     use crate::memfs::MemFs;
-    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     fn setup() -> (Arc<MemFs>, Container) {
@@ -831,92 +590,6 @@ mod tests {
         assert_eq!(w.bytes_written(), 0);
         let contribution = w.close(2).unwrap();
         assert!(contribution.is_empty());
-    }
-
-    #[test]
-    fn write_behind_records_land_and_scratch_is_reclaimed() {
-        let (b, c) = setup();
-        let mut w =
-            WriteHandle::open(Arc::clone(&b), c.clone(), 0, IndexPolicy::WriteClose).unwrap();
-        w.enable_write_behind(2);
-        for i in 0..6u64 {
-            w.write(i * 10, &Content::bytes(vec![i as u8; 10]), i + 1)
-                .unwrap();
-            w.flush_index_async().unwrap();
-        }
-        w.close(99).unwrap();
-        let entries = c.read_index_log(&b, 0).unwrap();
-        assert_eq!(entries.len(), 6);
-        assert_eq!(entries[5].logical_offset, 50);
-        // A clean close reclaims every staging scratch file.
-        let dlog = c.data_log(&b, 0).unwrap();
-        let dir = &dlog[..dlog.rfind('/').unwrap()];
-        let names = b.list(dir).unwrap();
-        assert!(
-            names
-                .iter()
-                .all(|n| !n.ends_with(crate::container::ASYNC_STAGING_SUFFIX)),
-            "staging scratch left behind: {names:?}"
-        );
-    }
-
-    #[test]
-    fn write_behind_window_bounds_in_flight_flushes() {
-        let (b, c) = setup();
-        let mut w =
-            WriteHandle::open(Arc::clone(&b), c.clone(), 0, IndexPolicy::WriteClose).unwrap();
-        w.enable_write_behind(2);
-        for i in 0..8u64 {
-            w.write(i * 4, &Content::bytes(vec![0; 4]), i + 1).unwrap();
-            w.flush_index_async().unwrap();
-            assert_eq!(
-                w.write_behind_depth(),
-                ((i + 1) as usize).min(2),
-                "window must cap in-flight flushes"
-            );
-        }
-        w.close_in_place(9).unwrap();
-        assert_eq!(w.write_behind_depth(), 0);
-        assert_eq!(c.read_index_log(&b, 0).unwrap().len(), 8);
-    }
-
-    #[test]
-    fn write_behind_staging_failure_keeps_records_for_retry() {
-        // Appends to write-behind staging scratch are rejected with a
-        // hard (non-transient) error.
-        let fails = AtomicUsize::new(0);
-        let b = Arc::new(Gated {
-            inner: MemFs::new(),
-            gate: |op: &IoOp| match op {
-                IoOp::Append { path, .. }
-                    if path.ends_with(crate::container::ASYNC_STAGING_SUFFIX) =>
-                {
-                    fails.fetch_add(1, Ordering::SeqCst);
-                    Err(PlfsError::Io("staging append rejected".into()))
-                }
-                _ => Ok(()),
-            },
-        });
-        let c = Container::new("/f", &Federation::single("/ns", 2));
-        let mut w =
-            WriteHandle::open(Arc::clone(&b), c.clone(), 3, IndexPolicy::WriteClose).unwrap();
-        w.enable_write_behind(1);
-        w.write(0, &Content::bytes(vec![1; 8]), 1).unwrap();
-        w.flush_index_async().unwrap(); // submission succeeds; failure surfaces at drain
-        w.write(8, &Content::bytes(vec![2; 8]), 2).unwrap();
-        assert!(
-            w.close_in_place(9).is_err(),
-            "drain must surface the staging failure"
-        );
-        assert!(fails.load(Ordering::SeqCst) >= 1);
-        // The records were never acknowledged, so they are still here —
-        // the retried close lands them through the ordinary synchronous
-        // append to the real index log.
-        w.close_in_place(9).unwrap();
-        let entries = c.read_index_log(&b, 3).unwrap();
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].logical_offset, 0);
-        assert_eq!(entries[1].logical_offset, 8);
     }
 
     #[test]

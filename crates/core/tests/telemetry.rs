@@ -8,7 +8,7 @@
 
 use plfs::service::{Admitted, Service, ServiceConfig};
 use plfs::telemetry::*;
-use plfs::{Content, MemFs, Plfs, PlfsConfig};
+use plfs::{Backend, Content, IoOp, MemFs, Plfs, PlfsConfig, Reactor};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One lock serializes the tests; the plane starts reset and enabled,
@@ -207,6 +207,39 @@ fn explicit_parent_carries_ancestry_across_threads() {
     // TLS nesting still works underneath the carried parent.
     assert_eq!(exec.children[0].name, SPAN_IOPLANE_SUBMIT);
     // And no orphan copy of the worker span exists at the top level.
+    assert!(snap.spans.iter().all(|s| s.name != SPAN_ASYNC_EXEC));
+}
+
+#[test]
+fn reactor_workers_nest_under_the_submitting_span() {
+    let _scope = Scope::enabled();
+    let reactor = Reactor::with_config(Arc::new(MemFs::new()), 2, 4);
+    {
+        let _submitter = span(SPAN_WRITE_FLUSH);
+        let tickets: Vec<_> = (0..4)
+            .map(|i| {
+                reactor.submit_async(&[IoOp::MkdirAll {
+                    path: format!("/d{i}"),
+                }])
+            })
+            .collect();
+        for t in tickets {
+            assert!(t.wait().outcomes.iter().all(Result::is_ok));
+        }
+    }
+    drop(reactor); // joins the workers, so every exec span has closed
+    let snap = snapshot();
+    let root = snap
+        .spans
+        .iter()
+        .find(|s| s.name == SPAN_WRITE_FLUSH)
+        .expect("submitting span must be a root");
+    let execs = root
+        .children
+        .iter()
+        .filter(|c| c.name == SPAN_ASYNC_EXEC)
+        .count();
+    assert_eq!(execs, 4, "one async.exec per batch, under the submitter");
     assert!(snap.spans.iter().all(|s| s.name != SPAN_ASYNC_EXEC));
 }
 

@@ -48,27 +48,6 @@ pub fn fig4_read_open_snapshot() -> Result<TelemetrySnapshot, String> {
     Ok(plfs::telemetry::snapshot())
 }
 
-/// The same fig-4 shape opened through the *asynchronous* plane: the
-/// backend is wrapped in a [`plfs::Reactor`], so the open's overlapped
-/// index-log reads execute on reactor workers. Each worker wraps its
-/// execution in an `async.exec` span that carries the submitting span as
-/// its explicit parent — the returned forest shows the cross-thread
-/// ancestry the telemetry plane preserves.
-pub fn fig4_read_open_async_snapshot() -> Result<TelemetrySnapshot, String> {
-    let backend = Arc::new(MemFs::new());
-    let fed = Federation::single("/panfs", SUBDIRS);
-    let cont = Container::new("/fig4/ckpt", &fed);
-    build_fig4(&backend, &cont)?;
-
-    let reactor = Arc::new(plfs::Reactor::new(Arc::clone(&backend)));
-    plfs::telemetry::reset();
-    plfs::telemetry::set_enabled(true);
-    let opened = ReadHandle::open(Arc::clone(&reactor), cont);
-    plfs::telemetry::set_enabled(false);
-    opened.map_err(|e| format!("async read open: {e}"))?;
-    Ok(plfs::telemetry::snapshot())
-}
-
 fn build_fig4(backend: &Arc<MemFs>, cont: &Container) -> Result<(), String> {
     for w in 0..WRITERS {
         let mut h =
@@ -160,28 +139,45 @@ mod tests {
         assert_eq!(stat.max_ns, open.dur_ns);
     }
 
-    /// The async read-open probe: reactor workers execute the overlapped
-    /// index-log reads, and their `async.exec` spans keep the submitting
-    /// span as parent — none of them surfaces as an orphan root.
+    /// Cross-thread ancestry that holds on one core: 16 index logs are
+    /// four read slices, so a 4-thread aggregation runs four shard
+    /// threads whatever the core count, and every `index.aggregate` and
+    /// `ioplane.submit` they record nests under the caller's
+    /// `index.aggregate` — no orphan root.
     #[test]
-    fn fig4_async_read_open_keeps_cross_thread_ancestry() {
-        use plfs::telemetry::{CTR_ASYNC_TICKETS, SPAN_ASYNC_DRAIN, SPAN_ASYNC_EXEC};
+    fn fig4_parallel_aggregation_keeps_cross_thread_ancestry() {
         let _guard = telemetry_guard();
-        let snap = fig4_read_open_async_snapshot().unwrap();
+        let backend = Arc::new(MemFs::new());
+        let cont = Container::new("/fig4/ckpt", &Federation::single("/panfs", SUBDIRS));
+        build_fig4(&backend, &cont).unwrap();
 
-        let execs = count_named(&snap.spans, SPAN_ASYNC_EXEC);
-        assert!(execs > 0, "reactor workers must record async.exec spans");
-        // Parent-carry: no async.exec is a top-level root; every one
-        // nests under the span that submitted its batch.
-        assert!(
-            snap.spans.iter().all(|n| n.name != SPAN_ASYNC_EXEC),
-            "async.exec must never be an orphan root"
-        );
-        assert!(
-            count_named(&snap.spans, SPAN_ASYNC_DRAIN) > 0,
-            "waiters must record async.drain spans"
-        );
-        let tickets = snap.counters.get(CTR_ASYNC_TICKETS).copied().unwrap_or(0);
-        assert!(tickets as usize >= execs, "every exec has a ticket");
+        plfs::telemetry::reset();
+        plfs::telemetry::set_enabled(true);
+        let aggregated = cont.aggregate_index_parallel(&backend, 4);
+        plfs::telemetry::set_enabled(false);
+        aggregated.unwrap();
+        let snap = plfs::telemetry::snapshot();
+
+        let roots: Vec<&SpanNode> = snap
+            .spans
+            .iter()
+            .filter(|n| n.name == SPAN_INDEX_AGGREGATE)
+            .collect();
+        assert_eq!(roots.len(), 1, "one caller root: {:?}", snap.spans);
+        let root = std::slice::from_ref(roots[0]);
+        let shards = root[0]
+            .children
+            .iter()
+            .filter(|n| n.name == SPAN_INDEX_AGGREGATE)
+            .count();
+        assert_eq!(shards, 4, "one nested index.aggregate per shard thread");
+        for name in [SPAN_INDEX_AGGREGATE, SPAN_IOPLANE_SUBMIT] {
+            assert_eq!(
+                count_named(&snap.spans, name),
+                count_named(root, name),
+                "every {name} nests under the caller"
+            );
+        }
+        assert!(count_named(root, SPAN_IOPLANE_SUBMIT) >= 4);
     }
 }

@@ -10,7 +10,7 @@
 //! --bench`.
 
 use plfs::service::{Admitted, Service, ServiceConfig};
-use plfs::{telemetry, Content, MemFs, PlfsConfig, Reactor};
+use plfs::{telemetry, Content, MemFs, PlfsConfig};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -69,7 +69,9 @@ pub struct SvcBenchReport {
     pub throttled: u64,
     /// Sessions opened (`svc.opens`).
     pub opens: u64,
-    /// Dirty-budget-forced async index flushes (`svc.dirty_flushes`).
+    /// Index flushes forced by a tenant's dirty budget
+    /// (`svc.dirty_flushes`): 0 unless the open writers' unflushed bytes
+    /// cross it.
     pub dirty_flushes: u64,
     /// Wall-clock nanoseconds for the replay.
     pub wall_ns: u64,
@@ -98,8 +100,8 @@ fn p99_from_buckets(buckets: &[u64]) -> u64 {
     u64::MAX
 }
 
-/// Replay the trace for `cfg` against a fresh `Service` over the
-/// asynchronous plane (a [`Reactor`] over [`MemFs`]) and measure it.
+/// Replay the trace for `cfg` against a fresh `Service` over [`MemFs`]
+/// and measure it.
 pub fn run_svc_bench(cfg: &SvcBenchConfig) -> SvcBenchReport {
     let spec = TrafficSpec {
         clients: cfg.clients,
@@ -120,9 +122,8 @@ pub fn run_svc_bench(cfg: &SvcBenchConfig) -> SvcBenchReport {
     svc_cfg.token_burst = cfg.token_burst;
     svc_cfg.dirty_budget = cfg.dirty_budget;
     svc_cfg.expected_clients = cfg.clients as usize;
-    let reactor = Arc::new(Reactor::with_config(Arc::new(MemFs::new()), 4, 64));
     // plfs-lint: allow(panic-in-core): bench driver — a failed in-memory mount is a broken harness, abort loudly
-    let svc = Service::new(reactor, svc_cfg).expect("service mount over MemFs");
+    let svc = Service::new(Arc::new(MemFs::new()), svc_cfg).expect("service mount over MemFs");
 
     // Stripe clients across threads; each thread replays its clients'
     // events in trace order, so per-client op order is preserved.

@@ -53,15 +53,11 @@ pub fn is_opaque_io(name: &str, method: bool, has_args: bool) -> bool {
     false
 }
 
-/// Async-plane entry points: these both seed reaches-I/O *and* resolve
-/// into the plane's implementation (they are plain workspace functions,
-/// not trait-object dispatch — except `submit_async`, which resolves to
-/// every impl, including the reactor's).
+/// `Backend::submit_async`: it seeds reaches-I/O (a reactor blocks
+/// while its in-flight window is full) *and* resolves into every impl,
+/// the reactor's included.
 pub fn is_async_io(name: &str) -> bool {
-    matches!(
-        name,
-        "submit_async" | "submit_tracked" | "drain_retried"
-    )
+    name == "submit_async"
 }
 
 /// The resolved graph. Functions are indexed by position in `fns`.
@@ -246,7 +242,7 @@ mod tests {
 
     #[test]
     fn async_submissions_count_as_io() {
-        let src = "fn f(&self) { let t = self.backend.submit_async(&ops); tickets.push(t); }";
+        let src = "fn f(&self) { let t = self.backend.submit_async(&ops); t.wait(); }";
         let fns = graph_src(src);
         let g = CallGraph::build(&fns);
         assert!(g.reaches_io[0]);

@@ -1,8 +1,8 @@
 //! A lightweight statement/branch IR over the token stream.
 //!
 //! The token-level rules in [`crate::rules`] see one flat stream; the
-//! interprocedural analyses ([`crate::locks`], [`crate::tickets`], and
-//! guard-across-io v2) need function boundaries, statement boundaries,
+//! interprocedural analyses ([`crate::locks`] and guard-across-io v2)
+//! need function boundaries, statement boundaries,
 //! and branch structure. This module parses each `fn` body into a small
 //! event tree — still zero-dep, still recursive descent over
 //! [`crate::lexer::lex`] output.
@@ -62,8 +62,6 @@ pub enum Event {
         method: bool,
         line: u32,
     },
-    /// A bare identifier use (not a call) — ticket moves ride on these.
-    Mention { name: String, line: u32 },
     /// `let` statement. `name` is `None` for destructuring patterns;
     /// `init` holds the initializer's events (including any trailing
     /// if/match blocks up to the terminating `;`).
@@ -72,7 +70,7 @@ pub enum Event {
         init: Vec<Event>,
         line: u32,
     },
-    /// `drop(name)` — explicit release of a guard or ticket.
+    /// `drop(name)` — explicit release of a guard.
     DropCall { name: String, line: u32 },
     /// A non-`let`, non-control statement: its events die (for
     /// statement-temporary lock guards) when the statement ends.
@@ -82,15 +80,8 @@ pub enum Event {
     /// `if`/`else if`/`else` chain or a `match`: exactly one arm runs.
     /// An `if` without `else` carries a trailing empty arm.
     Branch { arms: Vec<Vec<Event>>, line: u32 },
-    /// `for`/`while`/`loop` body. `header_mentions` are the identifiers
-    /// of a `for` loop's iterator expression (the moved collection).
-    Loop {
-        body: Vec<Event>,
-        header_mentions: Vec<String>,
-        line: u32,
-    },
-    /// The `?` operator — an early-return edge plus fall-through.
-    Try { line: u32 },
+    /// `for`/`while`/`loop` body.
+    Loop { body: Vec<Event>, line: u32 },
     /// An explicit `return` — this path ends here.
     Return { line: u32 },
 }
@@ -340,7 +331,7 @@ fn is_let_guard_pos(prev: &Tok) -> bool {
     prev.is(TokKind::Ident, "if") || prev.is(TokKind::Ident, "while")
 }
 
-/// Extract flat events (calls, mentions, tries, returns, scopes) from
+/// Extract flat events (calls, drops, returns, scopes) from
 /// an expression range. Nested blocks become `Scope`s; `return <expr>`
 /// emits the expression's events *before* the `Return`.
 fn parse_expr(toks: &[Tok], start: usize, end: usize, _depth: u32) -> Vec<Event> {
@@ -405,25 +396,6 @@ fn parse_expr(toks: &[Tok], start: usize, end: usize, _depth: u32) -> Vec<Event>
                 });
                 i += 1;
             }
-            (
-                TokKind::Ident,
-                "let" | "mut" | "ref" | "else" | "in" | "as" | "move" | "break" | "continue"
-                | "fn" | "struct" | "enum" | "impl" | "use" | "pub" | "where" | "unsafe"
-                | "const" | "static" | "type" | "trait" | "mod" | "async" | "await" | "dyn",
-            ) => {
-                i += 1;
-            }
-            (TokKind::Ident, _) => {
-                out.push(Event::Mention {
-                    name: t.text.clone(),
-                    line: t.line,
-                });
-                i += 1;
-            }
-            (TokKind::Punct, "?") => {
-                out.push(Event::Try { line: t.line });
-                i += 1;
-            }
             (TokKind::Punct, "{") => {
                 let close = matching_close(toks, i);
                 out.push(Event::Scope(parse_block(toks, i + 1, close.min(end))));
@@ -455,8 +427,7 @@ fn parse_let(toks: &[Tok], at: usize, end: usize) -> (Event, usize) {
     };
     let next = stmt_end(toks, at, depth, end);
     // Initializer events start strictly after the `=`: the pattern's
-    // own identifiers are binders, and emitting them as mentions would
-    // make `let t = ...` look like a *use* of the old `t`.
+    // own tokens are binders, not part of the initializer.
     let eq = (j..next).find(|&k| {
         toks[k].is(TokKind::Punct, "=")
             && !toks.get(k + 1).is_some_and(|n| n.is(TokKind::Punct, "="))
@@ -588,9 +559,7 @@ fn parse_match(toks: &[Tok], at: usize, end: usize) -> (Option<Event>, Vec<Event
 
 /// `for pat in expr { .. }` / `while cond { .. }` / `loop { .. }`.
 /// A `while` condition re-evaluates per iteration, so it goes at the
-/// head of the body; a `for` iterator expression runs once — its
-/// identifier mentions are recorded as `header_mentions` (the moved
-/// collection) and its calls are inlined before the body.
+/// head of the body; a `for` header contributes no events.
 fn parse_loop(toks: &[Tok], at: usize, end: usize) -> (Option<Event>, usize) {
     let depth = toks[at].depth;
     let line = toks[at].line;
@@ -608,41 +577,11 @@ fn parse_loop(toks: &[Tok], at: usize, end: usize) -> (Option<Event>, usize) {
     let open = at + 1 + open_off;
     let close = matching_close(toks, open);
     let mut body = Vec::new();
-    let mut header_mentions = Vec::new();
-    match kw {
-        "for" => {
-            // Header idents after `in` are the iterated expression.
-            let in_pos = toks[at + 1..open]
-                .iter()
-                .position(|t| t.is(TokKind::Ident, "in"))
-                .map(|off| at + 1 + off);
-            if let Some(in_pos) = in_pos {
-                for ev in parse_expr(toks, in_pos + 1, open, depth) {
-                    match ev {
-                        Event::Mention { name, .. } => header_mentions.push(name),
-                        Event::Call { name, recv, .. } => {
-                            if let Some(r) = recv {
-                                header_mentions.push(r);
-                            }
-                            header_mentions.push(name);
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        }
-        "while" => body.extend(parse_expr(toks, at + 1, open, depth)),
-        _ => {}
+    if kw == "while" {
+        body.extend(parse_expr(toks, at + 1, open, depth));
     }
     body.extend(parse_block(toks, open + 1, close.min(end)));
-    (
-        Some(Event::Loop {
-            body,
-            header_mentions,
-            line,
-        }),
-        close + 1,
-    )
+    (Some(Event::Loop { body, line }), close + 1)
 }
 
 #[cfg(test)]
@@ -680,7 +619,7 @@ mod tests {
                 fn entry(&self, fd: Fd) {}
             }
             impl Backend for Reactor<B> {
-                fn submit_async(&self, batch: &[IoOp]) -> Ticket { x() }
+                fn submit(&self, batch: &[IoOp]) -> Vec<IoOutcome> { x() }
             }
             trait T { fn decl_only(&self); }
         "#;
@@ -692,7 +631,7 @@ mod tests {
                 "free",
                 "PosixShim::open",
                 "PosixShim::entry",
-                "Reactor::submit_async"
+                "Reactor::submit"
             ]
         );
     }
@@ -795,20 +734,6 @@ mod tests {
     }
 
     #[test]
-    fn for_loop_header_mentions_capture_the_moved_collection() {
-        let src = "fn f() { for (c, t) in chunks.iter().zip(tickets) { drain(c, t); } }";
-        let fns = irs(src);
-        let Some(Event::Loop {
-            header_mentions, ..
-        }) = fns[0].body.first()
-        else {
-            panic!("expected loop, got {:?}", fns[0].body);
-        };
-        assert!(header_mentions.contains(&"tickets".to_string()));
-        assert!(header_mentions.contains(&"chunks".to_string()));
-    }
-
-    #[test]
     fn return_expr_events_precede_the_return() {
         let src = "fn f() -> u32 { if a { return compute(); } other() }";
         let fns = irs(src);
@@ -834,23 +759,17 @@ mod tests {
     }
 
     #[test]
-    fn try_and_drop_events_appear() {
+    fn drop_events_appear() {
         let src = "fn f() { let g = m.lock(); fallible()?; drop(g); }";
         let fns = irs(src);
-        let mut saw_try = false;
-        let mut saw_drop = false;
-        fn walk(evs: &[Event], t: &mut bool, d: &mut bool) {
-            for e in evs {
-                match e {
-                    Event::Try { .. } => *t = true,
-                    Event::DropCall { name, .. } if name == "g" => *d = true,
-                    Event::Stmt(es) | Event::Scope(es) => walk(es, t, d),
-                    Event::Bind { init, .. } => walk(init, t, d),
-                    _ => {}
-                }
-            }
+        fn saw_drop(evs: &[Event]) -> bool {
+            evs.iter().any(|e| match e {
+                Event::DropCall { name, .. } => name == "g",
+                Event::Stmt(es) | Event::Scope(es) => saw_drop(es),
+                Event::Bind { init, .. } => saw_drop(init),
+                _ => false,
+            })
         }
-        walk(&fns[0].body, &mut saw_try, &mut saw_drop);
-        assert!(saw_try && saw_drop);
+        assert!(saw_drop(&fns[0].body));
     }
 }

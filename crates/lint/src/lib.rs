@@ -15,7 +15,6 @@ pub mod lexer;
 pub mod locks;
 pub mod report;
 pub mod rules;
-pub mod tickets;
 
 use std::collections::HashMap;
 use std::fs;
@@ -82,15 +81,6 @@ fn batch_scope(rel: &str) -> bool {
         .any(|f| rel.ends_with(f))
 }
 
-/// blocking-submit-with-ticket applies wherever middleware code drives
-/// the async plane — but not to the plane's own implementation, whose
-/// reactor workers and inline fallbacks legitimately run blocking
-/// submits while tickets are outstanding.
-fn async_ticket_scope(rel: &str) -> bool {
-    (rel.starts_with("crates/core/") || rel.starts_with("src/"))
-        && !rel.ends_with("/async_plane.rs")
-}
-
 /// Per-file lint result, pre-aggregation.
 #[derive(Debug, Default)]
 pub struct FileLint {
@@ -104,46 +94,29 @@ pub struct FileLint {
 /// caller-computed findings (format-drift, semantic analyses) through
 /// pragma resolution.
 pub fn lint_source_with(rel: &str, src: &str, extra: Vec<RawFinding>) -> FileLint {
-    lint_source_opts(rel, src, extra, false)
-}
-
-/// Full-control variant. With `testish` set, the file is treated as
-/// test/example code: token-level rules are skipped (they are exempt
-/// by design there) and the caller's `extra` findings — the semantic
-/// ticket rules, which *do* apply to test code — go through pragma
-/// resolution with pragmas honored even inside `#[test]` ranges.
-pub fn lint_source_opts(rel: &str, src: &str, extra: Vec<RawFinding>, testish: bool) -> FileLint {
     let lexed = lex(src);
     let tests = rules::test_ranges(&lexed.toks);
 
     let mut raw: Vec<RawFinding> = extra;
-    if !testish {
-        raw.extend(rules::panic_in_core(&lexed.toks, &tests));
-        raw.extend(rules::swallowed_result(&lexed.toks, &tests));
-        if guard_scope(rel) {
-            raw.extend(rules::guard_across_io(&lexed.toks, &tests));
-        }
-        if unretried_scope(rel) {
-            raw.extend(rules::unretried_backend_call(&lexed.toks, &tests));
-        }
-        if batch_scope(rel) {
-            raw.extend(rules::raw_backend_in_batch_path(&lexed.toks, &tests));
-        }
-        if async_ticket_scope(rel) {
-            raw.extend(rules::blocking_submit_with_ticket(&lexed.toks, &tests));
-        }
+    raw.extend(rules::panic_in_core(&lexed.toks, &tests));
+    raw.extend(rules::swallowed_result(&lexed.toks, &tests));
+    if guard_scope(rel) {
+        raw.extend(rules::guard_across_io(&lexed.toks, &tests));
+    }
+    if unretried_scope(rel) {
+        raw.extend(rules::unretried_backend_call(&lexed.toks, &tests));
+    }
+    if batch_scope(rel) {
+        raw.extend(rules::raw_backend_in_batch_path(&lexed.toks, &tests));
     }
 
     // Line spans of test regions: pragmas inside them are inert (test
-    // code is rule-exempt, so there is nothing for them to suppress) —
-    // except in testish files, where semantic findings land inside
-    // `#[test]` fns and their pragmas must work.
+    // code is rule-exempt, so there is nothing for them to suppress).
     let test_lines: Vec<(u32, u32)> = tests
         .iter()
         .map(|&(s, e)| (lexed.toks[s].line, lexed.toks[e].line))
         .collect();
-    let in_test_lines =
-        |line: u32| !testish && test_lines.iter().any(|&(s, e)| s <= line && line <= e);
+    let in_test_lines = |line: u32| test_lines.iter().any(|&(s, e)| s <= line && line <= e);
 
     // Sorted token lines, for "first code line after the pragma".
     let tok_lines: Vec<u32> = lexed.toks.iter().map(|t| t.line).collect();
@@ -241,32 +214,19 @@ pub fn lint_source(rel: &str, src: &str) -> FileLint {
     lint_source_with(rel, src, Vec::new())
 }
 
-/// The whole-workspace semantic pass: parse every file into
-/// [`ir::FnIr`], build the production call graph, and run the
-/// lock-order, guard-across-io-v2, and ticket-lifecycle analyses.
-///
-/// `files` is `(rel, source, testish)`; testish files (top-level
-/// `tests/`, `examples/`) contribute no call-graph nodes and only run
-/// the ticket rules — but run them on *every* function, `#[test]`
-/// included, because a leaked ticket in a test wedges the reactor for
-/// the whole suite.
+/// The whole-workspace semantic pass: parse every `(rel, source)` file
+/// into [`ir::FnIr`], build the call graph, and run the lock-order and
+/// guard-across-io-v2 analyses.
 ///
 /// Returns per-file findings plus a used-flag per §5i lock-table row
 /// so the caller can report stale rows (the two-way drift contract).
 pub fn semantic_findings(
-    files: &[(String, String, bool)],
+    files: &[(String, String)],
     lock_rows: &[LockRow],
 ) -> (HashMap<String, Vec<RawFinding>>, Vec<bool>) {
     let mut prod_fns: Vec<FnIr> = Vec::new();
-    let mut test_fns: Vec<FnIr> = Vec::new();
-    for (rel, src, testish) in files {
-        let lexed = lex(src);
-        let fns = ir::parse_file(rel, &lexed.toks);
-        if *testish {
-            test_fns.extend(fns);
-        } else {
-            prod_fns.extend(fns);
-        }
+    for (rel, src) in files {
+        prod_fns.extend(ir::parse_file(rel, &lex(src).toks));
     }
     let graph = CallGraph::build(&prod_fns);
     let mut out: HashMap<String, Vec<RawFinding>> = HashMap::new();
@@ -281,18 +241,6 @@ pub fn semantic_findings(
     }
     for (file, f) in locks::guard_v2(&prod_fns, &graph, &|f: &FnIr| guard_scope(&f.file)) {
         out.entry(file).or_default().push(f);
-    }
-    for f in prod_fns.iter().filter(|f| !f.is_test && async_ticket_scope(&f.file)) {
-        let found = tickets::analyze_fn(f);
-        if !found.is_empty() {
-            out.entry(f.file.clone()).or_default().extend(found);
-        }
-    }
-    for f in &test_fns {
-        let found = tickets::analyze_fn(f);
-        if !found.is_empty() {
-            out.entry(f.file.clone()).or_default().extend(found);
-        }
     }
     (out, used)
 }
@@ -335,40 +283,30 @@ pub fn run(cfg: &LintConfig) -> Result<LintReport, String> {
         tables.push((spec, vec![false; rows.len()], rows));
     }
 
-    let mut prod_paths = Vec::new();
+    let mut paths = Vec::new();
     for top in ["crates", "src"] {
-        collect_rs_files(&cfg.root.join(top), &mut prod_paths);
+        collect_rs_files(&cfg.root.join(top), &mut paths);
     }
-    if prod_paths.is_empty() {
+    if paths.is_empty() {
         return Err(format!(
             "no Rust sources found under {} (crates/, src/)",
             cfg.root.display()
         ));
     }
-    // Top-level integration tests and examples are token-rule-exempt
-    // but still drive the async plane, so the semantic ticket rules
-    // cover them as "testish" sources.
-    let mut testish_paths = Vec::new();
-    for top in ["tests", "examples"] {
-        collect_rs_files(&cfg.root.join(top), &mut testish_paths);
-    }
-
     // Read everything up front: the semantic pass is workspace-wide
     // (the call graph spans files), unlike the per-file token rules.
-    let mut sources: Vec<(String, String, bool)> = Vec::new();
-    for (paths, testish) in [(&prod_paths, false), (&testish_paths, true)] {
-        for path in paths.iter() {
-            let rel = path
-                .strip_prefix(&cfg.root)
-                .unwrap_or(path)
-                .components()
-                .map(|c| c.as_os_str().to_string_lossy())
-                .collect::<Vec<_>>()
-                .join("/");
-            let src = fs::read_to_string(path)
-                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            sources.push((rel, src, testish));
-        }
+    let mut sources: Vec<(String, String)> = Vec::new();
+    for path in &paths {
+        let rel = path
+            .strip_prefix(&cfg.root)
+            .unwrap_or(path)
+            .components()
+            .map(|c| c.as_os_str().to_string_lossy())
+            .collect::<Vec<_>>()
+            .join("/");
+        let src =
+            fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        sources.push((rel, src));
     }
 
     // The lock table's rows are matched by the workspace-wide semantic
@@ -381,19 +319,17 @@ pub fn run(cfg: &LintConfig) -> Result<LintReport, String> {
     }
 
     let mut report = LintReport::default();
-    for (rel, src, testish) in &sources {
+    for (rel, src) in &sources {
         let mut extras = semantic.remove(rel).unwrap_or_default();
-        if !testish {
-            let toks = lex(src).toks;
-            for (spec, matched, rows) in &mut tables {
-                let (findings, hit) = drift::check_file(spec, rows, rel, &toks);
-                extras.extend(findings);
-                for idx in hit {
-                    matched[idx] = true;
-                }
+        let toks = lex(src).toks;
+        for (spec, matched, rows) in &mut tables {
+            let (findings, hit) = drift::check_file(spec, rows, rel, &toks);
+            extras.extend(findings);
+            for idx in hit {
+                matched[idx] = true;
             }
         }
-        let file_lint = lint_source_opts(rel, src, extras, *testish);
+        let file_lint = lint_source_with(rel, src, extras);
         report.findings.extend(file_lint.findings);
         report.allowed.extend(file_lint.allowed);
         report.warnings.extend(file_lint.warnings);
@@ -401,7 +337,7 @@ pub fn run(cfg: &LintConfig) -> Result<LintReport, String> {
     }
 
     // The other drift direction: rows nothing in the workspace matched.
-    let scanned = |file: &str| sources.iter().any(|(rel, _, testish)| rel == file && !testish);
+    let scanned = |file: &str| sources.iter().any(|(rel, _)| rel == file);
     for (spec, matched, rows) in &tables {
         for (line, message) in spec.stale_rows(rows, matched, scanned) {
             report.findings.push(Finding {

@@ -318,7 +318,6 @@ impl<'a> Walker<'a> {
                     }
                 }
                 Event::Return { .. } => return false,
-                Event::Mention { .. } | Event::Try { .. } => {}
             }
         }
         true
@@ -509,11 +508,7 @@ struct HeldAny {
 /// Blocking/async submit entry points that the token-level
 /// guard-across-io rule does not watch.
 fn is_submit_family(name: &str, method: bool) -> bool {
-    (name == "submit" && method)
-        || matches!(
-            name,
-            "submit_retried" | "submit_async" | "submit_tracked" | "drain_retried"
-        )
+    (name == "submit" && method) || matches!(name, "submit_retried" | "submit_async")
 }
 
 struct V2Walker<'a> {
@@ -667,7 +662,6 @@ impl<'a> V2Walker<'a> {
                     }
                 }
                 Event::Return { .. } => return false,
-                Event::Mention { .. } | Event::Try { .. } => {}
             }
         }
         true
@@ -870,6 +864,11 @@ mod tests {
         );
         assert_eq!(f.len(), 1, "{:?}", f);
         assert!(f[0].1.message.contains("submit_async"));
+        let f = run_v2(
+            "fn f(&self) { let g = self.state.lock(); let out = submit_retried(&self.backend, &ops); }",
+        );
+        assert_eq!(f.len(), 1, "{:?}", f);
+        assert!(f[0].1.message.contains("submit_retried"));
     }
 
     #[test]

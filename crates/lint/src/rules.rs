@@ -31,20 +31,13 @@
 //! * **format-drift** — on-disk format constants must match the
 //!   authoritative table in DESIGN.md (implemented in
 //!   [`crate::drift`], driven by the doc, checked here per file).
-//! * **blocking-submit-with-ticket** — a blocking `submit` /
-//!   `submit_retried` round trip issued while a `let`-bound async
-//!   ticket (`submit_async` / `submit_tracked`) is still un-drained.
-//!   The blocking call serializes the caller behind I/O the reactor
-//!   was supposed to overlap — and behind a bounded in-flight window it
-//!   can deadlock the drain the ticket is waiting on.
 //!
-//! Three further rules are *semantic*: they run on the statement/branch
-//! IR ([`crate::ir`]) and the workspace call graph
-//! ([`crate::callgraph`]) rather than on this file's token scanners —
-//! **lock-order-inversion** ([`crate::locks`], checked against the
-//! DESIGN.md §5i hierarchy), **ticket-leak** and
-//! **ticket-double-drain** ([`crate::tickets`]). Their findings carry
-//! counterexample traces and flow through the same pragma resolution.
+//! One further rule is *semantic*: **lock-order-inversion**
+//! ([`crate::locks`], checked against the DESIGN.md §5i hierarchy) runs
+//! on the statement/branch IR ([`crate::ir`]) and the workspace call
+//! graph ([`crate::callgraph`]) rather than on this file's token
+//! scanners. Its findings carry counterexample traces and flow through
+//! the same pragma resolution.
 
 use crate::lexer::{Tok, TokKind};
 
@@ -58,10 +51,7 @@ pub enum RuleId {
     UnretriedBackendCall,
     RawBackendInBatchPath,
     FormatDrift,
-    BlockingSubmitWithTicket,
     LockOrderInversion,
-    TicketLeak,
-    TicketDoubleDrain,
 }
 
 impl RuleId {
@@ -73,14 +63,11 @@ impl RuleId {
             RuleId::UnretriedBackendCall => "unretried-backend-call",
             RuleId::RawBackendInBatchPath => "raw-backend-in-batch-path",
             RuleId::FormatDrift => "format-drift",
-            RuleId::BlockingSubmitWithTicket => "blocking-submit-with-ticket",
             RuleId::LockOrderInversion => "lock-order-inversion",
-            RuleId::TicketLeak => "ticket-leak",
-            RuleId::TicketDoubleDrain => "ticket-double-drain",
         }
     }
 
-    pub fn all() -> [RuleId; 10] {
+    pub fn all() -> [RuleId; 7] {
         [
             RuleId::GuardAcrossIo,
             RuleId::SwallowedResult,
@@ -88,10 +75,7 @@ impl RuleId {
             RuleId::UnretriedBackendCall,
             RuleId::RawBackendInBatchPath,
             RuleId::FormatDrift,
-            RuleId::BlockingSubmitWithTicket,
             RuleId::LockOrderInversion,
-            RuleId::TicketLeak,
-            RuleId::TicketDoubleDrain,
         ]
     }
 
@@ -579,113 +563,6 @@ pub fn raw_backend_in_batch_path(toks: &[Tok], tests: &[(usize, usize)]) -> Vec<
     out
 }
 
-#[derive(Debug)]
-struct PendingTicket {
-    name: String,
-    /// Brace depth of the binding statement; the ticket cannot outlive
-    /// its block.
-    depth: u32,
-    line: u32,
-    /// Token index at which the binding statement ends.
-    live_from: usize,
-}
-
-/// blocking-submit-with-ticket: a blocking `.submit(...)` method call or
-/// `submit_retried(...)` invocation while a `let`-bound async ticket
-/// (bound from `.submit_async(...)` or `submit_tracked(...)`) is still
-/// pending. The window policed is binding → first later mention of the
-/// ticket's name: tickets are consumed by value (`wait`,
-/// `drain_retried`, or being moved into a collection), so any mention is
-/// the hand-off point after which blocking I/O is someone else's
-/// problem. Applied outside the async plane's own implementation (see
-/// `LintConfig` scoping) — the reactor legitimately runs blocking
-/// submits on its workers while tickets are in flight.
-pub fn blocking_submit_with_ticket(toks: &[Tok], tests: &[(usize, usize)]) -> Vec<RawFinding> {
-    let mut out = Vec::new();
-    let mut pending: Vec<PendingTicket> = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        // Tickets cannot outlive their block.
-        if t.is(TokKind::Punct, "}") {
-            pending.retain(|p| p.depth < t.depth);
-        }
-        // Any later mention of the name consumes the ticket (moved into
-        // wait / drain_retried / a collection, or shadowed).
-        if t.kind == TokKind::Ident {
-            if let Some(pos) = pending
-                .iter()
-                .position(|p| p.live_from <= i && p.name == t.text)
-            {
-                pending.remove(pos);
-                continue;
-            }
-        }
-        // New binding statement: scan the initializer for an async
-        // submission.
-        if t.is(TokKind::Ident, "let") && !in_ranges(tests, i) {
-            let mut j = i + 1;
-            if toks.get(j).is_some_and(|n| n.is(TokKind::Ident, "mut")) {
-                j += 1;
-            }
-            let name = match (toks.get(j), toks.get(j + 1)) {
-                (Some(n), Some(after))
-                    if n.kind == TokKind::Ident
-                        && (after.is(TokKind::Punct, "=") || after.is(TokKind::Punct, ":")) =>
-                {
-                    Some(n.text.clone())
-                }
-                _ => None,
-            };
-            let mut submitted = false;
-            let mut k = j;
-            while let Some(tok) = toks.get(k) {
-                if (tok.is(TokKind::Punct, ";") || tok.is(TokKind::Punct, "{"))
-                    && tok.depth == t.depth
-                {
-                    break;
-                }
-                if tok.kind == TokKind::Ident
-                    && matches!(tok.text.as_str(), "submit_async" | "submit_tracked")
-                    && toks.get(k + 1).is_some_and(|n| n.is(TokKind::Punct, "("))
-                {
-                    submitted = true;
-                }
-                k += 1;
-            }
-            if submitted {
-                if let Some(name) = name {
-                    pending.push(PendingTicket {
-                        name,
-                        depth: t.depth,
-                        line: t.line,
-                        live_from: k,
-                    });
-                }
-            }
-        }
-        // Flag blocking submits while any ticket is pending.
-        let blocking = (t.is(TokKind::Ident, "submit") && is_method_call(toks, i))
-            || (t.is(TokKind::Ident, "submit_retried")
-                && toks.get(i + 1).is_some_and(|n| n.is(TokKind::Punct, "(")));
-        if blocking && !in_ranges(tests, i) {
-            if let Some(p) = pending.iter().find(|p| p.live_from <= i) {
-                out.push(RawFinding {
-                    trace: Vec::new(),
-                    rule: RuleId::BlockingSubmitWithTicket,
-                    line: t.line,
-                    message: format!(
-                        "blocking `{}(...)` while async ticket `{}` (submitted line {}) is still \
-                         in flight; drain the ticket first or submit this batch asynchronously — \
-                         a blocking round trip behind a bounded reactor window serializes (or \
-                         deadlocks) the overlap the ticket was buying",
-                        t.text, p.name, p.line
-                    ),
-                });
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -783,39 +660,6 @@ mod tests {
         let f = run(src, unretried_backend_call);
         assert_eq!(f.len(), 1);
         assert!(f[0].message.contains("unlink"));
-    }
-
-    #[test]
-    fn blocking_submit_between_submission_and_drain_is_flagged() {
-        let src = r#"
-            fn bad(&self) -> Result<()> {
-                let ticket = submit_tracked(&self.backend, batch);
-                let probe = self.backend.submit(&others);
-                let outcomes = drain_retried(&self.backend, rebuilt, ticket);
-                Ok(())
-            }
-        "#;
-        let f = run(src, blocking_submit_with_ticket);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, RuleId::BlockingSubmitWithTicket);
-    }
-
-    #[test]
-    fn drained_and_scoped_tickets_do_not_flag() {
-        let src = r#"
-            fn ok(&self) -> Result<()> {
-                {
-                    let t = self.backend.submit_async(&batch);
-                    let outcomes = t.wait();
-                }
-                let probe = self.backend.submit(&others);
-                let t2 = submit_tracked(&self.backend, more);
-                tickets.push(t2);
-                let probe2 = submit_retried(&self.backend, &others);
-                Ok(())
-            }
-        "#;
-        assert!(run(src, blocking_submit_with_ticket).is_empty());
     }
 
     #[test]

@@ -139,35 +139,6 @@ fn raw_batch_good_is_clean_and_pragmas_count_as_allowed() {
 }
 
 #[test]
-fn async_ticket_bad_flags_blocking_submits_in_the_window() {
-    let src = include_str!("fixtures/async_ticket_bad.rs");
-    let lines = rule_lines(
-        "crates/core/src/writer.rs",
-        src,
-        RuleId::BlockingSubmitWithTicket,
-    );
-    // `b.submit(&probe)` and `submit_retried(...)`, both before the drain.
-    assert_eq!(lines.len(), 2, "findings: {lines:?}");
-}
-
-#[test]
-fn async_ticket_rule_skips_the_planes_own_implementation() {
-    let src = include_str!("fixtures/async_ticket_bad.rs");
-    let lines = rule_lines(
-        "crates/core/src/ioplane/async_plane.rs",
-        src,
-        RuleId::BlockingSubmitWithTicket,
-    );
-    assert!(lines.is_empty(), "findings: {lines:?}");
-}
-
-#[test]
-fn async_ticket_good_is_clean() {
-    let src = include_str!("fixtures/async_ticket_good.rs");
-    assert_eq!(total_findings("crates/core/src/writer.rs", src), 0);
-}
-
-#[test]
 fn ioplane_table_round_trips_against_the_enum() {
     let doc = "\
 <!-- plfs-lint:ioplane-table -->
@@ -334,17 +305,17 @@ fn shard_rows() -> Vec<drift::LockRow> {
     vec![mk("handle-shard", 10, "shard"), mk("dir-map", 20, "dirmap")]
 }
 
-fn semantic(rel: &str, src: &str, testish: bool, rows: &[drift::LockRow]) -> plfs_lint::FileLint {
-    let files = vec![(rel.to_string(), src.to_string(), testish)];
+fn semantic(rel: &str, src: &str, rows: &[drift::LockRow]) -> plfs_lint::FileLint {
+    let files = vec![(rel.to_string(), src.to_string())];
     let (mut sem, _) = plfs_lint::semantic_findings(&files, rows);
-    plfs_lint::lint_source_opts(rel, src, sem.remove(rel).unwrap_or_default(), testish)
+    lint_source_with(rel, src, sem.remove(rel).unwrap_or_default())
 }
 
 #[test]
 fn lock_cycle_bad_reports_both_chains() {
     let rel = "crates/core/src/handles.rs";
     let src = include_str!("fixtures/lock_cycle_bad.rs");
-    let out = semantic(rel, src, false, &shard_rows());
+    let out = semantic(rel, src, &shard_rows());
     let cycle = out
         .findings
         .iter()
@@ -368,84 +339,10 @@ fn lock_cycle_bad_reports_both_chains() {
 fn lock_cycle_good_is_clean_and_uses_every_row() {
     let rel = "crates/core/src/handles.rs";
     let src = include_str!("fixtures/lock_cycle_good.rs");
-    let files = vec![(rel.to_string(), src.to_string(), false)];
+    let files = vec![(rel.to_string(), src.to_string())];
     let (sem, used) = plfs_lint::semantic_findings(&files, &shard_rows());
     assert!(sem.is_empty(), "{sem:?}");
     assert!(used.iter().all(|u| *u), "stale rows: {used:?}");
-}
-
-#[test]
-fn ticket_leak_bad_flags_all_three_shapes() {
-    let rel = "crates/core/src/pipeline.rs";
-    let src = include_str!("fixtures/ticket_leak_bad.rs");
-    let out = semantic(rel, src, false, &[]);
-    let leaks: Vec<_> = out
-        .findings
-        .iter()
-        .filter(|f| f.rule == RuleId::TicketLeak)
-        .collect();
-    assert_eq!(leaks.len(), 3, "{:?}", out.findings);
-    assert!(
-        leaks.iter().any(|f| f.message.contains("abandons the tickets")),
-        "the drain-loop shape gets the loop-specific message: {leaks:?}"
-    );
-    for f in &leaks {
-        assert!(!f.trace.is_empty(), "every leak carries a trace: {f:?}");
-    }
-}
-
-#[test]
-fn ticket_leak_good_is_clean() {
-    let rel = "crates/core/src/pipeline.rs";
-    let src = include_str!("fixtures/ticket_leak_good.rs");
-    let out = semantic(rel, src, false, &[]);
-    assert!(out.findings.is_empty(), "{:?}", out.findings);
-}
-
-#[test]
-fn ticket_double_drain_bad_flags_both_shapes() {
-    let rel = "crates/core/src/pipeline.rs";
-    let src = include_str!("fixtures/ticket_double_drain_bad.rs");
-    let out = semantic(rel, src, false, &[]);
-    let dd: Vec<_> = out
-        .findings
-        .iter()
-        .filter(|f| f.rule == RuleId::TicketDoubleDrain)
-        .collect();
-    assert_eq!(dd.len(), 2, "{:?}", out.findings);
-    for f in &dd {
-        assert!(
-            f.trace.iter().any(|s| s.contains("submitted")),
-            "trace carries the submission site: {f:?}"
-        );
-    }
-}
-
-#[test]
-fn ticket_rules_cover_testish_files_and_honor_test_pragmas() {
-    let rel = "tests/prop_async.rs";
-    let leaky = "\
-#[test]
-fn leaks() {
-    let t = plane.submit_async(&ops);
-    assert!(plane.is_live());
-}
-";
-    let out = semantic(rel, leaky, true, &[]);
-    assert_eq!(out.findings.len(), 1, "{:?}", out.findings);
-    assert_eq!(out.findings[0].rule, RuleId::TicketLeak);
-
-    let annotated = "\
-#[test]
-fn leaks() {
-    // plfs-lint: allow(ticket-leak): teardown drains via Drop in this harness
-    let t = plane.submit_async(&ops);
-    assert!(plane.is_live());
-}
-";
-    let out = semantic(rel, annotated, true, &[]);
-    assert!(out.findings.is_empty(), "{:?}", out.findings);
-    assert_eq!(out.allowed.len(), 1);
 }
 
 #[test]
@@ -470,7 +367,7 @@ impl Flusher {
         receivers: vec!["state".into()],
         doc_line: 1,
     }];
-    let out = semantic(rel, src, false, &rows);
+    let out = semantic(rel, src, &rows);
     let v2: Vec<_> = out
         .findings
         .iter()
@@ -486,7 +383,7 @@ impl Flusher {
 }
 
 #[test]
-fn demo_root_end_to_end_reports_all_three_with_traces() {
+fn demo_root_end_to_end_reports_the_cycle_with_its_trace() {
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/demo");
     let report = plfs_lint::run(&plfs_lint::LintConfig::new(root)).expect("demo root lints");
 
@@ -498,24 +395,9 @@ fn demo_root_end_to_end_reports_all_three_with_traces() {
     assert_eq!(cycle.file, "crates/core/src/handles.rs");
     assert_eq!(cycle.trace.len(), 2, "{:?}", cycle.trace);
 
-    let leak = report
-        .findings
-        .iter()
-        .find(|f| f.rule == RuleId::TicketLeak)
-        .expect("leak finding");
-    assert_eq!(leak.file, "crates/core/src/pipeline.rs");
-    assert!(!leak.trace.is_empty());
-
-    let dd = report
-        .findings
-        .iter()
-        .find(|f| f.rule == RuleId::TicketDoubleDrain)
-        .expect("double-drain finding");
-    assert!(dd.trace.iter().any(|s| s.contains("submitted")), "{dd:?}");
-
     // Every trace step survives into the machine-readable output.
     let json = report.render_json();
-    for step in cycle.trace.iter().chain(&leak.trace).chain(&dd.trace) {
+    for step in &cycle.trace {
         let escaped = step.replace('\\', "\\\\").replace('"', "\\\"");
         assert!(json.contains(&escaped), "trace step {step:?} missing from JSON");
     }

@@ -1,15 +1,18 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build (benchmark package included), full test
-# suite, clippy with warnings denied, and the seeded crash-recovery
-# suite under a pinned fault schedule. Everything runs offline against
+# Tier-1 gate: release build and tests of the benchmark package too,
+# full test suite, clippy with warnings denied, and the seeded
+# crash-recovery suite under a pinned fault schedule. Everything runs offline against
 # the vendored dependencies.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline
-# The benchmark is a package outside the workspace: compile it here so
-# an API removal that breaks its imports fails this gate first.
+# The benchmark is a package outside the workspace: build and test it
+# here so an API removal that breaks its imports fails this gate first,
+# and so its transparency test checks that a `Reactor` under the
+# middleware passes every op to the device exactly once.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --workspace --offline
 cargo clippy --workspace --offline -- -D warnings
 
@@ -28,8 +31,7 @@ cargo clippy --offline -p plfs -p formats -p harness -p mpio -p plfs-lint \
 # findings, no malformed/unknown/unused pragmas, and the per-rule
 # pragma budget in results/lint_baseline.md only ratchets down. The
 # scan covers crates/ and src/ (src/bin/ included) with every rule,
-# plus top-level tests/ and examples/ with the semantic ticket rules
-# (§5d), checked against the DESIGN.md §5d–§5f and §5i tables.
+# checked against the DESIGN.md §5d–§5f and §5i tables.
 cargo run --release --offline --bin plfsctl -- lint --deny-warnings \
     --baseline results/lint_baseline.md
 

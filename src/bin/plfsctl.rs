@@ -580,11 +580,10 @@ fn dispatch(args: &[String]) -> ExitCode {
                 }
             };
             let size = r.size();
-            let mut out = std::io::stdout().lock();
+            let mut out = std::io::stdout();
             let mut off = 0u64;
             while off < size {
                 let chunk = (size - off).min(1 << 20);
-                // plfs-lint: allow(guard-across-io): `out` is the stdout lock, not shared container state; holding it across reads is the point of cat
                 match r.read(off, chunk) {
                     Ok(bytes) => {
                         if out.write_all(&bytes).is_err() {

@@ -3,7 +3,7 @@
 //!
 //! Two cached mounts and an uncached oracle (`ReadHandle::open`) share one
 //! store. Arbitrary interleavings of everything that changes a container
-//! — writer open / write / flush / write-behind flush / close, coordinated
+//! — writer open / write / mid-write flush / close, coordinated
 //! flatten close, clip-truncate and truncate(0), unlink and re-create,
 //! rename away and rename in, `fsck::repair` after a torn index append or
 //! a lost data log —
@@ -41,7 +41,6 @@ enum Step {
         mount: usize,
         path: usize,
         writer: u64,
-        write_behind: bool,
     },
     /// One block at `slot * BLOCK` through the `handle`-th open handle.
     Write {
@@ -50,7 +49,6 @@ enum Step {
     },
     Flush {
         handle: usize,
-        write_behind: bool,
     },
     Close {
         handle: usize,
@@ -106,7 +104,6 @@ fn step() -> impl Strategy<Value = Step> {
                 mount,
                 path: path % 2,
                 writer,
-                write_behind: small == 0,
             },
             3..=6 => Step::Write {
                 handle: seed as usize,
@@ -114,7 +111,6 @@ fn step() -> impl Strategy<Value = Step> {
             },
             7 => Step::Flush {
                 handle: seed as usize,
-                write_behind: small < 2,
             },
             8..=9 => Step::Close {
                 handle: seed as usize,
@@ -237,7 +233,6 @@ impl<B: Backend + Clone> World<B> {
                 mount,
                 path,
                 writer,
-                write_behind,
             } => {
                 // One process per writer id: reopening an id that is still
                 // open would truncate the logs under the live handle.
@@ -248,10 +243,7 @@ impl<B: Backend + Clone> World<B> {
                 {
                     return;
                 }
-                let mut handle = self.mounts[mount].open_write(PATHS[path], writer).unwrap();
-                if write_behind {
-                    handle.enable_write_behind(2);
-                }
+                let handle = self.mounts[mount].open_write(PATHS[path], writer).unwrap();
                 self.open.push(OpenHandle {
                     path,
                     writer,
@@ -291,19 +283,12 @@ impl<B: Backend + Clone> World<B> {
                     .write(slot * BLOCK, &block(ts), ts)
                     .unwrap();
             }
-            Step::Flush {
-                handle,
-                write_behind,
-            } => {
+            Step::Flush { handle } => {
                 if self.open.is_empty() {
                     return;
                 }
                 let h = handle % self.open.len();
-                if write_behind {
-                    self.open[h].handle.flush_index_async().unwrap();
-                } else {
-                    self.open[h].handle.flush_index().unwrap();
-                }
+                self.open[h].handle.flush_index().unwrap();
             }
             Step::Close { handle } => {
                 if self.open.is_empty() {

@@ -9,10 +9,10 @@
 //!
 //! The asynchronous plane gets the same treatment: `submit_async` — both
 //! the inline trait default and a real [`Reactor`] — must be observably
-//! equivalent to the synchronous paths op for op, and the completion-time
-//! retry of `drain_retried` must uphold the never-duplicate contract the
-//! synchronous `submit_retried` does. (`tests/prop_async.rs` extends this
-//! to seeded faults with crash points between submission and drain.)
+//! equivalent to the synchronous paths op for op, and a `Reactor` over a
+//! seeded `FaultBackend` must run every batch exactly once: the bytes that
+//! land equal the appends its tickets report `Ok`, under transients and
+//! with a crash point between submission and `Ticket::wait`.
 //!
 //! And the two real backends are checked against each other: `MemFs` is
 //! the reference under every byte-verifying test, so the same op sequence
@@ -26,9 +26,10 @@ mod common;
 
 use common::TempDir;
 use plfs::faults::{FaultBackend, FaultConfig};
-use plfs::ioplane::{self, async_plane};
+use plfs::ioplane;
 use plfs::{Backend, Content, IoOp, LocalFs, MemFs, Reactor};
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Small closed path universe so random ops collide often enough to hit
@@ -281,42 +282,110 @@ proptest! {
     }
 
     #[test]
-    fn async_drain_retry_never_duplicates_acknowledged_appends(
+    fn reactor_wait_never_duplicates_acked_appends_under_transients(
         seed in 0u64..1_000_000,
-        lens in prop::collection::vec(1u64..256, 1..24),
+        lens in prop::collection::vec(1u64..128, 1..32),
     ) {
-        // The async twin of the property above: the retry decision moves
-        // from the submission site to the completion drain, and must
-        // still never re-execute an append that already succeeded.
+        // Clean transients only: every append a ticket reports `Ok` landed
+        // exactly once, every failed one landed nothing — even though the
+        // batches ran concurrently on reactor workers.
         let cfg = FaultConfig {
             seed: seed ^ base_seed(),
-            transient_prob: 0.35,
+            transient_prob: 0.3,
             torn_append_prob: 0.0,
             crash_after_data_ops: None,
             crash_tears_append: false,
         };
-        let b = FaultBackend::new(MemFs::new(), cfg);
-        b.create("/f", true).unwrap();
-        let batch: Vec<IoOp> = lens
-            .iter()
-            .map(|&len| IoOp::Append {
-                path: "/f".to_string(),
-                content: Content::synthetic(len, len),
-            })
-            .collect();
-        let ticket = async_plane::submit_tracked(&b, &batch);
-        let outcomes = async_plane::drain_retried(&b, &batch, ticket);
-        let acknowledged: u64 = outcomes
-            .iter()
-            .zip(&lens)
-            .filter(|(o, _)| o.is_ok())
-            .map(|(_, &len)| len)
-            .sum();
-        b.revive();
-        prop_assert_eq!(
-            b.size("/f").unwrap(),
-            acknowledged,
-            "landed bytes must equal acknowledged appends exactly"
-        );
+        let backend = Arc::new(FaultBackend::new(MemFs::new(), cfg));
+        let (files, batches) = plan_batches(&lens);
+        for f in &files {
+            backend.create(f, true).unwrap();
+        }
+        let reactor = Reactor::with_config(Arc::clone(&backend), 2, 4);
+        let acked = submit_then_wait(&reactor, &batches);
+        drop(reactor);
+        backend.revive();
+        for f in &files {
+            prop_assert_eq!(
+                backend.size(f).unwrap(),
+                acked.get(f).copied().unwrap_or(0),
+                "landed bytes on {} must equal acknowledged appends exactly",
+                f
+            );
+        }
     }
+
+    #[test]
+    fn crash_between_submission_and_wait_never_duplicates_acked(
+        seed in 0u64..1_000_000,
+        crash_at in 1u64..8,
+        lens in prop::collection::vec(1u64..128, 8..32),
+    ) {
+        // The crash point fires while tickets are still in flight (it is
+        // below the number of submitted appends, and every batch is
+        // submitted before the first wait). Everything after the freeze
+        // fails cleanly and the ledger still balances.
+        let cfg = FaultConfig {
+            seed: seed ^ base_seed(),
+            transient_prob: 0.15,
+            torn_append_prob: 0.0,
+            crash_after_data_ops: Some(crash_at),
+            crash_tears_append: false,
+        };
+        let backend = Arc::new(FaultBackend::new(MemFs::new(), cfg));
+        let (files, batches) = plan_batches(&lens);
+        for f in &files {
+            backend.create(f, true).unwrap();
+        }
+        let reactor = Reactor::with_config(Arc::clone(&backend), 2, 4);
+        let acked = submit_then_wait(&reactor, &batches);
+        drop(reactor);
+        prop_assert!(backend.crashed(), "schedule must cross the crash point");
+        backend.revive();
+        for f in &files {
+            prop_assert_eq!(
+                backend.size(f).unwrap(),
+                acked.get(f).copied().unwrap_or(0),
+                "landed bytes on {} must equal acknowledged appends exactly",
+                f
+            );
+        }
+    }
+}
+
+/// Round-robin the generated append lengths over a small file universe
+/// and chunk them into batches, so several tickets are in flight against
+/// the same paths at once.
+fn plan_batches(lens: &[u64]) -> (Vec<String>, Vec<Vec<IoOp>>) {
+    let files: Vec<String> = (0..4).map(|i| format!("/f{i}")).collect();
+    let batches = lens
+        .iter()
+        .enumerate()
+        .map(|(i, &len)| IoOp::Append {
+            path: files[i % files.len()].clone(),
+            content: Content::synthetic(len, len),
+        })
+        .collect::<Vec<_>>()
+        .chunks(5)
+        .map(<[IoOp]>::to_vec)
+        .collect();
+    (files, batches)
+}
+
+/// Submit every batch before waiting on any (tickets genuinely overlap),
+/// then wait in order and tally the acknowledged bytes per path.
+fn submit_then_wait<B: Backend>(
+    reactor: &Reactor<B>,
+    batches: &[Vec<IoOp>],
+) -> HashMap<String, u64> {
+    let tickets: Vec<_> = batches.iter().map(|b| reactor.submit_async(b)).collect();
+    let mut acked: HashMap<String, u64> = HashMap::new();
+    for (batch, ticket) in batches.iter().zip(tickets) {
+        for (op, outcome) in batch.iter().zip(&ticket.wait().outcomes) {
+            if let (IoOp::Append { path, content }, Ok(_)) = (op, outcome) {
+                *acked.entry(path.clone()).or_insert(0) += content.len();
+            }
+        }
+    }
+    acked
 }

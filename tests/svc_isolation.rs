@@ -63,9 +63,9 @@ proptest! {
             crash_tears_append: false,
         };
         let backend = Arc::new(FaultBackend::new(MemFs::new(), fault_cfg));
-        // Appends stay synchronous — an error means *this* op, so the
-        // no-retry tenant's acked set is well defined: write-behind only
-        // engages past the dirty budget, which this trace never nears.
+        // An append error means *this* op, so the no-retry tenant's
+        // acked set is well defined: the trace never nears the dirty
+        // budget, so no append also carries a forced index flush.
         let svc = Service::new(Arc::clone(&backend), ServiceConfig::basic("/panfs")).unwrap();
 
         // Tenant `live`: every append retried until acknowledged.
