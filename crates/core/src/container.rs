@@ -559,6 +559,7 @@ impl Container {
             return Self::read_chunks(b, &chunks);
         }
         let parent = telemetry::current_span_id();
+        #[expect(clippy::expect_used, reason = "a panicked worker must propagate, not masquerade as an I/O error")]
         let shards: Vec<Result<Vec<Vec<IndexEntry>>>> = std::thread::scope(|scope| {
             let handles: Vec<_> = chunks
                 .chunks(chunks.len().div_ceil(threads))
@@ -572,7 +573,6 @@ impl Container {
                 .collect();
             handles
                 .into_iter()
-                // plfs-lint: allow(panic-in-core): a panicked worker must propagate, not masquerade as an I/O error
                 .map(|h| h.join().expect("index aggregation thread panicked"))
                 .collect()
         });

@@ -401,8 +401,8 @@ pub fn check<B: Backend>(b: &B, container: &Container) -> Result<CheckReport> {
         let bytes = data.as_bytes();
         match crate::index::ondisk::verify_deep(&bytes) {
             Ok(_) => {
+                #[expect(clippy::expect_used, reason = "verify_deep just validated the regions")]
                 let (_, records, _) = crate::index::ondisk::parse_file(&bytes)
-                    // plfs-lint: allow(panic-in-core): verify_deep just validated the regions
                     .expect("verified spanidx parses");
                 let flat = GlobalIndex::from_runs(&[IndexEntry::decode_all(records)?], true);
                 if flat != GlobalIndex::from_runs(&[&entries], true) {

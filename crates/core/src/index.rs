@@ -294,7 +294,7 @@ impl GlobalIndex {
             .collect();
 
         for start in overlapping {
-            // plfs-lint: allow(panic-in-core): keys were collected from this map two lines up, under exclusive &mut self
+            #[expect(clippy::expect_used, reason = "keys were collected from this map two lines up, under exclusive &mut self")]
             let span = self.spans.remove(&start).expect("key collected above");
             let end = start + span.len;
             // Left remainder.

@@ -110,7 +110,7 @@ impl SpanIdxFooter {
                 b.len()
             )));
         }
-        // plfs-lint: allow(panic-in-core): length checked above; every 8-byte slice exists
+        #[expect(clippy::expect_used, reason = "length checked above; every 8-byte slice exists")]
         let u = |r: std::ops::Range<usize>| u64::from_le_bytes(b[r].try_into().expect("8 bytes"));
         if u(0..8) != u64::from_le_bytes(SPANIDX_MAGIC) {
             return Err(PlfsError::CorruptContainer(
@@ -178,6 +178,7 @@ pub fn parse_file(bytes: &[u8]) -> Result<(SpanIdxFooter, &[u8], &[u8])> {
 }
 
 /// Decode a fence region into offsets.
+#[expect(clippy::expect_used, reason = "chunks_exact yields exactly 8 bytes")]
 pub fn decode_fences(bytes: &[u8]) -> Result<Vec<u64>> {
     if !bytes.len().is_multiple_of(SPANIDX_FENCE_BYTES as usize) {
         return Err(PlfsError::CorruptContainer(format!(
@@ -187,7 +188,6 @@ pub fn decode_fences(bytes: &[u8]) -> Result<Vec<u64>> {
     }
     Ok(bytes
         .chunks_exact(SPANIDX_FENCE_BYTES as usize)
-        // plfs-lint: allow(panic-in-core): chunks_exact yields exactly 8 bytes
         .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
         .collect())
 }

@@ -69,7 +69,7 @@ pub fn is_inside(path: &str, dir: &str) -> bool {
 pub fn normalize(path: &str) -> String {
     match try_normalize(path) {
         Ok(p) => p,
-        // plfs-lint: allow(panic-in-core): internal paths never contain '..'; a hit here is a container-layout bug worth aborting on
+        #[expect(clippy::panic, reason = "internal paths never contain '..'; a hit here is a container-layout bug worth aborting on")]
         Err(_) => panic!("'..' not supported in PLFS paths: {path}"),
     }
 }

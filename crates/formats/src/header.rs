@@ -173,13 +173,13 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
+    #[expect(clippy::expect_used, reason = "take(4) returned exactly 4 bytes, the conversion cannot fail")]
     fn u32(&mut self) -> Result<u32> {
-        // plfs-lint: allow(panic-in-core): take(4) returned exactly 4 bytes, the conversion cannot fail
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
     }
 
+    #[expect(clippy::expect_used, reason = "take(8) returned exactly 8 bytes, the conversion cannot fail")]
     fn u64(&mut self) -> Result<u64> {
-        // plfs-lint: allow(panic-in-core): take(8) returned exactly 8 bytes, the conversion cannot fail
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
 }

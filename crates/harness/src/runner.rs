@@ -152,7 +152,7 @@ pub fn run_workload_tweaked(
             flatten_threshold,
             ..
         } => {
-            // plfs-lint: allow(panic-in-core): Middleware::Plfs variants always carry a federation (constructor invariant)
+            #[expect(clippy::expect_used, reason = "Middleware::Plfs variants always carry a federation (constructor invariant)")]
             let fed = mw.federation().expect("plfs middleware has a federation");
             let mut cfg = PlfsDriverConfig::new(fed, *strategy);
             cfg.group_size = *group_size;
@@ -163,7 +163,7 @@ pub fn run_workload_tweaked(
         Middleware::PlfsBurst {
             strategy, burst, ..
         } => {
-            // plfs-lint: allow(panic-in-core): Middleware::Plfs variants always carry a federation (constructor invariant)
+            #[expect(clippy::expect_used, reason = "Middleware::Plfs variants always carry a federation (constructor invariant)")]
             let fed = mw.federation().expect("plfs middleware has a federation");
             let inner = PlfsDriver::new(PlfsDriverConfig::new(fed, *strategy));
             let mut d = BurstDriver::new(inner, *burst, nodes_used);

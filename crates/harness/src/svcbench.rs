@@ -122,7 +122,7 @@ pub fn run_svc_bench(cfg: &SvcBenchConfig) -> SvcBenchReport {
     svc_cfg.token_burst = cfg.token_burst;
     svc_cfg.dirty_budget = cfg.dirty_budget;
     svc_cfg.expected_clients = cfg.clients as usize;
-    // plfs-lint: allow(panic-in-core): bench driver — a failed in-memory mount is a broken harness, abort loudly
+    #[expect(clippy::expect_used, reason = "bench driver — a failed in-memory mount is a broken harness, abort loudly")]
     let svc = Service::new(Arc::new(MemFs::new()), svc_cfg).expect("service mount over MemFs");
 
     // Stripe clients across threads; each thread replays its clients'
@@ -199,7 +199,7 @@ fn replay<B: plfs::Backend + Clone>(svc: &Service<B>, events: &[&workloads::Traf
             }
             ClientOp::Close => {
                 if let Some(h) = open.remove(&e.client) {
-                    // plfs-lint: allow(panic-in-core): bench driver — close errors mean the run is invalid, abort loudly
+                    #[expect(clippy::expect_used, reason = "bench driver — close errors mean the run is invalid, abort loudly")]
                     svc.close(h).expect("service close");
                 }
             }
@@ -207,7 +207,7 @@ fn replay<B: plfs::Backend + Clone>(svc: &Service<B>, events: &[&workloads::Traf
     }
     // A trace may end mid-lifecycle; close the stragglers.
     for (_, h) in open {
-        // plfs-lint: allow(panic-in-core): bench driver — close errors mean the run is invalid, abort loudly
+        #[expect(clippy::expect_used, reason = "bench driver — close errors mean the run is invalid, abort loudly")]
         svc.close(h).expect("service close at drain");
     }
 }
@@ -216,7 +216,7 @@ fn replay<B: plfs::Backend + Clone>(svc: &Service<B>, events: &[&workloads::Traf
 /// so a mis-tuned bucket cannot hang the bench).
 fn admit_loop<T>(mut op: impl FnMut() -> plfs::Result<Admitted<T>>) -> T {
     loop {
-        // plfs-lint: allow(panic-in-core): bench driver — op errors mean the run is invalid, abort loudly
+        #[expect(clippy::expect_used, reason = "bench driver — op errors mean the run is invalid, abort loudly")]
         match op().expect("service op") {
             Admitted::Granted(v) => return v,
             Admitted::Throttled { wait_ns } => {

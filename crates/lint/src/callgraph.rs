@@ -12,13 +12,15 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use crate::ir::{Event, FnIr};
+use crate::ir::{calls, Call, FnIr};
 use crate::rules::BACKEND_OPS;
 
 /// Call names never resolved to workspace functions: standard-library
 /// and collection methods whose names collide with everything. `wait`
 /// is here because condvar waits would otherwise resolve to
-/// `Ticket::wait`; `read`/`write`/`lock` are guard acquisitions.
+/// `Ticket::wait`, and `finish` because `Hasher::finish` would resolve
+/// to `SpanIdxWriter::finish`; `read`/`write`/`lock` are guard
+/// acquisitions.
 const DENY_RESOLVE: &[&str] = &[
     "new", "default", "clone", "drop", "fmt", "len", "is_empty", "get", "get_mut",
     "get_or_init", "insert", "remove", "push", "push_back", "push_front", "pop",
@@ -33,31 +35,22 @@ const DENY_RESOLVE: &[&str] = &[
     "ends_with", "trim", "position", "any", "all", "find", "zip", "enumerate",
     "chunks", "windows", "rev", "sort", "sort_by", "sort_by_key", "retain",
     "drain", "truncate", "resize", "last", "first", "expect", "unwrap", "is_some",
-    "is_none", "is_ok", "is_err", "cloned", "copied", "then", "clamp", "abs",
+    "is_none", "is_ok", "is_err", "cloned", "copied", "then", "clamp", "abs", "finish",
 ];
 
 /// Calls that ARE backend I/O at the call site (dispatch through the
 /// `Backend` trait object): never resolved into concrete backends.
-pub fn is_opaque_io(name: &str, method: bool, has_args: bool) -> bool {
-    if name == "submit" && method {
-        return true;
-    }
-    if name == "submit_retried" {
-        return true;
-    }
-    if BACKEND_OPS.contains(&name) && method {
-        // Zero-arg `read`/`size`-alikes can't be backend ops (all take
-        // a path); `read`/`write` are filtered earlier as acquisitions.
-        return has_args;
-    }
-    false
+/// Zero-arg `size`-alikes can't be backend ops (all take a path).
+fn is_opaque_io(c: &Call) -> bool {
+    c.name == "submit_retried"
+        || (c.method && (c.name == "submit" || (c.has_args && BACKEND_OPS.contains(&c.name.as_str()))))
 }
 
-/// `Backend::submit_async`: it seeds reaches-I/O (a reactor blocks
-/// while its in-flight window is full) *and* resolves into every impl,
-/// the reactor's included.
-pub fn is_async_io(name: &str) -> bool {
-    name == "submit_async"
+/// Calls that seed reaches-I/O: opaque I/O, and `Backend::submit_async`,
+/// which also resolves into every impl, the reactor's included (a
+/// reactor blocks while its in-flight window is full).
+fn seeds_io(c: &Call) -> bool {
+    is_opaque_io(c) || c.name == "submit_async"
 }
 
 /// The resolved graph. Functions are indexed by position in `fns`.
@@ -81,22 +74,15 @@ impl<'a> CallGraph<'a> {
         let mut edges: Vec<Vec<(usize, u32)>> = vec![Vec::new(); fns.len()];
         let mut direct_io = vec![false; fns.len()];
         for (i, f) in fns.iter().enumerate() {
-            let mut calls = Vec::new();
-            collect_calls(&f.body, &mut calls);
             let mut seen: HashSet<usize> = HashSet::new();
-            for (name, method, has_args, line) in calls {
-                if is_opaque_io(&name, method, has_args) || is_async_io(&name) {
-                    direct_io[i] = true;
-                }
-                if DENY_RESOLVE.contains(&name.as_str()) || is_opaque_io(&name, method, has_args)
-                {
+            for call in calls(&f.body) {
+                direct_io[i] |= seeds_io(call);
+                if DENY_RESOLVE.contains(&call.name.as_str()) || is_opaque_io(call) {
                     continue;
                 }
-                if let Some(cands) = by_name.get(name.as_str()) {
-                    for &c in cands {
-                        if c != i && seen.insert(c) {
-                            edges[i].push((c, line));
-                        }
+                for &c in by_name.get(call.name.as_str()).into_iter().flatten() {
+                    if c != i && seen.insert(c) {
+                        edges[i].push((c, call.line));
                     }
                 }
             }
@@ -144,7 +130,7 @@ impl<'a> CallGraph<'a> {
         let mut q = VecDeque::from([from]);
         let mut seen: HashSet<usize> = HashSet::from([from]);
         while let Some(n) = q.pop_front() {
-            if fn_has_direct_io(&self.fns[n]) {
+            if calls(&self.fns[n].body).into_iter().any(seeds_io) {
                 let mut chain = vec![n];
                 let mut cur = n;
                 while let Some(&p) = prev.get(&cur) {
@@ -162,38 +148,6 @@ impl<'a> CallGraph<'a> {
             }
         }
         None
-    }
-}
-
-fn fn_has_direct_io(f: &FnIr) -> bool {
-    let mut calls = Vec::new();
-    collect_calls(&f.body, &mut calls);
-    calls
-        .iter()
-        .any(|(n, m, a, _)| is_opaque_io(n, *m, *a) || is_async_io(n))
-}
-
-/// All call events in a body, recursively: (name, method, has_args, line).
-pub fn collect_calls(evs: &[Event], out: &mut Vec<(String, bool, bool, u32)>) {
-    for e in evs {
-        match e {
-            Event::Call {
-                name,
-                has_args,
-                method,
-                line,
-                ..
-            } => out.push((name.clone(), *method, *has_args, *line)),
-            Event::Bind { init, .. } => collect_calls(init, out),
-            Event::Stmt(es) | Event::Scope(es) => collect_calls(es, out),
-            Event::Branch { arms, .. } => {
-                for a in arms {
-                    collect_calls(a, out);
-                }
-            }
-            Event::Loop { body, .. } => collect_calls(body, out),
-            _ => {}
-        }
     }
 }
 
@@ -238,6 +192,19 @@ mod tests {
         let g = CallGraph::build(&fns);
         let caller = fns.iter().position(|f| f.name == "caller").unwrap();
         assert!(!g.reaches_io[caller], "deny-listed `insert` must not edge");
+    }
+
+    #[test]
+    fn hasher_finish_does_not_edge_to_a_writer_finish() {
+        let src = r#"
+            fn finish(&mut self) { self.backend.append(p, c); }
+            fn shard(&self, key: &str) -> usize { let mut h = DefaultHasher::new(); key.hash(&mut h); h.finish() as usize }
+        "#;
+        let fns = graph_src(src);
+        let g = CallGraph::build(&fns);
+        let shard = fns.iter().position(|f| f.name == "shard").unwrap();
+        assert!(g.edges[shard].is_empty());
+        assert!(!g.reaches_io[shard]);
     }
 
     #[test]

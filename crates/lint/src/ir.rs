@@ -1,8 +1,8 @@
 //! A lightweight statement/branch IR over the token stream.
 //!
 //! The token-level rules in [`crate::rules`] see one flat stream; the
-//! interprocedural analyses ([`crate::locks`] and guard-across-io v2)
-//! need function boundaries, statement boundaries,
+//! interprocedural analyses in [`crate::locks`] (lock-order-inversion
+//! and guard-across-io) need function boundaries, statement boundaries,
 //! and branch structure. This module parses each `fn` body into a small
 //! event tree — still zero-dep, still recursive descent over
 //! [`crate::lexer::lex`] output.
@@ -49,19 +49,32 @@ impl FnIr {
     }
 }
 
+/// A call: `name(...)` or `recv.name(...)`.
+#[derive(Debug)]
+pub struct Call {
+    pub name: String,
+    /// The receiver identifier when syntactically recoverable
+    /// (`self.table.lock()` → `table`; `registry().read()` →
+    /// `registry`).
+    pub recv: Option<String>,
+    pub has_args: bool,
+    /// `recv.name(..)` rather than a free `name(..)`.
+    pub method: bool,
+    pub line: u32,
+}
+
+impl Call {
+    /// A lock acquisition: `m.lock()`, `rw.read()`, `rw.write()` with no
+    /// arguments.
+    pub fn is_acquire(&self) -> bool {
+        self.method && !self.has_args && matches!(self.name.as_str(), "lock" | "read" | "write")
+    }
+}
+
 /// One IR event. `Stmt`/`Scope`/`Branch`/`Loop` carry nested events.
 #[derive(Debug)]
 pub enum Event {
-    /// A call: `name(...)` or `recv.name(...)`. `recv` is the receiver
-    /// identifier when syntactically recoverable (`self.table.lock()`
-    /// → recv `table`; `registry().read()` → recv `registry`).
-    Call {
-        name: String,
-        recv: Option<String>,
-        has_args: bool,
-        method: bool,
-        line: u32,
-    },
+    Call(Call),
     /// `let` statement. `name` is `None` for destructuring patterns;
     /// `init` holds the initializer's events (including any trailing
     /// if/match blocks up to the terminating `;`).
@@ -86,10 +99,20 @@ pub enum Event {
     Return { line: u32 },
 }
 
-/// Method names that are lock acquisitions when called with no
-/// arguments: `m.lock()`, `rw.read()`, `rw.write()`.
-pub fn is_acquire(name: &str, has_args: bool, method: bool) -> bool {
-    method && !has_args && matches!(name, "lock" | "read" | "write")
+/// Every call in `evs`, recursively, in event order.
+pub fn calls(evs: &[Event]) -> Vec<&Call> {
+    let mut out = Vec::new();
+    for e in evs {
+        match e {
+            Event::Call(c) => out.push(c),
+            Event::Bind { init: es, .. } | Event::Stmt(es) | Event::Scope(es) | Event::Loop { body: es, .. } => {
+                out.extend(calls(es));
+            }
+            Event::Branch { arms, .. } => out.extend(arms.iter().flat_map(|a| calls(a))),
+            Event::DropCall { .. } | Event::Return { .. } => {}
+        }
+    }
+    out
 }
 
 /// Parse every function in a lexed file. Nested `fn`s get their own
@@ -222,17 +245,34 @@ fn call_has_args(toks: &[Tok], i: usize) -> bool {
     toks.get(i + 2).is_some_and(|t| !t.is(TokKind::Punct, ")"))
 }
 
+/// Change in `(`/`[` nesting at `t`: a `;` or `{` inside a call's
+/// arguments or an array (`[0u8; 4]`, `f(|| { .. })`) is not the
+/// statement's own.
+fn nesting(t: &Tok) -> i32 {
+    match (t.kind, t.text.as_str()) {
+        (TokKind::Punct, "(" | "[") => 1,
+        (TokKind::Punct, ")" | "]") => -1,
+        _ => 0,
+    }
+}
+
 /// Index just past the end of the statement starting at `from`: the
-/// `;` at `depth` (consumed), or the close of a trailing block at
-/// `depth` for block-ended statements, bounded by `end`.
+/// `;` at `depth` outside `(`/`[` (consumed), or the close of a
+/// trailing block there for block-ended statements, bounded by `end`.
 fn stmt_end(toks: &[Tok], from: usize, depth: u32, end: usize) -> usize {
+    let mut level = 0i32;
     let mut j = from;
     while j < end {
         let t = &toks[j];
-        if t.is(TokKind::Punct, ";") && t.depth == depth {
+        level += nesting(t);
+        if t.depth != depth || level > 0 {
+            j += 1;
+            continue;
+        }
+        if t.is(TokKind::Punct, ";") {
             return j + 1;
         }
-        if t.is(TokKind::Punct, "{") && t.depth == depth {
+        if t.is(TokKind::Punct, "{") {
             let close = matching_close(toks, j);
             // `};` still belongs to the statement; a bare close ends it
             // unless an `else`/`.` chain continues the expression.
@@ -269,10 +309,8 @@ fn parse_block(toks: &[Tok], start: usize, end: usize) -> Vec<Event> {
                     None => i += 1,
                 }
             }
-            (TokKind::Ident, "let") if !toks.get(i.wrapping_sub(1)).is_some_and(is_let_guard_pos) => {
-                let (ev, next) = parse_let(toks, i, end);
-                out.push(ev);
-                i = next;
+            (TokKind::Ident, "let") => {
+                i = parse_let(toks, i, end, &mut out);
             }
             (TokKind::Ident, "if") => {
                 let (ev, cond, next) = parse_if_chain(toks, i, end);
@@ -313,7 +351,7 @@ fn parse_block(toks: &[Tok], start: usize, end: usize) -> Vec<Event> {
                 // Expression statement: group its events so temporary
                 // guards die at the `;`.
                 let next = stmt_end(toks, i, depth, end);
-                let events = parse_expr(toks, i, next, depth);
+                let events = parse_expr(toks, i, next);
                 if !events.is_empty() {
                     out.push(Event::Stmt(events));
                 }
@@ -324,17 +362,10 @@ fn parse_block(toks: &[Tok], start: usize, end: usize) -> Vec<Event> {
     out
 }
 
-/// True when the previous token means this `let` is inside `if let` /
-/// `while let` (handled by the branch/loop parsers, not as a binding
-/// statement).
-fn is_let_guard_pos(prev: &Tok) -> bool {
-    prev.is(TokKind::Ident, "if") || prev.is(TokKind::Ident, "while")
-}
-
 /// Extract flat events (calls, drops, returns, scopes) from
 /// an expression range. Nested blocks become `Scope`s; `return <expr>`
 /// emits the expression's events *before* the `Return`.
-fn parse_expr(toks: &[Tok], start: usize, end: usize, _depth: u32) -> Vec<Event> {
+fn parse_expr(toks: &[Tok], start: usize, end: usize) -> Vec<Event> {
     let mut out = Vec::new();
     let mut i = start;
     while i < end {
@@ -343,7 +374,7 @@ fn parse_expr(toks: &[Tok], start: usize, end: usize, _depth: u32) -> Vec<Event>
             (TokKind::Ident, "return") => {
                 let line = t.line;
                 // Events of the returned expression run first.
-                let inner = parse_expr(toks, i + 1, end, _depth);
+                let inner = parse_expr(toks, i + 1, end);
                 let had = !inner.is_empty();
                 out.extend(inner);
                 out.push(Event::Return { line });
@@ -387,13 +418,13 @@ fn parse_expr(toks: &[Tok], start: usize, end: usize, _depth: u32) -> Vec<Event>
                 i += 4;
             }
             (TokKind::Ident, _) if is_call(toks, i) => {
-                out.push(Event::Call {
+                out.push(Event::Call(Call {
                     name: t.text.clone(),
                     recv: call_receiver(toks, i),
                     has_args: call_has_args(toks, i),
                     method: i > 0 && toks[i - 1].is(TokKind::Punct, "."),
                     line: t.line,
-                });
+                }));
                 i += 1;
             }
             (TokKind::Punct, "{") => {
@@ -407,11 +438,72 @@ fn parse_expr(toks: &[Tok], start: usize, end: usize, _depth: u32) -> Vec<Event>
     out
 }
 
-/// `let [mut] name = init ;` → `Bind`. Destructuring patterns get
-/// `name: None`; the initializer is everything up to the statement end
-/// (including trailing if/match blocks).
-fn parse_let(toks: &[Tok], at: usize, end: usize) -> (Event, usize) {
+/// The `=` that ends the pattern (and type) of a `let`, `if let` or
+/// `while let` whose pattern starts at `from`: the first lone `=` at
+/// `depth` outside generic brackets (`Iterator<Item = u8>`). A struct
+/// pattern's braces sit deeper, so they are skipped; a `;` at the
+/// statement's own nesting means there is no initializer.
+fn pattern_eq(toks: &[Tok], from: usize, end: usize, depth: u32) -> Option<usize> {
+    let (mut level, mut angle) = (0i32, 0i32);
+    for k in from..end {
+        let t = &toks[k];
+        level += nesting(t);
+        if t.depth != depth || t.kind != TokKind::Punct {
+            continue;
+        }
+        let prev = toks[k - 1].text.as_str();
+        match t.text.as_str() {
+            "<" => angle += 1,
+            ">" if prev != "-" => angle -= 1,
+            ";" if level <= 0 => return None,
+            // `>` may precede it (`let x: Vec<T> = ..`); `..=` is a
+            // range pattern and compound operators only follow it.
+            "=" if angle <= 0
+                && !toks.get(k + 1).is_some_and(|n| n.is(TokKind::Punct, "="))
+                && !matches!(prev, "=" | "!" | "+" | "-" | "*" | "/" | "%" | "&" | "|" | "^" | ".") =>
+            {
+                return Some(k)
+            }
+            _ => {}
+        }
+    }
+    None
+}
+
+/// Where the expression of the `if`/`while`/`for` header at `at`
+/// starts: past the pattern of `if let <pat> =`, `while let <pat> =`
+/// or `for <pat> in`, whose own braces (`Foo { .. }`) are not the body.
+fn header_expr(toks: &[Tok], at: usize, end: usize) -> usize {
     let depth = toks[at].depth;
+    let sep = if toks[at].is(TokKind::Ident, "for") {
+        (at + 1..end).find(|&k| toks[k].is(TokKind::Ident, "in") && toks[k].depth == depth)
+    } else if toks.get(at + 1).is_some_and(|t| t.is(TokKind::Ident, "let")) {
+        pattern_eq(toks, at + 2, end, depth)
+    } else {
+        None
+    };
+    sep.map_or(at + 1, |k| k + 1)
+}
+
+/// The `{` opening the body of a header whose expression starts at
+/// `from`: the first `{` at `depth` outside parentheses and brackets
+/// (a closure block in a call argument is not the body).
+fn body_open(toks: &[Tok], from: usize, end: usize, depth: u32) -> Option<usize> {
+    let mut level = 0i32;
+    (from..end.min(toks.len())).find(|&k| {
+        level += nesting(&toks[k]);
+        level <= 0 && toks[k].is(TokKind::Punct, "{") && toks[k].depth == depth
+    })
+}
+
+/// `let [mut] name = init ;` → `Bind`, pushed onto `out`; returns the
+/// index past the statement. Destructuring patterns get `name: None`;
+/// the initializer is everything up to the statement end (including
+/// trailing if/match blocks). A let-else adds a `Branch` after the
+/// `Bind`: fall through, or run the diverging `else` block.
+fn parse_let(toks: &[Tok], at: usize, end: usize, out: &mut Vec<Event>) -> usize {
+    let depth = toks[at].depth;
+    let line = toks[at].line;
     let mut j = at + 1;
     if toks.get(j).is_some_and(|n| n.is(TokKind::Ident, "mut")) {
         j += 1;
@@ -425,31 +517,37 @@ fn parse_let(toks: &[Tok], at: usize, end: usize) -> (Event, usize) {
         }
         _ => None,
     };
-    let next = stmt_end(toks, at, depth, end);
     // Initializer events start strictly after the `=`: the pattern's
     // own tokens are binders, not part of the initializer.
-    let eq = (j..next).find(|&k| {
-        toks[k].is(TokKind::Punct, "=")
-            && !toks.get(k + 1).is_some_and(|n| n.is(TokKind::Punct, "="))
-            // `>` is NOT excluded: a type annotation can end with a
-            // generic close (`let x: Vec<T> = ...`), and a real `>=`
-            // can only occur after the initializer's own `=`.
-            && !toks.get(k.wrapping_sub(1)).is_some_and(|p| {
-                p.kind == TokKind::Punct && matches!(p.text.as_str(), "=" | "!" | "+" | "-" | "*" | "/" | "%" | "&" | "|" | "^")
-            })
-    });
-    let init = match eq {
-        Some(eq) => parse_expr(toks, eq + 1, next, depth),
-        None => Vec::new(),
-    };
-    (
-        Event::Bind {
+    let Some(eq) = pattern_eq(toks, j, end, depth) else {
+        out.push(Event::Bind {
             name,
-            init,
-            line: toks[at].line,
-        },
-        next,
-    )
+            init: Vec::new(),
+            line,
+        });
+        return stmt_end(toks, at, depth, end);
+    };
+    let next = stmt_end(toks, eq + 1, depth, end);
+    // A let-else initializer cannot end in `}`, so an `else` at the
+    // let's depth that does not follow one starts the diverging block.
+    let els = (eq + 1..next).find(|&k| {
+        toks[k].is(TokKind::Ident, "else")
+            && toks[k].depth == depth
+            && !toks[k - 1].is(TokKind::Punct, "}")
+    });
+    out.push(Event::Bind {
+        name,
+        init: parse_expr(toks, eq + 1, els.unwrap_or(next)),
+        line,
+    });
+    if let Some(k) = els.filter(|&k| toks.get(k + 1).is_some_and(|t| t.is(TokKind::Punct, "{"))) {
+        let close = matching_close(toks, k + 1);
+        out.push(Event::Branch {
+            arms: vec![Vec::new(), parse_block(toks, k + 2, close.min(end))],
+            line: toks[k].line,
+        });
+    }
+    next
 }
 
 /// `if cond { .. } [else if cond { .. }]* [else { .. }]` → one Branch.
@@ -462,15 +560,12 @@ fn parse_if_chain(toks: &[Tok], at: usize, end: usize) -> (Event, Vec<Event>, us
     let mut i = at;
     let mut has_else = false;
     loop {
-        // `i` points at `if`. Condition runs to the `{` at this depth.
-        let Some(open_off) = toks[i + 1..end.min(toks.len())]
-            .iter()
-            .position(|t| t.is(TokKind::Punct, "{") && t.depth == depth)
-        else {
+        // `i` points at `if`. Condition runs to the body's `{`.
+        let from = header_expr(toks, i, end);
+        let Some(open) = body_open(toks, from, end, depth) else {
             return (Event::Branch { arms, line }, first_cond, end);
         };
-        let open = i + 1 + open_off;
-        let cond = parse_expr(toks, i + 1, open, depth);
+        let cond = parse_expr(toks, from, open);
         let close = matching_close(toks, open);
         let mut arm = parse_block(toks, open + 1, close.min(end));
         if arms.is_empty() {
@@ -508,14 +603,10 @@ fn parse_if_chain(toks: &[Tok], at: usize, end: usize) -> (Event, Vec<Event>, us
 fn parse_match(toks: &[Tok], at: usize, end: usize) -> (Option<Event>, Vec<Event>, usize) {
     let depth = toks[at].depth;
     let line = toks[at].line;
-    let Some(open_off) = toks[at + 1..end.min(toks.len())]
-        .iter()
-        .position(|t| t.is(TokKind::Punct, "{") && t.depth == depth)
-    else {
+    let Some(open) = body_open(toks, at + 1, end, depth) else {
         return (None, Vec::new(), at + 1);
     };
-    let open = at + 1 + open_off;
-    let scrutinee = parse_expr(toks, at + 1, open, depth);
+    let scrutinee = parse_expr(toks, at + 1, open);
     let close = matching_close(toks, open);
     let inner = toks[open].depth + 1;
     let mut arms: Vec<Vec<Event>> = Vec::new();
@@ -545,7 +636,7 @@ fn parse_match(toks: &[Tok], at: usize, end: usize) -> (Option<Event>, Vec<Event
             while j < close && !(toks[j].is(TokKind::Punct, ",") && toks[j].depth == inner) {
                 j += 1;
             }
-            (parse_expr(toks, body_start, j, inner), j + 1)
+            (parse_expr(toks, body_start, j), j + 1)
         };
         arms.push(arm);
         i = next;
@@ -568,17 +659,14 @@ fn parse_loop(toks: &[Tok], at: usize, end: usize) -> (Option<Event>, usize) {
         // `for<'a>` HRTB, not a loop.
         return (None, at + 1);
     }
-    let Some(open_off) = toks[at + 1..end.min(toks.len())]
-        .iter()
-        .position(|t| t.is(TokKind::Punct, "{") && t.depth == depth)
-    else {
+    let from = header_expr(toks, at, end);
+    let Some(open) = body_open(toks, from, end, depth) else {
         return (None, at + 1);
     };
-    let open = at + 1 + open_off;
     let close = matching_close(toks, open);
     let mut body = Vec::new();
     if kw == "while" {
-        body.extend(parse_expr(toks, at + 1, open, depth));
+        body.extend(parse_expr(toks, from, open));
     }
     body.extend(parse_block(toks, open + 1, close.min(end)));
     (Some(Event::Loop { body, line }), close + 1)
@@ -593,21 +681,12 @@ mod tests {
         parse_file("crates/x/src/lib.rs", &lex(src).toks)
     }
 
-    fn flat_calls(evs: &[Event], out: &mut Vec<String>) {
-        for e in evs {
-            match e {
-                Event::Call { name, .. } => out.push(name.clone()),
-                Event::Bind { init, .. } => flat_calls(init, out),
-                Event::Stmt(es) | Event::Scope(es) => flat_calls(es, out),
-                Event::Branch { arms, .. } => {
-                    for a in arms {
-                        flat_calls(a, out);
-                    }
-                }
-                Event::Loop { body, .. } => flat_calls(body, out),
-                _ => {}
-            }
-        }
+    fn calls_of(src: &str) -> Vec<String> {
+        calls(&irs(src)[0].body).iter().map(|c| c.name.clone()).collect()
+    }
+
+    fn is_call(e: &Event, name: &str) -> bool {
+        matches!(e, Event::Call(c) if c.name == name)
     }
 
     #[test]
@@ -639,11 +718,8 @@ mod tests {
     #[test]
     fn nested_fns_are_separate_and_skipped_in_parent() {
         let src = "fn outer() { inner_call(); fn nested() { nested_call(); } after(); }";
-        let fns = irs(src);
-        assert_eq!(fns.len(), 2);
-        let mut outer_calls = Vec::new();
-        flat_calls(&fns[0].body, &mut outer_calls);
-        assert_eq!(outer_calls, vec!["inner_call", "after"]);
+        assert_eq!(irs(src).len(), 2);
+        assert_eq!(calls_of(src), ["inner_call", "after"]);
     }
 
     #[test]
@@ -688,7 +764,7 @@ mod tests {
         for e in &fns[0].body {
             match e {
                 Event::Stmt(es) => {
-                    if es.iter().any(|e| matches!(e, Event::Call { name, .. } if name == "probe")) {
+                    if es.iter().any(|e| is_call(e, "probe")) {
                         saw_probe_before_branch = arm_count == 0;
                     }
                 }
@@ -710,17 +786,10 @@ mod tests {
             }
         "#;
         let fns = irs(src);
-        let mut recvs = Vec::new();
-        fn walk(evs: &[Event], out: &mut Vec<(String, Option<String>)>) {
-            for e in evs {
-                match e {
-                    Event::Call { name, recv, .. } => out.push((name.clone(), recv.clone())),
-                    Event::Stmt(es) | Event::Scope(es) => walk(es, out),
-                    _ => {}
-                }
-            }
-        }
-        walk(&fns[0].body, &mut recvs);
+        let recvs: Vec<_> = calls(&fns[0].body)
+            .iter()
+            .map(|c| (c.name.clone(), c.recv.clone()))
+            .collect();
         // (`registry()` itself is also a call event, receiver-less.)
         assert_eq!(
             recvs,
@@ -745,9 +814,53 @@ mod tests {
         let Some(Event::Stmt(es)) = arms[0].first() else {
             panic!("{:?}", arms[0]);
         };
-        let pos_call = es.iter().position(|e| matches!(e, Event::Call { name, .. } if name == "compute"));
+        let pos_call = es.iter().position(|e| is_call(e, "compute"));
         let pos_ret = es.iter().position(|e| matches!(e, Event::Return { .. }));
         assert!(pos_call.unwrap() < pos_ret.unwrap(), "{es:?}");
+    }
+
+    #[test]
+    fn let_struct_pattern_does_not_end_the_statement() {
+        let src = "fn f(&self) { let Foo { a, b } = self.load(); after(a, b); }";
+        let fns = irs(src);
+        let Some(Event::Bind { init, name: None, .. }) = fns[0].body.first() else {
+            panic!("{:?}", fns[0].body);
+        };
+        assert!(matches!(&init[..], [e] if is_call(e, "load")), "{init:?}");
+        assert_eq!(calls_of(src), ["load", "after"]);
+    }
+
+    #[test]
+    fn let_else_is_a_bind_then_a_diverging_branch() {
+        let src = "fn f(&self) { let Some(S { x }) = self.get() else { return bail(); }; after(x); }";
+        let fns = irs(src);
+        let [Event::Bind { init, .. }, Event::Branch { arms, .. }, Event::Stmt(_)] = &fns[0].body[..] else {
+            panic!("{:?}", fns[0].body);
+        };
+        assert!(matches!(&init[..], [e] if is_call(e, "get")), "{init:?}");
+        assert!(arms[0].is_empty());
+        assert!(matches!(arms[1].last(), Some(Event::Stmt(es)) if matches!(es.last(), Some(Event::Return { .. }))));
+        assert_eq!(calls_of(src), ["get", "bail", "after"]);
+    }
+
+    #[test]
+    fn if_let_struct_pattern_braces_are_not_the_body() {
+        let src = "fn f(&self) { if let Foo { a } = self.probe() { inside(a); } after(); }";
+        let fns = irs(src);
+        let [Event::Stmt(cond), Event::Branch { arms, .. }, Event::Stmt(_)] = &fns[0].body[..] else {
+            panic!("{:?}", fns[0].body);
+        };
+        assert!(matches!(&cond[..], [e] if is_call(e, "probe")), "{cond:?}");
+        assert_eq!(arms.len(), 2);
+        assert_eq!(calls_of(src), ["probe", "inside", "after"]);
+    }
+
+    #[test]
+    fn loop_pattern_braces_are_not_the_body() {
+        let src = "fn f(&self) { while let Some(Foo { a }) = it.next() { inside(a); } after(); }";
+        assert_eq!(calls_of(src), ["next", "inside", "after"]);
+        let src = "fn f(&self) { for Foo { a } in self.items() { inside(a); } after(); }";
+        assert_eq!(calls_of(src), ["inside", "after"]);
     }
 
     #[test]

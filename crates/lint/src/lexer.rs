@@ -18,7 +18,8 @@
 //!
 //! written after `//` on the flagged line or on a comment line directly
 //! above it. The reason is mandatory; pragmas are counted and reported,
-//! never free.
+//! never free. (Clippy's lints are suppressed by the compiler's own
+//! `#[expect(clippy::<lint>, reason = "..")]`, which the rules count.)
 
 /// Token classification. Literals cover strings, chars, and numbers —
 /// the rules only ever need "not an identifier, not punctuation".
@@ -466,15 +467,15 @@ mod tests {
     #[test]
     fn pragmas_parse_and_doc_comments_do_not() {
         let src = "\
-// plfs-lint: allow(panic-in-core): provably infallible here
-/// plfs-lint: allow(panic-in-core): just documentation
+// plfs-lint: allow(swallowed-result): every other issue is report-only
+/// plfs-lint: allow(swallowed-result): just documentation
 // plfs-lint: allow(): missing rule
 x();
 ";
         let l = lex(src);
         assert_eq!(l.pragmas.len(), 2);
-        assert_eq!(l.pragmas[0].rule.as_deref(), Some("panic-in-core"));
-        assert_eq!(l.pragmas[0].reason, "provably infallible here");
+        assert_eq!(l.pragmas[0].rule.as_deref(), Some("swallowed-result"));
+        assert_eq!(l.pragmas[0].reason, "every other issue is report-only");
         assert_eq!(l.pragmas[1].rule, None, "malformed pragma is surfaced");
     }
 

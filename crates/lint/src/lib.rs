@@ -1,12 +1,19 @@
-//! plfs-lint: workspace-wide static invariant checker for the PLFS
-//! middleware. See DESIGN.md §5d for the rule catalogue and rationale.
+//! plfs-lint: the workspace invariant checks clippy cannot make. See
+//! DESIGN.md §5d for the rule catalogue and rationale; panics and
+//! discarded results are clippy lints denied by the workspace
+//! `[workspace.lints.clippy]` table.
 //!
-//! The pipeline per file: [`lexer::lex`] → [`rules::test_ranges`] →
-//! the per-rule scanners → pragma resolution (findings suppressed by a
+//! [`run`] first makes the whole-workspace semantic pass
+//! ([`semantic_findings`]: IR, call graph, guard-across-io and
+//! lock-order-inversion), then lints each file: [`lexer::lex`] →
+//! [`rules::test_ranges`] → the token rules and format-drift → pragma
+//! resolution (findings suppressed by a
 //! `// plfs-lint: allow(<rule>): <reason>` on the flagged line or the
 //! comment line directly above become [`report::AllowedFinding`]s).
 //! Pragmas are never free: malformed ones, ones naming unknown rules,
-//! and ones that suppress nothing are all surfaced as warnings.
+//! and ones that suppress nothing are all surfaced as warnings. The
+//! same token pass counts `#[expect(clippy::…)]` sites for the
+//! baseline.
 
 pub mod callgraph;
 pub mod drift;
@@ -87,22 +94,20 @@ pub struct FileLint {
     pub findings: Vec<Finding>,
     pub allowed: Vec<AllowedFinding>,
     pub warnings: Vec<LintWarning>,
+    /// One `clippy::<lint>` per lint named in an `#[expect(..)]`.
+    pub expects: Vec<String>,
 }
 
 /// Lint one source file given as a string. `rel` selects path-scoped
-/// rules (guard-across-io, unretried-backend-call); `extra` carries
-/// caller-computed findings (format-drift, semantic analyses) through
-/// pragma resolution.
+/// rules (unretried-backend-call, raw-backend-in-batch-path); `extra`
+/// carries caller-computed findings (format-drift, semantic analyses)
+/// through pragma resolution.
 pub fn lint_source_with(rel: &str, src: &str, extra: Vec<RawFinding>) -> FileLint {
     let lexed = lex(src);
     let tests = rules::test_ranges(&lexed.toks);
 
     let mut raw: Vec<RawFinding> = extra;
-    raw.extend(rules::panic_in_core(&lexed.toks, &tests));
     raw.extend(rules::swallowed_result(&lexed.toks, &tests));
-    if guard_scope(rel) {
-        raw.extend(rules::guard_across_io(&lexed.toks, &tests));
-    }
     if unretried_scope(rel) {
         raw.extend(rules::unretried_backend_call(&lexed.toks, &tests));
     }
@@ -125,7 +130,10 @@ pub fn lint_source_with(rel: &str, src: &str, extra: Vec<RawFinding>) -> FileLin
         tok_lines.get(idx).copied()
     };
 
-    let mut out = FileLint::default();
+    let mut out = FileLint {
+        expects: rules::clippy_expects(&lexed.toks, &tests),
+        ..FileLint::default()
+    };
     let snippet = |line: u32| -> String {
         src.lines()
             .nth(line as usize - 1)
@@ -216,7 +224,7 @@ pub fn lint_source(rel: &str, src: &str) -> FileLint {
 
 /// The whole-workspace semantic pass: parse every `(rel, source)` file
 /// into [`ir::FnIr`], build the call graph, and run the lock-order and
-/// guard-across-io-v2 analyses.
+/// guard-across-io analyses.
 ///
 /// Returns per-file findings plus a used-flag per §5i lock-table row
 /// so the caller can report stale rows (the two-way drift contract).
@@ -231,15 +239,12 @@ pub fn semantic_findings(
     let graph = CallGraph::build(&prod_fns);
     let mut out: HashMap<String, Vec<RawFinding>> = HashMap::new();
 
-    let lock_report = locks::analyze(&prod_fns, &graph, lock_rows, &|_| true);
+    let report = locks::analyze(&prod_fns, &graph, lock_rows, &|f: &FnIr| guard_scope(&f.file));
     let mut used = vec![false; lock_rows.len()];
-    for i in &lock_report.used_rows {
-        used[*i] = true;
+    for i in report.used_rows {
+        used[i] = true;
     }
-    for (file, f) in lock_report.findings {
-        out.entry(file).or_default().push(f);
-    }
-    for (file, f) in locks::guard_v2(&prod_fns, &graph, &|f: &FnIr| guard_scope(&f.file)) {
+    for (file, f) in report.findings {
         out.entry(file).or_default().push(f);
     }
     (out, used)
@@ -266,6 +271,35 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
+/// Every linted `(repo-relative path, source)` under `root`'s
+/// `crates/` and `src/`, in path order.
+pub fn workspace_sources(root: &Path) -> Result<Vec<(String, String)>, String> {
+    let mut paths = Vec::new();
+    for top in ["crates", "src"] {
+        collect_rs_files(&root.join(top), &mut paths);
+    }
+    if paths.is_empty() {
+        return Err(format!(
+            "no Rust sources found under {} (crates/, src/)",
+            root.display()
+        ));
+    }
+    let mut sources = Vec::new();
+    for path in &paths {
+        let rel = path
+            .strip_prefix(root)
+            .unwrap_or(path)
+            .components()
+            .map(|c| c.as_os_str().to_string_lossy())
+            .collect::<Vec<_>>()
+            .join("/");
+        let src =
+            fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        sources.push((rel, src));
+    }
+    Ok(sources)
+}
+
 /// Run the full workspace lint. Errors (as opposed to findings) are
 /// configuration problems: unreadable root, missing DESIGN.md, missing
 /// or malformed format table.
@@ -283,31 +317,9 @@ pub fn run(cfg: &LintConfig) -> Result<LintReport, String> {
         tables.push((spec, vec![false; rows.len()], rows));
     }
 
-    let mut paths = Vec::new();
-    for top in ["crates", "src"] {
-        collect_rs_files(&cfg.root.join(top), &mut paths);
-    }
-    if paths.is_empty() {
-        return Err(format!(
-            "no Rust sources found under {} (crates/, src/)",
-            cfg.root.display()
-        ));
-    }
     // Read everything up front: the semantic pass is workspace-wide
     // (the call graph spans files), unlike the per-file token rules.
-    let mut sources: Vec<(String, String)> = Vec::new();
-    for path in &paths {
-        let rel = path
-            .strip_prefix(&cfg.root)
-            .unwrap_or(path)
-            .components()
-            .map(|c| c.as_os_str().to_string_lossy())
-            .collect::<Vec<_>>()
-            .join("/");
-        let src =
-            fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        sources.push((rel, src));
-    }
+    let sources = workspace_sources(&cfg.root)?;
 
     // The lock table's rows are matched by the workspace-wide semantic
     // pass; every other table's by the per-file checks below.
@@ -333,6 +345,9 @@ pub fn run(cfg: &LintConfig) -> Result<LintReport, String> {
         report.findings.extend(file_lint.findings);
         report.allowed.extend(file_lint.allowed);
         report.warnings.extend(file_lint.warnings);
+        for lint in file_lint.expects {
+            *report.expects.entry(lint).or_default() += 1;
+        }
         report.files_scanned += 1;
     }
 
@@ -359,10 +374,12 @@ pub fn run(cfg: &LintConfig) -> Result<LintReport, String> {
 mod tests {
     use super::*;
 
+    const SWALLOW: &str = "fn f(e: Issue) { match e { Issue::A => fix(), _ => {} } }";
+
     #[test]
     fn trailing_pragma_suppresses_and_is_counted() {
-        let src = "fn f() { x.unwrap(); } // plfs-lint: allow(panic-in-core): test scaffolding\n";
-        let r = lint_source("crates/x/src/lib.rs", src);
+        let src = format!("{SWALLOW} // plfs-lint: allow(swallowed-result): test scaffolding\n");
+        let r = lint_source("crates/x/src/lib.rs", &src);
         assert!(r.findings.is_empty(), "{:?}", r.findings);
         assert_eq!(r.allowed.len(), 1);
         assert_eq!(r.allowed[0].reason, "test scaffolding");
@@ -372,9 +389,12 @@ mod tests {
     #[test]
     fn line_above_pragma_suppresses() {
         let src = "\
-fn f() {
-    // plfs-lint: allow(panic-in-core): invariant established two lines up
-    x.unwrap();
+fn f(e: Issue) {
+    match e {
+        Issue::A => fix(),
+        // plfs-lint: allow(swallowed-result): every other issue is report-only
+        _ => {}
+    }
 }
 ";
         let r = lint_source("crates/x/src/lib.rs", src);
@@ -385,10 +405,10 @@ fn f() {
     #[test]
     fn unused_and_malformed_pragmas_warn() {
         let src = "\
-// plfs-lint: allow(panic-in-core): nothing here panics
+// plfs-lint: allow(swallowed-result): nothing here swallows
 fn clean() {}
 // plfs-lint: allow(no-such-rule): typo
-// plfs-lint: allow(panic-in-core) missing colon and reason
+// plfs-lint: allow(swallowed-result) missing colon and reason
 fn also_clean() {}
 ";
         let r = lint_source("crates/x/src/lib.rs", src);
@@ -398,20 +418,21 @@ fn also_clean() {}
 
     #[test]
     fn pragma_for_wrong_rule_does_not_suppress() {
-        let src = "fn f() { x.unwrap(); } // plfs-lint: allow(swallowed-result): wrong rule\n";
-        let r = lint_source("crates/x/src/lib.rs", src);
+        let src = format!("{SWALLOW} // plfs-lint: allow(format-drift): wrong rule\n");
+        let r = lint_source("crates/x/src/lib.rs", &src);
         assert_eq!(r.findings.len(), 1);
         assert_eq!(r.warnings.len(), 1, "wrong-rule pragma is unused");
     }
 
     #[test]
     fn scoped_rules_respect_paths() {
-        let src = "fn f(&self) { let g = self.m.lock(); self.backend.append(a, b); }\n\
-                   // plfs-lint: allow(guard-across-io): n/a\n";
-        // Out of guard scope: no finding, pragma unused.
-        let sim = lint_source("crates/mpio/src/sim.rs", "fn f(&self) { let g = self.m.lock(); self.backend.append(a, b); }\n");
-        assert!(sim.findings.is_empty());
-        let core = lint_source("crates/core/src/service.rs", src);
-        assert!(core.findings.iter().any(|f| f.rule == RuleId::GuardAcrossIo) || !core.allowed.is_empty());
+        let src = "fn f(&self) { let g = self.m.lock(); self.backend.append(a, b); }\n";
+        let guard = |rel: &str| {
+            let files = vec![(rel.to_string(), src.to_string())];
+            let (sem, _) = semantic_findings(&files, &[]);
+            sem.get(rel).map_or(0, |fs| fs.iter().filter(|f| f.rule == RuleId::GuardAcrossIo).count())
+        };
+        assert_eq!(guard("crates/mpio/src/sim.rs"), 0);
+        assert_eq!(guard("crates/core/src/service.rs"), 1);
     }
 }

@@ -3,6 +3,8 @@
 //! JSON output is hand-rolled (the vendor tree is offline-only, no
 //! serde); the escaping covers everything our messages can contain.
 
+use std::collections::BTreeMap;
+
 use crate::rules::RuleId;
 
 /// An unannotated finding — these fail the gate.
@@ -45,6 +47,8 @@ pub struct LintReport {
     pub allowed: Vec<AllowedFinding>,
     pub warnings: Vec<LintWarning>,
     pub files_scanned: usize,
+    /// `#[expect(clippy::<lint>)]` sites per lint (`clippy::<lint>`).
+    pub expects: BTreeMap<String, usize>,
 }
 
 impl LintReport {
@@ -61,6 +65,16 @@ impl LintReport {
         RuleId::all()
             .into_iter()
             .map(|r| (r, self.allowed.iter().filter(|a| a.rule == r).count()))
+            .collect()
+    }
+
+    /// The baseline's rows: allowed pragmas per rule, then
+    /// `#[expect(clippy::…)]` sites per lint.
+    pub fn budget_rows(&self) -> Vec<(String, usize)> {
+        self.allowed_per_rule()
+            .into_iter()
+            .map(|(r, n)| (r.as_str().to_string(), n))
+            .chain(self.expects.iter().map(|(l, &n)| (l.clone(), n)))
             .collect()
     }
 
@@ -91,12 +105,13 @@ impl LintReport {
             self.allowed.len(),
             self.warnings.len()
         ));
-        if !self.allowed.is_empty() {
-            for (rule, n) in self.allowed_per_rule() {
-                if n > 0 {
-                    out.push_str(&format!("  allowed[{}]: {}\n", rule.as_str(), n));
-                }
+        for (rule, n) in self.allowed_per_rule() {
+            if n > 0 {
+                out.push_str(&format!("  allowed[{}]: {}\n", rule.as_str(), n));
             }
+        }
+        for (lint, n) in &self.expects {
+            out.push_str(&format!("  expect[{lint}]: {n}\n"));
         }
         out
     }
@@ -167,26 +182,28 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// Render the committed baseline: allowed-pragma counts per rule. The
-/// gate fails if any rule's live count exceeds its baseline (you can
-/// only ratchet down).
+/// Render the committed baseline: allowed-pragma counts per rule and
+/// `#[expect(clippy::…)]` counts per lint. The gate fails if any live
+/// count exceeds its baseline (you can only ratchet down).
 pub fn render_baseline(report: &LintReport) -> String {
     let mut out = String::from(
         "# plfs-lint baseline\n\n\
-         Allowed-pragma counts per rule. `plfsctl lint --baseline` fails if any\n\
-         live count exceeds its entry here — the budget only ratchets down.\n\
-         Regenerate with `plfsctl lint --write-baseline` after removing pragmas.\n\n\
+         Allowed-pragma counts per rule, and `#[expect(clippy::<lint>)]` sites per\n\
+         clippy lint. `plfsctl lint --baseline` fails if any live count exceeds its\n\
+         entry here — the budget only ratchets down. Regenerate with\n\
+         `plfsctl lint --write-baseline` after removing suppressions.\n\n\
          | rule | allowed |\n| --- | --- |\n",
     );
-    for (rule, n) in report.allowed_per_rule() {
-        out.push_str(&format!("| {} | {} |\n", rule.as_str(), n));
+    for (row, n) in report.budget_rows() {
+        out.push_str(&format!("| {row} | {n} |\n"));
     }
     out
 }
 
-/// Parse a baseline file back into per-rule budgets. Unknown rows are
-/// ignored (forward compatibility); missing rows mean budget 0.
-pub fn parse_baseline(text: &str) -> Vec<(RuleId, usize)> {
+/// Parse a baseline file back into per-row budgets (rows whose count
+/// is not a number, like the header, are skipped); a row missing from
+/// the file means budget 0.
+pub fn parse_baseline(text: &str) -> Vec<(String, usize)> {
     let mut out = Vec::new();
     for line in text.lines() {
         let cells: Vec<&str> = line
@@ -198,28 +215,25 @@ pub fn parse_baseline(text: &str) -> Vec<(RuleId, usize)> {
         if cells.len() != 2 {
             continue;
         }
-        if let (Some(rule), Ok(n)) = (RuleId::parse(cells[0]), cells[1].parse::<usize>()) {
-            out.push((rule, n));
+        if let Ok(n) = cells[1].parse::<usize>() {
+            out.push((cells[0].to_string(), n));
         }
     }
     out
 }
 
-/// Ratchet check: returns violation messages for rules whose live
-/// allowed count exceeds the baseline budget.
-pub fn check_baseline(report: &LintReport, baseline: &[(RuleId, usize)]) -> Vec<String> {
+/// Ratchet check: returns violation messages for rows whose live
+/// count exceeds the baseline budget.
+pub fn check_baseline(report: &LintReport, baseline: &[(String, usize)]) -> Vec<String> {
     let mut out = Vec::new();
-    for (rule, live) in report.allowed_per_rule() {
+    for (row, live) in report.budget_rows() {
         let budget = baseline
             .iter()
-            .find(|(r, _)| *r == rule)
+            .find(|(r, _)| *r == row)
             .map_or(0, |(_, n)| *n);
         if live > budget {
             out.push(format!(
-                "allowed[{}] count {} exceeds baseline budget {} — the pragma budget only ratchets down",
-                rule.as_str(),
-                live,
-                budget
+                "[{row}] count {live} exceeds baseline budget {budget} — the suppression budget only ratchets down"
             ));
         }
     }
@@ -247,21 +261,27 @@ mod tests {
 
     #[test]
     fn baseline_round_trips() {
-        let r = report_with(&[(RuleId::PanicInCore, 7), (RuleId::GuardAcrossIo, 2)]);
+        let mut r = report_with(&[(RuleId::RawBackendInBatchPath, 7), (RuleId::GuardAcrossIo, 2)]);
+        r.expects.insert("clippy::expect_used".into(), 5);
         let text = render_baseline(&r);
         let parsed = parse_baseline(&text);
-        assert!(parsed.contains(&(RuleId::PanicInCore, 7)));
-        assert!(parsed.contains(&(RuleId::GuardAcrossIo, 2)));
+        assert!(parsed.contains(&("raw-backend-in-batch-path".into(), 7)));
+        assert!(parsed.contains(&("guard-across-io".into(), 2)));
+        assert!(parsed.contains(&("clippy::expect_used".into(), 5)));
         assert!(check_baseline(&r, &parsed).is_empty());
     }
 
     #[test]
     fn ratchet_flags_growth_not_shrink() {
-        let base = vec![(RuleId::PanicInCore, 3)];
-        let grown = report_with(&[(RuleId::PanicInCore, 4)]);
+        let base = vec![("guard-across-io".to_string(), 3), ("clippy::panic".to_string(), 1)];
+        let grown = report_with(&[(RuleId::GuardAcrossIo, 4)]);
         assert_eq!(check_baseline(&grown, &base).len(), 1);
-        let shrunk = report_with(&[(RuleId::PanicInCore, 2)]);
+        let shrunk = report_with(&[(RuleId::GuardAcrossIo, 2)]);
         assert!(check_baseline(&shrunk, &base).is_empty());
+        let mut more_expects = report_with(&[]);
+        more_expects.expects.insert("clippy::panic".into(), 2);
+        more_expects.expects.insert("clippy::todo".into(), 1);
+        assert_eq!(check_baseline(&more_expects, &base).len(), 2);
     }
 
     #[test]

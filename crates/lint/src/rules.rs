@@ -1,24 +1,16 @@
-//! The PLFS-specific invariant rules.
+//! The PLFS-specific invariant rules that clippy cannot state.
 //!
-//! Each rule is a pure function over the token stream produced by
-//! [`crate::lexer::lex`], returning raw findings (rule, line, message).
-//! Test code — `#[cfg(test)]` modules, `#[test]`/`#[bench]` functions —
-//! is exempt from every rule: tests are allowed to unwrap, panic, and
-//! poke backends directly.
+//! The token-level rules here are pure functions over the token stream
+//! produced by [`crate::lexer::lex`], returning raw findings (rule,
+//! line, message). Test code — `#[cfg(test)]` modules, `#[test]`/
+//! `#[bench]` functions — is exempt from every rule: tests may poke
+//! backends directly.
 //!
 //! Rule catalogue (see DESIGN.md §5d for the rationale):
 //!
-//! * **guard-across-io** — a `let`-bound `Mutex`/`RwLock` guard is still
-//!   live when a `Backend`/VFS call executes. This is the pre-fault-PR
-//!   posix shim bug class: the descriptor-table mutex held across
-//!   backend I/O serialized every writer in the mount.
-//! * **swallowed-result** — `let _ = ...`, a statement-final `.ok();`,
-//!   or an empty `_ => {}` arm in a `match` that handles
-//!   `PlfsError`/`Issue` variants. Each of these silently drops a
-//!   failure a recovery path needed to see.
-//! * **panic-in-core** — `unwrap`/`expect`/`panic!`/`todo!`/
-//!   `unimplemented!` in non-test library code. Middleware dies with its
-//!   host application; it does not get to abort a checkpoint.
+//! * **swallowed-result** — an empty `_ => {}` arm in a `match` that
+//!   handles `PlfsError`/`Issue` variants silently drops every variant
+//!   added later, including failures a recovery path needed to see.
 //! * **unretried-backend-call** — direct backend I/O on the write / read
 //!   / fsck paths that bypasses `retry_transient`. Transient failures
 //!   are guaranteed side-effect-free, so an unretried call turns a
@@ -32,12 +24,22 @@
 //!   authoritative table in DESIGN.md (implemented in
 //!   [`crate::drift`], driven by the doc, checked here per file).
 //!
-//! One further rule is *semantic*: **lock-order-inversion**
-//! ([`crate::locks`], checked against the DESIGN.md §5i hierarchy) runs
-//! on the statement/branch IR ([`crate::ir`]) and the workspace call
-//! graph ([`crate::callgraph`]) rather than on this file's token
-//! scanners. Its findings carry counterexample traces and flow through
-//! the same pragma resolution.
+//! Two rules are *semantic*: they run on the statement/branch IR
+//! ([`crate::ir`]) and the workspace call graph ([`crate::callgraph`])
+//! in [`crate::locks`], and their findings carry counterexample traces
+//! through the same pragma resolution.
+//!
+//! * **guard-across-io** — a `Mutex`/`RwLock` guard is live when a
+//!   Backend/VFS call runs, directly or through any workspace call
+//!   chain. This is the posix shim's founding bug: the descriptor-table
+//!   mutex held across backend I/O serialized every writer in the mount.
+//! * **lock-order-inversion** — an acquisition that breaks the
+//!   DESIGN.md §5i lock hierarchy, or closes a cycle in it.
+//!
+//! Panics, `let _ =` and `.ok();` discards, and unreasoned `#[allow]`s
+//! are clippy's: the workspace `[workspace.lints.clippy]` table denies
+//! them, and [`clippy_expects`] counts the reasoned `#[expect]`s that
+//! remain so the baseline can ratchet them.
 
 use crate::lexer::{Tok, TokKind};
 
@@ -47,7 +49,6 @@ use crate::lexer::{Tok, TokKind};
 pub enum RuleId {
     GuardAcrossIo,
     SwallowedResult,
-    PanicInCore,
     UnretriedBackendCall,
     RawBackendInBatchPath,
     FormatDrift,
@@ -59,7 +60,6 @@ impl RuleId {
         match self {
             RuleId::GuardAcrossIo => "guard-across-io",
             RuleId::SwallowedResult => "swallowed-result",
-            RuleId::PanicInCore => "panic-in-core",
             RuleId::UnretriedBackendCall => "unretried-backend-call",
             RuleId::RawBackendInBatchPath => "raw-backend-in-batch-path",
             RuleId::FormatDrift => "format-drift",
@@ -67,11 +67,10 @@ impl RuleId {
         }
     }
 
-    pub fn all() -> [RuleId; 7] {
+    pub const fn all() -> [RuleId; 6] {
         [
             RuleId::GuardAcrossIo,
             RuleId::SwallowedResult,
-            RuleId::PanicInCore,
             RuleId::UnretriedBackendCall,
             RuleId::RawBackendInBatchPath,
             RuleId::FormatDrift,
@@ -216,236 +215,81 @@ fn is_method_call(toks: &[Tok], i: usize) -> bool {
         && toks.get(i + 1).is_some_and(|t| t.is(TokKind::Punct, "("))
 }
 
-fn call_has_args(toks: &[Tok], i: usize) -> bool {
-    // `i` is the method ident; `i+1` is `(`.
-    toks.get(i + 2).is_some_and(|t| !t.is(TokKind::Punct, ")"))
-}
-
-/// panic-in-core: `.unwrap()`, `.expect(..)`, `panic!`, `todo!`,
-/// `unimplemented!` outside test code.
-pub fn panic_in_core(toks: &[Tok], tests: &[(usize, usize)]) -> Vec<RawFinding> {
-    let mut out = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || in_ranges(tests, i) {
-            continue;
-        }
-        match t.text.as_str() {
-            "unwrap" | "expect" if is_method_call(toks, i) => out.push(RawFinding {
-                trace: Vec::new(),
-                rule: RuleId::PanicInCore,
-                line: t.line,
-                message: format!(
-                    "`.{}(...)` in library code can abort the host application; return a typed `PlfsError` instead",
-                    t.text
-                ),
-            }),
-            "panic" | "todo" | "unimplemented"
-                if toks.get(i + 1).is_some_and(|n| n.is(TokKind::Punct, "!")) =>
-            {
-                out.push(RawFinding {
-                    trace: Vec::new(),
-                    rule: RuleId::PanicInCore,
-                    line: t.line,
-                    message: format!(
-                        "`{}!` in library code can abort the host application; return a typed `PlfsError` instead",
-                        t.text
-                    ),
-                })
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
-/// swallowed-result: `let _ = ...`, statement-final `.ok();`, and empty
-/// `_ => {}` arms in matches that name `PlfsError`/`Issue` variants.
+/// swallowed-result: an empty `_ => {}` arm in a `match` that names
+/// `PlfsError`/`Issue` variants. (`let _ = ..` and `.ok();` discards are
+/// `clippy::let_underscore_must_use` and `clippy::unused_result_ok`;
+/// `clippy::wildcard_enum_match_arm` cannot be scoped to these enums.)
 pub fn swallowed_result(toks: &[Tok], tests: &[(usize, usize)]) -> Vec<RawFinding> {
     let mut out = Vec::new();
     for (i, t) in toks.iter().enumerate() {
-        if in_ranges(tests, i) {
+        if !t.is(TokKind::Ident, "match") || in_ranges(tests, i) {
             continue;
         }
-        // let _ = ...
-        if t.is(TokKind::Ident, "let")
-            && toks.get(i + 1).is_some_and(|n| n.is(TokKind::Ident, "_"))
-            && toks
-                .get(i + 2)
-                .is_some_and(|n| n.is(TokKind::Punct, "=") || n.is(TokKind::Punct, ":"))
-        {
-            out.push(RawFinding {
-                trace: Vec::new(),
-                rule: RuleId::SwallowedResult,
-                line: t.line,
-                message: "`let _ = ...` discards a value (and any error inside it) without a trace; \
-                          handle it, propagate with `?`, or pragma with a reason"
-                    .into(),
-            });
+        let Some(open_off) = toks[i + 1..]
+            .iter()
+            .position(|n| n.is(TokKind::Punct, "{"))
+        else {
+            continue;
+        };
+        let open = i + 1 + open_off;
+        let body = &toks[open + 1..matching_close(toks, open)];
+        let names_errors = body.windows(3).any(|w| {
+            w[0].kind == TokKind::Ident
+                && (w[0].text == "PlfsError" || w[0].text == "Issue")
+                && w[1].is(TokKind::Punct, ":")
+                && w[2].is(TokKind::Punct, ":")
+        });
+        if !names_errors {
+            continue;
         }
-        // .ok();
-        if t.is(TokKind::Ident, "ok")
-            && is_method_call(toks, i)
-            && toks.get(i + 2).is_some_and(|n| n.is(TokKind::Punct, ")"))
-            && toks.get(i + 3).is_some_and(|n| n.is(TokKind::Punct, ";"))
-        {
-            out.push(RawFinding {
-                trace: Vec::new(),
-                rule: RuleId::SwallowedResult,
-                line: t.line,
-                message: "statement-final `.ok();` throws the error away; handle it, propagate \
-                          with `?`, or pragma with a reason"
-                    .into(),
-            });
-        }
-        // match over PlfsError/Issue with an empty wildcard arm.
-        if t.is(TokKind::Ident, "match") {
-            let Some(open_off) = toks[i + 1..]
-                .iter()
-                .position(|n| n.is(TokKind::Punct, "{"))
-            else {
-                continue;
-            };
-            let open = i + 1 + open_off;
-            let close = matching_close(toks, open);
-            let body = &toks[open + 1..close];
-            let names_errors = body.windows(3).any(|w| {
-                w[0].kind == TokKind::Ident
-                    && (w[0].text == "PlfsError" || w[0].text == "Issue")
-                    && w[1].is(TokKind::Punct, ":")
-                    && w[2].is(TokKind::Punct, ":")
-            });
-            if !names_errors {
-                continue;
-            }
-            for (off, w) in body.windows(5).enumerate() {
-                let empty_block = w[3].is(TokKind::Punct, "{") && w[4].is(TokKind::Punct, "}");
-                let empty_unit = w[3].is(TokKind::Punct, "(") && w[4].is(TokKind::Punct, ")");
-                if w[0].is(TokKind::Ident, "_")
-                    && w[1].is(TokKind::Punct, "=")
-                    && w[2].is(TokKind::Punct, ">")
-                    && (empty_block || empty_unit)
-                    && !in_ranges(tests, open + 1 + off)
-                {
-                    out.push(RawFinding {
-                        trace: Vec::new(),
-                        rule: RuleId::SwallowedResult,
-                        line: w[0].line,
-                        message: "empty `_ => {}` arm in a match handling PlfsError/Issue silently \
-                                  swallows error variants; enumerate them or pragma with a reason"
-                            .into(),
-                    });
-                }
+        for w in body.windows(5) {
+            let empty_block = w[3].is(TokKind::Punct, "{") && w[4].is(TokKind::Punct, "}");
+            let empty_unit = w[3].is(TokKind::Punct, "(") && w[4].is(TokKind::Punct, ")");
+            if w[0].is(TokKind::Ident, "_")
+                && w[1].is(TokKind::Punct, "=")
+                && w[2].is(TokKind::Punct, ">")
+                && (empty_block || empty_unit)
+            {
+                out.push(RawFinding {
+                    trace: Vec::new(),
+                    rule: RuleId::SwallowedResult,
+                    line: w[0].line,
+                    message: "empty `_ => {}` arm in a match handling PlfsError/Issue silently \
+                              swallows error variants; enumerate them or pragma with a reason"
+                        .into(),
+                });
             }
         }
     }
     out
 }
 
-#[derive(Debug)]
-struct Guard {
-    name: Option<String>,
-    /// Brace depth of the statement that bound the guard; the guard
-    /// dies when that block closes.
-    depth: u32,
-    line: u32,
-    /// Token index at which the binding statement ends (guard becomes
-    /// live only after it).
-    live_from: usize,
-}
-
-/// guard-across-io: a `let`-bound lock guard (`.lock()` / `.read()` /
-/// `.write()` with no arguments) live across a Backend/VFS call.
-pub fn guard_across_io(toks: &[Tok], tests: &[(usize, usize)]) -> Vec<RawFinding> {
+/// The clippy lints named by each `#[expect(clippy::<lint>, ..)]` (or
+/// inner `#![expect(..)]`) outside test code, one entry per lint per
+/// attribute, as `clippy::<lint>`: the suppressions the baseline
+/// budgets alongside the pragmas.
+pub fn clippy_expects(toks: &[Tok], tests: &[(usize, usize)]) -> Vec<String> {
     let mut out = Vec::new();
-    let mut guards: Vec<Guard> = Vec::new();
-
     for (i, t) in toks.iter().enumerate() {
-        // Kill guards whose enclosing block closes.
-        if t.is(TokKind::Punct, "}") {
-            guards.retain(|g| g.depth < t.depth);
+        if !t.is(TokKind::Ident, "expect") || in_ranges(tests, i) {
+            continue;
         }
-        // drop(name) releases explicitly.
-        if t.is(TokKind::Ident, "drop")
-            && toks.get(i + 1).is_some_and(|n| n.is(TokKind::Punct, "("))
-        {
-            if let Some(name) = toks.get(i + 2).filter(|n| n.kind == TokKind::Ident) {
-                if toks.get(i + 3).is_some_and(|n| n.is(TokKind::Punct, ")")) {
-                    guards.retain(|g| g.name.as_deref() != Some(name.text.as_str()));
-                }
-            }
+        let back = |k: usize, p: &str| i >= k && toks[i - k].is(TokKind::Punct, p);
+        let open_attr = back(1, "[") && (back(2, "#") || (back(2, "!") && back(3, "#")));
+        if !open_attr || !toks.get(i + 1).is_some_and(|n| n.is(TokKind::Punct, "(")) {
+            continue;
         }
-        // New binding statement: scan for a guard acquisition.
-        if t.is(TokKind::Ident, "let") && !in_ranges(tests, i) {
-            let mut j = i + 1;
-            if toks.get(j).is_some_and(|n| n.is(TokKind::Ident, "mut")) {
-                j += 1;
-            }
-            // Simple binding only: `let [mut] name = ...` or `let name: T = ...`.
-            let name = match (toks.get(j), toks.get(j + 1)) {
-                (Some(n), Some(after))
-                    if n.kind == TokKind::Ident
-                        && (after.is(TokKind::Punct, "=") || after.is(TokKind::Punct, ":")) =>
-                {
-                    Some(n.text.clone())
-                }
-                _ => None,
-            };
-            // Scan the initializer up to the statement end (`;` at the
-            // let's depth) or the first block opener at that depth
-            // (if-let / match bodies end the scannable initializer).
-            let mut acquired = false;
-            let mut k = j;
-            while let Some(tok) = toks.get(k) {
-                if (tok.is(TokKind::Punct, ";") || tok.is(TokKind::Punct, "{")) && tok.depth == t.depth
-                {
-                    break;
-                }
-                if tok.kind == TokKind::Ident
-                    && matches!(tok.text.as_str(), "lock" | "read" | "write")
-                    && is_method_call(toks, k)
-                    && !call_has_args(toks, k)
-                {
-                    acquired = true;
-                }
-                k += 1;
-            }
-            if acquired {
-                // Shadowing re-binds: the old guard is dropped.
-                if let Some(n) = &name {
-                    guards.retain(|g| g.name.as_deref() != Some(n.as_str()));
-                }
-                guards.push(Guard {
-                    name,
-                    depth: t.depth,
-                    line: t.line,
-                    live_from: k,
-                });
-            }
-        }
-        // Flag I/O calls while any guard is live.
-        if t.kind == TokKind::Ident && is_method_call(toks, i) && !in_ranges(tests, i) {
-            let is_backend_op = BACKEND_OPS.contains(&t.text.as_str());
-            let is_vfs_op = VFS_OPS.contains(&t.text.as_str());
-            if !is_backend_op && !is_vfs_op {
-                continue;
-            }
-            // Zero-arg `.read()` / `.write()` are guard acquisitions,
-            // and `flush_index()` is the only genuine zero-arg I/O call.
-            if !call_has_args(toks, i) && t.text != "flush_index" {
-                continue;
-            }
-            if let Some(g) = guards.iter().find(|g| g.live_from <= i) {
-                let gname = g.name.as_deref().unwrap_or("<pattern>");
-                out.push(RawFinding {
-                    trace: Vec::new(),
-                    rule: RuleId::GuardAcrossIo,
-                    line: t.line,
-                    message: format!(
-                        "backend/VFS call `.{}(...)` while lock guard `{}` (bound line {}) is live; \
-                         drop the guard before I/O or pragma with a reason",
-                        t.text, gname, g.line
-                    ),
-                });
+        let args = toks[i + 2..]
+            .iter()
+            .take_while(|n| !n.is(TokKind::Punct, ")"))
+            .collect::<Vec<_>>();
+        for w in args.windows(4) {
+            if w[0].is(TokKind::Ident, "clippy")
+                && w[1].is(TokKind::Punct, ":")
+                && w[2].is(TokKind::Punct, ":")
+                && w[3].kind == TokKind::Ident
+            {
+                out.push(format!("clippy::{}", w[3].text));
             }
         }
     }
@@ -577,75 +421,23 @@ mod tests {
         f(&l.toks, &tests)
     }
 
+    const SWALLOW: &str = "match e { Issue::A => fix(), _ => {} }";
+
     #[test]
     fn test_code_is_exempt_everywhere() {
-        let src = r#"
-            fn lib() -> u32 { 1 }
-            #[cfg(test)]
-            mod tests {
-                #[test]
-                fn t() { foo().unwrap(); let _ = bar(); }
-            }
-        "#;
-        assert!(run(src, panic_in_core).is_empty());
-        assert!(run(src, swallowed_result).is_empty());
+        let src = format!(
+            "fn lib() -> u32 {{ 1 }}\n#[cfg(test)]\nmod tests {{\n#[test]\nfn t() {{ {SWALLOW} b.append(p, c); }}\n}}"
+        );
+        assert!(run(&src, swallowed_result).is_empty());
+        assert!(run(&src, unretried_backend_call).is_empty());
     }
 
     #[test]
     fn test_fn_outside_test_mod_is_exempt() {
-        let src = "#[test]\nfn t() { x().unwrap(); }\nfn lib() { y().unwrap(); }";
-        let f = run(src, panic_in_core);
+        let src = format!("#[test]\nfn t() {{ {SWALLOW} }}\nfn lib() {{ {SWALLOW} }}");
+        let f = run(&src, swallowed_result);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].line, 3);
-    }
-
-    #[test]
-    fn unwrap_or_else_is_not_unwrap() {
-        let src = "fn f() { a.unwrap_or_else(g); b.unwrap_or(0); c.unwrap_or_default(); }";
-        assert!(run(src, panic_in_core).is_empty());
-    }
-
-    #[test]
-    fn guard_dies_at_block_end_and_drop() {
-        let src = r#"
-            fn ok(&self) {
-                {
-                    let g = self.m.lock();
-                    g.push(1);
-                }
-                self.backend.append(path, c);
-                let h = self.m.lock();
-                drop(h);
-                self.backend.append(path, c);
-            }
-        "#;
-        assert!(run(src, guard_across_io).is_empty());
-    }
-
-    #[test]
-    fn guard_live_across_append_is_flagged() {
-        let src = r#"
-            fn bad(&self) {
-                let mut table = self.table.lock();
-                let phys = self.backend.append(path, c)?;
-                table.insert(fd, phys);
-            }
-        "#;
-        let f = run(src, guard_across_io);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, RuleId::GuardAcrossIo);
-    }
-
-    #[test]
-    fn rwlock_write_guard_counts_but_write_with_args_is_io() {
-        let src = r#"
-            fn f(&self) {
-                let mut nodes = self.nodes.write();
-                h.write(offset, content, ts);
-            }
-        "#;
-        let f = run(src, guard_across_io);
-        assert_eq!(f.len(), 1, "{f:?}");
     }
 
     #[test]
@@ -676,5 +468,24 @@ mod tests {
         "#;
         let f = run(bad, swallowed_result);
         assert_eq!(f.len(), 1);
+    }
+
+    #[test]
+    fn clippy_expects_name_each_lint_outside_tests() {
+        let src = r#"
+            #![expect(clippy::panic, reason = "crate-wide")]
+            #[expect(clippy::expect_used, clippy::too_many_arguments, reason = "two")]
+            fn f() {}
+            #[expect(dead_code, reason = "not clippy")]
+            fn g() { h.expect("not an attribute"); }
+            #[cfg(test)]
+            mod tests { fn t() { #[expect(clippy::unwrap_used, reason = "test")] let x = 1; } }
+        "#;
+        let l = lex(src);
+        let got = clippy_expects(&l.toks, &test_ranges(&l.toks));
+        assert_eq!(
+            got,
+            ["clippy::panic", "clippy::expect_used", "clippy::too_many_arguments"]
+        );
     }
 }

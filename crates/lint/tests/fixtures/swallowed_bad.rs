@@ -2,9 +2,7 @@
 //!
 //! `repair_one` is the pre-fault-PR fsck shape: a match over [`Issue`]
 //! whose wildcard arm is an empty block, so every issue variant added
-//! later is silently "repaired" by doing nothing. The other two shapes
-//! (`let _ = ...` and a statement-final `.ok();`) discard errors the
-//! recovery path needed to see.
+//! later is silently "repaired" by doing nothing.
 
 pub fn repair_one<B: Backend>(b: &B, container: &Container, issue: &Issue) {
     match issue {
@@ -13,12 +11,4 @@ pub fn repair_one<B: Backend>(b: &B, container: &Container, issue: &Issue) {
         }
         _ => {}
     }
-}
-
-pub fn reclaim<B: Backend>(b: &B, path: &str) {
-    let _ = b.unlink(path);
-}
-
-pub fn best_effort_flush(w: &mut WriteHandle) {
-    w.flush_index().ok();
 }

@@ -1,8 +1,7 @@
 //! Known-good fixture for `swallowed-result`.
 //!
 //! The post-fault-PR fsck shape: every [`Issue`] variant is either
-//! handled or explicitly forwarded, discards are propagated with `?`,
-//! and fallible flushes surface their errors.
+//! handled or explicitly forwarded as unfixable.
 
 pub fn repair_one<B: Backend>(b: &B, container: &Container, issue: &Issue) -> Result<Fix> {
     match issue {
@@ -10,13 +9,4 @@ pub fn repair_one<B: Backend>(b: &B, container: &Container, issue: &Issue) -> Re
         Issue::OrphanDataLog { writer } => reclaim_data_log(b, container, *writer),
         other => Ok(Fix::Unfixable(other.clone())),
     }
-}
-
-pub fn reclaim<B: Backend>(b: &B, path: &str) -> Result<()> {
-    b.unlink(path)?;
-    Ok(())
-}
-
-pub fn flush(w: &mut WriteHandle) -> Result<()> {
-    w.flush_index()
 }

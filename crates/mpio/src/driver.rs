@@ -110,7 +110,7 @@ pub fn generic_collective(op: &LogicalOp, arrivals: &[SimTime], ctx: &mut Ctx) -
             ctx.pfs.clear_client_caches();
             sync + ctx.net.barrier(p)
         }
-        // plfs-lint: allow(panic-in-core): dispatcher routes only collective ops here; a data op is a driver bug worth aborting the simulation on
+        #[expect(clippy::panic, reason = "dispatcher routes only collective ops here; a data op is a driver bug worth aborting the simulation on")]
         other => panic!("generic_collective cannot handle {other:?}"),
     };
     vec![release; p]

@@ -211,10 +211,10 @@ impl PlfsDriver {
         id
     }
 
+    #[expect(clippy::expect_used, reason = "ids come from `file_slot`; unlink tombstones a slot but also drops its id, so a held id is live")]
     fn state_mut(&mut self, id: usize) -> &mut FileSim {
         self.file_states[id]
             .as_mut()
-            // plfs-lint: allow(panic-in-core): ids come from `file_slot`; unlink tombstones a slot but also drops its id, so a held id is live
             .expect("live file slot")
     }
 
@@ -326,9 +326,9 @@ impl PlfsDriver {
             .unwrap_or(0)
     }
 
+    #[expect(clippy::panic, reason = "simulated workloads create before reading; a miss is a workload-spec bug, not a runtime condition")]
     fn file_sim(&self, logical: &str) -> &FileSim {
         self.file_get(logical)
-            // plfs-lint: allow(panic-in-core): simulated workloads create before reading; a miss is a workload-spec bug, not a runtime condition
             .unwrap_or_else(|| panic!("PLFS read of never-written file {logical}"))
     }
 
@@ -616,9 +616,9 @@ impl PlfsDriver {
     /// advances in place in its per-rank slot — the seed moved the whole
     /// `(Vec, pos)` pair out of (and back into) a map on every micro-step.
     fn run_plan(&mut self, rank: usize, node: usize, ctx: &mut Ctx, now: SimTime) -> Step {
+        #[expect(clippy::expect_used, reason = "run_plan is only stepped for ranks Step::Yield left a plan for")]
         let slot = self.plans[rank]
             .as_mut()
-            // plfs-lint: allow(panic-in-core): run_plan is only stepped for ranks Step::Yield left a plan for
             .expect("plan in flight");
         let (plan, pos) = (&slot.0, slot.1);
         debug_assert!(pos < plan.len());

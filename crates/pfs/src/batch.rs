@@ -61,7 +61,7 @@ impl SimPfs {
     /// `reps` writes of `len` bytes at `start + k·stride` by `client`,
     /// honoring stripe locks per write. This is the expensive, faithful
     /// path for strided N-1 workloads.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "a strided access is its node, path, start, stride, length, count and arrival time; a struct would only rename them")]
     pub fn write_strided(
         &mut self,
         node: usize,
@@ -82,7 +82,7 @@ impl SimPfs {
     }
 
     /// `reps` reads of `len` bytes at `start + k·stride`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "a strided access is its node, path, start, stride, length, count and arrival time; a struct would only rename them")]
     pub fn read_strided(
         &mut self,
         node: usize,
@@ -101,7 +101,7 @@ impl SimPfs {
     }
 
     /// Shared implementation for aggregated sequential transfers.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "the shared transfer takes the same per-access parameters as its strided callers")]
     fn sequential_transfer(
         &mut self,
         node: usize,
@@ -124,10 +124,10 @@ impl SimPfs {
         let sequential_overhead_s = p.sequential_overhead_s;
         let seek_penalty_s = p.seek_penalty_s;
         let oss_bw = p.oss_bw;
+        #[expect(clippy::panic, reason = "DES contract — create precedes transfer; a miss is a workload bug worth halting the simulation")]
         let file = self
             .namespace()
             .file(path)
-            // plfs-lint: allow(panic-in-core): DES contract — create precedes transfer; a miss is a workload bug worth halting the simulation
             .unwrap_or_else(|| panic!("batch transfer on missing file {path}"));
         let node = node % nodes.max(1);
 

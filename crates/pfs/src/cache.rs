@@ -66,7 +66,7 @@ impl PageCache {
         self.order.insert(self.seq, key);
         self.seq += 1;
         while self.entries.len() as u64 > self.capacity_blocks {
-            // plfs-lint: allow(panic-in-core): len > capacity >= 0 implies the order map is non-empty
+            #[expect(clippy::expect_used, reason = "len > capacity >= 0 implies the order map is non-empty")]
             let (&oldest, &victim) = self.order.iter().next().expect("non-empty over capacity");
             self.order.remove(&oldest);
             self.entries.remove(&victim);

@@ -234,7 +234,7 @@ impl SimPfs {
     /// finish time). Appends are exclusive by construction (one writer per
     /// log).
     pub fn append(&mut self, node: usize, path: &str, len: u64, arrival: SimTime) -> (u64, SimTime) {
-        // plfs-lint: allow(panic-in-core): DES contract — create precedes append; a miss is a workload bug worth halting the simulation
+        #[expect(clippy::expect_used, reason = "DES contract — create precedes append; a miss is a workload bug worth halting the simulation")]
         let offset = self.ns.file(path).expect("append to missing file").size;
         let finish = self.write_at(node, node as u64, path, offset, len, AccessMode::Exclusive, arrival);
         (offset, finish)
@@ -242,7 +242,7 @@ impl SimPfs {
 
     /// Write `len` bytes at `offset` of `path` from `node`, issued by
     /// `client` (the rank — stripe-lock ownership is per client process).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "one simulated write is node, client, path, offset, length, access mode and arrival; a struct would only rename them")]
     pub fn write_at(
         &mut self,
         node: usize,
@@ -253,7 +253,7 @@ impl SimPfs {
         mode: AccessMode,
         arrival: SimTime,
     ) -> SimTime {
-        // plfs-lint: allow(panic-in-core): DES contract — create precedes write; a miss is a workload bug worth halting the simulation
+        #[expect(clippy::expect_used, reason = "DES contract — create precedes write; a miss is a workload bug worth halting the simulation")]
         let file = self.ns.file(path).expect("write to missing file");
         let node = node % self.mem.len();
         let mut t = arrival;
@@ -286,7 +286,7 @@ impl SimPfs {
         len: u64,
         arrival: SimTime,
     ) -> SimTime {
-        // plfs-lint: allow(panic-in-core): DES contract — create precedes read; a miss is a workload bug worth halting the simulation
+        #[expect(clippy::expect_used, reason = "DES contract — create precedes read; a miss is a workload bug worth halting the simulation")]
         let file = self.ns.file(path).expect("read of missing file");
         let node = node % self.mem.len();
         let len = len.min(file.size.saturating_sub(offset));

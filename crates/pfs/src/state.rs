@@ -60,12 +60,12 @@ impl Namespace {
         id
     }
 
+    #[expect(clippy::expect_used, reason = "mkdir(parent) on the line above inserted the key")]
     fn bump_child_count(&mut self, parent: &str) {
         if !self.dirs.contains_key(parent) {
             // Implicit ancestor creation keeps counting consistent.
             self.mkdir(parent);
         }
-        // plfs-lint: allow(panic-in-core): mkdir(parent) on the line above inserted the key
         *self.dirs.get_mut(parent).expect("just ensured") += 1;
     }
 
@@ -84,10 +84,10 @@ impl Namespace {
     /// Grow a file by an append of `len` bytes; returns the offset the
     /// append landed at. The file must exist.
     pub fn append(&mut self, path: &str, len: u64) -> u64 {
+        #[expect(clippy::panic, reason = "DES contract — create precedes append; a miss is a workload bug worth halting the simulation")]
         let f = self
             .files
             .get_mut(path)
-            // plfs-lint: allow(panic-in-core): DES contract — create precedes append; a miss is a workload bug worth halting the simulation
             .unwrap_or_else(|| panic!("append to missing file {path}"));
         let off = f.size;
         f.size += len;
@@ -96,10 +96,10 @@ impl Namespace {
 
     /// Extend a file to cover a write at `offset` of `len` bytes.
     pub fn write_extent(&mut self, path: &str, offset: u64, len: u64) {
+        #[expect(clippy::panic, reason = "DES contract — create precedes write; a miss is a workload bug worth halting the simulation")]
         let f = self
             .files
             .get_mut(path)
-            // plfs-lint: allow(panic-in-core): DES contract — create precedes write; a miss is a workload bug worth halting the simulation
             .unwrap_or_else(|| panic!("write to missing file {path}"));
         f.size = f.size.max(offset + len);
     }

@@ -28,7 +28,7 @@ impl Summary {
     }
 
     /// Build a summary from an iterator of samples.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(clippy::should_implement_trait, reason = "an inherent constructor keeps `Summary::from_iter(xs)` callable without importing `FromIterator`")]
     pub fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
         let mut s = Summary::new();
         for x in iter {

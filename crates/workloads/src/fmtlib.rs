@@ -20,13 +20,13 @@ use mpio::ops::FileTag;
 pub const PNETCDF_HEADER_BYTES: u64 = 8 * 1024;
 pub const HDF5_SUPERBLOCK_BYTES: u64 = 64 * 1024;
 
+#[expect(clippy::panic, reason = "fmtlib wraps only workloads built by this crate, all of which open for write")]
 fn file_of(w: &Workload) -> FileTag {
     for s in &w.specs {
         if let OpSpec::OpenWrite(f) = s {
             return f.clone();
         }
     }
-    // plfs-lint: allow(panic-in-core): fmtlib wraps only workloads built by this crate, all of which open for write
     panic!("workload {} has no OpenWrite phase", w.name);
 }
 
@@ -84,31 +84,31 @@ pub fn with_hdf5_lite(mut w: Workload) -> Workload {
 }
 
 fn insert_after_open_write(w: &mut Workload, op: OpSpec) {
+    #[expect(clippy::expect_used, reason = "fmtlib wraps only workloads built by this crate, all of which have this phase")]
     let i = w
         .specs
         .iter()
         .position(|s| matches!(s, OpSpec::OpenWrite(_)))
-        // plfs-lint: allow(panic-in-core): fmtlib wraps only workloads built by this crate, all of which have this phase
         .expect("OpenWrite phase");
     w.specs.insert(i + 1, op);
 }
 
 fn insert_before_close_write(w: &mut Workload, op: OpSpec) {
+    #[expect(clippy::expect_used, reason = "fmtlib wraps only workloads built by this crate, all of which have this phase")]
     let i = w
         .specs
         .iter()
         .position(|s| matches!(s, OpSpec::CloseWrite(_)))
-        // plfs-lint: allow(panic-in-core): fmtlib wraps only workloads built by this crate, all of which have this phase
         .expect("CloseWrite phase");
     w.specs.insert(i, op);
 }
 
 fn insert_after_open_read(w: &mut Workload, op: OpSpec) {
+    #[expect(clippy::expect_used, reason = "fmtlib wraps only workloads built by this crate, all of which have this phase")]
     let i = w
         .specs
         .iter()
         .position(|s| matches!(s, OpSpec::OpenRead(_)))
-        // plfs-lint: allow(panic-in-core): fmtlib wraps only workloads built by this crate, all of which have this phase
         .expect("OpenRead phase");
     w.specs.insert(i + 1, op);
 }

@@ -102,13 +102,13 @@ impl Workload {
     pub fn compile(&self) -> CompiledProgram {
         let p = &self.pattern;
         let mut files: Vec<FileTag> = Vec::new();
+        #[expect(clippy::panic, reason = "workloads intern a handful of tags, never 65k")]
         let intern = |files: &mut Vec<FileTag>, f: &FileTag| -> u16 {
             if let Some(i) = files.iter().position(|g| g == f) {
                 i as u16
             } else {
                 files.push(f.clone());
                 u16::try_from(files.len() - 1).unwrap_or_else(|_| {
-                    // plfs-lint: allow(panic-in-core): workloads intern a handful of tags, never 65k
                     panic!("file table overflow: {} tags", files.len())
                 })
             }

@@ -18,7 +18,8 @@
 //!
 //! `lint` flags: `--json` (machine-readable output), `--deny-warnings`
 //! (warnings fail the gate), `--baseline <file>` (ratchet check against
-//! committed pragma counts), `--write-baseline <file>` (regenerate the
+//! committed pragma and `#[expect(clippy::..)]` counts),
+//! `--write-baseline <file>` (regenerate the
 //! baseline). Exit codes: 0 clean, 1 findings (or warnings under
 //! `--deny-warnings`, or a baseline ratchet violation), 2 usage/config.
 //!
