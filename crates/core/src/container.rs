@@ -28,7 +28,7 @@
 
 use crate::backend::{Backend, NodeKind};
 use crate::content::Content;
-use crate::error::{PlfsError, Result};
+use crate::error::{retry_transient, PlfsError, Result};
 use crate::federation::Federation;
 use crate::index::ondisk::{self, OnDiskIndex, SpanIdxWriter};
 use crate::index::{self, GlobalIndex, IndexEntry, SpanCache, WriterId};
@@ -56,9 +56,10 @@ pub const SUBDIR_PREFIX: &str = "subdir.";
 pub const DATA_PREFIX: &str = "dropping.data.";
 /// Prefix of per-writer index logs (`dropping.index.<id>`).
 pub const INDEX_PREFIX: &str = "dropping.index.";
-/// Suffix of the staging file an index-log realignment writes before
-/// atomically swapping it into place (see `WriteHandle`); one left behind
-/// means the realigning writer died mid-stage and fsck may reclaim it.
+/// Suffix of the staged copy `Container::rewrite_staged` writes before
+/// swapping it in for the log it replaces. One left behind means the
+/// rewrite died part-way: fsck reclaims it while its log is still there
+/// and promotes it in the log's place when the log is gone.
 pub const REALIGN_SUFFIX: &str = ".realign";
 /// A handle to one logical file's container.
 ///
@@ -200,15 +201,13 @@ impl Container {
             NodeKind::Dir => Ok(entry),
             NodeKind::File => {
                 let len = b.size(&entry)?;
-                let bytes = b.read_at(&entry, 0, len)?.materialize();
-                String::from_utf8(bytes)
-                    .map_err(|_| PlfsError::CorruptContainer(format!("metalink {entry} not utf-8")))
+                self.metalink_target(i, &entry, b.read_at(&entry, 0, len)?)
             }
         }
     }
 
     /// The `subdir.<i>` entries of the canonical container, in order.
-    fn subdir_entries(&self) -> Vec<String> {
+    pub(crate) fn subdir_entries(&self) -> Vec<String> {
         (0..self.fed.subdirs_per_container())
             .map(|i| join(&self.canonical, &format!("{SUBDIR_PREFIX}{i}")))
             .collect()
@@ -218,36 +217,44 @@ impl Container {
     /// submissions: one `Kind` probe batch over all entries, then (only
     /// for metalinked subdirs) one `Size` batch and one `ReadAt` batch —
     /// three plane round-trips for the whole container instead of one to
-    /// three per subdir. `None` marks a subdir no writer has created yet.
+    /// three per subdir. `None` marks a subdir no writer has created yet;
+    /// the first subdir that does not resolve fails the call.
     pub fn subdirs_phys_batch<B: Backend>(&self, b: &B) -> Result<Vec<Option<String>>> {
+        self.subdirs_each(b).into_iter().collect()
+    }
+
+    /// [`Container::subdirs_phys_batch`] with one result per subdir, for a
+    /// caller that must tell a broken subdir from the others (fsck).
+    pub(crate) fn subdirs_each<B: Backend>(&self, b: &B) -> Vec<Result<Option<String>>> {
         let entries = self.subdir_entries();
         let probes: Vec<IoOp> = entries
             .iter()
             .map(|e| IoOp::Kind { path: e.clone() })
             .collect();
-        Self::resolve_subdirs(b, &entries, ioplane::submit_retried(b, &probes))
+        self.resolve_each(b, &entries, ioplane::submit_retried(b, &probes))
     }
 
-    /// The rest of [`Container::subdirs_phys_batch`] once the `Kind`
-    /// outcomes of `entries` are in hand (they may have ridden a larger
-    /// batch): metalinked subdirs cost one `Size` and one `ReadAt` batch.
-    fn resolve_subdirs<B: Backend>(
+    /// The rest of [`Container::subdirs_each`] once the `Kind` outcomes of
+    /// `entries` are in hand (they may have ridden a larger batch):
+    /// metalinked subdirs cost one `Size` and one `ReadAt` batch.
+    fn resolve_each<B: Backend>(
+        &self,
         b: &B,
         entries: &[String],
         kinds: impl IntoIterator<Item = ioplane::IoOutcome>,
-    ) -> Result<Vec<Option<String>>> {
-        let mut resolved: Vec<Option<String>> = vec![None; entries.len()];
+    ) -> Vec<Result<Option<String>>> {
+        let mut resolved: Vec<Result<Option<String>>> = Vec::with_capacity(entries.len());
         let mut links: Vec<usize> = Vec::new();
         for (i, outcome) in kinds.into_iter().enumerate() {
-            match ioplane::as_kind(outcome) {
-                Ok(NodeKind::Dir) => resolved[i] = Some(entries[i].clone()),
-                Ok(NodeKind::File) => links.push(i),
-                Err(PlfsError::NotFound(_)) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        if links.is_empty() {
-            return Ok(resolved);
+            resolved.push(match ioplane::as_kind(outcome) {
+                Ok(NodeKind::Dir) => Ok(Some(entries[i].clone())),
+                Ok(NodeKind::File) => {
+                    links.push(i);
+                    Ok(None)
+                }
+                Err(PlfsError::NotFound(_)) => Ok(None),
+                Err(e) => Err(e),
+            });
         }
         let size_ops: Vec<IoOp> = links
             .iter()
@@ -255,23 +262,222 @@ impl Container {
                 path: entries[i].clone(),
             })
             .collect();
-        let sizes = ioplane::submit_retried(b, &size_ops);
+        let mut read_links = Vec::with_capacity(links.len());
         let mut read_ops = Vec::with_capacity(links.len());
-        for (&i, outcome) in links.iter().zip(sizes) {
-            read_ops.push(IoOp::ReadAt {
+        for (&i, outcome) in links.iter().zip(ioplane::submit_retried(b, &size_ops)) {
+            match ioplane::as_size(outcome) {
+                Ok(len) => {
+                    read_links.push(i);
+                    read_ops.push(IoOp::ReadAt {
+                        path: entries[i].clone(),
+                        offset: 0,
+                        len,
+                    });
+                }
+                Err(e) => resolved[i] = Err(e),
+            }
+        }
+        for (&i, outcome) in read_links.iter().zip(ioplane::submit_retried(b, &read_ops)) {
+            resolved[i] = ioplane::as_data(outcome)
+                .and_then(|bytes| self.metalink_target(i, &entries[i], bytes))
+                .map(Some);
+        }
+        resolved
+    }
+
+    /// The directory `subdir.<i>`'s metalink (at `entry`, holding `bytes`)
+    /// names, if it can be that subdir's shadow: the path the federation
+    /// hashes it to, or another path ending in `subdir.<i>` that is no
+    /// prefix of that one — the old name's shadow, which a rename that
+    /// died before moving it leaves behind. Anything else, a torn
+    /// metalink (a prefix of the hashed path) included, is corrupt.
+    fn metalink_target(&self, i: usize, entry: &str, bytes: Content) -> Result<String> {
+        let hashed = self.fed.shadow_subdir_path(&self.logical, i);
+        String::from_utf8(bytes.materialize())
+            .ok()
+            .filter(|t| match hashed.as_deref() {
+                Some(h) if h == t => true,
+                h => {
+                    t.ends_with(&format!("/{SUBDIR_PREFIX}{i}"))
+                        && !h.is_some_and(|h| h.starts_with(t.as_str()))
+                }
+            })
+            .ok_or_else(|| {
+                PlfsError::CorruptContainer(format!("metalink {entry} names no shadow of it"))
+            })
+    }
+
+    /// [`Container::subdirs_each`] as fsck must see it: where subdirs
+    /// spread over namespaces, a missing `subdir.<i>` whose hashed shadow
+    /// directory exists is broken too — a first write or a rename died
+    /// between the shadow and its metalink. That costs one `Kind` batch
+    /// over such shadows, and nothing in a single namespace.
+    pub(crate) fn scan_subdirs<B: Backend>(&self, b: &B) -> Vec<Result<Option<String>>> {
+        let mut each = self.subdirs_each(b);
+        let missing: Vec<(usize, String)> = (0..each.len())
+            .filter(|&i| matches!(each[i], Ok(None)))
+            .filter_map(|i| Some((i, self.fed.shadow_subdir_path(&self.logical, i)?)))
+            .collect();
+        let probes: Vec<IoOp> = missing
+            .iter()
+            .map(|(_, shadow)| IoOp::Kind {
+                path: shadow.clone(),
+            })
+            .collect();
+        for ((i, shadow), outcome) in missing.iter().zip(ioplane::submit_retried(b, &probes)) {
+            if let Ok(NodeKind::Dir) = ioplane::as_kind(outcome) {
+                each[*i] = Err(PlfsError::CorruptContainer(format!(
+                    "subdir.{i} has no metalink to its shadow {shadow}"
+                )));
+            }
+        }
+        each
+    }
+
+    /// Rebuild each of the `broken` subdirs from the static hash: point its
+    /// metalink at the shadow directory the federation places it in when
+    /// that exists, and drop the entry when it does not — an unlink that
+    /// died part-way took the shadow, and nothing reachable went with the
+    /// entry. One `Kind` batch over the shadows, one `Unlink` batch, then
+    /// [`Container::point_metalinks`].
+    pub(crate) fn rebuild_subdirs<B: Backend>(&self, b: &B, broken: &[usize]) -> Result<()> {
+        let shadowed: Vec<(usize, String)> = broken
+            .iter()
+            .filter_map(|&i| Some((i, self.fed.shadow_subdir_path(&self.logical, i)?)))
+            .collect();
+        let probes: Vec<IoOp> = shadowed
+            .iter()
+            .map(|(_, shadow)| IoOp::Kind {
+                path: shadow.clone(),
+            })
+            .collect();
+        let live: Vec<usize> = shadowed
+            .iter()
+            .zip(ioplane::submit_retried(b, &probes))
+            .filter(|(_, kind)| matches!(kind, Ok(ioplane::IoValue::Kind(NodeKind::Dir))))
+            .map(|((i, _), _)| *i)
+            .collect();
+        let entries = self.subdir_entries();
+        let drops: Vec<IoOp> = broken
+            .iter()
+            .filter(|i| !live.contains(i))
+            .map(|&i| IoOp::Unlink {
                 path: entries[i].clone(),
-                offset: 0,
-                len: ioplane::as_size(outcome)?,
+            })
+            .collect();
+        for outcome in ioplane::submit_retried(b, &drops) {
+            match ioplane::as_unit(outcome) {
+                Ok(()) | Err(PlfsError::NotFound(_)) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        self.point_metalinks(b, &live)
+    }
+
+    /// Point each of `subdirs`' metalinks (all of them shadowed) at the
+    /// shadow directory the federation hashes it to, replacing whatever
+    /// the entry held: one batch of truncating creates, then — only once
+    /// every create landed — one batch of appends.
+    pub(crate) fn point_metalinks<B: Backend>(&self, b: &B, subdirs: &[usize]) -> Result<()> {
+        let entries = self.subdir_entries();
+        let creates: Vec<IoOp> = subdirs
+            .iter()
+            .map(|&i| IoOp::Create {
+                path: entries[i].clone(),
+                exclusive: false,
+            })
+            .collect();
+        for outcome in ioplane::submit_retried(b, &creates) {
+            ioplane::as_unit(outcome)?;
+        }
+        let appends: Vec<IoOp> = subdirs
+            .iter()
+            .map(|&i| IoOp::Append {
+                path: entries[i].clone(),
+                content: Content::bytes(
+                    self.fed
+                        .shadow_subdir_path(&self.logical, i)
+                        .unwrap_or_default()
+                        .into_bytes(),
+                ),
+            })
+            .collect();
+        for outcome in ioplane::submit_retried(b, &appends) {
+            ioplane::as_offset(outcome)?;
+        }
+        Ok(())
+    }
+
+    /// Replace the bytes of each `(path, content)` file without a window
+    /// that loses them. Three batches: stage every new copy at
+    /// `<path>`[`REALIGN_SUFFIX`] (a stale copy unlinked, an exclusive
+    /// create, the append), then — only once every copy is whole — unlink
+    /// the originals, then rename in the copies whose original's unlink
+    /// landed. A crash leaves, per file, the original, its staged copy, or
+    /// both; fsck keeps the original when it is there and promotes the
+    /// copy when it is not (DESIGN.md §5c). Every rewrite of a log in
+    /// place — the writer's realign, truncate, fsck's trims — goes through
+    /// here.
+    pub(crate) fn rewrite_staged<B: Backend>(b: &B, files: &[(String, Content)]) -> Result<()> {
+        let copy = |path: &str| format!("{path}{REALIGN_SUFFIX}");
+        let mut stage = Vec::with_capacity(files.len() * 3);
+        for (path, content) in files {
+            stage.push(IoOp::Unlink { path: copy(path) });
+            stage.push(IoOp::Create {
+                path: copy(path),
+                exclusive: true,
             });
+            if !content.is_empty() {
+                stage.push(IoOp::Append {
+                    path: copy(path),
+                    content: content.clone(),
+                });
+            }
         }
-        let reads = ioplane::submit_retried(b, &read_ops);
-        for (&i, outcome) in links.iter().zip(reads) {
-            let bytes = ioplane::as_data(outcome)?.materialize();
-            resolved[i] = Some(String::from_utf8(bytes).map_err(|_| {
-                PlfsError::CorruptContainer(format!("metalink {} not utf-8", entries[i]))
-            })?);
+        for (op, outcome) in stage.iter().zip(ioplane::submit_retried(b, &stage)) {
+            match (op, outcome) {
+                (_, Ok(_)) | (IoOp::Unlink { .. }, Err(PlfsError::NotFound(_))) => {}
+                (_, Err(e)) => return Err(e),
+            }
         }
-        Ok(resolved)
+        let unlinks: Vec<IoOp> = files
+            .iter()
+            .map(|(path, _)| IoOp::Unlink { path: path.clone() })
+            .collect();
+        let mut first_err = None;
+        let mut renames = Vec::with_capacity(files.len());
+        for ((path, _), outcome) in files.iter().zip(ioplane::submit_retried(b, &unlinks)) {
+            match ioplane::as_unit(outcome) {
+                Ok(()) => renames.push(IoOp::Rename {
+                    from: copy(path),
+                    to: path.clone(),
+                }),
+                Err(e) => first_err = first_err.or(Some(e)),
+            }
+        }
+        for outcome in ioplane::submit_retried(b, &renames) {
+            if let Err(e) = ioplane::as_unit(outcome) {
+                first_err = first_err.or(Some(e));
+            }
+        }
+        first_err.map_or(Ok(()), Err)
+    }
+
+    /// The directory holding `writer`'s droppings among subdirs already
+    /// resolved (a [`Container::subdirs_phys_batch`] result).
+    pub(crate) fn writer_dir<'a>(
+        &self,
+        resolved: &'a [Option<String>],
+        writer: WriterId,
+    ) -> Result<&'a String> {
+        resolved
+            .get(self.subdir_for(writer))
+            .and_then(Option::as_ref)
+            .ok_or_else(|| {
+                PlfsError::CorruptContainer(format!(
+                    "writer {writer} found in an unresolved subdir"
+                ))
+            })
     }
 
     /// Which subdir a writer's droppings land in (static assignment).
@@ -365,6 +571,30 @@ impl Container {
         ioplane::as_unit(ioplane::take(&mut out))
     }
 
+    /// Replace every metadir record with one for `eof` and `bytes` (writer
+    /// id 0 by convention), once truncate or repair has changed what the
+    /// index logs resolve to — so cached stat tells the truth again.
+    pub(crate) fn reset_metadir<B: Backend>(&self, b: &B, eof: u64, bytes: u64) -> Result<()> {
+        let metadir = self.inner_dir_path(METADIR);
+        match retry_transient(|| b.list(&metadir)) {
+            Ok(names) => {
+                let stale: Vec<IoOp> = names
+                    .iter()
+                    .filter(|n| n.starts_with("meta."))
+                    .map(|n| IoOp::Unlink {
+                        path: join(&metadir, n),
+                    })
+                    .collect();
+                for outcome in ioplane::submit_retried(b, &stale) {
+                    ioplane::as_unit(outcome)?;
+                }
+            }
+            Err(PlfsError::NotFound(_)) => {}
+            Err(e) => return Err(e),
+        }
+        self.record_meta(b, 0, eof, bytes)
+    }
+
     /// Batched close-time bookkeeping for one writer: metadir record and
     /// openhosts deregistration in a single three-op submission instead
     /// of three sequential round-trips (the write-close hot path —
@@ -432,7 +662,11 @@ impl Container {
     }
 
     /// [`Container::list_writers`] over subdirs already resolved.
-    fn writers_in<B: Backend>(&self, b: &B, resolved: &[Option<String>]) -> Result<Vec<WriterId>> {
+    pub(crate) fn writers_in<B: Backend>(
+        &self,
+        b: &B,
+        resolved: &[Option<String>],
+    ) -> Result<Vec<WriterId>> {
         let mut ids = Vec::new();
         let lists: Vec<IoOp> = resolved
             .iter()
@@ -492,25 +726,25 @@ impl Container {
 
     /// Physical path of each of `writers`' index logs under subdirs
     /// already resolved.
-    fn index_log_paths(
+    pub(crate) fn index_log_paths(
         &self,
         resolved: &[Option<String>],
         writers: &[WriterId],
     ) -> Result<Vec<String>> {
-        let mut paths = Vec::with_capacity(writers.len());
-        for &w in writers {
-            let sub = self.subdir_for(w);
-            let dir = resolved.get(sub).and_then(Option::as_ref).ok_or_else(|| {
-                PlfsError::NotFound(join(&self.canonical, &format!("{SUBDIR_PREFIX}{sub}")))
-            })?;
-            paths.push(join(dir, &format!("{INDEX_PREFIX}{w}")));
-        }
-        Ok(paths)
+        writers
+            .iter()
+            .map(|&w| {
+                Ok(join(
+                    self.writer_dir(resolved, w)?,
+                    &format!("{INDEX_PREFIX}{w}"),
+                ))
+            })
+            .collect()
     }
 
     /// Size-then-read each path whole and decode the records:
     /// [`Container::log_sizes`] then [`Container::read_logs_sized`].
-    fn read_logs_whole<B: Backend>(
+    pub(crate) fn read_logs_whole<B: Backend>(
         b: &B,
         paths: &[String],
         max_threads: usize,
@@ -818,7 +1052,10 @@ impl Container {
         let mut out = ioplane::submit_retried(b, &batch);
         let mut rest = out.split_off(lead.len()).into_iter();
         let flattened = absent_as_none(ioplane::as_size(ioplane::take(&mut rest)))?;
-        let resolved = Self::resolve_subdirs(b, &entries, rest)?;
+        let resolved = self
+            .resolve_each(b, &entries, rest)
+            .into_iter()
+            .collect::<Result<Vec<_>>>()?;
         let writers = self.writers_in(b, &resolved)?;
         let log_paths = self.index_log_paths(&resolved, &writers)?;
         let sizes = Self::log_sizes(b, &log_paths)?;

@@ -2,29 +2,23 @@
 //!
 //! PLFS exists to survive failure: a checkpoint layer that is only correct
 //! on the happy path is not a checkpoint layer. [`FaultBackend`] wraps any
-//! [`Backend`] and injects seeded, reproducible failures so the write,
-//! read, and fsck paths can be exercised against the damage real crashes
-//! leave behind:
+//! [`Backend`] and injects seeded, reproducible failures on the data path
+//! (`append`/`read_at`), where the middleware installs its bounded
+//! retries:
 //!
 //! * **transient errors** ([`PlfsError::Transient`]) — the operation had
 //!   no effect and may be retried; models dropped RPCs and storage-server
-//!   failover. Injected on the data path (`append`/`read_at`) only, which
-//!   is where the middleware installs bounded retries.
+//!   failover.
 //! * **torn appends** — a strict prefix of the [`Content`] lands before
 //!   the failure; models a node dying mid-stream or a partial RPC. The
 //!   caller observes an error but the log has grown. Index-log tears leave
 //!   the truncated records `fsck` repairs; data-log tears leave dead bytes
 //!   no index entry will ever reference.
-//! * **crash points** — after a configured number of data-path operations
-//!   the backend *freezes*: every subsequent operation fails. This models
-//!   killing a writer process mid-checkpoint, optionally tearing the
-//!   in-flight append. [`FaultBackend::revive`] models the node restart
-//!   that precedes recovery: the frozen flag clears and injection disarms
-//!   so fsck and readers run over the surviving on-disk state.
 //!
 //! All randomness comes from a single seeded generator behind a mutex, so
-//! a `(seed, schedule)` pair replays byte-identically — the crash-recovery
-//! suite in `tests/crash_recovery.rs` and the tier-1 gate rely on that.
+//! a `(seed, schedule)` pair replays byte-identically. Crash points are
+//! not sampled here: `tests/crash_states.rs` enumerates every prefix of a
+//! recorded trace instead (DESIGN.md §5c).
 
 use crate::backend::{Backend, NodeKind};
 use crate::content::Content;
@@ -46,12 +40,6 @@ pub struct FaultConfig {
     /// content and then fails (non-transient: the caller must not blindly
     /// re-send).
     pub torn_append_prob: f64,
-    /// Freeze the backend after this many data-path operations have been
-    /// *attempted* (crash point). `None` = never crash.
-    pub crash_after_data_ops: Option<u64>,
-    /// When the crashing operation is an append, land a random strict
-    /// prefix of it first (a torn final write).
-    pub crash_tears_append: bool,
 }
 
 impl FaultConfig {
@@ -61,32 +49,16 @@ impl FaultConfig {
             seed: 0,
             transient_prob: 0.0,
             torn_append_prob: 0.0,
-            crash_after_data_ops: None,
-            crash_tears_append: false,
         }
     }
 
     /// A moderately hostile schedule: occasional transients and rare torn
-    /// appends, no crash point. Good default for soak-style tests.
+    /// appends. Good default for soak-style tests.
     pub fn flaky(seed: u64) -> Self {
         FaultConfig {
             seed,
             transient_prob: 0.15,
             torn_append_prob: 0.02,
-            crash_after_data_ops: None,
-            crash_tears_append: false,
-        }
-    }
-
-    /// Kill the writer after `ops` data-path operations, tearing the
-    /// in-flight append.
-    pub fn crash_at(seed: u64, ops: u64) -> Self {
-        FaultConfig {
-            seed,
-            transient_prob: 0.0,
-            torn_append_prob: 0.0,
-            crash_after_data_ops: Some(ops),
-            crash_tears_append: true,
         }
     }
 }
@@ -94,28 +66,22 @@ impl FaultConfig {
 /// Counters for what was actually injected (diagnostics / assertions).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
-    /// Data-path operations attempted.
-    pub data_ops: u64,
     /// Clean transient failures injected.
     pub transients: u64,
     /// Appends that landed a strict prefix.
     pub torn_appends: u64,
-    /// Operations rejected because the backend was frozen.
-    pub frozen_rejects: u64,
 }
 
 struct FaultState {
     rng: rand::rngs::SmallRng,
     stats: FaultStats,
-    crashed: bool,
-    /// Set by [`FaultBackend::revive`]: stop injecting entirely so the
-    /// recovery phase runs over stable storage.
+    /// Set by [`FaultBackend::disarm`]: stop injecting entirely.
     disarmed: bool,
 }
 
 /// A [`Backend`] wrapper that injects the faults described in the module
-/// docs. Metadata operations are only affected by the frozen state; the
-/// stochastic injection targets the data path, where the volume (and the
+/// docs. Metadata operations pass straight through; the stochastic
+/// injection targets the data path, where the volume (and the
 /// middleware's retry logic) lives.
 pub struct FaultBackend<B> {
     inner: B,
@@ -133,7 +99,6 @@ impl<B: Backend> FaultBackend<B> {
             state: Mutex::new(FaultState {
                 rng,
                 stats: FaultStats::default(),
-                crashed: false,
                 disarmed: false,
             }),
         }
@@ -144,66 +109,22 @@ impl<B: Backend> FaultBackend<B> {
         &self.inner
     }
 
-    /// The injection configuration in force.
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
-    }
-
     /// Counts of faults injected so far.
     pub fn stats(&self) -> FaultStats {
         self.state.lock().stats
     }
 
-    /// Whether the crash point has fired.
-    pub fn crashed(&self) -> bool {
-        self.state.lock().crashed
-    }
-
-    /// Simulate the node restart before recovery: clear the frozen flag
-    /// and disarm all further injection. On-"disk" state is whatever the
-    /// crash left behind.
-    pub fn revive(&self) {
-        let mut st = self.state.lock();
-        st.crashed = false;
-        st.disarmed = true;
-    }
-
-    fn frozen_err(op: &str, path: &str) -> PlfsError {
-        PlfsError::Io(format!("simulated crash: backend frozen ({op} {path})"))
-    }
-
-    /// Gate a metadata operation on the frozen state.
-    fn meta_gate(&self, op: &str, path: &str) -> Result<()> {
-        let mut st = self.state.lock();
-        if st.crashed {
-            st.stats.frozen_rejects += 1;
-            return Err(Self::frozen_err(op, path));
-        }
-        Ok(())
+    /// Stop injecting: every later operation reaches the wrapped backend
+    /// untouched, so a test can inspect or recover over stable storage.
+    pub fn disarm(&self) {
+        self.state.lock().disarmed = true;
     }
 
     /// What should happen to the next data-path operation.
-    fn data_gate(&self, is_append: bool, op: &str, path: &str) -> Result<DataFault> {
+    fn data_gate(&self, is_append: bool, op: &str, path: &str) -> Result<Option<f64>> {
         let mut st = self.state.lock();
-        if st.crashed {
-            st.stats.frozen_rejects += 1;
-            return Err(Self::frozen_err(op, path));
-        }
-        st.stats.data_ops += 1;
         if st.disarmed {
-            return Ok(DataFault::None);
-        }
-        if let Some(limit) = self.cfg.crash_after_data_ops {
-            if st.stats.data_ops > limit {
-                st.crashed = true;
-                if is_append && self.cfg.crash_tears_append {
-                    st.stats.torn_appends += 1;
-                    let frac = st.rng.gen_range(0.0..1.0);
-                    return Ok(DataFault::TornAppend { frac, fatal: true });
-                }
-                st.stats.frozen_rejects += 1;
-                return Err(Self::frozen_err(op, path));
-            }
+            return Ok(None);
         }
         if self.cfg.transient_prob > 0.0 && st.rng.gen_bool(self.cfg.transient_prob) {
             st.stats.transients += 1;
@@ -216,56 +137,39 @@ impl<B: Backend> FaultBackend<B> {
             && st.rng.gen_bool(self.cfg.torn_append_prob)
         {
             st.stats.torn_appends += 1;
-            let frac = st.rng.gen_range(0.0..1.0);
-            return Ok(DataFault::TornAppend { frac, fatal: false });
+            return Ok(Some(st.rng.gen_range(0.0..1.0)));
         }
-        Ok(DataFault::None)
+        Ok(None)
     }
-}
-
-enum DataFault {
-    None,
-    /// Land `frac` of the content (rounded down, strictly less than all of
-    /// it), then fail. `fatal` marks the crash-point tear.
-    TornAppend {
-        frac: f64,
-        fatal: bool,
-    },
 }
 
 impl<B: Backend> Backend for FaultBackend<B> {
     fn mkdir(&self, path: &str) -> Result<()> {
-        self.meta_gate("mkdir", path)?;
         self.inner.mkdir(path)
     }
 
     fn mkdir_all(&self, path: &str) -> Result<()> {
-        self.meta_gate("mkdir_all", path)?;
         self.inner.mkdir_all(path)
     }
 
     fn create(&self, path: &str, exclusive: bool) -> Result<()> {
-        self.meta_gate("create", path)?;
         self.inner.create(path, exclusive)
     }
 
+    /// A torn append lands `frac` of the content (rounded down, strictly
+    /// less than all of it), then fails.
     fn append(&self, path: &str, content: &Content) -> Result<u64> {
-        match self.data_gate(true, "append", path)? {
-            DataFault::None => self.inner.append(path, content),
-            DataFault::TornAppend { frac, fatal } => {
-                // A strict prefix lands: at least 0, at most len-1 bytes.
-                let keep =
-                    ((content.len() as f64 * frac) as u64).min(content.len().saturating_sub(1));
-                if keep > 0 {
-                    self.inner.append(path, &content.slice(0, keep))?;
-                }
-                Err(PlfsError::Io(format!(
-                    "torn append: {keep} of {} bytes landed on {path}{}",
-                    content.len(),
-                    if fatal { " (crash point)" } else { "" }
-                )))
-            }
+        let Some(frac) = self.data_gate(true, "append", path)? else {
+            return self.inner.append(path, content);
+        };
+        let keep = ((content.len() as f64 * frac) as u64).min(content.len().saturating_sub(1));
+        if keep > 0 {
+            self.inner.append(path, &content.slice(0, keep))?;
         }
+        Err(PlfsError::Io(format!(
+            "torn append: {keep} of {} bytes landed on {path}",
+            content.len()
+        )))
     }
 
     fn read_at(&self, path: &str, offset: u64, len: u64) -> Result<Content> {
@@ -274,32 +178,26 @@ impl<B: Backend> Backend for FaultBackend<B> {
     }
 
     fn size(&self, path: &str) -> Result<u64> {
-        self.meta_gate("size", path)?;
         self.inner.size(path)
     }
 
     fn kind(&self, path: &str) -> Result<NodeKind> {
-        self.meta_gate("kind", path)?;
         self.inner.kind(path)
     }
 
     fn list(&self, path: &str) -> Result<Vec<String>> {
-        self.meta_gate("list", path)?;
         self.inner.list(path)
     }
 
     fn unlink(&self, path: &str) -> Result<()> {
-        self.meta_gate("unlink", path)?;
         self.inner.unlink(path)
     }
 
     fn remove_all(&self, path: &str) -> Result<()> {
-        self.meta_gate("remove_all", path)?;
         self.inner.remove_all(path)
     }
 
     fn rename(&self, from: &str, to: &str) -> Result<()> {
-        self.meta_gate("rename", from)?;
         self.inner.rename(from, to)
     }
 }
@@ -308,7 +206,6 @@ impl<B: Backend> Backend for FaultBackend<B> {
 mod tests {
     use super::*;
     use crate::memfs::MemFs;
-    use std::sync::Arc;
 
     fn file(b: &impl Backend, path: &str) {
         b.create(path, true).unwrap();
@@ -350,8 +247,6 @@ mod tests {
             seed: 7,
             transient_prob: 0.0,
             torn_append_prob: 1.0,
-            crash_after_data_ops: None,
-            crash_tears_append: false,
         };
         let f = FaultBackend::new(MemFs::new(), cfg);
         file(&f, "/x");
@@ -365,41 +260,11 @@ mod tests {
     }
 
     #[test]
-    fn crash_point_freezes_until_revived() {
-        let f = Arc::new(FaultBackend::new(MemFs::new(), FaultConfig::crash_at(1, 3)));
-        file(&f, "/x");
-        for i in 0..3u64 {
-            f.append("/x", &Content::synthetic(i, 8)).unwrap();
-        }
-        // Fourth data op crosses the crash point (torn), and everything
-        // after fails — metadata included.
-        assert!(f.append("/x", &Content::synthetic(9, 8)).is_err());
-        assert!(f.crashed());
-        assert!(f.size("/x").is_err());
-        assert!(f.list("/").is_err());
-        assert!(f.read_at("/x", 0, 8).is_err());
-        // Restart: surviving state is readable, injection is disarmed.
-        f.revive();
-        assert!(!f.crashed());
-        let size = f.size("/x").unwrap();
-        assert!(
-            (24..32).contains(&size),
-            "3 whole + torn prefix, got {size}"
-        );
-        assert_eq!(
-            f.read_at("/x", 0, 8).unwrap().materialize(),
-            Content::synthetic(0, 8).materialize()
-        );
-    }
-
-    #[test]
     fn transient_errors_have_no_effect() {
         let cfg = FaultConfig {
             seed: 11,
             transient_prob: 0.5,
             torn_append_prob: 0.0,
-            crash_after_data_ops: None,
-            crash_tears_append: false,
         };
         let f = FaultBackend::new(MemFs::new(), cfg);
         file(&f, "/x");

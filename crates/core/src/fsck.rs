@@ -9,40 +9,44 @@
 //! module detects:
 //!
 //! * missing/invalid container marker;
-//! * unresolvable subdir metalinks;
+//! * subdirs that do not resolve: a metalink that is torn or dangles,
+//!   or — where subdirs spread over namespaces — a missing metalink
+//!   beside the shadow directory the federation hashes it to;
 //! * index logs whose length is not a whole number of records;
 //! * index entries pointing past the end of their data log;
 //! * orphan data logs (no matching index log) and orphan index logs;
 //! * a flattened index that disagrees with per-writer logs;
 //! * stale `openhosts` entries left by dead writers (fsck runs on
 //!   quiesced containers, so any surviving entry is stale);
-//! * staging files orphaned by a writer that died mid-realignment of its
-//!   index log (safe to reclaim — the real log still holds everything);
+//! * staged copies a log rewrite died with (reclaimed while their log
+//!   is there, promoted in its place once it is gone);
 //! * metadir size records disagreeing with the replayed indices;
 //! * data-log tail bytes no index record references (reported as
 //!   informational [`DataLogTail`]s, not issues — torn appends and
 //!   clip-truncates leave them behind legitimately);
 //!
 //! and [`repair`] fixes everything mechanical, explicitly reporting
-//! what it fixed and what it could not.
+//! what it fixed and what it could not. Every log it rewrites goes
+//! through the one staged rewrite (`Container::rewrite_staged`), so a
+//! repair that dies part-way is itself repairable: `tests/crash_states.rs`
+//! checks that in every crash state (DESIGN.md §5c).
 
-use crate::backend::{Backend, NodeKind};
-use crate::container::{
-    Container, DATA_PREFIX, INDEX_PREFIX, METADIR, REALIGN_SUFFIX, SUBDIR_PREFIX,
-};
+use crate::backend::Backend;
+use crate::container::{Container, DATA_PREFIX, INDEX_PREFIX, REALIGN_SUFFIX};
 use crate::content::Content;
-use crate::error::{retry_transient, PlfsError, Result};
+use crate::error::{PlfsError, Result};
 use crate::index::{GlobalIndex, IndexEntry, WriterId, INDEX_RECORD_BYTES};
 use crate::ioplane::{self, IoOp};
 use crate::telemetry;
-use std::collections::BTreeSet;
 
 /// One problem found in a container.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Issue {
     /// The directory exists but has no access marker.
     NotAContainer,
-    /// A subdir entry exists but cannot be resolved.
+    /// A subdir does not resolve: its metalink is torn or names a
+    /// directory that is gone, or it is missing although its hashed
+    /// shadow directory exists. Repair rebuilds it from the static hash.
     BrokenSubdir {
         /// Which `subdir.<i>` entry is broken.
         index: usize,
@@ -96,14 +100,15 @@ pub enum Issue {
         /// Writer the stale entry names.
         writer: WriterId,
     },
-    /// A realignment staging file survives in a subdir: the writer died
-    /// between staging its rewritten index log and swapping it in. The
-    /// real log was never touched, so the copy is pure garbage.
+    /// A staged copy from `Container::rewrite_staged` survives: a log
+    /// rewrite died part-way. While its log is there the copy is garbage
+    /// (the log is only unlinked once the copy is whole); once the log is
+    /// gone the copy *is* the log, and repair renames it in.
     StaleRealignTemp {
-        /// Subdir the staging file was found in.
-        subdir: usize,
-        /// Name of the staging file.
-        name: String,
+        /// Physical path of the staged copy.
+        copy: String,
+        /// Whether the log the copy was staged for is still there.
+        log_present: bool,
     },
     /// The metadir's cached size disagrees with the EOF the replayed
     /// indices resolve to — `stat` would lie (typically a writer died
@@ -142,6 +147,9 @@ pub struct CheckReport {
     pub logical_size: u64,
     /// Spans in the replayed global index.
     pub spans: usize,
+    /// The index logs [`repair`] rewrites — each torn or dangling one, as
+    /// the whole records whose extents fit inside its data log.
+    pub(crate) rewrites: Vec<(WriterId, Vec<IndexEntry>)>,
 }
 
 impl CheckReport {
@@ -161,69 +169,17 @@ pub fn check<B: Backend>(b: &B, container: &Container) -> Result<CheckReport> {
         return Ok(report);
     }
 
-    // Phase 1: resolve every subdir with batched probes (one `Kind`
-    // batch, then `Size`/`ReadAt` batches for just the metalinks),
-    // classifying per-subdir failures as BrokenSubdir without aborting
-    // the scan of the others.
-    let k = container.federation_subdirs();
-    let entries: Vec<String> = (0..k)
-        .map(|i| format!("{}/{SUBDIR_PREFIX}{i}", container.canonical_path()))
-        .collect();
-    let probes: Vec<IoOp> = entries
-        .iter()
-        .map(|e| IoOp::Kind { path: e.clone() })
-        .collect();
-    let mut resolved: Vec<Option<String>> = vec![None; k];
-    let mut links: Vec<usize> = Vec::new();
-    for (i, outcome) in ioplane::submit_retried(b, &probes).into_iter().enumerate() {
-        match ioplane::as_kind(outcome) {
-            Ok(NodeKind::Dir) => resolved[i] = Some(entries[i].clone()),
-            Ok(NodeKind::File) => links.push(i),
-            Err(PlfsError::NotFound(_)) => {} // lazily absent
-            Err(e) => report.issues.push(Issue::BrokenSubdir {
-                index: i,
+    // Phase 1: resolve every subdir, classifying one that does not as
+    // BrokenSubdir without aborting the scan of the others.
+    let mut resolved: Vec<Option<String>> = Vec::new();
+    for (index, subdir) in container.scan_subdirs(b).into_iter().enumerate() {
+        resolved.push(subdir.unwrap_or_else(|e| {
+            report.issues.push(Issue::BrokenSubdir {
+                index,
                 reason: e.to_string(),
-            }),
-        }
-    }
-    if !links.is_empty() {
-        let size_ops: Vec<IoOp> = links
-            .iter()
-            .map(|&i| IoOp::Size {
-                path: entries[i].clone(),
-            })
-            .collect();
-        let mut read_links = Vec::with_capacity(links.len());
-        let mut read_ops = Vec::with_capacity(links.len());
-        for (&i, outcome) in links.iter().zip(ioplane::submit_retried(b, &size_ops)) {
-            match ioplane::as_size(outcome) {
-                Ok(len) => {
-                    read_links.push(i);
-                    read_ops.push(IoOp::ReadAt {
-                        path: entries[i].clone(),
-                        offset: 0,
-                        len,
-                    });
-                }
-                Err(e) => report.issues.push(Issue::BrokenSubdir {
-                    index: i,
-                    reason: e.to_string(),
-                }),
-            }
-        }
-        for (&i, outcome) in read_links.iter().zip(ioplane::submit_retried(b, &read_ops)) {
-            match ioplane::as_data(outcome).map(|c| String::from_utf8(c.materialize())) {
-                Ok(Ok(target)) => resolved[i] = Some(target),
-                Ok(Err(_)) => report.issues.push(Issue::BrokenSubdir {
-                    index: i,
-                    reason: format!("metalink {} not utf-8", entries[i]),
-                }),
-                Err(e) => report.issues.push(Issue::BrokenSubdir {
-                    index: i,
-                    reason: e.to_string(),
-                }),
-            }
-        }
+            });
+            None
+        }));
     }
 
     // Phase 2: one `Readdir` batch over every resolved subdir collects
@@ -239,7 +195,7 @@ pub fn check<B: Backend>(b: &B, container: &Container) -> Result<CheckReport> {
         .iter()
         .map(|(_, d)| IoOp::Readdir { path: (*d).clone() })
         .collect();
-    for ((i, _), outcome) in list_targets
+    for ((i, dir), outcome) in list_targets
         .iter()
         .zip(ioplane::submit_retried(b, &list_ops))
     {
@@ -253,11 +209,12 @@ pub fn check<B: Backend>(b: &B, container: &Container) -> Result<CheckReport> {
                 continue;
             }
         };
-        for name in names {
-            if name.ends_with(REALIGN_SUFFIX) {
-                report
-                    .issues
-                    .push(Issue::StaleRealignTemp { subdir: *i, name });
+        for name in &names {
+            if let Some(log) = name.strip_suffix(REALIGN_SUFFIX) {
+                report.issues.push(Issue::StaleRealignTemp {
+                    copy: format!("{dir}/{name}"),
+                    log_present: names.iter().any(|n| n == log),
+                });
             } else if let Some(w) = name.strip_prefix(DATA_PREFIX) {
                 if let Ok(w) = w.parse() {
                     data_logs.push(w);
@@ -287,14 +244,7 @@ pub fn check<B: Backend>(b: &B, container: &Container) -> Result<CheckReport> {
     // probes of the same kind go as one batch: index-log sizes, then the
     // whole-record reads, then data-log sizes — three plane submissions
     // for the container instead of three per writer.
-    let writer_dir = |w: WriterId| -> Result<&String> {
-        resolved
-            .get(container.subdir_for(w))
-            .and_then(Option::as_ref)
-            .ok_or_else(|| {
-                PlfsError::CorruptContainer(format!("writer {w} found in an unresolved subdir"))
-            })
-    };
+    let writer_dir = |w: WriterId| container.writer_dir(&resolved, w);
     let mut ipaths = Vec::with_capacity(index_logs.len());
     for &w in &index_logs {
         ipaths.push(format!("{}/{INDEX_PREFIX}{w}", writer_dir(w)?));
@@ -304,6 +254,7 @@ pub fn check<B: Backend>(b: &B, container: &Container) -> Result<CheckReport> {
         .map(|p| IoOp::Size { path: p.clone() })
         .collect();
     let mut read_ops = Vec::with_capacity(index_logs.len());
+    let mut torn = Vec::with_capacity(index_logs.len());
     for ((&w, ipath), outcome) in index_logs
         .iter()
         .zip(&ipaths)
@@ -312,6 +263,7 @@ pub fn check<B: Backend>(b: &B, container: &Container) -> Result<CheckReport> {
         let len = ioplane::as_size(outcome)?;
         let whole = len / INDEX_RECORD_BYTES;
         let trailing = len % INDEX_RECORD_BYTES;
+        torn.push(trailing != 0);
         if trailing != 0 {
             report.issues.push(Issue::TruncatedIndexLog {
                 writer: w,
@@ -347,12 +299,13 @@ pub fn check<B: Backend>(b: &B, container: &Container) -> Result<CheckReport> {
     }
 
     let mut entries: Vec<IndexEntry> = Vec::new();
-    for (&w, decoded) in index_logs.iter().zip(decoded_per_writer) {
+    for ((&w, decoded), torn) in index_logs.iter().zip(decoded_per_writer).zip(torn) {
         let has_data_log = dsizes.contains_key(&w);
         let dsize = dsizes.get(&w).copied().unwrap_or(0);
-        let mut indexed_end = 0u64;
+        let (mut indexed_end, first, mut damaged) = (0u64, entries.len(), torn);
         for e in decoded {
             if e.physical_offset + e.length > dsize {
+                damaged = true;
                 report.issues.push(Issue::DanglingExtent {
                     writer: w,
                     entry: e,
@@ -362,6 +315,9 @@ pub fn check<B: Backend>(b: &B, container: &Container) -> Result<CheckReport> {
                 indexed_end = indexed_end.max(e.physical_offset + e.length);
                 entries.push(e);
             }
+        }
+        if damaged {
+            report.rewrites.push((w, entries[first..].to_vec()));
         }
         if has_data_log && dsize > indexed_end {
             report.tails.push(DataLogTail {
@@ -476,12 +432,7 @@ pub fn space_usage<B: Backend>(b: &B, container: &Container) -> Result<SpaceUsag
     // One Size batch covers every data and index log.
     let mut size_ops = Vec::with_capacity(writers.len() * 2);
     for &w in &writers {
-        let dir = resolved
-            .get(container.subdir_for(w))
-            .and_then(Option::as_ref)
-            .ok_or_else(|| {
-                PlfsError::CorruptContainer(format!("writer {w} found in an unresolved subdir"))
-            })?;
+        let dir = container.writer_dir(&resolved, w)?;
         size_ops.push(IoOp::Size {
             path: format!("{dir}/{DATA_PREFIX}{w}"),
         });
@@ -542,46 +493,74 @@ impl RepairOutcome {
 
 /// Repair what is mechanically repairable, without inventing data:
 ///
+/// * broken subdirs are rebuilt from the static hash: a metalink is
+///   pointed at the shadow directory the federation places the subdir
+///   in when that exists, and dropped when it does not (an unlink that
+///   died part-way took the shadow);
+/// * a staged copy is reclaimed while its log is there and renamed in
+///   its place once the log is gone;
 /// * index logs with torn trailing records and/or dangling extents are
 ///   rewritten keeping exactly the whole records whose extents the data
-///   log can satisfy;
+///   log can satisfy, and unreferenced data-log tails are trimmed, all in
+///   one staged rewrite;
 /// * orphan index logs are deleted (their records reference a data log
 ///   that does not exist — nothing readable is lost);
 /// * *empty* orphan data logs are deleted; non-empty ones are left for
 ///   human judgment (the bytes may be recoverable by other means) and
 ///   reported as unrepaired;
-/// * stale `openhosts` entries, orphaned realignment staging files, and
-///   stale or structurally invalid flattened indices are removed;
-/// * unreferenced data-log tails are trimmed;
+/// * stale `openhosts` entries and stale or structurally invalid
+///   flattened indices are removed;
 /// * a disagreeing metadir is rebuilt from the replayed indices.
 ///
-/// Every issue from the pre-repair check lands in exactly one of
-/// [`RepairOutcome::fixed`] or [`RepairOutcome::unrepaired`].
+/// Subdirs and staged copies are settled first, and the container
+/// rescanned, because both change what the scan can see. Every issue of
+/// that scan, and every structural issue settled before it, lands in
+/// exactly one of [`RepairOutcome::fixed`] or
+/// [`RepairOutcome::unrepaired`].
 pub fn repair<B: Backend>(b: &B, container: &Container) -> Result<RepairOutcome> {
     let _span = telemetry::span(telemetry::SPAN_FSCK_REPAIR);
-    let before = check(b, container)?;
     let mut fixed = Vec::new();
     let mut unrepaired = Vec::new();
-    let mut rewrite: BTreeSet<WriterId> = BTreeSet::new();
+    let mut before = check(b, container)?;
+    // Two rounds: a subdir rebuilt in the first can show the second a
+    // staged copy. What the rescan no longer finds was fixed; what it
+    // still finds is judged below with everything else.
+    for _ in 0..2 {
+        let structural: Vec<Issue> = before
+            .issues
+            .iter()
+            .filter(|i| {
+                matches!(
+                    i,
+                    Issue::BrokenSubdir { .. } | Issue::StaleRealignTemp { .. }
+                )
+            })
+            .cloned()
+            .collect();
+        if structural.is_empty() {
+            break;
+        }
+        settle(b, container, &structural)?;
+        before = check(b, container)?;
+        fixed.extend(
+            structural
+                .into_iter()
+                .filter(|i| !before.issues.contains(i)),
+        );
+    }
+
     let mut drop_flattened = false;
     let mut refresh_metadir = false;
     let mut stale_hosts: Vec<WriterId> = Vec::new();
     let mut orphan_index: Vec<WriterId> = Vec::new();
     let mut orphan_data: Vec<(WriterId, Issue)> = Vec::new();
-    let mut realign_temps: Vec<(usize, String)> = Vec::new();
-
     for issue in before.issues.iter().cloned() {
         match issue {
-            // Structural damage with nothing to rebuild from.
-            Issue::NotAContainer | Issue::BrokenSubdir { .. } => unrepaired.push(issue),
-            Issue::TruncatedIndexLog { writer, .. } => {
-                rewrite.insert(writer);
-                fixed.push(issue);
+            // No container, or structure the rounds above could not settle.
+            Issue::NotAContainer | Issue::BrokenSubdir { .. } | Issue::StaleRealignTemp { .. } => {
+                unrepaired.push(issue)
             }
-            Issue::DanglingExtent { writer, .. } => {
-                rewrite.insert(writer);
-                fixed.push(issue);
-            }
+            Issue::TruncatedIndexLog { .. } | Issue::DanglingExtent { .. } => fixed.push(issue),
             // Decided below, once sizes come back in one batch.
             Issue::OrphanDataLog { writer } => orphan_data.push((writer, issue)),
             Issue::OrphanIndexLog { writer } => {
@@ -592,38 +571,28 @@ pub fn repair<B: Backend>(b: &B, container: &Container) -> Result<RepairOutcome>
                 stale_hosts.push(writer);
                 fixed.push(issue);
             }
-            Issue::StaleRealignTemp { subdir, ref name } => {
-                realign_temps.push((subdir, name.clone()));
-                fixed.push(issue);
-            }
             Issue::MetadirDisagrees { .. } => {
                 refresh_metadir = true;
                 fixed.push(issue);
             }
-            Issue::StaleFlattenedIndex => {
-                drop_flattened = true;
-                fixed.push(issue);
-            }
-            // A torn or legacy flattened file carries no unique data (the
-            // per-writer logs are authoritative), so dropping it is safe.
-            Issue::InvalidFlattenedIndex { .. } => {
+            // A stale, torn or legacy flattened file carries no unique data
+            // (the per-writer logs are authoritative), so dropping it is
+            // safe.
+            Issue::StaleFlattenedIndex | Issue::InvalidFlattenedIndex { .. } => {
                 drop_flattened = true;
                 fixed.push(issue);
             }
         }
     }
 
-    // Every physical path the repair plans touch hangs off a subdir;
-    // resolve them all once.
-    let resolved = container.subdirs_phys_batch(b)?;
-    let writer_dir = |w: WriterId| -> Result<&String> {
-        resolved
-            .get(container.subdir_for(w))
-            .and_then(Option::as_ref)
-            .ok_or_else(|| {
-                PlfsError::CorruptContainer(format!("writer {w} found in an unresolved subdir"))
-            })
-    };
+    // Every physical path the repair plans touch hangs off a subdir the
+    // scan listed; resolve them all once.
+    let resolved: Vec<Option<String>> = container
+        .subdirs_each(b)
+        .into_iter()
+        .map(|subdir| subdir.ok().flatten())
+        .collect();
+    let writer_dir = |w: WriterId| container.writer_dir(&resolved, w);
 
     // Orphan data logs: one size batch decides empty (reclaim) vs
     // non-empty (leave for a human — deleting would destroy possibly
@@ -649,85 +618,46 @@ pub fn repair<B: Backend>(b: &B, container: &Container) -> Result<RepairOutcome>
         }
     }
 
-    // One rewrite per damaged writer handles torn trailing records and
-    // dangling extents together: keep exactly the whole records whose
-    // extents fit inside the data log. Sizes, reads, truncating creates,
-    // and re-appends each go as one batch across all damaged writers;
-    // a writer's records are re-appended only if its truncate landed.
-    let rewrite_list: Vec<WriterId> = rewrite.iter().copied().collect();
-    let mut ipaths = Vec::with_capacity(rewrite_list.len());
-    let mut dsize_ops = Vec::with_capacity(rewrite_list.len());
-    for &w in &rewrite_list {
-        ipaths.push(format!("{}/{INDEX_PREFIX}{w}", writer_dir(w)?));
-        dsize_ops.push(IoOp::Size {
-            path: format!("{}/{DATA_PREFIX}{w}", writer_dir(w)?),
-        });
+    // One staged rewrite covers every damaged index log, keeping what the
+    // scan kept, and every data log with an unreferenced tail, keeping the
+    // referenced prefix (read in one batch). The scan counted no record
+    // the rewrite drops in a tail, so its tails already describe the logs
+    // the rewrite leaves.
+    let mut rewrites = Vec::with_capacity(before.rewrites.len() + before.tails.len());
+    for (w, kept) in &before.rewrites {
+        let path = format!("{}/{INDEX_PREFIX}{w}", writer_dir(*w)?);
+        rewrites.push((path, Content::bytes(IndexEntry::encode_all(kept))));
     }
-    let isize_ops: Vec<IoOp> = ipaths
+    let mut tail_paths = Vec::with_capacity(before.tails.len());
+    for t in &before.tails {
+        tail_paths.push(format!(
+            "{}/{DATA_PREFIX}{}",
+            writer_dir(t.writer)?,
+            t.writer
+        ));
+    }
+    let keep_ops: Vec<IoOp> = tail_paths
         .iter()
-        .map(|p| IoOp::Size { path: p.clone() })
-        .collect();
-    let mut read_ops = Vec::with_capacity(rewrite_list.len());
-    for (ipath, outcome) in ipaths.iter().zip(ioplane::submit_retried(b, &isize_ops)) {
-        let whole = ioplane::as_size(outcome)? / INDEX_RECORD_BYTES;
-        read_ops.push(IoOp::ReadAt {
-            path: ipath.clone(),
+        .zip(&before.tails)
+        .map(|(path, t)| IoOp::ReadAt {
+            path: path.clone(),
             offset: 0,
-            len: whole * INDEX_RECORD_BYTES,
-        });
-    }
-    let reads = ioplane::submit_retried(b, &read_ops);
-    // An absent data log reads as size 0 (every extent dangles).
-    let dsizes = ioplane::submit_retried(b, &dsize_ops);
-    let mut kept_per_writer = Vec::with_capacity(rewrite_list.len());
-    for (read, dsize) in reads.into_iter().zip(dsizes) {
-        let decoded = IndexEntry::decode_content(&ioplane::as_data(read)?)?;
-        let dsize = match ioplane::as_size(dsize) {
-            Ok(n) => n,
-            Err(PlfsError::NotFound(_)) => 0,
-            Err(e) => return Err(e),
-        };
-        kept_per_writer.push(
-            decoded
-                .into_iter()
-                .filter(|e| e.physical_offset + e.length <= dsize)
-                .collect::<Vec<IndexEntry>>(),
-        );
-    }
-    let truncate_ops: Vec<IoOp> = ipaths
-        .iter()
-        .map(|p| IoOp::Create {
-            path: p.clone(),
-            exclusive: false,
+            len: t.indexed_bytes,
         })
         .collect();
-    let truncates = ioplane::submit_retried(b, &truncate_ops);
-    let mut append_ops = Vec::new();
-    let mut first_err = None;
-    for ((ipath, kept), outcome) in ipaths.iter().zip(&kept_per_writer).zip(truncates) {
-        match ioplane::as_unit(outcome) {
-            Ok(()) if !kept.is_empty() => append_ops.push(IoOp::Append {
-                path: ipath.clone(),
-                content: Content::bytes(IndexEntry::encode_all(kept)),
-            }),
-            Ok(()) => {}
-            Err(e) => first_err = first_err.or(Some(e)),
-        }
+    for (path, outcome) in tail_paths
+        .into_iter()
+        .zip(ioplane::submit_retried(b, &keep_ops))
+    {
+        rewrites.push((path, ioplane::as_data(outcome)?));
     }
-    for outcome in ioplane::submit_retried(b, &append_ops) {
-        if let Err(e) = ioplane::as_offset(outcome) {
-            first_err = first_err.or(Some(e));
-        }
-    }
-    if let Some(e) = first_err {
-        return Err(e);
-    }
+    Container::rewrite_staged(b, &rewrites)?;
 
     // Orphan index logs reference a data log that does not exist; their
     // records can never resolve to bytes, so deleting loses nothing.
-    // Stale openhosts entries and orphaned realignment staging files are
-    // pure garbage. All of it goes in one unlink batch, together with
-    // the empty orphan data logs decided above.
+    // Stale openhosts entries are pure garbage. All of it goes in one
+    // unlink batch, together with the empty orphan data logs decided
+    // above.
     for &w in &orphan_index {
         reclaim_ops.push(IoOp::Unlink {
             path: format!("{}/{INDEX_PREFIX}{w}", writer_dir(w)?),
@@ -738,16 +668,6 @@ pub fn repair<B: Backend>(b: &B, container: &Container) -> Result<RepairOutcome>
     for &w in &stale_hosts {
         reclaim_ops.push(IoOp::Unlink {
             path: format!("{openhosts}/host.{w}"),
-        });
-    }
-    // A staged realignment copy never holds records its real log lacks
-    // (the swap is the last step), so reclaiming it cannot lose data.
-    for (i, name) in &realign_temps {
-        let dir = resolved.get(*i).and_then(Option::as_ref).ok_or_else(|| {
-            PlfsError::CorruptContainer(format!("realign temp in unresolved subdir {i}"))
-        })?;
-        reclaim_ops.push(IoOp::Unlink {
-            path: format!("{dir}/{name}"),
         });
     }
     let host_range = host_start..host_start + stale_hosts.len();
@@ -767,89 +687,11 @@ pub fn repair<B: Backend>(b: &B, container: &Container) -> Result<RepairOutcome>
         container.remove_flattened(b)?;
     }
 
-    // Trim unreferenced data-log tails (recomputed after the index
-    // rewrites above, which may have changed what is referenced). The
-    // kept prefixes are all read in one batch *before* the truncating
-    // creates go out, then re-appended in a final batch.
-    let mid = check(b, container)?;
-    let mut trimmed_tails = Vec::new();
-    let mut tail_paths = Vec::with_capacity(mid.tails.len());
-    for t in &mid.tails {
-        tail_paths.push(format!(
-            "{}/{DATA_PREFIX}{}",
-            writer_dir(t.writer)?,
-            t.writer
-        ));
-    }
-    let keep_ops: Vec<IoOp> = mid
-        .tails
-        .iter()
-        .zip(&tail_paths)
-        .filter(|(t, _)| t.indexed_bytes > 0)
-        .map(|(t, p)| IoOp::ReadAt {
-            path: p.clone(),
-            offset: 0,
-            len: t.indexed_bytes,
-        })
-        .collect();
-    let mut keeps = ioplane::submit_retried(b, &keep_ops).into_iter();
-    let mut kept_tails = Vec::with_capacity(mid.tails.len());
-    for t in &mid.tails {
-        kept_tails.push(if t.indexed_bytes > 0 {
-            Some(ioplane::as_data(ioplane::take(&mut keeps))?)
-        } else {
-            None
-        });
-    }
-    let trunc_ops: Vec<IoOp> = tail_paths
-        .iter()
-        .map(|p| IoOp::Create {
-            path: p.clone(),
-            exclusive: false,
-        })
-        .collect();
-    let mut tail_appends = Vec::new();
-    for ((t, path), (kept, outcome)) in mid.tails.iter().zip(&tail_paths).zip(
-        kept_tails
-            .into_iter()
-            .zip(ioplane::submit_retried(b, &trunc_ops)),
-    ) {
-        ioplane::as_unit(outcome)?;
-        if let Some(k) = kept {
-            tail_appends.push(IoOp::Append {
-                path: path.clone(),
-                content: k,
-            });
-        }
-        trimmed_tails.push(t.clone());
-    }
-    for outcome in ioplane::submit_retried(b, &tail_appends) {
-        ioplane::as_offset(outcome)?;
-    }
-
-    // Rebuild the metadir from the replayed (now repaired) indices so
-    // cached stat tells the truth again.
+    // Rebuild the metadir from the replayed (now repaired) indices.
     if refresh_metadir {
         let idx = container.aggregate_index(b)?;
-        let metadir = format!("{}/{METADIR}", container.canonical_path());
-        match retry_transient(|| b.list(&metadir)) {
-            Ok(names) => {
-                let stale_ops: Vec<IoOp> = names
-                    .iter()
-                    .filter(|n| n.starts_with("meta."))
-                    .map(|n| IoOp::Unlink {
-                        path: format!("{metadir}/{n}"),
-                    })
-                    .collect();
-                for outcome in ioplane::submit_retried(b, &stale_ops) {
-                    ioplane::as_unit(outcome)?;
-                }
-            }
-            Err(PlfsError::NotFound(_)) => {}
-            Err(e) => return Err(e),
-        }
         let live: u64 = idx.to_entries().iter().map(|e| e.length).sum();
-        container.record_meta(b, 0, idx.eof(), live)?;
+        container.reset_metadir(b, idx.eof(), live)?;
     }
 
     // Index logs may have been rewritten or unlinked and the flattened
@@ -860,9 +702,40 @@ pub fn repair<B: Backend>(b: &B, container: &Container) -> Result<RepairOutcome>
     Ok(RepairOutcome {
         fixed,
         unrepaired,
-        trimmed_tails,
+        trimmed_tails: before.tails,
         post,
     })
+}
+
+/// Settle the structural issues as [`repair`] describes: rebuild broken
+/// subdirs, then reclaim or promote staged copies.
+fn settle<B: Backend>(b: &B, container: &Container, issues: &[Issue]) -> Result<()> {
+    let broken: Vec<usize> = issues
+        .iter()
+        .filter_map(|i| match i {
+            Issue::BrokenSubdir { index, .. } => Some(*index),
+            _ => None,
+        })
+        .collect();
+    container.rebuild_subdirs(b, &broken)?;
+    let ops: Vec<IoOp> = issues
+        .iter()
+        .filter_map(|i| match i {
+            Issue::StaleRealignTemp {
+                copy,
+                log_present: false,
+            } => Some(IoOp::Rename {
+                from: copy.clone(),
+                to: copy.strip_suffix(REALIGN_SUFFIX)?.to_string(),
+            }),
+            Issue::StaleRealignTemp { copy, .. } => Some(IoOp::Unlink { path: copy.clone() }),
+            _ => None,
+        })
+        .collect();
+    for outcome in ioplane::submit_retried(b, &ops) {
+        ioplane::as_unit(outcome)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1008,7 +881,7 @@ mod tests {
     }
 
     #[test]
-    fn orphaned_realign_staging_file_detected_and_reclaimed() {
+    fn staged_copies_are_reclaimed_beside_their_log_and_promoted_without_it() {
         let (b, cont) = healthy_container();
         // A writer died between staging its realigned index log and the
         // swap; the staging copy survives next to the untouched log.
@@ -1016,13 +889,25 @@ mod tests {
         let staged = format!("{dir}/{INDEX_PREFIX}0{REALIGN_SUFFIX}");
         b.create(&staged, true).unwrap();
         b.append(&staged, &Content::bytes(vec![0; 40])).unwrap();
-        let r = check(&b, &cont).unwrap();
-        assert_eq!(r.issues.len(), 1);
-        assert!(matches!(r.issues[0], Issue::StaleRealignTemp { .. }));
+        let copy = |log_present| Issue::StaleRealignTemp {
+            copy: staged.clone(),
+            log_present,
+        };
+        assert_eq!(check(&b, &cont).unwrap().issues, vec![copy(true)]);
         let after = repair(&b, &cont).unwrap();
         assert!(after.fully_repaired(), "{after:?}");
         assert!(!b.exists(&staged));
         // The real logs were untouched by the reclaim.
+        assert_eq!(cont.read_index_log(&b, 0).unwrap().len(), 5);
+        // Died after unlinking the log, before renaming a whole copy in:
+        // the copy is the log now.
+        let log = format!("{dir}/{INDEX_PREFIX}0");
+        b.create(&staged, true).unwrap();
+        b.append(&staged, &b.read_at(&log, 0, 200).unwrap())
+            .unwrap();
+        b.unlink(&log).unwrap();
+        assert!(check(&b, &cont).unwrap().issues.contains(&copy(false)));
+        assert!(repair(&b, &cont).unwrap().fully_repaired());
         assert_eq!(cont.read_index_log(&b, 0).unwrap().len(), 5);
     }
 
@@ -1270,34 +1155,43 @@ mod tests {
     }
 
     #[test]
-    fn broken_metalink_flagged() {
+    fn broken_metalinks_are_rebuilt_from_the_static_hash() {
         let b = Arc::new(MemFs::new());
         let fed = Federation::new(vec!["/v0".into(), "/v1".into()], 4, false, true);
         let cont = Container::new("/f", &fed);
-        let mut h =
-            WriteHandle::open(Arc::clone(&b), cont.clone(), 0, IndexPolicy::WriteClose).unwrap();
-        h.write(0, &Content::synthetic(0, 10), 1).unwrap();
-        h.close(2).unwrap();
-        // Corrupt a metalink (point at nowhere) for a *different* subdir.
-        let victim = (0..4)
-            .find(|&i| fed.shadow_subdir_path("/f", i).is_some() && i != cont.subdir_for(0))
-            .or_else(|| (0..4).find(|&i| fed.shadow_subdir_path("/f", i).is_some()));
-        if let Some(i) = victim {
-            let entry = format!("{}/subdir.{i}", cont.canonical_path());
-            if b.exists(&entry) {
-                b.unlink(&entry).unwrap();
-            }
-            b.create(&entry, false).unwrap();
-            b.append(&entry, &Content::bytes(b"/gone/away".to_vec()))
+        for w in 0..4u64 {
+            let mut h = WriteHandle::open(Arc::clone(&b), cont.clone(), w, IndexPolicy::WriteClose)
                 .unwrap();
-            let r = check(&b, &cont).unwrap();
-            assert!(
-                r.issues
-                    .iter()
-                    .any(|i| matches!(i, Issue::BrokenSubdir { .. })),
-                "{:?}",
-                r.issues
-            );
+            h.write(w * 10, &Content::synthetic(w, 10), 1).unwrap();
+            h.close(2).unwrap();
+        }
+        let shadowed: Vec<usize> = (0..4)
+            .filter(|&i| fed.shadow_subdir_path("/f", i).is_some())
+            .collect();
+        assert!(!shadowed.is_empty());
+        // The first shadowed subdir's metalink is torn to half its bytes;
+        // every other one is gone, its shadow directory still there.
+        for &i in &shadowed {
+            let entry = format!("{}/subdir.{i}", cont.canonical_path());
+            let target = b.read_at(&entry, 0, 1 << 10).unwrap().materialize();
+            b.unlink(&entry).unwrap();
+            if i == shadowed[0] {
+                b.create(&entry, true).unwrap();
+                let torn = Content::bytes(target[..target.len() / 2].to_vec());
+                b.append(&entry, &torn).unwrap();
+            }
+        }
+        let r = check(&b, &cont).unwrap();
+        let broken = r
+            .issues
+            .iter()
+            .filter(|i| matches!(i, Issue::BrokenSubdir { .. }));
+        assert_eq!(broken.count(), shadowed.len(), "{:?}", r.issues);
+        assert!(repair(&b, &cont).unwrap().fully_repaired());
+        let mut reader = crate::reader::ReadHandle::open(Arc::clone(&b), cont.clone()).unwrap();
+        for w in 0..4u64 {
+            let want = Content::synthetic(w, 10).materialize();
+            assert_eq!(reader.read(w * 10, 10).unwrap(), want, "writer {w}");
         }
     }
 }

@@ -8,8 +8,8 @@
 //! One `RwLock` around one flat `HashMap` from normalized path to node; a
 //! `Dir` node carries the sorted names of its children. `submit` applies
 //! a batch under one acquisition (shared iff every op is read-only),
-//! which is what makes batched ≡ sequential and `FaultBackend`'s crash
-//! points exact. **Cost contract:** a point op is one hash lookup of the
+//! which is what makes batched ≡ sequential, and so a replayed trace
+//! prefix exactly the state a crash there leaves. **Cost contract:** a point op is one hash lookup of the
 //! full path (plus the parent's when a name is added or dropped), and
 //! `append` / `read_at` / `size` / `kind` allocate nothing for a path
 //! that arrives normalized; `remove_all` and `rename` walk the child

@@ -29,7 +29,8 @@
 //!   prefixed with its name, so two tenants' equal-named files land in
 //!   different containers and a tenant crash mid-append can only ever
 //!   damage containers under its own prefix (fsck repairs those; the
-//!   isolation test pins this under a seeded [`FaultBackend`]).
+//!   isolation test pins this under a seeded [`FaultBackend`], and
+//!   `tests/crash_states.rs` in every crash state of a two-tenant trace).
 //!
 //! Traffic shows up in the §5f telemetry vocabulary as the `svc.*`
 //! counters and the `svc.op` latency histogram; the benchmark's
@@ -570,20 +571,36 @@ mod tests {
 
     #[test]
     fn failed_close_keeps_handle_and_buffered_index_for_retry() {
-        use crate::faults::{FaultBackend, FaultConfig};
+        use crate::backend::Gated;
+        use std::sync::atomic::AtomicBool;
 
-        // Crash the backend exactly at the close-time index flush: the
-        // two appends are data ops 1-2, the flush is op 3.
-        let fb = Arc::new(FaultBackend::new(MemFs::new(), FaultConfig::crash_at(5, 2)));
+        // The backend goes down between the appends and the close-time
+        // index flush.
+        let down = Arc::new(AtomicBool::new(false));
+        let gate = {
+            let down = Arc::clone(&down);
+            move |_: &crate::ioplane::IoOp| match down.load(Ordering::Relaxed) {
+                true => Err(PlfsError::Io("backend down".into())),
+                false => Ok(()),
+            }
+        };
+        let fb = Arc::new(Gated {
+            inner: MemFs::new(),
+            gate,
+        });
         let s = Service::new(Arc::clone(&fb), ServiceConfig::basic("/panfs")).unwrap();
         let h = grant(s.open_write("t", "/f").unwrap());
         s.append(h, 0, &Content::bytes(b"acknowledged".to_vec())).unwrap();
         s.append(h, 12, &Content::bytes(b" data".to_vec())).unwrap();
-        assert!(s.close(h).is_err(), "index flush must hit the crash");
+        down.store(true, Ordering::Relaxed);
+        assert!(
+            s.close(h).is_err(),
+            "index flush must fail while the backend is down"
+        );
         // The handle survives the failed close...
         assert_eq!(s.open_handles(), 1);
-        // ...and once the backend recovers, the retry lands everything.
-        fb.revive();
+        // ...and once the backend is back, the retry lands everything.
+        down.store(false, Ordering::Relaxed);
         s.close(h).unwrap();
         assert_eq!(s.open_handles(), 0);
         let r = grant(s.open_read("t", "/f").unwrap());

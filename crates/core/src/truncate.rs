@@ -7,11 +7,12 @@
 //!
 //! * **truncate to 0** — remove every dropping, metadir record, and
 //!   flattened index; the container remains, empty;
-//! * **truncate to `size`** — rewrite each writer's index log, dropping
-//!   entries entirely beyond `size` and clipping the one that straddles
-//!   it. Data-log bytes past the cut become unreferenced (space is
-//!   reclaimed by a later fsck/compaction pass, not here — exactly the
-//!   log-structured trade).
+//! * **truncate to `size`** — rewrite each writer's index log through the
+//!   one staged rewrite (`Container::rewrite_staged`), dropping entries
+//!   entirely beyond `size` and clipping the one that straddles it, so a
+//!   crash mid-truncate never loses a record below the cut. Data-log
+//!   bytes past the cut become unreferenced (space is reclaimed by a later
+//!   fsck/compaction pass, not here — exactly the log-structured trade).
 //!
 //! Concurrent writers are not supported during truncation (PLFS never
 //! supported that either): callers must quiesce the file first.
@@ -40,82 +41,29 @@ pub fn truncate<B: Backend>(b: &B, container: &Container, size: u64) -> Result<(
     // Rewrite every index log, clipping at `size`, and account what
     // survives: the physical bytes still referenced and the logical EOF
     // the clipped indices actually resolve to (less than `size` when the
-    // cut lands in a hole or beyond the old EOF).
-    // Clip every writer's index with batched I/O: one size batch, one
-    // read batch, one truncating-create batch, one re-append batch.
-    let mut surviving_bytes = 0u64;
-    let mut surviving_eof = 0u64;
+    // cut lands in a hole or beyond the old EOF). The logs are read in
+    // batches, then all rewritten in one staged rewrite.
     let resolved = container.subdirs_phys_batch(b)?;
-    let writers = container.list_writers(b)?;
-    let mut ipaths = Vec::with_capacity(writers.len());
-    for &w in &writers {
-        let dir = resolved
-            .get(container.subdir_for(w))
-            .and_then(Option::as_ref)
-            .ok_or_else(|| {
-                PlfsError::CorruptContainer(format!("writer {w} found in an unresolved subdir"))
-            })?;
-        ipaths.push(format!("{dir}/{INDEX_PREFIX}{w}"));
-    }
-    let size_ops: Vec<IoOp> = ipaths
-        .iter()
-        .map(|p| IoOp::Size { path: p.clone() })
-        .collect();
-    let mut read_ops = Vec::with_capacity(ipaths.len());
-    for (p, outcome) in ipaths.iter().zip(ioplane::submit_retried(b, &size_ops)) {
-        read_ops.push(IoOp::ReadAt {
-            path: p.clone(),
-            offset: 0,
-            len: ioplane::as_size(outcome)?,
-        });
-    }
-    let mut kept_per_writer = Vec::with_capacity(ipaths.len());
-    for outcome in ioplane::submit_retried(b, &read_ops) {
-        let entries = IndexEntry::decode_content(&ioplane::as_data(outcome)?)?;
+    let ipaths = container.index_log_paths(&resolved, &container.writers_in(b, &resolved)?)?;
+    let runs = Container::read_logs_whole(b, &ipaths, 1)?;
+    let (mut surviving_bytes, mut surviving_eof) = (0u64, 0u64);
+    let mut rewrites = Vec::with_capacity(ipaths.len());
+    for (path, entries) in ipaths.into_iter().zip(runs) {
         let kept: Vec<IndexEntry> = entries
             .into_iter()
-            .filter_map(|e| {
-                let end = e.logical_offset + e.length;
-                if e.logical_offset >= size {
-                    None
-                } else if end <= size {
-                    Some(e)
-                } else {
-                    Some(IndexEntry {
-                        length: size - e.logical_offset,
-                        ..e
-                    })
-                }
+            .filter(|e| e.logical_offset < size)
+            .map(|e| IndexEntry {
+                length: e.length.min(size - e.logical_offset),
+                ..e
             })
             .collect();
         for e in &kept {
             surviving_bytes += e.length;
             surviving_eof = surviving_eof.max(e.logical_offset + e.length);
         }
-        kept_per_writer.push(kept);
+        rewrites.push((path, Content::bytes(IndexEntry::encode_all(&kept))));
     }
-    let trunc_ops: Vec<IoOp> = ipaths
-        .iter()
-        .map(|p| IoOp::Create {
-            path: p.clone(),
-            exclusive: false,
-        })
-        .collect();
-    for outcome in ioplane::submit_retried(b, &trunc_ops) {
-        ioplane::as_unit(outcome)?; // truncate the log itself
-    }
-    let append_ops: Vec<IoOp> = ipaths
-        .iter()
-        .zip(&kept_per_writer)
-        .filter(|(_, kept)| !kept.is_empty())
-        .map(|(p, kept)| IoOp::Append {
-            path: p.clone(),
-            content: Content::bytes(IndexEntry::encode_all(kept)),
-        })
-        .collect();
-    for outcome in ioplane::submit_retried(b, &append_ops) {
-        ioplane::as_offset(outcome)?;
-    }
+    Container::rewrite_staged(b, &rewrites)?;
 
     // Metadir records and any flattened index are now stale.
     refresh_metadata(b, container, surviving_eof, surviving_bytes)?;
@@ -148,32 +96,14 @@ fn truncate_to_zero<B: Backend>(b: &B, container: &Container) -> Result<()> {
     Ok(())
 }
 
-/// Drop stale metadir records / flattened index and record the new size
-/// *and* the physical bytes the clipped indices still reference — the
-/// record feeds cached stat and space accounting, so writing `bytes=0`
-/// here would make both lie after a clip-truncate. Last, advance the
-/// namespace generation: the index logs were just rewritten.
+/// Drop the stale flattened index and metadir records, and record the
+/// new size *and* the physical bytes the clipped indices still reference
+/// — the record feeds cached stat and space accounting, so writing
+/// `bytes=0` here would make both lie after a clip-truncate. Last,
+/// advance the namespace generation: the index logs were just rewritten.
 fn refresh_metadata<B: Backend>(b: &B, container: &Container, eof: u64, bytes: u64) -> Result<()> {
     container.remove_flattened(b)?;
-    let metadir = format!("{}/metadir", container.canonical_path());
-    match b.list(&metadir) {
-        Ok(names) => {
-            let stale: Vec<IoOp> = names
-                .iter()
-                .map(|n| IoOp::Unlink {
-                    path: format!("{metadir}/{n}"),
-                })
-                .collect();
-            for outcome in ioplane::submit_retried(b, &stale) {
-                ioplane::as_unit(outcome)?;
-            }
-        }
-        Err(PlfsError::NotFound(_)) => {}
-        Err(e) => return Err(e),
-    }
-    // One fresh record so stat stays cheap (writer id 0 by convention —
-    // truncation is a single-actor operation).
-    container.record_meta(b, 0, eof, bytes)?;
+    container.reset_metadir(b, eof, bytes)?;
     // A clip that lands inside a record rewrites `length` only and keeps
     // every log's size; truncate(0) + re-write can repeat the old sizes.
     container.bump_generation(b)

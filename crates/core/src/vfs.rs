@@ -396,72 +396,62 @@ impl<B: Backend + Clone> Plfs<B> {
         }
         let fed = &self.config.federation;
 
+        // Subdirs are created lazily, so most may not exist at all — one
+        // Kind batch finds the live ones. Every move below is a chain whose
+        // later steps must not run (or retry) unless the earlier ones
+        // committed, and each step leaves a state fsck rebuilds from the
+        // static hash (DESIGN.md §5c).
+        let (from_subdirs, to_subdirs) = (cf.subdir_entries(), ct.subdir_entries());
+        let probe_ops: Vec<IoOp> = from_subdirs
+            .iter()
+            .map(|e| IoOp::Kind { path: e.clone() })
+            .collect();
+        let live: Vec<usize> = ioplane::submit_retried(&self.backend, &probe_ops)
+            .into_iter()
+            .enumerate()
+            .filter(|(_, o)| !matches!(o, Err(PlfsError::NotFound(_))))
+            .map(|(i, _)| i)
+            .collect();
+
+        // A shadow the new name keeps inside its container folds back while
+        // it is still the old name's: its metalink goes, then it moves in.
+        for &i in &live {
+            let (old, new) = (
+                fed.shadow_subdir_path(&from, i),
+                fed.shadow_subdir_path(&to, i),
+            );
+            if let (Some(old), None) = (old, new) {
+                // plfs-lint: allow(raw-backend-in-batch-path): unlink→rename swap; the rename must not run (or retry) unless the unlink committed
+                self.backend.unlink(&from_subdirs[i])?;
+                // plfs-lint: allow(raw-backend-in-batch-path): second half of the order-dependent swap above
+                self.backend.rename(&old, &from_subdirs[i])?;
+            }
+        }
+
         // Move the canonical container (possibly across namespaces).
         self.backend
             .mkdir_all(&crate::path::parent(ct.canonical_path()))?;
         self.backend
             .rename(cf.canonical_path(), ct.canonical_path())?;
 
-        // Move each *existing* shadow subdir to where the new name hashes
-        // it, and rewrite metalinks. Subdirs are created lazily, so most
-        // may not exist at all — one Kind batch finds the live ones. The
-        // per-subdir move itself stays sequential: each case is an
-        // order-dependent unlink/rename/create chain whose later steps
-        // must not run (or retry) unless the earlier ones committed.
-        let entries: Vec<String> = (0..fed.subdirs_per_container())
-            .map(|i| join(ct.canonical_path(), &format!("subdir.{i}")))
-            .collect();
-        let probe_ops: Vec<IoOp> = entries
-            .iter()
-            .map(|e| IoOp::Kind { path: e.clone() })
-            .collect();
-        let live: Vec<bool> = ioplane::submit_retried(&self.backend, &probe_ops)
-            .into_iter()
-            .map(|o| !matches!(ioplane::as_kind(o), Err(PlfsError::NotFound(_))))
-            .collect();
-        for i in 0..fed.subdirs_per_container() {
-            let entry = entries[i].clone();
-            if !live[i] {
-                continue; // never created
-            }
-            let old_shadow = fed.shadow_subdir_path(&from, i);
-            let new_shadow = fed.shadow_subdir_path(&to, i);
-            match (old_shadow, new_shadow) {
-                (None, None) => {} // plain dir moved with the container
-                (Some(old), Some(new)) => {
-                    // plfs-lint: allow(raw-backend-in-batch-path): order-dependent shadow-move chain; each step must commit before the next runs
-                    self.backend.mkdir_all(&crate::path::parent(&new))?;
-                    // plfs-lint: allow(raw-backend-in-batch-path): order-dependent shadow-move chain
-                    self.backend.rename(&old, &new)?;
-                    // plfs-lint: allow(raw-backend-in-batch-path): order-dependent shadow-move chain
-                    self.backend.unlink(&entry)?;
-                    // plfs-lint: allow(raw-backend-in-batch-path): order-dependent shadow-move chain
-                    self.backend.create(&entry, true)?;
-                    let metalink = crate::content::Content::bytes(new.into_bytes());
-                    // plfs-lint: allow(raw-backend-in-batch-path): order-dependent shadow-move chain
-                    self.backend.append(&entry, &metalink)?;
-                }
-                (Some(old), None) => {
-                    // Shadow folds back into the canonical container.
-                    // plfs-lint: allow(raw-backend-in-batch-path): unlink→rename swap; the rename must not run (or retry) unless the unlink committed
-                    self.backend.unlink(&entry)?;
-                    // plfs-lint: allow(raw-backend-in-batch-path): second half of the order-dependent swap above
-                    self.backend.rename(&old, &entry)?;
-                }
-                (None, Some(new)) => {
-                    // Plain subdir must move out to a shadow.
-                    // plfs-lint: allow(raw-backend-in-batch-path): order-dependent shadow-move chain; each step must commit before the next runs
-                    self.backend.mkdir_all(&crate::path::parent(&new))?;
-                    // plfs-lint: allow(raw-backend-in-batch-path): order-dependent shadow-move chain
-                    self.backend.rename(&entry, &new)?;
-                    // plfs-lint: allow(raw-backend-in-batch-path): order-dependent shadow-move chain
-                    self.backend.create(&entry, true)?;
-                    let metalink = crate::content::Content::bytes(new.into_bytes());
-                    // plfs-lint: allow(raw-backend-in-batch-path): order-dependent shadow-move chain
-                    self.backend.append(&entry, &metalink)?;
-                }
-            }
+        // Every subdir the new name shadows moves to where it hashes — from
+        // the old name's shadow, or out of the container — and then all of
+        // their metalinks are pointed there at once.
+        let mut moved = Vec::new();
+        for &i in &live {
+            let Some(new) = fed.shadow_subdir_path(&to, i) else {
+                continue; // a plain dir, moved with the container
+            };
+            let src = fed
+                .shadow_subdir_path(&from, i)
+                .unwrap_or_else(|| to_subdirs[i].clone());
+            // plfs-lint: allow(raw-backend-in-batch-path): order-dependent shadow-move chain; each step must commit before the next runs
+            self.backend.mkdir_all(&crate::path::parent(&new))?;
+            // plfs-lint: allow(raw-backend-in-batch-path): order-dependent shadow-move chain
+            self.backend.rename(&src, &new)?;
+            moved.push(i);
         }
+        ct.point_metalinks(&self.backend, &moved)?;
         // Every live shadow has left: drop the old name's (now empty)
         // shadow container directories, one batch.
         for outcome in ioplane::submit_retried(&self.backend, &cf.shadow_removal_ops()) {

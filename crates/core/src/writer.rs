@@ -249,49 +249,19 @@ impl<B: Backend> WriteHandle<B> {
     }
 
     /// Rewrite the index log as its longest whole-record prefix, dropping
-    /// any torn trailing record a failed flush left behind.
-    ///
-    /// The prefix is staged in a scratch file first so the only data-path
-    /// operation (the staging append, which can itself tear or crash)
-    /// happens while the real log is still intact: a failure here leaves
-    /// every already-flushed record where it was, to be realigned again on
-    /// the next attempt. Only once staging succeeds is the log swapped
-    /// out, with pure metadata operations. A scratch file orphaned by a
-    /// crash holds nothing the log doesn't, and fsck reclaims it.
+    /// any torn trailing record a failed flush left behind, through the
+    /// one staged rewrite ([`Container::rewrite_staged`]): the prefix is
+    /// staged in a copy while the log is still intact, so a failure at any
+    /// point leaves every flushed record in the log or in its copy, to be
+    /// realigned again on the next attempt or promoted by fsck.
     fn realign_index_log(&self, index_log: &str) -> Result<()> {
         let size = retry_transient(|| self.backend.size(index_log))?;
         let rem = size % INDEX_RECORD_BYTES;
         if rem == 0 {
             return Ok(());
         }
-        let keep = size - rem;
-        let staged = format!("{index_log}{}", crate::container::REALIGN_SUFFIX);
-        // Staging: the scratch create (truncating an old attempt) and the
-        // prefix read are independent, so they go as one batch; the
-        // staging append needs the read's data and follows on its own.
-        let stage = [
-            IoOp::Create {
-                path: staged.clone(),
-                exclusive: false,
-            },
-            IoOp::ReadAt {
-                path: index_log.to_string(),
-                offset: 0,
-                len: keep,
-            },
-        ];
-        let mut out = ioplane::submit_retried(&self.backend, &stage).into_iter();
-        ioplane::as_unit(ioplane::take(&mut out))?;
-        let prefix = ioplane::as_data(ioplane::take(&mut out))?;
-        if keep > 0 {
-            retry_transient(|| self.backend.append(&staged, &prefix))?;
-        }
-        // The swap stays sequential: the rename must not run unless the
-        // unlink committed (per-op batch retry could otherwise interleave
-        // a hard rename failure into the unlink's retry window).
-        retry_transient(|| self.backend.unlink(index_log))?;
-        retry_transient(|| self.backend.rename(&staged, index_log))?;
-        Ok(())
+        let prefix = retry_transient(|| self.backend.read_at(index_log, 0, size - rem))?;
+        Container::rewrite_staged(&self.backend, &[(index_log.to_string(), prefix)])
     }
 
     /// Whether close-time flattening is still possible for this writer.

@@ -1,8 +1,6 @@
-//! The two evaluation platforms of the paper, as calibrated profiles —
-//! plus named fault profiles for the crash-recovery suite.
+//! The two evaluation platforms of the paper, as calibrated profiles.
 
 use pfs::PfsParams;
-use plfs::faults::FaultConfig;
 use simnet::{Interconnect, InterconnectParams};
 
 /// A compute cluster plus its attached parallel file system.
@@ -59,77 +57,6 @@ impl ClusterProfile {
     }
 }
 
-/// A named, seeded fault schedule the recovery suite runs under. The
-/// seed pins the schedule: every run of a profile injects byte-identical
-/// faults, so a recovery regression reproduces deterministically in CI.
-#[derive(Debug, Clone)]
-pub struct FaultProfile {
-    pub name: &'static str,
-    pub seed: u64,
-    /// Per-data-op probability of a clean, retryable failure.
-    pub transient_prob: f64,
-    /// Per-append probability that only a prefix lands.
-    pub torn_append_prob: f64,
-    /// Freeze the backend after this many data operations.
-    pub crash_after_data_ops: Option<u64>,
-}
-
-impl FaultProfile {
-    /// Occasional dropped RPCs; bounded retries must absorb all of them.
-    pub fn flaky_network(seed: u64) -> Self {
-        FaultProfile {
-            name: "flaky-network",
-            seed,
-            transient_prob: 0.2,
-            torn_append_prob: 0.0,
-            crash_after_data_ops: None,
-        }
-    }
-
-    /// Appends that land partially — the damage fsck must trim away.
-    pub fn torn_writes(seed: u64) -> Self {
-        FaultProfile {
-            name: "torn-writes",
-            seed,
-            transient_prob: 0.05,
-            torn_append_prob: 0.1,
-            crash_after_data_ops: None,
-        }
-    }
-
-    /// A writer process killed mid-checkpoint after `ops` data operations.
-    pub fn writer_crash(seed: u64, ops: u64) -> Self {
-        FaultProfile {
-            name: "writer-crash",
-            seed,
-            transient_prob: 0.0,
-            torn_append_prob: 0.0,
-            crash_after_data_ops: Some(ops),
-        }
-    }
-
-    /// The standard seeded suite the tier-1 gate runs: one profile per
-    /// failure class, at the given base seed.
-    pub fn suite(base_seed: u64) -> Vec<FaultProfile> {
-        vec![
-            FaultProfile::flaky_network(base_seed),
-            FaultProfile::torn_writes(base_seed.wrapping_add(1)),
-            FaultProfile::writer_crash(base_seed.wrapping_add(2), 24),
-        ]
-    }
-
-    /// Materialize as a `plfs::faults::FaultConfig` for a `FaultBackend`.
-    pub fn to_config(&self) -> FaultConfig {
-        FaultConfig {
-            seed: self.seed,
-            transient_prob: self.transient_prob,
-            torn_append_prob: self.torn_append_prob,
-            crash_after_data_ops: self.crash_after_data_ops,
-            crash_tears_append: self.crash_after_data_ops.is_some(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,23 +77,6 @@ mod tests {
         assert_eq!(c.placement(128), (64, 2));
         assert_eq!(c.placement(1024), (64, 16));
         assert_eq!(c.placement(2048), (64, 32)); // oversubscribed, like Fig. 4
-    }
-
-    #[test]
-    fn fault_suite_is_deterministic_and_covers_failure_classes() {
-        let a = FaultProfile::suite(42);
-        let b = FaultProfile::suite(42);
-        assert_eq!(a.len(), 3);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.seed, y.seed, "{}", x.name);
-        }
-        assert!(a.iter().any(|p| p.transient_prob > 0.0));
-        assert!(a.iter().any(|p| p.torn_append_prob > 0.0));
-        assert!(a.iter().any(|p| p.crash_after_data_ops.is_some()));
-        // Profiles materialize into injectable configs.
-        let cfg = FaultProfile::writer_crash(7, 10).to_config();
-        assert_eq!(cfg.crash_after_data_ops, Some(10));
-        assert!(cfg.crash_tears_append);
     }
 
     #[test]

@@ -1,20 +1,27 @@
 //! Crash a checkpoint writer mid-stream, then recover with fsck.
 //!
 //! A checkpoint layer earns its keep on the unhappy path. This example
-//! wraps the in-memory backend in a [`plfs::FaultBackend`] that freezes
-//! (and tears the in-flight append) partway through a strided N-1
-//! checkpoint, then walks the operator's recovery playbook:
+//! records a strided N-1 checkpoint once over a [`plfs::TracingBackend`],
+//! noting where in the trace each block was acknowledged as durable (its
+//! index flushed). The middleware is synchronous, so a crash is a prefix
+//! of that trace: the example cuts it at a chosen op, lands all but the
+//! last byte of that op when it is an append (a torn final write),
+//! replays the cut onto a fresh in-memory backend — the storage a killed
+//! job leaves behind — and walks the operator's recovery playbook:
 //!
-//! 1. `fsck::check` — name the damage the dead writer left behind;
+//! 1. `fsck::check` — name the damage the dead writers left behind;
 //! 2. `fsck::repair` — fix what is mechanical, report the rest;
-//! 3. read back — every write the application saw acknowledged as durable
-//!    (index flushed) comes back byte-exact; nothing is invented.
+//! 3. read back — every block acknowledged before the cut comes back
+//!    byte-exact; nothing is invented.
 //!
-//! Run with: `cargo run --release --example crash_recovery`
+//! `tests/crash_states.rs` runs the same playbook on every cut of every
+//! scenario; this is one of them, narrated.
+//!
+//! Run with: `cargo run --release --example crash_recovery [cut-op]`
+//! (the default cut tears the job's last index flush).
 
-use plfs::faults::{FaultBackend, FaultConfig};
-use plfs::writer::{IndexPolicy, WriteHandle};
-use plfs::{fsck, reader::ReadHandle, Container, Content, Federation, MemFs};
+use plfs::reader::ReadHandle;
+use plfs::{fsck, ioplane, Content, IoOp, MemFs, Plfs, PlfsConfig, TracingBackend};
 use std::sync::Arc;
 
 const BLOCK: u64 = 4096;
@@ -22,70 +29,61 @@ const WRITERS: u64 = 4;
 const ROUNDS: u64 = 8;
 
 fn main() {
-    // Freeze the backend after 20 data operations — mid-schedule, with
-    // the in-flight append torn (a strict prefix lands).
-    let cfg = FaultConfig::crash_at(2012, 20);
-    let backend = Arc::new(FaultBackend::new(MemFs::new(), cfg));
-    let container = Container::new("/ckpt", &Federation::single("/panfs", 4));
-
     println!("== checkpointing: {WRITERS} writers, strided {BLOCK}-byte blocks ==");
+    let traced = Arc::new(TracingBackend::new(MemFs::new()));
+    let trace = traced.trace_handle();
+    let fs = Plfs::new(Arc::clone(&traced), PlfsConfig::basic("/panfs")).expect("mount");
     let mut handles: Vec<_> = (0..WRITERS)
-        .map(|w| {
-            WriteHandle::open(Arc::clone(&backend), container.clone(), w, IndexPolicy::WriteClose)
-                .expect("open")
-        })
+        .map(|w| fs.open_write("/ckpt", w).expect("open"))
         .collect();
-
-    // Track what each writer saw acknowledged as durable: a write is only
-    // durable once a flush_index (or close) covering it succeeded.
-    let mut durable: Vec<Vec<u64>> = vec![Vec::new(); WRITERS as usize];
-    let mut written: Vec<Vec<u64>> = vec![Vec::new(); WRITERS as usize];
-    'job: for k in 0..ROUNDS {
-        for w in 0..WRITERS {
-            let block = k * WRITERS + w;
-            let h = &mut handles[w as usize];
-            match h.write(block * BLOCK, &Content::synthetic(block, BLOCK), block + 1) {
-                Ok(()) => written[w as usize].push(block),
-                Err(e) => {
-                    println!("  writer {w}: write of block {block} failed: {e}");
-                    if backend.crashed() {
-                        break 'job;
-                    }
-                }
-            }
+    // A write is only durable once a flush_index covering it succeeded:
+    // `(trace length at that flush, block)` for every durable block.
+    let mut acked: Vec<(usize, u64)> = Vec::new();
+    let mut buffered: Vec<Vec<u64>> = vec![Vec::new(); WRITERS as usize];
+    for k in 0..ROUNDS {
+        for w in 0..WRITERS as usize {
+            let block = k * WRITERS + w as u64;
+            let h = &mut handles[w];
+            h.write(block * BLOCK, &Content::synthetic(block, BLOCK), block + 1)
+                .expect("write");
+            buffered[w].push(block);
             if k % 2 == 1 {
-                match h.flush_index() {
-                    Ok(()) => durable[w as usize] = written[w as usize].clone(),
-                    Err(e) => {
-                        println!("  writer {w}: index flush failed: {e}");
-                        if backend.crashed() {
-                            break 'job;
-                        }
-                    }
-                }
+                h.flush_index().expect("flush");
+                let at = trace.lock().len();
+                acked.extend(buffered[w].drain(..).map(|b| (at, b)));
             }
         }
     }
-    let stats = backend.stats();
-    println!(
-        "crashed after {} data ops ({} torn, {} rejected while frozen)",
-        stats.data_ops, stats.torn_appends, stats.frozen_rejects
-    );
-    drop(handles); // the writer processes are gone; nothing closed cleanly
+    drop(handles); // the job dies before any writer closes
+    let ops = traced.take_trace();
 
-    // Node restart: storage holds whatever survived; injection is over.
-    backend.revive();
+    let cut = std::env::args()
+        .nth(1)
+        .and_then(|a| a.parse().ok())
+        .or_else(|| {
+            (0..ops.len()).rev().find(|&i| {
+                matches!(&ops[i], IoOp::Append { path, .. } if path.contains("dropping.index."))
+            })
+        })
+        .unwrap_or(ops.len())
+        .min(ops.len());
 
-    println!("\n== fsck: what did the crash leave behind? ==");
-    let report = fsck::check(&backend, &container).expect("check");
-    for issue in &report.issues {
-        println!("  issue: {issue:?}");
+    // The crash: `ops[..cut]` landed, and op `cut` but for its last byte
+    // if it appends.
+    let backend = Arc::new(MemFs::new());
+    ioplane::replay(&*backend, &ops[..cut]);
+    if let Some(IoOp::Append { path, content }) = ops.get(cut) {
+        let (path, content) = (path.clone(), content.slice(0, content.len() - 1));
+        println!("crashed inside op {cut} of {}: {path} torn", ops.len());
+        ioplane::replay(&*backend, &[IoOp::Append { path, content }]);
+    } else {
+        println!("crashed before op {cut} of {}", ops.len());
     }
-    for tail in &report.tails {
-        println!(
-            "  tail:  writer {} data log holds {} bytes, index references {}",
-            tail.writer, tail.physical_bytes, tail.indexed_bytes
-        );
+
+    let container = fs.container("/ckpt");
+    println!("\n== fsck: what did the crash leave behind? ==");
+    for issue in fsck::check(&backend, &container).expect("check").issues {
+        println!("  issue: {issue:?}");
     }
 
     println!("\n== repair ==");
@@ -93,36 +91,25 @@ fn main() {
     for issue in &outcome.fixed {
         println!("  fixed: {issue:?}");
     }
-    for t in &outcome.trimmed_tails {
-        println!(
-            "  trimmed: {} unreferenced bytes from writer {}'s data log",
-            t.physical_bytes - t.indexed_bytes,
-            t.writer
-        );
-    }
-    for issue in &outcome.unrepaired {
-        println!("  UNREPAIRED: {issue:?}");
-    }
-    assert!(outcome.fully_repaired(), "repair must converge: {outcome:?}");
+    println!(
+        "  trimmed {} unreferenced data-log tails",
+        outcome.trimmed_tails.len()
+    );
+    assert!(
+        outcome.fully_repaired(),
+        "repair must converge: {outcome:?}"
+    );
 
     println!("\n== restart: read back every durable block ==");
     let mut r = ReadHandle::open(Arc::clone(&backend), container).expect("open for read");
-    let mut verified = 0u64;
-    for w in 0..WRITERS as usize {
-        for &block in &durable[w] {
-            let got = r.read(block * BLOCK, BLOCK).expect("read");
-            assert_eq!(
-                got,
-                Content::synthetic(block, BLOCK).materialize(),
-                "durable block {block} must survive recovery"
-            );
-            verified += 1;
-        }
+    let durable = acked.iter().filter(|&&(at, _)| at <= cut).count() as u64;
+    for &(_, block) in acked.iter().filter(|&&(at, _)| at <= cut) {
+        let got = r.read(block * BLOCK, BLOCK).expect("read");
+        let want = Content::synthetic(block, BLOCK).materialize();
+        assert_eq!(got, want, "durable block {block} must survive recovery");
     }
-    let lost: u64 = (0..WRITERS as usize)
-        .map(|w| (written[w].len() - durable[w].len()) as u64)
-        .sum();
-    println!("verified {verified} durable blocks byte-exact; {lost} unflushed blocks");
-    println!("were never acknowledged and are legitimately gone — lost work is bounded");
-    println!("by the flush interval, and recovery never invents a byte.");
+    let lost = WRITERS * ROUNDS - durable;
+    println!("verified {durable} durable blocks byte-exact; {lost} blocks were never");
+    println!("acknowledged, so recovery may drop them — lost work is bounded by the");
+    println!("flush interval, and recovery never invents a byte.");
 }

@@ -1,6 +1,5 @@
 //! Shared by the integration tests (`mod common;`): a private temp
-//! directory for the ones that touch the real file system, the pinned
-//! fault seed for the ones that inject faults.
+//! directory for the ones that touch the real file system.
 
 // Each test binary compiles this module and uses its own subset.
 #![allow(dead_code)]
@@ -36,14 +35,4 @@ impl Drop for TempDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
     }
-}
-
-/// Base seed for fault schedules: `default` unless `PLFS_FAULT_SEED`
-/// pins one, as `scripts/tier1.sh` does so that every build replays one
-/// known schedule.
-pub fn fault_seed(default: u64) -> u64 {
-    std::env::var("PLFS_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
 }

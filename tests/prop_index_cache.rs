@@ -19,12 +19,11 @@
 //!
 //! The 8-thread single-flight test lives here too.
 
-use plfs::faults::{FaultBackend, FaultConfig};
 use plfs::reader::ReadHandle;
 use plfs::writer::{flatten_close, IndexPolicy, WriteHandle};
 use plfs::{
-    fsck, Backend, Content, Federation, GlobalIndex, IoOp, MemFs, Plfs, PlfsConfig, PlfsError,
-    TracingBackend,
+    fsck, Backend, Content, Federation, GlobalIndex, IndexEntry, IoOp, MemFs, Plfs, PlfsConfig,
+    PlfsError, TracingBackend,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -81,7 +80,8 @@ enum Step {
         from: usize,
         to: usize,
     },
-    /// A writer dies in its close-time index append; fsck repairs.
+    /// A writer dies in its close-time index append, which lands a strict
+    /// prefix of its records (`seed` picks the length); fsck repairs.
     TornRepair {
         path: usize,
         writer: u64,
@@ -337,30 +337,19 @@ impl<B: Backend + Clone> World<B> {
                 self.quiesce(path);
                 let container = self.mounts[0].container(PATHS[path]);
                 let policy = IndexPolicy::WriteClose;
-                // The writer's subdir exists before the node starts dying,
-                // so the crash cannot tear a metalink (nothing repairs one).
-                let ts = self.tick();
-                WriteHandle::open(self.store.clone(), container.clone(), writer, policy)
-                    .and_then(|h| h.close(ts))
-                    .unwrap();
-                // The node dies 2 to 5 data-path ops in: resolving the
-                // subdir and reopening the logs take one or two, each
-                // write one, and then comes the close-time index append.
-                let dying = Arc::new(FaultBackend::new(
-                    self.store.clone(),
-                    FaultConfig::crash_at(seed, 2 + seed % 4),
-                ));
-                if let Ok(mut h) =
-                    WriteHandle::open(Arc::clone(&dying), container.clone(), writer, policy)
-                {
-                    let mut wrote = true;
-                    for slot in 0..2 {
-                        let ts = self.tick();
-                        wrote &= h.write(slot * BLOCK, &block(ts), ts).is_ok();
-                    }
+                let mut h =
+                    WriteHandle::open(self.store.clone(), container.clone(), writer, policy)
+                        .unwrap();
+                for slot in 0..2 {
                     let ts = self.tick();
-                    self.torn_closes += u64::from(wrote && h.close(ts).is_err());
+                    h.write(slot * BLOCK, &block(ts), ts).unwrap();
                 }
+                let records = IndexEntry::encode_all(h.buffered_index());
+                let torn = records[..seed as usize % records.len()].to_vec();
+                let ipath = container.index_log(&self.store, writer).unwrap();
+                self.store.append(&ipath, &Content::bytes(torn)).unwrap();
+                drop(h);
+                self.torn_closes += 1;
                 let outcome = fsck::repair(&self.store, &container).unwrap();
                 assert!(outcome.fully_repaired(), "{:?}", outcome.unrepaired);
             }

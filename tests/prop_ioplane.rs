@@ -11,23 +11,24 @@
 //! the inline trait default and a real [`Reactor`] — must be observably
 //! equivalent to the synchronous paths op for op, and a `Reactor` over a
 //! seeded `FaultBackend` must run every batch exactly once: the bytes that
-//! land equal the appends its tickets report `Ok`, under transients and
-//! with a crash point between submission and `Ticket::wait`.
+//! land equal the appends its tickets report `Ok` under transients.
 //!
 //! And the two real backends are checked against each other: `MemFs` is
 //! the reference under every byte-verifying test, so the same op sequence
 //! on `MemFs` and on `LocalFs` must give the same outcome *shapes* (the
 //! value, or the error's variant) and the same final state.
 //!
-//! Seeds mix in `PLFS_FAULT_SEED` when set (as tier-1 does for the crash
-//! suite), so a pinned run replays the same fault schedules.
+//! Last, the write path's retry budget: a backend that only ever fails
+//! transiently costs exactly `DEFAULT_RETRY_ATTEMPTS` tries, then the
+//! error surfaces as retryable.
 
 mod common;
 
 use common::TempDir;
 use plfs::faults::{FaultBackend, FaultConfig};
 use plfs::ioplane;
-use plfs::{Backend, Content, IoOp, LocalFs, MemFs, Reactor};
+use plfs::writer::{IndexPolicy, WriteHandle};
+use plfs::{Backend, Container, Content, Federation, IoOp, LocalFs, MemFs, Reactor};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -68,11 +69,6 @@ fn arb_op() -> impl Strategy<Value = IoOp> {
             },
         },
     )
-}
-
-/// Optional pinned base seed (tier-1 style): mixed into every case.
-fn base_seed() -> u64 {
-    common::fault_seed(0)
 }
 
 /// Outcome signature: structural equality via Debug (PlfsError does not
@@ -199,7 +195,7 @@ proptest! {
     ) {
         // Same seed + same op order ⇒ the default submit must gate each
         // op through the injector exactly as sequential calls do.
-        let cfg = FaultConfig::flaky(seed ^ base_seed());
+        let cfg = FaultConfig::flaky(seed);
         let batched = FaultBackend::new(MemFs::new(), cfg.clone());
         let sequential = FaultBackend::new(MemFs::new(), cfg);
         let got = sigs(&batched.submit(&ops));
@@ -207,8 +203,8 @@ proptest! {
         prop_assert_eq!(got, want, "per-op outcomes diverged under faults");
         // Disarm injection before probing so the state comparison itself
         // is fault-free.
-        batched.revive();
-        sequential.revive();
+        batched.disarm();
+        sequential.disarm();
         prop_assert_eq!(probe(&batched), probe(&sequential), "final state diverged");
     }
 
@@ -222,11 +218,9 @@ proptest! {
         // ever re-executed an op that had already succeeded, the file
         // would hold *more* than the acknowledged bytes.
         let cfg = FaultConfig {
-            seed: seed ^ base_seed(),
+            seed,
             transient_prob: 0.35,
             torn_append_prob: 0.0,
-            crash_after_data_ops: None,
-            crash_tears_append: false,
         };
         let b = FaultBackend::new(MemFs::new(), cfg);
         b.create("/f", true).unwrap();
@@ -244,7 +238,7 @@ proptest! {
             .filter(|(o, _)| o.is_ok())
             .map(|(_, &len)| len)
             .sum();
-        b.revive();
+        b.disarm();
         prop_assert_eq!(
             b.size("/f").unwrap(),
             acknowledged,
@@ -290,11 +284,9 @@ proptest! {
         // exactly once, every failed one landed nothing — even though the
         // batches ran concurrently on reactor workers.
         let cfg = FaultConfig {
-            seed: seed ^ base_seed(),
+            seed,
             transient_prob: 0.3,
             torn_append_prob: 0.0,
-            crash_after_data_ops: None,
-            crash_tears_append: false,
         };
         let backend = Arc::new(FaultBackend::new(MemFs::new(), cfg));
         let (files, batches) = plan_batches(&lens);
@@ -304,44 +296,7 @@ proptest! {
         let reactor = Reactor::with_config(Arc::clone(&backend), 2, 4);
         let acked = submit_then_wait(&reactor, &batches);
         drop(reactor);
-        backend.revive();
-        for f in &files {
-            prop_assert_eq!(
-                backend.size(f).unwrap(),
-                acked.get(f).copied().unwrap_or(0),
-                "landed bytes on {} must equal acknowledged appends exactly",
-                f
-            );
-        }
-    }
-
-    #[test]
-    fn crash_between_submission_and_wait_never_duplicates_acked(
-        seed in 0u64..1_000_000,
-        crash_at in 1u64..8,
-        lens in prop::collection::vec(1u64..128, 8..32),
-    ) {
-        // The crash point fires while tickets are still in flight (it is
-        // below the number of submitted appends, and every batch is
-        // submitted before the first wait). Everything after the freeze
-        // fails cleanly and the ledger still balances.
-        let cfg = FaultConfig {
-            seed: seed ^ base_seed(),
-            transient_prob: 0.15,
-            torn_append_prob: 0.0,
-            crash_after_data_ops: Some(crash_at),
-            crash_tears_append: false,
-        };
-        let backend = Arc::new(FaultBackend::new(MemFs::new(), cfg));
-        let (files, batches) = plan_batches(&lens);
-        for f in &files {
-            backend.create(f, true).unwrap();
-        }
-        let reactor = Reactor::with_config(Arc::clone(&backend), 2, 4);
-        let acked = submit_then_wait(&reactor, &batches);
-        drop(reactor);
-        prop_assert!(backend.crashed(), "schedule must cross the crash point");
-        backend.revive();
+        backend.disarm();
         for f in &files {
             prop_assert_eq!(
                 backend.size(f).unwrap(),
@@ -388,4 +343,30 @@ fn submit_then_wait<B: Backend>(
         }
     }
     acked
+}
+
+#[test]
+fn transient_retries_are_bounded_and_surface() {
+    // A backend that *always* fails transiently: the write path must give
+    // up after exactly DEFAULT_RETRY_ATTEMPTS, not hang, and report the
+    // failure as retryable.
+    let cfg = FaultConfig {
+        seed: 3,
+        transient_prob: 1.0,
+        torn_append_prob: 0.0,
+    };
+    let b = Arc::new(FaultBackend::new(MemFs::new(), cfg));
+    let cont = Container::new("/f", &Federation::single("/panfs", 2));
+    let mut h = WriteHandle::open(Arc::clone(&b), cont, 0, IndexPolicy::WriteClose).unwrap();
+    let err = h.write(0, &Content::bytes(vec![7; 16]), 1).unwrap_err();
+    assert!(
+        err.is_transient(),
+        "exhausted retries surface the last error: {err}"
+    );
+    assert_eq!(
+        b.stats().transients,
+        u64::from(plfs::DEFAULT_RETRY_ATTEMPTS),
+        "exactly the configured retry budget was spent"
+    );
+    assert_eq!(b.stats().torn_appends, 0);
 }

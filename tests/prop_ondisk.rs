@@ -9,21 +9,17 @@
 //!   the result whole;
 //! * the end-to-end bounded read path (`ReadHandle::open_bounded` over a
 //!   flattened container) is byte-identical to the plain aggregating
-//!   path, before and after a truncate rewrites the container;
-//! * a seeded crash mid-flatten leaves a container fsck can repair, after
-//!   which bounded and plain reads agree and no byte is invented.
+//!   path, before and after a truncate rewrites the container.
 //!
-//! Seeds mix in `PLFS_FAULT_SEED` when set, exactly as the tier-1 crash
-//! suite does, so a failure replays byte-identically in CI.
+//! A crash mid-flatten is `tests/crash_states.rs`'s `flatten` row: every
+//! crash state of a flatten close, bounded and plain reads compared in
+//! each.
 
-mod common;
-
-use plfs::faults::{FaultBackend, FaultConfig};
 use plfs::index::ondisk::SpanIdxWriter;
 use plfs::reader::ReadHandle;
 use plfs::writer::{self, IndexPolicy, WriteHandle};
 use plfs::{
-    fsck, Container, Content, Federation, GlobalIndex, IndexEntry, MemFs, OnDiskIndex, SpanCache,
+    Container, Content, Federation, GlobalIndex, IndexEntry, MemFs, OnDiskIndex, SpanCache,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -263,153 +259,4 @@ proptest! {
         cont.write_flattened(&backend, &idx).unwrap();
         assert_paths_agree("post-truncate");
     }
-}
-
-/// Base seed for the crash sweep, pinnable via `PLFS_FAULT_SEED` so
-/// tier-1 runs one known schedule on every build.
-fn base_seed() -> u64 {
-    common::fault_seed(0xC1_0C20_12)
-}
-
-/// Crash the backend at every point inside the close/flatten sequence in
-/// turn. Whatever survives — torn spanidx tail, missing footer, stale
-/// file — fsck must detect and repair, after which the bounded and plain
-/// read paths agree byte-for-byte and never invent data.
-#[test]
-fn crash_mid_flatten_leaves_repairable_index() {
-    const SLOT: u64 = 128;
-    let writers = 3u64;
-    let slots_per_writer = 6u64;
-    let data_ops = writers * slots_per_writer;
-
-    let mut torn_spanidx_seen = false;
-    // Data writes occupy ops 1..=data_ops; everything after is the close
-    // (index log appends) and the flatten (spanidx appends). Sweep far
-    // enough to cross the whole flatten tail.
-    for crash_at in data_ops + 1..data_ops + 16 {
-        let cfg = FaultConfig {
-            seed: base_seed() ^ crash_at,
-            transient_prob: 0.0,
-            torn_append_prob: 0.0,
-            crash_after_data_ops: Some(crash_at),
-            crash_tears_append: true,
-        };
-        let b = Arc::new(FaultBackend::new(MemFs::new(), cfg));
-        let cont = Container::new("/ckpt", &Federation::single("/panfs", 4));
-        let mut handles = Vec::new();
-        for w in 0..writers {
-            handles.push(
-                WriteHandle::open(
-                    Arc::clone(&b),
-                    cont.clone(),
-                    w,
-                    IndexPolicy::Flatten { threshold_entries: 4096 },
-                )
-                .unwrap(),
-            );
-        }
-        for s in 0..slots_per_writer {
-            for (w, h) in handles.iter_mut().enumerate() {
-                let slot = s * writers + w as u64;
-                let phys = h.bytes_written();
-                h.write(
-                    slot * SLOT,
-                    &Content::synthetic(w as u64, phys + SLOT).slice(phys, SLOT),
-                    slot + 1,
-                )
-                .unwrap();
-            }
-        }
-        let crashed = match writer::flatten_close(&b, &cont, handles, 9999) {
-            Ok(flattened) => {
-                assert!(flattened, "no crash before {crash_at}: flatten must land");
-                false
-            }
-            Err(_) => {
-                assert!(b.crashed(), "flatten_close may only fail via the crash");
-                true
-            }
-        };
-        b.revive();
-
-        // Record whether this crash point left a torn spanidx behind (a
-        // file that exists but does not open) — the sweep must hit that
-        // shape at least once or it proves nothing about mid-flatten.
-        {
-            use plfs::Backend as _;
-            let fpath = cont.flattened_path();
-            if b.exists(&fpath)
-                && OnDiskIndex::open(b.as_ref(), &fpath, Arc::new(SpanCache::new()))
-                    .unwrap()
-                    .is_none()
-            {
-                torn_spanidx_seen = true;
-                let pre = fsck::check(&b, &cont).unwrap();
-                assert!(
-                    pre.issues
-                        .iter()
-                        .any(|i| matches!(i, fsck::Issue::InvalidFlattenedIndex { .. })),
-                    "torn spanidx must be flagged: {:?}",
-                    pre.issues
-                );
-            }
-        }
-
-        let outcome = fsck::repair(&b, &cont).unwrap();
-        assert!(
-            outcome.fully_repaired(),
-            "crash_at={crash_at}: repair left damage: {:?}",
-            outcome.post.issues
-        );
-
-        // Post-repair the two read paths agree, and every non-hole byte
-        // is the byte the writer actually produced.
-        let mut plain = ReadHandle::open(Arc::clone(&b), cont.clone()).unwrap();
-        let mut bounded = ReadHandle::open_bounded(
-            Arc::clone(&b),
-            cont.clone(),
-            Arc::new(SpanCache::new()),
-        )
-        .unwrap();
-        assert_eq!(bounded.size(), plain.size(), "crash_at={crash_at}");
-        let eof = plain.size();
-        let got = plain.read(0, eof).unwrap();
-        assert_eq!(
-            bounded.read(0, eof).unwrap(),
-            got,
-            "crash_at={crash_at}: bounded and plain reads diverged after repair"
-        );
-        for slot in 0..writers * slots_per_writer {
-            let w = slot % writers;
-            let start = (slot * SLOT) as usize;
-            if start >= got.len() {
-                continue;
-            }
-            let phys0 = (slot / writers) * SLOT;
-            for (j, &g) in got[start..(start + SLOT as usize).min(got.len())].iter().enumerate() {
-                let want = plfs::content::synth_byte(w, phys0 + j as u64);
-                assert!(
-                    g == 0 || g == want,
-                    "crash_at={crash_at} slot={slot} byte={j}: read 0x{g:02x}, \
-                     expected 0x{want:02x} or a hole"
-                );
-            }
-        }
-        if !crashed {
-            // Clean run: all data was acknowledged via flatten_close, so
-            // the readback must be exact, not merely non-invented.
-            for slot in 0..writers * slots_per_writer {
-                let w = slot % writers;
-                let start = (slot * SLOT) as usize;
-                let phys0 = (slot / writers) * SLOT;
-                for (j, &g) in got[start..start + SLOT as usize].iter().enumerate() {
-                    assert_eq!(g, plfs::content::synth_byte(w, phys0 + j as u64));
-                }
-            }
-        }
-    }
-    assert!(
-        torn_spanidx_seen,
-        "the sweep never crashed mid-spanidx-write; widen the crash range"
-    );
 }

@@ -59,8 +59,6 @@ proptest! {
             seed,
             transient_prob: 0.05,
             torn_append_prob: 0.15,
-            crash_after_data_ops: None,
-            crash_tears_append: false,
         };
         let backend = Arc::new(FaultBackend::new(MemFs::new(), fault_cfg));
         // An append error means *this* op, so the no-retry tenant's
@@ -94,7 +92,7 @@ proptest! {
         // The fault storm quiesces (restart semantics); the survivor
         // then reaches its acknowledgement point, which must not be
         // disturbed by the dead tenant's wreckage.
-        backend.revive();
+        backend.disarm();
         insist(|| svc.append(lw, expect.len() as u64, &Content::bytes(b"tail".to_vec())));
         expect.extend_from_slice(b"tail");
         svc.close(lw).unwrap();
