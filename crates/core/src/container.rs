@@ -31,10 +31,11 @@ use crate::content::Content;
 use crate::error::{retry_transient, PlfsError, Result};
 use crate::federation::Federation;
 use crate::index::ondisk::{self, OnDiskIndex, SpanIdxWriter};
-use crate::index::{self, GlobalIndex, IndexEntry, SpanCache, WriterId};
+use crate::index::{self, GlobalIndex, IndexEntry, IndexSource, SpanCache, WriterId};
 use crate::ioplane::{self, IoOp};
 use crate::path::{basename, join, normalize, parent};
 use crate::telemetry;
+use std::sync::Arc;
 
 /// Name of the marker file that distinguishes a container from a plain
 /// directory. Real PLFS uses `.plfsaccess113918400`; we keep it short.
@@ -830,54 +831,17 @@ impl Container {
             .collect()
     }
 
-    /// Aggregate a global index by reading every writer's index log on
-    /// the calling thread — the "Original PLFS Design" path (every reader
-    /// does all the work itself). Uncompacted.
-    pub fn aggregate_index<B: Backend>(&self, b: &B) -> Result<GlobalIndex> {
-        self.aggregate(b, 1)
-    }
-
-    /// [`Container::aggregate_index`] with the index-log reads and decodes
-    /// shared by at most `max_threads` scoped threads — the read half of
-    /// the paper's Parallel Index Read run intra-process. The per-writer
-    /// runs then resolve in one [`GlobalIndex::from_runs`] pass on the
-    /// calling thread: same result, same batches at every thread count.
-    pub fn aggregate_index_parallel<B: Backend>(
-        &self,
-        b: &B,
-        max_threads: usize,
-    ) -> Result<GlobalIndex> {
-        self.aggregate(b, max_threads)
-    }
-
-    fn aggregate<B: Backend>(&self, b: &B, max_threads: usize) -> Result<GlobalIndex> {
-        let _span = telemetry::span(telemetry::SPAN_INDEX_AGGREGATE);
-        let resolved = self.subdirs_phys_batch(b)?;
-        let writers = self.writers_in(b, &resolved)?;
-        let runs = self.read_index_runs(b, &resolved, &writers, max_threads)?;
-        Ok(GlobalIndex::from_runs(&runs, false))
-    }
-
     /// Physical path of the flattened (spanidx) index file.
     pub fn flattened_path(&self) -> String {
         join(&self.canonical, FLATTENED_INDEX)
     }
 
-    /// Write the flattened global index (Index Flatten, done at write
-    /// close by the root process after gathering buffered indices) in
-    /// the binary-searchable spanidx format (DESIGN.md §5j).
-    pub fn write_flattened<B: Backend>(&self, b: &B, index: &GlobalIndex) -> Result<()> {
-        let mut w = SpanIdxWriter::create(b, &self.flattened_path(), FLATTEN_CHUNK_ENTRIES)?;
-        w.push_run(&index.to_entries())?;
-        w.finish()?;
-        Ok(())
-    }
-
-    /// Index Flatten without materializing the merged index: the writers'
-    /// entry runs stream through the resolve-and-compact kernel straight
-    /// into a [`SpanIdxWriter`] — working set O(overlap window + chunk),
-    /// file bit-identical to [`Container::write_flattened`] of the merged,
-    /// compacted whole.
+    /// Write the flattened index (Index Flatten, done at write close by
+    /// the root process after gathering buffered indices) in the
+    /// binary-searchable spanidx format (DESIGN.md §5j), without
+    /// materializing the merge: the entry runs stream through the
+    /// resolve-and-compact kernel straight into a [`SpanIdxWriter`] —
+    /// working set O(overlap window + chunk).
     pub fn write_flattened_runs<B: Backend>(&self, b: &B, runs: &[Vec<IndexEntry>]) -> Result<()> {
         let mut w = SpanIdxWriter::create(b, &self.flattened_path(), FLATTEN_CHUNK_ENTRIES)?;
         index::stream_runs(runs, FLATTEN_CHUNK_ENTRIES, |run| w.push_run(run))?;
@@ -885,23 +849,14 @@ impl Container {
         Ok(())
     }
 
-    /// [`Container::write_flattened_runs`] over partial indices.
-    pub fn write_flattened_streamed<B: Backend>(
-        &self,
-        b: &B,
-        parts: Vec<GlobalIndex>,
-    ) -> Result<()> {
-        self.write_flattened_runs(b, &GlobalIndex::part_runs(parts))
-    }
-
     /// Open the flattened index for memory-bounded lookups: fences and
     /// footer in memory, record windows fetched on demand through
     /// `cache`. `Ok(None)` when no structurally valid spanidx file is
-    /// present (then fall back to [`Container::acquire_index`]).
+    /// present (then fall back to log aggregation).
     pub fn open_ondisk_index<B: Backend>(
         &self,
         b: &B,
-        cache: std::sync::Arc<SpanCache>,
+        cache: Arc<SpanCache>,
     ) -> Result<Option<OnDiskIndex>> {
         OnDiskIndex::open(b, &self.flattened_path(), cache)
     }
@@ -915,53 +870,28 @@ impl Container {
         }
     }
 
-    /// Read the flattened global index whole, if a structurally valid
-    /// spanidx file was written. Torn or legacy flattened files read as
-    /// `None` — the flattened index is a read accelerator, so readers
-    /// fall back to log aggregation and fsck flags the bad file.
+    /// The flattened index read whole, as its compacted resolution: the
+    /// reference fsck's staleness check compares (readers open the file
+    /// bounded, [`IndexProbe::load`]). `None` when absent; a file failing
+    /// [`ondisk::verify_deep`] is `CorruptContainer` with the reason.
     pub fn read_flattened<B: Backend>(&self, b: &B) -> Result<Option<GlobalIndex>> {
         let path = self.flattened_path();
         let mut out = ioplane::submit_retried(b, &[IoOp::Size { path: path.clone() }]).into_iter();
-        match absent_as_none(ioplane::as_size(ioplane::take(&mut out)))? {
-            Some(len) => Self::read_flattened_sized(b, &path, len),
-            None => Ok(None),
-        }
-    }
-
-    /// [`Container::read_flattened`] of a file already sized.
-    fn read_flattened_sized<B: Backend>(
-        b: &B,
-        path: &str,
-        len: u64,
-    ) -> Result<Option<GlobalIndex>> {
+        let Some(len) = absent_as_none(ioplane::as_size(ioplane::take(&mut out)))? else {
+            return Ok(None);
+        };
         let read = [IoOp::ReadAt {
-            path: path.to_string(),
+            path,
             offset: 0,
             len,
         }];
         let mut out = ioplane::submit_retried(b, &read).into_iter();
         let data = ioplane::as_data(ioplane::take(&mut out))?;
-        match ondisk::parse_file(&data.as_bytes()) {
-            // Checksummed, sorted records: one run, no re-sort.
-            Ok((_, records, _)) => Ok(Some(GlobalIndex::from_runs(
-                &[IndexEntry::decode_all(records)?],
-                false,
-            ))),
-            Err(PlfsError::CorruptContainer(_)) => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Preferred index acquisition for a lone (non-collective) reader:
-    /// the flattened index when present, else one-pass aggregation of the
-    /// per-writer logs (reads and decodes threaded), compacted inline.
-    /// Compaction is applied only here — at the terminal aggregation
-    /// point — never to partial indices that may still be merged (see
-    /// the complexity notes in DESIGN.md §5b). Uncached: a mount shares
-    /// one acquisition among its readers through
-    /// [`Container::probe_index`].
-    pub fn acquire_index<B: Backend>(&self, b: &B) -> Result<GlobalIndex> {
-        self.probe(b, &[])?.1.load(b)
+        let bytes = data.as_bytes();
+        ondisk::verify_deep(&bytes)?;
+        let (_, records, _) = ondisk::parse_file(&bytes)?;
+        let runs = [IndexEntry::decode_all(records)?];
+        Ok(Some(GlobalIndex::from_runs(&runs, true)))
     }
 
     /// Physical path of the generation file of this container's canonical
@@ -1015,60 +945,44 @@ impl Container {
     /// validate a cached index against and can [`IndexProbe::load`] the
     /// index that stamp describes.
     pub fn probe_index<B: Backend>(&self, b: &B) -> Result<Option<IndexProbe>> {
-        let lead = [
+        let entries = self.subdir_entries();
+        let flattened_path = self.flattened_path();
+        let mut batch = vec![
             IoOp::Kind {
                 path: join(&self.canonical, ACCESS_FILE),
             },
             IoOp::Size {
                 path: self.generation_path(),
             },
+            IoOp::Size {
+                path: flattened_path.clone(),
+            },
         ];
-        let (mut lead, mut probe) = self.probe(b, &lead)?;
+        batch.extend(entries.iter().map(|e| IoOp::Kind { path: e.clone() }));
+        let mut out = ioplane::submit_retried(b, &batch).into_iter();
         // Only a definitive `NotFound` means "no container", as for
         // [`Backend::exists`].
-        if let Err(PlfsError::NotFound(_)) = ioplane::as_kind(ioplane::take(&mut lead)) {
+        if let Err(PlfsError::NotFound(_)) = ioplane::as_kind(ioplane::take(&mut out)) {
             return Ok(None);
         }
-        probe.stamp.generation =
-            absent_as_none(ioplane::as_size(ioplane::take(&mut lead)))?.unwrap_or(0);
-        Ok(Some(probe))
-    }
-
-    /// The opening batches of an index acquisition, with `lead` riding in
-    /// front of the first: returns `lead`'s outcomes and the probe
-    /// (generation 0 — only [`Container::probe_index`] reads it).
-    fn probe<B: Backend>(
-        &self,
-        b: &B,
-        lead: &[IoOp],
-    ) -> Result<(std::vec::IntoIter<ioplane::IoOutcome>, IndexProbe)> {
-        let entries = self.subdir_entries();
-        let flattened_path = self.flattened_path();
-        let mut batch = lead.to_vec();
-        batch.push(IoOp::Size {
-            path: flattened_path.clone(),
-        });
-        batch.extend(entries.iter().map(|e| IoOp::Kind { path: e.clone() }));
-        let mut out = ioplane::submit_retried(b, &batch);
-        let mut rest = out.split_off(lead.len()).into_iter();
-        let flattened = absent_as_none(ioplane::as_size(ioplane::take(&mut rest)))?;
+        let generation = absent_as_none(ioplane::as_size(ioplane::take(&mut out)))?.unwrap_or(0);
+        let flattened = absent_as_none(ioplane::as_size(ioplane::take(&mut out)))?;
         let resolved = self
-            .resolve_each(b, &entries, rest)
+            .resolve_each(b, &entries, out)
             .into_iter()
             .collect::<Result<Vec<_>>>()?;
         let writers = self.writers_in(b, &resolved)?;
         let log_paths = self.index_log_paths(&resolved, &writers)?;
         let sizes = Self::log_sizes(b, &log_paths)?;
-        let probe = IndexProbe {
+        Ok(Some(IndexProbe {
             stamp: IndexStamp {
-                generation: 0,
+                generation,
                 flattened,
                 logs: writers.into_iter().zip(sizes).collect(),
             },
             flattened_path,
             log_paths,
-        };
-        Ok((out.into_iter(), probe))
+        }))
     }
 
     /// Remove the container and its shadow container directory in every
@@ -1176,20 +1090,32 @@ impl IndexProbe {
         &self.stamp
     }
 
+    /// Each stamped writer's data log: beside its index log, whose subdir
+    /// these batches already resolved.
+    pub(crate) fn data_logs(&self) -> impl Iterator<Item = (WriterId, String)> + '_ {
+        let logs = self.stamp.logs.iter().zip(&self.log_paths);
+        logs.map(|(&(w, _), index_log)| (w, join(&parent(index_log), &format!("{DATA_PREFIX}{w}"))))
+    }
+
     /// The index the stamp describes, byte for byte: the flattened index
-    /// at the size stamped when it parses, else one-pass aggregation of
-    /// exactly the stamped prefix of every log, compacted inline.
-    pub fn load<B: Backend>(&self, b: &B) -> Result<GlobalIndex> {
+    /// at the size stamped, opened bounded through `cache` when it parses
+    /// ([`OnDiskIndex::open_sized`]: footer and fences, no `Size`), else
+    /// one-pass aggregation of exactly the stamped prefix of every log,
+    /// compacted inline. Compaction happens only here, at the terminal
+    /// aggregation, never to partial indices that may still be merged
+    /// (DESIGN.md §5b).
+    pub fn load<B: Backend>(&self, b: &B, cache: &Arc<SpanCache>) -> Result<IndexSource> {
         if let Some(len) = self.stamp.flattened {
-            if let Some(idx) = Container::read_flattened_sized(b, &self.flattened_path, len)? {
-                return Ok(idx);
+            let odx = OnDiskIndex::open_sized(b, &self.flattened_path, len, Arc::clone(cache))?;
+            if let Some(odx) = odx {
+                return Ok(IndexSource::Disk(Arc::new(odx)));
             }
         }
         let _span = telemetry::span(telemetry::SPAN_INDEX_AGGREGATE);
         let sizes: Vec<u64> = self.stamp.logs.iter().map(|&(_, size)| size).collect();
         let threads = default_aggregation_threads();
         let runs = Container::read_logs_sized(b, &self.log_paths, &sizes, threads)?;
-        Ok(GlobalIndex::from_runs(&runs, true))
+        Ok(GlobalIndex::from_runs(&runs, true).into())
     }
 }
 
@@ -1304,8 +1230,7 @@ mod tests {
             .unwrap();
         assert_eq!(c.read_index_log(&b, 6).unwrap(), vec![e]);
         assert_eq!(c.list_writers(&b).unwrap(), vec![6]);
-        let idx = c.aggregate_index(&b).unwrap();
-        assert_eq!(idx.eof(), 10);
+        assert_eq!(aggregate(&b, &c, 1).eof(), 10);
     }
 
     #[test]
@@ -1321,14 +1246,28 @@ mod tests {
             writer: 1,
             timestamp: 2,
         }]);
-        c.write_flattened(&b, &idx).unwrap();
+        c.write_flattened_runs(&b, &[idx.to_entries()]).unwrap();
         assert_eq!(c.read_flattened(&b).unwrap(), Some(idx.clone()));
-        // acquire_index prefers the flattened copy.
-        assert_eq!(c.acquire_index(&b).unwrap(), idx);
+        // A read-open prefers the flattened copy, bounded.
+        let source = load(&b, &c);
+        assert!(source.mem().is_none());
+        assert_eq!(source.eof(), idx.eof());
     }
 
-    /// Populate `writers` index logs with a strided pattern and return the
-    /// entry count per writer.
+    /// Every index log aggregated on at most `threads` threads, uncompacted.
+    fn aggregate(b: &MemFs, c: &Container, threads: usize) -> GlobalIndex {
+        let resolved = c.subdirs_phys_batch(b).unwrap();
+        let writers = c.list_writers(b).unwrap();
+        GlobalIndex::from_runs(&c.read_index_runs(b, &resolved, &writers, threads).unwrap(), false)
+    }
+
+    /// What a read-open of `c` loads.
+    fn load(b: &MemFs, c: &Container) -> IndexSource {
+        let probe = c.probe_index(b).unwrap().unwrap();
+        probe.load(b, &Arc::new(SpanCache::new())).unwrap()
+    }
+
+    /// Populate `writers` index logs with a strided pattern.
     fn seed_index_logs(b: &MemFs, c: &Container, writers: u64, blocks: u64) {
         for w in 0..writers {
             c.ensure_subdir(b, c.subdir_for(w)).unwrap();
@@ -1353,36 +1292,29 @@ mod tests {
         let b = MemFs::new();
         let c = Container::new("/f", &fed1());
         c.create(&b).unwrap();
+        assert!(aggregate(&b, &c, 4).is_empty(), "no log yet");
         seed_index_logs(&b, &c, 13, 7);
-        let serial = c.aggregate_index(&b).unwrap();
-        for threads in [1, 2, 3, 8, 64] {
-            let parallel = c.aggregate_index_parallel(&b, threads).unwrap();
+        let serial = aggregate(&b, &c, 1);
+        for threads in [2, 3, 8, 64] {
+            let parallel = aggregate(&b, &c, threads);
             assert_eq!(parallel, serial, "threads = {threads}");
         }
     }
 
     #[test]
-    fn parallel_aggregation_of_empty_container_is_empty() {
-        let b = MemFs::new();
-        let c = Container::new("/f", &fed1());
-        c.create(&b).unwrap();
-        assert!(c.aggregate_index_parallel(&b, 4).unwrap().is_empty());
-    }
-
-    #[test]
-    fn acquire_index_compacts_terminal_aggregation() {
+    fn load_compacts_terminal_aggregation() {
         let b = MemFs::new();
         let c = Container::new("/f", &fed1());
         c.create(&b).unwrap();
         // One writer, contiguous segments: aggregation yields 6 spans that
         // compact to 1.
         seed_index_logs(&b, &c, 1, 6);
-        let acquired = c.acquire_index(&b).unwrap();
-        let mut expect = c.aggregate_index(&b).unwrap();
+        let loaded = load(&b, &c);
+        let mut expect = aggregate(&b, &c, 1);
         assert_eq!(expect.span_count(), 6);
         expect.compact();
-        assert_eq!(acquired, expect);
-        assert_eq!(acquired.span_count(), 1);
+        assert_eq!(loaded.mem().map(|idx| &**idx), Some(&expect));
+        assert_eq!(expect.span_count(), 1);
     }
 
     #[test]
@@ -1409,12 +1341,16 @@ mod tests {
         };
         b.append(&grown, &Content::bytes(IndexEntry::encode_all(&[extra])))
             .unwrap();
-        let at_stamp = probe.load(&b).unwrap();
+        let cache = Arc::new(SpanCache::new());
+        let at_stamp = probe.load(&b, &cache).unwrap();
         assert_eq!(at_stamp.eof(), 6 * 256);
         let now = c.probe_index(&b).unwrap().unwrap();
         assert_ne!(now.stamp(), probe.stamp(), "an append changes the stamp");
-        assert_eq!(now.load(&b).unwrap(), c.acquire_index(&b).unwrap());
-        assert_eq!(now.load(&b).unwrap().eof(), (1 << 20) + 1);
+        let mut whole = aggregate(&b, &c, 1);
+        whole.compact();
+        let loaded = now.load(&b, &cache).unwrap();
+        assert_eq!(loaded.mem().map(|idx| &**idx), Some(&whole));
+        assert_eq!(loaded.eof(), (1 << 20) + 1);
     }
 
     #[test]

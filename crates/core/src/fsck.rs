@@ -334,42 +334,15 @@ pub fn check<B: Backend>(b: &B, container: &Container) -> Result<CheckReport> {
     // (flatten compacts spans, so the mapping boundaries differ while
     // the bytes resolve identically).
     let fresh = GlobalIndex::from_runs(&[&entries], false);
-    let flat_path = container.flattened_path();
-    if b.exists(&flat_path) {
-        let mut outs = ioplane::submit_retried(
-            b,
-            &[IoOp::Size {
-                path: flat_path.clone(),
-            }],
-        )
-        .into_iter();
-        let len = ioplane::as_size(ioplane::take(&mut outs))?;
-        let mut outs = ioplane::submit_retried(
-            b,
-            &[IoOp::ReadAt {
-                path: flat_path.clone(),
-                offset: 0,
-                len,
-            }],
-        )
-        .into_iter();
-        let data = ioplane::as_data(ioplane::take(&mut outs))?;
-        let bytes = data.as_bytes();
-        match crate::index::ondisk::verify_deep(&bytes) {
-            Ok(_) => {
-                #[expect(clippy::expect_used, reason = "verify_deep just validated the regions")]
-                let (_, records, _) = crate::index::ondisk::parse_file(&bytes)
-                    .expect("verified spanidx parses");
-                let flat = GlobalIndex::from_runs(&[IndexEntry::decode_all(records)?], true);
-                if flat != GlobalIndex::from_runs(&[&entries], true) {
-                    report.issues.push(Issue::StaleFlattenedIndex);
-                }
-            }
-            Err(PlfsError::CorruptContainer(reason)) => {
-                report.issues.push(Issue::InvalidFlattenedIndex { reason });
-            }
-            Err(e) => return Err(e),
+    match container.read_flattened(b) {
+        Ok(Some(flat)) if flat != GlobalIndex::from_runs(&[&entries], true) => {
+            report.issues.push(Issue::StaleFlattenedIndex);
         }
+        Ok(_) => {}
+        Err(PlfsError::CorruptContainer(reason)) => {
+            report.issues.push(Issue::InvalidFlattenedIndex { reason });
+        }
+        Err(e) => return Err(e),
     }
 
     // fsck only runs on quiesced containers, so any surviving openhosts
@@ -689,7 +662,12 @@ pub fn repair<B: Backend>(b: &B, container: &Container) -> Result<RepairOutcome>
 
     // Rebuild the metadir from the replayed (now repaired) indices.
     if refresh_metadir {
-        let idx = container.aggregate_index(b)?;
+        let resolved = container.subdirs_phys_batch(b)?;
+        let writers = container.writers_in(b, &resolved)?;
+        let idx = GlobalIndex::from_runs(
+            &container.read_index_runs(b, &resolved, &writers, 1)?,
+            false,
+        );
         let live: u64 = idx.to_entries().iter().map(|e| e.length).sum();
         container.reset_metadir(b, idx.eof(), live)?;
     }
@@ -745,6 +723,10 @@ mod tests {
     use crate::memfs::MemFs;
     use crate::writer::{flatten_close, IndexPolicy, WriteHandle};
     use std::sync::Arc;
+
+    fn reader(b: &Arc<MemFs>, c: &Container) -> crate::reader::ReadHandle<Arc<MemFs>> {
+        crate::reader::ReadHandle::open_bounded(Arc::clone(b), c.clone(), Arc::default()).unwrap()
+    }
 
     fn healthy_container() -> (Arc<MemFs>, Container) {
         let b = Arc::new(MemFs::new());
@@ -995,7 +977,7 @@ mod tests {
         let after = repair(&b, &cont).unwrap();
         assert!(after.fully_repaired(), "{after:?}");
         // The flushed write survives; the torn one is gone; stat is honest.
-        let mut reader = crate::reader::ReadHandle::open(Arc::clone(&b), cont.clone()).unwrap();
+        let mut reader = reader(&b, &cont);
         assert_eq!(reader.size(), 2100);
         assert_eq!(
             reader.read(2000, 100).unwrap(),
@@ -1045,12 +1027,11 @@ mod tests {
             h.write(w * 50, &Content::synthetic(w, 50), w + 1).unwrap();
             handles.push(h);
         }
-        assert!(flatten_close(&b, &cont, handles, 9).unwrap());
-        assert!(check(&b, &cont).unwrap().is_clean());
-
-        // A later writer extends the file without re-flattening.
+        // A writer that opened before the flatten (a writer's open drops
+        // any flattened index) extends the file after it.
         let mut h =
             WriteHandle::open(Arc::clone(&b), cont.clone(), 9, IndexPolicy::WriteClose).unwrap();
+        assert!(flatten_close(&b, &cont, handles, 9).unwrap());
         h.write(500, &Content::synthetic(9, 50), 99).unwrap();
         h.close(100).unwrap();
         let r = check(&b, &cont).unwrap();
@@ -1059,7 +1040,7 @@ mod tests {
         let after = repair(&b, &cont).unwrap();
         assert!(after.fully_repaired(), "{after:?}");
         // Readers now aggregate and see the full file.
-        let reader = crate::reader::ReadHandle::open(Arc::clone(&b), cont.clone()).unwrap();
+        let reader = reader(&b, &cont);
         assert_eq!(reader.size(), 550);
     }
 
@@ -1090,7 +1071,7 @@ mod tests {
         b.create(&fpath, true).unwrap();
         b.append(&fpath, &torn).unwrap();
         // Readers fall back to aggregation and still see everything.
-        let reader = crate::reader::ReadHandle::open(Arc::clone(&b), cont.clone()).unwrap();
+        let reader = reader(&b, &cont);
         assert_eq!(reader.size(), 100);
         let r = check(&b, &cont).unwrap();
         assert!(
@@ -1188,7 +1169,7 @@ mod tests {
             .filter(|i| matches!(i, Issue::BrokenSubdir { .. }));
         assert_eq!(broken.count(), shadowed.len(), "{:?}", r.issues);
         assert!(repair(&b, &cont).unwrap().fully_repaired());
-        let mut reader = crate::reader::ReadHandle::open(Arc::clone(&b), cont.clone()).unwrap();
+        let mut reader = reader(&b, &cont);
         for w in 0..4u64 {
             let want = Content::synthetic(w, 10).materialize();
             assert_eq!(reader.read(w * 10, 10).unwrap(), want, "writer {w}");

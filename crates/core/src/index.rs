@@ -19,6 +19,7 @@
 
 use crate::error::{PlfsError, Result};
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 pub mod ondisk;
 pub mod spancache;
@@ -192,7 +193,8 @@ struct Span {
 ///     IndexEntry { logical_offset: 0, length: 100, physical_offset: 0, writer: 1, timestamp: 1 },
 ///     IndexEntry { logical_offset: 40, length: 20, physical_offset: 0, writer: 2, timestamp: 2 },
 /// ]);
-/// let pieces = idx.lookup(30, 40);
+/// let mut pieces = Vec::new();
+/// idx.lookup_into(30, 40, &mut pieces);
 /// assert_eq!(pieces.len(), 3);
 /// assert_eq!(pieces[1].source, Source::Writer { writer: 2, physical_offset: 0 });
 /// assert_eq!(idx.eof(), 100);
@@ -368,23 +370,17 @@ impl GlobalIndex {
         parts.into_iter().map(|p| p.to_entries()).collect()
     }
 
-    /// Resolve a logical read into data-log extents and holes.
+    /// Resolve a logical read into data-log extents and holes, appending
+    /// to a caller-owned buffer so hot read loops (the reader, the mpio
+    /// driver's per-rank resolution) reuse one allocation.
     ///
-    /// The returned mappings exactly tile `[offset, offset + len)` in order.
-    pub fn lookup(&self, offset: u64, len: u64) -> Vec<Mapping> {
-        let mut out = Vec::new();
-        self.lookup_into(offset, len, &mut out);
-        out
-    }
-
-    /// [`GlobalIndex::lookup`], appending into a caller-owned buffer so
-    /// hot read loops (the reader, the mpio driver's per-rank resolution)
-    /// reuse one allocation instead of taking a fresh `Vec` per call.
+    /// The appended mappings exactly tile `[offset, offset + len)` in
+    /// order, the end clamped to `u64::MAX`.
     pub fn lookup_into(&self, offset: u64, len: u64, out: &mut Vec<Mapping>) {
-        if len == 0 {
+        let end = offset.saturating_add(len);
+        if end <= offset {
             return;
         }
-        let end = offset + len;
         let mut cursor = offset;
 
         // Start from the last span beginning at or before `offset`.
@@ -444,28 +440,6 @@ impl GlobalIndex {
                 }
             }
         }
-    }
-
-    /// Like [`GlobalIndex::lookup`], but coalesces adjacent mappings a
-    /// reader can serve with one backend `read_at`: consecutive pieces from
-    /// the same writer whose physical offsets are contiguous, and runs of
-    /// holes. A strided checkpoint read that tiles into hundreds of
-    /// per-block mappings collapses to one mapping per writer run, so the
-    /// read path issues proportionally fewer backend operations. The
-    /// BTreeMap is walked once; coalescing is a linear in-place pass.
-    pub fn lookup_coalesced(&self, offset: u64, len: u64) -> Vec<Mapping> {
-        let mut out = Vec::new();
-        self.lookup_coalesced_into(offset, len, &mut out);
-        out
-    }
-
-    /// [`GlobalIndex::lookup_coalesced`] into a caller-owned buffer.
-    /// Only the mappings appended by this call are coalesced; anything
-    /// already in `out` is left untouched.
-    pub fn lookup_coalesced_into(&self, offset: u64, len: u64, out: &mut Vec<Mapping>) {
-        let base = out.len();
-        self.lookup_into(offset, len, out);
-        coalesce_mappings_from(out, base);
     }
 
     /// Logical end-of-file: one past the highest written byte.
@@ -748,47 +722,100 @@ pub(crate) fn coalesce_mappings_from(v: &mut Vec<Mapping>, base: usize) {
     v.truncate(w);
 }
 
-/// Read-side index abstraction: [`crate::reader::ReadHandle`] resolves
-/// reads through either the fully materialized [`GlobalIndex`] (behind
-/// the `Arc` its readers share) or the memory-bounded
-/// [`crate::index::ondisk::OnDiskIndex`]. The backend is passed per call
-/// so an on-disk representation can fetch record windows lazily; the
-/// in-memory implementation ignores it and cannot fail.
-pub trait SpanLookup {
-    /// Append the coalesced mappings tiling `[offset, offset + len)` to
-    /// `out` (pre-existing contents untouched).
-    fn resolve_into<B: crate::backend::Backend>(
-        &mut self,
+/// How a reader resolves logical offsets: a materialized
+/// [`GlobalIndex`] (aggregated logs, or a collective's index) or the
+/// memory-bounded [`OnDiskIndex`] over a flattened container's spanidx.
+/// Both sit behind an `Arc`, so every reader a mount opens on one
+/// container state shares one — and a `Disk` one shares its warm
+/// windows through the [`SpanCache`] it was opened with.
+#[derive(Clone)]
+pub enum IndexSource {
+    /// The whole index in memory.
+    Mem(Arc<GlobalIndex>),
+    /// Footer and fences in memory, record windows fetched on demand.
+    Disk(Arc<OnDiskIndex>),
+}
+
+impl IndexSource {
+    /// Logical end-of-file: one past the highest written byte.
+    pub fn eof(&self) -> u64 {
+        match self {
+            IndexSource::Mem(idx) => idx.eof(),
+            IndexSource::Disk(odx) => odx.eof(),
+        }
+    }
+
+    /// The materialized index, when this is one (`None` for `Disk`: by
+    /// design no whole index exists).
+    pub fn mem(&self) -> Option<&Arc<GlobalIndex>> {
+        match self {
+            IndexSource::Mem(idx) => Some(idx),
+            IndexSource::Disk(_) => None,
+        }
+    }
+
+    /// Append the mappings tiling `[offset, offset + len)` to `out`,
+    /// coalesced so that each run one backend `read_at` can serve is one
+    /// mapping: consecutive pieces of one writer whose bytes are
+    /// contiguous in its data log, and runs of holes. Mappings already in
+    /// `out` are left untouched. `b` fetches a `Disk` source's record
+    /// windows; a `Mem` source ignores it and cannot fail.
+    pub fn resolve_into<B: crate::backend::Backend>(
+        &self,
         b: &B,
         offset: u64,
         len: u64,
         out: &mut Vec<Mapping>,
-    ) -> Result<()>;
-
-    /// Logical end-of-file: one past the highest written byte.
-    fn eof(&self) -> u64;
-}
-
-impl SpanLookup for std::sync::Arc<GlobalIndex> {
-    fn resolve_into<B: crate::backend::Backend>(
-        &mut self,
-        _b: &B,
-        offset: u64,
-        len: u64,
-        out: &mut Vec<Mapping>,
     ) -> Result<()> {
-        self.lookup_coalesced_into(offset, len, out);
+        let base = out.len();
+        match self {
+            IndexSource::Mem(idx) => idx.lookup_into(offset, len, out),
+            IndexSource::Disk(odx) => odx.lookup_into(b, offset, len, out)?,
+        }
+        coalesce_mappings_from(out, base);
         Ok(())
     }
 
-    fn eof(&self) -> u64 {
-        GlobalIndex::eof(self)
+    /// Estimated resident bytes (what the mount's index cache budgets
+    /// by): the interval map of a `Mem` source, the fences and footer of
+    /// a `Disk` one — never its records.
+    pub(crate) fn heap_bytes(&self) -> u64 {
+        match self {
+            IndexSource::Mem(idx) => idx.heap_bytes(),
+            IndexSource::Disk(odx) => odx.heap_bytes(),
+        }
+    }
+}
+
+impl From<GlobalIndex> for IndexSource {
+    fn from(index: GlobalIndex) -> Self {
+        IndexSource::Mem(Arc::new(index))
+    }
+}
+
+impl From<Arc<GlobalIndex>> for IndexSource {
+    fn from(index: Arc<GlobalIndex>) -> Self {
+        IndexSource::Mem(index)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`GlobalIndex::lookup_into`] into a fresh buffer.
+    fn lookup(idx: &GlobalIndex, offset: u64, len: u64) -> Vec<Mapping> {
+        let mut out = Vec::new();
+        idx.lookup_into(offset, len, &mut out);
+        out
+    }
+
+    /// [`lookup`], coalesced as [`IndexSource::resolve_into`] does.
+    fn coalesced(idx: &GlobalIndex, offset: u64, len: u64) -> Vec<Mapping> {
+        let mut out = lookup(idx, offset, len);
+        coalesce_mappings_from(&mut out, 0);
+        out
+    }
 
     fn e(lo: u64, len: u64, phys: u64, w: WriterId, ts: u64) -> IndexEntry {
         IndexEntry {
@@ -826,7 +853,7 @@ mod tests {
     #[test]
     fn disjoint_writes_resolve_directly() {
         let idx = GlobalIndex::from_entries([e(0, 10, 0, 1, 1), e(10, 10, 0, 2, 1)]);
-        let m = idx.lookup(0, 20);
+        let m = lookup(&idx, 0, 20);
         assert_eq!(m.len(), 2);
         assert_eq!(
             m[0].source,
@@ -848,7 +875,7 @@ mod tests {
     #[test]
     fn later_timestamp_wins_overwrite() {
         let idx = GlobalIndex::from_entries([e(0, 10, 0, 1, 1), e(0, 10, 0, 2, 2)]);
-        let m = idx.lookup(0, 10);
+        let m = lookup(&idx, 0, 10);
         assert_eq!(m.len(), 1);
         assert_eq!(
             m[0].source,
@@ -863,7 +890,7 @@ mod tests {
     fn partial_overwrite_splits_span() {
         // Writer 1 covers [0,100); writer 2 later overwrites [40,60).
         let idx = GlobalIndex::from_entries([e(0, 100, 0, 1, 1), e(40, 20, 500, 2, 2)]);
-        let m = idx.lookup(0, 100);
+        let m = lookup(&idx, 0, 100);
         assert_eq!(m.len(), 3);
         assert_eq!(
             m[0],
@@ -907,7 +934,7 @@ mod tests {
         let mut idx = GlobalIndex::new();
         idx.insert(&e(0, 10, 0, 2, 5)); // newer
         idx.insert(&e(0, 20, 100, 1, 1)); // older, wider
-        let m = idx.lookup(0, 20);
+        let m = lookup(&idx, 0, 20);
         assert_eq!(m.len(), 2);
         assert_eq!(
             m[0].source,
@@ -932,7 +959,7 @@ mod tests {
         let b = GlobalIndex::from_entries([e(0, 10, 0, 2, 7), e(0, 10, 0, 1, 7)]);
         assert_eq!(a, b);
         assert_eq!(
-            a.lookup(0, 10)[0].source,
+            lookup(&a, 0, 10)[0].source,
             Source::Writer {
                 writer: 2,
                 physical_offset: 0
@@ -943,14 +970,14 @@ mod tests {
     #[test]
     fn holes_read_as_holes() {
         let idx = GlobalIndex::from_entries([e(10, 5, 0, 1, 1)]);
-        let m = idx.lookup(0, 20);
+        let m = lookup(&idx, 0, 20);
         assert_eq!(m.len(), 3);
         assert_eq!(m[0].source, Source::Hole);
         assert_eq!(m[0].length, 10);
         assert_eq!(m[2].source, Source::Hole);
         assert_eq!(m[2].length, 5);
         // Entirely past EOF.
-        let past = idx.lookup(100, 10);
+        let past = lookup(&idx, 100, 10);
         assert_eq!(past.len(), 1);
         assert_eq!(past[0].source, Source::Hole);
     }
@@ -959,7 +986,7 @@ mod tests {
     fn lookup_tiles_range_exactly() {
         let idx =
             GlobalIndex::from_entries([e(0, 7, 0, 1, 1), e(7, 3, 7, 1, 1), e(15, 5, 10, 2, 2)]);
-        let m = idx.lookup(2, 16);
+        let m = lookup(&idx, 2, 16);
         let mut cursor = 2;
         for piece in &m {
             assert_eq!(piece.logical_offset, cursor);
@@ -1018,7 +1045,7 @@ mod tests {
         assert_eq!(idx.span_count(), 16);
         // Every logical block maps to the right writer and physical offset.
         for blk in 0..16u64 {
-            let m = idx.lookup(blk * 1024, 1024);
+            let m = lookup(&idx, blk * 1024, 1024);
             assert_eq!(m.len(), 1);
             assert_eq!(
                 m[0].source,
@@ -1041,7 +1068,7 @@ mod tests {
         assert_eq!(idx.span_count(), 1);
         assert_eq!(idx.eof(), 400);
         // Lookups unchanged.
-        let m = idx.lookup(150, 100);
+        let m = lookup(&idx, 150, 100);
         assert_eq!(m.len(), 1);
         assert_eq!(
             m[0].source,
@@ -1069,7 +1096,7 @@ mod tests {
         // compaction (mapping boundaries may differ).
         let resolve = |idx: &GlobalIndex| -> Vec<(u64, Source)> {
             let mut out = Vec::new();
-            for m in idx.lookup(0, 30) {
+            for m in lookup(&idx, 0, 30) {
                 for i in 0..m.length {
                     out.push((
                         m.logical_offset + i,
@@ -1191,7 +1218,7 @@ mod tests {
     }
 
     #[test]
-    fn lookup_coalesced_merges_contiguous_runs_and_holes() {
+    fn coalescing_merges_contiguous_runs_and_holes() {
         // Writer 1's blocks land back-to-back in its log; writer 2 breaks
         // the run; then a hole split across two unwritten gaps.
         let idx = GlobalIndex::from_entries([
@@ -1201,7 +1228,7 @@ mod tests {
             e(30, 10, 0, 2, 1),
             e(60, 10, 30, 1, 1),
         ]);
-        let m = idx.lookup_coalesced(0, 80);
+        let m = coalesced(&idx, 0, 80);
         assert_eq!(
             m,
             vec![
@@ -1246,18 +1273,30 @@ mod tests {
     #[test]
     fn lookup_into_appends_and_reuses_buffer() {
         let idx = GlobalIndex::from_entries([e(0, 10, 0, 1, 1), e(20, 10, 10, 1, 1)]);
+        let source = IndexSource::from(idx.clone());
+        let b = crate::memfs::MemFs::new();
         let mut buf = Vec::new();
         idx.lookup_into(0, 10, &mut buf);
         assert_eq!(buf.len(), 1);
         // Appends after existing content; coalescing never reaches back
         // past the appended region.
-        idx.lookup_coalesced_into(0, 30, &mut buf);
+        source.resolve_into(&b, 0, 30, &mut buf).unwrap();
         assert_eq!(buf.len(), 4);
         assert_eq!(buf[0], buf[1]); // the old mapping survived untouched
-        assert_eq!(idx.lookup(0, 10), buf[..1].to_vec());
+        assert_eq!(lookup(&idx, 0, 10), buf[..1].to_vec());
         buf.clear();
-        idx.lookup_coalesced_into(0, 30, &mut buf);
-        assert_eq!(buf, idx.lookup_coalesced(0, 30));
+        source.resolve_into(&b, 0, 30, &mut buf).unwrap();
+        assert_eq!(buf, coalesced(&idx, 0, 30));
+    }
+
+    #[test]
+    fn lookup_end_clamps_instead_of_wrapping() {
+        let idx = GlobalIndex::from_entries([e(0, 10, 0, 1, 1)]);
+        let m = lookup(&idx, u64::MAX - 1, 4);
+        assert_eq!(m.len(), 1);
+        assert_eq!((m[0].logical_offset, m[0].length), (u64::MAX - 1, 1));
+        assert_eq!(m[0].source, Source::Hole);
+        assert!(lookup(&idx, u64::MAX, 4).is_empty());
     }
 
     /// Reference for streaming-merge tests: materialize the whole merge,
@@ -1414,13 +1453,13 @@ mod tests {
     }
 
     #[test]
-    fn lookup_coalesced_does_not_merge_discontiguous_phys() {
+    fn coalescing_does_not_merge_discontiguous_phys() {
         // Same writer, adjacent logical blocks, but a gap in the data log
         // (an overwritten region was cut out): two separate reads.
         let idx = GlobalIndex::from_entries([e(0, 10, 0, 1, 1), e(10, 10, 50, 1, 1)]);
-        assert_eq!(idx.lookup_coalesced(0, 20).len(), 2);
+        assert_eq!(coalesced(&idx, 0, 20).len(), 2);
         // And coalesced lookups tile exactly like plain lookups.
-        let total: u64 = idx.lookup_coalesced(0, 20).iter().map(|m| m.length).sum();
+        let total: u64 = coalesced(&idx, 0, 20).iter().map(|m| m.length).sum();
         assert_eq!(total, 20);
     }
 }

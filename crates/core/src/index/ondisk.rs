@@ -15,12 +15,14 @@
 //!
 //! The layout is append-only friendly (containers only ever append), so
 //! the versioned header lives at the **end** as a footer. A reader
-//! bootstraps with three tiny reads — size, footer, fence region — and
-//! thereafter serves any lookup by binary-searching the in-memory fences
-//! and fetching just the [`SPANIDX_FENCE_STRIDE`]-record windows that
-//! overlap the request: one batched list-I/O submission per miss, with
-//! decoded windows kept in the sharded [`SpanCache`]. Memory is
-//! O(fences + cache budget), never O(entries).
+//! bootstraps with a size (which a mount's stamp already holds) and one
+//! read of the file's tail — footer and fence region together up to ~8
+//! Mi records, a second read beyond — and thereafter serves any lookup by
+//! binary-searching the in-memory fences and fetching just the
+//! [`SPANIDX_FENCE_STRIDE`]-record windows that overlap the request: one
+//! batched list-I/O submission per miss, with decoded windows kept in the
+//! sharded [`SpanCache`]. Memory is O(fences + cache budget), never
+//! O(entries).
 //!
 //! The authoritative constants table lives in DESIGN.md §5j and is
 //! drift-checked both ways by `plfs-lint`.
@@ -29,9 +31,7 @@ use crate::backend::Backend;
 use crate::content::Content;
 use crate::error::{PlfsError, Result};
 use crate::index::spancache::SpanCache;
-use crate::index::{
-    coalesce_mappings_from, IndexEntry, Mapping, Source, SpanLookup, INDEX_RECORD_BYTES,
-};
+use crate::index::{IndexEntry, Mapping, Source, INDEX_RECORD_BYTES};
 use crate::ioplane::{self, IoOp};
 use std::sync::Arc;
 
@@ -334,6 +334,10 @@ impl<'a, B: Backend> SpanIdxWriter<'a, B> {
     }
 }
 
+/// Bytes a bounded open reads from the end of a spanidx file in one op:
+/// the footer plus the fence region of up to ~8 Mi records.
+const OPEN_TAIL_BYTES: u64 = 64 * 1024;
+
 /// Monotonic id distinguishing cache entries of different index
 /// instances sharing one [`SpanCache`].
 static NEXT_CACHE_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
@@ -350,46 +354,81 @@ pub struct OnDiskIndex {
 }
 
 impl OnDiskIndex {
-    /// Bootstrap from `path`: size probe, footer read, fence read — three
-    /// small plane submissions, O(fences) memory. Returns `Ok(None)` when
-    /// the file is absent **or** is not a structurally valid spanidx
-    /// (legacy or torn flattened indices are a read-time accelerator
-    /// only; callers fall back to aggregation and fsck flags the file).
+    /// Bootstrap from `path`: size probe, then [`OnDiskIndex::open_sized`]
+    /// — two small plane submissions for up to ~8 Mi records, O(fences)
+    /// memory. Returns `Ok(None)` when the file is absent **or** is not a
+    /// structurally valid spanidx (legacy or torn flattened indices are a
+    /// read-time accelerator only; callers fall back to aggregation and
+    /// fsck flags the file).
     pub fn open<B: Backend>(b: &B, path: &str, cache: Arc<SpanCache>) -> Result<Option<Self>> {
         let probe = [IoOp::Size {
             path: path.to_string(),
         }];
         let mut out = ioplane::submit_retried(b, &probe).into_iter();
-        let size = match ioplane::as_size(ioplane::take(&mut out)) {
-            Ok(s) => s,
-            Err(PlfsError::NotFound(_)) => return Ok(None),
-            Err(e) => return Err(e),
-        };
+        match ioplane::as_size(ioplane::take(&mut out)) {
+            Ok(size) => Self::open_sized(b, path, size, cache),
+            Err(PlfsError::NotFound(_)) => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// [`OnDiskIndex::open`] of a file already sized (a mount's stamp
+    /// carries the size): one read of the file's last 64 KiB
+    /// — the footer, and the fence region with it whenever that fits (up
+    /// to ~8 Mi records) — else a second read for the fences. `Ok(None)`
+    /// as for `open`, and when the file is gone or no longer `size` bytes.
+    pub fn open_sized<B: Backend>(
+        b: &B,
+        path: &str,
+        size: u64,
+        cache: Arc<SpanCache>,
+    ) -> Result<Option<Self>> {
+        Self::open_tail(b, path, size, OPEN_TAIL_BYTES, cache)
+    }
+
+    /// [`OnDiskIndex::open_sized`] with the first read `tail` bytes long.
+    fn open_tail<B: Backend>(
+        b: &B,
+        path: &str,
+        size: u64,
+        tail: u64,
+        cache: Arc<SpanCache>,
+    ) -> Result<Option<Self>> {
         if size < SPANIDX_FOOTER_BYTES {
             return Ok(None);
         }
-        let foot_read = [IoOp::ReadAt {
+        let tail_at = size - size.min(tail.max(SPANIDX_FOOTER_BYTES));
+        let tail_read = [IoOp::ReadAt {
             path: path.to_string(),
-            offset: size - SPANIDX_FOOTER_BYTES,
-            len: SPANIDX_FOOTER_BYTES,
+            offset: tail_at,
+            len: size - tail_at,
         }];
-        let mut out = ioplane::submit_retried(b, &foot_read).into_iter();
-        let foot = ioplane::as_data(ioplane::take(&mut out))?;
-        let footer = match SpanIdxFooter::from_bytes(&foot.as_bytes()) {
-            Ok(f) => f,
-            Err(PlfsError::CorruptContainer(_)) => return Ok(None),
+        let mut out = ioplane::submit_retried(b, &tail_read).into_iter();
+        let tail = match ioplane::as_data(ioplane::take(&mut out)) {
+            Ok(tail) if tail.len() == size - tail_at => tail,
+            Ok(_) | Err(PlfsError::NotFound(_)) => return Ok(None),
             Err(e) => return Err(e),
         };
-        if footer.expected_file_size() != size {
-            return Ok(None);
-        }
-        let fence_read = [IoOp::ReadAt {
-            path: path.to_string(),
-            offset: footer.record_count * INDEX_RECORD_BYTES,
-            len: footer.fence_count * SPANIDX_FENCE_BYTES,
-        }];
-        let mut out = ioplane::submit_retried(b, &fence_read).into_iter();
-        let fences = decode_fences(&ioplane::as_data(ioplane::take(&mut out))?.as_bytes())?;
+        let tail = tail.as_bytes();
+        let footer_at = tail.len() - SPANIDX_FOOTER_BYTES as usize;
+        let footer = match SpanIdxFooter::from_bytes(&tail[footer_at..]) {
+            Ok(f) if f.expected_file_size() == size => f,
+            Ok(_) | Err(PlfsError::CorruptContainer(_)) => return Ok(None),
+            Err(e) => return Err(e),
+        };
+        let fences_at = footer.record_count * INDEX_RECORD_BYTES;
+        let fences = match fences_at.checked_sub(tail_at) {
+            Some(lo) => decode_fences(&tail[lo as usize..footer_at])?,
+            None => {
+                let fence_read = [IoOp::ReadAt {
+                    path: path.to_string(),
+                    offset: fences_at,
+                    len: footer.fence_count * SPANIDX_FENCE_BYTES,
+                }];
+                let mut out = ioplane::submit_retried(b, &fence_read).into_iter();
+                decode_fences(&ioplane::as_data(ioplane::take(&mut out))?.as_bytes())?
+            }
+        };
         Ok(Some(OnDiskIndex {
             path: path.into(),
             footer,
@@ -409,44 +448,29 @@ impl OnDiskIndex {
         &self.footer
     }
 
-    /// The in-memory fence pointers.
-    pub fn fences(&self) -> &[u64] {
-        &self.fences
+    /// Estimated resident bytes: fences and footer, whatever the record
+    /// count (the records stay on disk or in the shared [`SpanCache`]).
+    pub(crate) fn heap_bytes(&self) -> u64 {
+        (self.fences.len() as u64) * SPANIDX_FENCE_BYTES
+            + (self.path.len() + std::mem::size_of::<Self>()) as u64
     }
 
-    /// Resolve a logical read into data-log extents and holes, exactly
-    /// tiling `[offset, offset + len)` like [`crate::GlobalIndex::lookup`].
-    pub fn lookup<B: Backend>(&mut self, b: &B, offset: u64, len: u64) -> Result<Vec<Mapping>> {
-        let mut out = Vec::new();
-        self.lookup_into(b, offset, len, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`OnDiskIndex::lookup`] with backend-op coalescing, like
-    /// [`crate::GlobalIndex::lookup_coalesced`].
-    pub fn lookup_coalesced<B: Backend>(
-        &mut self,
-        b: &B,
-        offset: u64,
-        len: u64,
-    ) -> Result<Vec<Mapping>> {
-        let mut out = Vec::new();
-        self.lookup_coalesced_into(b, offset, len, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`OnDiskIndex::lookup`] into a caller-owned buffer.
+    /// Resolve a logical read into data-log extents and holes, appending
+    /// mappings that exactly tile `[offset, offset + len)` (the end
+    /// clamped to `u64::MAX`) like [`crate::GlobalIndex::lookup_into`].
+    /// `&self`: the window cache locks internally, so one index serves
+    /// every reader.
     pub fn lookup_into<B: Backend>(
-        &mut self,
+        &self,
         b: &B,
         offset: u64,
         len: u64,
         out: &mut Vec<Mapping>,
     ) -> Result<()> {
-        if len == 0 {
+        let end = offset.saturating_add(len);
+        if end <= offset {
             return Ok(());
         }
-        let end = offset + len;
         let mut cursor = offset;
         if self.footer.record_count > 0 {
             let (w_lo, w_hi) = self.window_range(offset, end);
@@ -496,21 +520,6 @@ impl OnDiskIndex {
         Ok(())
     }
 
-    /// [`OnDiskIndex::lookup_coalesced`] into a caller-owned buffer; only
-    /// the appended mappings are coalesced.
-    pub fn lookup_coalesced_into<B: Backend>(
-        &mut self,
-        b: &B,
-        offset: u64,
-        len: u64,
-        out: &mut Vec<Mapping>,
-    ) -> Result<()> {
-        let base = out.len();
-        self.lookup_into(b, offset, len, out)?;
-        coalesce_mappings_from(out, base);
-        Ok(())
-    }
-
     /// Inclusive window range whose records can overlap `[offset, end)`.
     ///
     /// Fences are the logical offsets of each window's first record, so
@@ -526,7 +535,7 @@ impl OnDiskIndex {
     /// Fetch windows `w_lo..=w_hi` in order: cache probes first, then ONE
     /// batched list-I/O submission for every missed window.
     fn fetch_windows<B: Backend>(
-        &mut self,
+        &self,
         b: &B,
         w_lo: u64,
         w_hi: u64,
@@ -568,22 +577,6 @@ impl OnDiskIndex {
             .into_iter()
             .map(|g| g.unwrap_or_default())
             .collect())
-    }
-}
-
-impl SpanLookup for OnDiskIndex {
-    fn resolve_into<B: Backend>(
-        &mut self,
-        b: &B,
-        offset: u64,
-        len: u64,
-        out: &mut Vec<Mapping>,
-    ) -> Result<()> {
-        self.lookup_coalesced_into(b, offset, len, out)
-    }
-
-    fn eof(&self) -> u64 {
-        OnDiskIndex::eof(self)
     }
 }
 
@@ -692,7 +685,7 @@ mod tests {
             .collect();
         let gidx = GlobalIndex::from_entries(entries.clone());
         write_idx(&b, "/idx", &entries);
-        let mut odx = OnDiskIndex::open(&b, "/idx", cache).unwrap().unwrap();
+        let odx = OnDiskIndex::open(&b, "/idx", cache).unwrap().unwrap();
         assert_eq!(odx.eof(), gidx.eof());
         let probes: &[(u64, u64)] = &[
             (0, 50),
@@ -703,18 +696,35 @@ mod tests {
             (gidx.eof() + 1000, 5),                 // entirely past eof
             (55, 0),
         ];
+        let lookup = |off, len| {
+            let mut on_disk = Vec::new();
+            odx.lookup_into(&b, off, len, &mut on_disk).unwrap();
+            let mut in_mem = Vec::new();
+            gidx.lookup_into(off, len, &mut in_mem);
+            (on_disk, in_mem)
+        };
         for &(off, len) in probes {
-            assert_eq!(
-                odx.lookup(&b, off, len).unwrap(),
-                gidx.lookup(off, len),
-                "lookup({off}, {len})"
-            );
-            assert_eq!(
-                odx.lookup_coalesced(&b, off, len).unwrap(),
-                gidx.lookup_coalesced(off, len),
-                "lookup_coalesced({off}, {len})"
-            );
+            let (on_disk, in_mem) = lookup(off, len);
+            assert_eq!(on_disk, in_mem, "lookup({off}, {len})");
         }
+        // An end past u64::MAX clamps on both sides alike.
+        let (on_disk, in_mem) = lookup(u64::MAX - 1, 4);
+        assert_eq!((on_disk.len(), &on_disk), (1, &in_mem));
+    }
+
+    #[test]
+    fn fences_beyond_the_first_read_take_a_second() {
+        use crate::backend::TracingBackend;
+        let b = TracingBackend::new(MemFs::new());
+        let entries: Vec<IndexEntry> = (0..3000u64).map(|i| e(i * 10, 10, i * 10, 1, 1)).collect();
+        write_idx(&b, "/idx", &entries);
+        let size = b.size("/idx").unwrap();
+        b.take_trace();
+        let odx = OnDiskIndex::open_tail(&b, "/idx", size, 0, Arc::default()).unwrap().unwrap();
+        assert_eq!(b.take_trace().len(), 2, "the footer alone, then the fences");
+        let mut out = Vec::new();
+        odx.lookup_into(&b, 25_000, 20, &mut out).unwrap();
+        assert_eq!(out[0].source, Source::Writer { writer: 1, physical_offset: 25_000 });
     }
 
     #[test]
@@ -726,15 +736,18 @@ mod tests {
             .map(|i| e(i * 10, 10, i * 10, 1, 1))
             .collect();
         write_idx(&traced, "/idx", &entries);
-        let mut odx = OnDiskIndex::open(&traced, "/idx", cache).unwrap().unwrap();
+        let odx = OnDiskIndex::open(&traced, "/idx", cache).unwrap().unwrap();
         traced.take_trace();
         let t0 = traced.trips();
         // A read spanning both windows: both miss, ONE submission.
-        odx.lookup(&traced, 0, 2 * SPANIDX_FENCE_STRIDE * 10).unwrap();
+        let mut out = Vec::new();
+        odx.lookup_into(&traced, 0, 2 * SPANIDX_FENCE_STRIDE * 10, &mut out)
+            .unwrap();
         assert_eq!(traced.trips() - t0, 1);
         // Both windows now cached: zero further submissions.
-        odx.lookup(&traced, 5, 50).unwrap();
-        odx.lookup(&traced, SPANIDX_FENCE_STRIDE * 10 + 5, 50).unwrap();
+        odx.lookup_into(&traced, 5, 50, &mut out).unwrap();
+        odx.lookup_into(&traced, SPANIDX_FENCE_STRIDE * 10 + 5, 50, &mut out)
+            .unwrap();
         assert_eq!(traced.trips() - t0, 1);
         assert!(traced.take_trace().len() <= 1);
     }

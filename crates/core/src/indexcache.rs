@@ -3,7 +3,9 @@
 //! aggregates, then broadcasts" (DESIGN.md §5l).
 //!
 //! One per [`crate::Plfs`], keyed by canonical container path. An entry
-//! is `(stamp, Arc<GlobalIndex>)`; a read-open fetches the container's
+//! is `(stamp, IndexSource)`: `Mem` for aggregated logs, `Disk` (fences
+//! and footer; the mount's `SpanCache` holds the record windows) for a
+//! flattened container. A read-open fetches the container's
 //! current [`IndexStamp`] (a few metadata batches, no log read) and is a
 //! **hit** when it equals the entry's. Concurrent opens of one container
 //! are **single-flight**: the first becomes the leader and aggregates,
@@ -13,18 +15,20 @@
 //!
 //! The one lock here is a leaf: nothing else is acquired under it and
 //! the loader runs with it released, so no guard spans backend I/O.
-//! Entries are LRU under [`INDEX_CACHE_BUDGET_BYTES`]; an index larger
-//! than the whole budget is handed to its opener and not retained.
+//! Entries are LRU under [`INDEX_CACHE_BUDGET_BYTES`], each charged its
+//! [`IndexSource`]'s resident bytes — for `Disk`, fences and footer, so
+//! a flattened container is retained whatever its record count; an index
+//! larger than the whole budget is handed to its opener and not retained.
 
 use crate::container::IndexStamp;
 use crate::error::Result;
-use crate::index::GlobalIndex;
+use crate::index::IndexSource;
 use crate::telemetry::{
     self, CTR_INDEX_CACHE_EVICTIONS, CTR_INDEX_CACHE_HITS, CTR_INDEX_CACHE_MISSES,
     CTR_INDEX_CACHE_WAITS,
 };
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Estimated bytes of shared indices one mount keeps: the 131,072-span
 /// index of a 128-writer × 1,024-block checkpoint is ~5 MiB, so this
@@ -33,7 +37,7 @@ pub const INDEX_CACHE_BUDGET_BYTES: u64 = 64 * 1024 * 1024;
 
 struct Entry {
     stamp: IndexStamp,
-    index: Arc<GlobalIndex>,
+    index: IndexSource,
     bytes: u64,
     /// Key into [`State::recency`].
     used: u64,
@@ -52,14 +56,14 @@ struct State {
 
 impl State {
     /// The index cached for `key`, if it was built from `stamp`.
-    fn hit(&mut self, key: &str, stamp: &IndexStamp) -> Option<Arc<GlobalIndex>> {
+    fn hit(&mut self, key: &str, stamp: &IndexStamp) -> Option<IndexSource> {
         let entry = self.entries.get_mut(key).filter(|e| e.stamp == *stamp)?;
         self.tick += 1;
         if let Some(path) = self.recency.remove(&entry.used) {
             self.recency.insert(self.tick, path);
         }
         entry.used = self.tick;
-        Some(Arc::clone(&entry.index))
+        Some(entry.index.clone())
     }
 
     fn remove(&mut self, key: &str) {
@@ -75,7 +79,7 @@ impl State {
         &mut self,
         key: &str,
         stamp: IndexStamp,
-        index: Arc<GlobalIndex>,
+        index: IndexSource,
         budget: u64,
     ) -> u64 {
         self.remove(key);
@@ -162,8 +166,8 @@ impl IndexCache {
         &self,
         key: &str,
         stamp: &IndexStamp,
-        load: impl FnOnce() -> Result<GlobalIndex>,
-    ) -> Result<Arc<GlobalIndex>> {
+        load: impl FnOnce() -> Result<IndexSource>,
+    ) -> Result<IndexSource> {
         let mut waited = false;
         let mut slots = self.locked();
         let shared = loop {
@@ -190,10 +194,10 @@ impl IndexCache {
         }
         telemetry::count(CTR_INDEX_CACHE_MISSES, 1);
         let flight = Flight { cache: self, key };
-        let index = Arc::new(load()?);
+        let index = load()?;
         let evicted = self
             .locked()
-            .insert(key, stamp.clone(), Arc::clone(&index), self.budget);
+            .insert(key, stamp.clone(), index.clone(), self.budget);
         // Only now: a waiter woken earlier would find nothing to share.
         drop(flight);
         if evicted > 0 {
@@ -216,18 +220,13 @@ mod tests {
     use crate::content::Content;
     use crate::error::PlfsError;
     use crate::federation::Federation;
-    use crate::index::IndexEntry;
+    use crate::index::{IndexEntry, SpanCache, INDEX_RECORD_BYTES};
     use crate::memfs::MemFs;
     use crate::Backend;
+    use std::sync::Arc;
 
-    /// A container whose one index log holds `records` disjoint records,
-    /// and its stamp.
-    fn stamped(b: &MemFs, name: &str, records: u64) -> (String, IndexStamp, GlobalIndex) {
-        let c = Container::new(name, &Federation::single("/ns", 1));
-        c.create(b).unwrap();
-        c.ensure_subdir(b, 0).unwrap();
-        let log = c.index_log(b, 0).unwrap();
-        let entries: Vec<IndexEntry> = (0..records)
+    fn records(n: u64) -> Vec<IndexEntry> {
+        (0..n)
             .map(|k| IndexEntry {
                 logical_offset: 2 * k,
                 length: 1,
@@ -235,14 +234,27 @@ mod tests {
                 writer: 0,
                 timestamp: 1,
             })
-            .collect();
+            .collect()
+    }
+
+    /// A container whose one index log holds `records` disjoint records,
+    /// and its stamp and loaded index.
+    fn stamped(b: &MemFs, name: &str, n: u64) -> (String, IndexStamp, IndexSource) {
+        let c = Container::new(name, &Federation::single("/ns", 1));
+        c.create(b).unwrap();
+        c.ensure_subdir(b, 0).unwrap();
+        let log = c.index_log(b, 0).unwrap();
         b.create(&log, false).unwrap();
-        b.append(&log, &Content::bytes(IndexEntry::encode_all(&entries)))
+        b.append(&log, &Content::bytes(IndexEntry::encode_all(&records(n))))
             .unwrap();
         let probe = c.probe_index(b).unwrap().unwrap();
-        let index = probe.load(b).unwrap();
-        assert_eq!(index.span_count() as u64, records);
+        let index = probe.load(b, &Arc::new(SpanCache::new())).unwrap();
+        assert_eq!(spans(&index), n as usize);
         (c.canonical_path().to_string(), probe.stamp().clone(), index)
+    }
+
+    fn spans(source: &IndexSource) -> usize {
+        source.mem().map_or(0, |idx| idx.span_count())
     }
 
     #[test]
@@ -256,11 +268,11 @@ mod tests {
         let again = cache
             .get_or_load(&key, &stamp, || panic!("a hit does not load"))
             .unwrap();
-        assert!(Arc::ptr_eq(&first, &again));
+        assert!(Arc::ptr_eq(first.mem().unwrap(), again.mem().unwrap()));
         let (_, grown, bigger) = stamped(&b, "/a", 5);
         let reloaded = cache.get_or_load(&key, &grown, || Ok(bigger)).unwrap();
-        assert_eq!(reloaded.span_count(), 5);
-        assert!(!Arc::ptr_eq(&first, &reloaded));
+        assert_eq!(spans(&reloaded), 5);
+        assert!(!Arc::ptr_eq(first.mem().unwrap(), reloaded.mem().unwrap()));
     }
 
     #[test]
@@ -272,7 +284,7 @@ mod tests {
         assert!(matches!(failed, Err(PlfsError::Io(_))));
         assert_eq!(cache.resident_bytes(), 0);
         let ok = cache.get_or_load(&key, &stamp, || Ok(index)).unwrap();
-        assert_eq!(ok.span_count(), 2);
+        assert_eq!(spans(&ok), 2);
     }
 
     #[test]
@@ -330,7 +342,7 @@ mod tests {
                     Ok(index.clone())
                 })
                 .unwrap();
-            assert_eq!(served.span_count(), 1000);
+            assert_eq!(spans(&served), 1000);
         }
         assert_eq!(loads, 2, "never retained, so every open loads");
         assert_eq!(
@@ -338,5 +350,26 @@ mod tests {
             resident,
             "and nothing was evicted for it"
         );
+    }
+
+    #[test]
+    fn a_disk_entry_is_charged_its_fences_and_footer_not_its_records() {
+        let b = MemFs::new();
+        let c = Container::new("/flat", &Federation::single("/ns", 1));
+        c.create(&b).unwrap();
+        let n = 5000;
+        c.write_flattened_runs(&b, &[records(n)]).unwrap();
+        let probe = c.probe_index(&b).unwrap().unwrap();
+        let disk = probe.load(&b, &Arc::new(SpanCache::new())).unwrap();
+        assert!(disk.mem().is_none(), "a flattened container loads bounded");
+        let cache = IndexCache::new();
+        cache
+            .get_or_load(c.canonical_path(), probe.stamp(), || Ok(disk.clone()))
+            .unwrap();
+        let fences = n.div_ceil(crate::index::ondisk::SPANIDX_FENCE_STRIDE);
+        assert!(disk.heap_bytes() >= fences * 8);
+        let charged = cache.resident_bytes();
+        let records = n * INDEX_RECORD_BYTES;
+        assert!(charged < 1024, "{charged} B charged for {records} B of records");
     }
 }

@@ -20,7 +20,7 @@
 //! overwrites by timestamp. The paper's two read-scaling contributions —
 //! **Index Flatten** (aggregate the global index at write close) and
 //! **Parallel Index Read** (hierarchical aggregation at read open) — are
-//! supported here by container-level mechanics ([`container::Container::write_flattened`],
+//! supported here by container-level mechanics ([`container::Container::write_flattened_runs`],
 //! per-subindex reads) while the collective choreography lives in the
 //! `mpio` crate, mirroring how real PLFS implements them inside its MPI-IO
 //! (ADIO) driver.
@@ -71,7 +71,7 @@ pub use content::Content;
 pub use error::{retry_transient, PlfsError, Result, DEFAULT_RETRY_ATTEMPTS};
 pub use faults::{FaultBackend, FaultConfig, FaultStats};
 pub use federation::Federation;
-pub use index::{GlobalIndex, IndexEntry, Mapping, OnDiskIndex, SpanCache, SpanLookup, WriterId};
+pub use index::{GlobalIndex, IndexEntry, IndexSource, Mapping, OnDiskIndex, SpanCache, WriterId};
 pub use ioplane::async_plane::{Completion, Reactor, Ticket};
 pub use ioplane::{IoOp, IoOutcome, IoStats, IoValue};
 pub use localfs::LocalFs;

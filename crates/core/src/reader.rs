@@ -1,51 +1,43 @@
 //! The PLFS read path.
 //!
-//! Opening a PLFS file for read requires a [`GlobalIndex`]; how that index
+//! A reader resolves logical offsets through an [`IndexSource`]; how that
 //! is obtained is the crux of the paper's Section IV:
 //!
-//! * **Original design** — every reader aggregates every writer's index
-//!   log itself: N readers × N index logs = N² opens on the underlying
-//!   file system. [`ReadHandle::open`] is this, the uncached primitive
-//!   (it falls back to aggregation when no flattened index exists).
-//! * **Index Flatten** — the flattened index written at close is read
-//!   instead (one open).
-//! * **Parallel Index Read** — a collective divides the index logs among
-//!   readers and merges hierarchically; the resulting index is injected
-//!   with [`ReadHandle::open_with_index`]. The collective choreography
-//!   (group leaders, exchanges, broadcast) lives in the `mpio` crate.
-//!   In-process, the mount is the group leader: [`crate::Plfs::open_read`]
+//! * **Fresh mount per reader** — the Original design: every reader
+//!   aggregates every writer's index log itself, N readers × N index logs
+//!   = N² opens on the underlying file system. In-process, one
+//!   [`crate::Plfs`] mount is the group leader: [`crate::Plfs::open_read`]
 //!   aggregates once per container state and hands every reader the same
-//!   `Arc<GlobalIndex>` (DESIGN.md §5l), so R opens of an unchanged
-//!   container cost one aggregation and R stamps.
+//!   `Arc` (DESIGN.md §5l), so R opens of an unchanged container cost one
+//!   aggregation and R stamps.
+//! * **Index Flatten through the bounded reader** — the flattened index
+//!   written at close is opened instead: footer and fences in memory,
+//!   record windows fetched on demand ([`crate::index::OnDiskIndex`],
+//!   DESIGN.md §5j). The mount does this for every flattened container;
+//!   [`ReadHandle::open_bounded`] is the same open without a mount.
+//! * **Parallel Index Read** — a collective divides the index logs among
+//!   readers and merges hierarchically; [`ReadHandle::open`] takes the
+//!   resulting index. The collective choreography (group leaders,
+//!   exchanges, broadcast) lives in the `mpio` crate.
 //!
-//! All strategies yield an identical index, so `ReadHandle` behaviour is
+//! All strategies resolve identically, so `ReadHandle` behaviour is
 //! strategy-independent after open — asserted by integration tests.
 
 use crate::backend::Backend;
 use crate::container::Container;
 use crate::content::Content;
 use crate::error::{PlfsError, Result};
-use crate::index::{GlobalIndex, Mapping, OnDiskIndex, Source, SpanCache, SpanLookup, WriterId};
+use crate::index::{GlobalIndex, IndexSource, Mapping, Source, SpanCache, WriterId};
 use crate::ioplane::{self, IoOp};
 use crate::telemetry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// How an open handle resolves logical offsets to data-log extents:
-/// either a fully materialized [`GlobalIndex`] — shared, so every reader
-/// a mount opens on one container state holds the same one — or a
-/// memory-bounded [`OnDiskIndex`] over the spanidx file. Both go through
-/// [`SpanLookup`], so the read path below is representation-blind.
-enum IndexRepr {
-    Mem(Arc<GlobalIndex>),
-    Disk(OnDiskIndex),
-}
-
 /// An open-for-read PLFS file.
 pub struct ReadHandle<B: Backend> {
     backend: B,
     container: Container,
-    repr: IndexRepr,
+    source: IndexSource,
     /// Resolved data-log paths, cached so repeated reads skip metalink
     /// resolution. `Arc<str>` so handing a path to each mapping is a
     /// refcount bump, not a string copy.
@@ -56,92 +48,55 @@ pub struct ReadHandle<B: Backend> {
 }
 
 impl<B: Backend> ReadHandle<B> {
-    /// Open for read, acquiring the index from the container: the
-    /// flattened index when present, otherwise full self-aggregation (the
-    /// Original design). Memory is O(entries); see
-    /// [`ReadHandle::open_bounded`] for the O(cache window) variant.
-    pub fn open(backend: B, container: Container) -> Result<Self> {
-        let _span = telemetry::span(telemetry::SPAN_READ_OPEN);
-        let index = container.acquire_index(&backend)?;
-        Ok(Self::with_parts(
-            backend,
-            container,
-            IndexRepr::Mem(Arc::new(index)),
-        ))
-    }
-
-    /// Open for read with memory bounded by the span-cache budget: when
-    /// the container has a valid spanidx flattened index, only its footer
-    /// and fence pointers are loaded and record windows stream through
-    /// `cache` on demand. Falls back to [`ReadHandle::open`] aggregation
-    /// when no usable flattened index exists.
-    pub fn open_bounded(backend: B, container: Container, cache: Arc<SpanCache>) -> Result<Self> {
-        let _span = telemetry::span(telemetry::SPAN_READ_OPEN);
-        match container.open_ondisk_index(&backend, cache)? {
-            Some(odx) => Ok(Self::with_parts(backend, container, IndexRepr::Disk(odx))),
-            None => {
-                let index = container.acquire_index(&backend)?;
-                Ok(Self::with_parts(
-                    backend,
-                    container,
-                    IndexRepr::Mem(Arc::new(index)),
-                ))
-            }
-        }
-    }
-
-    /// Open for read with an index supplied by a collective aggregation
-    /// (Parallel Index Read or a broadcast flattened index) — by value,
-    /// or an `Arc` the supplier keeps sharing with other readers.
-    pub fn open_with_index(
-        backend: B,
-        container: Container,
-        index: impl Into<Arc<GlobalIndex>>,
-    ) -> Result<Self> {
-        Ok(Self::with_parts(
-            backend,
-            container,
-            IndexRepr::Mem(index.into()),
-        ))
-    }
-
-    fn with_parts(backend: B, container: Container, repr: IndexRepr) -> Self {
+    /// Read `container` through `source`: a mount's shared index, a
+    /// collective's (Parallel Index Read or a broadcast flattened index)
+    /// — by value or an `Arc` the supplier keeps sharing — or a bounded
+    /// [`crate::index::OnDiskIndex`]. No I/O: the index is already in hand.
+    pub fn open(backend: B, container: Container, source: impl Into<IndexSource>) -> Self {
         ReadHandle {
             backend,
             container,
-            repr,
+            source: source.into(),
             log_paths: HashMap::new(),
             map_buf: Vec::new(),
         }
     }
 
+    /// The mount-less bounded open: the spanidx first (a `Size`, then
+    /// footer and fences in one tail read; O(fences) memory, record
+    /// windows streamed through `cache`), else log aggregation. [`crate::Plfs::open_read`]
+    /// opens flattened containers the same way and shares the result;
+    /// this stays for callers without a mount (the benchmark's
+    /// `restart_flat_mem`).
+    pub fn open_bounded(backend: B, container: Container, cache: Arc<SpanCache>) -> Result<Self> {
+        let _span = telemetry::span(telemetry::SPAN_READ_OPEN);
+        let source = match container.open_ondisk_index(&backend, Arc::clone(&cache))? {
+            Some(odx) => IndexSource::Disk(Arc::new(odx)),
+            None => match container.probe_index(&backend)? {
+                Some(probe) => probe.load(&backend, &cache)?,
+                None => return Err(PlfsError::NotFound(container.logical_path().to_string())),
+            },
+        };
+        Ok(Self::open(backend, container, source))
+    }
+
+    /// Seed the data-log paths a mount's probe already resolved, so the
+    /// first read of each writer skips resolving its subdir again.
+    pub(crate) fn with_data_logs(mut self, logs: impl Iterator<Item = (WriterId, String)>) -> Self {
+        self.log_paths.extend(logs.map(|(w, path)| (w, path.into())));
+        self
+    }
+
     /// Logical file size.
     pub fn size(&self) -> u64 {
-        self.eof()
+        self.source.eof()
     }
 
-    fn eof(&self) -> u64 {
-        match &self.repr {
-            IndexRepr::Mem(idx) => idx.eof(),
-            IndexRepr::Disk(odx) => odx.eof(),
-        }
-    }
-
-    /// The in-memory global index this handle resolves reads through —
-    /// `None` when the handle is memory-bounded (no materialized index
-    /// exists by design; use [`ReadHandle::size`] and the read methods).
-    /// The `Arc` is the one every reader of this container state shares
-    /// when the handle came from [`crate::Plfs::open_read`].
+    /// The in-memory index this handle reads through (the `Arc` a
+    /// mount's readers of one container state share); `None` when it is
+    /// memory-bounded.
     pub fn index(&self) -> Option<&Arc<GlobalIndex>> {
-        match &self.repr {
-            IndexRepr::Mem(idx) => Some(idx),
-            IndexRepr::Disk(_) => None,
-        }
-    }
-
-    /// The container being read.
-    pub fn container(&self) -> &Container {
-        &self.container
+        self.source.mem()
     }
 
     fn log_path(&mut self, writer: WriterId) -> Result<Arc<str>> {
@@ -157,13 +112,9 @@ impl<B: Backend> ReadHandle<B> {
     /// bytes. Holes read as zeros; reads past EOF are truncated (POSIX
     /// short read).
     pub fn read(&mut self, offset: u64, len: u64) -> Result<Vec<u8>> {
-        let eof = self.eof();
-        if offset >= eof {
-            return Ok(Vec::new());
-        }
-        let len = len.min(eof - offset);
-        let mut out = Vec::with_capacity(len as usize);
-        for piece in self.read_pieces(offset, len)? {
+        let pieces = self.read_pieces(offset, len)?;
+        let mut out = Vec::with_capacity(pieces.iter().map(|p| p.len() as usize).sum());
+        for piece in pieces {
             out.extend_from_slice(&piece.as_bytes());
         }
         Ok(out)
@@ -171,7 +122,8 @@ impl<B: Backend> ReadHandle<B> {
 
     /// Read `len` logical bytes at `offset` as content pieces (keeps
     /// synthetic extents symbolic — this is what scale tests use to
-    /// verify terabyte-logical files without materializing them).
+    /// verify terabyte-logical files without materializing them). Reads
+    /// past EOF are truncated, as for [`ReadHandle::read`].
     ///
     /// Mappings are resolved with one index walk and coalesced: adjacent
     /// pieces from the same writer whose bytes are contiguous in its data
@@ -179,14 +131,13 @@ impl<B: Backend> ReadHandle<B> {
     /// costs one backend operation per writer run rather than per block.
     pub fn read_pieces(&mut self, offset: u64, len: u64) -> Result<Vec<Content>> {
         let _span = telemetry::span(telemetry::SPAN_READ_LOOKUP);
+        let len = len.min(self.source.eof().saturating_sub(offset));
         // Reuse the mapping scratch (taken out so `log_path` below can
         // borrow `self` mutably while the mappings are walked).
         let mut mappings = std::mem::take(&mut self.map_buf);
         mappings.clear();
-        match &mut self.repr {
-            IndexRepr::Mem(idx) => idx.resolve_into(&self.backend, offset, len, &mut mappings)?,
-            IndexRepr::Disk(odx) => odx.resolve_into(&self.backend, offset, len, &mut mappings)?,
-        }
+        self.source
+            .resolve_into(&self.backend, offset, len, &mut mappings)?;
         // Resolve every mapping to either a hole or a planned read, then
         // submit all the reads as ONE plane batch (one submission for the
         // whole fan-out; transient failures are retried per op by the
@@ -247,6 +198,20 @@ mod tests {
     use crate::writer::{flatten_close, IndexPolicy, WriteHandle};
     use std::sync::Arc;
 
+    /// Every index log of `c` aggregated on `threads` threads, uncompacted
+    /// and never looking at a flattened index.
+    fn logs<B: Backend>(b: &B, c: &Container, threads: usize) -> GlobalIndex {
+        let resolved = c.subdirs_phys_batch(b).unwrap();
+        let writers = c.list_writers(b).unwrap();
+        GlobalIndex::from_runs(&c.read_index_runs(b, &resolved, &writers, threads).unwrap(), false)
+    }
+
+    /// A mount-less open: bounded when `c` is flattened, else aggregated.
+    fn reader(b: &Arc<MemFs>, c: &Container) -> ReadHandle<Arc<MemFs>> {
+        let cache = Arc::new(SpanCache::new());
+        ReadHandle::open_bounded(Arc::clone(b), c.clone(), cache).unwrap()
+    }
+
     fn write_strided(
         b: &Arc<MemFs>,
         c: &Container,
@@ -276,7 +241,7 @@ mod tests {
         for h in handles {
             h.close(9).unwrap();
         }
-        let mut r = ReadHandle::open(Arc::clone(&b), c.clone()).unwrap();
+        let mut r = reader(&b, &c);
         assert_eq!(r.size(), 4 * 3 * 64);
         // Check each block reads back as the writer's synthetic stream.
         for bl in 0..3u64 {
@@ -296,90 +261,47 @@ mod tests {
     }
 
     #[test]
-    fn flattened_and_aggregated_reads_agree() {
+    fn every_index_source_serves_identical_bytes() {
         let total = 3 * 5 * 32u64;
-        let mk = |flatten: bool| {
+        let build = |policy| {
             let b = Arc::new(MemFs::new());
             let c = Container::new("/f", &Federation::single("/ns", 2));
-            let policy = if flatten {
-                IndexPolicy::Flatten {
-                    threshold_entries: 1000,
-                }
-            } else {
-                IndexPolicy::WriteClose
-            };
             let handles = write_strided(&b, &c, 3, 5, 32, policy);
-            if flatten {
-                assert!(flatten_close(&b, &c, handles, 9).unwrap());
-            } else {
-                for h in handles {
-                    h.close(9).unwrap();
-                }
-            }
+            let flattened = policy != IndexPolicy::WriteClose;
+            assert_eq!(flatten_close(&b, &c, handles, 9).unwrap(), flattened);
             (b, c)
         };
-        let (fb, fc) = mk(true);
-        let flat = ReadHandle::open(Arc::clone(&fb), fc)
-            .unwrap()
-            .read(0, total)
-            .unwrap();
+        let (fb, fc) = build(IndexPolicy::Flatten {
+            threshold_entries: 1000,
+        });
+        let mut flat = reader(&fb, &fc);
+        assert!(flat.index().is_none(), "a flattened container opens bounded");
+        let want = flat.read(0, total).unwrap();
 
-        let (ab, ac) = mk(false);
-        // Default open path (threaded aggregation + terminal compaction).
-        let open = ReadHandle::open(Arc::clone(&ab), ac.clone())
-            .unwrap()
-            .read(0, total)
-            .unwrap();
-        // Serial uncompacted, threaded, and explicitly compacted indices
-        // must all serve identical bytes.
-        let serial = ac.aggregate_index(&ab).unwrap();
-        let threaded = ac.aggregate_index_parallel(&ab, 4).unwrap();
-        assert_eq!(threaded, serial, "threaded aggregation diverged");
+        let (ab, ac) = build(IndexPolicy::WriteClose);
+        let mut aggregated = reader(&ab, &ac);
+        assert!(aggregated.index().is_some(), "no spanidx → aggregation");
+        assert_eq!(aggregated.read(0, total).unwrap(), want);
+        for off in (0..total).step_by(96) {
+            assert_eq!(flat.read(off, 48).unwrap(), aggregated.read(off, 48).unwrap());
+        }
+        // Serial, threaded, compacted and hierarchically merged (Parallel
+        // Index Read in two groups) indices serve the same bytes.
+        let serial = logs(&*ab, &ac, 1);
+        assert_eq!(logs(&*ab, &ac, 4), serial, "threaded aggregation diverged");
         let mut compacted = serial.clone();
         compacted.compact();
-        let read_with = |idx: GlobalIndex| {
-            ReadHandle::open_with_index(Arc::clone(&ab), ac.clone(), idx)
-                .unwrap()
-                .read(0, total)
-                .unwrap()
+        let group = |ws: &[u64]| {
+            let runs: Vec<_> = ws.iter().map(|&w| ac.read_index_log(&*ab, w).unwrap()).collect();
+            GlobalIndex::from_runs(&runs, false)
         };
-        assert_eq!(flat, open);
-        assert_eq!(flat, read_with(serial));
-        assert_eq!(flat, read_with(threaded));
-        assert_eq!(flat, read_with(compacted));
-    }
-
-    #[test]
-    fn injected_index_matches_self_aggregation() {
-        let b = Arc::new(MemFs::new());
-        let c = Container::new("/f", &Federation::single("/ns", 4));
-        let handles = write_strided(&b, &c, 4, 2, 16, IndexPolicy::WriteClose);
-        for h in handles {
-            h.close(9).unwrap();
+        let mut merged = group(&[2]);
+        merged.merge(&group(&[0, 1]));
+        assert_eq!(merged, serial);
+        for idx in [serial, compacted, merged] {
+            let mut r = ReadHandle::open(Arc::clone(&ab), ac.clone(), idx);
+            assert_eq!(r.read(0, total).unwrap(), want);
         }
-        // Simulate Parallel Index Read: aggregate in two "groups" and merge.
-        let mut g1 = GlobalIndex::new();
-        for w in [0u64, 1] {
-            g1.merge(&GlobalIndex::from_entries(c.read_index_log(&b, w).unwrap()));
-        }
-        let mut g2 = GlobalIndex::new();
-        for w in [2u64, 3] {
-            g2.merge(&GlobalIndex::from_entries(c.read_index_log(&b, w).unwrap()));
-        }
-        let mut merged = g1;
-        merged.merge(&g2);
-        // The hierarchical merge must equal both the serial and threaded
-        // aggregations structurally.
-        assert_eq!(merged, c.aggregate_index(&b).unwrap());
-        assert_eq!(merged, c.aggregate_index_parallel(&b, 3).unwrap());
-        let mut compacted = merged.clone();
-        compacted.compact();
-        let mut r1 = ReadHandle::open_with_index(Arc::clone(&b), c.clone(), merged).unwrap();
-        let mut r2 = ReadHandle::open(Arc::clone(&b), c.clone()).unwrap();
-        let mut r3 = ReadHandle::open_with_index(Arc::clone(&b), c.clone(), compacted).unwrap();
-        let want = r2.read(0, 128).unwrap();
-        assert_eq!(r1.read(0, 128).unwrap(), want);
-        assert_eq!(r3.read(0, 128).unwrap(), want);
     }
 
     #[test]
@@ -401,9 +323,9 @@ mod tests {
         h.close(9).unwrap();
         // Inject the uncompacted index so coalescing (not compaction) is
         // what's under test.
-        let idx = c.aggregate_index(&traced).unwrap();
+        let idx = logs(&traced, &c, 1);
         assert_eq!(idx.span_count(), 4);
-        let mut r = ReadHandle::open_with_index(Arc::clone(&traced), c, idx).unwrap();
+        let mut r = ReadHandle::open(Arc::clone(&traced), c, idx);
         traced.take_trace();
         let got = r.read(0, 256).unwrap();
         assert_eq!(got, Content::synthetic(0, 256).materialize());
@@ -432,7 +354,7 @@ mod tests {
         b.unlink(&dpath).unwrap();
         b.create(&dpath, true).unwrap();
         b.append(&dpath, &Content::bytes(vec![7; 10])).unwrap();
-        let mut r = ReadHandle::open(Arc::clone(&b), c).unwrap();
+        let mut r = reader(&b, &c);
         match r.read(0, 100) {
             Err(PlfsError::CorruptContainer(msg)) => {
                 assert!(msg.contains("short read"), "unexpected message: {msg}")
@@ -449,7 +371,7 @@ mod tests {
             WriteHandle::open(Arc::clone(&b), c.clone(), 0, IndexPolicy::WriteClose).unwrap();
         h.write(100, &Content::bytes(vec![7; 10]), 1).unwrap();
         h.close(2).unwrap();
-        let mut r = ReadHandle::open(Arc::clone(&b), c).unwrap();
+        let mut r = reader(&b, &c);
         assert_eq!(r.size(), 110);
         let got = r.read(90, 30).unwrap();
         assert_eq!(got.len(), 20, "truncated at EOF");
@@ -470,67 +392,11 @@ mod tests {
         h1.write(25, &Content::bytes(vec![2; 50]), 20).unwrap(); // later
         h0.close(30).unwrap();
         h1.close(30).unwrap();
-        let mut r = ReadHandle::open(Arc::clone(&b), c).unwrap();
+        let mut r = reader(&b, &c);
         let got = r.read(0, 100).unwrap();
         assert_eq!(&got[0..25], &[1; 25]);
         assert_eq!(&got[25..75], &[2; 50]);
         assert_eq!(&got[75..100], &[1; 25]);
-    }
-
-    #[test]
-    fn bounded_open_serves_identical_bytes_without_materializing() {
-        use crate::index::SpanCache;
-        let b = Arc::new(MemFs::new());
-        let c = Container::new("/f", &Federation::single("/ns", 2));
-        let handles = write_strided(
-            &b,
-            &c,
-            4,
-            6,
-            32,
-            IndexPolicy::Flatten {
-                threshold_entries: 1000,
-            },
-        );
-        assert!(flatten_close(&b, &c, handles, 9).unwrap());
-        let total = 4 * 6 * 32u64;
-        let want = ReadHandle::open(Arc::clone(&b), c.clone())
-            .unwrap()
-            .read(0, total)
-            .unwrap();
-        let cache = Arc::new(SpanCache::with_budget(1 << 20));
-        let mut r = ReadHandle::open_bounded(Arc::clone(&b), c.clone(), cache).unwrap();
-        assert!(r.index().is_none(), "bounded open must not materialize");
-        assert_eq!(r.size(), total);
-        assert_eq!(r.read(0, total).unwrap(), want);
-        // Strided probes agree too.
-        for off in (0..total).step_by(96) {
-            assert_eq!(
-                r.read(off, 48).unwrap(),
-                ReadHandle::open(Arc::clone(&b), c.clone())
-                    .unwrap()
-                    .read(off, 48)
-                    .unwrap()
-            );
-        }
-    }
-
-    #[test]
-    fn bounded_open_falls_back_to_aggregation_without_flattened() {
-        use crate::index::SpanCache;
-        let b = Arc::new(MemFs::new());
-        let c = Container::new("/f", &Federation::single("/ns", 1));
-        let handles = write_strided(&b, &c, 2, 3, 16, IndexPolicy::WriteClose);
-        for h in handles {
-            h.close(9).unwrap();
-        }
-        let cache = Arc::new(SpanCache::with_budget(1 << 20));
-        let mut r = ReadHandle::open_bounded(Arc::clone(&b), c.clone(), cache).unwrap();
-        assert!(r.index().is_some(), "no spanidx file → in-memory fallback");
-        assert_eq!(
-            r.read(0, 2 * 3 * 16).unwrap(),
-            ReadHandle::open(Arc::clone(&b), c).unwrap().read(0, 96).unwrap()
-        );
     }
 
     #[test]
@@ -541,11 +407,27 @@ mod tests {
             WriteHandle::open(Arc::clone(&b), c.clone(), 0, IndexPolicy::WriteClose).unwrap();
         h.write(0, &Content::synthetic(3, 100), 1).unwrap();
         h.close(2).unwrap();
-        let mut r = ReadHandle::open(Arc::clone(&b), c).unwrap();
+        let mut r = reader(&b, &c);
         let pieces = r.read_pieces(10, 20).unwrap();
         assert_eq!(pieces.len(), 1);
         // MemFs materializes, so the piece is Bytes — but byte-identical to
         // the synthetic slice.
         assert!(pieces[0].same_bytes(&Content::synthetic(3, 100).slice(10, 20)));
+    }
+
+    #[test]
+    fn read_pieces_stops_at_eof_and_never_wraps() {
+        let b = Arc::new(MemFs::new());
+        let c = Container::new("/f", &Federation::single("/ns", 1));
+        let mut h =
+            WriteHandle::open(Arc::clone(&b), c.clone(), 0, IndexPolicy::WriteClose).unwrap();
+        h.write(0, &Content::bytes(vec![5; 100]), 1).unwrap();
+        h.close(2).unwrap();
+        let mut r = reader(&b, &c);
+        assert_eq!(r.read(50, 100).unwrap(), vec![5; 50]);
+        let pieces = r.read_pieces(50, 100).unwrap();
+        assert_eq!(pieces.iter().map(Content::len).sum::<u64>(), 50);
+        assert!(r.read_pieces(u64::MAX - 1, 4).unwrap().is_empty());
+        assert!(r.read(u64::MAX - 1, 4).unwrap().is_empty());
     }
 }

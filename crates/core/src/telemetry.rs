@@ -10,7 +10,7 @@
 //! fsck scan/repair, federation routing, and every [`Backend::submit`]
 //! batch — records into one process-global registry that exports as a
 //! [`TelemetrySnapshot`] (`plfsctl obs` and the harness probe in
-//! `harness::obs` consume it).
+//! `harness::probe` consume it).
 //!
 //! [`Backend::submit`]: crate::backend::Backend::submit
 //!
@@ -88,7 +88,8 @@ pub const SPAN_WRITE_FLUSH: &str = "write.flush";
 pub const SPAN_WRITE_CLOSE: &str = "write.close";
 /// Span: coordinated Index Flatten close (gather, merge, compact, persist).
 pub const SPAN_WRITE_FLATTEN: &str = "write.flatten";
-/// Span: `ReadHandle::open` — the read-open index acquisition fan-out.
+/// Span: `Plfs::open_read` / `ReadHandle::open_bounded` — the read-open
+/// index acquisition (a mount's stamp, then on a miss the load).
 pub const SPAN_READ_OPEN: &str = "read.open";
 /// Span: one coalesced logical read (index walk + batched data reads).
 pub const SPAN_READ_LOOKUP: &str = "read.lookup";

@@ -142,7 +142,7 @@ mod tests {
     fn truncate_to_zero_empties_the_file() {
         let (b, cont) = build();
         truncate(&b, &cont, 0).unwrap();
-        let mut r = ReadHandle::open(Arc::clone(&b), cont.clone()).unwrap();
+        let mut r = ReadHandle::open_bounded(Arc::clone(&b), cont.clone(), Arc::default()).unwrap();
         assert_eq!(r.size(), 0);
         assert!(r.read(0, 100).unwrap().is_empty());
         assert_eq!(cont.cached_size(&b).unwrap(), Some(0));
@@ -153,7 +153,7 @@ mod tests {
             WriteHandle::open(Arc::clone(&b), cont.clone(), 7, IndexPolicy::WriteClose).unwrap();
         h.write(0, &Content::bytes(vec![9; 10]), 100).unwrap();
         h.close(101).unwrap();
-        let mut r2 = ReadHandle::open(Arc::clone(&b), cont).unwrap();
+        let mut r2 = ReadHandle::open_bounded(Arc::clone(&b), cont, Arc::default()).unwrap();
         assert_eq!(r2.read(0, 10).unwrap(), vec![9; 10]);
     }
 
@@ -163,7 +163,7 @@ mod tests {
         // Full size is 1200; cut at 450 — mid-way through block 4
         // (offsets 400..500, owned by writer 1's k=1... block index 4 = k*3+w → k=1,w=1).
         truncate(&b, &cont, 450).unwrap();
-        let mut r = ReadHandle::open(Arc::clone(&b), cont.clone()).unwrap();
+        let mut r = ReadHandle::open_bounded(Arc::clone(&b), cont.clone(), Arc::default()).unwrap();
         assert_eq!(r.size(), 450);
         // Bytes below the cut are intact.
         let got = r.read(400, 50).unwrap();
@@ -179,14 +179,16 @@ mod tests {
     fn a_clip_inside_a_record_keeps_every_size_and_advances_the_generation() {
         let (b, cont) = build();
         let before = cont.probe_index(&b).unwrap().unwrap();
-        let index_before = before.load(&b).unwrap();
+        let cache = Arc::default();
+        let index_before = before.load(&b, &cache).unwrap();
         // 1150 cuts the last block (1100..1200) in half: no record is
         // dropped, one is shortened, and every log keeps its length.
         truncate(&b, &cont, 1150).unwrap();
         let after = cont.probe_index(&b).unwrap().unwrap();
         assert_eq!(before.stamp().sizes(), after.stamp().sizes());
         assert_ne!(before.stamp(), after.stamp());
-        assert_ne!(index_before, after.load(&b).unwrap());
+        let index_after = after.load(&b, &cache).unwrap();
+        assert_ne!(index_before.mem(), index_after.mem());
     }
 
     #[test]
@@ -236,7 +238,7 @@ mod tests {
         assert!(crate::writer::flatten_close(&b, &cont, handles, 9).unwrap());
         truncate(&b, &cont, 100).unwrap();
         assert!(cont.read_flattened(&b).unwrap().is_none());
-        let r = ReadHandle::open(Arc::clone(&b), cont.clone()).unwrap();
+        let r = ReadHandle::open_bounded(Arc::clone(&b), cont.clone(), Arc::default()).unwrap();
         assert_eq!(r.size(), 100);
         // fsck agrees the container is consistent post-truncate.
         let report = crate::fsck::check(&b, &cont).unwrap();
@@ -266,7 +268,7 @@ mod tests {
     fn truncate_beyond_eof_is_a_noop_for_data() {
         let (b, cont) = build();
         truncate(&b, &cont, 10_000).unwrap();
-        let mut r = ReadHandle::open(Arc::clone(&b), cont).unwrap();
+        let mut r = ReadHandle::open_bounded(Arc::clone(&b), cont, Arc::default()).unwrap();
         // All original data still resolves.
         assert_eq!(r.size(), 1200);
         let got = r.read(0, 100).unwrap();

@@ -4,10 +4,10 @@
 //! directories.
 
 use crate::backend::{Backend, NodeKind};
-use crate::container::{Container, GENERATION_FILE};
+use crate::container::{Container, IndexProbe, GENERATION_FILE};
 use crate::error::{PlfsError, Result};
 use crate::federation::Federation;
-use crate::index::GlobalIndex;
+use crate::index::{IndexSource, SpanCache};
 use crate::indexcache::IndexCache;
 use crate::ioplane::{self, IoOp};
 use crate::path::{join, try_normalize};
@@ -99,9 +99,11 @@ pub struct Plfs<B: Backend + Clone> {
     /// Real PLFS uses synchronized wall clocks across the cluster; any
     /// monotone source with the same ordering works.
     clock: AtomicU64,
-    /// One aggregated index per container state, shared by every reader
-    /// this mount opens (`Service` opens through it too).
+    /// One index per container state, shared by every reader this mount
+    /// opens (`Service` opens through it too).
     indices: IndexCache,
+    /// The record windows of every flattened index those readers share.
+    spans: Arc<SpanCache>,
 }
 
 impl<B: Backend + Clone> Plfs<B> {
@@ -121,6 +123,7 @@ impl<B: Backend + Clone> Plfs<B> {
             config,
             clock: AtomicU64::new(0),
             indices: IndexCache::new(),
+            spans: Arc::new(SpanCache::new()),
         })
     }
 
@@ -156,26 +159,30 @@ impl<B: Backend + Clone> Plfs<B> {
     }
 
     /// Open a logical file for reading. Readers of one container state
-    /// share one index: the open fetches the container's stamp and
-    /// aggregates only when no index built from an equal stamp is cached
-    /// (DESIGN.md §5l).
+    /// share one index: the open fetches the container's stamp and loads
+    /// only when no index built from an equal stamp is cached (DESIGN.md
+    /// §5l) — a flattened container bounded, through the mount's span
+    /// cache; logs by one aggregation.
     pub fn open_read(&self, logical: &str) -> Result<ReadHandle<B>> {
         let _span = telemetry::span(telemetry::SPAN_READ_OPEN);
         let c = self.container(logical);
-        let index = self.shared_index(&c)?;
-        ReadHandle::open_with_index(self.backend.clone(), c, index)
+        let (probe, index) = self.shared_index(&c)?;
+        let handle = ReadHandle::open(self.backend.clone(), c, index);
+        Ok(handle.with_data_logs(probe.data_logs()))
     }
 
-    /// `c`'s index through the mount's cache; `NotFound` when there is no
-    /// container there.
-    fn shared_index(&self, c: &Container) -> Result<Arc<GlobalIndex>> {
+    /// `c`'s index through the mount's cache, and the probe that stamped
+    /// it; `NotFound` when there is no container there.
+    fn shared_index(&self, c: &Container) -> Result<(IndexProbe, IndexSource)> {
         let Some(probe) = c.probe_index(&self.backend)? else {
             return Err(PlfsError::NotFound(c.logical_path().to_string()));
         };
-        self.indices
+        let index = self
+            .indices
             .get_or_load(c.canonical_path(), probe.stamp(), || {
-                probe.load(&self.backend)
-            })
+                probe.load(&self.backend, &self.spans)
+            })?;
+        Ok((probe, index))
     }
 
     /// Open with an explicit mode; `ReadWrite` is rejected.
@@ -212,7 +219,7 @@ impl<B: Backend + Clone> Plfs<B> {
                 });
             }
         }
-        let idx = self.shared_index(&c)?;
+        let (_, idx) = self.shared_index(&c)?;
         Ok(FileStat {
             size: idx.eof(),
             from_cache: false,
@@ -820,5 +827,35 @@ mod tests {
         let a = fs.timestamp();
         let b = fs.timestamp();
         assert!(b > a);
+    }
+
+    #[test]
+    fn a_writer_after_flatten_is_never_hidden_by_the_flattened_index() {
+        let b = Arc::new(MemFs::new());
+        let config = PlfsConfig {
+            federation: Federation::single("/pfs", 2),
+            index_policy: IndexPolicy::Flatten {
+                threshold_entries: usize::MAX,
+            },
+        };
+        let fs = Plfs::new(Arc::clone(&b), config.clone()).unwrap();
+        let write = |w: u64| {
+            let mut h = fs.open_write("/f", w).unwrap();
+            let block = Content::bytes(vec![w as u8 + 1; 100]);
+            h.write(w * 100, &block, fs.timestamp()).unwrap();
+            h
+        };
+        let c = fs.container("/f");
+        let flattened = vec![write(0), write(1)];
+        assert!(crate::writer::flatten_close(&b, &c, flattened, fs.timestamp()).unwrap());
+        assert!(fs.open_read("/f").unwrap().index().is_none(), "read bounded");
+        write(2).close(fs.timestamp()).unwrap();
+
+        let fresh = Plfs::new(Arc::clone(&b), config).unwrap();
+        assert_eq!(fresh.stat("/f").unwrap().size, 300);
+        let mut r = fresh.open_read("/f").unwrap();
+        assert_eq!(r.size(), 300);
+        assert_eq!(r.read(200, 100).unwrap(), vec![3; 100]);
+        assert!(crate::fsck::check(&*b, &c).unwrap().is_clean());
     }
 }

@@ -9,9 +9,8 @@
 //! callers can assert on (or render) the span tree the real code
 //! produced.
 
-use plfs::reader::ReadHandle;
 use plfs::writer::{IndexPolicy, WriteHandle};
-use plfs::{Container, Content, Federation, MemFs, TelemetrySnapshot};
+use plfs::{Container, Content, Federation, MemFs, Plfs, PlfsConfig, TelemetrySnapshot};
 use std::sync::Arc;
 
 /// Figure-4 read-open shape: 16 writers × 20 strided 4 KiB blocks into
@@ -22,7 +21,8 @@ const BLOCK: u64 = 4096;
 const SUBDIRS: usize = 4;
 
 /// Build a fig-4-shaped container on `MemFs` and open it for reading
-/// with telemetry enabled; return the captured snapshot.
+/// through a fresh mount with telemetry enabled; return the captured
+/// snapshot.
 ///
 /// The snapshot covers the *open only* — the parallel index-aggregation
 /// fan-out that Figure 4 of the paper measures — not the byte reads.
@@ -36,13 +36,17 @@ const SUBDIRS: usize = 4;
 /// starts), and disables it again before returning.
 pub fn fig4_read_open_snapshot() -> Result<TelemetrySnapshot, String> {
     let backend = Arc::new(MemFs::new());
-    let fed = Federation::single("/panfs", SUBDIRS);
-    let cont = Container::new("/fig4/ckpt", &fed);
-    build_fig4(&backend, &cont)?;
+    let federation = Federation::single("/panfs", SUBDIRS);
+    build_fig4(&backend, &Container::new("/fig4/ckpt", &federation))?;
+    let config = PlfsConfig {
+        federation,
+        index_policy: IndexPolicy::WriteClose,
+    };
+    let fs = Plfs::new(backend, config).map_err(|e| format!("mount: {e}"))?;
 
     plfs::telemetry::reset();
     plfs::telemetry::set_enabled(true);
-    let opened = ReadHandle::open(Arc::clone(&backend), cont);
+    let opened = fs.open_read("/fig4/ckpt");
     plfs::telemetry::set_enabled(false);
     opened.map_err(|e| format!("read open: {e}"))?;
     Ok(plfs::telemetry::snapshot())
@@ -151,9 +155,14 @@ mod tests {
         let cont = Container::new("/fig4/ckpt", &Federation::single("/panfs", SUBDIRS));
         build_fig4(&backend, &cont).unwrap();
 
+        let resolved = cont.subdirs_phys_batch(&backend).unwrap();
+        let writers = cont.list_writers(&backend).unwrap();
         plfs::telemetry::reset();
         plfs::telemetry::set_enabled(true);
-        let aggregated = cont.aggregate_index_parallel(&backend, 4);
+        let aggregated = {
+            let _caller = plfs::telemetry::span(SPAN_INDEX_AGGREGATE);
+            cont.read_index_runs(&backend, &resolved, &writers, 4)
+        };
         plfs::telemetry::set_enabled(false);
         aggregated.unwrap();
         let snap = plfs::telemetry::snapshot();

@@ -20,7 +20,6 @@
 //! Run with: `cargo run --release --example crash_recovery [cut-op]`
 //! (the default cut tears the job's last index flush).
 
-use plfs::reader::ReadHandle;
 use plfs::{fsck, ioplane, Content, IoOp, MemFs, Plfs, PlfsConfig, TracingBackend};
 use std::sync::Arc;
 
@@ -101,7 +100,8 @@ fn main() {
     );
 
     println!("\n== restart: read back every durable block ==");
-    let mut r = ReadHandle::open(Arc::clone(&backend), container).expect("open for read");
+    let restarted = Plfs::new(Arc::clone(&backend), PlfsConfig::basic("/panfs")).expect("mount");
+    let mut r = restarted.open_read("/ckpt").expect("open for read");
     let durable = acked.iter().filter(|&&(at, _)| at <= cut).count() as u64;
     for &(_, block) in acked.iter().filter(|&&(at, _)| at <= cut) {
         let got = r.read(block * BLOCK, BLOCK).expect("read");

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: release build and tests of the benchmark package too,
-# full test suite, clippy with warnings denied (the root Cargo.toml's
+# full test suite, the byte-verifying examples, clippy with warnings
+# denied (the root Cargo.toml's
 # [workspace.lints.clippy] table bans unwrap/expect/panic, discarded
 # results and unreasoned #[allow] in every crate and bin), and the
 # plfs-lint gate. Crash recovery needs no stage of its own: the
@@ -18,6 +19,13 @@ cargo build --release --offline
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --workspace --offline
+# `cargo test` compiles the examples but runs none of them: run the two
+# that byte-verify what they read back (each exits non-zero on a
+# mismatch) — the mount over a real directory, and crash recovery.
+demo_root=$(mktemp -d)
+cargo run --release --offline -p plfs --example localfs_demo -- "$demo_root"
+rm -rf "$demo_root"
+cargo run --release --offline --example crash_recovery
 # An unfulfilled #[expect(clippy::..)] is a warning, so this also fails
 # on a suppression that no longer suppresses anything.
 cargo clippy --workspace --offline -- -D warnings

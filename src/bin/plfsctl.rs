@@ -4,7 +4,7 @@
 //! ```text
 //! plfsctl ls    <mount-root>                 list logical files/dirs
 //! plfsctl stat  <mount-root> <logical>       logical size and writer count
-//! plfsctl map   <mount-root> <logical>       print the resolved global index
+//! plfsctl map   <mount-root> <logical>       print the index the logs resolve to
 //! plfsctl check <mount-root> <logical>       fsck one container
 //! plfsctl repair <mount-root> <logical>      fsck + mechanical repairs
 //! plfsctl cat   <mount-root> <logical>       write logical bytes to stdout
@@ -13,7 +13,6 @@
 //! plfsctl index inspect <mount-root> <logical>   spanidx header/fence summary
 //! plfsctl lint  [flags] [workspace-root]     run the static invariant checker
 //! plfsctl obs   [--json]                     telemetry demo: spans/counters/histograms
-//! plfsctl serve --bench [flags]              multi-tenant service bench (DESIGN.md §5k)
 //! ```
 //!
 //! `lint` flags: `--json` (machine-readable output), `--deny-warnings`
@@ -28,14 +27,6 @@
 //! prints the resulting span tree, counters, and latency histograms —
 //! as a human-readable tree by default, or as machine-readable JSON
 //! with `--json`.
-//!
-//! `serve --bench` replays the deterministic `workloads::traffic` trace
-//! against one shared `plfs::Service` (sharded handle table, per-tenant
-//! admission control — DESIGN.md §5k) and reports sustained throughput,
-//! tail latency, and how often admission engaged. Flags: `--clients`,
-//! `--tenants`, `--ops` (per client), `--threads`, `--seed`,
-//! `--token-rate`, `--token-burst`, `--dirty-budget` (all optional; the
-//! defaults are `SvcBenchConfig::scale`, 1,024 clients, scaled down).
 //!
 //! `--io-stats` (any command, any position) prints the I/O plane's
 //! per-op counters to stderr after the command: ops vs batches (the
@@ -53,7 +44,7 @@
 use plfs::fsck;
 use plfs::reader::ReadHandle;
 use plfs::writer::{IndexPolicy, WriteHandle};
-use plfs::{Container, Federation, LocalFs, Plfs, PlfsConfig};
+use plfs::{Container, Federation, GlobalIndex, LocalFs, Plfs, PlfsConfig};
 use std::io::Write as _;
 use std::process::ExitCode;
 
@@ -62,8 +53,7 @@ fn usage() -> ExitCode {
         "usage: plfsctl <ls|stat|map|check|repair|cat|truncate|du> <mount-root> [logical-path] [size]\n\
          \x20      plfsctl index inspect <mount-root> <logical-path>\n\
          \x20      plfsctl lint [--json] [--deny-warnings] [--baseline <file>] [--write-baseline <file>] [--root <dir>] [--design <file>] [workspace-root]\n\
-         \x20      plfsctl obs [--json]\n\
-         \x20      plfsctl serve --bench [--clients N] [--tenants N] [--ops N] [--threads N] [--seed N] [--token-rate N] [--token-burst N] [--dirty-budget N]"
+         \x20      plfsctl obs [--json]"
     );
     ExitCode::from(2)
 }
@@ -207,28 +197,22 @@ fn cmd_obs(args: &[String]) -> ExitCode {
             handles.push(h);
         }
         plfs::writer::flatten_close(&std::sync::Arc::clone(&backend), &cont, handles, 99)?;
-        let mut r = ReadHandle::open(std::sync::Arc::clone(&backend), cont.clone())?;
-        let size = r.size();
-        r.read(0, size)?;
-        // Same bytes again through the memory-bounded open: fences +
-        // footer only, record windows streamed through the span cache
-        // (first pass misses, second hits).
-        let cache = std::sync::Arc::new(plfs::SpanCache::new());
-        let mut r = ReadHandle::open_bounded(std::sync::Arc::clone(&backend), cont, cache)?;
-        r.read(0, size)?;
-        r.read(0, size)?;
-        // And twice through a mount, whose readers share one index: the
-        // first `read.open` aggregates (`index.cache.misses`), the second
-        // only stamps (`index.cache.hits`, DESIGN.md §5l).
-        let fs = plfs::Plfs::new(
+        // Twice through a mount, whose readers share one index: the first
+        // `read.open` opens the flattened index bounded
+        // (`index.cache.misses`) and its reads miss the span cache; the
+        // second only stamps (`index.cache.hits`) and reads the windows
+        // the first fetched (DESIGN.md §5j, §5l).
+        let fs = Plfs::new(
             std::sync::Arc::clone(&backend),
-            plfs::PlfsConfig {
+            PlfsConfig {
                 federation: fed,
                 index_policy: IndexPolicy::WriteClose,
             },
         )?;
         for _ in 0..2 {
-            fs.open_read("/obs/demo")?;
+            let mut r = fs.open_read("/obs/demo")?;
+            let size = r.size();
+            r.read(0, size)?;
         }
         Ok(())
     })();
@@ -244,58 +228,6 @@ fn cmd_obs(args: &[String]) -> ExitCode {
     } else {
         print!("{}", snap.render_tree());
     }
-    ExitCode::SUCCESS
-}
-
-/// `plfsctl serve --bench`: replay deterministic multi-tenant traffic
-/// against one shared service instance (DESIGN.md §5k) and report
-/// sustained throughput, tail latency, and admission activity.
-fn cmd_serve(args: &[String]) -> ExitCode {
-    let mut cfg = harness::SvcBenchConfig::scale(7);
-    // A laptop-friendly default; `--clients 1024 --tenants 32 --ops 96`
-    // restores the full shape.
-    cfg.clients = 256;
-    cfg.tenants = 16;
-    cfg.ops_per_client = 48;
-    let mut bench = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--bench" {
-            bench = true;
-            continue;
-        }
-        let Some(value) = it.next().and_then(|v| v.parse::<u64>().ok()) else {
-            eprintln!("plfsctl serve: {arg} needs a numeric value");
-            return usage();
-        };
-        match arg.as_str() {
-            "--clients" => cfg.clients = value as u32,
-            "--tenants" => cfg.tenants = value as u32,
-            "--ops" => cfg.ops_per_client = value as u32,
-            "--threads" => cfg.threads = value as usize,
-            "--seed" => cfg.seed = value,
-            "--token-rate" => cfg.token_rate = value,
-            "--token-burst" => cfg.token_burst = value,
-            "--dirty-budget" => cfg.dirty_budget = value,
-            _ => return usage(),
-        }
-    }
-    if !bench {
-        eprintln!("plfsctl serve: only --bench mode is implemented (a network front end is ROADMAP item 1 residue)");
-        return usage();
-    }
-    println!(
-        "serve --bench: {} clients / {} tenants / {} ops each on {} threads (seed {})",
-        cfg.clients, cfg.tenants, cfg.ops_per_client, cfg.threads, cfg.seed
-    );
-    let r = harness::run_svc_bench(&cfg);
-    println!("  admitted ops   {:>12}", r.ops);
-    println!("  throttled      {:>12}", r.throttled);
-    println!("  sessions       {:>12}", r.opens);
-    println!("  forced flushes {:>12}", r.dirty_flushes);
-    println!("  wall time      {:>9} ms", r.wall_ns / 1_000_000);
-    println!("  sustained      {:>8} ops/s", r.ops_per_sec);
-    println!("  p99 latency    {:>9} us", r.p99_ns / 1_000);
     ExitCode::SUCCESS
 }
 
@@ -399,9 +331,6 @@ fn dispatch(args: &[String]) -> ExitCode {
     if args.get(1).map(String::as_str) == Some("index") {
         return cmd_index(&args[2..]);
     }
-    if args.get(1).map(String::as_str) == Some("serve") {
-        return cmd_serve(&args[2..]);
-    }
     if args.len() < 3 {
         return usage();
     }
@@ -462,7 +391,12 @@ fn dispatch(args: &[String]) -> ExitCode {
         ("map", Some(logical)) => {
             let subdirs = detect_subdirs(&backend, logical);
             let cont = Container::new(logical, &Federation::single("/", subdirs));
-            match cont.acquire_index(&backend) {
+            let aggregated = cont.subdirs_phys_batch(&backend).and_then(|resolved| {
+                let writers = cont.list_writers(&backend)?;
+                let runs = cont.read_index_runs(&backend, &resolved, &writers, 1)?;
+                Ok(GlobalIndex::from_runs(&runs, true))
+            });
+            match aggregated {
                 Ok(idx) => {
                     println!("# logical_offset length writer physical_offset");
                     for e in idx.to_entries() {
@@ -573,7 +507,7 @@ fn dispatch(args: &[String]) -> ExitCode {
         ("cat", Some(logical)) => {
             let subdirs = detect_subdirs(&backend, logical);
             let cont = Container::new(logical, &Federation::single("/", subdirs));
-            let mut r = match ReadHandle::open(backend, cont) {
+            let mut r = match ReadHandle::open_bounded(backend, cont, Default::default()) {
                 Ok(r) => r,
                 Err(e) => {
                     eprintln!("plfsctl: {e}");

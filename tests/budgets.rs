@@ -2,12 +2,12 @@
 //! place, `benchmark/` (BENCHMARK.json); what does not depend on the
 //! clock is asserted here, in tier-1, on any core count:
 //!
-//! * backend ops and round trips of five canonical I/O-plane profiles
-//!   (DESIGN.md §5e), that read-open's are the same at every
+//! * backend ops and round trips of six canonical I/O-plane profiles
+//!   (DESIGN.md §5e), that the index-log reads are the same at every
 //!   aggregation thread count, and that a mount's re-open of an
-//!   unchanged container reads no index log (§5l);
-//! * the peak RSS, ops and round trips of a memory-bounded read-open
-//!   over an index several times larger than the RSS ceiling (§5j);
+//!   unchanged container reads no index log (§5l) and no fence;
+//! * the peak RSS, ops and round trips of a mount's read-open of a
+//!   flattened index several times larger than the RSS ceiling (§5j);
 //! * the simulator's event count and O(ranks) event footprint (§5g).
 //!
 //! The budgets are the `const`s below. They only move down, except by a
@@ -21,11 +21,10 @@ use harness::{run_workload, ClusterProfile, Middleware};
 use mpio::ReadStrategy;
 use plfs::index::ondisk::SpanIdxWriter;
 use plfs::index::INDEX_RECORD_BYTES;
-use plfs::reader::ReadHandle;
-use plfs::writer::{IndexPolicy, WriteHandle};
+use plfs::writer::{flatten_close, IndexPolicy, WriteHandle};
 use plfs::{
     fsck, Backend, Container, Content, Federation, IndexEntry, IoOp, LocalFs, MemFs, Plfs,
-    PlfsConfig, SpanCache, TracingBackend,
+    PlfsConfig, TracingBackend,
 };
 use std::process::Command;
 use std::sync::Arc;
@@ -44,15 +43,18 @@ struct IoBudget {
 
 /// Before the I/O plane every op was its own trip: write-close 33,
 /// read-open 57, strided-read 336, fsck-scan 92 (DESIGN.md §5e).
-/// `read-reopen` is a mount's open of a container it has an index for
-/// (§5l): the stamp's three batches and not one `ReadAt`; a mount's
-/// *first* open is `read-open` plus the two ops only a mount needs, the
-/// access-file probe and the generation `Size`, in the same trips.
+/// `write-close` is 34 since a writer's create batch also unlinks the
+/// flattened index (§5b). `read-open` is a mount's first open less the
+/// two ops only a mount needs, the access-file probe and the generation
+/// `Size`, which ride the same trips. `read-reopen` is a mount's open of
+/// a container it has an index for (§5l): the stamp's three batches and
+/// not one `ReadAt`; `flat-reopen` is the same for a flattened container.
 #[rustfmt::skip]
-const IO_BUDGETS: [IoBudget; 5] = [
-    IoBudget { profile: "write-close",  ops: 33,  trips: 27 },
+const IO_BUDGETS: [IoBudget; 6] = [
+    IoBudget { profile: "write-close",  ops: 34,  trips: 27 },
     IoBudget { profile: "read-open",    ops: 41,  trips: 7 },
     IoBudget { profile: "read-reopen",  ops: 27,  trips: 3 },
+    IoBudget { profile: "flat-reopen",  ops: 27,  trips: 3 },
     IoBudget { profile: "strided-read", ops: 336, trips: 36 },
     IoBudget { profile: "fsck-scan",    ops: 60,  trips: 9 },
 ];
@@ -66,6 +68,7 @@ const BLOCK: u64 = 4 * KB;
 const SUBDIRS: usize = 4;
 
 type Traced = Arc<TracingBackend<MemFs>>;
+type Handle = WriteHandle<Traced>;
 
 fn traced_memfs() -> Traced {
     Arc::new(TracingBackend::new(MemFs::new()))
@@ -81,16 +84,19 @@ fn build_container(b: &Traced, cont: &Container, writers: u64) {
 
 /// Writer `w`'s 20 × 4 KB blocks of a `stride`-writer strided file.
 fn build_writer(b: &Traced, cont: &Container, w: u64, stride: u64) {
-    let mut h = WriteHandle::open(Arc::clone(b), cont.clone(), w, IndexPolicy::WriteClose).unwrap();
-    for k in 0..BLOCKS {
-        h.write(
-            (k * stride + w) * BLOCK,
-            &Content::synthetic(w, BLOCK),
-            k + 1,
-        )
+    writer(b, cont, w, stride, IndexPolicy::WriteClose)
+        .close(99)
         .unwrap();
+}
+
+/// [`build_writer`]'s blocks, the handle left open.
+fn writer(b: &Traced, c: &Container, w: u64, stride: u64, policy: IndexPolicy) -> Handle {
+    let mut h = WriteHandle::open(Arc::clone(b), c.clone(), w, policy).unwrap();
+    for k in 0..BLOCKS {
+        h.write((k * stride + w) * BLOCK, &Content::synthetic(w, BLOCK), k + 1)
+            .unwrap();
     }
-    h.close(99).unwrap();
+    h
 }
 
 /// The 16-writer container the read-side profiles share.
@@ -133,8 +139,9 @@ fn io_plane_profiles_stay_within_budget() {
 
     // read-open: the index aggregation fan-out alone.
     let (b, cont) = shared_container();
-    let (rh, ops, trips) = measure(&b, || ReadHandle::open(Arc::clone(&b), cont.clone()));
-    assert_within("read-open", ops, trips);
+    let fs = Plfs::new(Arc::clone(&b), PlfsConfig::basic("/panfs")).unwrap();
+    let (rh, ops, trips) = measure(&b, || fs.open_read("/ckpt"));
+    assert_within("read-open", ops - MOUNT_PROBE_OPS, trips);
     let mut rh = rh.unwrap();
 
     // strided-read: the whole logical file as 20 × 64 KB slices.
@@ -191,20 +198,48 @@ fn reopen_of_an_unchanged_container_reads_no_log() {
 }
 
 #[test]
+fn reopen_of_an_unchanged_flattened_container_reads_no_fence() {
+    let b = traced_memfs();
+    let cont = Container::new("/flat", &Federation::single("/panfs", SUBDIRS));
+    let policy = IndexPolicy::Flatten {
+        threshold_entries: BLOCKS as usize,
+    };
+    let handles = (0..WRITERS)
+        .map(|w| writer(&b, &cont, w, WRITERS, policy))
+        .collect();
+    assert!(flatten_close(&b, &cont, handles, 99).unwrap());
+    let fs = Plfs::new(Arc::clone(&b), PlfsConfig::basic("/panfs")).unwrap();
+    let total = WRITERS * BLOCKS * BLOCK;
+    let mut cold = fs.open_read("/flat").unwrap();
+    assert!(cold.index().is_none(), "served bounded");
+    cold.read(0, total).unwrap();
+
+    // Unchanged: the stamp alone, and the reader shares the warm window.
+    let (mut warm, ops, trips) = measure(&b, || fs.open_read("/flat").unwrap());
+    assert_within("flat-reopen", ops, trips);
+    let ((), ops, _) = measure(&b, || assert_eq!(warm.read(0, total).unwrap().len() as u64, total));
+    assert_eq!(ops, WRITERS * BLOCKS, "the blocks alone: no footer, fence or window");
+}
+
+#[test]
 fn read_open_trips_are_the_same_at_every_thread_count() {
     let (b, cont) = shared_container();
+    let resolved = cont.subdirs_phys_batch(&*b).unwrap();
+    let writers = cont.list_writers(&*b).unwrap();
     let runs: Vec<_> = [1, 2, 8]
         .into_iter()
         .map(|threads| {
-            let (index, ops, trips) = measure(&b, || cont.aggregate_index_parallel(&*b, threads));
-            (index.unwrap(), ops, trips)
+            let (runs, ops, trips) =
+                measure(&b, || cont.read_index_runs(&*b, &resolved, &writers, threads));
+            (runs.unwrap(), ops, trips)
         })
         .collect();
     for (threads, run) in [2, 8].into_iter().zip(&runs[1..]) {
         assert_eq!(run, &runs[0], "{threads} threads against 1");
     }
-    // Aggregation is read-open minus the flattened-index probe.
-    assert_within("read-open", runs[0].1, runs[0].2);
+    // Read-open's threaded part, the log reads: one `Size` batch, then
+    // every log's `ReadAt` four to a batch.
+    assert_eq!((runs[0].1, runs[0].2), (2 * WRITERS, 1 + WRITERS / 4));
 }
 
 // ---------------------------------------------------------------------
@@ -226,13 +261,22 @@ const RSS_READ_LEN: u64 = 64 * KB;
 /// open that materializes the index cannot pass.
 const RSS_CEILING_KB: u64 = 7_854;
 /// Backend ops and round trips of the open plus the scattered reads.
-const RSS_OPS: u64 = 20;
+/// Through a mount the open is the stamp (7 + 1 + 1 ops in 3 trips) and
+/// one tail read, where the mount-less open was a `Size` and two reads:
+/// 26 ops, the same 20 trips.
+const RSS_OPS: u64 = 26;
 const RSS_TRIPS: u64 = 20;
 /// Carries the probe directory to the re-executed child.
 const RSS_CHILD_DIR: &str = "PLFS_BUDGETS_RSS_DIR";
 
+const RSS_PATH: &str = "/bigread";
+
+fn rss_federation() -> Federation {
+    Federation::single("/m", 4)
+}
+
 fn rss_container() -> Container {
-    Container::new("/bigread", &Federation::single("/m", 4))
+    Container::new(RSS_PATH, &rss_federation())
 }
 
 /// A small real data log plus a flattened index of [`RSS_ENTRIES`]
@@ -286,9 +330,14 @@ fn vmhwm_kb() -> u64 {
 fn bounded_open_child() {
     let dir = std::env::var(RSS_CHILD_DIR).expect("set by the parent test");
     let b = Arc::new(TracingBackend::new(LocalFs::new(&dir).unwrap()));
-    let cache = Arc::new(SpanCache::new());
-    let mut rh =
-        ReadHandle::open_bounded(Arc::clone(&b), rss_container(), Arc::clone(&cache)).unwrap();
+    let config = PlfsConfig {
+        federation: rss_federation(),
+        index_policy: IndexPolicy::WriteClose,
+    };
+    let fs = Plfs::new(Arc::clone(&b), config).unwrap();
+    b.take_trace();
+    let trips = b.trips();
+    let mut rh = fs.open_read(RSS_PATH).unwrap();
     assert!(rh.index().is_none(), "fell back to the in-memory index");
     let eof = rh.size();
     assert_eq!(eof, RSS_ENTRIES * RSS_SPAN);
@@ -296,7 +345,7 @@ fn bounded_open_child() {
         let got = rh.read(i * (eof / RSS_READS), RSS_READ_LEN).unwrap();
         assert_eq!(got.len() as u64, RSS_READ_LEN);
     }
-    let (ops, trips) = (b.take_trace().len() as u64, b.trips());
+    let (ops, trips) = (b.take_trace().len() as u64, b.trips() - trips);
     println!(
         "bounded-open: ops={ops} trips={trips} vmhwm_kb={}",
         vmhwm_kb()
@@ -305,7 +354,6 @@ fn bounded_open_child() {
         ops <= RSS_OPS && trips <= RSS_TRIPS,
         "{ops} ops / {trips} trips, budget {RSS_OPS} / {RSS_TRIPS}"
     );
-    assert!(cache.resident_bytes() <= cache.budget());
 }
 
 #[test]

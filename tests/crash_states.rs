@@ -12,7 +12,8 @@
 //! * repair: `fsck::repair` returns `Ok` and `fully_repaired()` holds;
 //! * read back every slot acknowledged at or before `k` byte-exact;
 //! * read every other byte as a byte written there, or 0;
-//! * read the same through the bounded and the plain path;
+//! * read the same through a mount, the mount-less bounded open, and the
+//!   index its logs resolve to;
 //! * check clean without repair once its last acknowledgement says the
 //!   file is quiesced.
 //!
@@ -25,8 +26,8 @@ use plfs::reader::ReadHandle;
 use plfs::service::{Admitted, Service, ServiceConfig};
 use plfs::writer::{flatten_close, IndexPolicy, WriteHandle};
 use plfs::{
-    fsck, ioplane, Backend, Container, Content, Federation, IndexEntry, IoOp, MemFs, Plfs,
-    PlfsConfig, SpanCache, TracingBackend,
+    fsck, ioplane, Backend, Container, Content, Federation, GlobalIndex, IndexEntry, IoOp, MemFs,
+    Plfs, PlfsConfig, TracingBackend,
 };
 use std::sync::Arc;
 
@@ -41,14 +42,14 @@ struct Scenario {
 
 #[rustfmt::skip]
 const SCENARIOS: [Scenario; 8] = [
-    Scenario { name: "write-close", record: write_close, states: 61, torn_flatten: false },
-    Scenario { name: "flatten", record: flatten, states: 82, torn_flatten: true },
-    Scenario { name: "torn-writer", record: torn_writer, states: 87, torn_flatten: false },
-    Scenario { name: "truncate-reflatten", record: truncate_reflatten, states: 153, torn_flatten: true },
-    Scenario { name: "repair", record: repair, states: 157, torn_flatten: false },
-    Scenario { name: "rename", record: rename, states: 136, torn_flatten: false },
-    Scenario { name: "unlink", record: unlink, states: 100, torn_flatten: false },
-    Scenario { name: "service", record: service, states: 59, torn_flatten: false },
+    Scenario { name: "write-close", record: write_close, states: 63, torn_flatten: false },
+    Scenario { name: "flatten", record: flatten, states: 85, torn_flatten: true },
+    Scenario { name: "torn-writer", record: torn_writer, states: 88, torn_flatten: false },
+    Scenario { name: "truncate-reflatten", record: truncate_reflatten, states: 158, torn_flatten: true },
+    Scenario { name: "repair", record: repair, states: 160, torn_flatten: false },
+    Scenario { name: "rename", record: rename, states: 140, torn_flatten: false },
+    Scenario { name: "unlink", record: unlink, states: 104, torn_flatten: false },
+    Scenario { name: "service", record: service, states: 61, torn_flatten: false },
 ];
 
 /// Bytes per slot: slot `s` is written at `s * SLOT`.
@@ -275,8 +276,9 @@ fn truncate_reflatten() -> Rec {
     let (begin, size) = (rec.now(), 3 * SLOT + SLOT / 2);
     plfs::truncate::truncate(&b, &c, size).unwrap();
     rec.cut(f, size, begin);
-    c.write_flattened(&b, &c.acquire_index(&b).unwrap())
-        .unwrap();
+    let logs = c.probe_index(&b).unwrap().unwrap().load(&b, &Arc::default());
+    let logs = logs.unwrap().mem().cloned().expect("truncate dropped the flattened index");
+    c.write_flattened_runs(&b, &[logs.to_entries()]).unwrap();
     rec.quiesced(f);
     rec.finish(b.take_trace())
 }
@@ -458,13 +460,29 @@ fn hold(fs: &Arc<MemFs>, file: &File, k: usize, torn_flatten: &mut bool) -> Resu
     }
     let torn = |i: &fsck::Issue| matches!(i, fsck::Issue::InvalidFlattenedIndex { .. });
     *torn_flatten |= outcome.fixed.iter().any(torn);
-    let mut plain = ReadHandle::open(Arc::clone(fs), c.clone()).map_err(ctx("open"))?;
-    let mut bounded = ReadHandle::open_bounded(Arc::clone(fs), c, Arc::new(SpanCache::new()))
-        .map_err(ctx("bounded open"))?;
+    let resolved = c.subdirs_phys_batch(&**fs).map_err(ctx("subdirs"))?;
+    let writers = c.list_writers(&**fs).map_err(ctx("writers"))?;
+    let runs = c
+        .read_index_runs(&**fs, &resolved, &writers, 1)
+        .map_err(ctx("logs"))?;
+    let logs = GlobalIndex::from_runs(&runs, true);
+    let mut plain = ReadHandle::open(Arc::clone(fs), c.clone(), logs);
     let eof = plain.size();
     let got = plain.read(0, eof).map_err(ctx("read"))?;
-    if bounded.size() != eof || bounded.read(0, eof).map_err(ctx("bounded read"))? != got {
-        return Err(format!("bounded read differs from plain ({eof} B)"));
+    let config = PlfsConfig {
+        federation: file.fed.clone(),
+        index_policy: IndexPolicy::WriteClose,
+    };
+    let mount = Plfs::new(Arc::clone(fs), config).map_err(ctx("mount"))?;
+    let others = [
+        ("bounded", ReadHandle::open_bounded(Arc::clone(fs), c.clone(), Arc::default())),
+        ("mount", mount.open_read(c.logical_path())),
+    ];
+    for (path, r) in others {
+        let mut r = r.map_err(|e| format!("{path} open: {e}"))?;
+        if r.size() != eof || r.read(0, eof).map_err(|e| format!("{path} read: {e}"))? != got {
+            return Err(format!("{path} read differs from the logs' ({eof} B)"));
+        }
     }
     if let Some(cut) = file.cut.filter(|c| c.ack <= k && eof > c.size) {
         return Err(format!("truncated to {}, yet {eof} bytes long", cut.size));

@@ -33,7 +33,7 @@ fn checkpoint_roundtrip<B: Backend + Clone>(backend: B, fed: &Federation) {
         h.close(99).unwrap();
     }
 
-    let mut r = ReadHandle::open(backend.clone(), cont).unwrap();
+    let mut r = ReadHandle::open_bounded(backend.clone(), cont, Arc::default()).unwrap();
     assert_eq!(r.size(), writers * blocks * block);
     // Every byte of every block comes back from the right writer.
     for w in 0..writers {
@@ -78,8 +78,9 @@ fn checkpoint_roundtrip_localfs() {
 #[test]
 fn all_read_strategies_see_identical_bytes() {
     // Write once with Flatten (so a flattened index exists), then read
-    // three ways: flattened (preferred), forced aggregation, and a
-    // "parallel" hierarchical merge — all must agree byte-for-byte.
+    // four ways: flattened through a mount and without one (both
+    // bounded), forced aggregation, and a "parallel" hierarchical merge —
+    // all must agree byte-for-byte.
     let backend = Arc::new(MemFs::new());
     let fed = Federation::single("/panfs", 4);
     let cont = Container::new("/f", &fed);
@@ -105,11 +106,18 @@ fn all_read_strategies_see_identical_bytes() {
     }
     assert!(flatten_close(&backend, &cont, handles, 50).unwrap());
 
-    // 1: flattened.
-    let mut r1 = ReadHandle::open(Arc::clone(&backend), cont.clone()).unwrap();
+    // 1: flattened, without a mount and through one.
+    let cache = Arc::default();
+    let mut r1 = ReadHandle::open_bounded(Arc::clone(&backend), cont.clone(), cache).unwrap();
+    let fs = Plfs::new(Arc::clone(&backend), PlfsConfig::basic("/panfs")).unwrap();
+    let mut r4 = fs.open_read("/f").unwrap();
+    assert!(r4.index().is_none(), "the mount reads a flattened file bounded");
     // 2: forced per-log aggregation (Original).
-    let idx2 = cont.aggregate_index(&backend).unwrap();
-    let mut r2 = ReadHandle::open_with_index(Arc::clone(&backend), cont.clone(), idx2).unwrap();
+    let resolved = cont.subdirs_phys_batch(&backend).unwrap();
+    let writer_ids = cont.list_writers(&backend).unwrap();
+    let runs = cont.read_index_runs(&backend, &resolved, &writer_ids, 1).unwrap();
+    let idx2 = plfs::GlobalIndex::from_runs(&runs, false);
+    let mut r2 = ReadHandle::open(Arc::clone(&backend), cont.clone(), idx2);
     // 3: hierarchical partial merges (Parallel Index Read, two groups).
     let mut g1 = plfs::GlobalIndex::new();
     let mut g2 = plfs::GlobalIndex::new();
@@ -122,7 +130,7 @@ fn all_read_strategies_see_identical_bytes() {
         }
     }
     g1.merge(&g2);
-    let mut r3 = ReadHandle::open_with_index(Arc::clone(&backend), cont.clone(), g1).unwrap();
+    let mut r3 = ReadHandle::open(Arc::clone(&backend), cont.clone(), g1);
 
     let total = writers * 10 * block;
     let a = r1.read(0, total).unwrap();
@@ -130,6 +138,7 @@ fn all_read_strategies_see_identical_bytes() {
     let c = r3.read(0, total).unwrap();
     assert_eq!(a, b);
     assert_eq!(b, c);
+    assert_eq!(r4.read(0, total).unwrap(), a);
 }
 
 #[test]
@@ -212,7 +221,7 @@ fn overwrite_semantics_match_timestamps_across_writers() {
     h1.close(40).unwrap();
     h2.close(40).unwrap();
 
-    let mut r = ReadHandle::open(Arc::clone(&backend), cont).unwrap();
+    let mut r = ReadHandle::open_bounded(Arc::clone(&backend), cont, Arc::default()).unwrap();
     let got = r.read(0, 1000).unwrap();
     assert!(got[..300].iter().all(|&b| b == 0xAA));
     assert!(got[300..450].iter().all(|&b| b == 0xBB));
@@ -259,11 +268,12 @@ fn restart_with_different_reader_count_is_byte_faithful() {
     let cuts = [0u64, total / 3 + 7, 2 * total / 3 - 13, total];
     let mut assembled = Vec::new();
     for r in 0..3 {
-        let mut reader = ReadHandle::open(Arc::clone(&backend), cont.clone()).unwrap();
+        let mut reader =
+            ReadHandle::open_bounded(Arc::clone(&backend), cont.clone(), Arc::default()).unwrap();
         assembled.extend(reader.read(cuts[r], cuts[r + 1] - cuts[r]).unwrap());
     }
     // Reference: one reader reading everything.
-    let mut whole = ReadHandle::open(Arc::clone(&backend), cont).unwrap();
+    let mut whole = ReadHandle::open_bounded(Arc::clone(&backend), cont, Arc::default()).unwrap();
     assert_eq!(assembled, whole.read(0, total).unwrap());
 }
 

@@ -2,7 +2,7 @@
 //! the sorted-run merge paths, threaded aggregation, fsck repair, and
 //! the gap-filling calendar resource.
 
-use plfs::{GlobalIndex, IndexEntry};
+use plfs::{GlobalIndex, IndexEntry, IndexSource};
 use proptest::prelude::*;
 use simcore::{Calendar, Fifo, SimDuration, SimTime};
 use std::collections::HashMap;
@@ -63,7 +63,9 @@ fn merge_via_insert(mut acc: GlobalIndex, other: &GlobalIndex) -> GlobalIndex {
 fn resolve(idx: &GlobalIndex) -> Vec<(u64, Option<(u64, u64)>)> {
     let eof = idx.eof();
     let mut out = Vec::with_capacity(eof as usize);
-    for m in idx.lookup(0, eof) {
+    let mut mappings = Vec::new();
+    idx.lookup_into(0, eof, &mut mappings);
+    for m in mappings {
         for i in 0..m.length {
             let v = match m.source {
                 plfs::index::Source::Hole => None,
@@ -139,15 +141,18 @@ proptest! {
     }
 
     #[test]
-    fn lookup_coalesced_resolves_identically(entries in arb_entries()) {
-        // Coalesced mappings must tile the same byte→(writer, phys)
-        // resolution as the uncoalesced walk, for both the raw and the
-        // compacted index.
+    fn coalesced_resolution_resolves_identically(entries in arb_entries()) {
+        // The coalesced mappings a reader resolves through must tile the
+        // same byte→(writer, phys) resolution as the uncoalesced walk.
         let idx = GlobalIndex::from_entries(entries);
         let eof = idx.eof();
         let flat = resolve(&idx);
+        let mut mappings = Vec::new();
+        IndexSource::from(idx)
+            .resolve_into(&plfs::MemFs::new(), 0, eof, &mut mappings)
+            .unwrap();
         let mut coalesced = Vec::with_capacity(eof as usize);
-        for m in idx.lookup_coalesced(0, eof) {
+        for m in mappings {
             for i in 0..m.length {
                 let v = match m.source {
                     plfs::index::Source::Hole => None,
@@ -184,13 +189,20 @@ proptest! {
         for (_, h) in handles {
             h.close(99).unwrap();
         }
-        let serial = cont.aggregate_index(&b).unwrap();
-        let parallel = cont.aggregate_index_parallel(&b, threads).unwrap();
-        prop_assert_eq!(&parallel, &serial);
-        // The default open path is the threaded aggregation, compacted.
+        let resolved = cont.subdirs_phys_batch(&b).unwrap();
+        let writers = cont.list_writers(&b).unwrap();
+        let aggregate = |threads| {
+            let runs = cont.read_index_runs(&b, &resolved, &writers, threads).unwrap();
+            GlobalIndex::from_runs(&runs, false)
+        };
+        let serial = aggregate(1);
+        prop_assert_eq!(&aggregate(threads), &serial);
+        // A read-open loads the threaded aggregation, compacted.
         let mut compacted = serial;
         compacted.compact();
-        prop_assert_eq!(cont.acquire_index(&b).unwrap(), compacted);
+        let probe = cont.probe_index(&b).unwrap().unwrap();
+        let loaded = probe.load(&b, &Arc::default()).unwrap();
+        prop_assert_eq!(loaded.mem().map(|idx| &**idx), Some(&compacted));
     }
 
     #[test]

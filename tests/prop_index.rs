@@ -87,7 +87,9 @@ proptest! {
             "eof mismatch"
         );
         // Check every byte's resolution through lookup.
-        for m in idx.lookup(0, eof) {
+        let mut mappings = Vec::new();
+        idx.lookup_into(0, eof, &mut mappings);
+        for m in mappings {
             for i in 0..m.length {
                 let logical = m.logical_offset + i;
                 match m.source {
@@ -173,7 +175,7 @@ proptest! {
         }
 
         let reference = reference_model(&writes);
-        let mut r = ReadHandle::open(Arc::clone(&backend), cont).unwrap();
+        let mut r = ReadHandle::open_bounded(Arc::clone(&backend), cont, Arc::default()).unwrap();
         let eof = r.size();
         let got = r.read(0, eof).unwrap();
         prop_assert_eq!(got.len() as u64, eof);

@@ -1,13 +1,15 @@
 //! Coherence of the mount's shared-index cache (DESIGN.md §5l): an index
 //! a mount hands out is always the one an uncached open would build.
 //!
-//! Two cached mounts and an uncached oracle (`ReadHandle::open`) share one
-//! store. Arbitrary interleavings of everything that changes a container
-//! — writer open / write / mid-write flush / close, coordinated
-//! flatten close, clip-truncate and truncate(0), unlink and re-create,
-//! rename away and rename in, `fsck::repair` after a torn index append or
-//! a lost data log —
-//! run through either mount or beside both. Mount A is compared with the
+//! Two cached mounts and an uncached oracle share one store: a
+//! `ReadHandle::open` of the index built from the log runs, which never
+//! looks at `flattened.index`. Arbitrary interleavings of everything
+//! that changes a container — writer open / write / mid-write flush /
+//! close, coordinated flatten close (sometimes followed by a new or a
+//! reused writer id's write), clip-truncate and truncate(0), unlink and
+//! re-create, rename away and rename in, `fsck::repair` after a torn
+//! index append or a lost data log — run through either mount or beside
+//! both. Mount A is compared with the
 //! oracle after **every** step; mount B only when the generator says so
 //! and at the end, so its cache keeps entries across whole destructive
 //! sequences. Offsets, lengths and writer ids come from a small set: a
@@ -15,7 +17,9 @@
 //! last look but another logical→physical mapping (two 100-byte writes in
 //! the other order, a clip inside a record, a writer id reopened). Sizes
 //! cannot tell those apart; the namespace generation must. The test
-//! counts such collisions and fails if the generator produced none.
+//! counts such collisions and fails if the generator produced none, and
+//! likewise for looks the mounts served through a bounded (`Disk`)
+//! flattened index.
 //!
 //! The 8-thread single-flight test lives here too.
 
@@ -52,9 +56,12 @@ enum Step {
     Close {
         handle: usize,
     },
-    /// Coordinated close of every handle open on `path`.
+    /// Coordinated close of every handle open on `path`; then, when
+    /// `late` names a writer id, mount A looks and that writer lives a
+    /// whole life on the path (id 2 is new to it, ids 0 and 1 are not).
     FlattenClose {
         path: usize,
+        late: Option<u64>,
     },
     /// A writer's whole life in one step — open, `blocks` writes starting
     /// at slot `first`, close — so that a path is often rebuilt between
@@ -115,7 +122,10 @@ fn step() -> impl Strategy<Value = Step> {
             8..=9 => Step::Close {
                 handle: seed as usize,
             },
-            10 => Step::FlattenClose { path: path % 2 },
+            10 => Step::FlattenClose {
+                path: path % 2,
+                late: [None, Some(2), Some(writer)][seed as usize % 3],
+            },
             11..=14 => Step::Lifecycle {
                 mount,
                 path: path % 2,
@@ -188,6 +198,8 @@ struct World<B: Backend + Clone> {
     collisions: u64,
     /// Writers that died in their close-time index append.
     torn_closes: u64,
+    /// Looks a mount served through a bounded flattened index.
+    disk_looks: u64,
 }
 
 impl<B: Backend + Clone> World<B> {
@@ -206,6 +218,7 @@ impl<B: Backend + Clone> World<B> {
             lazy_seen: HashMap::new(),
             collisions: 0,
             torn_closes: 0,
+            disk_looks: 0,
         }
     }
 
@@ -298,7 +311,7 @@ impl<B: Backend + Clone> World<B> {
                 let ts = self.tick();
                 h.handle.close(ts).unwrap();
             }
-            Step::FlattenClose { path } => {
+            Step::FlattenClose { path, late } => {
                 let (on_path, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut self.open)
                     .into_iter()
                     .partition(|h| h.path == path);
@@ -310,6 +323,16 @@ impl<B: Backend + Clone> World<B> {
                 let handles = on_path.into_iter().map(|h| h.handle).collect();
                 let container = self.mounts[0].container(PATHS[path]);
                 flatten_close(&self.store, &container, handles, ts).unwrap();
+                if let Some(writer) = late {
+                    self.check_mount(0);
+                    self.apply(&Step::Lifecycle {
+                        mount: 1,
+                        path,
+                        writer,
+                        first: 1,
+                        blocks: 1,
+                    });
+                }
             }
             Step::Truncate { mount, path, size } => {
                 self.quiesce(path);
@@ -397,7 +420,12 @@ impl<B: Backend + Clone> World<B> {
                 );
                 continue;
             }
-            let oracle = ReadHandle::open(self.store.clone(), c);
+            let oracle = c.subdirs_phys_batch(&self.store).and_then(|resolved| {
+                let writers = c.list_writers(&self.store)?;
+                let runs = c.read_index_runs(&self.store, &resolved, &writers, 1)?;
+                let index = GlobalIndex::from_runs(&runs, true);
+                Ok(ReadHandle::open(self.store.clone(), c, index))
+            });
             let (mut cached, mut oracle) = match (cached, oracle) {
                 (Ok(c), Ok(o)) => (c, o),
                 // A torn log fails both opens alike until it is repaired.
@@ -409,15 +437,15 @@ impl<B: Backend + Clone> World<B> {
                 ),
             };
             let index = GlobalIndex::clone(oracle.index().unwrap());
-            assert_eq!(
-                **cached.index().unwrap(),
-                index,
-                "{name}: mount {mount} served a stale index"
-            );
+            match cached.index() {
+                Some(shared) => assert_eq!(
+                    **shared, index,
+                    "{name}: mount {mount} served a stale index"
+                ),
+                None => self.disk_looks += 1,
+            }
             let eof = oracle.size();
-            assert_eq!(cached.size(), eof);
-            // (A flattened index outliving a reopened writer's data log
-            // fails the read on both sides alike.)
+            assert_eq!(cached.size(), eof, "{name}: mount {mount} sized it otherwise");
             assert_eq!(
                 cached.read(0, eof).ok(),
                 oracle.read(0, eof).ok(),
@@ -434,8 +462,8 @@ impl<B: Backend + Clone> World<B> {
         }
     }
 
-    /// `(collisions, torn closes)` the steps produced.
-    fn run(mut self, steps: &[Step]) -> (u64, u64) {
+    /// `(collisions, torn closes, bounded looks)` the steps produced.
+    fn run(mut self, steps: &[Step]) -> (u64, u64, u64) {
         for step in steps {
             self.apply(step);
             self.check_mount(0);
@@ -443,7 +471,7 @@ impl<B: Backend + Clone> World<B> {
         (0..PATHS.len()).for_each(|path| self.quiesce(path));
         self.check_mount(0);
         self.check_mount(1);
-        (self.collisions, self.torn_closes)
+        (self.collisions, self.torn_closes, self.disk_looks)
     }
 }
 
@@ -451,6 +479,7 @@ impl<B: Backend + Clone> World<B> {
 /// repairs that followed a torn index append, across all cases.
 static COLLISIONS: AtomicU64 = AtomicU64::new(0);
 static TORN_CLOSES: AtomicU64 = AtomicU64::new(0);
+static DISK_LOOKS: AtomicU64 = AtomicU64::new(0);
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
@@ -461,6 +490,7 @@ proptest! {
         prop_assert_eq!(over_memfs, over_tracing, "same steps, same outcome");
         COLLISIONS.fetch_add(over_memfs.0, Ordering::Relaxed);
         TORN_CLOSES.fetch_add(over_memfs.1, Ordering::Relaxed);
+        DISK_LOOKS.fetch_add(over_memfs.2, Ordering::Relaxed);
     }
 }
 
@@ -469,14 +499,17 @@ fn cached_opens_equal_uncached_opens_under_any_interleaving() {
     any_interleaving();
     let collisions = COLLISIONS.load(Ordering::Relaxed);
     let torn = TORN_CLOSES.load(Ordering::Relaxed);
+    let disk = DISK_LOOKS.load(Ordering::Relaxed);
     println!(
-        "same-size re-incarnations the lazy mount met: {collisions}; torn closes repaired: {torn}"
+        "same-size re-incarnations the lazy mount met: {collisions}; torn closes repaired: {torn}; \
+         looks served bounded: {disk}"
     );
     assert!(
         collisions > 0,
         "the generator produced no same-size, different-mapping re-incarnation"
     );
     assert!(torn > 0, "no writer died in its index append");
+    assert!(disk > 0, "no mount served a flattened index");
 }
 
 /// The one destructive path the random walk reaches too rarely to pin:
@@ -524,7 +557,9 @@ fn concurrent_first_opens_aggregate_once() {
         }
         h.close(fs.timestamp()).unwrap();
     }
-    let mut whole = ReadHandle::open(Arc::clone(&store), fs.container("/ckpt")).unwrap();
+    let mut whole =
+        ReadHandle::open_bounded(Arc::clone(&store), fs.container("/ckpt"), Arc::default())
+            .unwrap();
     let eof = whole.size();
     let want = whole.read(0, eof).unwrap();
     drop(whole);

@@ -8,8 +8,9 @@
 //!   identical to merging everything in memory, compacting, and writing
 //!   the result whole;
 //! * the end-to-end bounded read path (`ReadHandle::open_bounded` over a
-//!   flattened container) is byte-identical to the plain aggregating
-//!   path, before and after a truncate rewrites the container.
+//!   flattened container) is byte-identical to reading through the index
+//!   the logs resolve to, before and after a truncate rewrites the
+//!   container.
 //!
 //! A crash mid-flatten is `tests/crash_states.rs`'s `flatten` row: every
 //! crash state of a flatten close, bounded and plain reads compared in
@@ -19,11 +20,19 @@ use plfs::index::ondisk::SpanIdxWriter;
 use plfs::reader::ReadHandle;
 use plfs::writer::{self, IndexPolicy, WriteHandle};
 use plfs::{
-    Container, Content, Federation, GlobalIndex, IndexEntry, MemFs, OnDiskIndex, SpanCache,
+    Container, Content, Federation, GlobalIndex, IndexEntry, IndexSource, MemFs, OnDiskIndex,
+    SpanCache,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// The index `c`'s logs resolve to, compacted — never its flattened one.
+fn logs(b: &Arc<MemFs>, c: &Container) -> GlobalIndex {
+    let resolved = c.subdirs_phys_batch(b).unwrap();
+    let writers = c.list_writers(b).unwrap();
+    GlobalIndex::from_runs(&c.read_index_runs(b, &resolved, &writers, 1).unwrap(), true)
+}
 
 /// An arbitrary write: (writer, logical offset, length, timestamp).
 fn arb_write() -> impl Strategy<Value = (u64, u64, u64, u64)> {
@@ -81,7 +90,8 @@ proptest! {
 
     /// The on-disk index and the in-memory index are the same function:
     /// every probe (and the full range) resolves to the same mappings,
-    /// both plain and coalesced, under a cache small enough to evict.
+    /// both plain and as a reader coalesces them, under a cache small
+    /// enough to evict.
     #[test]
     fn ondisk_lookup_matches_global_index(
         writes in prop::collection::vec(arb_write(), 1..30),
@@ -95,31 +105,26 @@ proptest! {
         // A tiny budget forces eviction and re-fetch between probes; the
         // answers must not depend on what happens to be cached.
         let cache = Arc::new(SpanCache::with_budget(2048));
-        let mut od = OnDiskIndex::open(b.as_ref(), "/flat", cache)
+        let od = OnDiskIndex::open(b.as_ref(), "/flat", cache)
             .unwrap()
             .expect("a just-written spanidx must open");
 
         let eof = idx.eof();
         prop_assert_eq!(od.eof(), eof, "eof mismatch");
-        prop_assert_eq!(
-            od.lookup(b.as_ref(), 0, eof + 64).unwrap(),
-            idx.lookup(0, eof + 64),
-            "full-range lookup diverged"
-        );
-        for &(off, len) in &probes {
-            let off = off % (eof + 500);
-            prop_assert_eq!(
-                od.lookup(b.as_ref(), off, len).unwrap(),
-                idx.lookup(off, len),
-                "lookup({}, {}) diverged", off, len
-            );
-            prop_assert_eq!(
-                od.lookup_coalesced(b.as_ref(), off, len).unwrap(),
-                idx.lookup_coalesced(off, len),
-                "lookup_coalesced({}, {}) diverged", off, len
-            );
+        let (od, idx) = (Arc::new(od), Arc::new(idx));
+        let sources = [IndexSource::Disk(Arc::clone(&od)), IndexSource::Mem(Arc::clone(&idx))];
+        let probes = probes.iter().map(|&(off, len)| (off % (eof + 500), len));
+        for (off, len) in [(0, eof + 64), (7, 0)].into_iter().chain(probes) {
+            let (mut on_disk, mut in_mem) = (Vec::new(), Vec::new());
+            od.lookup_into(b.as_ref(), off, len, &mut on_disk).unwrap();
+            idx.lookup_into(off, len, &mut in_mem);
+            prop_assert_eq!(on_disk, in_mem, "lookup({}, {}) diverged", off, len);
+            let mut resolved = [Vec::new(), Vec::new()];
+            for (source, out) in sources.iter().zip(&mut resolved) {
+                source.resolve_into(b.as_ref(), off, len, out).unwrap();
+            }
+            prop_assert_eq!(&resolved[0], &resolved[1], "resolve({}, {}) diverged", off, len);
         }
-        prop_assert_eq!(od.lookup(b.as_ref(), 7, 0).unwrap(), Vec::new());
     }
 
     /// The streamed zipper merge writes the flattened file bit-for-bit
@@ -159,8 +164,9 @@ proptest! {
         let (ba, bb) = (MemFs::new(), MemFs::new());
         cont.create(&ba).unwrap();
         cont.create(&bb).unwrap();
-        cont.write_flattened_streamed(&ba, parts(())).unwrap();
-        cont.write_flattened(&bb, &merged).unwrap();
+        let runs: Vec<_> = parts(()).iter().map(GlobalIndex::to_entries).collect();
+        cont.write_flattened_runs(&ba, &runs).unwrap();
+        cont.write_flattened_runs(&bb, &[merged.to_entries()]).unwrap();
         let path = cont.flattened_path();
         let bytes_a = {
             use plfs::Backend as _;
@@ -220,7 +226,8 @@ proptest! {
         prop_assert!(flattened, "all writers can_flatten, so flatten must land");
 
         let assert_paths_agree = |label: &str| {
-            let mut plain = ReadHandle::open(Arc::clone(&backend), cont.clone()).unwrap();
+            let logs = logs(&backend, &cont);
+            let mut plain = ReadHandle::open(Arc::clone(&backend), cont.clone(), logs);
             let cache = Arc::new(SpanCache::with_budget(4096));
             let mut bounded =
                 ReadHandle::open_bounded(Arc::clone(&backend), cont.clone(), cache).unwrap();
@@ -249,14 +256,14 @@ proptest! {
 
         // Truncate rewrites the index logs and drops the flattened index;
         // re-flatten from the aggregated logs and compare again.
-        let eof = ReadHandle::open(Arc::clone(&backend), cont.clone()).unwrap().size();
+        let eof = logs(&backend, &cont).eof();
         let new_size = trunc_sel % (eof + 2);
         plfs::truncate::truncate(&backend, &cont, new_size).unwrap();
-        let idx = cont.acquire_index(&backend).unwrap();
+        let idx = logs(&backend, &cont);
         // The clipped indices may resolve to less than `new_size` when the
         // cut lands in a hole or beyond the old EOF (truncate.rs docs).
         prop_assert!(idx.eof() <= new_size, "truncate must clip eof");
-        cont.write_flattened(&backend, &idx).unwrap();
+        cont.write_flattened_runs(&backend, &[idx.to_entries()]).unwrap();
         assert_paths_agree("post-truncate");
     }
 }

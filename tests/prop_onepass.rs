@@ -147,15 +147,10 @@ proptest! {
             prop_assert_eq!(&runs.concat(), &concatenated, "threads = {}", threads);
             prop_assert_eq!(&GlobalIndex::from_runs(&runs, false), &reference, "threads = {}", threads);
             prop_assert_eq!(&GlobalIndex::from_runs(&runs, true), &compacted, "threads = {}", threads);
-            prop_assert_eq!(
-                &cont.aggregate_index_parallel(&b, threads).unwrap(),
-                &reference,
-                "threads = {}",
-                threads
-            );
         }
-        prop_assert_eq!(&cont.aggregate_index(&b).unwrap(), &reference);
-        // The default open path: machine-dependent thread count, compacted.
-        prop_assert_eq!(&cont.acquire_index(&b).unwrap(), &compacted);
+        // The read-open path: machine-dependent thread count, compacted.
+        let probe = cont.probe_index(&b).unwrap().unwrap();
+        let loaded = probe.load(&b, &std::sync::Arc::default()).unwrap();
+        prop_assert_eq!(loaded.mem().map(|idx| &**idx), Some(&compacted));
     }
 }

@@ -20,7 +20,7 @@ use mpio::{Ctx, Exec, Layout, PlfsDriver, PlfsDriverConfig, ReadStrategy};
 use pfs::{PfsParams, SimPfs};
 use plfs::reader::ReadHandle;
 use plfs::writer::{IndexPolicy, WriteHandle};
-use plfs::{Container, Content, Federation, IoOp, MemFs, TracingBackend};
+use plfs::{Container, Content, Federation, IoOp, MemFs, Plfs, PlfsConfig, TracingBackend};
 use simnet::{Interconnect, InterconnectParams};
 use std::sync::Arc;
 
@@ -55,10 +55,12 @@ fn library_trace() -> (usize, u64, u64) {
         h.close(99).unwrap();
     }
 
-    // Read phase, Original design: every reader aggregates every index
-    // log itself, then reads back the next rank's blocks.
+    // Read phase, Original design: every reader mounts on its own and
+    // aggregates every index log itself, then reads back the next rank's
+    // blocks.
     for r in 0..WRITERS {
-        let mut rh = ReadHandle::open(Arc::clone(&traced), cont.clone()).unwrap();
+        let fs = Plfs::new(Arc::clone(&traced), PlfsConfig::basic("/panfs")).unwrap();
+        let mut rh = fs.open_read("/ckpt").unwrap();
         let w = ((r + 1) % WRITERS) as u64;
         for k in 0..BLOCKS {
             let logical = (k * WRITERS as u64 + w) * BLOCK;
@@ -198,7 +200,12 @@ fn library_trace_shows_n_squared_original_reads() {
     }
     traced.take_trace();
     for _ in 0..3 {
-        ReadHandle::open(Arc::clone(&traced), cont.clone()).unwrap();
+        let config = PlfsConfig {
+            federation: fed.clone(),
+            index_policy: IndexPolicy::WriteClose,
+        };
+        let fs = Plfs::new(Arc::clone(&traced), config).unwrap();
+        fs.open_read("/f").unwrap();
     }
     let trace = traced.take_trace();
     let index_reads = trace
@@ -242,7 +249,8 @@ fn recorded_trace_replays_to_an_identical_op_sequence() {
         }
         let trace = traced.take_trace();
         let fed = Federation::single("/panfs", 2);
-        let mut rh = ReadHandle::open(Arc::clone(&traced), Container::new("/f", &fed)).unwrap();
+        let c = Container::new("/f", &fed);
+        let mut rh = ReadHandle::open_bounded(Arc::clone(&traced), c, Arc::default()).unwrap();
         let bytes = rh.read(0, 3 * 64).unwrap();
         (trace, bytes)
     };
