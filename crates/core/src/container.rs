@@ -1100,10 +1100,7 @@ impl IndexProbe {
     /// The index the stamp describes, byte for byte: the flattened index
     /// at the size stamped, opened bounded through `cache` when it parses
     /// ([`OnDiskIndex::open_sized`]: footer and fences, no `Size`), else
-    /// one-pass aggregation of exactly the stamped prefix of every log,
-    /// compacted inline. Compaction happens only here, at the terminal
-    /// aggregation, never to partial indices that may still be merged
-    /// (DESIGN.md §5b).
+    /// the stamped prefix of every log aggregated (`IndexProbe::aggregate`).
     pub fn load<B: Backend>(&self, b: &B, cache: &Arc<SpanCache>) -> Result<IndexSource> {
         if let Some(len) = self.stamp.flattened {
             let odx = OnDiskIndex::open_sized(b, &self.flattened_path, len, Arc::clone(cache))?;
@@ -1111,11 +1108,19 @@ impl IndexProbe {
                 return Ok(IndexSource::Disk(Arc::new(odx)));
             }
         }
+        self.aggregate(b).map(IndexSource::from)
+    }
+
+    /// One-pass aggregation of exactly the stamped prefix of every log,
+    /// compacted inline, never looking at a flattened index. Compaction
+    /// happens only here, at the terminal aggregation, never to partial
+    /// indices that may still be merged (DESIGN.md §5b).
+    pub(crate) fn aggregate<B: Backend>(&self, b: &B) -> Result<GlobalIndex> {
         let _span = telemetry::span(telemetry::SPAN_INDEX_AGGREGATE);
         let sizes: Vec<u64> = self.stamp.logs.iter().map(|&(_, size)| size).collect();
         let threads = default_aggregation_threads();
         let runs = Container::read_logs_sized(b, &self.log_paths, &sizes, threads)?;
-        Ok(GlobalIndex::from_runs(&runs, true).into())
+        Ok(GlobalIndex::from_runs(&runs, true))
     }
 }
 

@@ -1027,13 +1027,16 @@ mod tests {
             h.write(w * 50, &Content::synthetic(w, 50), w + 1).unwrap();
             handles.push(h);
         }
-        // A writer that opened before the flatten (a writer's open drops
-        // any flattened index) extends the file after it.
+        assert!(flatten_close(&b, &cont, handles, 9).unwrap());
+        // Writer 9's open drops the flattened index and its write extends
+        // the file; a flatten of writers 0 and 1 that raced the open
+        // lands after it.
         let mut h =
             WriteHandle::open(Arc::clone(&b), cont.clone(), 9, IndexPolicy::WriteClose).unwrap();
-        assert!(flatten_close(&b, &cont, handles, 9).unwrap());
         h.write(500, &Content::synthetic(9, 50), 99).unwrap();
         h.close(100).unwrap();
+        let runs = [0, 1].map(|w| cont.read_index_log(&*b, w).unwrap());
+        cont.write_flattened_runs(&*b, &runs).unwrap();
         let r = check(&b, &cont).unwrap();
         assert!(r.issues.contains(&Issue::StaleFlattenedIndex));
 

@@ -534,6 +534,9 @@ impl OnDiskIndex {
 
     /// Fetch windows `w_lo..=w_hi` in order: cache probes first, then ONE
     /// batched list-I/O submission for every missed window.
+    /// A miss reads by path, where a later flatten may have put another
+    /// file (DESIGN.md §5j), so each window is read with the bytes after
+    /// it and checked by [`OnDiskIndex::checked_window`].
     fn fetch_windows<B: Backend>(
         &self,
         b: &B,
@@ -541,6 +544,7 @@ impl OnDiskIndex {
         w_hi: u64,
     ) -> Result<Vec<Arc<Vec<IndexEntry>>>> {
         let stride = self.footer.fence_stride;
+        let last = self.footer.fence_count.saturating_sub(1);
         let mut got: Vec<Option<Arc<Vec<IndexEntry>>>> =
             Vec::with_capacity((w_hi - w_lo + 1) as usize);
         let mut missing: Vec<(u64, (u64, u64))> = Vec::new(); // (window, byte range)
@@ -548,15 +552,13 @@ impl OnDiskIndex {
             match self.cache.get(self.cache_id, w) {
                 Some(entries) => got.push(Some(entries)),
                 None => {
-                    let rec_lo = w * stride;
-                    let rec_hi = ((w + 1) * stride).min(self.footer.record_count);
-                    missing.push((
-                        w,
-                        (
-                            rec_lo * INDEX_RECORD_BYTES,
-                            (rec_hi - rec_lo) * INDEX_RECORD_BYTES,
-                        ),
-                    ));
+                    let lo = w * stride * INDEX_RECORD_BYTES;
+                    let hi = if w == last {
+                        self.footer.expected_file_size()
+                    } else {
+                        ((w + 1) * stride + 1) * INDEX_RECORD_BYTES
+                    };
+                    missing.push((w, (lo, hi - lo)));
                     got.push(None);
                 }
             }
@@ -566,7 +568,7 @@ impl OnDiskIndex {
             let reads = ioplane::list_read(b, &self.path, &ranges)?;
             let mut filled = got.iter_mut().filter(|g| g.is_none());
             for ((w, _), content) in missing.into_iter().zip(reads) {
-                let entries = Arc::new(IndexEntry::decode_content(&content)?);
+                let entries = Arc::new(self.checked_window(w, &content.as_bytes())?);
                 self.cache.insert(self.cache_id, w, Arc::clone(&entries));
                 if let Some(slot) = filled.next() {
                     *slot = Some(entries);
@@ -577,6 +579,43 @@ impl OnDiskIndex {
             .into_iter()
             .map(|g| g.unwrap_or_default())
             .collect())
+    }
+
+    /// Decode window `w`, pinning both of its ends to this index: its
+    /// first record's offset is its fence, and the bytes read after it
+    /// are the next window's first record, at the next fence, or for the
+    /// last window this index's fence region and footer. A window that
+    /// passes holds all its file's records for its logical range; one
+    /// that fails is `CorruptContainer`, never holes.
+    fn checked_window(&self, w: u64, bytes: &[u8]) -> Result<Vec<IndexEntry>> {
+        let stride = self.footer.fence_stride;
+        let records = (((w + 1) * stride).min(self.footer.record_count) - w * stride) as usize;
+        let changed = || {
+            PlfsError::CorruptContainer(format!(
+                "flattened index {} changed under its reader (window {w})",
+                self.path
+            ))
+        };
+        let (window, after) = bytes
+            .split_at_checked(records * INDEX_RECORD_BYTES as usize)
+            .ok_or_else(changed)?;
+        let entries = IndexEntry::decode_all(window)?;
+        let first = entries.first().map(|e| e.logical_offset);
+        let pinned = match self.fences.get(w as usize + 1) {
+            Some(&next) => IndexEntry::from_bytes(after)?.logical_offset == next,
+            None => {
+                let fence_bytes = self.fences.len() * SPANIDX_FENCE_BYTES as usize;
+                let (fences, footer) = after.split_at_checked(fence_bytes).ok_or_else(changed)?;
+                footer == self.footer.to_bytes()
+                    && (fences.chunks_exact(SPANIDX_FENCE_BYTES as usize))
+                        .zip(&self.fences)
+                        .all(|(got, f)| *got == f.to_le_bytes())
+            }
+        };
+        if !pinned || first != self.fences.get(w as usize).copied() {
+            return Err(changed());
+        }
+        Ok(entries)
     }
 }
 
@@ -725,6 +764,41 @@ mod tests {
         let mut out = Vec::new();
         odx.lookup_into(&b, 25_000, 20, &mut out).unwrap();
         assert_eq!(out[0].source, Source::Writer { writer: 1, physical_offset: 25_000 });
+    }
+
+    #[test]
+    fn windows_reread_from_a_changed_file_are_refused_never_holes() {
+        let b = MemFs::new();
+        let stride = SPANIDX_FENCE_STRIDE;
+        let old: Vec<IndexEntry> = (0..2 * stride).map(|i| e(i * 10, 10, i * 10, 1, 1)).collect();
+        write_idx(&b, "/idx", &old);
+        // A cache that retains nothing: every lookup re-reads its windows.
+        let odx = OnDiskIndex::open(&b, "/idx", Arc::new(SpanCache::with_budget(0)));
+        let odx = odx.unwrap().unwrap();
+        let lookup = |off: u64| {
+            let mut out = Vec::new();
+            odx.lookup_into(&b, off, 10, &mut out).map(|()| out)
+        };
+        let (tail_of_0, head_of_1) = ((stride - 1) * 10, stride * 10);
+        let want = lookup(tail_of_0).unwrap();
+        assert_eq!(want[0].source, Source::Writer { writer: 1, physical_offset: tail_of_0 });
+        // A newer index splits record 5: window 0 still starts at its
+        // fence, but every later record moves one slot on, so window 0's
+        // bytes now end one record short of its logical range.
+        let mut split = old.clone();
+        split[5].length = 5;
+        split.insert(6, e(55, 5, 0, 2, 2));
+        b.unlink("/idx").unwrap();
+        write_idx(&b, "/idx", &split);
+        for off in [tail_of_0, head_of_1] {
+            assert!(matches!(lookup(off), Err(PlfsError::CorruptContainer(_))), "{off}");
+        }
+        // Gone, then back byte for byte.
+        b.unlink("/idx").unwrap();
+        assert!(lookup(0).is_err());
+        write_idx(&b, "/idx", &old);
+        assert_eq!(lookup(tail_of_0).unwrap(), want);
+        assert!(lookup(head_of_1).is_ok());
     }
 
     #[test]

@@ -70,14 +70,20 @@ impl<B: Backend> ReadHandle<B> {
     /// `restart_flat_mem`).
     pub fn open_bounded(backend: B, container: Container, cache: Arc<SpanCache>) -> Result<Self> {
         let _span = telemetry::span(telemetry::SPAN_READ_OPEN);
-        let source = match container.open_ondisk_index(&backend, Arc::clone(&cache))? {
+        let source = match container.open_ondisk_index(&backend, cache)? {
             Some(odx) => IndexSource::Disk(Arc::new(odx)),
-            None => match container.probe_index(&backend)? {
-                Some(probe) => probe.load(&backend, &cache)?,
-                None => return Err(PlfsError::NotFound(container.logical_path().to_string())),
-            },
+            None => Self::aggregated(&backend, &container)?.into(),
         };
         Ok(Self::open(backend, container, source))
+    }
+
+    /// Every index log of `container` aggregated, never its flattened
+    /// index; `NotFound` without a container.
+    fn aggregated(backend: &B, container: &Container) -> Result<GlobalIndex> {
+        match container.probe_index(backend)? {
+            Some(probe) => probe.aggregate(backend),
+            None => Err(PlfsError::NotFound(container.logical_path().to_string())),
+        }
     }
 
     /// Seed the data-log paths a mount's probe already resolved, so the
@@ -120,6 +126,12 @@ impl<B: Backend> ReadHandle<B> {
         Ok(out)
     }
 
+    /// Append the mappings of `[offset, offset + len)`, clamped at EOF.
+    fn resolve(&self, offset: u64, len: u64, out: &mut Vec<Mapping>) -> Result<()> {
+        let len = len.min(self.source.eof().saturating_sub(offset));
+        self.source.resolve_into(&self.backend, offset, len, out)
+    }
+
     /// Read `len` logical bytes at `offset` as content pieces (keeps
     /// synthetic extents symbolic — this is what scale tests use to
     /// verify terabyte-logical files without materializing them). Reads
@@ -131,13 +143,19 @@ impl<B: Backend> ReadHandle<B> {
     /// costs one backend operation per writer run rather than per block.
     pub fn read_pieces(&mut self, offset: u64, len: u64) -> Result<Vec<Content>> {
         let _span = telemetry::span(telemetry::SPAN_READ_LOOKUP);
-        let len = len.min(self.source.eof().saturating_sub(offset));
         // Reuse the mapping scratch (taken out so `log_path` below can
         // borrow `self` mutably while the mappings are walked).
         let mut mappings = std::mem::take(&mut self.map_buf);
         mappings.clear();
-        self.source
-            .resolve_into(&self.backend, offset, len, &mut mappings)?;
+        if self.resolve(offset, len, &mut mappings).is_err() {
+            // Only a `Disk` source fails here: its file went or changed
+            // under this reader (a writer's open unlinks it, a flatten
+            // writes a new one). The logs hold everything it did; read
+            // through them from now on.
+            self.source = Self::aggregated(&self.backend, &self.container)?.into();
+            mappings.clear();
+            self.resolve(offset, len, &mut mappings)?;
+        }
         // Resolve every mapping to either a hole or a planned read, then
         // submit all the reads as ONE plane batch (one submission for the
         // whole fan-out; transient failures are retried per op by the
@@ -302,6 +320,37 @@ mod tests {
             let mut r = ReadHandle::open(Arc::clone(&ab), ac.clone(), idx);
             assert_eq!(r.read(0, total).unwrap(), want);
         }
+    }
+
+    #[test]
+    fn a_reader_never_serves_holes_when_its_flattened_index_changes() {
+        let b = Arc::new(MemFs::new());
+        let c = Container::new("/f", &Federation::single("/ns", 2));
+        let flat = IndexPolicy::Flatten {
+            threshold_entries: usize::MAX,
+        };
+        assert!(flatten_close(&b, &c, write_strided(&b, &c, 2, 1, 100, flat), 9).unwrap());
+        // Span caches that retain nothing: every read re-reads its window.
+        let open = || {
+            let cache = Arc::new(SpanCache::with_budget(0));
+            ReadHandle::open_bounded(Arc::clone(&b), c.clone(), cache).unwrap()
+        };
+        let (mut gone, mut replaced) = (open(), open());
+        assert!(gone.index().is_none() && replaced.index().is_none());
+        let before = gone.read(0, 200).unwrap();
+        assert_eq!(replaced.read(0, 200).unwrap(), before);
+        // A writer's open unlinks the flattened index ...
+        let mut h = WriteHandle::open(Arc::clone(&b), c.clone(), 2, flat).unwrap();
+        assert_eq!(gone.read(0, 200).unwrap(), before);
+        // ... and a later flatten of every log writes another there.
+        h.write(50, &Content::bytes(vec![9; 100]), 5).unwrap();
+        h.close(10).unwrap();
+        let runs = [0, 1, 2].map(|w| c.read_index_log(&*b, w).unwrap());
+        c.write_flattened_runs(&*b, &runs).unwrap();
+        let mut want = before;
+        want[50..150].fill(9);
+        assert_eq!(replaced.read(0, 200).unwrap(), want);
+        assert!(gone.index().is_some(), "the logs serve a reader whose file went");
     }
 
     #[test]

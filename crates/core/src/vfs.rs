@@ -848,8 +848,13 @@ mod tests {
         let c = fs.container("/f");
         let flattened = vec![write(0), write(1)];
         assert!(crate::writer::flatten_close(&b, &c, flattened, fs.timestamp()).unwrap());
-        assert!(fs.open_read("/f").unwrap().index().is_none(), "read bounded");
+        let mut early = fs.open_read("/f").unwrap();
+        assert!(early.index().is_none(), "read bounded");
         write(2).close(fs.timestamp()).unwrap();
+        // A reader that opened before the writer finds its file gone and
+        // reads through the logs instead.
+        let acknowledged = [vec![1; 100], vec![2; 100]].concat();
+        assert_eq!(early.read(0, 200).unwrap(), acknowledged);
 
         let fresh = Plfs::new(Arc::clone(&b), config).unwrap();
         assert_eq!(fresh.stat("/f").unwrap().size, 300);

@@ -331,8 +331,9 @@ impl<B: Backend> WriteHandle<B> {
 }
 
 /// Coordinated close for Index Flatten: close all writers of one logical
-/// file, and if **every** writer stayed under its buffering threshold,
-/// write the aggregated global index into the container.
+/// file, and if **every** writer stayed under its buffering threshold
+/// and they are every writer the container has, write the aggregated
+/// global index into the container.
 ///
 /// In the real system the aggregation is an MPI gather to rank 0 (modeled
 /// with network costs in the `mpio` crate); functionally it is exactly
@@ -345,13 +346,17 @@ pub fn flatten_close<B: Backend>(
 ) -> Result<bool> {
     let _span = telemetry::span(telemetry::SPAN_WRITE_FLATTEN);
     let all_can_flatten = handles.iter().all(|h| h.can_flatten());
+    let mut session: Vec<WriterId> = handles.iter().map(|h| h.writer).collect();
+    session.sort_unstable();
     // Gather each writer's closed entry buffer: one run per writer, in
     // log order.
     let mut runs: Vec<Vec<IndexEntry>> = Vec::with_capacity(handles.len());
     for h in handles {
         runs.push(h.close(timestamp)?);
     }
-    if !all_can_flatten {
+    // Another writer's logs (an earlier session's, or one still open)
+    // would outgrow the flattened index at once: leave reads to the logs.
+    if !all_can_flatten || container.list_writers(backend)? != session {
         return Ok(false);
     }
     // Stream the merge straight to disk: the runs go through the
@@ -544,6 +549,29 @@ mod tests {
         for (a, b2) in a.iter().zip(&b2) {
             assert_eq!(a.source, b2.source, "offset {}", a.logical_offset);
         }
+    }
+
+    #[test]
+    fn a_session_short_of_any_writer_does_not_flatten() {
+        let (b, c) = setup();
+        let flat = IndexPolicy::Flatten {
+            threshold_entries: 100,
+        };
+        let session = |writers: &[u64]| -> Vec<_> {
+            let open = |w: u64| {
+                let mut h = WriteHandle::open(Arc::clone(&b), c.clone(), w, flat).unwrap();
+                h.write(w * 10, &Content::bytes(vec![w as u8 + 1; 10]), w + 1)
+                    .unwrap();
+                h
+            };
+            writers.iter().map(|&w| open(w)).collect()
+        };
+        assert!(flatten_close(&b, &c, session(&[0, 1]), 9).unwrap());
+        // Writer 2 alone: its flattened index would hide writers 0 and 1.
+        assert!(!flatten_close(&b, &c, session(&[2]), 19).unwrap());
+        let cache = Arc::new(crate::index::SpanCache::new());
+        let mut r = crate::reader::ReadHandle::open_bounded(Arc::clone(&b), c, cache).unwrap();
+        assert_eq!(r.read(0, 30).unwrap(), [[1; 10], [2; 10], [3; 10]].concat());
     }
 
     #[test]
