@@ -34,10 +34,12 @@ use crate::driver::{exec_io, generic_collective, Ctx, Driver, Step};
 use crate::ops::{FileTag, LogicalOp};
 use plfs::index::ondisk::{fences_for, SPANIDX_FENCE_BYTES, SPANIDX_FENCE_STRIDE, SPANIDX_FOOTER_BYTES};
 use plfs::index::INDEX_RECORD_BYTES;
+use pfs::cache::IdMap;
+use pfs::state::FileId;
+use pfs::SimPfs;
 use plfs::{Content, Federation, IoOp};
 use simcore::SimTime;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// How a PLFS file's global index is obtained at read open (§IV).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,7 +102,12 @@ impl PlfsDriverConfig {
 struct FileSim {
     /// writer rank → (index entries, data log bytes). A writer appears
     /// here once its first write has created its droppings.
-    writers: HashMap<u64, (u64, u64)>,
+    writers: IdMap<u64, (u64, u64)>,
+    /// writer rank → its data log's id in the simulated file system,
+    /// resolved at first use. It lives and dies with the slot: an
+    /// unlink drops both, because a re-created container's logs get new
+    /// ids.
+    data_logs: IdMap<u64, FileId>,
     /// Any writer exceeded the flatten buffering threshold.
     overflowed: bool,
     /// A writer died before close (see `PlfsDriverConfig::crash_at_close`):
@@ -144,42 +151,43 @@ fn io(ns: usize, op: IoOp) -> PlanItem {
     PlanItem::Io { ns, reps: 1, op }
 }
 
-/// A rank's open write "descriptor": everything the steady-state write
-/// path needs, resolved once at the rank's first write to the file.
-/// Valid while the file slot's epoch is unchanged — closes, unlinks and
-/// cache flushes bump the epoch, sending the next write back through
-/// path resolution.
-struct WriteHandle {
+/// A rank's open "descriptor": the file slot its logical path resolved
+/// to, and once the rank has written, its own data log's id. The
+/// steady-state write and read paths start from it and hash no path.
+/// The rank's own close drops it; a collective close or an unlink drops
+/// every rank's handle on the slot, and `FlushCaches` drops them all.
+struct Handle {
     file: FileTag,
     /// Slot in [`PlfsDriver::file_states`].
     fs: u32,
-    epoch: u32,
-    /// Interned backend data-log path for this writer.
-    dlog: Arc<str>,
+    /// This rank's data log, set by its first write.
+    dlog: Option<FileId>,
+}
+
+/// Drop every rank's handle whose slot `stale` picks out.
+fn drop_handles(handles: &mut [Option<Handle>], stale: impl Fn(usize) -> bool) {
+    for h in handles {
+        if h.as_ref().is_some_and(|h| stale(h.fs as usize)) {
+            *h = None;
+        }
+    }
 }
 
 /// The PLFS simulation driver.
 pub struct PlfsDriver {
     cfg: PlfsDriverConfig,
-    /// Logical path → slot in `file_states`. The hot write path never
-    /// probes this: a [`WriteHandle`] carries the slot index.
+    /// Logical path → slot in `file_states`. The hot data path never
+    /// probes this: a [`Handle`] carries the slot index.
     files: HashMap<String, u32>,
     file_states: Vec<Option<FileSim>>,
-    /// Bumped per slot on close/unlink; invalidates write handles.
-    state_epochs: Vec<u32>,
-    /// Per-rank write descriptors (fd-style): steady-state writes go
-    /// straight to the interned data log and the file slot, with no
-    /// path formatting and no string-keyed probes.
-    write_handles: Vec<Option<WriteHandle>>,
+    /// Per-rank descriptors (fd-style): steady-state writes go straight
+    /// to the data log's id and the file slot, and reads to the slot's
+    /// data-log ids, with no path formatting and no string-keyed probes.
+    handles: Vec<Option<Handle>>,
     /// In-flight micro-plans, one slot per rank: (items, next index).
     /// Slot-indexed so each micro-step is an in-place advance, not a map
     /// move.
     plans: Vec<Option<(Vec<PlanItem>, usize)>>,
-    /// Interned data-log paths: logical → writer → backend path. The
-    /// per-event Read/Write path hits this instead of re-formatting the
-    /// whole container path chain; entries never go stale because the
-    /// federation's logical→backend mapping is a pure function.
-    data_log_cache: HashMap<String, HashMap<u64, Arc<str>>>,
     /// Scratch buffer for building logical paths without allocating.
     logical_buf: String,
 }
@@ -190,10 +198,8 @@ impl PlfsDriver {
             cfg,
             files: HashMap::new(),
             file_states: Vec::new(),
-            state_epochs: Vec::new(),
-            write_handles: Vec::new(),
+            handles: Vec::new(),
             plans: Vec::new(),
-            data_log_cache: HashMap::new(),
             logical_buf: String::new(),
         }
     }
@@ -206,7 +212,6 @@ impl PlfsDriver {
         }
         let id = self.file_states.len();
         self.file_states.push(Some(FileSim::default()));
-        self.state_epochs.push(0);
         self.files.insert(logical.to_string(), id as u32);
         id
     }
@@ -229,23 +234,35 @@ impl PlfsDriver {
             .and_then(|&id| self.file_states[id as usize].as_ref())
     }
 
-    /// Invalidate write handles to `logical` (close/unlink paths).
-    fn bump_epoch(&mut self, logical: &str) {
-        if let Some(&id) = self.files.get(logical) {
-            self.state_epochs[id as usize] = self.state_epochs[id as usize].wrapping_add(1);
+    fn install_handle(&mut self, rank: usize, file: &FileTag, fs: usize, dlog: Option<FileId>) {
+        if self.handles.len() <= rank {
+            self.handles.resize_with(rank + 1, || None);
         }
-    }
-
-    fn install_handle(&mut self, rank: usize, file: &FileTag, fs: usize, dlog: Arc<str>) {
-        if self.write_handles.len() <= rank {
-            self.write_handles.resize_with(rank + 1, || None);
-        }
-        self.write_handles[rank] = Some(WriteHandle {
+        self.handles[rank] = Some(Handle {
             file: file.clone(),
             fs: fs as u32,
-            epoch: self.state_epochs[fs],
             dlog,
         });
+    }
+
+    /// `rank`'s handle, if it names `file`.
+    fn handle(&self, rank: usize, file: &FileTag) -> Option<&Handle> {
+        self.handles
+            .get(rank)
+            .and_then(Option::as_ref)
+            .filter(|h| h.file == *file)
+    }
+
+    /// Count `reps` writes of `len` bytes by `writer` into slot `fs`.
+    fn record_write(&mut self, fs: usize, writer: u64, reps: u64, len: u64) {
+        let threshold = self.cfg.flatten_threshold_entries;
+        let f = self.state_mut(fs);
+        let w = f.writers.entry(writer).or_insert((0, 0));
+        w.0 += reps;
+        w.1 += len * reps;
+        if w.0 > threshold {
+            f.overflowed = true;
+        }
     }
 
     pub fn config(&self) -> &PlfsDriverConfig {
@@ -306,17 +323,42 @@ impl PlfsDriver {
         format!("{}/flattened.index", self.canonical(logical))
     }
 
-    /// The data-log path for (`logical`, `writer`), interned on first use.
-    fn data_log_interned(&mut self, logical: &str, writer: u64) -> Arc<str> {
-        if let Some(p) = self.data_log_cache.get(logical).and_then(|m| m.get(&writer)) {
-            return p.clone();
+    /// The id of `writer`'s data log in `logical` (slot `fs`), cached in
+    /// the slot once the log exists.
+    fn data_log_id(&mut self, fs: usize, logical: &str, writer: u64, pfs: &SimPfs) -> Option<FileId> {
+        if let Some(&id) = self.state_mut(fs).data_logs.get(&writer) {
+            return Some(id);
         }
-        let path: Arc<str> = Arc::from(self.data_log(logical, writer).as_str());
-        self.data_log_cache
-            .entry(logical.to_string())
-            .or_default()
-            .insert(writer, path.clone());
-        path
+        let id = pfs.file_id(&self.data_log(logical, writer))?;
+        self.state_mut(fs).data_logs.insert(writer, id);
+        Some(id)
+    }
+
+    /// The id of `writer`'s data log in `rank`'s `file`, if the log
+    /// exists. A rank's handle on the file makes this one integer probe.
+    fn read_source(&mut self, rank: usize, file: &FileTag, writer: u64, pfs: &SimPfs) -> Option<FileId> {
+        let cached = self
+            .handle(rank, file)
+            .and_then(|h| self.file_states[h.fs as usize].as_ref())
+            .and_then(|f| f.data_logs.get(&writer).copied());
+        if cached.is_some() {
+            return cached;
+        }
+        let mut logical = std::mem::take(&mut self.logical_buf);
+        file.path_into(rank, &mut logical);
+        let id = match self.files.get(logical.as_str()) {
+            Some(&fs) => {
+                let fs = fs as usize;
+                if self.handle(rank, file).is_none() {
+                    self.install_handle(rank, file, fs, None);
+                }
+                self.data_log_id(fs, &logical, writer, pfs)
+            }
+            // A container this driver holds no state for: resolve by path.
+            None => pfs.file_id(&self.data_log(&logical, writer)),
+        };
+        self.logical_buf = logical;
+        id
     }
 
     fn entries_of(&self, logical: &str, writer: u64) -> u64 {
@@ -685,27 +727,15 @@ impl Driver for PlfsDriver {
                 if *reps == 0 {
                     return Step::Done(now);
                 }
-                // fd fast path: once this rank's droppings exist, the
-                // write descriptor carries the interned data log and the
-                // file slot — no path formatting, no string-keyed probes.
+                // fd fast path: once this rank's droppings exist, its
+                // handle carries the data log's id and the file slot — no
+                // path formatting, no string-keyed probes.
                 let fast = self
-                    .write_handles
-                    .get(rank)
-                    .and_then(|h| h.as_ref())
-                    .and_then(|h| {
-                        (h.file == *file && self.state_epochs[h.fs as usize] == h.epoch)
-                            .then(|| (h.fs as usize, h.dlog.clone()))
-                    });
-                let threshold = self.cfg.flatten_threshold_entries;
+                    .handle(rank, file)
+                    .and_then(|h| Some((h.fs as usize, h.dlog?)));
                 if let Some((fid, dlog)) = fast {
-                    let fin = ctx.pfs.append_batch(node, &dlog, *reps, *len, now).1;
-                    let fs = self.state_mut(fid);
-                    let w = fs.writers.entry(rank as u64).or_insert((0, 0));
-                    w.0 += reps;
-                    w.1 += len * reps;
-                    if w.0 > threshold {
-                        fs.overflowed = true;
-                    }
+                    let fin = ctx.pfs.append_batch_id(node, dlog, *reps, *len, now).1;
+                    self.record_write(fid, rank as u64, *reps, *len);
                     return Step::Done(fin);
                 }
                 let mut logical = std::mem::take(&mut self.logical_buf);
@@ -717,16 +747,13 @@ impl Driver for PlfsDriver {
                     let plan = self.plan_droppings(&logical, rank as u64);
                     t = Self::exec_plan_chained(ctx, node, &plan, t);
                 }
-                let dlog = self.data_log_interned(&logical, rank as u64);
-                let fin = ctx.pfs.append_batch(node, &dlog, *reps, *len, t).1;
-                let fs = self.state_mut(fid);
-                let w = fs.writers.entry(rank as u64).or_insert((0, 0));
-                w.0 += reps;
-                w.1 += len * reps;
-                if w.0 > threshold {
-                    fs.overflowed = true;
-                }
-                self.install_handle(rank, file, fid, dlog);
+                #[expect(clippy::panic, reason = "the droppings exist once the first write's plan ran; a missing data log is a driver bug worth halting the simulation")]
+                let dlog = self
+                    .data_log_id(fid, &logical, rank as u64, &ctx.pfs)
+                    .unwrap_or_else(|| panic!("no data log for writer {rank} of {logical}"));
+                let fin = ctx.pfs.append_batch_id(node, dlog, *reps, *len, t).1;
+                self.record_write(fid, rank as u64, *reps, *len);
+                self.install_handle(rank, file, fid, Some(dlog));
                 self.logical_buf = logical;
                 Step::Done(fin)
             }
@@ -734,8 +761,12 @@ impl Driver for PlfsDriver {
                 if file.is_shared() && self.cfg.strategy == ReadStrategy::IndexFlatten {
                     Step::Collective
                 } else {
+                    // The closer's descriptor goes; every other rank's
+                    // stays valid.
+                    if let Some(h) = self.handles.get_mut(rank) {
+                        *h = None;
+                    }
                     let logical = file.path(rank);
-                    self.bump_epoch(&logical);
                     self.composite(rank, node, ctx, now, |d| {
                         d.plan_close_writer(&logical, rank as u64)
                     })
@@ -785,16 +816,16 @@ impl Driver for PlfsDriver {
                 src,
                 ..
             } => {
-                // PLFS reads come from a writer's log, sequentially.
-                let mut logical = std::mem::take(&mut self.logical_buf);
-                file.path_into(rank, &mut logical);
+                // PLFS reads come from a writer's log, sequentially; a
+                // log that does not exist holds nothing to read.
                 let (writer, phys) = match src {
                     Some(s) => (s.writer, s.phys_offset),
                     None => (rank as u64, *offset),
                 };
-                let dlog = self.data_log_interned(&logical, writer);
-                let fin = ctx.pfs.read_batch(node, &dlog, phys, len * reps, *reps, now);
-                self.logical_buf = logical;
+                let fin = match self.read_source(rank, file, writer, &ctx.pfs) {
+                    Some(dlog) => ctx.pfs.read_batch_id(node, dlog, phys, len * reps, *reps, now),
+                    None => now,
+                };
                 Step::Done(fin)
             }
             LogicalOp::CloseRead { .. } => {
@@ -844,7 +875,8 @@ impl Driver for PlfsDriver {
             // flattened index.
             LogicalOp::CloseWrite { file } => {
                 let logical = file.path(0);
-                self.bump_epoch(&logical);
+                let fid = self.file_slot(&logical);
+                drop_handles(&mut self.handles, |fs| fs == fid);
                 let closes: Vec<SimTime> = (0..n)
                     .map(|r| {
                         let node = ctx.layout.node_of(r);
@@ -853,7 +885,6 @@ impl Driver for PlfsDriver {
                     })
                     .collect();
                 let sync = closes.iter().copied().max().unwrap_or(SimTime::ZERO);
-                let fid = self.file_slot(&logical);
                 let fs = self.state_mut(fid);
                 if fs.overflowed || fs.dead_writer {
                     // Someone buffered too much — or died — so no
@@ -963,16 +994,17 @@ impl Driver for PlfsDriver {
                     let plan = self.plan_remove_container(&logical);
                     t = Self::exec_plan_chained(ctx, node0, &plan, t);
                     if let Some(id) = self.files.remove(&logical) {
-                        self.state_epochs[id as usize] =
-                            self.state_epochs[id as usize].wrapping_add(1);
                         self.file_states[id as usize] = None;
                     }
                 }
+                // The removed slots' handles go with them (one sweep, not
+                // one per logical file).
+                drop_handles(&mut self.handles, |fs| self.file_states[fs].is_none());
                 vec![t; n]
             }
             LogicalOp::FlushCaches => {
                 // A restart job starts with no open descriptors.
-                self.write_handles.clear();
+                self.handles.clear();
                 generic_collective(op, arrivals, ctx)
             }
             other => generic_collective(other, arrivals, ctx),
@@ -1329,5 +1361,93 @@ mod tests {
         let open_mean = res.metrics.mean_duration_s(OpKind::OpenWrite);
         assert!(open_mean < res.makespan.as_secs_f64());
         assert!(open_mean > res.makespan.as_secs_f64() * 0.2);
+    }
+
+    #[test]
+    fn one_ranks_close_leaves_other_ranks_write_handles() {
+        // Under Parallel Index Read a shared-file close is per rank: rank
+        // 0 closing must not send rank 1's next write back through path
+        // resolution.
+        let file = FileTag::shared("/ckpt");
+        let write = LogicalOp::Write {
+            file: file.clone(),
+            offset: 0,
+            len: 1 << 20,
+            stride: 1 << 20,
+            reps: 4,
+        };
+        let mut ctx = quiet_ctx(2, 1, 1);
+        let mut d = PlfsDriver::new(PlfsDriverConfig::new(fed(1, 4), ReadStrategy::ParallelIndexRead));
+        let t = SimTime::ZERO;
+        let open = LogicalOp::OpenWrite { file: file.clone() };
+        assert_eq!(d.step(0, 0, &open, t, &mut ctx), Step::Collective);
+        d.collective(0, &open, &[t, t], &mut ctx);
+        for rank in 0..2 {
+            assert!(matches!(d.step(rank, 1, &write, t, &mut ctx), Step::Done(_)));
+        }
+        let close = LogicalOp::CloseWrite { file: file.clone() };
+        let mut step = d.step(0, 2, &close, t, &mut ctx);
+        while let Step::Yield(at) = step {
+            step = d.step(0, 2, &close, at, &mut ctx);
+        }
+        assert!(d.handle(0, &file).is_none(), "the closer's handle goes");
+        let h1 = d.handle(1, &file).map(|h| (h.fs, h.dlog));
+        assert!(matches!(h1, Some((_, Some(_)))), "rank 1's handle survives rank 0's close");
+
+        // Rank 1's next write takes its handle and lands in its log.
+        assert!(matches!(d.step(1, 3, &write, t, &mut ctx), Step::Done(_)));
+        assert_eq!(d.handle(1, &file).map(|h| (h.fs, h.dlog)), h1);
+        let dlog = "/panfs/ckpt/subdir.1/dropping.data.1";
+        assert_eq!(ctx.pfs.file_size(dlog), 8 << 20);
+        assert_eq!(ctx.pfs.file_id(dlog), h1.and_then(|h| h.1));
+    }
+
+    #[test]
+    fn unlink_and_recreate_resolves_new_data_logs() {
+        // Unlinking a container and writing the path again gives its logs
+        // new ids; reads after the re-create must see the new, shorter
+        // logs, not the ids cached before the unlink.
+        let nprocs = 2;
+        let block = 1u64 << 20;
+        let prog = FnProgram {
+            count: 12,
+            f: move |rank, pc| {
+                let f = FileTag::shared("/gen");
+                let write = |reps| LogicalOp::Write {
+                    file: f.clone(),
+                    offset: rank as u64 * block,
+                    len: block,
+                    stride: nprocs as u64 * block,
+                    reps,
+                };
+                match pc {
+                    0 | 5 => LogicalOp::OpenWrite { file: f },
+                    1 => write(4),
+                    6 => write(2),
+                    2 | 7 => LogicalOp::CloseWrite { file: f },
+                    3 => LogicalOp::OpenRead { file: f },
+                    4 => LogicalOp::Unlink { file: f },
+                    8 => LogicalOp::OpenRead { file: f },
+                    9 => LogicalOp::Read {
+                        file: f,
+                        offset: 0,
+                        len: 8 * block,
+                        stride: 8 * block,
+                        reps: 1,
+                        src: Some(ReadSrc { writer: rank as u64, phys_offset: 0 }),
+                    },
+                    10 => LogicalOp::CloseRead { file: f },
+                    _ => LogicalOp::Barrier,
+                }
+            },
+        };
+        let mut ctx = quiet_ctx(nprocs, 1, 1);
+        let mut d = PlfsDriver::new(PlfsDriverConfig::new(fed(1, 4), ReadStrategy::ParallelIndexRead));
+        Exec::new(&prog, &mut d, &mut ctx).run();
+        // Both generations' index logs are written at close and read at open.
+        let index_bytes = 6 * nprocs as u64 * INDEX_RECORD_BYTES;
+        assert_eq!(ctx.pfs.bytes_written(), 6 * nprocs as u64 * block + index_bytes);
+        // Each rank reads back its 2-block log, not the unlinked 4-block one.
+        assert_eq!(ctx.pfs.bytes_read(), 2 * nprocs as u64 * block + index_bytes);
     }
 }

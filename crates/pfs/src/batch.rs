@@ -9,6 +9,9 @@
 //!
 //! * [`SimPfs::append_batch`] — `reps` sequential appends of `len` bytes;
 //! * [`SimPfs::read_batch`] — a sequential read of `total` bytes;
+//!   both resolve the path once and call their `_id` core
+//!   ([`SimPfs::append_batch_id`], [`SimPfs::read_batch_id`]), which
+//!   callers holding a [`FileId`] call directly;
 //! * [`SimPfs::write_strided`] / [`SimPfs::read_strided`] — genuinely
 //!   per-op loops for strided shared-file access, where per-op lock and
 //!   seek behaviour *is* the phenomenon being measured (used at the
@@ -16,11 +19,13 @@
 
 use crate::params::MetaKind;
 use crate::sim::{AccessMode, SimPfs};
+use crate::state::FileId;
 use simcore::{SimDuration, SimTime};
 
 impl SimPfs {
-    /// Charge `reps` back-to-back appends of `len` bytes each as one
-    /// aggregated acquisition. Returns (first landing offset, finish).
+    /// Charge `reps` back-to-back appends of `len` bytes each to `path`
+    /// as one aggregated acquisition. Returns (first landing offset,
+    /// finish). A path wrapper over [`SimPfs::append_batch_id`].
     pub fn append_batch(
         &mut self,
         node: usize,
@@ -29,18 +34,36 @@ impl SimPfs {
         len: u64,
         arrival: SimTime,
     ) -> (u64, SimTime) {
+        let Some(file) = self.file_id(path) else {
+            // Nothing to charge and nowhere to land — or a workload bug.
+            assert!(reps * len == 0, "batch append on missing file {path}");
+            return (0, arrival);
+        };
+        self.append_batch_id(node, file, reps, len, arrival)
+    }
+
+    /// [`SimPfs::append_batch`] on a file already resolved to its id.
+    pub fn append_batch_id(
+        &mut self,
+        node: usize,
+        file: FileId,
+        reps: u64,
+        len: u64,
+        arrival: SimTime,
+    ) -> (u64, SimTime) {
         let total = reps * len;
+        let offset = self.namespace().size(file);
         if total == 0 {
-            let off = self.file_size(path);
-            return (off, arrival);
+            return (offset, arrival);
         }
-        let offset = self.file_size(path);
-        let finish = self.sequential_transfer(node, path, offset, total, reps, true, arrival);
+        let finish = self.sequential_transfer(node, file, offset, total, reps, true, arrival);
         (offset, finish)
     }
 
-    /// Charge a sequential read of `total` bytes at `offset` (client cache
-    /// consulted block-wise, misses streamed from storage).
+    /// Charge a sequential read of `total` bytes at `offset` of `path`
+    /// (client cache consulted block-wise, misses streamed from storage).
+    /// A missing file reads nothing. A path wrapper over
+    /// [`SimPfs::read_batch_id`].
     pub fn read_batch(
         &mut self,
         node: usize,
@@ -50,12 +73,28 @@ impl SimPfs {
         reps: u64,
         arrival: SimTime,
     ) -> SimTime {
-        let size = self.file_size(path);
+        match self.file_id(path) {
+            Some(file) => self.read_batch_id(node, file, offset, total, reps, arrival),
+            None => arrival,
+        }
+    }
+
+    /// [`SimPfs::read_batch`] on a file already resolved to its id.
+    pub fn read_batch_id(
+        &mut self,
+        node: usize,
+        file: FileId,
+        offset: u64,
+        total: u64,
+        reps: u64,
+        arrival: SimTime,
+    ) -> SimTime {
+        let size = self.namespace().size(file);
         let total = total.min(size.saturating_sub(offset));
         if total == 0 {
             return arrival;
         }
-        self.sequential_transfer(node, path, offset, total, reps.max(1), false, arrival)
+        self.sequential_transfer(node, file, offset, total, reps.max(1), false, arrival)
     }
 
     /// `reps` writes of `len` bytes at `start + k·stride` by `client`,
@@ -105,7 +144,7 @@ impl SimPfs {
     fn sequential_transfer(
         &mut self,
         node: usize,
-        path: &str,
+        file: FileId,
         offset: u64,
         total: u64,
         reps: u64,
@@ -124,20 +163,15 @@ impl SimPfs {
         let sequential_overhead_s = p.sequential_overhead_s;
         let seek_penalty_s = p.seek_penalty_s;
         let oss_bw = p.oss_bw;
-        #[expect(clippy::panic, reason = "DES contract — create precedes transfer; a miss is a workload bug worth halting the simulation")]
-        let file = self
-            .namespace()
-            .file(path)
-            .unwrap_or_else(|| panic!("batch transfer on missing file {path}"));
         let node = node % nodes.max(1);
 
         // Client cache: writes populate; reads split hit/miss.
         let (cached, stored) = if is_write {
-            self.cache_insert(node, file.id, offset, total);
+            self.cache_insert(node, file, offset, total);
             (0, total)
         } else {
-            let (hit, miss) = self.cache_lookup(node, file.id, offset, total);
-            self.cache_insert(node, file.id, offset, total);
+            let (hit, miss) = self.cache_lookup(node, file, offset, total);
+            self.cache_insert(node, file, offset, total);
             (hit, miss)
         };
 
@@ -168,10 +202,14 @@ impl SimPfs {
             let bytes_per_oss = stored / servers.max(1);
             let visits_per_oss = nstripes.div_ceil(width).max(1);
             let mut worst = net_done;
+            // Position in the stripe group of the server `stripe_idx` is on.
+            let mut k = first_stripe % width;
             for s in 0..servers {
                 let stripe_idx = first_stripe + s;
-                let oss_idx = self.oss_of(file.id, stripe_idx);
-                let seq = self.stream_continues(oss_idx, file.id, stripe_idx * stripe_size);
+                let oss_idx = self.oss_at(file, k);
+                let slot = self.stream_slot(file, k);
+                k = if k + 1 == width { 0 } else { k + 1 };
+                let seq = self.stream_continues(slot, stripe_idx * stripe_size);
                 let overhead = if seq {
                     sequential_overhead_s * visits_per_oss as f64
                 } else {
@@ -181,14 +219,14 @@ impl SimPfs {
                     overhead + bytes_per_oss as f64 / oss_bw,
                 ));
                 let done = self.oss_acquire(oss_idx, net_done, service);
-                self.stream_set(oss_idx, file.id, offset + stored);
+                self.stream_set(slot, offset + stored);
                 worst = worst.max(done);
             }
             finish = finish.max(worst);
         }
 
         if is_write {
-            self.namespace_mut().write_extent(path, offset, total);
+            self.namespace_mut().write_extent(file, offset, total);
             self.account_write(total);
         } else {
             self.account_read(total, cached);

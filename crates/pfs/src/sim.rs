@@ -16,7 +16,7 @@
 use crate::cache::PageCache;
 use crate::locks::LockManager;
 use crate::params::{MetaKind, PfsParams};
-use crate::state::{FileId, Namespace};
+use crate::state::{parent_of, FileId, Namespace};
 use simcore::{Fifo, Jitter, SimDuration, SimTime};
 use std::collections::{HashMap, HashSet};
 
@@ -36,6 +36,9 @@ const CACHE_BLOCK: u64 = 1 << 20;
 
 /// Client-side cost of a metadata cache hit (no server round trip).
 const CLIENT_META_HIT_S: f64 = 15e-6;
+
+/// A `streams` slot whose server has seen no access to the file yet.
+const NO_STREAM: u64 = u64::MAX;
 
 /// Client metadata cache probed by `&str`, so cache *hits* — the
 /// overwhelmingly common case once 65,536 ranks re-open shared files —
@@ -73,8 +76,9 @@ pub struct SimPfs {
     mem: Vec<Fifo>,
     locks: LockManager,
     caches: Vec<PageCache>,
-    /// (oss index, file) → next offset that would be sequential.
-    streams: HashMap<(usize, FileId), u64>,
+    /// Next offset that would be sequential on each (server, file)
+    /// stream, at [`SimPfs::stream_slot`]; [`NO_STREAM`] where none.
+    streams: Vec<u64>,
     /// Per-node client attribute cache: files each node has already
     /// opened. Re-opens are served client-side (PanFS-style capability
     /// caching) — the mechanism that keeps the Original design's N²
@@ -116,7 +120,7 @@ impl SimPfs {
             mem,
             locks: LockManager::new(),
             caches,
-            streams: HashMap::new(),
+            streams: Vec::new(),
             meta_cache: MetaCache::default(),
             dir_cache: MetaCache::default(),
             jitter,
@@ -166,11 +170,7 @@ impl SimPfs {
     /// directory-modifying operations contend harder as the directory
     /// grows (the single-directory create collapse GIGA+ measured).
     fn dir_factor(&self, path: &str) -> f64 {
-        let parent = match path.rfind('/') {
-            Some(0) | None => "/",
-            Some(i) => &path[..i],
-        };
-        let entries = self.ns.child_count(parent) as f64;
+        let entries = self.ns.child_count(parent_of(path)) as f64;
         let t = self.params.dir_contention_entries.max(1) as f64;
         1.0 + (entries / t) * (entries / t)
     }
@@ -227,15 +227,30 @@ impl SimPfs {
     /// File size (no time cost — pair with a `MetaKind::Stat` charge when
     /// the access is remote).
     pub fn file_size(&self, path: &str) -> u64 {
-        self.ns.file(path).map(|f| f.size).unwrap_or(0)
+        self.ns.id(path).map_or(0, |id| self.ns.size(id))
+    }
+
+    /// The id `path` resolves to, if the file exists. Ids are stable
+    /// until the path is unlinked; re-creating it afterwards mints a new
+    /// one.
+    pub fn file_id(&self, path: &str) -> Option<FileId> {
+        self.ns.id(path)
+    }
+
+    /// `path`'s id, for an operation the simulated job may only issue
+    /// on an existing file.
+    #[expect(clippy::panic, reason = "DES contract — create precedes data ops; a miss is a workload bug worth halting the simulation")]
+    fn existing(&self, path: &str, op: &str) -> FileId {
+        self.ns
+            .id(path)
+            .unwrap_or_else(|| panic!("{op} on missing file {path}"))
     }
 
     /// Append `len` bytes to `path` from `node`. Returns (landing offset,
     /// finish time). Appends are exclusive by construction (one writer per
     /// log).
     pub fn append(&mut self, node: usize, path: &str, len: u64, arrival: SimTime) -> (u64, SimTime) {
-        #[expect(clippy::expect_used, reason = "DES contract — create precedes append; a miss is a workload bug worth halting the simulation")]
-        let offset = self.ns.file(path).expect("append to missing file").size;
+        let offset = self.ns.size(self.existing(path, "append"));
         let finish = self.write_at(node, node as u64, path, offset, len, AccessMode::Exclusive, arrival);
         (offset, finish)
     }
@@ -253,8 +268,7 @@ impl SimPfs {
         mode: AccessMode,
         arrival: SimTime,
     ) -> SimTime {
-        #[expect(clippy::expect_used, reason = "DES contract — create precedes write; a miss is a workload bug worth halting the simulation")]
-        let file = self.ns.file(path).expect("write to missing file");
+        let file = self.existing(path, "write");
         let node = node % self.mem.len();
         let mut t = arrival;
 
@@ -264,15 +278,15 @@ impl SimPfs {
             let cost = self
                 .jitter
                 .apply(SimDuration::from_secs_f64(self.params.lock_transfer_s));
-            t = self.locks.acquire(file.id, client, first, last, cost, t);
+            t = self.locks.acquire(file, client, first, last, cost, t);
         }
 
         if len > 0 {
-            t = self.transfer(node, file.id, offset, len, true, t);
-            self.caches[node].insert(file.id, offset, len);
+            t = self.transfer(node, file, offset, len, true, t);
+            self.caches[node].insert(file, offset, len);
         }
 
-        self.ns.write_extent(path, offset, len);
+        self.ns.write_extent(file, offset, len);
         self.bytes_written += len;
         t
     }
@@ -286,14 +300,13 @@ impl SimPfs {
         len: u64,
         arrival: SimTime,
     ) -> SimTime {
-        #[expect(clippy::expect_used, reason = "DES contract — create precedes read; a miss is a workload bug worth halting the simulation")]
-        let file = self.ns.file(path).expect("read of missing file");
+        let file = self.existing(path, "read");
         let node = node % self.mem.len();
-        let len = len.min(file.size.saturating_sub(offset));
+        let len = len.min(self.ns.size(file).saturating_sub(offset));
         if len == 0 {
             return arrival;
         }
-        let (hit, miss) = self.caches[node].lookup(file.id, offset, len);
+        let (hit, miss) = self.caches[node].lookup(file, offset, len);
         self.cache_hit_bytes += hit;
         self.bytes_read += len;
 
@@ -308,8 +321,8 @@ impl SimPfs {
             // Approximation: treat the missed bytes as one contiguous
             // storage access at `offset` (misses are contiguous for the
             // workloads we model — cold reads or evicted prefixes).
-            let st = self.transfer(node, file.id, offset, miss, false, arrival);
-            self.caches[node].insert(file.id, offset, len);
+            let st = self.transfer(node, file, offset, miss, false, arrival);
+            self.caches[node].insert(file, offset, len);
             finish = finish.max(st);
         }
         finish
@@ -344,24 +357,15 @@ impl SimPfs {
             let stripe_idx = cur / stripe;
             let chunk_end = ((stripe_idx + 1) * stripe).min(end);
             let chunk = chunk_end - cur;
-            let oss_idx = self.oss_of(file, stripe_idx);
-
-            let key = (oss_idx, file);
-            // An OSS stream is sequential if this chunk continues the last
-            // one in *object* space: either byte-contiguous (same stripe)
-            // or the next stripe this OSS owns (logical gap of
-            // (width − 1) stripes between consecutive owned stripes).
-            let stride_gap = (self.stripe_width() as u64 - 1) * stripe;
-            let sequential = match self.streams.get(&key).copied() {
-                Some(e) => cur == e || (cur.is_multiple_of(stripe) && e % stripe == 0 && cur == e + stride_gap),
-                None => false,
-            };
-            let overhead = if sequential {
+            let k = stripe_idx % self.stripe_width() as u64;
+            let oss_idx = self.oss_at(file, k);
+            let slot = self.stream_slot(file, k);
+            let overhead = if self.stream_continues(slot, cur) {
                 self.params.sequential_overhead_s
             } else {
                 self.params.seek_penalty_s
             };
-            self.streams.insert(key, chunk_end);
+            self.stream_set(slot, chunk_end);
 
             // Partial-stripe writes pay the RAID read-modify-write tax.
             let bw_factor = if is_write && chunk < stripe {
@@ -404,18 +408,29 @@ impl SimPfs {
         self.net.acquire(arrival, service).finish
     }
 
+    /// `oss` comes from [`SimPfs::oss_at`], so it is in range.
     pub(crate) fn oss_acquire(&mut self, oss: usize, arrival: SimTime, service: SimDuration) -> SimTime {
-        let n = oss % self.oss.len();
-        self.oss[n].acquire(arrival, service).finish
+        self.oss[oss].acquire(arrival, service).finish
     }
 
-    /// Would an access starting at `cur` continue the (oss, file) stream?
-    pub(crate) fn stream_continues(&self, oss: usize, file: FileId, cur: u64) -> bool {
+    /// Slot in `streams` of `file`'s stream on the server at position `k`
+    /// of its stripe group (`k = stripe_idx % stripe_width()`). Because
+    /// the group width is at most the server count, the slots of one file
+    /// map one-to-one onto `(oss_at(file, k), file)`.
+    pub(crate) fn stream_slot(&self, file: FileId, k: u64) -> usize {
+        (file * self.stripe_width() as u64 + k) as usize
+    }
+
+    /// Would an access starting at `cur` continue the stream in `slot`?
+    /// It does if it continues the last access in *object* space: either
+    /// byte-contiguous (same stripe) or the next stripe this server owns
+    /// (a logical gap of width − 1 stripes).
+    pub(crate) fn stream_continues(&self, slot: usize, cur: u64) -> bool {
         let stripe = self.params.stripe_size;
         let stride_gap = (self.stripe_width() as u64 - 1) * stripe;
-        match self.streams.get(&(oss, file)).copied() {
+        match self.streams.get(slot).copied() {
+            None | Some(NO_STREAM) => false,
             Some(e) => cur == e || (cur.is_multiple_of(stripe) && e % stripe == 0 && cur == e + stride_gap),
-            None => false,
         }
     }
 
@@ -424,16 +439,19 @@ impl SimPfs {
         self.params.stripe_width.clamp(1, self.oss.len())
     }
 
-    /// Which OSS serves `stripe_idx` of `file`: files rotate over a
-    /// *stripe group* of `stripe_width` servers anchored by the file id,
-    /// not over the whole server pool.
-    pub(crate) fn oss_of(&self, file: FileId, stripe_idx: u64) -> usize {
-        let width = self.stripe_width() as u64;
-        ((file + stripe_idx % width) % self.oss.len() as u64) as usize
+    /// The OSS at position `k` (< `stripe_width()`) of `file`'s stripe
+    /// group: stripe `s` of a file lives at position `s % stripe_width()`.
+    /// Files rotate over a *stripe group* of `stripe_width` servers
+    /// anchored by the file id, not over the whole server pool.
+    pub(crate) fn oss_at(&self, file: FileId, k: u64) -> usize {
+        ((file + k) % self.oss.len() as u64) as usize
     }
 
-    pub(crate) fn stream_set(&mut self, oss: usize, file: FileId, end: u64) {
-        self.streams.insert((oss, file), end);
+    pub(crate) fn stream_set(&mut self, slot: usize, end: u64) {
+        if self.streams.len() <= slot {
+            self.streams.resize(slot + 1, NO_STREAM);
+        }
+        self.streams[slot] = end;
     }
 
     pub(crate) fn account_write(&mut self, bytes: u64) {
@@ -497,13 +515,13 @@ impl SimPfs {
     /// Forget lock and cache state for a file being deleted.
     pub fn unlink_file(&mut self, mds: usize, path: &str, arrival: SimTime) -> SimTime {
         let finish = self.meta(mds, MetaKind::Unlink, arrival);
-        if let Some(f) = self.ns.file(path) {
-            self.locks.forget_file(f.id);
-            // Cache entries are invalidated lazily: file ids are never
-            // reused, so stale blocks of a deleted file are unreachable
-            // and simply age out of the LRU. (Eager invalidation would be
-            // O(nodes) per unlink — ruinous for 65k-rank create storms.)
-            self.ns.unlink(path);
+        if let Some(id) = self.ns.unlink(path) {
+            // Cache entries and streams are dropped lazily: file ids are
+            // never reused, so stale blocks of a deleted file are
+            // unreachable and simply age out of the LRU. (Eager
+            // invalidation would be O(nodes) per unlink — ruinous for
+            // 65k-rank create storms.)
+            self.locks.forget_file(id);
         }
         finish
     }
@@ -526,6 +544,32 @@ mod tests {
         let mut p = PfsParams::panfs_production(64);
         quiet(&mut p);
         SimPfs::new(p, 1)
+    }
+
+    #[test]
+    fn stream_slots_are_one_to_one_with_server_and_file() {
+        // Width below, equal to, and (clamped) above the server count: the
+        // dense slot of a (file, stripe) pair must name exactly one
+        // (server, file) stream, and that stream exactly one slot.
+        for (oss_count, stripe_width) in [(7, 3), (7, 7), (64, 10), (5, 9)] {
+            let mut p = PfsParams::panfs_production(4);
+            p.oss_count = oss_count;
+            p.stripe_width = stripe_width;
+            let fs = SimPfs::new(p, 1);
+            let width = fs.stripe_width() as u64;
+            let mut by_slot = HashMap::new();
+            let mut by_stream = HashMap::new();
+            for file in 0..3 * oss_count as u64 {
+                for stripe in 0..4 * width {
+                    let k = stripe % width;
+                    let stream = (fs.oss_at(file, k), file);
+                    let slot = fs.stream_slot(file, k);
+                    assert_eq!(*by_slot.entry(slot).or_insert(stream), stream, "slot {slot}");
+                    assert_eq!(*by_stream.entry(stream).or_insert(slot), slot, "{stream:?}");
+                }
+            }
+            assert_eq!(by_slot.len(), 3 * oss_count * width as usize);
+        }
     }
 
     #[test]

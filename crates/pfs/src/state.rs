@@ -9,21 +9,22 @@
 
 use std::collections::HashMap;
 
-/// Stable identifier for a file (drives stripe → OSS placement).
+/// Stable identifier for a file (drives stripe → OSS placement). Ids are
+/// dense — the `n`th file ever created is `n` — and never reused, so
+/// per-file state elsewhere in the model can live in a `Vec` indexed by
+/// id.
 pub type FileId = u64;
 
-#[derive(Debug, Clone, Copy)]
-pub struct FileState {
-    pub id: FileId,
-    pub size: u64,
-}
-
-/// Namespace: files with sizes, directories with child counts.
+/// Namespace: files with sizes, directories with child counts. A path
+/// resolves to its [`FileId`] once; everything after that is indexed by
+/// id.
 #[derive(Debug, Default)]
 pub struct Namespace {
-    files: HashMap<String, FileState>,
+    ids: HashMap<String, FileId>,
+    /// Size of every file ever created, indexed by id (an unlinked
+    /// file's entry stays behind, unreachable by path).
+    sizes: Vec<u64>,
     dirs: HashMap<String, usize>,
-    next_id: FileId,
 }
 
 impl Namespace {
@@ -41,22 +42,20 @@ impl Namespace {
             return;
         }
         self.dirs.insert(path.to_string(), 0);
-        let parent = parent_of(path);
-        self.bump_child_count(&parent);
+        self.bump_child_count(parent_of(path));
     }
 
     /// Create a file of size zero; returns its id. Re-creating an
     /// existing file truncates it (non-exclusive create semantics).
     pub fn create_file(&mut self, path: &str) -> FileId {
-        if let Some(fs) = self.files.get_mut(path) {
-            fs.size = 0;
-            return fs.id;
+        if let Some(&id) = self.ids.get(path) {
+            self.sizes[id as usize] = 0;
+            return id;
         }
-        let id = self.next_id;
-        self.next_id += 1;
-        self.files.insert(path.to_string(), FileState { id, size: 0 });
-        let parent = parent_of(path);
-        self.bump_child_count(&parent);
+        let id = self.sizes.len() as FileId;
+        self.sizes.push(0);
+        self.ids.insert(path.to_string(), id);
+        self.bump_child_count(parent_of(path));
         id
     }
 
@@ -69,39 +68,28 @@ impl Namespace {
         *self.dirs.get_mut(parent).expect("just ensured") += 1;
     }
 
-    pub fn file(&self, path: &str) -> Option<FileState> {
-        self.files.get(path).copied()
+    /// The id `path` resolves to, if the file exists.
+    pub fn id(&self, path: &str) -> Option<FileId> {
+        self.ids.get(path).copied()
+    }
+
+    /// Size of file `id`.
+    pub fn size(&self, id: FileId) -> u64 {
+        self.sizes[id as usize]
     }
 
     pub fn file_exists(&self, path: &str) -> bool {
-        self.files.contains_key(path)
+        self.ids.contains_key(path)
     }
 
     pub fn dir_exists(&self, path: &str) -> bool {
         self.dirs.contains_key(path)
     }
 
-    /// Grow a file by an append of `len` bytes; returns the offset the
-    /// append landed at. The file must exist.
-    pub fn append(&mut self, path: &str, len: u64) -> u64 {
-        #[expect(clippy::panic, reason = "DES contract — create precedes append; a miss is a workload bug worth halting the simulation")]
-        let f = self
-            .files
-            .get_mut(path)
-            .unwrap_or_else(|| panic!("append to missing file {path}"));
-        let off = f.size;
-        f.size += len;
-        off
-    }
-
-    /// Extend a file to cover a write at `offset` of `len` bytes.
-    pub fn write_extent(&mut self, path: &str, offset: u64, len: u64) {
-        #[expect(clippy::panic, reason = "DES contract — create precedes write; a miss is a workload bug worth halting the simulation")]
-        let f = self
-            .files
-            .get_mut(path)
-            .unwrap_or_else(|| panic!("write to missing file {path}"));
-        f.size = f.size.max(offset + len);
+    /// Extend file `id` to cover a write at `offset` of `len` bytes.
+    pub fn write_extent(&mut self, id: FileId, offset: u64, len: u64) {
+        let size = &mut self.sizes[id as usize];
+        *size = (*size).max(offset + len);
     }
 
     /// Children counted under a directory.
@@ -109,19 +97,17 @@ impl Namespace {
         self.dirs.get(path).copied().unwrap_or(0)
     }
 
-    pub fn unlink(&mut self, path: &str) -> bool {
-        if self.files.remove(path).is_some() {
-            if let Some(c) = self.dirs.get_mut(&parent_of(path)) {
-                *c = c.saturating_sub(1);
-            }
-            true
-        } else {
-            false
+    /// Remove `path`; returns the id it resolved to, if it existed.
+    pub fn unlink(&mut self, path: &str) -> Option<FileId> {
+        let id = self.ids.remove(path)?;
+        if let Some(c) = self.dirs.get_mut(parent_of(path)) {
+            *c = c.saturating_sub(1);
         }
+        Some(id)
     }
 
     pub fn file_count(&self) -> usize {
-        self.files.len()
+        self.ids.len()
     }
 
     pub fn dir_count(&self) -> usize {
@@ -129,10 +115,11 @@ impl Namespace {
     }
 }
 
-fn parent_of(path: &str) -> String {
+/// The directory holding `path` (`/` for top-level entries).
+pub(crate) fn parent_of(path: &str) -> &str {
     match path.rfind('/') {
-        Some(0) | None => "/".to_string(),
-        Some(i) => path[..i].to_string(),
+        Some(0) | None => "/",
+        Some(i) => &path[..i],
     }
 }
 
@@ -141,34 +128,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn create_and_append_track_sizes() {
+    fn create_and_write_track_sizes() {
         let mut ns = Namespace::new();
         ns.mkdir("/d");
         let id = ns.create_file("/d/f");
-        assert_eq!(ns.append("/d/f", 100), 0);
-        assert_eq!(ns.append("/d/f", 50), 100);
-        assert_eq!(ns.file("/d/f").unwrap().size, 150);
-        assert_eq!(ns.file("/d/f").unwrap().id, id);
+        ns.write_extent(id, 0, 100);
+        ns.write_extent(id, 100, 50);
+        assert_eq!(ns.size(id), 150);
+        assert_eq!(ns.id("/d/f"), Some(id));
     }
 
     #[test]
     fn recreate_truncates_but_keeps_id() {
         let mut ns = Namespace::new();
         let id = ns.create_file("/f");
-        ns.append("/f", 10);
+        ns.write_extent(id, 0, 10);
         let id2 = ns.create_file("/f");
         assert_eq!(id, id2);
-        assert_eq!(ns.file("/f").unwrap().size, 0);
+        assert_eq!(ns.size(id), 0);
     }
 
     #[test]
     fn write_extent_grows_sparse_files() {
         let mut ns = Namespace::new();
-        ns.create_file("/f");
-        ns.write_extent("/f", 1000, 10);
-        assert_eq!(ns.file("/f").unwrap().size, 1010);
-        ns.write_extent("/f", 0, 5);
-        assert_eq!(ns.file("/f").unwrap().size, 1010);
+        let id = ns.create_file("/f");
+        ns.write_extent(id, 1000, 10);
+        assert_eq!(ns.size(id), 1010);
+        ns.write_extent(id, 0, 5);
+        assert_eq!(ns.size(id), 1010);
     }
 
     #[test]
@@ -179,8 +166,8 @@ mod tests {
         ns.create_file("/d/a");
         ns.create_file("/d/b");
         assert_eq!(ns.child_count("/d"), 2);
-        assert!(ns.unlink("/d/a"));
-        assert!(!ns.unlink("/d/a"));
+        assert!(ns.unlink("/d/a").is_some());
+        assert!(ns.unlink("/d/a").is_none());
         assert_eq!(ns.child_count("/d"), 1);
     }
 
@@ -198,5 +185,22 @@ mod tests {
         let a = ns.create_file("/a");
         let b = ns.create_file("/b");
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn unlink_then_recreate_gets_a_new_id() {
+        let mut ns = Namespace::new();
+        let a = ns.create_file("/f");
+        assert_eq!(ns.unlink("/f"), Some(a));
+        let b = ns.create_file("/f");
+        assert_ne!(a, b);
+        assert_eq!(ns.id("/f"), Some(b));
+    }
+
+    #[test]
+    fn parent_of_borrows_the_directory() {
+        assert_eq!(parent_of("/a/b/c"), "/a/b");
+        assert_eq!(parent_of("/a"), "/");
+        assert_eq!(parent_of("a"), "/");
     }
 }

@@ -397,18 +397,27 @@ const SIM_RANKS: usize = 4096;
 const SIM_SEED: u64 = 42;
 
 /// Events popped by a pinned-seed run on the Cielo profile through PLFS
-/// with Parallel Index Read. `benchmark/`'s `sim_64k` reports the same
-/// two counts at 65,536 ranks.
+/// with Parallel Index Read, and every statistic the run simulated: the
+/// makespan's bits, lock transfers, bytes written and read, and bytes
+/// served from client page caches. `benchmark/`'s `sim_64k` reports the
+/// same quantities at 65,536 ranks. A change to how the simulator runs
+/// leaves every column alone; a change to the model moves one and says
+/// so here.
 struct SimBudget {
     name: &'static str,
     workload: fn(usize) -> Workload,
     events: u64,
+    makespan_bits: u64,
+    lock_transfers: u64,
+    bytes_written: u64,
+    bytes_read: u64,
+    cache_hit_bytes: u64,
 }
 
 #[rustfmt::skip]
 const SIM_BUDGETS: [SimBudget; 2] = [
-    SimBudget { name: "mpiio_test",    workload: mpiio_test,    events: 98_305 },
-    SimBudget { name: "nn_checkpoint", workload: nn_checkpoint, events: 139_264 },
+    SimBudget { name: "mpiio_test",    workload: mpiio_test,    events: 98_305,  makespan_bits: 0x4032_d08a_2e27_ecbf, lock_transfers: 0, bytes_written: 214_916_136_960, bytes_read: 214_916_136_960, cache_hit_bytes: 0 },
+    SimBudget { name: "nn_checkpoint", workload: nn_checkpoint, events: 139_264, makespan_bits: 0x403b_473f_1f02_5751, lock_transfers: 0, bytes_written: 214_756_556_800, bytes_read: 214_756_556_800, cache_hit_bytes: 214_748_364_800 },
 ];
 
 #[test]
@@ -418,8 +427,23 @@ fn engine_events_are_pinned_and_live_events_are_one_per_rank() {
     for b in SIM_BUDGETS {
         let out = run_workload(&(b.workload)(SIM_RANKS), &cluster, &mw, SIM_SEED);
         let (name, live) = (b.name, out.peak_live_events);
-        println!("{name}: {} events, {live} peak live", out.events);
+        let makespan_bits = out.makespan_s.to_bits();
+        println!(
+            "{name}: {} events, {live} peak live, makespan {} s (bits {makespan_bits:#x}), \
+             {} lock transfers, {} B written, {} B read, {} B cache hits",
+            out.events,
+            out.makespan_s,
+            out.lock_transfers,
+            out.bytes_written,
+            out.bytes_read,
+            out.cache_hit_bytes,
+        );
         assert_eq!(out.events, b.events, "{name}: events");
         assert_eq!(live, SIM_RANKS, "{name}: peak live events");
+        assert_eq!(makespan_bits, b.makespan_bits, "{name}: makespan bits");
+        assert_eq!(out.lock_transfers, b.lock_transfers, "{name}: lock transfers");
+        assert_eq!(out.bytes_written, b.bytes_written, "{name}: bytes written");
+        assert_eq!(out.bytes_read, b.bytes_read, "{name}: bytes read");
+        assert_eq!(out.cache_hit_bytes, b.cache_hit_bytes, "{name}: cache-hit bytes");
     }
 }
