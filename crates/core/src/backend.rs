@@ -23,7 +23,6 @@
 
 use crate::content::Content;
 use crate::error::{retry_transient, PlfsError, Result};
-use crate::ioplane::async_plane::Ticket;
 use crate::ioplane::{self, IoOp, IoOutcome};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -108,19 +107,48 @@ pub trait Backend: Send + Sync {
             .collect()
     }
 
-    /// Submit a batch asynchronously, returning a [`Ticket`] whose
-    /// [`Ticket::wait`] yields the per-op outcomes.
-    ///
-    /// The default implementation completes **inline**: it runs
-    /// [`Backend::submit`] on the calling thread and hands back an
-    /// already-complete ticket, so every backend is async-capable with
-    /// sequential semantics. A backend with real completion machinery
-    /// (the [`crate::ioplane::async_plane::Reactor`] worker pool)
-    /// overrides this to enqueue the batch and return immediately.
-    /// Ordering across in-flight tickets is not guaranteed; ops within
-    /// one batch keep the in-order, partial-batch semantics of `submit`.
+    /// Submit a batch "asynchronously": the batch runs inline through
+    /// [`Backend::submit`] and the returned [`Ticket`] is already
+    /// complete. It stays only while the benchmark names it (DESIGN.md
+    /// §5h).
     fn submit_async(&self, batch: &[IoOp]) -> Ticket {
         Ticket::completed(self.submit(batch))
+    }
+}
+
+/// The outcomes of a [`Backend::submit_async`] batch, one per op in
+/// submission order, exactly as [`Backend::submit`] returned them.
+#[must_use = "a dropped ticket abandons its outcomes; wait() redeems it"]
+pub struct Ticket {
+    outcomes: Vec<IoOutcome>,
+}
+
+impl Ticket {
+    /// A ticket carrying `outcomes`.
+    pub fn completed(outcomes: Vec<IoOutcome>) -> Ticket {
+        Ticket { outcomes }
+    }
+
+    /// Take the per-op outcomes.
+    pub fn wait(self) -> Vec<IoOutcome> {
+        self.outcomes
+    }
+}
+
+/// A passthrough over `inner`: every method forwards to it directly.
+///
+/// The two sizing arguments of [`Reactor::with_config`] are ignored.
+/// The type exists only because the benchmark's `svc_mixed` stack
+/// (`benchmark/src/workloads/svc.rs` and `timed.rs`) constructs one; it
+/// is deleted by the benchmark-only follow-up to ROADMAP item 2.
+pub struct Reactor<B> {
+    inner: Arc<B>,
+}
+
+impl<B: Backend> Reactor<B> {
+    /// Wrap `inner`; `_workers` and `_window` are ignored.
+    pub fn with_config(inner: Arc<B>, _workers: usize, _window: usize) -> Reactor<B> {
+        Reactor { inner }
     }
 }
 
@@ -251,13 +279,6 @@ impl<B: Backend> Backend for TracingBackend<B> {
         self.record_batch(batch);
         self.inner.submit(batch)
     }
-
-    /// Record at submission time (not completion), so the trace preserves
-    /// the program's submission order even when completions reorder.
-    fn submit_async(&self, batch: &[IoOp]) -> Ticket {
-        self.record_batch(batch);
-        self.inner.submit_async(batch)
-    }
 }
 
 // Allow `Arc<B>` and `&B` to be used wherever a backend is expected, so a
@@ -302,8 +323,49 @@ impl<B: Backend + ?Sized> Backend for Arc<B> {
     fn submit(&self, batch: &[IoOp]) -> Vec<IoOutcome> {
         (**self).submit(batch)
     }
-    fn submit_async(&self, batch: &[IoOp]) -> Ticket {
-        (**self).submit_async(batch)
+}
+
+// Forwards each method as it is (not as a one-op `submit`): `svc_mixed`
+// sends its writer appends through here.
+impl<B: Backend> Backend for Reactor<B> {
+    fn mkdir(&self, path: &str) -> Result<()> {
+        self.inner.mkdir(path)
+    }
+    fn mkdir_all(&self, path: &str) -> Result<()> {
+        self.inner.mkdir_all(path)
+    }
+    fn create(&self, path: &str, exclusive: bool) -> Result<()> {
+        self.inner.create(path, exclusive)
+    }
+    fn append(&self, path: &str, content: &Content) -> Result<u64> {
+        self.inner.append(path, content)
+    }
+    fn read_at(&self, path: &str, offset: u64, len: u64) -> Result<Content> {
+        self.inner.read_at(path, offset, len)
+    }
+    fn size(&self, path: &str) -> Result<u64> {
+        self.inner.size(path)
+    }
+    fn kind(&self, path: &str) -> Result<NodeKind> {
+        self.inner.kind(path)
+    }
+    fn exists(&self, path: &str) -> bool {
+        self.inner.exists(path)
+    }
+    fn list(&self, path: &str) -> Result<Vec<String>> {
+        self.inner.list(path)
+    }
+    fn unlink(&self, path: &str) -> Result<()> {
+        self.inner.unlink(path)
+    }
+    fn remove_all(&self, path: &str) -> Result<()> {
+        self.inner.remove_all(path)
+    }
+    fn rename(&self, from: &str, to: &str) -> Result<()> {
+        self.inner.rename(from, to)
+    }
+    fn submit(&self, batch: &[IoOp]) -> Vec<IoOutcome> {
+        self.inner.submit(batch)
     }
 }
 
@@ -419,7 +481,7 @@ mod tests {
         assert_eq!(t.take_trace(), batch, "batch of N records N entries");
         assert_eq!(t.trips(), 1, "and is one round trip");
         t.size("/d/f").unwrap();
-        assert_eq!(t.submit_async(&batch).wait().outcomes.len(), 2);
+        assert_eq!(t.submit_async(&batch).wait().len(), 2);
         assert_eq!(t.trips(), 3, "a lone op and an async batch are a trip each");
     }
 

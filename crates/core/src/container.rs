@@ -146,9 +146,9 @@ impl Container {
     /// shadow + metalink elsewhere) and return its physical path. Called
     /// by the first writer that lands in the subdir.
     pub fn ensure_subdir<B: Backend>(&self, b: &B, i: usize) -> Result<String> {
-        let entry = join(&self.canonical, &format!("{SUBDIR_PREFIX}{i}"));
+        let entry = self.subdir_entry(i);
         if b.exists(&entry) {
-            return self.subdir_phys(b, i);
+            return self.subdir_dir(b, i);
         }
         match self.fed.shadow_subdir_path(&self.logical, i) {
             None => match b.mkdir(&entry) {
@@ -195,22 +195,27 @@ impl Container {
     }
 
     /// Physical directory that holds subdir `i`'s droppings, resolving a
-    /// metalink if the subdir is shadowed in another namespace.
-    pub fn subdir_phys<B: Backend>(&self, b: &B, i: usize) -> Result<String> {
-        let entry = join(&self.canonical, &format!("{SUBDIR_PREFIX}{i}"));
-        match b.kind(&entry)? {
-            NodeKind::Dir => Ok(entry),
-            NodeKind::File => {
-                let len = b.size(&entry)?;
-                self.metalink_target(i, &entry, b.read_at(&entry, 0, len)?)
-            }
+    /// metalink if the subdir is shadowed in another namespace, through
+    /// the retried batch resolver; `NotFound` if no writer created it.
+    fn subdir_dir<B: Backend>(&self, b: &B, i: usize) -> Result<String> {
+        let entries = [self.subdir_entry(i)];
+        let kind = ioplane::submit_retried(b, &[IoOp::Kind { path: entries[0].clone() }]);
+        match self.resolve_each(b, i, &entries, kind).pop() {
+            Some(Ok(Some(dir))) => Ok(dir),
+            Some(Err(e)) => Err(e),
+            _ => Err(PlfsError::NotFound(entries[0].clone())),
         }
+    }
+
+    /// The `subdir.<i>` entry of the canonical container.
+    fn subdir_entry(&self, i: usize) -> String {
+        join(&self.canonical, &format!("{SUBDIR_PREFIX}{i}"))
     }
 
     /// The `subdir.<i>` entries of the canonical container, in order.
     pub(crate) fn subdir_entries(&self) -> Vec<String> {
         (0..self.fed.subdirs_per_container())
-            .map(|i| join(&self.canonical, &format!("{SUBDIR_PREFIX}{i}")))
+            .map(|i| self.subdir_entry(i))
             .collect()
     }
 
@@ -232,15 +237,17 @@ impl Container {
             .iter()
             .map(|e| IoOp::Kind { path: e.clone() })
             .collect();
-        self.resolve_each(b, &entries, ioplane::submit_retried(b, &probes))
+        self.resolve_each(b, 0, &entries, ioplane::submit_retried(b, &probes))
     }
 
     /// The rest of [`Container::subdirs_each`] once the `Kind` outcomes of
     /// `entries` are in hand (they may have ridden a larger batch):
     /// metalinked subdirs cost one `Size` and one `ReadAt` batch.
+    /// `entries[k]` is `subdir.<first + k>`.
     fn resolve_each<B: Backend>(
         &self,
         b: &B,
+        first: usize,
         entries: &[String],
         kinds: impl IntoIterator<Item = ioplane::IoOutcome>,
     ) -> Vec<Result<Option<String>>> {
@@ -280,7 +287,7 @@ impl Container {
         }
         for (&i, outcome) in read_links.iter().zip(ioplane::submit_retried(b, &read_ops)) {
             resolved[i] = ioplane::as_data(outcome)
-                .and_then(|bytes| self.metalink_target(i, &entries[i], bytes))
+                .and_then(|bytes| self.metalink_target(first + i, &entries[i], bytes))
                 .map(Some);
         }
         resolved
@@ -493,13 +500,13 @@ impl Container {
 
     /// Path of `writer`'s data log.
     pub fn data_log<B: Backend>(&self, b: &B, writer: WriterId) -> Result<String> {
-        let dir = self.subdir_phys(b, self.subdir_for(writer))?;
+        let dir = self.subdir_dir(b, self.subdir_for(writer))?;
         Ok(join(&dir, &format!("{DATA_PREFIX}{writer}")))
     }
 
     /// Path of `writer`'s index log.
     pub fn index_log<B: Backend>(&self, b: &B, writer: WriterId) -> Result<String> {
-        let dir = self.subdir_phys(b, self.subdir_for(writer))?;
+        let dir = self.subdir_dir(b, self.subdir_for(writer))?;
         Ok(join(&dir, &format!("{INDEX_PREFIX}{writer}")))
     }
 
@@ -968,7 +975,7 @@ impl Container {
         let generation = absent_as_none(ioplane::as_size(ioplane::take(&mut out)))?.unwrap_or(0);
         let flattened = absent_as_none(ioplane::as_size(ioplane::take(&mut out)))?;
         let resolved = self
-            .resolve_each(b, &entries, out)
+            .resolve_each(b, 0, &entries, out)
             .into_iter()
             .collect::<Result<Vec<_>>>()?;
         let writers = self.writers_in(b, &resolved)?;
@@ -1393,8 +1400,7 @@ mod tests {
         // a writer forces it into existence.
         let mut namespaces_used = std::collections::BTreeSet::new();
         for i in 0..6 {
-            c.ensure_subdir(&b, i).unwrap();
-            let phys = c.subdir_phys(&b, i).unwrap();
+            let phys = c.ensure_subdir(&b, i).unwrap();
             assert_eq!(b.kind(&phys).unwrap(), crate::backend::NodeKind::Dir);
             namespaces_used.insert(phys.split('/').nth(1).unwrap().to_string());
         }

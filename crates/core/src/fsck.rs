@@ -817,10 +817,8 @@ mod tests {
         let (b, cont) = healthy_container();
         // Fabricate an orphan data log and an orphan index log, each in
         // the subdir its writer id hashes to.
-        let sub1 = cont.subdir_phys(&b, cont.subdir_for(77)).unwrap();
-        b.create(&format!("{sub1}/{DATA_PREFIX}77"), true).unwrap();
-        let sub0 = cont.subdir_phys(&b, cont.subdir_for(88)).unwrap();
-        b.create(&format!("{sub0}/{INDEX_PREFIX}88"), true).unwrap();
+        b.create(&cont.data_log(&b, 77).unwrap(), true).unwrap();
+        b.create(&cont.index_log(&b, 88).unwrap(), true).unwrap();
         let r = check(&b, &cont).unwrap();
         assert!(r.issues.contains(&Issue::OrphanDataLog { writer: 77 }));
         assert!(r.issues.contains(&Issue::OrphanIndexLog { writer: 88 }));
@@ -833,8 +831,7 @@ mod tests {
     #[test]
     fn nonempty_orphan_data_log_is_reported_unrepaired() {
         let (b, cont) = healthy_container();
-        let sub = cont.subdir_phys(&b, cont.subdir_for(77)).unwrap();
-        let path = format!("{sub}/{DATA_PREFIX}77");
+        let path = cont.data_log(&b, 77).unwrap();
         b.create(&path, true).unwrap();
         b.append(&path, &Content::bytes(vec![5; 64])).unwrap();
         let after = repair(&b, &cont).unwrap();
@@ -867,8 +864,8 @@ mod tests {
         let (b, cont) = healthy_container();
         // A writer died between staging its realigned index log and the
         // swap; the staging copy survives next to the untouched log.
-        let dir = cont.subdir_phys(&b, cont.subdir_for(0)).unwrap();
-        let staged = format!("{dir}/{INDEX_PREFIX}0{REALIGN_SUFFIX}");
+        let log = cont.index_log(&b, 0).unwrap();
+        let staged = format!("{log}{REALIGN_SUFFIX}");
         b.create(&staged, true).unwrap();
         b.append(&staged, &Content::bytes(vec![0; 40])).unwrap();
         let copy = |log_present| Issue::StaleRealignTemp {
@@ -883,7 +880,6 @@ mod tests {
         assert_eq!(cont.read_index_log(&b, 0).unwrap().len(), 5);
         // Died after unlinking the log, before renaming a whole copy in:
         // the copy is the log now.
-        let log = format!("{dir}/{INDEX_PREFIX}0");
         b.create(&staged, true).unwrap();
         b.append(&staged, &b.read_at(&log, 0, 200).unwrap())
             .unwrap();

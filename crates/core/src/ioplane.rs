@@ -43,8 +43,6 @@ use crate::error::{
 use crate::telemetry;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-pub mod async_plane;
-
 /// One physical operation against the underlying file system.
 ///
 /// This is the plane's whole vocabulary: every physical effect the

@@ -65,14 +65,13 @@ pub mod truncate;
 pub mod vfs;
 pub mod writer;
 
-pub use backend::{Backend, TracingBackend};
+pub use backend::{Backend, Reactor, Ticket, TracingBackend};
 pub use container::Container;
 pub use content::Content;
 pub use error::{retry_transient, PlfsError, Result, DEFAULT_RETRY_ATTEMPTS};
 pub use faults::{FaultBackend, FaultConfig, FaultStats};
 pub use federation::Federation;
 pub use index::{GlobalIndex, IndexEntry, IndexSource, Mapping, OnDiskIndex, SpanCache, WriterId};
-pub use ioplane::async_plane::{Completion, Reactor, Ticket};
 pub use ioplane::{IoOp, IoOutcome, IoStats, IoValue};
 pub use localfs::LocalFs;
 pub use memfs::MemFs;

@@ -9,8 +9,7 @@
 //! flatten, the read-open fan-out, subindex merge, coalesced lookup,
 //! fsck scan/repair, federation routing, and every [`Backend::submit`]
 //! batch — records into one process-global registry that exports as a
-//! [`TelemetrySnapshot`] (`plfsctl obs` and the harness probe in
-//! `harness::probe` consume it).
+//! [`TelemetrySnapshot`] (`plfsctl obs` renders it).
 //!
 //! [`Backend::submit`]: crate::backend::Backend::submit
 //!
@@ -103,8 +102,6 @@ pub const SPAN_FSCK_SCAN: &str = "fsck.scan";
 pub const SPAN_FSCK_REPAIR: &str = "fsck.repair";
 /// Span: one `Backend::submit` batch through `submit_retried`.
 pub const SPAN_IOPLANE_SUBMIT: &str = "ioplane.submit";
-/// Span: a reactor worker executing one asynchronously submitted batch.
-pub const SPAN_ASYNC_EXEC: &str = "async.exec";
 
 /// Counter: logical bytes acknowledged on the write path.
 pub const CTR_WRITE_BYTES: &str = "write.bytes";
@@ -123,8 +120,6 @@ pub const CTR_SIM_EVENTS: &str = "sim.events";
 /// Counter: peak simultaneous pending DES events per run (a snapshot
 /// spanning several runs sums their peaks).
 pub const CTR_SIM_PEAK_LIVE: &str = "sim.peak_live";
-/// Counter: nanoseconds callers spent blocked in `Ticket::wait`.
-pub const CTR_ASYNC_BLOCKED_NS: &str = "async.blocked_ns";
 /// Counter: span-cache window probes served from the cache.
 pub const CTR_SPANCACHE_HITS: &str = "spancache.hits";
 /// Counter: span-cache window probes that missed and went to the backend.

@@ -8,18 +8,22 @@
 
 use plfs::service::{Admitted, Service, ServiceConfig};
 use plfs::telemetry::*;
-use plfs::{Backend, Content, IoOp, MemFs, Plfs, PlfsConfig, Reactor};
+use plfs::writer::{IndexPolicy, WriteHandle};
+use plfs::{Container, Content, Federation, MemFs, Plfs, PlfsConfig};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// One lock serializes the tests; the plane starts reset and enabled,
-/// and dropping the scope (also on a panic) leaves it disabled and reset
-/// before the lock is released.
+/// One lock serializes the tests; the plane starts reset, and dropping
+/// the scope (also on a panic) leaves it disabled and reset before the
+/// lock is released. A test builds its fixture under the lock too, so
+/// its backend ops never land in another test's snapshot.
 struct Scope {
     _lock: MutexGuard<'static, ()>,
 }
 
 impl Scope {
-    fn enabled() -> Scope {
+    /// The lock, with the plane disabled: build the fixture, then
+    /// `set_enabled(true)` to record.
+    fn disabled() -> Scope {
         static LOCK: Mutex<()> = Mutex::new(());
         // A test that failed while holding the lock poisons it; the
         // state it guards is reset below either way.
@@ -27,6 +31,11 @@ impl Scope {
             _lock: LOCK.lock().unwrap_or_else(|e| e.into_inner()),
         };
         reset();
+        scope
+    }
+
+    fn enabled() -> Scope {
+        let scope = Scope::disabled();
         set_enabled(true);
         scope
     }
@@ -186,7 +195,7 @@ fn explicit_parent_carries_ancestry_across_threads() {
         sc.spawn(move || {
             // Without the explicit parent this would export as an
             // orphan root on the worker thread.
-            let _exec = span_with_parent(SPAN_ASYNC_EXEC, parent);
+            let _worker = span_with_parent(SPAN_INDEX_AGGREGATE, parent);
             let _inner = span(SPAN_IOPLANE_SUBMIT);
         })
         .join()
@@ -199,48 +208,15 @@ fn explicit_parent_carries_ancestry_across_threads() {
         .iter()
         .find(|s| s.name == SPAN_WRITE_FLUSH)
         .expect("submitting span must be a root");
-    let exec = root
+    let worker = root
         .children
         .iter()
-        .find(|c| c.name == SPAN_ASYNC_EXEC)
+        .find(|c| c.name == SPAN_INDEX_AGGREGATE)
         .expect("worker span must nest under the submitter");
     // TLS nesting still works underneath the carried parent.
-    assert_eq!(exec.children[0].name, SPAN_IOPLANE_SUBMIT);
+    assert_eq!(worker.children[0].name, SPAN_IOPLANE_SUBMIT);
     // And no orphan copy of the worker span exists at the top level.
-    assert!(snap.spans.iter().all(|s| s.name != SPAN_ASYNC_EXEC));
-}
-
-#[test]
-fn reactor_workers_nest_under_the_submitting_span() {
-    let _scope = Scope::enabled();
-    let reactor = Reactor::with_config(Arc::new(MemFs::new()), 2, 4);
-    {
-        let _submitter = span(SPAN_WRITE_FLUSH);
-        let tickets: Vec<_> = (0..4)
-            .map(|i| {
-                reactor.submit_async(&[IoOp::MkdirAll {
-                    path: format!("/d{i}"),
-                }])
-            })
-            .collect();
-        for t in tickets {
-            assert!(t.wait().outcomes.iter().all(Result::is_ok));
-        }
-    }
-    drop(reactor); // joins the workers, so every exec span has closed
-    let snap = snapshot();
-    let root = snap
-        .spans
-        .iter()
-        .find(|s| s.name == SPAN_WRITE_FLUSH)
-        .expect("submitting span must be a root");
-    let execs = root
-        .children
-        .iter()
-        .filter(|c| c.name == SPAN_ASYNC_EXEC)
-        .count();
-    assert_eq!(execs, 4, "one async.exec per batch, under the submitter");
-    assert!(snap.spans.iter().all(|s| s.name != SPAN_ASYNC_EXEC));
+    assert!(snap.spans.iter().all(|s| s.name != SPAN_INDEX_AGGREGATE));
 }
 
 #[test]
@@ -305,8 +281,9 @@ fn svc_telemetry_counts_ops_and_throttles() {
     let mut cfg = ServiceConfig::basic("/panfs");
     cfg.token_rate = 1;
     cfg.token_burst = 2;
+    let _scope = Scope::disabled();
     let s = Service::new(Arc::new(MemFs::new()), cfg).unwrap();
-    let _scope = Scope::enabled();
+    set_enabled(true);
     let h = grant(s.open_write("t", "/f").unwrap());
     s.append(h, 0, &Content::bytes(vec![1])).unwrap();
     assert!(s
@@ -323,11 +300,12 @@ fn svc_telemetry_counts_ops_and_throttles() {
 
 #[test]
 fn index_cache_counts_say_whether_an_open_aggregated_or_shared() {
+    let _scope = Scope::disabled();
     let fs = Plfs::new(Arc::new(MemFs::new()), PlfsConfig::basic("/panfs")).unwrap();
     let mut w = fs.open_write("/f", 0).unwrap();
     w.write(0, &Content::bytes(vec![1; 8]), 1).unwrap();
     w.close(2).unwrap();
-    let _scope = Scope::enabled();
+    set_enabled(true);
     for _ in 0..3 {
         fs.open_read("/f").unwrap();
     }
@@ -351,12 +329,13 @@ fn index_cache_counts_say_whether_an_open_aggregated_or_shared() {
 #[test]
 fn index_cache_followers_count_as_waits_and_then_as_hits() {
     const THREADS: u64 = 4;
+    let _scope = Scope::disabled();
     let store = Arc::new(MemFs::new());
     let fs = Plfs::new(Arc::clone(&store), PlfsConfig::basic("/panfs")).unwrap();
     let mut w = fs.open_write("/f", 0).unwrap();
     w.write(0, &Content::bytes(vec![1; 8]), 1).unwrap();
     w.close(2).unwrap();
-    let _scope = Scope::enabled();
+    set_enabled(true);
     let start = std::sync::Barrier::new(THREADS as usize);
     std::thread::scope(|scope| {
         for _ in 0..THREADS {
@@ -374,4 +353,131 @@ fn index_cache_followers_count_as_waits_and_then_as_hits() {
     assert_eq!(snap.counters[CTR_INDEX_CACHE_HITS], THREADS - 1);
     let waits = snap.counters.get(CTR_INDEX_CACHE_WAITS).copied();
     assert!(waits.unwrap_or(0) < THREADS);
+}
+
+/// Figure-4 read-open shape: 16 writers × 20 strided 4 KiB blocks into
+/// one 4-subdir container, written before recording starts.
+fn build_fig4(backend: &Arc<MemFs>, cont: &Container) {
+    const WRITERS: u64 = 16;
+    const BLOCK: u64 = 4096;
+    for w in 0..WRITERS {
+        let mut h =
+            WriteHandle::open(Arc::clone(backend), cont.clone(), w, IndexPolicy::WriteClose)
+                .unwrap();
+        for k in 0..20 {
+            h.write((k * WRITERS + w) * BLOCK, &Content::synthetic(w, BLOCK), k + 1)
+                .unwrap();
+        }
+        h.close(99).unwrap();
+    }
+}
+
+/// Count spans named `name` anywhere in the forest.
+fn count_named(nodes: &[SpanNode], name: &str) -> usize {
+    nodes
+        .iter()
+        .map(|n| usize::from(n.name == name) + count_named(&n.children, name))
+        .sum()
+}
+
+/// A mount's read-open of a fig-4 container records a `read.open` root
+/// whose subtree holds the index-aggregation fan-out, with the I/O plane
+/// underneath.
+#[test]
+fn fig4_read_open_span_tree() {
+    let _scope = Scope::disabled();
+    let backend = Arc::new(MemFs::new());
+    let federation = Federation::single("/panfs", 4);
+    build_fig4(&backend, &Container::new("/fig4/ckpt", &federation));
+    let config = PlfsConfig {
+        federation,
+        index_policy: IndexPolicy::WriteClose,
+    };
+    let fs = Plfs::new(backend, config).unwrap();
+    set_enabled(true);
+    fs.open_read("/fig4/ckpt").unwrap();
+    set_enabled(false);
+    let snap = snapshot();
+
+    // Exactly one read.open, and it is a root on the opening thread.
+    assert_eq!(count_named(&snap.spans, SPAN_READ_OPEN), 1);
+    let open = snap
+        .spans
+        .iter()
+        .find(|n| n.name == SPAN_READ_OPEN)
+        .expect("read.open must be a root span");
+
+    // index.aggregate runs inside the open.
+    let agg = open
+        .children
+        .iter()
+        .find(|n| n.name == SPAN_INDEX_AGGREGATE)
+        .expect("index.aggregate must be a child of read.open");
+    assert!(agg.dur_ns <= open.dur_ns, "open covers aggregation");
+    assert!(
+        agg.start_ns >= open.start_ns,
+        "aggregation starts inside the open"
+    );
+
+    // Subdir listings and index-log reads all go through submit — on the
+    // opening thread or under a shard thread's nested `index.aggregate`,
+    // so require presence anywhere in the forest, never as a root.
+    assert!(
+        count_named(&snap.spans, SPAN_IOPLANE_SUBMIT) > 0,
+        "read-open must hit the I/O plane"
+    );
+    assert!(
+        snap.spans.iter().all(|n| n.name != SPAN_IOPLANE_SUBMIT),
+        "a shard thread's submit must never be an orphan root"
+    );
+
+    // And the rollup agrees with the raw records.
+    let stat = &snap.span_stats[SPAN_READ_OPEN];
+    assert_eq!(stat.count, 1);
+    assert_eq!(stat.max_ns, open.dur_ns);
+}
+
+/// Cross-thread ancestry that holds on one core: 16 index logs are four
+/// read slices, so a 4-thread aggregation runs four shard threads
+/// whatever the core count, and every `index.aggregate` and
+/// `ioplane.submit` they record nests under the caller's
+/// `index.aggregate` — no orphan root.
+#[test]
+fn fig4_parallel_aggregation_keeps_cross_thread_ancestry() {
+    let _scope = Scope::disabled();
+    let backend = Arc::new(MemFs::new());
+    let cont = Container::new("/fig4/ckpt", &Federation::single("/panfs", 4));
+    build_fig4(&backend, &cont);
+    let resolved = cont.subdirs_phys_batch(&backend).unwrap();
+    let writers = cont.list_writers(&backend).unwrap();
+    set_enabled(true);
+    let aggregated = {
+        let _caller = span(SPAN_INDEX_AGGREGATE);
+        cont.read_index_runs(&backend, &resolved, &writers, 4)
+    };
+    set_enabled(false);
+    aggregated.unwrap();
+    let snap = snapshot();
+
+    let roots: Vec<&SpanNode> = snap
+        .spans
+        .iter()
+        .filter(|n| n.name == SPAN_INDEX_AGGREGATE)
+        .collect();
+    assert_eq!(roots.len(), 1, "one caller root: {:?}", snap.spans);
+    let root = std::slice::from_ref(roots[0]);
+    let shards = root[0]
+        .children
+        .iter()
+        .filter(|n| n.name == SPAN_INDEX_AGGREGATE)
+        .count();
+    assert_eq!(shards, 4, "one nested index.aggregate per shard thread");
+    for name in [SPAN_INDEX_AGGREGATE, SPAN_IOPLANE_SUBMIT] {
+        assert_eq!(
+            count_named(&snap.spans, name),
+            count_named(root, name),
+            "every {name} nests under the caller"
+        );
+    }
+    assert!(count_named(root, SPAN_IOPLANE_SUBMIT) >= 4);
 }

@@ -5,7 +5,7 @@
 //! ubiquitous standard-library methods (`new`, `len`, `insert`, …)
 //! are on a deny list — resolving them would wire every function to
 //! every collection helper and drown the analyses in false edges.
-//! Backend I/O entry points (`Backend` trait ops, `submit`,
+//! Backend I/O entry points (`Backend` trait ops, `submit`, `submit_async`,
 //! `submit_retried`) are treated as *opaque I/O*: they dispatch through
 //! a trait object, so the graph does not chase them into any concrete
 //! backend — they seed the reaches-I/O fixpoint instead.
@@ -17,10 +17,10 @@ use crate::rules::BACKEND_OPS;
 
 /// Call names never resolved to workspace functions: standard-library
 /// and collection methods whose names collide with everything. `wait`
-/// is here because condvar waits would otherwise resolve to
-/// `Ticket::wait`, and `finish` because `Hasher::finish` would resolve
-/// to `SpanIdxWriter::finish`; `read`/`write`/`lock` are guard
-/// acquisitions.
+/// is here because the index cache's condvar wait would otherwise
+/// resolve to `Ticket::wait`, and `finish` because `Hasher::finish`
+/// would resolve to `SpanIdxWriter::finish`; `read`/`write`/`lock` are
+/// guard acquisitions.
 const DENY_RESOLVE: &[&str] = &[
     "new", "default", "clone", "drop", "fmt", "len", "is_empty", "get", "get_mut",
     "get_or_init", "insert", "remove", "push", "push_back", "push_front", "pop",
@@ -39,18 +39,16 @@ const DENY_RESOLVE: &[&str] = &[
 ];
 
 /// Calls that ARE backend I/O at the call site (dispatch through the
-/// `Backend` trait object): never resolved into concrete backends.
-/// Zero-arg `size`-alikes can't be backend ops (all take a path).
+/// `Backend` trait object): never resolved into concrete backends, and
+/// the seeds of the reaches-I/O fixpoint. Zero-arg `size`-alikes can't
+/// be backend ops (all take a path).
 fn is_opaque_io(c: &Call) -> bool {
-    c.name == "submit_retried"
-        || (c.method && (c.name == "submit" || (c.has_args && BACKEND_OPS.contains(&c.name.as_str()))))
-}
-
-/// Calls that seed reaches-I/O: opaque I/O, and `Backend::submit_async`,
-/// which also resolves into every impl, the reactor's included (a
-/// reactor blocks while its in-flight window is full).
-fn seeds_io(c: &Call) -> bool {
-    is_opaque_io(c) || c.name == "submit_async"
+    let name = c.name.as_str();
+    name == "submit_retried"
+        || (c.method
+            && (name == "submit"
+                || name == "submit_async"
+                || (c.has_args && BACKEND_OPS.contains(&name))))
 }
 
 /// The resolved graph. Functions are indexed by position in `fns`.
@@ -76,8 +74,9 @@ impl<'a> CallGraph<'a> {
         for (i, f) in fns.iter().enumerate() {
             let mut seen: HashSet<usize> = HashSet::new();
             for call in calls(&f.body) {
-                direct_io[i] |= seeds_io(call);
-                if DENY_RESOLVE.contains(&call.name.as_str()) || is_opaque_io(call) {
+                let io = is_opaque_io(call);
+                direct_io[i] |= io;
+                if io || DENY_RESOLVE.contains(&call.name.as_str()) {
                     continue;
                 }
                 for &c in by_name.get(call.name.as_str()).into_iter().flatten() {
@@ -130,7 +129,7 @@ impl<'a> CallGraph<'a> {
         let mut q = VecDeque::from([from]);
         let mut seen: HashSet<usize> = HashSet::from([from]);
         while let Some(n) = q.pop_front() {
-            if calls(&self.fns[n].body).into_iter().any(seeds_io) {
+            if calls(&self.fns[n].body).into_iter().any(is_opaque_io) {
                 let mut chain = vec![n];
                 let mut cur = n;
                 while let Some(&p) = prev.get(&cur) {

@@ -20,8 +20,7 @@ use simcore::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
 /// Max in-flight drains per node before a new absorb must wait for the
-/// oldest completion — the simulation analogue of the runtime plane's
-/// bounded reactor window (`plfs::ioplane::async_plane`).
+/// oldest completion.
 const DRAIN_WINDOW: usize = 16;
 
 /// Burst-buffer parameters.

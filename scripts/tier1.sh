@@ -14,8 +14,8 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline
 # The benchmark is a package outside the workspace: build and test it
 # here so an API removal that breaks its imports fails this gate first,
-# and so its transparency test checks that a `Reactor` under the
-# middleware passes every op to the device exactly once.
+# and so its transparency test checks that the passthrough `Reactor` it
+# builds under the middleware passes every op to the device exactly once.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --workspace --offline

@@ -5,6 +5,8 @@
 mod common;
 
 use common::TempDir;
+use plfs::backend::NodeKind;
+use plfs::faults::{FaultBackend, FaultConfig};
 use plfs::writer::{flatten_close, IndexPolicy, WriteHandle};
 use plfs::reader::ReadHandle;
 use plfs::vfs::LogicalKind;
@@ -324,4 +326,35 @@ fn vfs_truncate_then_extend() {
         Content::synthetic(1, 1000).slice(0, 400).materialize()
     );
     assert_eq!(r.read(400, 100).unwrap(), vec![7; 100]);
+}
+
+/// A transient fault has no effect by contract, so it must not fail the
+/// open of a writer that lands in a subdir another writer already
+/// shadowed into a foreign namespace: the metalink is resolved through
+/// the retried batch path like every other subdir probe.
+#[test]
+fn writer_open_in_a_shadowed_subdir_survives_transient_metalink_reads() {
+    let namespaces = ["/ns0", "/ns1", "/ns2"].map(String::from).to_vec();
+    let cont = Container::new("/f", &Federation::new(namespaces, 2, false, true));
+    for seed in 0..40 {
+        let mem = Arc::new(MemFs::new());
+        for w in 0..2 {
+            let h = WriteHandle::open(Arc::clone(&mem), cont.clone(), w, IndexPolicy::WriteClose);
+            h.unwrap().close(1).unwrap();
+        }
+        for i in 0..2 {
+            let entry = format!("/ns0/f/subdir.{i}");
+            assert_eq!(mem.kind(&entry).unwrap(), NodeKind::File, "{entry} is a metalink");
+        }
+        let cfg = FaultConfig {
+            seed,
+            transient_prob: 0.5,
+            torn_append_prob: 0.0,
+        };
+        let flaky = Arc::new(FaultBackend::new(Arc::clone(&mem), cfg));
+        for w in 2..4 {
+            let h = WriteHandle::open(Arc::clone(&flaky), cont.clone(), w, IndexPolicy::WriteClose);
+            assert!(h.is_ok(), "seed {seed}, writer {w}: {:?}", h.err());
+        }
+    }
 }
