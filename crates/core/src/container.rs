@@ -825,16 +825,22 @@ impl Container {
         Ok(out)
     }
 
-    /// Submit every `ReadAt` slice, then decode in order. All reads go
-    /// out before the first decode: interleaving the two measured slower.
+    /// Submit every `ReadAt` slice, then decode in order, refusing a log
+    /// with a record whose extents overflow (`index::check_extents`). All
+    /// reads go out before the first decode: interleaving the two
+    /// measured slower.
     fn read_chunks<B: Backend>(b: &B, chunks: &[&[IoOp]]) -> Result<Vec<Vec<IndexEntry>>> {
         let outcomes: Vec<_> = chunks
             .iter()
             .flat_map(|chunk| ioplane::submit_retried(b, chunk))
             .collect();
-        outcomes
-            .into_iter()
-            .map(|outcome| ioplane::as_data(outcome).and_then(|c| IndexEntry::decode_content(&c)))
+        let ops = chunks.iter().flat_map(|chunk| chunk.iter());
+        (outcomes.into_iter().zip(ops))
+            .map(|(outcome, op)| {
+                let entries = IndexEntry::decode_content(&ioplane::as_data(outcome)?)?;
+                index::check_extents(op.path(), &entries)?;
+                Ok(entries)
+            })
             .collect()
     }
 
@@ -898,6 +904,7 @@ impl Container {
         ondisk::verify_deep(&bytes)?;
         let (_, records, _) = ondisk::parse_file(&bytes)?;
         let runs = [IndexEntry::decode_all(records)?];
+        index::check_extents(&self.flattened_path(), &runs[0])?;
         Ok(Some(GlobalIndex::from_runs(&runs, true)))
     }
 

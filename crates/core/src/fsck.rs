@@ -63,7 +63,8 @@ pub enum Issue {
         /// Bytes of partial trailing record.
         trailing_bytes: u64,
     },
-    /// An index entry references bytes beyond its data log's end.
+    /// An index entry references bytes beyond its data log's end, or
+    /// names an extent that overflows `u64`.
     DanglingExtent {
         /// Owner of the entry.
         writer: WriterId,
@@ -304,7 +305,7 @@ pub fn check<B: Backend>(b: &B, container: &Container) -> Result<CheckReport> {
         let dsize = dsizes.get(&w).copied().unwrap_or(0);
         let (mut indexed_end, first, mut damaged) = (0u64, entries.len(), torn);
         for e in decoded {
-            if e.physical_offset + e.length > dsize {
+            if !e.extents_fit() || e.physical_offset + e.length > dsize {
                 damaged = true;
                 report.issues.push(Issue::DanglingExtent {
                     writer: w,

@@ -9,16 +9,16 @@
 //! paper notes PLFS assumes synchronized cluster clocks, and that HPC
 //! checkpoints rarely overwrite in practice (§II, endnote 1).
 //!
-//! A [`GlobalIndex`] is the merge of all writers' entries: an interval map
-//! from logical ranges to `(writer, physical offset)` with
-//! later-timestamp-wins semantics. All three read strategies in the paper
+//! A [`GlobalIndex`] is the merge of all writers' entries: a sorted run of
+//! disjoint spans mapping logical ranges to `(writer, physical offset)`,
+//! with later-timestamp-wins semantics. All three read strategies in the paper
 //! (Original, Index Flatten, Parallel Index Read) produce *the same*
 //! `GlobalIndex` — they differ only in who reads which index log and when,
 //! which is exactly what the merge operation here supports (hierarchical
 //! partial merges for Parallel Index Read).
 
 use crate::error::{PlfsError, Result};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 pub mod ondisk;
@@ -82,6 +82,14 @@ impl IndexEntry {
         }
     }
 
+    /// Whether the logical and the physical extent the record names both
+    /// end within `u64`. Every record an aggregation reads off a log is
+    /// checked: the index arithmetic assumes it.
+    pub(crate) fn extents_fit(&self) -> bool {
+        self.logical_offset.checked_add(self.length).is_some()
+            && self.physical_offset.checked_add(self.length).is_some()
+    }
+
     /// One past the last logical byte the record covers.
     fn end(&self) -> u64 {
         self.logical_offset + self.length
@@ -132,6 +140,19 @@ impl IndexEntry {
     }
 }
 
+/// Refuse records read off `log` whose extents overflow `u64`
+/// ([`IndexEntry::extents_fit`]): `CorruptContainer` naming the log and
+/// the first such record.
+pub(crate) fn check_extents(log: &str, entries: &[IndexEntry]) -> Result<()> {
+    match entries.iter().position(|e| !e.extents_fit()) {
+        None => Ok(()),
+        Some(i) => Err(PlfsError::CorruptContainer(format!(
+            "index record {i} of {log} overflows u64: {:?}",
+            entries[i]
+        ))),
+    }
+}
+
 /// Where a logical extent's bytes come from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Source {
@@ -158,16 +179,6 @@ pub struct Mapping {
     pub source: Source,
 }
 
-/// A resolved span stored in the interval map.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Span {
-    len: u64,
-    writer: WriterId,
-    /// Physical offset in `writer`'s data log of this span's first byte.
-    phys: u64,
-    ts: u64,
-}
-
 /// The merged view of all writers' index logs: logical offset → data-log
 /// position, with overwrites resolved.
 ///
@@ -180,7 +191,7 @@ struct Span {
 /// Every bulk build (`from_entries`, `from_runs`, `merge`, `merge_all`,
 /// `merge_streamed`, `compact`) is a thin caller of one k-way
 /// resolve-and-compact kernel: O(n log k) over `k` ascending runs, one
-/// pass, one map build (cost model in DESIGN.md §5b).
+/// pass, whose sorted output *is* the index (cost model in DESIGN.md §5b).
 ///
 /// # Examples
 ///
@@ -201,7 +212,9 @@ struct Span {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GlobalIndex {
-    spans: BTreeMap<u64, Span>,
+    /// Resolved spans: sorted by logical offset, pairwise disjoint, none
+    /// empty.
+    spans: Vec<IndexEntry>,
 }
 
 impl GlobalIndex {
@@ -218,132 +231,60 @@ impl GlobalIndex {
 
     /// Build from any number of entry sequences — one per writer log, in
     /// log order — in a single pass: a k-way merge that resolves
-    /// overwrites, compacts inline when `compact` is set (by
+    /// overwrites and compacts inline when `compact` is set (by
     /// [`GlobalIndex::compact`]'s rule; for terminal aggregations only,
-    /// see DESIGN.md §5b) and bulk-builds the interval map once. The
-    /// outcome is what overlaying the concatenated sequences one entry at
-    /// a time would give.
+    /// see DESIGN.md §5b). The outcome is what overlaying the
+    /// concatenated sequences one entry at a time would give.
     pub fn from_runs<R: AsRef<[IndexEntry]>>(runs: &[R], compact: bool) -> Self {
         let _span = crate::telemetry::span(crate::telemetry::SPAN_INDEX_MERGE);
         let mut spans = Vec::with_capacity(runs.iter().map(|r| r.as_ref().len()).sum());
-        resolve_runs(runs, compact, |e| {
-            let span = Span {
-                len: e.length,
-                writer: e.writer,
-                phys: e.physical_offset,
-                ts: e.timestamp,
-            };
-            spans.push((e.logical_offset, span));
-        });
-        // Already sorted and disjoint: the map bulk-builds from the run.
-        GlobalIndex {
-            spans: spans.into_iter().collect(),
-        }
+        resolve_runs(runs, compact, |e| spans.push(e));
+        // Compaction can leave most of the reservation unused, and the
+        // mount's index cache budgets by capacity (`heap_bytes`).
+        spans.shrink_to_fit();
+        GlobalIndex { spans }
     }
 
     /// Add one entry, resolving conflicts by (timestamp, writer) precedence.
     ///
     /// Order-independent: an entry that loses to an already-present span
     /// leaves the span intact (an exact tie goes to the later insert).
+    /// O(spans): the reference the equivalence tests build against, kept
+    /// independent of the bulk kernel.
     pub fn insert(&mut self, e: &IndexEntry) {
         if e.length == 0 {
             return;
         }
-        // Split the incoming entry around any existing higher-precedence
-        // spans, then overlay the surviving pieces.
-        let mut pieces: Vec<IndexEntry> = vec![*e];
-        let mut survivors: Vec<IndexEntry> = Vec::new();
-        while let Some(p) = pieces.pop() {
-            let p_end = p.logical_offset + p.length;
-            // Find the first existing span that overlaps p and outranks it.
-            let mut blocker: Option<(u64, Span)> = None;
-            for (&start, span) in self.overlapping(p.logical_offset, p_end) {
-                if (span.ts, span.writer) > (p.timestamp, p.writer) {
-                    blocker = Some((start, *span));
-                    break;
+        let (lo, hi) = (e.logical_offset, e.end());
+        // The spans `e` overlaps are one contiguous stretch; rebuild it.
+        let first = self.spans.partition_point(|s| s.end() <= lo);
+        let last = first + self.spans[first..].partition_point(|s| s.logical_offset < hi);
+        let mut rebuilt = Vec::with_capacity(last - first + 2);
+        // First byte of `e` not yet given to anyone.
+        let mut cursor = lo;
+        // What sticks out past `hi` of the last span `e` beats.
+        let mut tail = None;
+        for s in &self.spans[first..last] {
+            if (s.timestamp, s.writer) > (e.timestamp, e.writer) {
+                if s.logical_offset > cursor {
+                    rebuilt.push(e.cut(cursor, s.logical_offset));
+                }
+                rebuilt.push(*s);
+                cursor = s.end();
+            } else {
+                if s.logical_offset < lo {
+                    rebuilt.push(s.cut(s.logical_offset, lo));
+                }
+                if s.end() > hi {
+                    tail = Some(s.cut(hi, s.end()));
                 }
             }
-            match blocker {
-                None => survivors.push(p),
-                Some((bs, bspan)) => {
-                    let b_end = bs + bspan.len;
-                    if p.logical_offset < bs {
-                        pieces.push(p.cut(p.logical_offset, bs));
-                    }
-                    if p_end > b_end {
-                        pieces.push(p.cut(b_end, p_end));
-                    }
-                }
-            }
         }
-        for s in survivors {
-            self.overlay_unchecked(&s);
+        if cursor < hi {
+            rebuilt.push(e.cut(cursor, hi));
         }
-    }
-
-    /// Overlay an entry assuming it outranks everything it overlaps.
-    fn overlay_unchecked(&mut self, e: &IndexEntry) {
-        if e.length == 0 {
-            return;
-        }
-        let new_start = e.logical_offset;
-        let new_end = e.logical_offset + e.length;
-
-        // Collect keys of spans overlapping [new_start, new_end).
-        let overlapping: Vec<u64> = self
-            .overlapping(new_start, new_end)
-            .map(|(&s, _)| s)
-            .collect();
-
-        for start in overlapping {
-            #[expect(clippy::expect_used, reason = "keys were collected from this map two lines up, under exclusive &mut self")]
-            let span = self.spans.remove(&start).expect("key collected above");
-            let end = start + span.len;
-            // Left remainder.
-            if start < new_start {
-                let keep = new_start - start;
-                self.spans.insert(start, Span { len: keep, ..span });
-            }
-            // Right remainder.
-            if end > new_end {
-                let cut = new_end - start;
-                self.spans.insert(
-                    new_end,
-                    Span {
-                        len: end - new_end,
-                        writer: span.writer,
-                        phys: span.phys + cut,
-                        ts: span.ts,
-                    },
-                );
-            }
-        }
-
-        self.spans.insert(
-            new_start,
-            Span {
-                len: e.length,
-                writer: e.writer,
-                phys: e.physical_offset,
-                ts: e.timestamp,
-            },
-        );
-    }
-
-    /// Iterate spans overlapping `[start, end)`.
-    fn overlapping(&self, start: u64, end: u64) -> impl Iterator<Item = (&u64, &Span)> {
-        // The last span starting at or before `start` may reach into the
-        // range; everything starting strictly inside (start, end) counts.
-        let pred = self
-            .spans
-            .range(..=start)
-            .next_back()
-            .filter(|(&s, sp)| s + sp.len > start && s < end);
-        let rest = self.spans.range((
-            std::ops::Bound::Excluded(start),
-            std::ops::Bound::Excluded(end),
-        ));
-        pred.into_iter().chain(rest)
+        rebuilt.extend(tail);
+        self.spans.splice(first..last, rebuilt);
     }
 
     /// Merge another index into this one (used by Parallel Index Read group
@@ -351,7 +292,8 @@ impl GlobalIndex {
     /// (an exact `(timestamp, writer)` tie goes to `other`).
     pub fn merge(&mut self, other: &GlobalIndex) {
         if !other.is_empty() {
-            *self = Self::from_runs(&[self.to_entries(), other.to_entries()], false);
+            let mine = std::mem::take(&mut self.spans);
+            *self = Self::from_runs(&[&mine[..], &other.spans[..]], false);
         }
     }
 
@@ -362,12 +304,12 @@ impl GlobalIndex {
         Self::from_runs(&Self::part_runs(parts), false)
     }
 
-    /// Each part's spans as one ascending run; the maps drop as they go.
+    /// Each part's spans as one ascending run, moved out of the part.
     pub(crate) fn part_runs<I>(parts: I) -> Vec<Vec<IndexEntry>>
     where
         I: IntoIterator<Item = GlobalIndex>,
     {
-        parts.into_iter().map(|p| p.to_entries()).collect()
+        parts.into_iter().map(|p| p.spans).collect()
     }
 
     /// Resolve a logical read into data-log extents and holes, appending
@@ -377,78 +319,12 @@ impl GlobalIndex {
     /// The appended mappings exactly tile `[offset, offset + len)` in
     /// order, the end clamped to `u64::MAX`.
     pub fn lookup_into(&self, offset: u64, len: u64, out: &mut Vec<Mapping>) {
-        let end = offset.saturating_add(len);
-        if end <= offset {
-            return;
-        }
-        let mut cursor = offset;
-
-        // Start from the last span beginning at or before `offset`.
-        let mut iter = self
-            .spans
-            .range(..=offset)
-            .next_back()
-            .into_iter()
-            .map(|(&s, sp)| (s, *sp))
-            .chain(
-                self.spans
-                    .range((
-                        std::ops::Bound::Excluded(offset),
-                        std::ops::Bound::Excluded(end),
-                    ))
-                    .map(|(&s, sp)| (s, *sp)),
-            );
-
-        while cursor < end {
-            match iter.next() {
-                Some((start, span)) => {
-                    let span_end = start + span.len;
-                    if span_end <= cursor {
-                        continue; // predecessor span ends before our range
-                    }
-                    if start > cursor {
-                        // Hole before this span.
-                        let hole_len = start.min(end) - cursor;
-                        out.push(Mapping {
-                            logical_offset: cursor,
-                            length: hole_len,
-                            source: Source::Hole,
-                        });
-                        cursor += hole_len;
-                        if cursor >= end {
-                            break;
-                        }
-                    }
-                    let take = span_end.min(end) - cursor;
-                    out.push(Mapping {
-                        logical_offset: cursor,
-                        length: take,
-                        source: Source::Writer {
-                            writer: span.writer,
-                            physical_offset: span.phys + (cursor - start),
-                        },
-                    });
-                    cursor += take;
-                }
-                None => {
-                    out.push(Mapping {
-                        logical_offset: cursor,
-                        length: end - cursor,
-                        source: Source::Hole,
-                    });
-                    cursor = end;
-                }
-            }
-        }
+        tile_into([&self.spans[..]], offset, len, out);
     }
 
     /// Logical end-of-file: one past the highest written byte.
     pub fn eof(&self) -> u64 {
-        self.spans
-            .iter()
-            .next_back()
-            .map(|(&s, sp)| s + sp.len)
-            .unwrap_or(0)
+        self.spans.last().map_or(0, IndexEntry::end)
     }
 
     /// Number of resolved spans (diagnostic; grows with fragmentation).
@@ -456,10 +332,10 @@ impl GlobalIndex {
         self.spans.len()
     }
 
-    /// Estimated heap bytes of the interval map: one key and one span per
-    /// resolved span (what the mount's index cache budgets by).
+    /// Heap bytes of the span vector, by capacity (what the mount's index
+    /// cache budgets by).
     pub fn heap_bytes(&self) -> u64 {
-        (self.spans.len() * (std::mem::size_of::<u64>() + std::mem::size_of::<Span>())) as u64
+        (self.spans.capacity() * std::mem::size_of::<IndexEntry>()) as u64
     }
 
     /// Whether nothing has been written (no spans at all).
@@ -479,35 +355,74 @@ impl GlobalIndex {
     /// cannot change any outcome because the merged spans were already
     /// the winners of their ranges).
     pub fn compact(&mut self) {
-        *self = Self::from_runs(&[self.to_entries()], true);
+        *self = Self::from_runs(&[&self.spans], true);
     }
 
     /// Serialize as index records (for the flattened `global.index` file).
     pub fn to_entries(&self) -> Vec<IndexEntry> {
-        self.spans
-            .iter()
-            .map(|(&start, span)| IndexEntry {
-                logical_offset: start,
-                length: span.len,
-                physical_offset: span.phys,
-                writer: span.writer,
-                timestamp: span.ts,
-            })
-            .collect()
+        self.spans.clone()
     }
 
     /// Streaming form of [`GlobalIndex::merge_all`] `+`
     /// [`GlobalIndex::compact`]: merge the partial indices and hand the
     /// resolved, compacted entries to `emit` in sorted chunks of at most
-    /// `chunk_entries`, without ever building the merged map. The emitted
-    /// stream is bit-for-bit the entry sequence `merge_all` + `compact` +
-    /// [`GlobalIndex::to_entries`] would produce.
+    /// `chunk_entries`, without ever building the merged index. The
+    /// emitted stream is bit-for-bit the entry sequence `merge_all` +
+    /// `compact` + [`GlobalIndex::to_entries`] would produce.
     pub fn merge_streamed<I, F>(parts: I, chunk_entries: usize, emit: F) -> Result<()>
     where
         I: IntoIterator<Item = GlobalIndex>,
         F: FnMut(&[IndexEntry]) -> Result<()>,
     {
         stream_runs(&Self::part_runs(parts), chunk_entries, emit)
+    }
+}
+
+/// Append the mappings that exactly tile `[offset, offset + len)` (the
+/// end clamped to `u64::MAX`) over `runs` — consecutive slices of one
+/// sorted, pairwise disjoint sequence of spans: a piece per stretch a
+/// span covers, a hole per stretch none does. Each slice is entered by
+/// binary search; the walk stops at the first span starting at or past
+/// the end. The one walk behind [`GlobalIndex::lookup_into`] (one slice)
+/// and [`OnDiskIndex::lookup_into`] (one per fetched window).
+pub(crate) fn tile_into<'a, I>(runs: I, offset: u64, len: u64, out: &mut Vec<Mapping>)
+where
+    I: IntoIterator<Item = &'a [IndexEntry]>,
+{
+    let end = offset.saturating_add(len);
+    let mut cursor = offset;
+    'walk: for run in runs {
+        let first = run.partition_point(|s| s.end() <= cursor);
+        for s in &run[first..] {
+            if cursor >= end || s.logical_offset >= end {
+                break 'walk;
+            }
+            if s.logical_offset > cursor {
+                out.push(Mapping {
+                    logical_offset: cursor,
+                    length: s.logical_offset - cursor,
+                    source: Source::Hole,
+                });
+                cursor = s.logical_offset;
+            }
+            let to = s.end().min(end);
+            out.push(Mapping {
+                logical_offset: cursor,
+                length: to - cursor,
+                source: Source::Writer {
+                    writer: s.writer,
+                    physical_offset: s.physical_offset + (cursor - s.logical_offset),
+                },
+            });
+            cursor = to;
+        }
+    }
+    if cursor < end {
+        out.push(Mapping {
+            logical_offset: cursor,
+            length: end - cursor,
+            source: Source::Hole,
+        });
     }
 }
 
@@ -549,43 +464,22 @@ type Ranked = (IndexEntry, u64);
 /// compact, and hand the result — sorted, pairwise disjoint — to `emit`.
 ///
 /// Each sequence is split where its offsets descend, so every run the
-/// heap sees is ascending (a writer's log of a forward checkpoint is one
-/// run; the concatenation of `k` such logs is `k` runs; a log written
-/// backwards is one run per record). Precedence is the total order
-/// `(timestamp, writer, position in the concatenated input)`, so the
-/// output does not depend on pop order. Entries pop in ascending start
-/// order; a piece whose end is at or before the next incoming start can
-/// never be disturbed again and finalizes immediately, so the window only
-/// ever holds the current overlap cluster. An entry that meets an empty
-/// window and ends at or before the next incoming start — every entry of
-/// a disjoint checkpoint — skips the window altogether.
+/// [`Tournament`] merges is ascending (a writer's log of a forward
+/// checkpoint is one run; the concatenation of `k` such logs is `k` runs;
+/// a log written backwards is one run per record). Precedence is the
+/// total order `(timestamp, writer, position in the concatenated input)`,
+/// so the output does not depend on pop order. Entries pop in ascending
+/// start order; a piece whose end is at or before the next incoming start
+/// can never be disturbed again and finalizes immediately, so the window
+/// only ever holds the current overlap cluster. An entry that meets an
+/// empty window and ends at or before the next incoming start — every
+/// entry of a disjoint checkpoint — skips the window altogether.
 fn resolve_runs<R, F>(logs: &[R], compact: bool, mut emit: F)
 where
     R: AsRef<[IndexEntry]>,
     F: FnMut(IndexEntry),
 {
-    use std::cmp::Reverse;
-    use std::collections::binary_heap::{BinaryHeap, PeekMut};
-
-    // Each run: what is left of it, and the position of its first entry
-    // in the concatenated input.
-    let mut runs: Vec<(&[IndexEntry], u64)> = Vec::with_capacity(logs.len());
-    let mut seq = 0u64;
-    for log in logs {
-        for run in log
-            .as_ref()
-            .chunk_by(|a, b| a.logical_offset <= b.logical_offset)
-        {
-            runs.push((run, seq));
-            seq += run.len() as u64;
-        }
-    }
-    // Min-heap of (next start, run).
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = runs
-        .iter()
-        .enumerate()
-        .map(|(i, (run, _))| Reverse((run[0].logical_offset, i)))
-        .collect();
+    let mut merge = Tournament::new(logs);
 
     // Output stage: compaction across finalization boundaries — contiguous
     // logically and physically within one writer's log, keeping the later
@@ -610,24 +504,7 @@ where
 
     let mut window: VecDeque<Ranked> = VecDeque::new();
     let mut scratch: Vec<Ranked> = Vec::new();
-    loop {
-        let Some(mut top) = heap.peek_mut() else {
-            break;
-        };
-        let (rest, next_seq) = &mut runs[top.0 .1];
-        let (e, seq) = (rest[0], *next_seq);
-        *rest = &rest[1..];
-        *next_seq += 1;
-        // Re-key the run in place: one sift instead of a pop and a push.
-        match rest.first() {
-            Some(next) => {
-                top.0 .0 = next.logical_offset;
-                drop(top);
-            }
-            None => {
-                PeekMut::pop(top);
-            }
-        }
+    while let Some((e, seq)) = merge.pop() {
         if e.length == 0 {
             continue;
         }
@@ -638,8 +515,7 @@ where
             finalize(p);
             window.pop_front();
         }
-        let next_start = heap.peek().map_or(u64::MAX, |r| r.0 .0);
-        if window.is_empty() && next_start >= e.end() {
+        if window.is_empty() && merge.next_start() >= e.end() {
             finalize(e);
         } else {
             overlay(&mut window, &mut scratch, e, seq);
@@ -648,6 +524,130 @@ where
     window.into_iter().for_each(|(p, _)| finalize(p));
     if let Some(done) = carry {
         emit(done);
+    }
+}
+
+/// The k-way merge of [`resolve_runs`]: a tournament (loser) tree over
+/// the runs' next starts. A pop replays one leaf-to-root path, one
+/// comparison per level, and none at all while the winning run's next
+/// start stays below every key it beat (a segmented checkpoint's runs
+/// pop whole). With fewer than two runs there is no tree and a pop is a
+/// slice step.
+struct Tournament<'a> {
+    /// Each run: what is left of it, and the position of its first entry
+    /// in the concatenated input.
+    runs: Vec<(&'a [IndexEntry], u64)>,
+    /// `(next start, run)` keys. `tree[0]` is the winner; `tree[n]`, for
+    /// `n` in `1..tree.len()`, lost the match at node `n`, whose children
+    /// are `2n` and `2n + 1` — node `tree.len() + r` being run `r`'s
+    /// leaf. Leaves past the last run are padding, permanently
+    /// [`Tournament::DONE`]. Empty with fewer than two runs.
+    tree: Vec<(u64, usize)>,
+    /// While the winner keeps winning: the least key on its path, which
+    /// its next start must stay below to win again unreplayed (0 when
+    /// not known).
+    bound: u64,
+}
+
+impl<'a> Tournament<'a> {
+    /// Key of an exhausted run, or padding. Ties go either way, so a
+    /// record starting at `u64::MAX` may never pop — it is empty.
+    const DONE: (u64, usize) = (u64::MAX, usize::MAX);
+
+    fn new<R: AsRef<[IndexEntry]>>(logs: &'a [R]) -> Self {
+        let mut runs = Vec::with_capacity(logs.len());
+        let mut seq = 0u64;
+        for log in logs {
+            for run in log
+                .as_ref()
+                .chunk_by(|a, b| a.logical_offset <= b.logical_offset)
+            {
+                runs.push((run, seq));
+                seq += run.len() as u64;
+            }
+        }
+        let mut t = Tournament {
+            runs,
+            tree: Vec::new(),
+            bound: 0,
+        };
+        if t.runs.len() > 1 {
+            let size = t.runs.len().next_power_of_two();
+            t.tree = vec![Self::DONE; size];
+            // Bottom-up, each node first holds the winner of its subtree;
+            // then top-down — a parent before its children overwrite
+            // their winners — each takes the loser of its match.
+            for n in (1..size).rev() {
+                t.tree[n] = t.winner_at(2 * n).min(t.winner_at(2 * n + 1));
+            }
+            t.tree[0] = t.tree[1];
+            for n in 1..size {
+                t.tree[n] = t.winner_at(2 * n).max(t.winner_at(2 * n + 1));
+            }
+        }
+        t
+    }
+
+    /// While building: the winner of the subtree at `node`.
+    fn winner_at(&self, node: usize) -> (u64, usize) {
+        match node.checked_sub(self.tree.len()) {
+            Some(r) => match self.runs.get(r).and_then(|(rest, _)| rest.first()) {
+                Some(e) => (e.logical_offset, r),
+                None => Self::DONE,
+            },
+            None => self.tree[node],
+        }
+    }
+
+    /// The next entry in start order, with its position in the
+    /// concatenated input.
+    fn pop(&mut self) -> Option<(IndexEntry, u64)> {
+        let r = self.tree.first().map_or(0, |&(_, r)| r);
+        let (rest, next_seq) = self.runs.get_mut(r)?;
+        let (&e, tail) = rest.split_first()?;
+        let popped = (e, *next_seq);
+        *rest = tail;
+        *next_seq += 1;
+        if !self.tree.is_empty() {
+            let mut key = tail.first().map_or(Self::DONE, |n| (n.logical_offset, r));
+            if key.0 < self.bound {
+                self.tree[0] = key;
+                return Some(popped);
+            }
+            // Branch-free: which side wins is data, not a pattern.
+            let mut node = (self.tree.len() + r) / 2;
+            while node > 0 {
+                let held = self.tree[node];
+                let swap = held.0 < key.0;
+                self.tree[node] = if swap { key } else { held };
+                key = if swap { held } else { key };
+                node /= 2;
+            }
+            self.tree[0] = key;
+            self.bound = if key.1 == r { self.least_beaten() } else { 0 };
+        }
+        Some(popped)
+    }
+
+    /// The least key on the winner's leaf-to-root path.
+    fn least_beaten(&self) -> u64 {
+        let mut node = (self.tree.len() + self.tree[0].1) / 2;
+        let mut least = u64::MAX;
+        while node > 0 {
+            least = least.min(self.tree[node].0);
+            node /= 2;
+        }
+        least
+    }
+
+    /// Start of the entry the next pop returns (`u64::MAX` when none).
+    fn next_start(&self) -> u64 {
+        match self.tree.first() {
+            Some(&(start, _)) => start,
+            None => (self.runs.first())
+                .and_then(|(rest, _)| rest.first())
+                .map_or(u64::MAX, |e| e.logical_offset),
+        }
     }
 }
 
@@ -777,7 +777,7 @@ impl IndexSource {
     }
 
     /// Estimated resident bytes (what the mount's index cache budgets
-    /// by): the interval map of a `Mem` source, the fences and footer of
+    /// by): the span vector of a `Mem` source, the fences and footer of
     /// a `Disk` one — never its records.
     pub(crate) fn heap_bytes(&self) -> u64 {
         match self {
@@ -1450,6 +1450,72 @@ mod tests {
         want.compact();
         assert_eq!(GlobalIndex::from_runs(&runs, true), want);
         assert_eq!(want.span_count(), 4);
+    }
+
+    #[test]
+    fn a_compacted_contiguous_checkpoint_releases_its_reservation() {
+        // 8 writers, each one contiguous segment of 1,024 blocks: 8,192
+        // records reserved, 8 spans left after compaction.
+        let runs: Vec<Vec<IndexEntry>> = (0..8u64)
+            .map(|w| (0..1024u64).map(|k| e((w * 1024 + k) * 10, 10, k * 10, w, 1)).collect())
+            .collect();
+        let idx = GlobalIndex::from_runs(&runs, true);
+        assert_eq!(idx.span_count(), 8);
+        assert!(idx.heap_bytes() <= 8 * INDEX_RECORD_BYTES + 64, "{}", idx.heap_bytes());
+    }
+
+    /// `compact`'s rule applied by hand over an uncompacted index.
+    fn compacted_by_hand(idx: &GlobalIndex) -> Vec<IndexEntry> {
+        let mut out: Vec<IndexEntry> = Vec::new();
+        for s in idx.to_entries() {
+            match out.last_mut() {
+                Some(c)
+                    if c.end() == s.logical_offset
+                        && c.writer == s.writer
+                        && c.physical_offset + c.length == s.physical_offset =>
+                {
+                    c.length += s.length;
+                    c.timestamp = c.timestamp.max(s.timestamp);
+                }
+                _ => out.push(s),
+            }
+        }
+        out
+    }
+
+    /// `k` ascending runs, each of 1–4 records (zero lengths among them),
+    /// with empty logs between; few writers and timestamps, so runs
+    /// overlap and exact ties are common.
+    fn arb_ascending_runs() -> impl proptest::Strategy<Value = Vec<Vec<IndexEntry>>> {
+        use proptest::prelude::*;
+        let k = prop::sample::select(vec![1usize, 2, 3, 63, 64, 65, 129]);
+        let run = (prop::collection::vec((0u64..300, 0u64..60, 1u64..4), 1..5), 0u8..2);
+        (k, prop::collection::vec(run, 129..130)).prop_map(|(k, runs)| {
+            let mut logs = Vec::new();
+            for (i, (records, empty_before)) in runs.into_iter().take(k).enumerate() {
+                if empty_before == 1 {
+                    logs.push(Vec::new());
+                }
+                let (mut at, mut phys) = (0, 0);
+                let run = records.into_iter().map(|(gap, len, ts)| {
+                    at += gap;
+                    phys += len;
+                    e(at, len, phys - len, i as u64 % 5, ts)
+                });
+                logs.push(run.collect());
+            }
+            logs
+        })
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn loser_tree_kernel_equals_insert_reference(logs in arb_ascending_runs()) {
+            let want = built_by_insert(&logs.concat());
+            proptest::prop_assert_eq!(&GlobalIndex::from_runs(&logs, false), &want);
+            let compacted = GlobalIndex::from_runs(&logs, true);
+            proptest::prop_assert_eq!(compacted.to_entries(), compacted_by_hand(&want));
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ use crate::backend::Backend;
 use crate::content::Content;
 use crate::error::{PlfsError, Result};
 use crate::index::spancache::SpanCache;
-use crate::index::{IndexEntry, Mapping, Source, INDEX_RECORD_BYTES};
+use crate::index::{check_extents, tile_into, IndexEntry, Mapping, INDEX_RECORD_BYTES};
 use crate::ioplane::{self, IoOp};
 use std::sync::Arc;
 
@@ -218,8 +218,11 @@ pub fn verify_deep(bytes: &[u8]) -> Result<SpanIdxFooter> {
                 i as u64 / footer.fence_stride
             )));
         }
-        prev_end = Some(e.logical_offset + e.length);
-        eof = eof.max(e.logical_offset + e.length);
+        let end = e.logical_offset.checked_add(e.length).ok_or_else(|| {
+            PlfsError::CorruptContainer(format!("spanidx record {i} extent overflows u64"))
+        })?;
+        prev_end = Some(end);
+        eof = eof.max(end);
     }
     if eof != footer.eof {
         return Err(PlfsError::CorruptContainer(format!(
@@ -471,52 +474,13 @@ impl OnDiskIndex {
         if end <= offset {
             return Ok(());
         }
-        let mut cursor = offset;
-        if self.footer.record_count > 0 {
+        let windows = if self.footer.record_count > 0 {
             let (w_lo, w_hi) = self.window_range(offset, end);
-            let windows = self.fetch_windows(b, w_lo, w_hi)?;
-            'scan: for e in windows.iter().flat_map(|w| w.iter()) {
-                let e_end = e.logical_offset + e.length;
-                if e_end <= cursor {
-                    continue;
-                }
-                if e.logical_offset >= end {
-                    break;
-                }
-                if e.logical_offset > cursor {
-                    let hole = e.logical_offset.min(end) - cursor;
-                    out.push(Mapping {
-                        logical_offset: cursor,
-                        length: hole,
-                        source: Source::Hole,
-                    });
-                    cursor += hole;
-                    if cursor >= end {
-                        break 'scan;
-                    }
-                }
-                let take = e_end.min(end) - cursor;
-                out.push(Mapping {
-                    logical_offset: cursor,
-                    length: take,
-                    source: Source::Writer {
-                        writer: e.writer,
-                        physical_offset: e.physical_offset + (cursor - e.logical_offset),
-                    },
-                });
-                cursor += take;
-                if cursor >= end {
-                    break;
-                }
-            }
-        }
-        if cursor < end {
-            out.push(Mapping {
-                logical_offset: cursor,
-                length: end - cursor,
-                source: Source::Hole,
-            });
-        }
+            self.fetch_windows(b, w_lo, w_hi)?
+        } else {
+            Vec::new()
+        };
+        tile_into(windows.iter().map(|w| w.as_slice()), offset, len, out);
         Ok(())
     }
 
@@ -600,6 +564,7 @@ impl OnDiskIndex {
             .split_at_checked(records * INDEX_RECORD_BYTES as usize)
             .ok_or_else(changed)?;
         let entries = IndexEntry::decode_all(window)?;
+        check_extents(&self.path, &entries)?;
         let first = entries.first().map(|e| e.logical_offset);
         let pinned = match self.fences.get(w as usize + 1) {
             Some(&next) => IndexEntry::from_bytes(after)?.logical_offset == next,
@@ -622,7 +587,7 @@ impl OnDiskIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::GlobalIndex;
+    use crate::index::{GlobalIndex, Source};
     use crate::memfs::MemFs;
 
     fn e(lo: u64, len: u64, phys: u64, w: u64, ts: u64) -> IndexEntry {

@@ -122,6 +122,12 @@ impl<B: Backend> WriteHandle<B> {
         if content.is_empty() {
             return Ok(());
         }
+        if offset.checked_add(content.len()).is_none() {
+            return Err(PlfsError::InvalidArg(format!(
+                "write of {} bytes at {offset} ends past u64::MAX",
+                content.len()
+            )));
+        }
         let _span = telemetry::span(telemetry::SPAN_WRITE_APPEND);
         let data_log = self.ensure_logs()?.0.clone();
         // Transient failures are clean (nothing landed) and retried with
@@ -445,6 +451,18 @@ mod tests {
         assert_ne!(first.stamp(), second.stamp());
         let cache = Arc::new(crate::index::SpanCache::new());
         assert_eq!(second.load(&b, &cache).unwrap().eof(), 510);
+    }
+
+    #[test]
+    fn a_write_ending_past_u64_max_is_refused_before_it_lands() {
+        let (b, c) = setup();
+        let mut w =
+            WriteHandle::open(Arc::clone(&b), c.clone(), 0, IndexPolicy::WriteClose).unwrap();
+        let late = w.write(u64::MAX - 5, &Content::bytes(vec![1; 10]), 1);
+        assert!(matches!(late, Err(PlfsError::InvalidArg(_))), "{late:?}");
+        assert_eq!(w.bytes_written(), 0);
+        w.close(2).unwrap();
+        assert!(c.read_index_log(&b, 0).unwrap().is_empty());
     }
 
     #[test]

@@ -10,7 +10,11 @@ use plfs::faults::{FaultBackend, FaultConfig};
 use plfs::writer::{flatten_close, IndexPolicy, WriteHandle};
 use plfs::reader::ReadHandle;
 use plfs::vfs::LogicalKind;
-use plfs::{Backend, Container, Content, Federation, LocalFs, MemFs, Plfs, PlfsConfig};
+use plfs::fsck::{self, Issue};
+use plfs::{
+    Backend, Container, Content, Federation, IndexEntry, LocalFs, MemFs, Plfs, PlfsConfig,
+    PlfsError,
+};
 use std::sync::Arc;
 
 /// The classic checkpoint: N writers, strided blocks, full read-back.
@@ -326,6 +330,50 @@ fn vfs_truncate_then_extend() {
         Content::synthetic(1, 1000).slice(0, 400).materialize()
     );
     assert_eq!(r.read(400, 100).unwrap(), vec![7; 100]);
+}
+
+/// An index record whose logical extent overflows `u64` is corrupt: a
+/// read-open refuses it by log and record instead of serving a wrapped
+/// EOF, fsck reports it as a dangling extent, and repair drops that
+/// record alone.
+#[test]
+fn an_index_record_whose_extent_overflows_is_refused_then_repaired() {
+    let backend = Arc::new(MemFs::new());
+    let mount = || Plfs::new(Arc::clone(&backend), PlfsConfig::basic("/panfs")).unwrap();
+    let data = Content::synthetic(3, 100);
+    let mut w = mount().open_write("/f", 0).unwrap();
+    w.write(0, &data, 1).unwrap();
+    w.close(2).unwrap();
+    let cont = mount().container("/f");
+    let bad = IndexEntry {
+        logical_offset: u64::MAX - 5,
+        length: 10,
+        physical_offset: 0,
+        writer: 0,
+        timestamp: 3,
+    };
+    let log = cont.index_log(&*backend, 0).unwrap();
+    backend.append(&log, &Content::bytes(bad.to_bytes().to_vec())).unwrap();
+
+    match mount().open_read("/f") {
+        Err(PlfsError::CorruptContainer(why)) => {
+            assert!(why.contains(&log) && why.contains("record 1"), "{why}")
+        }
+        other => panic!("open_read: {:?}", other.map(|r| r.size())),
+    }
+    let report = fsck::check(&*backend, &cont).unwrap();
+    let dangling = Issue::DanglingExtent {
+        writer: 0,
+        entry: bad,
+        data_log_size: 100,
+    };
+    assert_eq!(report.issues, vec![dangling]);
+    assert_eq!(report.logical_size, 100);
+    let outcome = fsck::repair(&*backend, &cont).unwrap();
+    assert!(outcome.fully_repaired(), "{:?}", outcome.unrepaired);
+    let mut r = mount().open_read("/f").unwrap();
+    assert_eq!(r.size(), 100);
+    assert!(Content::bytes(r.read(0, 100).unwrap()).same_bytes(&data));
 }
 
 /// A transient fault has no effect by contract, so it must not fail the
