@@ -30,6 +30,7 @@ use crate::backend::{Backend, NodeKind};
 use crate::content::Content;
 use crate::error::{retry_transient, PlfsError, Result};
 use crate::federation::Federation;
+use crate::index::log::{self, LogRecord};
 use crate::index::ondisk::{self, OnDiskIndex, SpanIdxWriter};
 use crate::index::{self, GlobalIndex, IndexEntry, IndexSource, SpanCache, WriterId};
 use crate::ioplane::{self, IoOp};
@@ -750,15 +751,17 @@ impl Container {
             .collect()
     }
 
-    /// Size-then-read each path whole and decode the records:
-    /// [`Container::log_sizes`] then [`Container::read_logs_sized`].
+    /// Size-then-read each path whole and decode its entries:
+    /// [`Container::log_sizes`] then [`Container::read_logs_sized`],
+    /// expanded.
     pub(crate) fn read_logs_whole<B: Backend>(
         b: &B,
         paths: &[String],
         max_threads: usize,
     ) -> Result<Vec<Vec<IndexEntry>>> {
         let sizes = Self::log_sizes(b, paths)?;
-        Self::read_logs_sized(b, paths, &sizes, max_threads)
+        let logs = Self::read_logs_sized(b, paths, &sizes, max_threads)?;
+        Ok(logs.iter().map(|l| log::expand(l)).collect())
     }
 
     /// Current size of every path: one `Size` batch on the calling thread.
@@ -774,7 +777,8 @@ impl Container {
     }
 
     /// Read exactly the first `sizes[i]` bytes of `paths[i]` and decode
-    /// the records — bytes a log grew by after it was sized are not read.
+    /// the records, each progression one [`LogRecord`] — bytes a log grew
+    /// by after it was sized are not read.
     /// The `ReadAt`s go in [`INDEX_READ_CHUNK`]-op slices dealt in
     /// contiguous shares to at most `max_threads` scoped threads, so the
     /// round trips depend on the path count alone. Each shard thread
@@ -785,7 +789,7 @@ impl Container {
         paths: &[String],
         sizes: &[u64],
         max_threads: usize,
-    ) -> Result<Vec<Vec<IndexEntry>>> {
+    ) -> Result<Vec<Vec<LogRecord>>> {
         let read_ops: Vec<IoOp> = paths
             .iter()
             .zip(sizes)
@@ -802,7 +806,7 @@ impl Container {
         }
         let parent = telemetry::current_span_id();
         #[expect(clippy::expect_used, reason = "a panicked worker must propagate, not masquerade as an I/O error")]
-        let shards: Vec<Result<Vec<Vec<IndexEntry>>>> = std::thread::scope(|scope| {
+        let shards: Vec<Result<Vec<Vec<LogRecord>>>> = std::thread::scope(|scope| {
             let handles: Vec<_> = chunks
                 .chunks(chunks.len().div_ceil(threads))
                 .map(|share| {
@@ -825,23 +829,23 @@ impl Container {
         Ok(out)
     }
 
-    /// Submit every `ReadAt` slice, then decode in order, refusing a log
-    /// with a record whose extents overflow (`index::check_extents`). All
-    /// reads go out before the first decode: interleaving the two
-    /// measured slower.
-    fn read_chunks<B: Backend>(b: &B, chunks: &[&[IoOp]]) -> Result<Vec<Vec<IndexEntry>>> {
-        let outcomes: Vec<_> = chunks
-            .iter()
-            .flat_map(|chunk| ioplane::submit_retried(b, chunk))
-            .collect();
-        let ops = chunks.iter().flat_map(|chunk| chunk.iter());
-        (outcomes.into_iter().zip(ops))
-            .map(|(outcome, op)| {
-                let entries = IndexEntry::decode_content(&ioplane::as_data(outcome)?)?;
-                index::check_extents(op.path(), &entries)?;
-                Ok(entries)
-            })
-            .collect()
+    /// Submit each `ReadAt` slice and decode it before the next, refusing
+    /// a log that is not a whole number of records or has a record whose
+    /// extents overflow ([`log::decode`]). A strided log decodes to one
+    /// record, so its bytes are dropped before the next slice is read and
+    /// the next slice's buffers reuse their memory: reading every slice
+    /// first measured slower.
+    fn read_chunks<B: Backend>(b: &B, chunks: &[&[IoOp]]) -> Result<Vec<Vec<LogRecord>>> {
+        let mut out = Vec::with_capacity(chunks.iter().map(|c| c.len()).sum());
+        for chunk in chunks {
+            for (outcome, op) in ioplane::submit_retried(b, chunk).into_iter().zip(*chunk) {
+                out.push(log::decode(
+                    op.path(),
+                    &ioplane::as_data(outcome)?.as_bytes(),
+                )?);
+            }
+        }
+        Ok(out)
     }
 
     /// Physical path of the flattened (spanidx) index file.
@@ -1126,15 +1130,17 @@ impl IndexProbe {
     }
 
     /// One-pass aggregation of exactly the stamped prefix of every log,
-    /// compacted inline, never looking at a flattened index. Compaction
-    /// happens only here, at the terminal aggregation, never to partial
-    /// indices that may still be merged (DESIGN.md §5b).
+    /// compacted inline, never looking at a flattened index: an
+    /// interleave group when the logs are an N-1 strided checkpoint's
+    /// progressions ([`GlobalIndex::from_logs`]). Compaction happens
+    /// only here, at the terminal aggregation, never to partial indices
+    /// that may still be merged (DESIGN.md §5b).
     pub(crate) fn aggregate<B: Backend>(&self, b: &B) -> Result<GlobalIndex> {
         let _span = telemetry::span(telemetry::SPAN_INDEX_AGGREGATE);
         let sizes: Vec<u64> = self.stamp.logs.iter().map(|&(_, size)| size).collect();
         let threads = default_aggregation_threads();
-        let runs = Container::read_logs_sized(b, &self.log_paths, &sizes, threads)?;
-        Ok(GlobalIndex::from_runs(&runs, true))
+        let logs = Container::read_logs_sized(b, &self.log_paths, &sizes, threads)?;
+        Ok(GlobalIndex::from_logs(&logs))
     }
 }
 
@@ -1431,5 +1437,148 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Write each of `logs` as writer `i`'s index log and aggregate them
+    /// as a read-open does.
+    fn aggregate_logs(logs: &[Vec<IndexEntry>]) -> GlobalIndex {
+        let b = MemFs::new();
+        let c = Container::new("/g", &fed1());
+        c.create(&b).unwrap();
+        for (w, log) in (0u64..).zip(logs) {
+            c.ensure_subdir(&b, c.subdir_for(w)).unwrap();
+            let ipath = c.index_log(&b, w).unwrap();
+            b.create(&ipath, true).unwrap();
+            b.append(&ipath, &Content::bytes(IndexEntry::encode_all(log)))
+                .unwrap();
+        }
+        let probe = c.probe_index(&b).unwrap().unwrap();
+        let resolved = c.subdirs_phys_batch(&b).unwrap();
+        let writers = c.list_writers(&b).unwrap();
+        assert_eq!(c.read_index_runs(&b, &resolved, &writers, 2).unwrap(), logs);
+        probe.aggregate(&b).unwrap()
+    }
+
+    /// An N-1 strided checkpoint's logs: `writers` × `blocks` blocks of
+    /// `len` bytes from `base`, writer `w`'s block `k` at `base + (k ·
+    /// writers + w) · len`, each writer's clock stepping by `writers`.
+    /// `shape` perturbs it: 0 none, 1 writer `j` a block short, 2 writer
+    /// `j` a period late, 3 an extra overwriting record in writer `j`'s
+    /// log, 4 a stride one block longer than a period.
+    fn strided_logs(
+        writers: u64,
+        blocks: u64,
+        len: u64,
+        base: u64,
+        shape: u8,
+        j: u64,
+    ) -> Vec<Vec<IndexEntry>> {
+        let j = j % writers;
+        let period = if shape == 4 { writers + 1 } else { writers };
+        (0..writers)
+            .map(|w| {
+                let late = u64::from(shape == 2 && w == j);
+                let count = blocks - u64::from(shape == 1 && w == j);
+                let mut log: Vec<IndexEntry> = (0..count)
+                    .map(|k| IndexEntry {
+                        logical_offset: base + ((k + late) * period + w) * len,
+                        length: len,
+                        physical_offset: k * len,
+                        writer: w,
+                        timestamp: k * writers + w + 1,
+                    })
+                    .collect();
+                if shape == 3 && w == j {
+                    log.push(IndexEntry {
+                        logical_offset: base + len / 2,
+                        length: len,
+                        physical_offset: count * len,
+                        writer: w,
+                        timestamp: u64::MAX,
+                    });
+                }
+                log
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn aggregation_of_strided_logs_equals_the_expanded_kernel(
+            writers in proptest::prop::sample::select(vec![1u64, 2, 3, 64, 128]),
+            blocks in 1u64..7,
+            len in 1u64..100,
+            base in 0u64..5000,
+            shape in 0u8..5,
+            j in 0u64..128,
+            probes in proptest::prop::collection::vec((0u64..1_000_000, 0u64..3000), 8..9),
+        ) {
+            let logs = strided_logs(writers, blocks, len, base, shape, j);
+            let got = aggregate_logs(&logs);
+            let want = GlobalIndex::from_runs(&logs, true);
+            proptest::prop_assert_eq!(got.to_entries(), want.to_entries());
+            proptest::prop_assert_eq!(&got, &want);
+            proptest::prop_assert_eq!((got.eof(), got.span_count()), (want.eof(), want.span_count()));
+            // The group forms exactly on an exact tiling of progressions
+            // (writer 0 a period late still tiles), which takes two
+            // blocks a writer to show a stride.
+            let tiles = shape == 0 || (shape == 2 && j % writers == 0);
+            let exact = tiles && writers >= 2 && blocks >= 2;
+            proptest::prop_assert_eq!(got.is_group(), exact);
+            if exact {
+                proptest::prop_assert!(got.heap_bytes() <= writers * 64);
+            }
+            let eof = want.eof();
+            for (at, n) in probes {
+                // Before, inside, across the end of and past the file.
+                let at = at % (eof + 2 * len + 1);
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                got.lookup_into(at, n, &mut a);
+                want.lookup_into(at, n, &mut b);
+                proptest::prop_assert_eq!(a, b);
+            }
+        }
+    }
+
+    #[test]
+    fn an_interleave_group_answers_like_its_spans() {
+        let logs = strided_logs(4, 8, 10, 100, 0, 0);
+        let group = aggregate_logs(&logs);
+        assert!(group.is_group());
+        let flat = GlobalIndex::from_runs(&logs, true);
+        assert_eq!(group, flat);
+        assert_eq!(group.span_count(), 32);
+        assert!(!group.is_empty());
+        // Reading across the start, a lane boundary inside an element and
+        // the end.
+        for (at, n) in [(0, 5000), (95, 20), (105, 17), (415, 30), (u64::MAX - 3, 9)] {
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            group.lookup_into(at, n, &mut a);
+            flat.lookup_into(at, n, &mut b);
+            assert_eq!(a, b, "lookup {at}+{n}");
+        }
+        // Merging and inserting expand it; compaction leaves it alone.
+        let mut merged = group.clone();
+        merged.merge(&GlobalIndex::from_entries([logs[0][0]]));
+        assert_eq!(merged, flat);
+        let mut inserted = group.clone();
+        let over = IndexEntry {
+            logical_offset: 105,
+            length: 20,
+            physical_offset: 500,
+            writer: 9,
+            timestamp: 1000,
+        };
+        inserted.insert(&over);
+        let mut want = flat.clone();
+        want.insert(&over);
+        assert_eq!(inserted, want);
+        let mut compacted = group.clone();
+        compacted.compact();
+        assert!(compacted.is_group());
+        assert_eq!(
+            GlobalIndex::merge_all([group.clone(), GlobalIndex::new()]),
+            flat
+        );
     }
 }

@@ -11,16 +11,24 @@
 //!
 //! A [`GlobalIndex`] is the merge of all writers' entries: a sorted run of
 //! disjoint spans mapping logical ranges to `(writer, physical offset)`,
-//! with later-timestamp-wins semantics. All three read strategies in the paper
-//! (Original, Index Flatten, Parallel Index Read) produce *the same*
-//! `GlobalIndex` — they differ only in who reads which index log and when,
-//! which is exactly what the merge operation here supports (hierarchical
-//! partial merges for Parallel Index Read).
+//! with later-timestamp-wins semantics — or, when a read-open's
+//! aggregation finds every log to be one arithmetic progression of writes
+//! (`index::log`) and those progressions tile a period exactly, an O(writers)
+//! interleave group that stands for the spans without materializing them
+//! (DESIGN.md §5b). All three read strategies in the paper (Original,
+//! Index Flatten, Parallel Index Read) produce *the same* `GlobalIndex` —
+//! they differ only in who reads which index log and when, which is
+//! exactly what the merge operation here supports (hierarchical partial
+//! merges for Parallel Index Read).
 
 use crate::error::{PlfsError, Result};
+use interleave::Interleave;
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+mod interleave;
+pub(crate) mod log;
 pub mod ondisk;
 pub mod spancache;
 
@@ -119,17 +127,10 @@ impl IndexEntry {
     /// decodes straight out of its fixed-width chunk, with no per-record
     /// `Result` and no intermediate copy of the buffer.
     pub fn decode_all(bytes: &[u8]) -> Result<Vec<IndexEntry>> {
-        const REC: usize = INDEX_RECORD_BYTES as usize;
-        let (records, tail) = bytes.as_chunks::<REC>();
-        if !tail.is_empty() {
-            return Err(PlfsError::CorruptContainer(format!(
-                "index log length {} not a multiple of record size: {} whole records then {} trailing bytes",
-                bytes.len(),
-                records.len(),
-                tail.len()
-            )));
-        }
-        Ok(records.iter().map(IndexEntry::from_record).collect())
+        Ok(whole_records(bytes)?
+            .iter()
+            .map(IndexEntry::from_record)
+            .collect())
     }
 
     /// Decode records straight out of a [`crate::Content`]: real bytes are
@@ -140,17 +141,34 @@ impl IndexEntry {
     }
 }
 
+/// `bytes` as fixed-width records; `CorruptContainer` unless they are a
+/// whole number of them.
+fn whole_records(bytes: &[u8]) -> Result<&[[u8; INDEX_RECORD_BYTES as usize]]> {
+    let (records, tail) = bytes.as_chunks();
+    if !tail.is_empty() {
+        return Err(PlfsError::CorruptContainer(format!(
+            "index log length {} not a multiple of record size: {} whole records then {} trailing bytes",
+            bytes.len(),
+            records.len(),
+            tail.len()
+        )));
+    }
+    Ok(records)
+}
+
 /// Refuse records read off `log` whose extents overflow `u64`
 /// ([`IndexEntry::extents_fit`]): `CorruptContainer` naming the log and
 /// the first such record.
 pub(crate) fn check_extents(log: &str, entries: &[IndexEntry]) -> Result<()> {
     match entries.iter().position(|e| !e.extents_fit()) {
         None => Ok(()),
-        Some(i) => Err(PlfsError::CorruptContainer(format!(
-            "index record {i} of {log} overflows u64: {:?}",
-            entries[i]
-        ))),
+        Some(i) => Err(overflow(log, i, &entries[i])),
     }
+}
+
+/// The error for record `i` of `log`, `e`, whose extents overflow `u64`.
+fn overflow(log: &str, i: usize, e: &IndexEntry) -> PlfsError {
+    PlfsError::CorruptContainer(format!("index record {i} of {log} overflows u64: {e:?}"))
 }
 
 /// Where a logical extent's bytes come from.
@@ -192,6 +210,10 @@ pub struct Mapping {
 /// `merge_streamed`, `compact`) is a thin caller of one k-way
 /// resolve-and-compact kernel: O(n log k) over `k` ascending runs, one
 /// pass, whose sorted output *is* the index (cost model in DESIGN.md §5b).
+/// A read-open's aggregation may instead keep an N-1 strided
+/// checkpoint's per-writer progressions as an interleave group; every call
+/// answers the same for it as for the spans it stands for, and equality
+/// compares those spans, not the representation.
 ///
 /// # Examples
 ///
@@ -210,17 +232,65 @@ pub struct Mapping {
 /// assert_eq!(pieces[1].source, Source::Writer { writer: 2, physical_offset: 0 });
 /// assert_eq!(idx.eof(), 100);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct GlobalIndex {
+    repr: Repr,
+}
+
+#[derive(Debug, Clone)]
+enum Repr {
     /// Resolved spans: sorted by logical offset, pairwise disjoint, none
     /// empty.
-    spans: Vec<IndexEntry>,
+    Spans(Vec<IndexEntry>),
+    /// Per-writer progressions that tile a period exactly, never
+    /// materialized.
+    Group(Interleave),
 }
+
+impl Default for GlobalIndex {
+    fn default() -> Self {
+        Self::of_spans(Vec::new())
+    }
+}
+
+impl PartialEq for GlobalIndex {
+    fn eq(&self, other: &Self) -> bool {
+        match (&self.repr, &other.repr) {
+            (Repr::Spans(a), Repr::Spans(b)) => a == b,
+            _ => self.span_count() == other.span_count() && self.spans() == other.spans(),
+        }
+    }
+}
+
+impl Eq for GlobalIndex {}
 
 impl GlobalIndex {
     /// An empty index (EOF 0, no spans).
     pub fn new() -> Self {
         GlobalIndex::default()
+    }
+
+    fn of_spans(spans: Vec<IndexEntry>) -> Self {
+        GlobalIndex {
+            repr: Repr::Spans(spans),
+        }
+    }
+
+    /// The resolved spans: borrowed from a flat index, expanded from a
+    /// group.
+    fn spans(&self) -> Cow<'_, [IndexEntry]> {
+        match &self.repr {
+            Repr::Spans(spans) => Cow::Borrowed(spans),
+            Repr::Group(g) => Cow::Owned(g.expand()),
+        }
+    }
+
+    /// The resolved spans, moved out of a flat index.
+    fn into_spans(self) -> Vec<IndexEntry> {
+        match self.repr {
+            Repr::Spans(spans) => spans,
+            Repr::Group(g) => g.expand(),
+        }
     }
 
     /// Build from entries in issue order, across any number of writers:
@@ -242,7 +312,31 @@ impl GlobalIndex {
         // Compaction can leave most of the reservation unused, and the
         // mount's index cache budgets by capacity (`heap_bytes`).
         spans.shrink_to_fit();
-        GlobalIndex { spans }
+        Self::of_spans(spans)
+    }
+
+    /// The terminal aggregation of index logs decoded by [`log::decode`],
+    /// one per writer: an interleave group when every log is one
+    /// progression and they tile a period exactly (DESIGN.md §5b), else
+    /// `from_runs` of their expansion, compacted. Either way it equals
+    /// `from_runs(expanded, true)`.
+    pub(crate) fn from_logs(logs: &[Vec<log::LogRecord>]) -> Self {
+        let progressions = logs
+            .iter()
+            .filter(|l| matches!(l.as_slice(), [r] if r.count > 1))
+            .count();
+        crate::telemetry::count(
+            crate::telemetry::CTR_INDEX_PROGRESSION_LOGS,
+            progressions as u64,
+        );
+        if let Some(group) = Interleave::detect(logs) {
+            crate::telemetry::count(crate::telemetry::CTR_INDEX_INTERLEAVE_GROUPS, 1);
+            return GlobalIndex {
+                repr: Repr::Group(group),
+            };
+        }
+        let runs: Vec<Vec<IndexEntry>> = logs.iter().map(|l| log::expand(l)).collect();
+        Self::from_runs(&runs, true)
     }
 
     /// Add one entry, resolving conflicts by (timestamp, writer) precedence.
@@ -255,16 +349,17 @@ impl GlobalIndex {
         if e.length == 0 {
             return;
         }
+        let mut spans = std::mem::take(self).into_spans();
         let (lo, hi) = (e.logical_offset, e.end());
         // The spans `e` overlaps are one contiguous stretch; rebuild it.
-        let first = self.spans.partition_point(|s| s.end() <= lo);
-        let last = first + self.spans[first..].partition_point(|s| s.logical_offset < hi);
+        let first = spans.partition_point(|s| s.end() <= lo);
+        let last = first + spans[first..].partition_point(|s| s.logical_offset < hi);
         let mut rebuilt = Vec::with_capacity(last - first + 2);
         // First byte of `e` not yet given to anyone.
         let mut cursor = lo;
         // What sticks out past `hi` of the last span `e` beats.
         let mut tail = None;
-        for s in &self.spans[first..last] {
+        for s in &spans[first..last] {
             if (s.timestamp, s.writer) > (e.timestamp, e.writer) {
                 if s.logical_offset > cursor {
                     rebuilt.push(e.cut(cursor, s.logical_offset));
@@ -284,7 +379,8 @@ impl GlobalIndex {
             rebuilt.push(e.cut(cursor, hi));
         }
         rebuilt.extend(tail);
-        self.spans.splice(first..last, rebuilt);
+        spans.splice(first..last, rebuilt);
+        *self = Self::of_spans(spans);
     }
 
     /// Merge another index into this one (used by Parallel Index Read group
@@ -292,8 +388,8 @@ impl GlobalIndex {
     /// (an exact `(timestamp, writer)` tie goes to `other`).
     pub fn merge(&mut self, other: &GlobalIndex) {
         if !other.is_empty() {
-            let mine = std::mem::take(&mut self.spans);
-            *self = Self::from_runs(&[&mine[..], &other.spans[..]], false);
+            let mine = std::mem::take(self).into_spans();
+            *self = Self::from_runs(&[&mine[..], &other.spans()[..]], false);
         }
     }
 
@@ -309,7 +405,7 @@ impl GlobalIndex {
     where
         I: IntoIterator<Item = GlobalIndex>,
     {
-        parts.into_iter().map(|p| p.spans).collect()
+        parts.into_iter().map(Self::into_spans).collect()
     }
 
     /// Resolve a logical read into data-log extents and holes, appending
@@ -319,28 +415,50 @@ impl GlobalIndex {
     /// The appended mappings exactly tile `[offset, offset + len)` in
     /// order, the end clamped to `u64::MAX`.
     pub fn lookup_into(&self, offset: u64, len: u64, out: &mut Vec<Mapping>) {
-        tile_into([&self.spans[..]], offset, len, out);
+        match &self.repr {
+            Repr::Spans(spans) => tile_into([&spans[..]], offset, len, out),
+            Repr::Group(g) => g.tile_into(offset, len, out),
+        }
     }
 
     /// Logical end-of-file: one past the highest written byte.
     pub fn eof(&self) -> u64 {
-        self.spans.last().map_or(0, IndexEntry::end)
+        match &self.repr {
+            Repr::Spans(spans) => spans.last().map_or(0, IndexEntry::end),
+            Repr::Group(g) => g.eof(),
+        }
     }
 
     /// Number of resolved spans (diagnostic; grows with fragmentation).
+    /// A group counts the spans it stands for.
     pub fn span_count(&self) -> usize {
-        self.spans.len()
+        match &self.repr {
+            Repr::Spans(spans) => spans.len(),
+            Repr::Group(g) => g.span_count(),
+        }
     }
 
-    /// Heap bytes of the span vector, by capacity (what the mount's index
-    /// cache budgets by).
+    /// Heap bytes of the span vector, or of a group's per-writer lanes,
+    /// by capacity (what the mount's index cache budgets by).
     pub fn heap_bytes(&self) -> u64 {
-        (self.spans.capacity() * std::mem::size_of::<IndexEntry>()) as u64
+        match &self.repr {
+            Repr::Spans(spans) => (spans.capacity() * std::mem::size_of::<IndexEntry>()) as u64,
+            Repr::Group(g) => g.heap_bytes(),
+        }
+    }
+
+    /// Whether this index is kept as an interleave group.
+    #[cfg(test)]
+    pub(crate) fn is_group(&self) -> bool {
+        matches!(self.repr, Repr::Group(_))
     }
 
     /// Whether nothing has been written (no spans at all).
     pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
+        match &self.repr {
+            Repr::Spans(spans) => spans.is_empty(),
+            Repr::Group(_) => false,
+        }
     }
 
     /// Merge adjacent spans that are contiguous both logically and
@@ -353,14 +471,17 @@ impl GlobalIndex {
     /// Compaction is purely representational: lookups resolve identically
     /// before and after (the merged span keeps the later timestamp, which
     /// cannot change any outcome because the merged spans were already
-    /// the winners of their ranges).
+    /// the winners of their ranges). A group has nothing to fuse: its
+    /// logical neighbours are always two writers.
     pub fn compact(&mut self) {
-        *self = Self::from_runs(&[&self.spans], true);
+        if let Repr::Spans(spans) = &self.repr {
+            *self = Self::from_runs(&[spans], true);
+        }
     }
 
     /// Serialize as index records (for the flattened `global.index` file).
     pub fn to_entries(&self) -> Vec<IndexEntry> {
-        self.spans.clone()
+        self.spans().into_owned()
     }
 
     /// Streaming form of [`GlobalIndex::merge_all`] `+`

@@ -3,7 +3,7 @@
 //!
 //! PR 1's flattened index was a bare concatenation of 40-byte records
 //! that every reader had to deserialize **whole** before the first
-//! lookup — O(entries) memory, the exact failure mode ROADMAP item 5
+//! lookup — O(entries) memory, the exact failure mode DESIGN.md §5j
 //! calls out at a billion entries. `spanidx` keeps the same sorted,
 //! disjoint record run but makes it binary-searchable *on disk*:
 //!

@@ -17,10 +17,11 @@
 //! `append` copies each payload byte once.
 //!
 //! **Why still one lock and a flat map.** Both alternatives were built
-//! and lost on the benchmark at 2 cores (ROADMAP item 3a). A directory
-//! *tree* matched the subtree walk on `meta_storm_mem` but cost
-//! `ckpt_n1_mem` 9–14% `ops_per_s` and creates +33% latency: four or
-//! five short hashes per op cost more than one long one. *Per-file
+//! and lost on the benchmark at 2 cores (DESIGN.md §5i, the
+//! `memfs-nodes` row). A directory *tree* matched the subtree walk on
+//! `meta_storm_mem` but cost `ckpt_n1_mem` 9–14% `ops_per_s` and creates
+//! +33% latency: four or five short hashes per op cost more than one
+//! long one. *Per-file
 //! locks with appends under the shared namespace lock* cost
 //! single-threaded `ckpt_n1_mem` 9–16% and took `writer.threads2_speedup`
 //! 0.97 → 0.71: the vendored `parking_lot` wraps `std` locks, and two

@@ -136,6 +136,12 @@ pub const CTR_INDEX_CACHE_MISSES: &str = "index.cache.misses";
 pub const CTR_INDEX_CACHE_WAITS: &str = "index.cache.waits";
 /// Counter: shared indices dropped to hold the mount's byte budget.
 pub const CTR_INDEX_CACHE_EVICTIONS: &str = "index.cache.evictions";
+/// Counter: index logs a read-open's aggregation decoded as one
+/// progression of two or more writes, the shape an interleave group needs.
+pub const CTR_INDEX_PROGRESSION_LOGS: &str = "index.progression_logs";
+/// Counter: log aggregations kept as an interleave group instead of a
+/// span vector.
+pub const CTR_INDEX_INTERLEAVE_GROUPS: &str = "index.interleave_groups";
 /// Counter: service-layer ops admitted and completed (open/append/read/close).
 pub const CTR_SVC_OPS: &str = "svc.ops";
 /// Counter: service-layer admissions deferred by a tenant's token bucket.

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Paired before/after benchmark of two revisions.
 #
-#   scripts/bench_pair.sh [-n SEEDS] [-s FIRST] [-w WORKLOAD]... [-d DIR] [PARENT [CHANGE]]
+#   scripts/bench_pair.sh [-n SEEDS] [-s FIRST] [-w WORKLOAD]... [-d DIR] [-t] [PARENT [CHANGE]]
 #
 # PARENT defaults to HEAD~1 and CHANGE to the working tree (tracked and
 # untracked files that are not ignored); either may be any git revision.
@@ -15,20 +15,26 @@
 # `benchmark/suite.py run --bin`.
 # The runs are gathered into DIR/parent.json and DIR/change.json,
 # compared with `benchmark/suite.py compare`, and each end-to-end
-# metric's per-seed ratio and wins are printed. Without -w, every
-# workload in BENCHMARK.json runs. Takes minutes: not part of tier-1.
+# metric's per-seed ratio and wins are printed. With -t, each workload
+# also runs one traced pair (`--trace 1`, seed FIRST, parent first) and
+# every per-layer metric either side reports is printed beside the
+# other's, with their ratio: the "where the saving is" table of a
+# results/ record. Without -w, every workload in BENCHMARK.json runs.
+# Takes minutes: not part of tier-1.
 set -euo pipefail
 repo=$(cd "$(dirname "$0")/.." && pwd)
 seeds=10
 first=1
 dir=${TMPDIR:-/tmp}/plfs-bench-pair
 workloads=()
-while getopts "n:s:w:d:" opt; do
+traced=0
+while getopts "n:s:w:d:t" opt; do
     case $opt in
         n) seeds=$OPTARG ;;
         s) first=$OPTARG ;;
         w) workloads+=("$OPTARG") ;;
         d) dir=$OPTARG ;;
+        t) traced=1 ;;
         *) sed -n '2,4p' "$0" >&2; exit 2 ;;
     esac
 done
@@ -73,6 +79,13 @@ for w in "${workloads[@]}"; do
         done
         echo "$w seed $seed done (first: ${order%% *})" >&2
     done
+    if [ "$traced" -eq 1 ]; then
+        for side in parent change; do
+            python3 benchmark/suite.py run "$dir/runs/$side.$w.traced.json" \
+                --bin "$dir/$side.bin" --runs 1 --seed "$first" --workload "$w" --trace 1 > /dev/null
+        done
+        echo "$w traced pair done" >&2
+    fi
 done
 
 # Gather each side's runs, in seed order, into one suite.py file.
@@ -114,5 +127,26 @@ for w in a:
         print(f"  {'':12} parent " + " ".join(f"{x:.6g}" for x in pa))
         print(f"  {'':12} change " + " ".join(f"{y:.6g}" for y in pb))
 EOF
+
+# The traced pair: every per-layer metric either side reports, side by
+# side.
+if [ "$traced" -eq 1 ]; then
+    python3 - "$dir" "${workloads[@]}" <<'EOF'
+import json, sys
+d, names = sys.argv[1], sys.argv[2:]
+spec = json.load(open("BENCHMARK.json"))["per_layer"]
+for w in names:
+    side = {s: json.load(open(f"{d}/runs/{s}.{w}.traced.json"))["workloads"][w]
+            for s in ("parent", "change")}
+    print(f"\n{w} (traced pair)")
+    print(f"  {'metric':34} {'unit':6} {'parent':>14} {'change':>14} {'change/parent':>14}")
+    for m in spec:
+        a, b = side["parent"][m["name"]][0], side["change"][m["name"]][0]
+        if a == 0 and b == 0:
+            continue
+        ratio = f"{b / a:.3f}" if a else "-"
+        print(f"  {m['name']:34} {m['unit']:6} {a:14.6g} {b:14.6g} {ratio:>14}")
+EOF
+fi
 echo "runs and gathered results in $dir" >&2
 exit $status

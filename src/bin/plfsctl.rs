@@ -158,8 +158,11 @@ fn cmd_lint(args: &[String]) -> ExitCode {
 /// fan-out (`read.open` → `index.aggregate` → `index.merge`), the I/O
 /// plane underneath (`ioplane.submit` spans plus per-op latency histograms),
 /// the `spancache.*` hit/miss/eviction counters of the bounded read
-/// path (DESIGN.md §5j), and the `index.cache.*` counters of two opens
-/// through a mount (§5l).
+/// path (DESIGN.md §5j), the `index.cache.*` counters of two opens
+/// through a mount (§5l), and — once the flattened index is dropped and
+/// a third open aggregates the logs — the `index.progression_logs` that
+/// aggregation decoded and the `index.interleave_groups` it formed
+/// (§5b).
 fn cmd_obs(args: &[String]) -> ExitCode {
     let mut json = false;
     for arg in args {
@@ -214,6 +217,10 @@ fn cmd_obs(args: &[String]) -> ExitCode {
             let size = r.size();
             r.read(0, size)?;
         }
+        cont.remove_flattened(&*backend)?;
+        let mut r = fs.open_read("/obs/demo")?;
+        let size = r.size();
+        r.read(0, size)?;
         Ok(())
     })();
     plfs::telemetry::set_enabled(false);

@@ -161,6 +161,8 @@ fn obs_emits_spans_counters_and_histograms() {
         "ioplane.submit",
         "counters:",
         "write.bytes",
+        "index.progression_logs",
+        "index.interleave_groups",
         "histograms:",
         "ioplane.batch",
     ] {
