@@ -15,14 +15,17 @@
 //! multiple writer threads can target one container concurrently, as real
 //! N-1 checkpoint processes do.
 //!
-//! Multi-op call sites do not loop over these methods: they build
-//! [`IoOp`] batches and go through [`Backend::submit`] (usually via
-//! [`crate::ioplane::submit_retried`], which adds per-op retry and the
-//! plane counters). The per-op methods remain the primitive vocabulary —
-//! and the default `submit` is exactly a sequential loop over them.
+//! Middleware code does not call these methods: it builds [`IoOp`]
+//! batches and submits them through [`crate::ioplane::submit_retried`]
+//! (or [`crate::ioplane::submit_one`]), which add per-op retry and the
+//! plane counters. The per-op methods remain the primitive vocabulary —
+//! the default `submit` is exactly a sequential loop over them — and the
+//! root `clippy.toml` disallows calling them from any other production
+//! code; the one exception is the writer's per-write data append
+//! (DESIGN.md §5d).
 
 use crate::content::Content;
-use crate::error::{retry_transient, PlfsError, Result};
+use crate::error::Result;
 use crate::ioplane::{self, IoOp, IoOutcome};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -68,15 +71,13 @@ pub trait Backend: Send + Sync {
     /// Only a definitive `NotFound` means "no": a transient or permission
     /// failure proves nothing about absence, and reporting absent on one
     /// misleads fsck's orphan detection and federation's placement
-    /// probes. Transients are retried; a probe that still fails
-    /// conservatively reports existence, so the caller falls through to
-    /// the operation that surfaces the real error instead of re-creating
-    /// over (or writing off) state it could not see.
+    /// probes. This is [`ioplane::exists`]: transients are retried; a
+    /// probe that still fails conservatively reports existence, so the
+    /// caller falls through to the operation that surfaces the real
+    /// error instead of re-creating over (or writing off) state it could
+    /// not see.
     fn exists(&self, path: &str) -> bool {
-        !matches!(
-            retry_transient(|| self.kind(path)),
-            Err(PlfsError::NotFound(_))
-        )
+        ioplane::exists(self, path)
     }
 
     /// Names (not full paths) of entries in a directory, sorted.
@@ -202,6 +203,10 @@ impl<B: Backend> TracingBackend<B> {
     }
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a forwarding wrapper: each method records its op and calls the same method inside"
+)]
 impl<B: Backend> Backend for TracingBackend<B> {
     fn mkdir(&self, path: &str) -> Result<()> {
         self.record(IoOp::Mkdir { path: path.into() });
@@ -283,6 +288,7 @@ impl<B: Backend> Backend for TracingBackend<B> {
 
 // Allow `Arc<B>` and `&B` to be used wherever a backend is expected, so a
 // single MemFs can be shared by many writer threads.
+#[expect(clippy::disallowed_methods, reason = "a forwarding impl")]
 impl<B: Backend + ?Sized> Backend for Arc<B> {
     fn mkdir(&self, path: &str) -> Result<()> {
         (**self).mkdir(path)
@@ -327,6 +333,10 @@ impl<B: Backend + ?Sized> Backend for Arc<B> {
 
 // Forwards each method as it is (not as a one-op `submit`): `svc_mixed`
 // sends its writer appends through here.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a forwarding impl, deleted with Reactor (ROADMAP item 2)"
+)]
 impl<B: Backend> Backend for Reactor<B> {
     fn mkdir(&self, path: &str) -> Result<()> {
         self.inner.mkdir(path)
@@ -431,6 +441,7 @@ impl<B: Backend, F: Fn(&IoOp) -> Result<()> + Send + Sync> Backend for Gated<B, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::PlfsError;
     use crate::memfs::MemFs;
 
     #[test]

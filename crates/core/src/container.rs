@@ -28,7 +28,7 @@
 
 use crate::backend::{Backend, NodeKind};
 use crate::content::Content;
-use crate::error::{retry_transient, PlfsError, Result};
+use crate::error::{PlfsError, Result};
 use crate::federation::Federation;
 use crate::index::log::{self, LogRecord};
 use crate::index::ondisk::{self, OnDiskIndex, SpanIdxWriter};
@@ -43,8 +43,12 @@ use std::sync::Arc;
 pub const ACCESS_FILE: &str = ".plfsaccess";
 /// Directory of cached per-writer size records (`meta.<eof>.<bytes>.<id>`).
 pub const METADIR: &str = "metadir";
+/// Prefix of the size records in [`METADIR`].
+pub const META_PREFIX: &str = "meta.";
 /// Directory of open-for-write registrations (`host.<id>`).
 pub const OPENHOSTS: &str = "openhosts";
+/// Prefix of the registrations in [`OPENHOSTS`].
+pub const HOST_PREFIX: &str = "host.";
 /// File holding the flattened global index, when Index Flatten ran.
 pub const FLATTENED_INDEX: &str = "flattened.index";
 /// The per-namespace generation file, in each namespace root: its size
@@ -102,7 +106,12 @@ impl Container {
 
     /// Does a container exist for this logical file?
     pub fn exists<B: Backend>(&self, b: &B) -> bool {
-        b.exists(&join(&self.canonical, ACCESS_FILE))
+        ioplane::exists(b, &self.access_path())
+    }
+
+    /// Path of the access-file marker.
+    fn access_path(&self) -> String {
+        join(&self.canonical, ACCESS_FILE)
     }
 
     /// Create the container skeleton: the directory and its access-file
@@ -127,7 +136,7 @@ impl Container {
                 path: self.canonical.clone(),
             },
             IoOp::Create {
-                path: join(&self.canonical, ACCESS_FILE),
+                path: self.access_path(),
                 exclusive: true,
             },
         ];
@@ -148,14 +157,19 @@ impl Container {
     /// by the first writer that lands in the subdir.
     pub fn ensure_subdir<B: Backend>(&self, b: &B, i: usize) -> Result<String> {
         let entry = self.subdir_entry(i);
-        if b.exists(&entry) {
+        if ioplane::exists(b, &entry) {
             return self.subdir_dir(b, i);
         }
         match self.fed.shadow_subdir_path(&self.logical, i) {
-            None => match b.mkdir(&entry) {
-                Ok(()) | Err(PlfsError::AlreadyExists(_)) => Ok(entry),
-                Err(e) => Err(e),
-            },
+            None => {
+                let mkdir = IoOp::Mkdir {
+                    path: entry.clone(),
+                };
+                match ioplane::as_unit(ioplane::submit_one(b, mkdir)) {
+                    Ok(()) | Err(PlfsError::AlreadyExists(_)) => Ok(entry),
+                    Err(e) => Err(e),
+                }
+            }
             Some(shadow) => {
                 // Subdir lives in another namespace: create the shadow
                 // directory there and a metalink here pointing at it.
@@ -177,7 +191,11 @@ impl Container {
                 match ioplane::as_unit(ioplane::take(&mut out)) {
                     Ok(()) => {
                         telemetry::count(telemetry::CTR_FED_SHADOW_SUBDIRS, 1);
-                        b.append(&entry, &Content::bytes(shadow.clone().into_bytes()))?;
+                        let body = IoOp::Append {
+                            path: entry,
+                            content: Content::bytes(shadow.clone().into_bytes()),
+                        };
+                        ioplane::as_offset(ioplane::submit_one(b, body))?;
                         Ok(shadow)
                     }
                     // Another writer raced us to the metalink.
@@ -200,8 +218,11 @@ impl Container {
     /// the retried batch resolver; `NotFound` if no writer created it.
     fn subdir_dir<B: Backend>(&self, b: &B, i: usize) -> Result<String> {
         let entries = [self.subdir_entry(i)];
-        let kind = ioplane::submit_retried(b, &[IoOp::Kind { path: entries[0].clone() }]);
-        match self.resolve_each(b, i, &entries, kind).pop() {
+        let probe = IoOp::Kind {
+            path: entries[0].clone(),
+        };
+        let kind = ioplane::submit_one(b, probe);
+        match self.resolve_each(b, i, &entries, [kind]).pop() {
             Some(Ok(Some(dir))) => Ok(dir),
             Some(Err(e)) => Err(e),
             _ => Err(PlfsError::NotFound(entries[0].clone())),
@@ -515,11 +536,12 @@ impl Container {
     /// openhosts directory on first use). One two-op batch: the mkdir
     /// tolerates `AlreadyExists`, the host-entry create follows in order.
     pub fn register_open<B: Backend>(&self, b: &B, writer: WriterId) -> Result<()> {
-        let dir = self.inner_dir_path(OPENHOSTS);
         let batch = [
-            IoOp::Mkdir { path: dir.clone() },
+            IoOp::Mkdir {
+                path: self.inner_dir_path(OPENHOSTS),
+            },
             IoOp::Create {
-                path: join(&dir, &format!("host.{writer}")),
+                path: self.host_entry(writer),
                 exclusive: false,
             },
         ];
@@ -531,10 +553,15 @@ impl Container {
         ioplane::as_unit(ioplane::take(&mut out))
     }
 
+    /// `writer`'s entry in openhosts.
+    fn host_entry(&self, writer: WriterId) -> String {
+        format!("{}/{HOST_PREFIX}{writer}", self.inner_dir_path(OPENHOSTS))
+    }
+
     /// Remove `writer`'s openhosts entry (on close).
     pub fn unregister_open<B: Backend>(&self, b: &B, writer: WriterId) -> Result<()> {
-        let p = join(&join(&self.canonical, OPENHOSTS), &format!("host.{writer}"));
-        match b.unlink(&p) {
+        let path = self.host_entry(writer);
+        match ioplane::as_unit(ioplane::submit_one(b, IoOp::Unlink { path })) {
             Ok(()) | Err(PlfsError::NotFound(_)) => Ok(()),
             Err(e) => Err(e),
         }
@@ -542,14 +569,40 @@ impl Container {
 
     /// Writers that currently have the file open for write.
     pub fn open_writers<B: Backend>(&self, b: &B) -> Result<Vec<WriterId>> {
-        let names = match b.list(&join(&self.canonical, OPENHOSTS)) {
+        Self::open_writers_in(ioplane::submit_one(b, self.listing(OPENHOSTS)))
+    }
+
+    /// A `Readdir` of the container-internal directory `name`.
+    fn listing(&self, name: &str) -> IoOp {
+        IoOp::Readdir {
+            path: self.inner_dir_path(name),
+        }
+    }
+
+    /// What `stat` reads before any index, as one batch: the access-file
+    /// probe, then the listings [`Container::cached_size_in`] and
+    /// [`Container::open_writers_in`] take.
+    pub(crate) fn stat_ops(&self) -> [IoOp; 3] {
+        [
+            IoOp::Kind {
+                path: self.access_path(),
+            },
+            self.listing(METADIR),
+            self.listing(OPENHOSTS),
+        ]
+    }
+
+    /// [`Container::open_writers`] from the outcome of the openhosts
+    /// `Readdir`.
+    pub(crate) fn open_writers_in(listing: ioplane::IoOutcome) -> Result<Vec<WriterId>> {
+        let names = match ioplane::as_names(listing) {
             Ok(n) => n,
             Err(PlfsError::NotFound(_)) => return Ok(Vec::new()),
             Err(e) => return Err(e),
         };
         Ok(names
             .iter()
-            .filter_map(|n| n.strip_prefix("host."))
+            .filter_map(|n| n.strip_prefix(HOST_PREFIX))
             .filter_map(|s| s.parse().ok())
             .collect())
     }
@@ -568,7 +621,7 @@ impl Container {
         let batch = [
             IoOp::Mkdir { path: dir.clone() },
             IoOp::Create {
-                path: join(&dir, &format!("meta.{eof}.{bytes}.{writer}")),
+                path: join(&dir, &format!("{META_PREFIX}{eof}.{bytes}.{writer}")),
                 exclusive: false,
             },
         ];
@@ -585,11 +638,11 @@ impl Container {
     /// index logs resolve to — so cached stat tells the truth again.
     pub(crate) fn reset_metadir<B: Backend>(&self, b: &B, eof: u64, bytes: u64) -> Result<()> {
         let metadir = self.inner_dir_path(METADIR);
-        match retry_transient(|| b.list(&metadir)) {
+        match ioplane::as_names(ioplane::submit_one(b, self.listing(METADIR))) {
             Ok(names) => {
                 let stale: Vec<IoOp> = names
                     .iter()
-                    .filter(|n| n.starts_with("meta."))
+                    .filter(|n| n.starts_with(META_PREFIX))
                     .map(|n| IoOp::Unlink {
                         path: join(&metadir, n),
                     })
@@ -621,11 +674,11 @@ impl Container {
                 path: metadir.clone(),
             },
             IoOp::Create {
-                path: join(&metadir, &format!("meta.{eof}.{bytes}.{writer}")),
+                path: join(&metadir, &format!("{META_PREFIX}{eof}.{bytes}.{writer}")),
                 exclusive: false,
             },
             IoOp::Unlink {
-                path: join(&self.inner_dir_path(OPENHOSTS), &format!("host.{writer}")),
+                path: self.host_entry(writer),
             },
         ];
         let mut out = ioplane::submit_retried(b, &batch).into_iter();
@@ -644,18 +697,23 @@ impl Container {
     /// writers. Returns `None` if no writer has closed yet (caller must
     /// fall back to index aggregation).
     pub fn cached_size<B: Backend>(&self, b: &B) -> Result<Option<u64>> {
-        let names = match b.list(&join(&self.canonical, METADIR)) {
+        Self::cached_size_in(ioplane::submit_one(b, self.listing(METADIR)))
+    }
+
+    /// [`Container::cached_size`] from the outcome of the metadir
+    /// `Readdir`.
+    pub(crate) fn cached_size_in(listing: ioplane::IoOutcome) -> Result<Option<u64>> {
+        let names = match ioplane::as_names(listing) {
             Ok(n) => n,
             Err(PlfsError::NotFound(_)) => return Ok(None),
             Err(e) => return Err(e),
         };
         let mut eof: Option<u64> = None;
         for n in &names {
-            let mut parts = n.split('.');
-            if parts.next() != Some("meta") {
+            let Some(record) = n.strip_prefix(META_PREFIX) else {
                 continue;
-            }
-            if let Some(Ok(e)) = parts.next().map(str::parse::<u64>) {
+            };
+            if let Some(Ok(e)) = record.split('.').next().map(str::parse::<u64>) {
                 eof = Some(eof.map_or(e, |cur| cur.max(e)));
             }
         }
@@ -881,7 +939,7 @@ impl Container {
     /// Delete the flattened index (e.g. when fsck finds it stale).
     pub fn remove_flattened<B: Backend>(&self, b: &B) -> Result<()> {
         let path = join(&self.canonical, FLATTENED_INDEX);
-        match b.unlink(&path) {
+        match ioplane::as_unit(ioplane::submit_one(b, IoOp::Unlink { path })) {
             Ok(()) | Err(PlfsError::NotFound(_)) => Ok(()),
             Err(e) => Err(e),
         }
@@ -893,17 +951,16 @@ impl Container {
     /// [`ondisk::verify_deep`] is `CorruptContainer` with the reason.
     pub fn read_flattened<B: Backend>(&self, b: &B) -> Result<Option<GlobalIndex>> {
         let path = self.flattened_path();
-        let mut out = ioplane::submit_retried(b, &[IoOp::Size { path: path.clone() }]).into_iter();
-        let Some(len) = absent_as_none(ioplane::as_size(ioplane::take(&mut out)))? else {
+        let size = ioplane::submit_one(b, IoOp::Size { path: path.clone() });
+        let Some(len) = absent_as_none(ioplane::as_size(size))? else {
             return Ok(None);
         };
-        let read = [IoOp::ReadAt {
+        let read = IoOp::ReadAt {
             path,
             offset: 0,
             len,
-        }];
-        let mut out = ioplane::submit_retried(b, &read).into_iter();
-        let data = ioplane::as_data(ioplane::take(&mut out))?;
+        };
+        let data = ioplane::as_data(ioplane::submit_one(b, read))?;
         let bytes = data.as_bytes();
         ondisk::verify_deep(&bytes)?;
         let (_, records, _) = ondisk::parse_file(&bytes)?;
@@ -967,7 +1024,7 @@ impl Container {
         let flattened_path = self.flattened_path();
         let mut batch = vec![
             IoOp::Kind {
-                path: join(&self.canonical, ACCESS_FILE),
+                path: self.access_path(),
             },
             IoOp::Size {
                 path: self.generation_path(),
@@ -1051,7 +1108,7 @@ impl Container {
 }
 
 /// `NotFound` as `None`.
-fn absent_as_none<T>(r: Result<T>) -> Result<Option<T>> {
+pub(crate) fn absent_as_none<T>(r: Result<T>) -> Result<Option<T>> {
     match r {
         Ok(v) => Ok(Some(v)),
         Err(PlfsError::NotFound(_)) => Ok(None),

@@ -26,9 +26,9 @@ pub enum PlfsError {
     /// of a shared PLFS file — the paper notes PLFS rejects this).
     Unsupported(String),
     /// Transient backend failure: the operation had no effect and may be
-    /// retried (a dropped RPC, a failed-over storage server). Call sites
-    /// on the data path retry these with [`retry_transient`]; everything
-    /// else surfaces them.
+    /// retried (a dropped RPC, a failed-over storage server). The I/O
+    /// plane ([`crate::ioplane::submit_retried`]) retries these with
+    /// bounded backoff; one that outlasts the budget surfaces.
     Transient(String),
     /// Underlying OS error (LocalFs).
     Io(String),
@@ -42,16 +42,17 @@ impl PlfsError {
     }
 }
 
-/// Default attempt budget for [`retry_transient`]: first try plus a
+/// Default attempt budget of a transient retry: first try plus a
 /// bounded number of retries. Small enough that a persistently failing
 /// backend surfaces quickly; large enough that injected transient rates
 /// up to ~50% almost never exhaust it. Lint-pinned by the DESIGN.md §5d
 /// format table, like the backoff bounds below.
 pub const DEFAULT_RETRY_ATTEMPTS: u32 = 8;
 
-/// First retry delay in microseconds. Every transient-retry loop in the
-/// workspace (here and in `ioplane::submit_retried`) starts from this
-/// value and steps with [`next_backoff_us`].
+/// First retry delay in microseconds. Both transient-retry loops in the
+/// workspace (the writer's data-append closure loop here and the batch
+/// loop in `ioplane::submit_retried`) start from this value and step
+/// with [`next_backoff_us`].
 pub const RETRY_BACKOFF_START_US: u64 = 1;
 
 /// Ceiling on the per-retry delay in microseconds. Doubling saturates
@@ -73,7 +74,10 @@ pub fn next_backoff_us(backoff_us: u64) -> u64 {
 /// (microseconds — these are in-process backends; the bound is what
 /// matters, not the wait). Any non-transient error, or transient failure
 /// on the final attempt, is returned to the caller.
-pub fn retry_transient<T>(mut op: impl FnMut() -> Result<T>) -> Result<T> {
+///
+/// Only the writer's per-write data append uses this: every other call
+/// goes through the plane, whose batch loop has the same schedule.
+pub(crate) fn retry_transient<T>(mut op: impl FnMut() -> Result<T>) -> Result<T> {
     let mut backoff_us = RETRY_BACKOFF_START_US;
     for _ in 1..DEFAULT_RETRY_ATTEMPTS {
         match op() {

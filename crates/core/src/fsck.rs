@@ -32,7 +32,9 @@
 //! checks that in every crash state (DESIGN.md §5c).
 
 use crate::backend::Backend;
-use crate::container::{Container, DATA_PREFIX, INDEX_PREFIX, REALIGN_SUFFIX};
+use crate::container::{
+    absent_as_none, Container, DATA_PREFIX, HOST_PREFIX, INDEX_PREFIX, OPENHOSTS, REALIGN_SUFFIX,
+};
 use crate::content::Content;
 use crate::error::{PlfsError, Result};
 use crate::index::{GlobalIndex, IndexEntry, WriterId, INDEX_RECORD_BYTES};
@@ -427,17 +429,11 @@ pub fn space_usage<B: Backend>(b: &B, container: &Container) -> Result<SpaceUsag
     // Live bytes = data-log bytes still referenced by the resolved index.
     let live: u64 = idx.to_entries().iter().map(|e| e.length).sum();
     usage.dead_bytes = usage.data_bytes.saturating_sub(live);
-    let flat_path = container.flattened_path();
-    if b.exists(&flat_path) {
-        let mut outs = ioplane::submit_retried(
-            b,
-            &[IoOp::Size {
-                path: flat_path.clone(),
-            }],
-        )
-        .into_iter();
-        usage.flattened_bytes = ioplane::as_size(ioplane::take(&mut outs))?;
-    }
+    let flat = IoOp::Size {
+        path: container.flattened_path(),
+    };
+    let flattened = absent_as_none(ioplane::as_size(ioplane::submit_one(b, flat)))?;
+    usage.flattened_bytes = flattened.unwrap_or(0);
     Ok(usage)
 }
 
@@ -637,11 +633,11 @@ pub fn repair<B: Backend>(b: &B, container: &Container) -> Result<RepairOutcome>
             path: format!("{}/{INDEX_PREFIX}{w}", writer_dir(w)?),
         });
     }
-    let openhosts = format!("{}/openhosts", container.canonical_path());
+    let openhosts = format!("{}/{OPENHOSTS}", container.canonical_path());
     let host_start = reclaim_ops.len();
     for &w in &stale_hosts {
         reclaim_ops.push(IoOp::Unlink {
-            path: format!("{openhosts}/host.{w}"),
+            path: format!("{openhosts}/{HOST_PREFIX}{w}"),
         });
     }
     let host_range = host_start..host_start + stale_hosts.len();

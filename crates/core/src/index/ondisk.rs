@@ -253,12 +253,11 @@ impl<'a, B: Backend> SpanIdxWriter<'a, B> {
     /// Create (truncating any previous file at `path`) and start writing.
     /// `chunk_entries` bounds how many records buffer between appends.
     pub fn create(backend: &'a B, path: &str, chunk_entries: usize) -> Result<Self> {
-        let batch = [IoOp::Create {
+        let create = IoOp::Create {
             path: path.to_string(),
             exclusive: false,
-        }];
-        let mut out = ioplane::submit_retried(backend, &batch).into_iter();
-        ioplane::as_unit(ioplane::take(&mut out))?;
+        };
+        ioplane::as_unit(ioplane::submit_one(backend, create))?;
         Ok(SpanIdxWriter {
             backend,
             path: path.to_string(),
@@ -300,12 +299,11 @@ impl<'a, B: Backend> SpanIdxWriter<'a, B> {
             return Ok(());
         }
         let chunk = Content::bytes(std::mem::take(&mut self.buf));
-        let batch = [IoOp::Append {
+        let append = IoOp::Append {
             path: self.path.clone(),
             content: chunk,
-        }];
-        let mut out = ioplane::submit_retried(self.backend, &batch).into_iter();
-        ioplane::as_offset(ioplane::take(&mut out))?;
+        };
+        ioplane::as_offset(ioplane::submit_one(self.backend, append))?;
         Ok(())
     }
 
@@ -327,12 +325,11 @@ impl<'a, B: Backend> SpanIdxWriter<'a, B> {
             trailer.extend_from_slice(&f.to_le_bytes());
         }
         trailer.extend_from_slice(&footer.to_bytes());
-        let batch = [IoOp::Append {
+        let append = IoOp::Append {
             path: self.path.clone(),
             content: Content::bytes(trailer),
-        }];
-        let mut out = ioplane::submit_retried(self.backend, &batch).into_iter();
-        ioplane::as_offset(ioplane::take(&mut out))?;
+        };
+        ioplane::as_offset(ioplane::submit_one(self.backend, append))?;
         Ok(footer)
     }
 }
@@ -364,11 +361,10 @@ impl OnDiskIndex {
     /// read-time accelerator only; callers fall back to aggregation and
     /// fsck flags the file).
     pub fn open<B: Backend>(b: &B, path: &str, cache: Arc<SpanCache>) -> Result<Option<Self>> {
-        let probe = [IoOp::Size {
+        let probe = IoOp::Size {
             path: path.to_string(),
-        }];
-        let mut out = ioplane::submit_retried(b, &probe).into_iter();
-        match ioplane::as_size(ioplane::take(&mut out)) {
+        };
+        match ioplane::as_size(ioplane::submit_one(b, probe)) {
             Ok(size) => Self::open_sized(b, path, size, cache),
             Err(PlfsError::NotFound(_)) => Ok(None),
             Err(e) => Err(e),
@@ -401,13 +397,12 @@ impl OnDiskIndex {
             return Ok(None);
         }
         let tail_at = size - size.min(tail.max(SPANIDX_FOOTER_BYTES));
-        let tail_read = [IoOp::ReadAt {
+        let tail_read = IoOp::ReadAt {
             path: path.to_string(),
             offset: tail_at,
             len: size - tail_at,
-        }];
-        let mut out = ioplane::submit_retried(b, &tail_read).into_iter();
-        let tail = match ioplane::as_data(ioplane::take(&mut out)) {
+        };
+        let tail = match ioplane::as_data(ioplane::submit_one(b, tail_read)) {
             Ok(tail) if tail.len() == size - tail_at => tail,
             Ok(_) | Err(PlfsError::NotFound(_)) => return Ok(None),
             Err(e) => return Err(e),
@@ -423,13 +418,12 @@ impl OnDiskIndex {
         let fences = match fences_at.checked_sub(tail_at) {
             Some(lo) => decode_fences(&tail[lo as usize..footer_at])?,
             None => {
-                let fence_read = [IoOp::ReadAt {
+                let fence_read = IoOp::ReadAt {
                     path: path.to_string(),
                     offset: fences_at,
                     len: footer.fence_count * SPANIDX_FENCE_BYTES,
-                }];
-                let mut out = ioplane::submit_retried(b, &fence_read).into_iter();
-                decode_fences(&ioplane::as_data(ioplane::take(&mut out))?.as_bytes())?
+                };
+                decode_fences(&ioplane::as_data(ioplane::submit_one(b, fence_read))?.as_bytes())?
             }
         };
         Ok(Some(OnDiskIndex {

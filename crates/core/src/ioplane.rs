@@ -189,6 +189,10 @@ pub type IoOutcome = Result<IoValue>;
 /// Execute a single op against a backend's per-op methods. This is the
 /// default [`Backend::submit`] in loop form and the shared fallback for
 /// native batched backends when an op has no fast path.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one place an IoOp becomes a per-op Backend call"
+)]
 pub fn dispatch_one<B: Backend + ?Sized>(b: &B, op: &IoOp) -> IoOutcome {
     match op {
         IoOp::Mkdir { path } => b.mkdir(path).map(|()| IoValue::Unit),
@@ -403,6 +407,22 @@ pub fn submit_retried<B: Backend + ?Sized>(b: &B, batch: &[IoOp]) -> Vec<IoOutco
     }
     account(batch, &outcomes);
     outcomes
+}
+
+/// Submit one op through the plane: [`submit_retried`] of a one-op batch.
+pub fn submit_one<B: Backend + ?Sized>(b: &B, op: IoOp) -> IoOutcome {
+    take(&mut submit_retried(b, std::slice::from_ref(&op)).into_iter())
+}
+
+/// Whether `path` exists, by one retried `Kind` probe. Only a definitive
+/// `NotFound` means "no": a probe that still fails after its retries
+/// proves nothing about absence, so it reports existence and the caller
+/// falls through to the operation that surfaces the real error.
+pub fn exists<B: Backend + ?Sized>(b: &B, path: &str) -> bool {
+    !matches!(
+        submit_one(b, IoOp::Kind { path: path.into() }),
+        Err(PlfsError::NotFound(_))
+    )
 }
 
 /// Replay a recorded op sequence against a backend, one op per batch —
@@ -729,14 +749,6 @@ mod tests {
             src.read_at("/a/f", 0, 16).unwrap().materialize(),
             vec![7; 16]
         );
-    }
-
-    #[test]
-    fn empty_batch_is_free() {
-        let before = stats();
-        let out = submit_retried(&MemFs::new(), &[]);
-        assert!(out.is_empty());
-        assert_eq!(stats().batches, before.batches);
     }
 
     #[test]

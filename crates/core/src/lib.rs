@@ -68,7 +68,7 @@ pub mod writer;
 pub use backend::{Backend, Reactor, Ticket, TracingBackend};
 pub use container::Container;
 pub use content::Content;
-pub use error::{retry_transient, PlfsError, Result, DEFAULT_RETRY_ATTEMPTS};
+pub use error::{PlfsError, Result, DEFAULT_RETRY_ATTEMPTS};
 pub use faults::{FaultBackend, FaultConfig, FaultStats};
 pub use federation::Federation;
 pub use index::{GlobalIndex, IndexEntry, IndexSource, Mapping, OnDiskIndex, SpanCache, WriterId};

@@ -206,13 +206,17 @@ impl<B: Backend + Clone> Plfs<B> {
     /// only when a log grew.
     pub fn stat(&self, logical: &str) -> Result<FileStat> {
         let c = self.container(logical);
-        if !c.exists(&self.backend) {
+        // The access probe and both listings are one trip. Only a
+        // definitive `NotFound` means "no container", as for
+        // [`Backend::exists`].
+        let mut out = ioplane::submit_retried(&self.backend, &c.stat_ops()).into_iter();
+        if let Err(PlfsError::NotFound(_)) = ioplane::as_kind(ioplane::take(&mut out)) {
             return Err(PlfsError::NotFound(try_normalize(logical)?));
         }
-        if let Some(size) = c.cached_size(&self.backend)? {
+        if let Some(size) = Container::cached_size_in(ioplane::take(&mut out))? {
             // Cached records only cover closed writers; if anyone still
             // has the file open the cache may understate, so aggregate.
-            if c.open_writers(&self.backend)?.is_empty() {
+            if Container::open_writers_in(ioplane::take(&mut out))?.is_empty() {
                 return Ok(FileStat {
                     size,
                     from_cache: true,
@@ -245,8 +249,7 @@ impl<B: Backend + Clone> Plfs<B> {
                 path: phys_path(ns, &logical),
             })
             .collect();
-        self.backend
-            .submit(&probes)
+        ioplane::submit_retried(&self.backend, &probes)
             .into_iter()
             .any(|o| matches!(ioplane::as_kind(o), Ok(NodeKind::Dir)))
             .then_some(LogicalKind::Dir)
@@ -405,9 +408,11 @@ impl<B: Backend + Clone> Plfs<B> {
 
         // Subdirs are created lazily, so most may not exist at all — one
         // Kind batch finds the live ones. Every move below is a chain whose
-        // later steps must not run (or retry) unless the earlier ones
-        // committed, and each step leaves a state fsck rebuilds from the
-        // static hash (DESIGN.md §5c).
+        // later steps must not run unless the earlier ones committed, so
+        // each step is a submission of its own (a transient the plane
+        // retries had no effect, and `?` stops the chain at a failed
+        // step); each step leaves a state fsck rebuilds from the static
+        // hash (DESIGN.md §5c).
         let (from_subdirs, to_subdirs) = (cf.subdir_entries(), ct.subdir_entries());
         let probe_ops: Vec<IoOp> = from_subdirs
             .iter()
@@ -428,18 +433,24 @@ impl<B: Backend + Clone> Plfs<B> {
                 fed.shadow_subdir_path(&to, i),
             );
             if let (Some(old), None) = (old, new) {
-                // plfs-lint: allow(raw-backend-in-batch-path): unlink→rename swap; the rename must not run (or retry) unless the unlink committed
-                self.backend.unlink(&from_subdirs[i])?;
-                // plfs-lint: allow(raw-backend-in-batch-path): second half of the order-dependent swap above
-                self.backend.rename(&old, &from_subdirs[i])?;
+                self.step(IoOp::Unlink {
+                    path: from_subdirs[i].clone(),
+                })?;
+                self.step(IoOp::Rename {
+                    from: old,
+                    to: from_subdirs[i].clone(),
+                })?;
             }
         }
 
         // Move the canonical container (possibly across namespaces).
-        self.backend
-            .mkdir_all(&crate::path::parent(ct.canonical_path()))?;
-        self.backend
-            .rename(cf.canonical_path(), ct.canonical_path())?;
+        self.step(IoOp::MkdirAll {
+            path: crate::path::parent(ct.canonical_path()),
+        })?;
+        self.step(IoOp::Rename {
+            from: cf.canonical_path().into(),
+            to: ct.canonical_path().into(),
+        })?;
 
         // Every subdir the new name shadows moves to where it hashes — from
         // the old name's shadow, or out of the container — and then all of
@@ -452,10 +463,10 @@ impl<B: Backend + Clone> Plfs<B> {
             let src = fed
                 .shadow_subdir_path(&from, i)
                 .unwrap_or_else(|| to_subdirs[i].clone());
-            // plfs-lint: allow(raw-backend-in-batch-path): order-dependent shadow-move chain; each step must commit before the next runs
-            self.backend.mkdir_all(&crate::path::parent(&new))?;
-            // plfs-lint: allow(raw-backend-in-batch-path): order-dependent shadow-move chain
-            self.backend.rename(&src, &new)?;
+            self.step(IoOp::MkdirAll {
+                path: crate::path::parent(&new),
+            })?;
+            self.step(IoOp::Rename { from: src, to: new })?;
             moved.push(i);
         }
         ct.point_metalinks(&self.backend, &moved)?;
@@ -474,6 +485,11 @@ impl<B: Backend + Clone> Plfs<B> {
             ct.bump_generation(&self.backend)?;
         }
         Ok(())
+    }
+
+    /// One step of a rename chain, submitted on its own.
+    fn step(&self, op: IoOp) -> Result<()> {
+        ioplane::as_unit(ioplane::submit_one(&self.backend, op))
     }
 }
 

@@ -74,10 +74,7 @@ impl<B: Backend> WriteHandle<B> {
         policy: IndexPolicy,
     ) -> Result<Self> {
         let _span = telemetry::span(telemetry::SPAN_WRITE_OPEN);
-        // Container::create is idempotent (first creator wins; racers see
-        // AlreadyExists internally and succeed), so retrying the whole
-        // composite after a transient is safe.
-        retry_transient(|| container.create(&backend))?;
+        container.create(&backend)?;
         container.register_open(&backend, writer)?;
         let mut handle = Self::bare(backend, container, writer, policy);
         handle.ensure_logs()?;
@@ -135,6 +132,11 @@ impl<B: Backend> WriteHandle<B> {
         // re-sending would duplicate it — the error surfaces, the write
         // stays unacknowledged, and the dead prefix bytes are never
         // referenced by any index entry (fsck reclaims such tails).
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the per-write append: as a one-op plane submission it cost \
+                      ckpt_n1_mem 14% ops/s and 27% p50 (DESIGN.md §5d)"
+        )]
         let phys = retry_transient(|| self.backend.append(&data_log, content))?;
         // The log may have grown past our last acknowledged write (dead
         // bytes from a torn append), so trust the backend's offset rather
@@ -253,8 +255,11 @@ impl<B: Backend> WriteHandle<B> {
             self.realign_index_log(&index_log)?;
             self.flush_failed = false;
         }
-        let bytes = Content::bytes(IndexEntry::encode_all(&self.buffered));
-        match retry_transient(|| self.backend.append(&index_log, &bytes)) {
+        let append = IoOp::Append {
+            path: index_log,
+            content: Content::bytes(IndexEntry::encode_all(&self.buffered)),
+        };
+        match ioplane::submit_one(&self.backend, append) {
             Ok(_) => {
                 self.buffered.clear();
                 Ok(())
@@ -273,12 +278,18 @@ impl<B: Backend> WriteHandle<B> {
     /// point leaves every flushed record in the log or in its copy, to be
     /// realigned again on the next attempt or promoted by fsck.
     fn realign_index_log(&self, index_log: &str) -> Result<()> {
-        let size = retry_transient(|| self.backend.size(index_log))?;
+        let path = index_log.to_string();
+        let size = ioplane::as_size(ioplane::submit_one(&self.backend, IoOp::Size { path }))?;
         let rem = size % INDEX_RECORD_BYTES;
         if rem == 0 {
             return Ok(());
         }
-        let prefix = retry_transient(|| self.backend.read_at(index_log, 0, size - rem))?;
+        let read = IoOp::ReadAt {
+            path: index_log.to_string(),
+            offset: 0,
+            len: size - rem,
+        };
+        let prefix = ioplane::as_data(ioplane::submit_one(&self.backend, read))?;
         Container::rewrite_staged(&self.backend, &[(index_log.to_string(), prefix)])
     }
 

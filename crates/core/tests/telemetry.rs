@@ -1,11 +1,13 @@
-//! Tests that switch the process-global telemetry plane on.
+//! Tests that switch the process-global telemetry plane on, or read the
+//! process-global I/O-plane counters exactly.
 //!
 //! They live in a test binary of their own, and every test here holds
 //! [`Scope`]: inside the crate's unit-test binary they shared a process
 //! with some two hundred tests that run in parallel and record spans and
-//! counters of their own while the plane is enabled, which no lock taken
-//! only by the enabling tests can keep out of a snapshot.
+//! counters of their own, which no lock taken only by these tests can
+//! keep out of a snapshot.
 
+use plfs::ioplane;
 use plfs::service::{Admitted, Service, ServiceConfig};
 use plfs::telemetry::*;
 use plfs::writer::{IndexPolicy, WriteHandle};
@@ -480,4 +482,13 @@ fn fig4_parallel_aggregation_keeps_cross_thread_ancestry() {
         );
     }
     assert!(count_named(root, SPAN_IOPLANE_SUBMIT) >= 4);
+}
+
+/// An empty batch never reaches the backend and counts as nothing.
+#[test]
+fn empty_batch_is_free() {
+    let _scope = Scope::disabled();
+    let before = ioplane::stats();
+    assert!(ioplane::submit_retried(&MemFs::new(), &[]).is_empty());
+    assert_eq!(ioplane::stats(), before);
 }

@@ -14,8 +14,7 @@
 //!   created in an argument list is not yet held at the enclosing
 //!   call token) — acceptable for a linter that must not cry wolf.
 //! * Closures are inlined at their definition site (treated as run
-//!   exactly once, where they appear), matching how the token rules
-//!   already treat `retry_transient` closures.
+//!   exactly once, where they appear).
 //! * `else if` chains become one [`Event::Branch`] whose later arms
 //!   carry their condition events at the head of the arm body.
 

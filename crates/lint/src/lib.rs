@@ -1,7 +1,8 @@
 //! plfs-lint: the workspace invariant checks clippy cannot make. See
 //! DESIGN.md §5d for the rule catalogue and rationale; panics and
 //! discarded results are clippy lints denied by the workspace
-//! `[workspace.lints.clippy]` table.
+//! `[workspace.lints.clippy]` table, and per-op `Backend` calls outside
+//! the I/O plane are `disallowed-methods` in the root `clippy.toml`.
 //!
 //! [`run`] first makes the whole-workspace semantic pass
 //! ([`semantic_findings`]: IR, call graph, guard-across-io and
@@ -64,30 +65,6 @@ fn guard_scope(rel: &str) -> bool {
     rel.starts_with("crates/core/") || rel.starts_with("crates/formats/") || rel.starts_with("src/")
 }
 
-/// unretried-backend-call applies to the data/recovery paths only.
-fn unretried_scope(rel: &str) -> bool {
-    rel.starts_with("crates/core/")
-        && (rel.ends_with("/writer.rs") || rel.ends_with("/reader.rs") || rel.ends_with("/fsck.rs"))
-}
-
-/// raw-backend-in-batch-path applies to the files the I/O-plane
-/// refactor converted to `IoOp` batches: multi-op work there is built
-/// as a batch and submitted once, so a per-op backend call in a loop is
-/// a regression to one-round-trip-per-op.
-fn batch_scope(rel: &str) -> bool {
-    rel.starts_with("crates/core/")
-        && [
-            "/container.rs",
-            "/writer.rs",
-            "/reader.rs",
-            "/fsck.rs",
-            "/vfs.rs",
-            "/truncate.rs",
-        ]
-        .iter()
-        .any(|f| rel.ends_with(f))
-}
-
 /// Per-file lint result, pre-aggregation.
 #[derive(Debug, Default)]
 pub struct FileLint {
@@ -98,22 +75,15 @@ pub struct FileLint {
     pub expects: Vec<String>,
 }
 
-/// Lint one source file given as a string. `rel` selects path-scoped
-/// rules (unretried-backend-call, raw-backend-in-batch-path); `extra`
-/// carries caller-computed findings (format-drift, semantic analyses)
-/// through pragma resolution.
+/// Lint one source file given as a string. `rel` names the file in
+/// findings; `extra` carries caller-computed findings (format-drift,
+/// semantic analyses) through pragma resolution.
 pub fn lint_source_with(rel: &str, src: &str, extra: Vec<RawFinding>) -> FileLint {
     let lexed = lex(src);
     let tests = rules::test_ranges(&lexed.toks);
 
     let mut raw: Vec<RawFinding> = extra;
     raw.extend(rules::swallowed_result(&lexed.toks, &tests));
-    if unretried_scope(rel) {
-        raw.extend(rules::unretried_backend_call(&lexed.toks, &tests));
-    }
-    if batch_scope(rel) {
-        raw.extend(rules::raw_backend_in_batch_path(&lexed.toks, &tests));
-    }
 
     // Line spans of test regions: pragmas inside them are inert (test
     // code is rule-exempt, so there is nothing for them to suppress).

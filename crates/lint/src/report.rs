@@ -261,11 +261,11 @@ mod tests {
 
     #[test]
     fn baseline_round_trips() {
-        let mut r = report_with(&[(RuleId::RawBackendInBatchPath, 7), (RuleId::GuardAcrossIo, 2)]);
+        let mut r = report_with(&[(RuleId::SwallowedResult, 7), (RuleId::GuardAcrossIo, 2)]);
         r.expects.insert("clippy::expect_used".into(), 5);
         let text = render_baseline(&r);
         let parsed = parse_baseline(&text);
-        assert!(parsed.contains(&("raw-backend-in-batch-path".into(), 7)));
+        assert!(parsed.contains(&("swallowed-result".into(), 7)));
         assert!(parsed.contains(&("guard-across-io".into(), 2)));
         assert!(parsed.contains(&("clippy::expect_used".into(), 5)));
         assert!(check_baseline(&r, &parsed).is_empty());

@@ -11,15 +11,6 @@
 //! * **swallowed-result** — an empty `_ => {}` arm in a `match` that
 //!   handles `PlfsError`/`Issue` variants silently drops every variant
 //!   added later, including failures a recovery path needed to see.
-//! * **unretried-backend-call** — direct backend I/O on the write / read
-//!   / fsck paths that bypasses `retry_transient`. Transient failures
-//!   are guaranteed side-effect-free, so an unretried call turns a
-//!   survivable blip into a failed recovery.
-//! * **raw-backend-in-batch-path** — a per-op `Backend` call inside a
-//!   loop body on a batched path. The I/O-plane refactor made
-//!   multi-op call sites build an `IoOp` batch and `submit` it once;
-//!   a raw call per iteration silently reverts to one-round-trip-per-op
-//!   and dodges the plane's per-op counters and retry policy.
 //! * **format-drift** — on-disk format constants must match the
 //!   authoritative table in DESIGN.md (implemented in
 //!   [`crate::drift`], driven by the doc, checked here per file).
@@ -39,7 +30,9 @@
 //! Panics, `let _ =` and `.ok();` discards, and unreasoned `#[allow]`s
 //! are clippy's: the workspace `[workspace.lints.clippy]` table denies
 //! them, and [`clippy_expects`] counts the reasoned `#[expect]`s that
-//! remain so the baseline can ratchet them.
+//! remain so the baseline can ratchet them. So is a per-op `Backend`
+//! call outside the I/O plane: the root `clippy.toml` lists those
+//! methods under `disallowed-methods`.
 
 use crate::lexer::{Tok, TokKind};
 
@@ -49,8 +42,6 @@ use crate::lexer::{Tok, TokKind};
 pub enum RuleId {
     GuardAcrossIo,
     SwallowedResult,
-    UnretriedBackendCall,
-    RawBackendInBatchPath,
     FormatDrift,
     LockOrderInversion,
 }
@@ -60,19 +51,15 @@ impl RuleId {
         match self {
             RuleId::GuardAcrossIo => "guard-across-io",
             RuleId::SwallowedResult => "swallowed-result",
-            RuleId::UnretriedBackendCall => "unretried-backend-call",
-            RuleId::RawBackendInBatchPath => "raw-backend-in-batch-path",
             RuleId::FormatDrift => "format-drift",
             RuleId::LockOrderInversion => "lock-order-inversion",
         }
     }
 
-    pub const fn all() -> [RuleId; 6] {
+    pub const fn all() -> [RuleId; 4] {
         [
             RuleId::GuardAcrossIo,
             RuleId::SwallowedResult,
-            RuleId::UnretriedBackendCall,
-            RuleId::RawBackendInBatchPath,
             RuleId::FormatDrift,
             RuleId::LockOrderInversion,
         ]
@@ -209,12 +196,6 @@ pub fn in_ranges(ranges: &[(usize, usize)], idx: usize) -> bool {
         .is_ok()
 }
 
-fn is_method_call(toks: &[Tok], i: usize) -> bool {
-    i > 0
-        && toks[i - 1].is(TokKind::Punct, ".")
-        && toks.get(i + 1).is_some_and(|t| t.is(TokKind::Punct, "("))
-}
-
 /// swallowed-result: an empty `_ => {}` arm in a `match` that names
 /// `PlfsError`/`Issue` variants. (`let _ = ..` and `.ok();` discards are
 /// `clippy::let_underscore_must_use` and `clippy::unused_result_ok`;
@@ -296,117 +277,6 @@ pub fn clippy_expects(toks: &[Tok], tests: &[(usize, usize)]) -> Vec<String> {
     out
 }
 
-/// unretried-backend-call: direct `Backend` calls outside a
-/// `retry_transient` closure. Applied only to the data/recovery paths
-/// (`writer.rs`, `reader.rs`, `fsck.rs` — see `LintConfig`).
-pub fn unretried_backend_call(toks: &[Tok], tests: &[(usize, usize)]) -> Vec<RawFinding> {
-    let mut out = Vec::new();
-    let mut paren_depth = 0i64;
-    let mut retry_exit: Option<i64> = None;
-    let mut i = 0usize;
-    while i < toks.len() {
-        let t = &toks[i];
-        match (t.kind, t.text.as_str()) {
-            (TokKind::Punct, "(") => paren_depth += 1,
-            (TokKind::Punct, ")") => {
-                paren_depth -= 1;
-                if retry_exit == Some(paren_depth) {
-                    retry_exit = None;
-                }
-            }
-            (TokKind::Ident, "retry_transient")
-                if toks.get(i + 1).is_some_and(|n| n.is(TokKind::Punct, "("))
-                    && retry_exit.is_none() =>
-            {
-                retry_exit = Some(paren_depth);
-            }
-            (TokKind::Ident, op)
-                if BACKEND_OPS.contains(&op)
-                    && retry_exit.is_none()
-                    && is_method_call(toks, i)
-                    && !in_ranges(tests, i) =>
-            {
-                out.push(RawFinding {
-                    trace: Vec::new(),
-                    rule: RuleId::UnretriedBackendCall,
-                    line: t.line,
-                    message: format!(
-                        "direct backend call `.{op}(...)` on a data/recovery path bypasses \
-                         `retry_transient`; a transient blip becomes a hard failure",
-                    ),
-                });
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Token ranges (inclusive) covering the bodies of `for`/`while`/`loop`
-/// statements. The body is the first `{` at the keyword's brace depth
-/// (loop headers cannot contain a bare block at that depth — closure
-/// bodies inside the header sit behind `(` and are deeper once entered).
-fn loop_body_ranges(toks: &[Tok]) -> Vec<(usize, usize)> {
-    let mut ranges = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || !matches!(t.text.as_str(), "for" | "while" | "loop") {
-            continue;
-        }
-        // `.for_each` style idents are lexed as one token, so a bare
-        // `for`/`while`/`loop` ident here really is the keyword unless
-        // it is a method name (`.loop(` does not exist in this codebase,
-        // but be safe) or a generic lifetime position (`for<'a>`).
-        if i > 0 && toks[i - 1].is(TokKind::Punct, ".") {
-            continue;
-        }
-        if toks.get(i + 1).is_some_and(|n| n.is(TokKind::Punct, "<")) {
-            continue;
-        }
-        let Some(open_off) = toks[i + 1..]
-            .iter()
-            .position(|n| n.is(TokKind::Punct, "{") && n.depth == t.depth)
-        else {
-            continue;
-        };
-        let open = i + 1 + open_off;
-        ranges.push((open, matching_close(toks, open)));
-    }
-    merge_ranges(ranges)
-}
-
-/// raw-backend-in-batch-path: a per-op `Backend` call inside a loop body
-/// on a path that has a batched equivalent. Applied only to the files
-/// the I/O-plane refactor converted to `IoOp` batches (see
-/// `LintConfig`); the fix is to build the ops in the loop and `submit`
-/// them once.
-pub fn raw_backend_in_batch_path(toks: &[Tok], tests: &[(usize, usize)]) -> Vec<RawFinding> {
-    let loops = loop_body_ranges(toks);
-    let mut out = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident
-            || !BACKEND_OPS.contains(&t.text.as_str())
-            || !is_method_call(toks, i)
-            || in_ranges(tests, i)
-            || !in_ranges(&loops, i)
-        {
-            continue;
-        }
-        out.push(RawFinding {
-            trace: Vec::new(),
-            rule: RuleId::RawBackendInBatchPath,
-            line: t.line,
-            message: format!(
-                "per-op backend call `.{}(...)` inside a loop on a batched path; build an \
-                 `IoOp` batch and `submit` it once (per-op round trips dodge the I/O plane's \
-                 counters and retry policy)",
-                t.text
-            ),
-        });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,7 +299,6 @@ mod tests {
             "fn lib() -> u32 {{ 1 }}\n#[cfg(test)]\nmod tests {{\n#[test]\nfn t() {{ {SWALLOW} b.append(p, c); }}\n}}"
         );
         assert!(run(&src, swallowed_result).is_empty());
-        assert!(run(&src, unretried_backend_call).is_empty());
     }
 
     #[test]
@@ -438,20 +307,6 @@ mod tests {
         let f = run(&src, swallowed_result);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].line, 3);
-    }
-
-    #[test]
-    fn retry_wrapped_calls_pass_unretried() {
-        let src = r#"
-            fn f(&self) -> Result<()> {
-                retry_transient(|| self.backend.append(&log, &bytes))?;
-                self.backend.unlink(&old)?;
-                Ok(())
-            }
-        "#;
-        let f = run(src, unretried_backend_call);
-        assert_eq!(f.len(), 1);
-        assert!(f[0].message.contains("unlink"));
     }
 
     #[test]

@@ -73,76 +73,6 @@ fn swallowed_good_is_clean() {
 }
 
 #[test]
-fn retry_bad_flags_direct_backend_calls_on_recovery_path() {
-    let src = include_str!("fixtures/retry_bad.rs");
-    let lines = rule_lines(
-        "crates/core/src/fsck.rs",
-        src,
-        RuleId::UnretriedBackendCall,
-    );
-    // `b.list(dir)` and `b.size(...)`.
-    assert_eq!(lines.len(), 2, "findings: {lines:?}");
-}
-
-#[test]
-fn retry_rule_only_applies_to_recovery_paths() {
-    // The same source outside writer/reader/fsck is not in scope.
-    let src = include_str!("fixtures/retry_bad.rs");
-    let lines = rule_lines(
-        "crates/core/src/container.rs",
-        src,
-        RuleId::UnretriedBackendCall,
-    );
-    assert!(lines.is_empty(), "findings: {lines:?}");
-}
-
-#[test]
-fn retry_good_is_clean() {
-    let src = include_str!("fixtures/retry_good.rs");
-    assert_eq!(total_findings("crates/core/src/fsck.rs", src), 0);
-}
-
-#[test]
-fn raw_batch_bad_flags_per_op_calls_in_loops() {
-    let src = include_str!("fixtures/raw_batch_bad.rs");
-    let lines = rule_lines(
-        "crates/core/src/container.rs",
-        src,
-        RuleId::RawBackendInBatchPath,
-    );
-    // `b.size(dir)` in the for loop, `b.list(&dirs[i])` in the while loop.
-    assert_eq!(lines.len(), 2, "findings: {lines:?}");
-}
-
-#[test]
-fn raw_batch_rule_only_applies_to_batched_paths() {
-    // The same source outside the batched files is not in scope.
-    let src = include_str!("fixtures/raw_batch_bad.rs");
-    let lines = rule_lines(
-        "crates/core/src/backend.rs",
-        src,
-        RuleId::RawBackendInBatchPath,
-    );
-    assert!(lines.is_empty(), "findings: {lines:?}");
-}
-
-#[test]
-fn raw_batch_good_is_clean_and_pragmas_count_as_allowed() {
-    let src = include_str!("fixtures/raw_batch_good.rs");
-    let out = lint_source("crates/core/src/container.rs", src);
-    assert!(out.findings.is_empty(), "findings: {:?}", out.findings);
-    // The order-dependent swap carries two pragmas, one per call.
-    let allowed: Vec<&str> = out.allowed.iter().map(|a| a.rule.as_str()).collect();
-    assert_eq!(
-        allowed,
-        vec!["raw-backend-in-batch-path"; 2],
-        "allowed: {:?}",
-        out.allowed
-    );
-    assert!(out.warnings.is_empty(), "warnings: {:?}", out.warnings);
-}
-
-#[test]
 fn ioplane_table_round_trips_against_the_enum() {
     let doc = "\
 <!-- plfs-lint:ioplane-table -->

@@ -33,6 +33,10 @@
 use crate::driver::{exec_io, generic_collective, Ctx, Driver, Step};
 use crate::ops::{FileTag, LogicalOp};
 use plfs::index::ondisk::{fences_for, SPANIDX_FENCE_BYTES, SPANIDX_FENCE_STRIDE, SPANIDX_FOOTER_BYTES};
+use plfs::container::{
+    ACCESS_FILE, DATA_PREFIX, FLATTENED_INDEX, HOST_PREFIX, INDEX_PREFIX, METADIR, META_PREFIX,
+    OPENHOSTS, SUBDIR_PREFIX,
+};
 use plfs::index::INDEX_RECORD_BYTES;
 use pfs::cache::IdMap;
 use pfs::state::FileId;
@@ -301,26 +305,26 @@ impl PlfsDriver {
     fn subdir_dir(&self, logical: &str, i: usize) -> String {
         match self.cfg.federation.shadow_subdir_path(logical, i) {
             Some(shadow) => shadow,
-            None => format!("{}/subdir.{i}", self.canonical(logical)),
+            None => format!("{}/{SUBDIR_PREFIX}{i}", self.canonical(logical)),
         }
     }
 
     fn data_log(&self, logical: &str, writer: u64) -> String {
         format!(
-            "{}/dropping.data.{writer}",
+            "{}/{DATA_PREFIX}{writer}",
             self.subdir_dir(logical, self.subdir_of(writer))
         )
     }
 
     fn index_log(&self, logical: &str, writer: u64) -> String {
         format!(
-            "{}/dropping.index.{writer}",
+            "{}/{INDEX_PREFIX}{writer}",
             self.subdir_dir(logical, self.subdir_of(writer))
         )
     }
 
     fn flattened_path(&self, logical: &str) -> String {
-        format!("{}/flattened.index", self.canonical(logical))
+        format!("{}/{FLATTENED_INDEX}", self.canonical(logical))
     }
 
     /// The id of `writer`'s data log in `logical` (slot `fs`), cached in
@@ -387,7 +391,7 @@ impl PlfsDriver {
             return vec![io(
                 cns,
                 IoOp::Kind {
-                    path: format!("{canonical}/.plfsaccess"),
+                    path: format!("{canonical}/{ACCESS_FILE}"),
                 },
             )];
         }
@@ -402,7 +406,7 @@ impl PlfsDriver {
             io(
                 cns,
                 IoOp::Create {
-                    path: format!("{canonical}/.plfsaccess"),
+                    path: format!("{canonical}/{ACCESS_FILE}"),
                     exclusive: true,
                 },
             ),
@@ -420,14 +424,14 @@ impl PlfsDriver {
             plan.push(io(
                 cns,
                 IoOp::Mkdir {
-                    path: format!("{canonical}/openhosts"),
+                    path: format!("{canonical}/{OPENHOSTS}"),
                 },
             ));
         }
         plan.push(io(
             cns,
             IoOp::Create {
-                path: format!("{canonical}/openhosts/host.{writer}"),
+                path: format!("{canonical}/{OPENHOSTS}/{HOST_PREFIX}{writer}"),
                 exclusive: false,
             },
         ));
@@ -455,7 +459,7 @@ impl PlfsDriver {
                 plan.push(io(
                     cns,
                     IoOp::Create {
-                        path: format!("{canonical}/subdir.{sub}"),
+                        path: format!("{canonical}/{SUBDIR_PREFIX}{sub}"),
                         exclusive: true,
                     },
                 ));
@@ -515,21 +519,21 @@ impl PlfsDriver {
             plan.push(io(
                 cns,
                 IoOp::Mkdir {
-                    path: format!("{canonical}/metadir"),
+                    path: format!("{canonical}/{METADIR}"),
                 },
             ));
         }
         plan.push(io(
             cns,
             IoOp::Create {
-                path: format!("{canonical}/metadir/meta.{writer}"),
+                path: format!("{canonical}/{METADIR}/{META_PREFIX}{writer}"),
                 exclusive: false,
             },
         ));
         plan.push(io(
             cns,
             IoOp::Unlink {
-                path: format!("{canonical}/openhosts/host.{writer}"),
+                path: format!("{canonical}/{OPENHOSTS}/{HOST_PREFIX}{writer}"),
             },
         ));
         plan
@@ -543,7 +547,7 @@ impl PlfsDriver {
         let mut plan = vec![io(
             cns,
             IoOp::Kind {
-                path: format!("{canonical}/.plfsaccess"),
+                path: format!("{canonical}/{ACCESS_FILE}"),
             },
         )];
         let created: Vec<usize> = self
@@ -623,7 +627,7 @@ impl PlfsDriver {
         plan.push(io(
             cns,
             IoOp::Unlink {
-                path: format!("{canonical}/.plfsaccess"),
+                path: format!("{canonical}/{ACCESS_FILE}"),
             },
         ));
         plan
@@ -1110,7 +1114,7 @@ mod tests {
         for w in 0..32 {
             let fs = ctx.pfs.namespace();
             let found = (0..4).any(|i| {
-                fs.file_exists(&format!("/panfs/ckpt/subdir.{i}/dropping.data.{w}"))
+                fs.file_exists(&format!("/panfs/ckpt/{SUBDIR_PREFIX}{i}/{DATA_PREFIX}{w}"))
             });
             assert!(found, "missing data log for writer {w}");
         }
@@ -1121,7 +1125,7 @@ mod tests {
         let (_, _, ctx) = run(8, ReadStrategy::ParallelIndexRead, 1);
         for w in 0..8u64 {
             let sub = (w % 4) as usize;
-            let path = format!("/panfs/ckpt/subdir.{sub}/dropping.data.{w}");
+            let path = format!("/panfs/ckpt/{SUBDIR_PREFIX}{sub}/{DATA_PREFIX}{w}");
             assert_eq!(ctx.pfs.file_size(&path), 8 * 64 * 1024, "writer {w}");
         }
     }
@@ -1131,7 +1135,7 @@ mod tests {
         let (_, _, ctx) = run(8, ReadStrategy::ParallelIndexRead, 1);
         for w in 0..8u64 {
             let sub = (w % 4) as usize;
-            let path = format!("/panfs/ckpt/subdir.{sub}/dropping.index.{w}");
+            let path = format!("/panfs/ckpt/{SUBDIR_PREFIX}{sub}/{INDEX_PREFIX}{w}");
             assert_eq!(
                 ctx.pfs.file_size(&path),
                 8 * INDEX_RECORD_BYTES,
@@ -1198,24 +1202,26 @@ mod tests {
         let fs = ctx.pfs.namespace();
         // The crashed rank never flushed its index...
         assert_eq!(
-            ctx.pfs.file_size("/panfs/ckpt/subdir.3/dropping.index.3"),
+            ctx.pfs
+                .file_size(&format!("/panfs/ckpt/{SUBDIR_PREFIX}3/{INDEX_PREFIX}3")),
             0,
             "dead writer's index log must stay empty"
         );
         // ...never recorded metadata, and never deregistered.
-        assert!(!fs.file_exists("/panfs/ckpt/metadir/meta.3"));
-        assert!(fs.file_exists("/panfs/ckpt/openhosts/host.3"));
+        assert!(!fs.file_exists(&format!("/panfs/ckpt/{METADIR}/{META_PREFIX}3")));
+        assert!(fs.file_exists(&format!("/panfs/ckpt/{OPENHOSTS}/{HOST_PREFIX}3")));
         // Surviving ranks closed normally.
         for w in [0u64, 1, 2, 4, 5, 6, 7] {
             let sub = (w % 4) as usize;
             assert_eq!(
-                ctx.pfs
-                    .file_size(&format!("/panfs/ckpt/subdir.{sub}/dropping.index.{w}")),
+                ctx.pfs.file_size(&format!(
+                    "/panfs/ckpt/{SUBDIR_PREFIX}{sub}/{INDEX_PREFIX}{w}"
+                )),
                 8 * INDEX_RECORD_BYTES,
                 "writer {w}"
             );
-            assert!(fs.file_exists(&format!("/panfs/ckpt/metadir/meta.{w}")));
-            assert!(!fs.file_exists(&format!("/panfs/ckpt/openhosts/host.{w}")));
+            assert!(fs.file_exists(&format!("/panfs/ckpt/{METADIR}/{META_PREFIX}{w}")));
+            assert!(!fs.file_exists(&format!("/panfs/ckpt/{OPENHOSTS}/{HOST_PREFIX}{w}")));
         }
     }
 
@@ -1316,7 +1322,7 @@ mod tests {
             assert!(ctx
                 .pfs
                 .namespace()
-                .file_exists(&format!("{canonical}/.plfsaccess")));
+                .file_exists(&format!("{canonical}/{ACCESS_FILE}")));
         }
     }
 
@@ -1397,9 +1403,9 @@ mod tests {
         // Rank 1's next write takes its handle and lands in its log.
         assert!(matches!(d.step(1, 3, &write, t, &mut ctx), Step::Done(_)));
         assert_eq!(d.handle(1, &file).map(|h| (h.fs, h.dlog)), h1);
-        let dlog = "/panfs/ckpt/subdir.1/dropping.data.1";
-        assert_eq!(ctx.pfs.file_size(dlog), 8 << 20);
-        assert_eq!(ctx.pfs.file_id(dlog), h1.and_then(|h| h.1));
+        let dlog = format!("/panfs/ckpt/{SUBDIR_PREFIX}1/{DATA_PREFIX}1");
+        assert_eq!(ctx.pfs.file_size(&dlog), 8 << 20);
+        assert_eq!(ctx.pfs.file_id(&dlog), h1.and_then(|h| h.1));
     }
 
     #[test]

@@ -3,7 +3,8 @@
 # full test suite, the byte-verifying examples, clippy with warnings
 # denied (the root Cargo.toml's
 # [workspace.lints.clippy] table bans unwrap/expect/panic, discarded
-# results and unreasoned #[allow] in every crate and bin), and the
+# results and unreasoned #[allow] in every crate and bin; clippy.toml
+# bans per-op Backend calls outside the I/O plane), and the
 # plfs-lint gate. Crash recovery needs no stage of its own: the
 # workspace tests include tests/crash_states.rs, which checks every
 # crash state of its scenarios with no seed to pin. Everything runs
@@ -27,7 +28,10 @@ cargo run --release --offline -p plfs --example localfs_demo -- "$demo_root"
 rm -rf "$demo_root"
 cargo run --release --offline --example crash_recovery
 # An unfulfilled #[expect(clippy::..)] is a warning, so this also fails
-# on a suppression that no longer suppresses anything.
+# on a suppression that no longer suppresses anything. The root
+# clippy.toml adds disallowed-methods: a per-op `Backend` call outside
+# the I/O plane fails here, so every backend call is retried by the
+# plane (DESIGN.md §5d).
 cargo clippy --workspace --offline -- -D warnings
 
 # Docs are part of the contract: rustdoc must build warning-clean

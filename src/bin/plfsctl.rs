@@ -44,7 +44,9 @@
 use plfs::fsck;
 use plfs::reader::ReadHandle;
 use plfs::writer::{IndexPolicy, WriteHandle};
-use plfs::{Container, Federation, GlobalIndex, LocalFs, Plfs, PlfsConfig};
+use plfs::{
+    ioplane, Container, Federation, GlobalIndex, IoOp, LocalFs, Plfs, PlfsConfig, PlfsError,
+};
 use std::io::Write as _;
 use std::process::ExitCode;
 
@@ -258,12 +260,20 @@ fn cmd_index(args: &[String]) -> ExitCode {
     let subdirs = detect_subdirs(&backend, logical);
     let cont = Container::new(logical, &Federation::single("/", subdirs));
     let flat = cont.flattened_path();
-    use plfs::Backend as _;
-    if !backend.exists(&flat) {
+    let size = ioplane::submit_one(&backend, IoOp::Size { path: flat.clone() });
+    if let Err(PlfsError::NotFound(_)) = size {
         println!("{logical}: no flattened index (reads aggregate per-writer index logs)");
         return ExitCode::SUCCESS;
     }
-    let bytes = match backend.size(&flat).and_then(|len| backend.read_at(&flat, 0, len)) {
+    let read = |len| {
+        let op = IoOp::ReadAt {
+            path: flat.clone(),
+            offset: 0,
+            len,
+        };
+        ioplane::as_data(ioplane::submit_one(&backend, op))
+    };
+    let bytes = match ioplane::as_size(size).and_then(read) {
         Ok(c) => c.materialize(),
         Err(e) => {
             eprintln!("plfsctl: cannot read {flat}: {e}");
@@ -287,7 +297,10 @@ fn cmd_index(args: &[String]) -> ExitCode {
 fn detect_subdirs(backend: &LocalFs, logical: &str) -> usize {
     let cont = Container::new(logical, &Federation::single("/", 1));
     let mut max = 0usize;
-    if let Ok(entries) = plfs::Backend::list(backend, cont.canonical_path()) {
+    let listing = IoOp::Readdir {
+        path: cont.canonical_path().into(),
+    };
+    if let Ok(entries) = ioplane::as_names(ioplane::submit_one(backend, listing)) {
         for e in entries {
             if let Some(n) = e.strip_prefix("subdir.") {
                 if let Ok(i) = n.parse::<usize>() {

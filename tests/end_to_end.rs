@@ -379,11 +379,32 @@ fn an_index_record_whose_extent_overflows_is_refused_then_repaired() {
 /// A transient fault has no effect by contract, so it must not fail the
 /// open of a writer that lands in a subdir another writer already
 /// shadowed into a foreign namespace: the metalink is resolved through
-/// the retried batch path like every other subdir probe.
+/// the retried batch path like every other subdir probe. Nor may it fail
+/// the first writer's open, which appends the metalink's body: that
+/// append is retried like any other op, so it never leaves an empty
+/// metalink for later writers and fsck to trip over.
 #[test]
 fn writer_open_in_a_shadowed_subdir_survives_transient_metalink_reads() {
     let namespaces = ["/ns0", "/ns1", "/ns2"].map(String::from).to_vec();
     let cont = Container::new("/f", &Federation::new(namespaces, 2, false, true));
+    let flaky_cfg = |seed| FaultConfig {
+        seed,
+        transient_prob: 0.5,
+        torn_append_prob: 0.0,
+    };
+    for seed in 0..40 {
+        let mem = Arc::new(MemFs::new());
+        let flaky = Arc::new(FaultBackend::new(Arc::clone(&mem), flaky_cfg(seed)));
+        for w in 0..4 {
+            // The first two writers create the metalinks through faults.
+            let b: Arc<dyn Backend> = if w < 2 { flaky.clone() } else { mem.clone() };
+            let h = WriteHandle::open(b, cont.clone(), w, IndexPolicy::WriteClose);
+            assert!(h.is_ok(), "seed {seed}, writer {w}: {:?}", h.err());
+            h.unwrap().close(1).unwrap();
+        }
+        let report = fsck::check(&*mem, &cont).unwrap();
+        assert!(report.issues.is_empty(), "seed {seed}: {:?}", report.issues);
+    }
     for seed in 0..40 {
         let mem = Arc::new(MemFs::new());
         for w in 0..2 {
@@ -394,12 +415,7 @@ fn writer_open_in_a_shadowed_subdir_survives_transient_metalink_reads() {
             let entry = format!("/ns0/f/subdir.{i}");
             assert_eq!(mem.kind(&entry).unwrap(), NodeKind::File, "{entry} is a metalink");
         }
-        let cfg = FaultConfig {
-            seed,
-            transient_prob: 0.5,
-            torn_append_prob: 0.0,
-        };
-        let flaky = Arc::new(FaultBackend::new(Arc::clone(&mem), cfg));
+        let flaky = Arc::new(FaultBackend::new(Arc::clone(&mem), flaky_cfg(seed)));
         for w in 2..4 {
             let h = WriteHandle::open(Arc::clone(&flaky), cont.clone(), w, IndexPolicy::WriteClose);
             assert!(h.is_ok(), "seed {seed}, writer {w}: {:?}", h.err());

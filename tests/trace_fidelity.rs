@@ -14,6 +14,12 @@
 //!
 //! This is the test that stops the cost model from silently drifting away
 //! from what PLFS actually does.
+//!
+//! Known model differences, kept until the simulator runs the real
+//! container code (ROADMAP item 14): both name container files with
+//! `plfs::container`'s constants, but the simulator's metadir record is
+//! `meta.<writer>`, the middleware's `meta.<eof>.<bytes>.<writer>` — the
+//! simulator carries no sizes to encode in the name.
 
 use mpio::ops::{FileTag, LogicalOp, Program, ReadSrc};
 use mpio::{Ctx, Exec, Layout, PlfsDriver, PlfsDriverConfig, ReadStrategy};
