@@ -154,11 +154,18 @@ impl Container {
 
     /// Ensure subdir `i` exists (directory in the canonical namespace, or
     /// shadow + metalink elsewhere) and return its physical path. Called
-    /// by the first writer that lands in the subdir.
+    /// by every writer that lands in the subdir: one `Kind` probe of the
+    /// entry decides, and unless it is `NotFound` its outcome is resolved
+    /// as `subdir_dir` would (a probe that still fails after its retries
+    /// surfaces here).
     pub fn ensure_subdir<B: Backend>(&self, b: &B, i: usize) -> Result<String> {
         let entry = self.subdir_entry(i);
-        if ioplane::exists(b, &entry) {
-            return self.subdir_dir(b, i);
+        let probe = IoOp::Kind {
+            path: entry.clone(),
+        };
+        let kind = ioplane::submit_one(b, probe);
+        if !matches!(kind, Err(PlfsError::NotFound(_))) {
+            return self.subdir_from_kind(b, i, entry, kind);
         }
         match self.fed.shadow_subdir_path(&self.logical, i) {
             None => {
@@ -217,11 +224,24 @@ impl Container {
     /// metalink if the subdir is shadowed in another namespace, through
     /// the retried batch resolver; `NotFound` if no writer created it.
     fn subdir_dir<B: Backend>(&self, b: &B, i: usize) -> Result<String> {
-        let entries = [self.subdir_entry(i)];
+        let entry = self.subdir_entry(i);
         let probe = IoOp::Kind {
-            path: entries[0].clone(),
+            path: entry.clone(),
         };
         let kind = ioplane::submit_one(b, probe);
+        self.subdir_from_kind(b, i, entry, kind)
+    }
+
+    /// [`Container::subdir_dir`] once the `Kind` outcome of subdir `i`'s
+    /// `entry` is in hand.
+    fn subdir_from_kind<B: Backend>(
+        &self,
+        b: &B,
+        i: usize,
+        entry: String,
+        kind: ioplane::IoOutcome,
+    ) -> Result<String> {
+        let entries = [entry];
         match self.resolve_each(b, i, &entries, [kind]).pop() {
             Some(Ok(Some(dir))) => Ok(dir),
             Some(Err(e)) => Err(e),
@@ -1248,6 +1268,32 @@ mod tests {
         assert!(b.exists(&sub));
         // ensure is idempotent.
         assert_eq!(c.ensure_subdir(&b, 2).unwrap(), sub);
+    }
+
+    #[test]
+    fn ensuring_an_existing_subdir_probes_it_once() {
+        use crate::backend::TracingBackend;
+        let fed = Federation::new(vec!["/vol0".into(), "/vol1".into()], 4, true, true);
+        let b = TracingBackend::new(MemFs::new());
+        let c = Container::new("/f", &fed);
+        c.create(&b).unwrap();
+        let mut shadowed = [false; 4];
+        for (i, shadowed) in shadowed.iter_mut().enumerate() {
+            let first = c.ensure_subdir(&b, i).unwrap();
+            *shadowed = !first.starts_with(c.canonical_path());
+            b.take_trace();
+            assert_eq!(c.ensure_subdir(&b, i).unwrap(), first);
+            let trace = b.take_trace();
+            let probes = trace
+                .iter()
+                .filter(|op| matches!(op, IoOp::Kind { .. }))
+                .count();
+            // A directory is the probe alone; a metalink adds its body's
+            // `Size` and `ReadAt`.
+            assert_eq!(probes, 1, "subdir {i}: {trace:?}");
+            assert_eq!(trace.len(), if *shadowed { 3 } else { 1 });
+        }
+        assert!(shadowed.contains(&true) && shadowed.contains(&false));
     }
 
     #[test]

@@ -505,7 +505,11 @@ impl OnDiskIndex {
         let last = self.footer.fence_count.saturating_sub(1);
         let mut got: Vec<Option<Arc<Vec<IndexEntry>>>> =
             Vec::with_capacity((w_hi - w_lo + 1) as usize);
-        let mut missing: Vec<(u64, (u64, u64))> = Vec::new(); // (window, byte range)
+        // Each missed window with the piece of the list read that holds
+        // its bytes: neighbouring windows overlap by one record, so a run
+        // of misses is one `ReadAt`.
+        let mut plan = ioplane::ListReadPlan::default();
+        let mut missing: Vec<(u64, (usize, u64), u64)> = Vec::new(); // (window, at, len)
         for w in w_lo..=w_hi {
             match self.cache.get(self.cache_id, w) {
                 Some(entries) => got.push(Some(entries)),
@@ -516,16 +520,16 @@ impl OnDiskIndex {
                     } else {
                         ((w + 1) * stride + 1) * INDEX_RECORD_BYTES
                     };
-                    missing.push((w, (lo, hi - lo)));
+                    missing.push((w, plan.push(&self.path, lo, hi - lo), hi - lo));
                     got.push(None);
                 }
             }
         }
         if !missing.is_empty() {
-            let ranges: Vec<(u64, u64)> = missing.iter().map(|&(_, r)| r).collect();
-            let reads = ioplane::list_read(b, &self.path, &ranges)?;
+            plan.submit(b, "flattened index")?;
             let mut filled = got.iter_mut().filter(|g| g.is_none());
-            for ((w, _), content) in missing.into_iter().zip(reads) {
+            for (w, (read, off), len) in missing {
+                let content = plan.read(read)?.slice(off, len);
                 let entries = Arc::new(self.checked_window(w, &content.as_bytes())?);
                 self.cache.insert(self.cache_id, w, Arc::clone(&entries));
                 if let Some(slot) = filled.next() {

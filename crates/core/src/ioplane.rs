@@ -346,8 +346,13 @@ fn account(batch: &[IoOp], outcomes: &[IoOutcome]) {
             _ => {} // structural op or failure: no bytes moved
         }
     }
-    BYTES_WRITTEN.fetch_add(written, Ordering::Relaxed);
-    BYTES_READ.fetch_add(read, Ordering::Relaxed);
+    // A metadata-only batch moves no bytes: skip its two atomic adds.
+    if written > 0 {
+        BYTES_WRITTEN.fetch_add(written, Ordering::Relaxed);
+    }
+    if read > 0 {
+        BYTES_READ.fetch_add(read, Ordering::Relaxed);
+    }
 }
 
 /// Submit a batch through the plane: one [`Backend::submit`] call, then
@@ -435,110 +440,84 @@ pub fn replay<B: Backend + ?Sized>(b: &B, ops: &[IoOp]) -> Vec<IoOutcome> {
 }
 
 // ---------------------------------------------------------------------
-// List I/O: many byte ranges of one file as one plane submission — the
-// PVFS list-I/O idiom. The planner coalesces touching ranges into single
-// `ReadAt` ops, the whole set goes down as ONE `Backend::submit`, and the
-// splitter slices each caller range back out of the coalesced reads (a
-// refcount bump on real bytes, not a copy).
+// List I/O: many byte ranges of one or more files as one plane submission
+// — the PVFS list-I/O idiom. The planner coalesces touching ranges of a
+// file into single `ReadAt` ops, the whole set goes down as ONE
+// `Backend::submit`, and each caller range is located inside the
+// coalesced reads, to be sliced (a refcount bump on real bytes) or
+// copied straight into the caller's buffer.
 
-/// A planned list read over one file: the coalesced `ReadAt` batch plus,
-/// per requested range, where its bytes live inside that batch.
-#[derive(Debug, Clone)]
+/// A list read across files: the coalesced `ReadAt` batch and, once
+/// submitted, its reads. Reusable: [`ListReadPlan::clear`] keeps the
+/// allocations, so a caller on a hot path keeps one plan as scratch.
+#[derive(Debug, Default)]
 pub struct ListReadPlan {
     ops: Vec<IoOp>,
-    /// Per requested range: (op index, offset within the op's read, len).
-    splits: Vec<(usize, u64, u64)>,
-}
-
-/// Plan one list read of `ranges` (`(offset, len)` pairs, sorted by
-/// offset) from `path`. Touching or overlapping ranges share one
-/// `ReadAt`.
-///
-/// # Panics
-/// Debug-asserts that `ranges` is sorted by offset.
-pub fn plan_list_read(path: &str, ranges: &[(u64, u64)]) -> ListReadPlan {
-    debug_assert!(
-        ranges.windows(2).all(|w| w[0].0 <= w[1].0),
-        "list-read ranges must be sorted by offset"
-    );
-    let mut ops: Vec<IoOp> = Vec::new();
-    let mut splits = Vec::with_capacity(ranges.len());
-    let mut cur: Option<(u64, u64)> = None; // (start, end) of the op being grown
-    for &(off, len) in ranges {
-        match &mut cur {
-            Some((start, end)) if off <= *end => {
-                *end = (*end).max(off + len);
-                splits.push((ops.len(), off - *start, len));
-            }
-            _ => {
-                if let Some((start, end)) = cur.take() {
-                    ops.push(IoOp::ReadAt {
-                        path: path.to_string(),
-                        offset: start,
-                        len: end - start,
-                    });
-                }
-                cur = Some((off, off + len));
-                splits.push((ops.len(), 0, len));
-            }
-        }
-    }
-    if let Some((start, end)) = cur {
-        ops.push(IoOp::ReadAt {
-            path: path.to_string(),
-            offset: start,
-            len: end - start,
-        });
-    }
-    ListReadPlan { ops, splits }
+    reads: Vec<Content>,
 }
 
 impl ListReadPlan {
-    /// The coalesced `ReadAt` batch (submit it, then hand the outcomes to
-    /// [`ListReadPlan::split`]).
-    pub fn ops(&self) -> &[IoOp] {
-        &self.ops
+    /// Forget the planned ops and their reads, keeping the allocations.
+    pub fn clear(&mut self) {
+        self.ops.clear();
+        self.reads.clear();
     }
 
-    /// Slice each requested range out of the batch outcomes. A read that
-    /// came back shorter than its op asked for is surfaced as an error —
-    /// the file shrank under us.
-    pub fn split(&self, outcomes: Vec<IoOutcome>) -> Result<Vec<Content>> {
-        let mut reads = Vec::with_capacity(self.ops.len());
-        for (op, outcome) in self.ops.iter().zip(outcomes) {
+    /// Plan `len` bytes of `path` at `offset`, and return where they will
+    /// be: the index of the read that holds them and their offset inside
+    /// it. A piece that touches or overlaps the last planned op's range
+    /// of the same path joins that op, so a caller coalesces fully by
+    /// pushing each file's pieces together, sorted by offset.
+    pub fn push(&mut self, path: &str, offset: u64, len: u64) -> (usize, u64) {
+        let last = self.ops.len().saturating_sub(1);
+        if let Some(IoOp::ReadAt {
+            path: p,
+            offset: start,
+            len: run,
+        }) = self.ops.last_mut()
+        {
+            if p == path && *start <= offset && offset <= *start + *run {
+                *run = (*run).max(offset + len - *start);
+                return (last, offset - *start);
+            }
+        }
+        self.ops.push(IoOp::ReadAt {
+            path: path.to_string(),
+            offset,
+            len,
+        });
+        (self.ops.len() - 1, 0)
+    }
+
+    /// Submit the batch as one retried plane submission and keep its
+    /// reads. A read that came back shorter than its op asked for means
+    /// the file lacks bytes its caller's metadata promised: it is
+    /// `CorruptContainer`, naming the file as `what` (`"data log"`).
+    pub fn submit<B: Backend + ?Sized>(&mut self, b: &B, what: &str) -> Result<()> {
+        self.reads.clear();
+        for (op, outcome) in self.ops.iter().zip(submit_retried(b, &self.ops)) {
             let c = as_data(outcome)?;
             let IoOp::ReadAt { path, offset, len } = op else {
                 return Err(PlfsError::Io("list-read plan holds a non-read op".into()));
             };
             if c.len() != *len {
-                return Err(PlfsError::Io(format!(
-                    "list read short: wanted {len} bytes at {path}:{offset}, got {}",
+                return Err(PlfsError::CorruptContainer(format!(
+                    "{what} {path} short read: wanted {len} bytes at {offset}, got {}",
                     c.len()
                 )));
             }
-            reads.push(c);
+            self.reads.push(c);
         }
-        self.splits
-            .iter()
-            .map(|&(op_idx, off, len)| {
-                reads
-                    .get(op_idx)
-                    .map(|c| c.slice(off, len))
-                    .ok_or_else(|| PlfsError::Io("list-read split out of bounds".into()))
-            })
-            .collect()
+        Ok(())
     }
-}
 
-/// Read many ranges of one file as a single retried plane submission.
-pub fn list_read<B: Backend + ?Sized>(
-    b: &B,
-    path: &str,
-    ranges: &[(u64, u64)],
-) -> Result<Vec<Content>> {
-    let plan = plan_list_read(path, ranges);
-    let outcomes = submit_retried(b, plan.ops());
-    plan.split(outcomes)
+    /// The submitted read `i` (an index [`ListReadPlan::push`] returned);
+    /// an error if the backend returned fewer outcomes than ops.
+    pub fn read(&self, i: usize) -> Result<&Content> {
+        self.reads
+            .get(i)
+            .ok_or_else(|| PlfsError::Io("backend returned fewer outcomes than ops".into()))
+    }
 }
 
 #[cfg(test)]
@@ -770,6 +749,68 @@ mod tests {
             len: 1
         }
         .is_metadata());
+    }
+
+    #[test]
+    fn list_read_coalesces_each_files_touching_pieces() {
+        let b = crate::backend::TracingBackend::new(MemFs::new());
+        for (path, byte) in [("/a", 1u8), ("/b", 2)] {
+            b.create(path, true).unwrap();
+            b.append(path, &Content::bytes((0..100).map(|i| i + byte).collect()))
+                .unwrap();
+        }
+        let mut plan = ListReadPlan::default();
+        // Touching, overlapping and contained pieces of /a share one op;
+        // a gap, another file, or a step back starts a new one.
+        let pieces = [
+            ("/a", 0, 10),
+            ("/a", 10, 5),
+            ("/a", 12, 8),
+            ("/a", 13, 2),
+            ("/a", 30, 10),
+            ("/b", 30, 10),
+            ("/b", 0, 5),
+        ];
+        let at: Vec<_> = pieces
+            .iter()
+            .map(|&(p, off, len)| plan.push(p, off, len))
+            .collect();
+        assert_eq!(
+            at,
+            [(0, 0), (0, 10), (0, 12), (0, 13), (1, 0), (2, 0), (3, 0)]
+        );
+        b.take_trace();
+        plan.submit(&b, "test file").unwrap();
+        let read = |path: &str, offset, len| IoOp::ReadAt {
+            path: path.into(),
+            offset,
+            len,
+        };
+        let want = [
+            read("/a", 0, 20),
+            read("/a", 30, 10),
+            read("/b", 30, 10),
+            read("/b", 0, 5),
+        ];
+        assert_eq!(b.take_trace(), want);
+        for (&(path, off, len), &(read, at)) in pieces.iter().zip(&at) {
+            let want = b.read_at(path, off, len).unwrap();
+            assert_eq!(plan.read(read).unwrap().slice(at, len), want);
+        }
+        assert!(plan.read(4).is_err());
+
+        // A file shorter than its planned op is corruption.
+        plan.clear();
+        plan.push("/a", 90, 20);
+        match plan.submit(&b, "test file") {
+            Err(PlfsError::CorruptContainer(msg)) => {
+                assert_eq!(
+                    msg,
+                    "test file /a short read: wanted 20 bytes at 90, got 10"
+                )
+            }
+            other => panic!("expected CorruptContainer, got {other:?}"),
+        }
     }
 
     #[test]

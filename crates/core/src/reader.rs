@@ -28,7 +28,7 @@ use crate::container::Container;
 use crate::content::Content;
 use crate::error::{PlfsError, Result};
 use crate::index::{GlobalIndex, IndexSource, Mapping, Source, SpanCache, WriterId};
-use crate::ioplane::{self, IoOp};
+use crate::ioplane::ListReadPlan;
 use crate::telemetry;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -39,12 +39,32 @@ pub struct ReadHandle<B: Backend> {
     container: Container,
     source: IndexSource,
     /// Resolved data-log paths, cached so repeated reads skip metalink
-    /// resolution. `Arc<str>` so handing a path to each mapping is a
-    /// refcount bump, not a string copy.
+    /// resolution. `Arc<str>` so handing a path out is a refcount bump,
+    /// not a string copy.
     log_paths: HashMap<WriterId, Arc<str>>,
-    /// Mapping scratch reused across reads — the hot read loop does not
-    /// allocate a fresh `Vec<Mapping>` per call.
-    map_buf: Vec<Mapping>,
+    /// Read scratch reused across reads: the hot read loop allocates
+    /// none of it per call.
+    scratch: ReadScratch,
+}
+
+/// One read's plan, kept in the handle between reads for its
+/// allocations. [`ReadHandle::fetch`] fills it; `read` and `read_pieces`
+/// walk it.
+#[derive(Default)]
+struct ReadScratch {
+    /// The read's mappings, in logical order.
+    mappings: Vec<Mapping>,
+    /// `(writer, physical offset, mapping index)` of every mapping with
+    /// data, sorted: each data log's pieces together, in log order.
+    order: Vec<(WriterId, u64, usize)>,
+    /// Per mapping: the index of the coalesced read that holds its bytes
+    /// and their offset inside it (unused for a hole).
+    at: Vec<(usize, u64)>,
+    /// Bytes the mappings cover: the read's length, clamped at EOF.
+    bytes: u64,
+    /// The list read of every data-log piece, and once submitted its
+    /// reads, which the read returning releases (the allocations stay).
+    plan: ListReadPlan,
 }
 
 impl<B: Backend> ReadHandle<B> {
@@ -58,7 +78,7 @@ impl<B: Backend> ReadHandle<B> {
             container,
             source: source.into(),
             log_paths: HashMap::new(),
-            map_buf: Vec::new(),
+            scratch: ReadScratch::default(),
         }
     }
 
@@ -116,14 +136,42 @@ impl<B: Backend> ReadHandle<B> {
 
     /// Read `len` logical bytes at `offset` as contiguous materialized
     /// bytes. Holes read as zeros; reads past EOF are truncated (POSIX
-    /// short read).
+    /// short read). Each mapping is copied straight out of its coalesced
+    /// read into the one returned buffer.
     pub fn read(&mut self, offset: u64, len: u64) -> Result<Vec<u8>> {
-        let pieces = self.read_pieces(offset, len)?;
-        let mut out = Vec::with_capacity(pieces.iter().map(|p| p.len() as usize).sum());
-        for piece in pieces {
-            out.extend_from_slice(&piece.as_bytes());
+        self.fetch(offset, len)?;
+        let s = &self.scratch;
+        let mut out = Vec::with_capacity(s.bytes as usize);
+        for (m, &(read, off)) in s.mappings.iter().zip(&s.at) {
+            match m.source {
+                Source::Hole => out.resize(out.len() + m.length as usize, 0),
+                Source::Writer { .. } => {
+                    out.extend_from_slice(&s.plan.read(read)?.slice(off, m.length).as_bytes())
+                }
+            }
         }
+        self.scratch.plan.clear();
         Ok(out)
+    }
+
+    /// Read `len` logical bytes at `offset` as content pieces, one per
+    /// mapping (keeps synthetic extents symbolic — this is what scale
+    /// tests use to verify terabyte-logical files without materializing
+    /// them). Reads past EOF are truncated, as for [`ReadHandle::read`].
+    /// The pieces are slices of the same coalesced reads `read` copies
+    /// from: a refcount bump per piece on real bytes.
+    pub fn read_pieces(&mut self, offset: u64, len: u64) -> Result<Vec<Content>> {
+        self.fetch(offset, len)?;
+        let s = &self.scratch;
+        let mut pieces = Vec::with_capacity(s.mappings.len());
+        for (m, &(read, off)) in s.mappings.iter().zip(&s.at) {
+            pieces.push(match m.source {
+                Source::Hole => Content::Zeros { len: m.length },
+                Source::Writer { .. } => s.plan.read(read)?.slice(off, m.length),
+            });
+        }
+        self.scratch.plan.clear();
+        Ok(pieces)
     }
 
     /// Append the mappings of `[offset, offset + len)`, clamped at EOF.
@@ -132,78 +180,63 @@ impl<B: Backend> ReadHandle<B> {
         self.source.resolve_into(&self.backend, offset, len, out)
     }
 
-    /// Read `len` logical bytes at `offset` as content pieces (keeps
-    /// synthetic extents symbolic — this is what scale tests use to
-    /// verify terabyte-logical files without materializing them). Reads
-    /// past EOF are truncated, as for [`ReadHandle::read`].
-    ///
-    /// Mappings are resolved with one index walk and coalesced: adjacent
-    /// pieces from the same writer whose bytes are contiguous in its data
-    /// log become a single backend `read_at`, so a strided checkpoint read
-    /// costs one backend operation per writer run rather than per block.
-    pub fn read_pieces(&mut self, offset: u64, len: u64) -> Result<Vec<Content>> {
+    /// Plan and submit the read of `[offset, offset + len)` into the
+    /// scratch: resolve its mappings with one index walk, sort the ones
+    /// with data by writer and physical offset, and plan them as one list
+    /// read, where the pieces of one data log whose bytes touch or
+    /// overlap share one `ReadAt` — a strided N-1 read costs one op per
+    /// writer, not one per block. The whole read goes down as one plane
+    /// batch, ordered by log (transient failures are retried per op by
+    /// the plane). A read shorter than the index promised is
+    /// `CorruptContainer`.
+    fn fetch(&mut self, offset: u64, len: u64) -> Result<()> {
         let _span = telemetry::span(telemetry::SPAN_READ_LOOKUP);
-        // Reuse the mapping scratch (taken out so `log_path` below can
-        // borrow `self` mutably while the mappings are walked).
-        let mut mappings = std::mem::take(&mut self.map_buf);
-        mappings.clear();
-        if self.resolve(offset, len, &mut mappings).is_err() {
+        // Taken out so `log_path` below can borrow `self` mutably; put
+        // back on success for the caller to walk and the next read to
+        // reuse.
+        let mut s = std::mem::take(&mut self.scratch);
+        s.mappings.clear();
+        if self.resolve(offset, len, &mut s.mappings).is_err() {
             // Only a `Disk` source fails here: its file went or changed
             // under this reader (a writer's open unlinks it, a flatten
             // writes a new one). The logs hold everything it did; read
             // through them from now on.
             self.source = Self::aggregated(&self.backend, &self.container)?.into();
-            mappings.clear();
-            self.resolve(offset, len, &mut mappings)?;
+            s.mappings.clear();
+            self.resolve(offset, len, &mut s.mappings)?;
         }
-        // Resolve every mapping to either a hole or a planned read, then
-        // submit all the reads as ONE plane batch (one submission for the
-        // whole fan-out; transient failures are retried per op by the
-        // plane). `None` in `plan` marks a hole's position.
-        let mut plan: Vec<Option<(Arc<str>, u64, u64)>> = Vec::with_capacity(mappings.len());
-        let mut batch: Vec<IoOp> = Vec::new();
-        for m in &mappings {
-            match m.source {
-                Source::Hole => plan.push(None),
-                Source::Writer {
-                    writer,
-                    physical_offset,
-                } => {
-                    let path = self.log_path(writer)?;
-                    batch.push(IoOp::ReadAt {
-                        path: path.to_string(),
-                        offset: physical_offset,
-                        len: m.length,
-                    });
-                    plan.push(Some((path, physical_offset, m.length)));
-                }
-            }
-        }
-        let mut reads = ioplane::submit_retried(&self.backend, &batch).into_iter();
-        let mut pieces = Vec::with_capacity(mappings.len());
-        for (m, planned) in mappings.iter().zip(plan) {
-            let Some((path, physical_offset, length)) = planned else {
-                telemetry::count(telemetry::CTR_READ_HOLES, 1);
-                telemetry::count(telemetry::CTR_READ_BYTES, m.length);
-                pieces.push(Content::Zeros { len: m.length });
-                continue;
+        s.order.clear();
+        s.order.extend(
+            s.mappings
+                .iter()
+                .enumerate()
+                .filter_map(|(i, m)| match m.source {
+                    Source::Writer {
+                        writer,
+                        physical_offset,
+                    } => Some((writer, physical_offset, i)),
+                    Source::Hole => None,
+                }),
+        );
+        s.order.sort_unstable();
+        s.at.clear();
+        s.at.resize(s.mappings.len(), (0, 0));
+        s.plan.clear();
+        let mut log: Option<(WriterId, Arc<str>)> = None;
+        for &(writer, physical_offset, i) in &s.order {
+            let path = match &log {
+                Some((w, path)) if *w == writer => path,
+                _ => &log.insert((writer, self.log_path(writer)?)).1,
             };
-            let c = ioplane::as_data(ioplane::take(&mut reads))?;
-            if c.len() != length {
-                // A short read here means the index references bytes the
-                // data log doesn't have (truncated or corrupted
-                // droppings) — surface it rather than silently returning
-                // truncated data.
-                return Err(PlfsError::CorruptContainer(format!(
-                    "data log {path} short read: wanted {length} bytes at {physical_offset}, got {}",
-                    c.len()
-                )));
-            }
-            telemetry::count(telemetry::CTR_READ_BYTES, c.len());
-            pieces.push(c);
+            s.at[i] = s.plan.push(path, physical_offset, s.mappings[i].length);
         }
-        self.map_buf = mappings;
-        Ok(pieces)
+        s.plan.submit(&self.backend, "data log")?;
+        s.bytes = s.mappings.iter().map(|m| m.length).sum();
+        let holes = s.mappings.len() - s.order.len();
+        telemetry::count(telemetry::CTR_READ_HOLES, holes as u64);
+        telemetry::count(telemetry::CTR_READ_BYTES, s.bytes);
+        self.scratch = s;
+        Ok(())
     }
 }
 
@@ -390,6 +423,56 @@ mod tests {
     }
 
     #[test]
+    fn a_strided_read_is_one_read_at_per_data_log() {
+        use crate::backend::TracingBackend;
+        use crate::ioplane::IoOp;
+        let traced = Arc::new(TracingBackend::new(MemFs::new()));
+        let c = Container::new("/f", &Federation::single("/ns", 2));
+        let (writers, blocks, block) = (4u64, 8u64, 64u64);
+        let mut want = vec![0; (writers * blocks * block) as usize];
+        for w in 0..writers {
+            let mut h =
+                WriteHandle::open(Arc::clone(&traced), c.clone(), w, IndexPolicy::WriteClose)
+                    .unwrap();
+            for k in 0..blocks {
+                let data = Content::synthetic(w * 1000 + k, block);
+                let logical = (k * writers + w) * block;
+                want[logical as usize..(logical + block) as usize]
+                    .copy_from_slice(&data.materialize());
+                h.write(logical, &data, 1).unwrap();
+            }
+            h.close(9).unwrap();
+        }
+        let mut r = ReadHandle::open(Arc::clone(&traced), c.clone(), logs(&traced, &c, 1));
+        let len = want.len() as u64;
+        for as_pieces in [false, true] {
+            traced.take_trace();
+            let whole: Vec<u8> = if as_pieces {
+                let pieces = r.read_pieces(0, len).unwrap();
+                assert_eq!(pieces.len() as u64, writers * blocks, "a piece per mapping");
+                pieces.iter().flat_map(Content::materialize).collect()
+            } else {
+                r.read(0, len).unwrap()
+            };
+            assert_eq!(whole, want);
+            let trace = traced.take_trace();
+            let data_reads: Vec<_> = trace
+                .iter()
+                .filter(
+                    |op| matches!(op, IoOp::ReadAt { path, .. } if path.contains("dropping.data")),
+                )
+                .collect();
+            // Each writer's 8 blocks sit back to back in its log: one
+            // `ReadAt` of all of them per writer, whatever the logical
+            // interleave.
+            assert_eq!(data_reads.len() as u64, writers, "{data_reads:?}");
+            assert!(data_reads.iter().all(
+                |op| matches!(op, IoOp::ReadAt { offset: 0, len, .. } if *len == blocks * block)
+            ));
+        }
+    }
+
+    #[test]
     fn short_data_log_surfaces_corruption() {
         use crate::error::PlfsError;
         let b = Arc::new(MemFs::new());
@@ -410,6 +493,40 @@ mod tests {
             }
             other => panic!("expected CorruptContainer, got {other:?}"),
         }
+
+        // A log cut in the middle of a coalesced run: writer 0's four
+        // strided blocks are one `ReadAt`, and its log ends inside the
+        // second block. Whole-file reads, as bytes and as pieces, fail.
+        let c = Container::new("/g", &Federation::single("/ns", 1));
+        let handles = write_strided(&b, &c, 2, 4, 64, IndexPolicy::WriteClose);
+        for h in handles {
+            h.close(9).unwrap();
+        }
+        let dpath = c.data_log(&b, 0).unwrap();
+        let kept = b.read_at(&dpath, 0, 100).unwrap();
+        b.unlink(&dpath).unwrap();
+        b.create(&dpath, true).unwrap();
+        b.append(&dpath, &kept).unwrap();
+        let mut r = reader(&b, &c);
+        let msgs = [
+            r.read(0, 512).map(|_| ()),
+            r.read_pieces(0, 512).map(|_| ()),
+        ];
+        for got in msgs {
+            match got {
+                Err(PlfsError::CorruptContainer(msg)) => assert!(
+                    msg.starts_with("data log")
+                        && msg.contains("short read: wanted 256 bytes at 0, got 100"),
+                    "unexpected message: {msg}"
+                ),
+                other => panic!("expected CorruptContainer, got {other:?}"),
+            }
+        }
+        // A read that stays inside what the log still has succeeds.
+        assert_eq!(
+            r.read(0, 64).unwrap(),
+            Content::synthetic(0, 64).materialize()
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! place, `benchmark/` (BENCHMARK.json); what does not depend on the
 //! clock is asserted here, in tier-1, on any core count:
 //!
-//! * backend ops and round trips of six canonical I/O-plane profiles
+//! * backend ops and round trips of seven canonical I/O-plane profiles
 //!   (DESIGN.md §5e), that the index-log reads are the same at every
 //!   aggregation thread count, and that a mount's re-open of an
 //!   unchanged container reads no index log (§5l) and no fence;
@@ -50,14 +50,18 @@ struct IoBudget {
 /// a container it has an index for (§5l): the stamp's three batches and
 /// not one `ReadAt`; `flat-reopen` is the same for a flattened container.
 /// `strided-read` fell from 336/36 to 320/20 when a mount's readers began
-/// reusing the data-log paths its stamp resolved.
+/// reusing the data-log paths its stamp resolved; a 64 KB slice holds one
+/// block per writer, so it stays one op per block. `wide-read` reads the
+/// same file as 256 KB slices, four blocks per writer: a read is a list
+/// read, one `ReadAt` per data log (320/5 when it was one per block).
 #[rustfmt::skip]
-const IO_BUDGETS: [IoBudget; 6] = [
+const IO_BUDGETS: [IoBudget; 7] = [
     IoBudget { profile: "write-close",  ops: 34,  trips: 27 },
     IoBudget { profile: "read-open",    ops: 41,  trips: 7 },
     IoBudget { profile: "read-reopen",  ops: 27,  trips: 3 },
     IoBudget { profile: "flat-reopen",  ops: 27,  trips: 3 },
     IoBudget { profile: "strided-read", ops: 320, trips: 20 },
+    IoBudget { profile: "wide-read",    ops: 80,  trips: 5 },
     IoBudget { profile: "fsck-scan",    ops: 60,  trips: 9 },
 ];
 /// Ops a mount's open adds in front of `read-open`'s first batch.
@@ -146,15 +150,17 @@ fn io_plane_profiles_stay_within_budget() {
     assert_within("read-open", ops - MOUNT_PROBE_OPS, trips);
     let mut rh = rh.unwrap();
 
-    // strided-read: the whole logical file as 20 × 64 KB slices.
+    // strided-read and wide-read: the whole logical file as 20 × 64 KB
+    // and as 5 × 256 KB slices.
     let total = WRITERS * BLOCKS * BLOCK;
-    let slice = 64 * KB;
-    let ((), ops, trips) = measure(&b, || {
-        for off in (0..total).step_by(slice as usize) {
-            assert_eq!(rh.read(off, slice).unwrap().len() as u64, slice);
-        }
-    });
-    assert_within("strided-read", ops, trips);
+    for (profile, slice) in [("strided-read", 64 * KB), ("wide-read", 256 * KB)] {
+        let ((), ops, trips) = measure(&b, || {
+            for off in (0..total).step_by(slice as usize) {
+                assert_eq!(rh.read(off, slice).unwrap().len() as u64, slice);
+            }
+        });
+        assert_within(profile, ops, trips);
+    }
 
     // fsck-scan: a full container check.
     let (report, ops, trips) = measure(&b, || fsck::check(&*b, &cont));
@@ -219,8 +225,18 @@ fn reopen_of_an_unchanged_flattened_container_reads_no_fence() {
     // Unchanged: the stamp alone, and the reader shares the warm window.
     let (mut warm, ops, trips) = measure(&b, || fs.open_read("/flat").unwrap());
     assert_within("flat-reopen", ops, trips);
-    let ((), ops, _) = measure(&b, || assert_eq!(warm.read(0, total).unwrap().len() as u64, total));
-    assert_eq!(ops, WRITERS * BLOCKS, "the blocks alone: no footer, fence or window");
+    b.take_trace();
+    assert_eq!(warm.read(0, total).unwrap().len() as u64, total);
+    let trace = b.take_trace();
+    // No footer, fence or window: the data logs alone, one list-read op
+    // per log.
+    assert!(
+        trace
+            .iter()
+            .all(|op| matches!(op, IoOp::ReadAt { path, .. } if path.contains("dropping.data"))),
+        "{trace:?}"
+    );
+    assert_eq!(trace.len() as u64, WRITERS);
 }
 
 #[test]

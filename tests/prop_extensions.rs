@@ -1,6 +1,6 @@
 //! Property-based tests for the extension machinery: index compaction,
-//! the sorted-run merge paths, threaded aggregation, fsck repair, and
-//! the gap-filling calendar resource.
+//! the sorted-run merge paths, the reader's list reads, threaded
+//! aggregation, fsck repair, and the gap-filling calendar resource.
 
 use plfs::{GlobalIndex, IndexEntry, IndexSource};
 use proptest::prelude::*;
@@ -163,6 +163,77 @@ proptest! {
             }
         }
         prop_assert_eq!(coalesced, flat);
+    }
+
+    #[test]
+    fn list_read_equals_a_read_per_mapping(
+        writers in 1u64..5,
+        blocks in 1u64..6,
+        block in 1u64..64,
+        overwrites in prop::collection::vec((0u64..5, 0u64..1200, 1u64..200), 0..12),
+        reads in prop::collection::vec((0u64..1400, 0u64..1600), 1..8),
+    ) {
+        use plfs::index::Source;
+        use plfs::reader::ReadHandle;
+        use plfs::writer::{IndexPolicy, WriteHandle};
+        use plfs::{Backend, Container, Content, Federation, MemFs};
+        use std::sync::Arc;
+
+        // A strided N-1 checkpoint (each writer's blocks back to back in
+        // its log, so a read coalesces), then later writes from any
+        // writer over it, into holes and past its end.
+        let b = Arc::new(MemFs::new());
+        let cont = Container::new("/f", &Federation::single("/panfs", 2));
+        let mut handles: HashMap<u64, WriteHandle<Arc<MemFs>>> = HashMap::new();
+        let mut write = |w: u64, off: u64, len: u64, ts: u64| {
+            let h = handles.entry(w).or_insert_with(|| {
+                WriteHandle::open(Arc::clone(&b), cont.clone(), w, IndexPolicy::WriteClose)
+                    .unwrap()
+            });
+            h.write(off, &Content::synthetic(w * 1000 + ts, len), ts).unwrap();
+        };
+        for k in 0..blocks {
+            for w in 0..writers {
+                write(w, (k * writers + w) * block, block, 1 + k);
+            }
+        }
+        for (i, &(w, off, len)) in overwrites.iter().enumerate() {
+            write(w, off, len, 100 + i as u64);
+        }
+        for (_, h) in handles {
+            h.close(999).unwrap();
+        }
+        let resolved = cont.subdirs_phys_batch(&b).unwrap();
+        let ids = cont.list_writers(&b).unwrap();
+        let index = GlobalIndex::from_runs(
+            &cont.read_index_runs(&b, &resolved, &ids, 1).unwrap(), false);
+        let eof = index.eof();
+        let source = IndexSource::from(index);
+        let mut r = ReadHandle::open(Arc::clone(&b), cont.clone(), source.clone());
+        for (off, len) in reads {
+            // The reference: every mapping read on its own.
+            let mut mappings = Vec::new();
+            let clamped = len.min(eof.saturating_sub(off));
+            source.resolve_into(&*b, off, clamped, &mut mappings).unwrap();
+            let mut want = Vec::new();
+            for m in &mappings {
+                match m.source {
+                    Source::Hole => want.resize(want.len() + m.length as usize, 0),
+                    Source::Writer { writer, physical_offset } => {
+                        let log = cont.data_log(&*b, writer).unwrap();
+                        let got = b.read_at(&log, physical_offset, m.length).unwrap();
+                        prop_assert_eq!(got.len(), m.length);
+                        want.extend_from_slice(&got.as_bytes());
+                    }
+                }
+            }
+            let got = r.read(off, len).unwrap();
+            prop_assert_eq!(&got, &want, "read({}, {})", off, len);
+            let pieces = r.read_pieces(off, len).unwrap();
+            prop_assert_eq!(pieces.len(), mappings.len());
+            let joined: Vec<u8> = pieces.iter().flat_map(Content::materialize).collect();
+            prop_assert_eq!(&joined, &want, "read_pieces({}, {})", off, len);
+        }
     }
 
     #[test]
