@@ -15,14 +15,14 @@
 //! multiple writer threads can target one container concurrently, as real
 //! N-1 checkpoint processes do.
 //!
-//! Middleware code does not call these methods: it builds [`IoOp`]
+//! Middleware code does not call the per-op methods: it builds [`IoOp`]
 //! batches and submits them through [`crate::ioplane::submit_retried`]
 //! (or [`crate::ioplane::submit_one`]), which add per-op retry and the
-//! plane counters. The per-op methods remain the primitive vocabulary —
-//! the default `submit` is exactly a sequential loop over them — and the
-//! root `clippy.toml` disallows calling them from any other production
-//! code; the one exception is the writer's per-write data append
-//! (DESIGN.md §5d).
+//! plane counters. A backend implements [`Backend::submit`]; each per-op
+//! method is provided as a one-op batch through it, and the root
+//! `clippy.toml` disallows calling them from any other production code.
+//! The one exception is the writer's per-write data append, which
+//! `MemFs` also serves directly (DESIGN.md §5d).
 
 use crate::content::Content;
 use crate::error::Result;
@@ -41,30 +41,66 @@ pub enum NodeKind {
 }
 
 /// Operations PLFS issues against the underlying file system.
+///
+/// A backend *is* its [`Backend::submit`]: that is the one method an
+/// implementation must write. Every per-op method is provided as a
+/// one-op batch through it, so a wrapper that implements `submit` sees
+/// every op, whichever way it was issued. A backend overrides a per-op
+/// method only where building the op is a measured cost: `MemFs` keeps a
+/// direct `append` for the writer's per-write data append (DESIGN.md
+/// §5d).
 pub trait Backend: Send + Sync {
+    /// Execute a batch **in order**, returning one outcome per op.
+    ///
+    /// A failed op never aborts the ops after it; outcomes are per-op
+    /// (partial-batch semantics). A native shape may run the batch more
+    /// cheaply than one op at a time (`MemFs`: whole batch under one
+    /// lock acquisition; `LocalFs`: adjacent same-file appends and reads
+    /// share one descriptor), but what it observes must be what one-op
+    /// batches would, which `tests/prop_ioplane.rs` pins against
+    /// [`ioplane::replay`].
+    fn submit(&self, batch: &[IoOp]) -> Vec<IoOutcome>;
+
     /// Create a directory; parent must exist.
-    fn mkdir(&self, path: &str) -> Result<()>;
+    fn mkdir(&self, path: &str) -> Result<()> {
+        ioplane::as_unit(ioplane::lower(self, &IoOp::Mkdir { path: path.into() }))
+    }
 
     /// Create a directory and any missing ancestors.
-    fn mkdir_all(&self, path: &str) -> Result<()>;
+    fn mkdir_all(&self, path: &str) -> Result<()> {
+        ioplane::as_unit(ioplane::lower(self, &IoOp::MkdirAll { path: path.into() }))
+    }
 
     /// Create an empty file. With `exclusive`, fail if it already exists;
     /// otherwise truncate an existing file.
-    fn create(&self, path: &str, exclusive: bool) -> Result<()>;
+    fn create(&self, path: &str, exclusive: bool) -> Result<()> {
+        let path = path.into();
+        ioplane::as_unit(ioplane::lower(self, &IoOp::Create { path, exclusive }))
+    }
 
     /// Append content to a file, returning the physical offset at which it
     /// landed. The file must exist.
-    fn append(&self, path: &str, content: &Content) -> Result<u64>;
+    fn append(&self, path: &str, content: &Content) -> Result<u64> {
+        let (path, content) = (path.into(), content.clone());
+        ioplane::as_offset(ioplane::lower(self, &IoOp::Append { path, content }))
+    }
 
     /// Read `len` bytes at `offset`. Short reads at EOF return what exists;
     /// reads entirely past EOF return empty content.
-    fn read_at(&self, path: &str, offset: u64, len: u64) -> Result<Content>;
+    fn read_at(&self, path: &str, offset: u64, len: u64) -> Result<Content> {
+        let path = path.into();
+        ioplane::as_data(ioplane::lower(self, &IoOp::ReadAt { path, offset, len }))
+    }
 
     /// Current size of a file in bytes.
-    fn size(&self, path: &str) -> Result<u64>;
+    fn size(&self, path: &str) -> Result<u64> {
+        ioplane::as_size(ioplane::lower(self, &IoOp::Size { path: path.into() }))
+    }
 
     /// What `path` names, or `NotFound`.
-    fn kind(&self, path: &str) -> Result<NodeKind>;
+    fn kind(&self, path: &str) -> Result<NodeKind> {
+        ioplane::as_kind(ioplane::lower(self, &IoOp::Kind { path: path.into() }))
+    }
 
     /// Whether `path` exists at all.
     ///
@@ -81,31 +117,24 @@ pub trait Backend: Send + Sync {
     }
 
     /// Names (not full paths) of entries in a directory, sorted.
-    fn list(&self, path: &str) -> Result<Vec<String>>;
+    fn list(&self, path: &str) -> Result<Vec<String>> {
+        ioplane::as_names(ioplane::lower(self, &IoOp::Readdir { path: path.into() }))
+    }
 
     /// Remove a file.
-    fn unlink(&self, path: &str) -> Result<()>;
+    fn unlink(&self, path: &str) -> Result<()> {
+        ioplane::as_unit(ioplane::lower(self, &IoOp::Unlink { path: path.into() }))
+    }
 
     /// Remove a directory and everything beneath it.
-    fn remove_all(&self, path: &str) -> Result<()>;
+    fn remove_all(&self, path: &str) -> Result<()> {
+        ioplane::as_unit(ioplane::lower(self, &IoOp::RemoveAll { path: path.into() }))
+    }
 
     /// Atomically rename a file or directory.
-    fn rename(&self, from: &str, to: &str) -> Result<()>;
-
-    /// Execute a batch of ops **in order**, returning one outcome per op.
-    ///
-    /// A failed op never aborts the ops after it; outcomes are per-op
-    /// (partial-batch semantics). The default implementation is a
-    /// sequential loop over the per-op methods; backends with a cheaper
-    /// native shape override it (`MemFs`: whole batch under one lock
-    /// acquisition; `LocalFs`: adjacent same-file appends and reads share
-    /// one descriptor) — observable behaviour must stay identical, which
-    /// `tests/prop_ioplane.rs` pins.
-    fn submit(&self, batch: &[IoOp]) -> Vec<IoOutcome> {
-        batch
-            .iter()
-            .map(|op| ioplane::dispatch_one(self, op))
-            .collect()
+    fn rename(&self, from: &str, to: &str) -> Result<()> {
+        let (from, to) = (from.into(), to.into());
+        ioplane::as_unit(ioplane::lower(self, &IoOp::Rename { from, to }))
     }
 
     /// Submit a batch "asynchronously": the batch runs inline through
@@ -136,7 +165,8 @@ impl Ticket {
     }
 }
 
-/// A passthrough over `inner`: every method forwards to it directly.
+/// A passthrough over `inner`: `submit` and `append` forward to it
+/// directly; every other per-op method lowers to a one-op `submit`.
 ///
 /// The two sizing arguments of [`Reactor::with_config`] are ignored.
 /// The type exists only because the benchmark's `svc_mixed` stack
@@ -191,103 +221,23 @@ impl<B: Backend> TracingBackend<B> {
     pub fn trips(&self) -> u64 {
         self.trips.load(Ordering::Relaxed)
     }
-
-    fn record(&self, op: IoOp) {
-        self.trips.fetch_add(1, Ordering::Relaxed);
-        self.trace.lock().push(op);
-    }
-
-    fn record_batch(&self, batch: &[IoOp]) {
-        self.trips.fetch_add(1, Ordering::Relaxed);
-        self.trace.lock().extend(batch.iter().cloned());
-    }
 }
 
-#[expect(
-    clippy::disallowed_methods,
-    reason = "a forwarding wrapper: each method records its op and calls the same method inside"
-)]
 impl<B: Backend> Backend for TracingBackend<B> {
-    fn mkdir(&self, path: &str) -> Result<()> {
-        self.record(IoOp::Mkdir { path: path.into() });
-        self.inner.mkdir(path)
-    }
-
-    fn mkdir_all(&self, path: &str) -> Result<()> {
-        self.record(IoOp::MkdirAll { path: path.into() });
-        self.inner.mkdir_all(path)
-    }
-
-    fn create(&self, path: &str, exclusive: bool) -> Result<()> {
-        self.record(IoOp::Create {
-            path: path.into(),
-            exclusive,
-        });
-        self.inner.create(path, exclusive)
-    }
-
-    fn append(&self, path: &str, content: &Content) -> Result<u64> {
-        self.record(IoOp::Append {
-            path: path.into(),
-            content: content.clone(),
-        });
-        self.inner.append(path, content)
-    }
-
-    fn read_at(&self, path: &str, offset: u64, len: u64) -> Result<Content> {
-        self.record(IoOp::ReadAt {
-            path: path.into(),
-            offset,
-            len,
-        });
-        self.inner.read_at(path, offset, len)
-    }
-
-    fn size(&self, path: &str) -> Result<u64> {
-        self.record(IoOp::Size { path: path.into() });
-        self.inner.size(path)
-    }
-
-    fn kind(&self, path: &str) -> Result<NodeKind> {
-        self.record(IoOp::Kind { path: path.into() });
-        self.inner.kind(path)
-    }
-
-    fn list(&self, path: &str) -> Result<Vec<String>> {
-        self.record(IoOp::Readdir { path: path.into() });
-        self.inner.list(path)
-    }
-
-    fn unlink(&self, path: &str) -> Result<()> {
-        self.record(IoOp::Unlink { path: path.into() });
-        self.inner.unlink(path)
-    }
-
-    fn remove_all(&self, path: &str) -> Result<()> {
-        self.record(IoOp::RemoveAll { path: path.into() });
-        self.inner.remove_all(path)
-    }
-
-    fn rename(&self, from: &str, to: &str) -> Result<()> {
-        self.record(IoOp::Rename {
-            from: from.into(),
-            to: to.into(),
-        });
-        self.inner.rename(from, to)
-    }
-
     /// Record every op in the batch, then forward the batch whole so the
-    /// inner backend's native fast path still runs. Per-op visibility in
-    /// the trace is preserved: a batch of N ops records N entries,
-    /// exactly as the sequential path would.
+    /// inner backend's native fast path still runs. A batch of N ops
+    /// records N entries and one trip; a per-op call, lowered to a one-op
+    /// batch, records one of each.
     fn submit(&self, batch: &[IoOp]) -> Vec<IoOutcome> {
-        self.record_batch(batch);
+        self.trips.fetch_add(1, Ordering::Relaxed);
+        self.trace.lock().extend(batch.iter().cloned());
         self.inner.submit(batch)
     }
 }
 
-// Allow `Arc<B>` and `&B` to be used wherever a backend is expected, so a
-// single MemFs can be shared by many writer threads.
+// Allow `Arc<B>` to be used wherever a backend is expected, so a single
+// MemFs can be shared by many writer threads. Every method forwards, so
+// an override in `B` (`MemFs::append`) is still reached.
 #[expect(clippy::disallowed_methods, reason = "a forwarding impl")]
 impl<B: Backend + ?Sized> Backend for Arc<B> {
     fn mkdir(&self, path: &str) -> Result<()> {
@@ -331,58 +281,26 @@ impl<B: Backend + ?Sized> Backend for Arc<B> {
     }
 }
 
-// Forwards each method as it is (not as a one-op `submit`): `svc_mixed`
-// sends its writer appends through here.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "a forwarding impl, deleted with Reactor (ROADMAP item 2)"
-)]
 impl<B: Backend> Backend for Reactor<B> {
-    fn mkdir(&self, path: &str) -> Result<()> {
-        self.inner.mkdir(path)
-    }
-    fn mkdir_all(&self, path: &str) -> Result<()> {
-        self.inner.mkdir_all(path)
-    }
-    fn create(&self, path: &str, exclusive: bool) -> Result<()> {
-        self.inner.create(path, exclusive)
-    }
-    fn append(&self, path: &str, content: &Content) -> Result<u64> {
-        self.inner.append(path, content)
-    }
-    fn read_at(&self, path: &str, offset: u64, len: u64) -> Result<Content> {
-        self.inner.read_at(path, offset, len)
-    }
-    fn size(&self, path: &str) -> Result<u64> {
-        self.inner.size(path)
-    }
-    fn kind(&self, path: &str) -> Result<NodeKind> {
-        self.inner.kind(path)
-    }
-    fn exists(&self, path: &str) -> bool {
-        self.inner.exists(path)
-    }
-    fn list(&self, path: &str) -> Result<Vec<String>> {
-        self.inner.list(path)
-    }
-    fn unlink(&self, path: &str) -> Result<()> {
-        self.inner.unlink(path)
-    }
-    fn remove_all(&self, path: &str) -> Result<()> {
-        self.inner.remove_all(path)
-    }
-    fn rename(&self, from: &str, to: &str) -> Result<()> {
-        self.inner.rename(from, to)
-    }
     fn submit(&self, batch: &[IoOp]) -> Vec<IoOutcome> {
         self.inner.submit(batch)
     }
+
+    // Forwarded as it is, not as a one-op `submit`: `svc_mixed` sends
+    // its writers' per-write appends through here.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a forwarding impl, deleted with Reactor (ROADMAP item 2)"
+    )]
+    fn append(&self, path: &str, content: &Content) -> Result<u64> {
+        self.inner.append(path, content)
+    }
 }
 
-/// The one hand-written test double: runs `gate` on every op — spelled
-/// as the [`IoOp`] it is — and forwards to `inner` only if the gate
-/// passes, so a test injects faults, delays or counters with a closure
-/// instead of a fresh eleven-method `impl Backend`.
+/// The one hand-written test double: runs `gate` on every op and forwards
+/// the op to `inner` only if the gate passes, so a test injects faults,
+/// delays or counters with a closure over an [`IoOp`] instead of a fresh
+/// `impl Backend`.
 #[cfg(test)]
 pub(crate) struct Gated<B, F> {
     pub(crate) inner: B,
@@ -390,52 +308,92 @@ pub(crate) struct Gated<B, F> {
 }
 
 #[cfg(test)]
-impl<B: Backend, F: Fn(&IoOp) -> Result<()> + Send + Sync> Gated<B, F> {
-    fn run(&self, op: IoOp) -> IoOutcome {
-        (self.gate)(&op)?;
-        ioplane::dispatch_one(&self.inner, &op)
+impl<B: Backend, F: Fn(&IoOp) -> Result<()> + Send + Sync> Backend for Gated<B, F> {
+    fn submit(&self, batch: &[IoOp]) -> Vec<IoOutcome> {
+        batch
+            .iter()
+            .map(|op| {
+                (self.gate)(op)?;
+                ioplane::lower(&self.inner, op)
+            })
+            .collect()
     }
 }
 
+/// Issue `op` through the per-op method that names it, for a test to set
+/// beside the same op in a batch.
 #[cfg(test)]
-impl<B: Backend, F: Fn(&IoOp) -> Result<()> + Send + Sync> Backend for Gated<B, F> {
-    fn mkdir(&self, path: &str) -> Result<()> {
-        ioplane::as_unit(self.run(IoOp::Mkdir { path: path.into() }))
+pub(crate) fn per_op_call<B: Backend + ?Sized>(b: &B, op: &IoOp) -> IoOutcome {
+    use ioplane::IoValue::{Data, Kind, Names, Offset, Size, Unit};
+    match op {
+        IoOp::Mkdir { path } => b.mkdir(path).map(|()| Unit),
+        IoOp::MkdirAll { path } => b.mkdir_all(path).map(|()| Unit),
+        IoOp::Create { path, exclusive } => b.create(path, *exclusive).map(|()| Unit),
+        IoOp::Append { path, content } => b.append(path, content).map(Offset),
+        IoOp::ReadAt { path, offset, len } => b.read_at(path, *offset, *len).map(Data),
+        IoOp::Size { path } => b.size(path).map(Size),
+        IoOp::Kind { path } => b.kind(path).map(Kind),
+        IoOp::Readdir { path } => b.list(path).map(Names),
+        IoOp::Unlink { path } => b.unlink(path).map(|()| Unit),
+        IoOp::RemoveAll { path } => b.remove_all(path).map(|()| Unit),
+        IoOp::Rename { from, to } => b.rename(from, to).map(|()| Unit),
     }
-    fn mkdir_all(&self, path: &str) -> Result<()> {
-        ioplane::as_unit(self.run(IoOp::MkdirAll { path: path.into() }))
-    }
-    fn create(&self, path: &str, exclusive: bool) -> Result<()> {
-        let path = path.into();
-        ioplane::as_unit(self.run(IoOp::Create { path, exclusive }))
-    }
-    fn append(&self, path: &str, content: &Content) -> Result<u64> {
-        let (path, content) = (path.into(), content.clone());
-        ioplane::as_offset(self.run(IoOp::Append { path, content }))
-    }
-    fn read_at(&self, path: &str, offset: u64, len: u64) -> Result<Content> {
-        let path = path.into();
-        ioplane::as_data(self.run(IoOp::ReadAt { path, offset, len }))
-    }
-    fn size(&self, path: &str) -> Result<u64> {
-        ioplane::as_size(self.run(IoOp::Size { path: path.into() }))
-    }
-    fn kind(&self, path: &str) -> Result<NodeKind> {
-        ioplane::as_kind(self.run(IoOp::Kind { path: path.into() }))
-    }
-    fn list(&self, path: &str) -> Result<Vec<String>> {
-        ioplane::as_names(self.run(IoOp::Readdir { path: path.into() }))
-    }
-    fn unlink(&self, path: &str) -> Result<()> {
-        ioplane::as_unit(self.run(IoOp::Unlink { path: path.into() }))
-    }
-    fn remove_all(&self, path: &str) -> Result<()> {
-        ioplane::as_unit(self.run(IoOp::RemoveAll { path: path.into() }))
-    }
-    fn rename(&self, from: &str, to: &str) -> Result<()> {
-        let (from, to) = (from.into(), to.into());
-        ioplane::as_unit(self.run(IoOp::Rename { from, to }))
-    }
+}
+
+/// Every op kind, with the errors that tell apart ops whose outcomes
+/// look alike, in an order where each runs against what the ones before
+/// it left: the op list of the tests that set one way of issuing an op
+/// beside another.
+#[cfg(test)]
+pub(crate) fn vocabulary() -> Vec<IoOp> {
+    vec![
+        IoOp::Mkdir { path: "/a".into() },
+        // No parent: `Mkdir` refuses what `MkdirAll` would do.
+        IoOp::Mkdir {
+            path: "/x/y".into(),
+        },
+        IoOp::MkdirAll {
+            path: "/a/b/c".into(),
+        },
+        IoOp::Create {
+            path: "/a/b/f".into(),
+            exclusive: true,
+        },
+        IoOp::Create {
+            path: "/a/b/f".into(),
+            exclusive: true,
+        },
+        IoOp::Append {
+            path: "/a/b/f".into(),
+            content: Content::bytes(vec![1, 2, 3]),
+        },
+        IoOp::ReadAt {
+            path: "/a/b/f".into(),
+            offset: 1,
+            len: 5,
+        },
+        IoOp::Size {
+            path: "/a/b/f".into(),
+        },
+        IoOp::Kind {
+            path: "/a/b".into(),
+        },
+        IoOp::Size {
+            path: "/a/b".into(),
+        },
+        IoOp::Readdir {
+            path: "/a/b".into(),
+        },
+        IoOp::Rename {
+            from: "/a/b/f".into(),
+            to: "/a/g".into(),
+        },
+        // A directory: both sides refuse it alike.
+        IoOp::Unlink {
+            path: "/a/b".into(),
+        },
+        IoOp::RemoveAll { path: "/a".into() },
+    ]
 }
 
 #[cfg(test)]
@@ -447,34 +405,23 @@ mod tests {
     #[test]
     fn tracing_records_the_io_plane_vocabulary() {
         let t = TracingBackend::new(MemFs::new());
-        t.mkdir_all("/a/b").unwrap();
-        t.create("/a/b/f", true).unwrap();
-        t.append("/a/b/f", &Content::bytes(vec![1, 2, 3])).unwrap();
-        t.read_at("/a/b/f", 0, 2).unwrap();
-        let trace = t.take_trace();
-        assert_eq!(
-            trace,
-            vec![
-                IoOp::MkdirAll {
-                    path: "/a/b".into()
-                },
-                IoOp::Create {
-                    path: "/a/b/f".into(),
-                    exclusive: true
-                },
-                IoOp::Append {
-                    path: "/a/b/f".into(),
-                    content: Content::bytes(vec![1, 2, 3])
-                },
-                IoOp::ReadAt {
-                    path: "/a/b/f".into(),
-                    offset: 0,
-                    len: 2
-                },
-            ]
-        );
-        // take_trace drains.
-        assert!(t.take_trace().is_empty());
+        let direct = MemFs::new();
+        let ops = vocabulary();
+        // Each per-op method, lowered to a one-op `submit`, answers as
+        // the same call on a plain `MemFs` does, and is one trace entry
+        // and one trip (`take_trace` drains).
+        for op in &ops {
+            let trips = t.trips();
+            let (got, want) = (per_op_call(&t, op), per_op_call(&direct, op));
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{op:?}");
+            let trace = t.take_trace();
+            assert_eq!(trace, std::slice::from_ref(op), "{op:?} is one entry");
+            assert_eq!(t.trips(), trips + 1, "{op:?} is one trip");
+        }
+        // The twelfth, `exists`, is a retried `Kind` probe.
+        assert_eq!(t.exists("/a"), direct.exists("/a"));
+        assert_eq!(t.take_trace(), [IoOp::Kind { path: "/a".into() }]);
+        assert_eq!(t.trips(), ops.len() as u64 + 1);
     }
 
     #[test]
@@ -513,7 +460,10 @@ mod tests {
             inner: MemFs::new(),
             gate: move |op: &IoOp| Err(err(op.path().into())),
         };
-        assert!(!failing(PlfsError::NotFound).exists("/f"), "NotFound means absent");
+        assert!(
+            !failing(PlfsError::NotFound).exists("/f"),
+            "NotFound means absent"
+        );
         assert!(
             failing(PlfsError::Io).exists("/f"),
             "a permission error is not evidence of absence"

@@ -3,26 +3,27 @@
 //! PLFS exists to survive failure: a checkpoint layer that is only correct
 //! on the happy path is not a checkpoint layer. [`FaultBackend`] wraps any
 //! [`Backend`] and injects seeded, reproducible failures on the data path
-//! (`append`/`read_at`), where the middleware installs its bounded
+//! (`Append`/`ReadAt` ops), where the middleware installs its bounded
 //! retries:
 //!
 //! * **transient errors** ([`PlfsError::Transient`]) — the operation had
 //!   no effect and may be retried; models dropped RPCs and storage-server
 //!   failover.
-//! * **torn appends** — a strict prefix of the [`Content`] lands before
-//!   the failure; models a node dying mid-stream or a partial RPC. The
-//!   caller observes an error but the log has grown. Index-log tears leave
-//!   the truncated records `fsck` repairs; data-log tears leave dead bytes
-//!   no index entry will ever reference.
+//! * **torn appends** — a strict prefix of the
+//!   [`Content`](crate::content::Content) lands before the failure;
+//!   models a node dying mid-stream or a partial RPC. The caller observes
+//!   an error but the log has grown. Index-log tears leave the truncated
+//!   records `fsck` repairs; data-log tears leave dead bytes no index
+//!   entry will ever reference.
 //!
 //! All randomness comes from a single seeded generator behind a mutex, so
 //! a `(seed, schedule)` pair replays byte-identically. Crash points are
 //! not sampled here: `tests/crash_states.rs` enumerates every prefix of a
 //! recorded trace instead (DESIGN.md §5c).
 
-use crate::backend::{Backend, NodeKind};
-use crate::content::Content;
+use crate::backend::Backend;
 use crate::error::{PlfsError, Result};
+use crate::ioplane::{self, IoOp, IoOutcome};
 use parking_lot::Mutex;
 use rand::{Rng, SeedableRng};
 
@@ -141,74 +142,52 @@ impl<B: Backend> FaultBackend<B> {
         }
         Ok(None)
     }
-}
 
-#[expect(
-    clippy::disallowed_methods,
-    reason = "a forwarding wrapper: each op reaches the same method inside, faulted or not"
-)]
-impl<B: Backend> Backend for FaultBackend<B> {
-    fn mkdir(&self, path: &str) -> Result<()> {
-        self.inner.mkdir(path)
-    }
-
-    fn mkdir_all(&self, path: &str) -> Result<()> {
-        self.inner.mkdir_all(path)
-    }
-
-    fn create(&self, path: &str, exclusive: bool) -> Result<()> {
-        self.inner.create(path, exclusive)
-    }
-
-    /// A torn append lands `frac` of the content (rounded down, strictly
-    /// less than all of it), then fails.
-    fn append(&self, path: &str, content: &Content) -> Result<u64> {
-        let Some(frac) = self.data_gate(true, "append", path)? else {
-            return self.inner.append(path, content);
+    /// One op: metadata passes straight through, a data op meets
+    /// `data_gate` first, and a torn append lands `frac` of its content
+    /// (rounded down, strictly less than all of it), then fails.
+    fn run(&self, op: &IoOp) -> IoOutcome {
+        let torn = match op {
+            IoOp::Append { path, content } => self
+                .data_gate(true, "append", path)?
+                .map(|frac| (path, content, frac)),
+            IoOp::ReadAt { path, .. } => {
+                self.data_gate(false, "read_at", path)?;
+                None
+            }
+            _ => None,
+        };
+        let Some((path, content, frac)) = torn else {
+            return ioplane::lower(&self.inner, op);
         };
         let keep = ((content.len() as f64 * frac) as u64).min(content.len().saturating_sub(1));
         if keep > 0 {
-            self.inner.append(path, &content.slice(0, keep))?;
+            let (path, content) = (path.clone(), content.slice(0, keep));
+            ioplane::lower(&self.inner, &IoOp::Append { path, content })?;
         }
         Err(PlfsError::Io(format!(
             "torn append: {keep} of {} bytes landed on {path}",
             content.len()
         )))
     }
+}
 
-    fn read_at(&self, path: &str, offset: u64, len: u64) -> Result<Content> {
-        self.data_gate(false, "read_at", path)?;
-        self.inner.read_at(path, offset, len)
-    }
-
-    fn size(&self, path: &str) -> Result<u64> {
-        self.inner.size(path)
-    }
-
-    fn kind(&self, path: &str) -> Result<NodeKind> {
-        self.inner.kind(path)
-    }
-
-    fn list(&self, path: &str) -> Result<Vec<String>> {
-        self.inner.list(path)
-    }
-
-    fn unlink(&self, path: &str) -> Result<()> {
-        self.inner.unlink(path)
-    }
-
-    fn remove_all(&self, path: &str) -> Result<()> {
-        self.inner.remove_all(path)
-    }
-
-    fn rename(&self, from: &str, to: &str) -> Result<()> {
-        self.inner.rename(from, to)
+impl<B: Backend> Backend for FaultBackend<B> {
+    /// Gate each op in batch order and forward it to `inner` as soon as
+    /// its gate decides, one op per inner `submit`: the schedule a seed
+    /// draws does not depend on how the ops were batched, and a torn
+    /// append lands its prefix before the ops after it run.
+    fn submit(&self, batch: &[IoOp]) -> Vec<IoOutcome> {
+        batch.iter().map(|op| self.run(op)).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::per_op_call;
+    use crate::content::Content;
+    use crate::ioplane::IoValue;
     use crate::memfs::MemFs;
 
     fn file(b: &impl Backend, path: &str) {
@@ -227,22 +206,79 @@ mod tests {
 
     #[test]
     fn same_seed_injects_identical_schedules() {
-        let run = |seed: u64| {
+        // Each append is followed by an ungated size probe and a read.
+        let ops: Vec<IoOp> = (0..200u64)
+            .flat_map(|i| {
+                let path = if i % 3 == 0 { "/y" } else { "/x" };
+                [
+                    IoOp::Append {
+                        path: path.into(),
+                        content: Content::synthetic(i, 64),
+                    },
+                    IoOp::Size { path: path.into() },
+                    IoOp::ReadAt {
+                        path: path.into(),
+                        offset: i * 16,
+                        len: 64,
+                    },
+                ]
+            })
+            .collect();
+        // The same ops as one batch (0), as one-op batches (1), or as
+        // per-op calls lowered through `submit` (2).
+        let run = |seed: u64, arrival: u8| {
             let f = FaultBackend::new(MemFs::new(), FaultConfig::flaky(seed));
             file(&f, "/x");
-            let mut outcomes = Vec::new();
-            for i in 0..200u64 {
-                outcomes.push(f.append("/x", &Content::synthetic(i, 64)).is_ok());
-            }
-            (outcomes, f.stats())
+            file(&f, "/y");
+            let outcomes: Vec<IoOutcome> = match arrival {
+                0 => f.submit(&ops),
+                1 => ops
+                    .iter()
+                    .flat_map(|op| f.submit(std::slice::from_ref(op)))
+                    .collect(),
+                _ => ops.iter().map(|op| per_op_call(&f, op)).collect(),
+            };
+            let bytes = ["/x", "/y"].map(|p| f.inner().read_at(p, 0, 1 << 20).unwrap());
+            (outcomes, f.stats(), bytes)
         };
-        let (a, sa) = run(42);
-        let (b, sb) = run(42);
-        assert_eq!(a, b);
-        assert_eq!(sa, sb);
-        let (c, _) = run(43);
-        assert_ne!(a, c, "different seeds should differ");
-        assert!(sa.transients > 0, "flaky schedule injected nothing");
+        let sigs = |o: &[IoOutcome]| o.iter().map(|o| format!("{o:?}")).collect::<Vec<_>>();
+        let (a, sa, bytes) = run(42, 0);
+        for arrival in [1, 2] {
+            let (b, sb, bytes_b) = run(42, arrival);
+            assert_eq!(sigs(&a), sigs(&b), "outcomes, arrival {arrival}");
+            assert_eq!(sa, sb, "fault stats, arrival {arrival}");
+            assert_eq!(bytes, bytes_b, "final bytes, arrival {arrival}");
+        }
+        let (c, _, _) = run(43, 0);
+        assert_ne!(sigs(&a), sigs(&c), "different seeds should differ");
+
+        // Every op was gated before it reached the backend: an injected
+        // transient left its file's size alone, a torn append landed a
+        // strict prefix before the probe after it ran, and reads fault too.
+        let is_transient = |o: &IoOutcome| matches!(o, Err(PlfsError::Transient(_)));
+        let mut size = [0u64; 2];
+        for (op, out) in ops.chunks(3).zip(a.chunks(3)) {
+            let f = usize::from(op[0].path() == "/y");
+            let Ok(IoValue::Size(now)) = out[1] else {
+                panic!("size probe failed: {:?}", out[1]);
+            };
+            match &out[0] {
+                Ok(IoValue::Offset(at)) => assert_eq!((*at, now), (size[f], size[f] + 64)),
+                Err(PlfsError::Transient(_)) => assert_eq!(now, size[f]),
+                torn => {
+                    assert!(matches!(torn, Err(PlfsError::Io(_))), "{torn:?}");
+                    assert!(size[f] <= now && now < size[f] + 64);
+                }
+            }
+            size[f] = now;
+        }
+        let transients = a.iter().filter(|o| is_transient(o)).count() as u64;
+        assert_eq!(sa.transients, transients);
+        assert!(sa.torn_appends > 0, "flaky schedule tore nothing");
+        assert!(
+            a.iter().skip(2).step_by(3).any(is_transient),
+            "no read was gated"
+        );
     }
 
     #[test]

@@ -18,10 +18,10 @@
 //!   structurally comparable.
 //! * [`Backend::submit`] executes a batch **in order** with per-op
 //!   outcomes: a failed op never aborts the ops after it (partial-batch
-//!   outcomes, no all-or-nothing semantics). The default implementation
-//!   is sequential; `MemFs` executes a whole batch under a single lock
-//!   acquisition and `LocalFs` groups adjacent same-file appends and
-//!   reads over one descriptor.
+//!   outcomes, no all-or-nothing semantics). It is the one method a
+//!   backend implements; `MemFs` executes a whole batch under a single
+//!   lock acquisition and `LocalFs` groups adjacent same-file appends
+//!   and reads over one descriptor.
 //! * [`submit_retried`] is the plane's entry point for middleware call
 //!   sites: it layers bounded per-op transient retry **and** the global
 //!   op counters on top of any backend. Retries re-submit only the ops
@@ -182,32 +182,9 @@ pub enum IoValue {
     Names(Vec<String>),
 }
 
-/// Per-op outcome of a batch: exactly what the equivalent sequential
-/// [`Backend`] call would have returned.
+/// Per-op outcome of a batch: exactly what the same op alone in a batch
+/// would have returned.
 pub type IoOutcome = Result<IoValue>;
-
-/// Execute a single op against a backend's per-op methods. This is the
-/// default [`Backend::submit`] in loop form and the shared fallback for
-/// native batched backends when an op has no fast path.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the one place an IoOp becomes a per-op Backend call"
-)]
-pub fn dispatch_one<B: Backend + ?Sized>(b: &B, op: &IoOp) -> IoOutcome {
-    match op {
-        IoOp::Mkdir { path } => b.mkdir(path).map(|()| IoValue::Unit),
-        IoOp::MkdirAll { path } => b.mkdir_all(path).map(|()| IoValue::Unit),
-        IoOp::Create { path, exclusive } => b.create(path, *exclusive).map(|()| IoValue::Unit),
-        IoOp::Append { path, content } => b.append(path, content).map(IoValue::Offset),
-        IoOp::ReadAt { path, offset, len } => b.read_at(path, *offset, *len).map(IoValue::Data),
-        IoOp::Size { path } => b.size(path).map(IoValue::Size),
-        IoOp::Kind { path } => b.kind(path).map(IoValue::Kind),
-        IoOp::Readdir { path } => b.list(path).map(IoValue::Names),
-        IoOp::Unlink { path } => b.unlink(path).map(|()| IoValue::Unit),
-        IoOp::RemoveAll { path } => b.remove_all(path).map(|()| IoValue::Unit),
-        IoOp::Rename { from, to } => b.rename(from, to).map(|()| IoValue::Unit),
-    }
-}
 
 // ---------------------------------------------------------------------
 // Outcome accessors: call sites know which op they built at each index,
@@ -266,6 +243,13 @@ pub fn as_names(o: IoOutcome) -> Result<Vec<String>> {
         IoValue::Names(n) => Ok(n),
         v => Err(mismatch("names", &v)),
     }
+}
+
+/// Submit `op` to `b` as a one-op batch, unretried and uncounted, and
+/// take its outcome: the lowering behind every provided per-op
+/// [`Backend`] method, and one step of [`replay`].
+pub(crate) fn lower<B: Backend + ?Sized>(b: &B, op: &IoOp) -> IoOutcome {
+    take(&mut b.submit(std::slice::from_ref(op)).into_iter())
 }
 
 /// Pull the next outcome from a consumed batch result. `submit` returns
@@ -430,13 +414,15 @@ pub fn exists<B: Backend + ?Sized>(b: &B, path: &str) -> bool {
     )
 }
 
-/// Replay a recorded op sequence against a backend, one op per batch —
-/// the structural inverse of tracing. Because `Append` ops carry their
-/// content, replaying a `TracingBackend` recording onto a fresh backend
-/// reproduces the original file state and (re-traced) the identical op
-/// sequence; `tests/trace_fidelity.rs` pins that round trip.
+/// Replay a recorded op sequence against a backend, one op per
+/// [`Backend::submit`] — the structural inverse of tracing, and the
+/// sequential reference a native batched `submit` must match. Because
+/// `Append` ops carry their content, replaying a `TracingBackend`
+/// recording onto a fresh backend reproduces the original file state and
+/// (re-traced) the identical op sequence; `tests/trace_fidelity.rs` pins
+/// that round trip.
 pub fn replay<B: Backend + ?Sized>(b: &B, ops: &[IoOp]) -> Vec<IoOutcome> {
-    ops.iter().map(|op| dispatch_one(b, op)).collect()
+    ops.iter().map(|op| lower(b, op)).collect()
 }
 
 // ---------------------------------------------------------------------
@@ -575,7 +561,7 @@ mod tests {
     }
 
     #[test]
-    fn default_submit_matches_sequential_calls() {
+    fn submit_returns_one_value_per_op() {
         let b = MemFs::new();
         let batch = vec![
             IoOp::MkdirAll {

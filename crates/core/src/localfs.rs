@@ -8,7 +8,7 @@
 use crate::backend::{Backend, NodeKind};
 use crate::content::Content;
 use crate::error::{PlfsError, Result};
-use crate::ioplane::{self, IoOp, IoOutcome, IoValue};
+use crate::ioplane::{IoOp, IoOutcome, IoValue};
 use crate::path::{parent, try_normalize};
 use std::fs;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -95,7 +95,7 @@ impl LocalFs {
                 // the run re-dispatches so each op observes its own error.
                 out.push(Err(e));
                 for op in &run[1..] {
-                    out.push(ioplane::dispatch_one(self, op));
+                    out.push(self.os_apply(op));
                 }
                 return;
             }
@@ -105,7 +105,7 @@ impl LocalFs {
             Err(e) => {
                 out.push(Err(e.into()));
                 for op in &run[1..] {
-                    out.push(ioplane::dispatch_one(self, op));
+                    out.push(self.os_apply(op));
                 }
                 return;
             }
@@ -126,7 +126,7 @@ impl LocalFs {
                     out.push(Err(e.into()));
                     drop(f);
                     for rest in &run[i + 1..] {
-                        out.push(ioplane::dispatch_one(self, rest));
+                        out.push(self.os_apply(rest));
                     }
                     return;
                 }
@@ -155,7 +155,7 @@ impl LocalFs {
             Err(e) => {
                 out.push(Err(e));
                 for op in &run[1..] {
-                    out.push(ioplane::dispatch_one(self, op));
+                    out.push(self.os_apply(op));
                 }
                 return;
             }
@@ -178,15 +178,17 @@ impl LocalFs {
             out.push(outcome);
         }
     }
-}
 
-impl Backend for LocalFs {
-    fn mkdir(&self, path: &str) -> Result<()> {
+    // One helper per op, behind `os_apply`. They are not `do_*` as in
+    // `MemFs`: `plfs-lint` resolves a call by its bare name, and a shared
+    // name would have `MemFs`'s lock-holding `apply` reach these syscalls.
+
+    fn os_mkdir(&self, path: &str) -> Result<()> {
         let host = self.host(path)?;
         fs::create_dir(&host).map_err(|e| Self::os_err_adding(e, &host, path))
     }
 
-    fn mkdir_all(&self, path: &str) -> Result<()> {
+    fn os_mkdir_all(&self, path: &str) -> Result<()> {
         let host = self.host(path)?;
         fs::create_dir_all(&host).map_err(|e| {
             // A file where a directory is needed, at the path or above it.
@@ -201,7 +203,7 @@ impl Backend for LocalFs {
         })
     }
 
-    fn create(&self, path: &str, exclusive: bool) -> Result<()> {
+    fn os_create(&self, path: &str, exclusive: bool) -> Result<()> {
         let host = self.host(path)?;
         let res = fs::OpenOptions::new()
             .write(true)
@@ -219,7 +221,7 @@ impl Backend for LocalFs {
         }
     }
 
-    fn append(&self, path: &str, content: &Content) -> Result<u64> {
+    fn os_append(&self, path: &str, content: &Content) -> Result<u64> {
         let host = self.host(path)?;
         if !host.is_file() {
             return Err(Self::not_a_file(&host, path));
@@ -230,7 +232,7 @@ impl Backend for LocalFs {
         Ok(off)
     }
 
-    fn read_at(&self, path: &str, offset: u64, len: u64) -> Result<Content> {
+    fn os_read_at(&self, path: &str, offset: u64, len: u64) -> Result<Content> {
         let host = self.host(path)?;
         if host.is_dir() {
             return Err(PlfsError::WrongKind {
@@ -248,7 +250,7 @@ impl Backend for LocalFs {
         Ok(Content::bytes(buf))
     }
 
-    fn size(&self, path: &str) -> Result<u64> {
+    fn os_size(&self, path: &str) -> Result<u64> {
         let host = self.host(path)?;
         let md = fs::metadata(&host).map_err(|e| Self::os_err(e, path))?;
         if md.is_dir() {
@@ -260,7 +262,7 @@ impl Backend for LocalFs {
         Ok(md.len())
     }
 
-    fn kind(&self, path: &str) -> Result<NodeKind> {
+    fn os_kind(&self, path: &str) -> Result<NodeKind> {
         let host = self.host(path)?;
         let md = fs::metadata(&host).map_err(|e| Self::os_err(e, path))?;
         Ok(if md.is_dir() {
@@ -270,7 +272,7 @@ impl Backend for LocalFs {
         })
     }
 
-    fn list(&self, path: &str) -> Result<Vec<String>> {
+    fn os_list(&self, path: &str) -> Result<Vec<String>> {
         let host = self.host(path)?;
         if host.is_file() {
             return Err(PlfsError::WrongKind {
@@ -287,7 +289,7 @@ impl Backend for LocalFs {
         Ok(names)
     }
 
-    fn unlink(&self, path: &str) -> Result<()> {
+    fn os_unlink(&self, path: &str) -> Result<()> {
         let host = self.host(path)?;
         if host.is_dir() {
             return Err(PlfsError::WrongKind {
@@ -298,7 +300,7 @@ impl Backend for LocalFs {
         fs::remove_file(&host).map_err(|e| Self::os_err(e, path))
     }
 
-    fn remove_all(&self, path: &str) -> Result<()> {
+    fn os_remove_all(&self, path: &str) -> Result<()> {
         let host = self.host(path)?;
         if !host.exists() {
             return Err(PlfsError::NotFound(path.to_string()));
@@ -311,7 +313,7 @@ impl Backend for LocalFs {
         Ok(())
     }
 
-    fn rename(&self, from: &str, to: &str) -> Result<()> {
+    fn os_rename(&self, from: &str, to: &str) -> Result<()> {
         let from_host = self.host(from)?;
         let to_host = self.host(to)?;
         // The OS says EINVAL here too, but as an untyped `Io`; `MemFs`
@@ -330,41 +332,62 @@ impl Backend for LocalFs {
         fs::rename(&from_host, &to_host).map_err(|e| Self::os_err(e, to))
     }
 
+    /// Execute one op: what `submit` runs outside its append and read
+    /// runs, and what a run falls back to once an op in it has failed.
+    fn os_apply(&self, op: &IoOp) -> IoOutcome {
+        match op {
+            IoOp::Mkdir { path } => self.os_mkdir(path).map(|()| IoValue::Unit),
+            IoOp::MkdirAll { path } => self.os_mkdir_all(path).map(|()| IoValue::Unit),
+            IoOp::Create { path, exclusive } => {
+                self.os_create(path, *exclusive).map(|()| IoValue::Unit)
+            }
+            IoOp::Append { path, content } => self.os_append(path, content).map(IoValue::Offset),
+            IoOp::ReadAt { path, offset, len } => {
+                self.os_read_at(path, *offset, *len).map(IoValue::Data)
+            }
+            IoOp::Size { path } => self.os_size(path).map(IoValue::Size),
+            IoOp::Kind { path } => self.os_kind(path).map(IoValue::Kind),
+            IoOp::Readdir { path } => self.os_list(path).map(IoValue::Names),
+            IoOp::Unlink { path } => self.os_unlink(path).map(|()| IoValue::Unit),
+            IoOp::RemoveAll { path } => self.os_remove_all(path).map(|()| IoValue::Unit),
+            IoOp::Rename { from, to } => self.os_rename(from, to).map(|()| IoValue::Unit),
+        }
+    }
+}
+
+impl Backend for LocalFs {
     /// Native batched fast path: adjacent same-path appends share one
     /// open descriptor (the log-append pattern of `WriteHandle` flush)
     /// and adjacent same-path reads share one open + metadata fetch
-    /// (the coalesced-read pattern of `ReadHandle`). Other ops dispatch
-    /// individually; outcomes are identical to the sequential path.
+    /// (the coalesced-read pattern of `ReadHandle`). A lone op runs
+    /// through `os_apply`, so a one-op batch is the sequential reference
+    /// the runs are checked against; outcomes are identical either way.
     fn submit(&self, batch: &[IoOp]) -> Vec<IoOutcome> {
         let mut out = Vec::with_capacity(batch.len());
         let mut i = 0;
         while i < batch.len() {
-            match &batch[i] {
-                IoOp::Append { path, .. } => {
-                    let mut j = i + 1;
-                    while j < batch.len()
-                        && matches!(&batch[j], IoOp::Append { path: p, .. } if p == path)
-                    {
-                        j += 1;
-                    }
-                    self.append_run(path, &batch[i..j], &mut out);
-                    i = j;
+            let op = &batch[i];
+            let same_run = |next: &IoOp| match (op, next) {
+                (IoOp::Append { path, .. }, IoOp::Append { path: p, .. })
+                | (IoOp::ReadAt { path, .. }, IoOp::ReadAt { path: p, .. }) => p == path,
+                _ => false,
+            };
+            let j = i
+                + 1
+                + batch[i + 1..]
+                    .iter()
+                    .take_while(|next| same_run(next))
+                    .count();
+            match op {
+                IoOp::Append { path, .. } if j > i + 1 => {
+                    self.append_run(path, &batch[i..j], &mut out)
                 }
-                IoOp::ReadAt { path, .. } => {
-                    let mut j = i + 1;
-                    while j < batch.len()
-                        && matches!(&batch[j], IoOp::ReadAt { path: p, .. } if p == path)
-                    {
-                        j += 1;
-                    }
-                    self.read_run(path, &batch[i..j], &mut out);
-                    i = j;
+                IoOp::ReadAt { path, .. } if j > i + 1 => {
+                    self.read_run(path, &batch[i..j], &mut out)
                 }
-                op => {
-                    out.push(ioplane::dispatch_one(self, op));
-                    i += 1;
-                }
+                _ => out.push(self.os_apply(op)),
             }
+            i = j;
         }
         out
     }

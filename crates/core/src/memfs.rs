@@ -11,7 +11,7 @@
 //! which is what makes batched ≡ sequential, and so a replayed trace
 //! prefix exactly the state a crash there leaves. **Cost contract:** a point op is one hash lookup of the
 //! full path (plus the parent's when a name is added or dropped), and
-//! `append` / `read_at` / `size` / `kind` allocate nothing for a path
+//! `Append` / `ReadAt` / `Size` / `Kind` allocate nothing for a path
 //! that arrives normalized; `remove_all` and `rename` walk the child
 //! sets down from the target — O(subtree), never a scan of the map;
 //! `append` copies each payload byte once.
@@ -98,9 +98,8 @@ impl MemFs {
         Ok(())
     }
 
-    // Per-op logic over an already-locked tree, shared between the
-    // one-lock-per-call trait methods and the one-lock-per-batch
-    // `submit` fast path.
+    // Per-op logic over an already-locked tree, run by the
+    // one-lock-per-batch `submit` (and by `append` alone).
 
     fn do_mkdir(nodes: &mut HashMap<String, Node>, path: &str) -> Result<()> {
         let path = try_normalize(path)?;
@@ -342,50 +341,6 @@ impl MemFs {
 }
 
 impl Backend for MemFs {
-    fn mkdir(&self, path: &str) -> Result<()> {
-        Self::do_mkdir(&mut self.nodes.write(), path)
-    }
-
-    fn mkdir_all(&self, path: &str) -> Result<()> {
-        Self::do_mkdir_all(&mut self.nodes.write(), path)
-    }
-
-    fn create(&self, path: &str, exclusive: bool) -> Result<()> {
-        Self::do_create(&mut self.nodes.write(), path, exclusive)
-    }
-
-    fn append(&self, path: &str, content: &Content) -> Result<u64> {
-        Self::do_append(&mut self.nodes.write(), path, content)
-    }
-
-    fn read_at(&self, path: &str, offset: u64, len: u64) -> Result<Content> {
-        Self::do_read_at(&self.nodes.read(), path, offset, len)
-    }
-
-    fn size(&self, path: &str) -> Result<u64> {
-        Self::do_size(&self.nodes.read(), path)
-    }
-
-    fn kind(&self, path: &str) -> Result<NodeKind> {
-        Self::do_kind(&self.nodes.read(), path)
-    }
-
-    fn list(&self, path: &str) -> Result<Vec<String>> {
-        Self::do_list(&self.nodes.read(), path)
-    }
-
-    fn unlink(&self, path: &str) -> Result<()> {
-        Self::do_unlink(&mut self.nodes.write(), path)
-    }
-
-    fn remove_all(&self, path: &str) -> Result<()> {
-        Self::do_remove_all(&mut self.nodes.write(), path)
-    }
-
-    fn rename(&self, from: &str, to: &str) -> Result<()> {
-        Self::do_rename(&mut self.nodes.write(), from, to)
-    }
-
     /// Native batched fast path: the whole batch runs under a single
     /// lock acquisition — shared if every op is read-only, exclusive
     /// otherwise — instead of one acquisition per op. Outcomes are
@@ -408,6 +363,12 @@ impl Backend for MemFs {
             let mut nodes = self.nodes.write();
             batch.iter().map(|op| Self::apply(&mut nodes, op)).collect()
         }
+    }
+
+    /// The writer's per-write append, served without building an op
+    /// (DESIGN.md §5d).
+    fn append(&self, path: &str, content: &Content) -> Result<u64> {
+        Self::do_append(&mut self.nodes.write(), path, content)
     }
 }
 
@@ -481,6 +442,47 @@ mod tests {
             other => panic!("expected data, got {other:?}"),
         }
         assert!(matches!(out[3], Ok(IoValue::Names(_))));
+    }
+
+    /// `submit` is the only way into a `MemFs`, and the per-op methods
+    /// and `ioplane::replay` lower onto it, so `apply`/`apply_ro` is the
+    /// sequential reference of the batch proptests. This holds that
+    /// op-to-`do_*` mapping to a second one written out here: each op alone
+    /// through `submit` on one tree, its `do_*` on the other.
+    #[test]
+    fn submit_runs_each_op_through_its_own_do_call() {
+        fn direct(fs: &MemFs, op: &IoOp) -> IoOutcome {
+            use IoValue::{Data, Kind, Names, Offset, Size, Unit};
+            let n = &mut *fs.nodes.write();
+            match op {
+                IoOp::Mkdir { path } => MemFs::do_mkdir(n, path).map(|()| Unit),
+                IoOp::MkdirAll { path } => MemFs::do_mkdir_all(n, path).map(|()| Unit),
+                IoOp::Create { path, exclusive } => {
+                    MemFs::do_create(n, path, *exclusive).map(|()| Unit)
+                }
+                IoOp::Append { path, content } => MemFs::do_append(n, path, content).map(Offset),
+                IoOp::ReadAt { path, offset, len } => {
+                    MemFs::do_read_at(n, path, *offset, *len).map(Data)
+                }
+                IoOp::Size { path } => MemFs::do_size(n, path).map(Size),
+                IoOp::Kind { path } => MemFs::do_kind(n, path).map(Kind),
+                IoOp::Readdir { path } => MemFs::do_list(n, path).map(Names),
+                IoOp::Unlink { path } => MemFs::do_unlink(n, path).map(|()| Unit),
+                IoOp::RemoveAll { path } => MemFs::do_remove_all(n, path).map(|()| Unit),
+                IoOp::Rename { from, to } => MemFs::do_rename(n, from, to).map(|()| Unit),
+            }
+        }
+        let state = |fs: &MemFs| {
+            let mut paths: Vec<String> = fs.nodes.read().keys().cloned().collect();
+            paths.sort();
+            (paths, fs.total_bytes())
+        };
+        let (via_submit, via_do) = (MemFs::new(), MemFs::new());
+        for op in crate::backend::vocabulary() {
+            let got = via_submit.submit(std::slice::from_ref(&op));
+            assert_eq!(got, [direct(&via_do, &op)], "{op:?}");
+            assert_eq!(state(&via_submit), state(&via_do), "{op:?}");
+        }
     }
 
     #[test]

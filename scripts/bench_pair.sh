@@ -21,6 +21,17 @@
 # other's, with their ratio: the "where the saving is" table of a
 # results/ record. Without -w, every workload in BENCHMARK.json runs.
 # Takes minutes: not part of tier-1.
+#
+# Two identical sides do not read identically. `HEAD HEAD` on
+# restart_agg_mem at 10 seeds (byte-identical binaries, 2 vCPUs) gave
+# setup_s +1.5% (4 of 10 wins for CHANGE) on seeds 1-10 and -0.6%
+# (5 of 10) on seeds 11-20. But round_ms and p50_us went 7 of 10 to
+# PARENT in the first session and 8 of 10 to CHANGE in the second, with
+# medians about 1% apart and just outside PARENT's quartiles. A 9 of 10
+# setup_s win seen once before did not come back, and nothing in this
+# script tells the sides apart: each side builds at one path, and the
+# runs alternate. The effect comes from the machine, so a win count
+# under 9 of 10 shows nothing here.
 set -euo pipefail
 repo=$(cd "$(dirname "$0")/.." && pwd)
 seeds=10
