@@ -41,7 +41,9 @@ pub enum Content {
 }
 
 impl Content {
-    /// Construct real-byte content from a vector.
+    /// Construct real-byte content from a vector. The content takes the
+    /// vector's buffer as it is — no copy, spare capacity kept — and its
+    /// clones and slices share that buffer.
     pub fn bytes(v: Vec<u8>) -> Self {
         Content::Bytes(Bytes::from(v))
     }

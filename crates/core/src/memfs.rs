@@ -14,7 +14,22 @@
 //! `Append` / `ReadAt` / `Size` / `Kind` allocate nothing for a path
 //! that arrives normalized; `remove_all` and `rename` walk the child
 //! sets down from the target — O(subtree), never a scan of the map;
-//! `append` copies each payload byte once.
+//! `append` copies each payload byte once; a `ReadAt` inside one sealed
+//! chunk copies nothing.
+//!
+//! **A file is sealed chunks and a tail.** Its bytes are a list of full,
+//! immutable 64 KiB chunks held as `Bytes`, then an owned `Vec<u8>`
+//! tail that appends fill in place. A tail grows as a `Vec` does, but
+//! never past 64 KiB, and until the first one fills it is the whole file
+//! (a small file's node is no larger than a plain `Vec`'s); a full tail
+//! is sealed into a chunk without a copy. A `ReadAt` that lies inside
+//! one sealed chunk returns a `Bytes::slice` of it — a refcount bump, so
+//! a restart read's only copy is the reader's into its caller's buffer —
+//! and one that crosses chunks or touches the tail is one copy. A
+//! returned read keeps its bytes whatever later happens to the file
+//! (appends, truncation, unlink, rename): sealed chunks are never written
+//! again, and tail bytes were copied out. The chunks live under the same
+//! `nodes` lock as everything else (DESIGN.md §5i).
 //!
 //! **Why still one lock and a flat map.** Both alternatives were built
 //! and lost on the benchmark at 2 cores (DESIGN.md §5i, the
@@ -32,13 +47,113 @@ use crate::content::Content;
 use crate::error::{PlfsError, Result};
 use crate::ioplane::{IoOp, IoOutcome, IoValue};
 use crate::path::{is_inside, join, parent, try_normalize, try_normalize_cow};
+use bytes::Bytes;
 use parking_lot::RwLock;
 use std::collections::{BTreeSet, HashMap};
 
 #[derive(Debug)]
 enum Node {
-    File(Vec<u8>),
+    File(FileData),
     Dir(BTreeSet<String>),
+}
+
+/// Bytes per sealed chunk of a file.
+const SEAL: usize = 64 << 10;
+
+/// A file's bytes. A file that never filled a chunk is a plain `Vec`, so
+/// a small file's node is no larger than before chunking; from its first
+/// seal on it is sealed chunks and a tail, boxed together.
+#[derive(Debug)]
+enum FileData {
+    Flat(Vec<u8>),
+    Chunked(Box<Chunked>),
+}
+
+/// Chunks of exactly [`SEAL`] bytes each, then a `tail` of fewer.
+#[derive(Debug)]
+struct Chunked {
+    sealed: Vec<Bytes>,
+    tail: Vec<u8>,
+}
+
+impl FileData {
+    /// The sealed chunks and the tail.
+    fn parts(&self) -> (&[Bytes], &[u8]) {
+        match self {
+            FileData::Flat(tail) => (&[], tail),
+            FileData::Chunked(c) => (&c.sealed, &c.tail),
+        }
+    }
+
+    fn len(&self) -> usize {
+        let (sealed, tail) = self.parts();
+        sealed.len() * SEAL + tail.len()
+    }
+
+    /// Truncate to empty. Reads already handed out keep their bytes.
+    fn clear(&mut self) {
+        match self {
+            FileData::Flat(tail) => tail.clear(),
+            FileData::Chunked(_) => *self = FileData::Flat(Vec::new()),
+        }
+    }
+
+    /// Copy `data` onto the end, sealing each tail that fills.
+    fn extend(&mut self, mut data: &[u8]) {
+        while !data.is_empty() {
+            let (sealed, tail) = match self {
+                FileData::Flat(tail) => (None, tail),
+                FileData::Chunked(c) => (Some(&mut c.sealed), &mut c.tail),
+            };
+            let (len, cap) = (tail.len(), tail.capacity());
+            let (now, rest) = data.split_at(data.len().min(SEAL - len));
+            if cap - len < now.len() {
+                // Double as a `Vec` would, but never past a chunk.
+                tail.reserve_exact((2 * cap).max(len + now.len()).clamp(8, SEAL) - len);
+            }
+            tail.extend_from_slice(now);
+            data = rest;
+            if tail.len() == SEAL {
+                let full = Bytes::from(std::mem::take(tail));
+                match sealed {
+                    Some(sealed) => sealed.push(full),
+                    None => {
+                        *self = FileData::Chunked(Box::new(Chunked {
+                            sealed: vec![full],
+                            tail: Vec::new(),
+                        }))
+                    }
+                }
+            }
+        }
+    }
+
+    /// `len` bytes at `offset`, clamped at the end of the file: a slice
+    /// of the sealed chunk that holds them all, else one copy.
+    fn range(&self, offset: u64, len: u64) -> Content {
+        let (sealed, tail) = self.parts();
+        let size = self.len() as u64;
+        let start = offset.min(size) as usize;
+        let end = offset.saturating_add(len).min(size) as usize;
+        if start == end {
+            return Content::Bytes(Bytes::new());
+        }
+        let first = start / SEAL;
+        if first == (end - 1) / SEAL && first < sealed.len() {
+            let base = first * SEAL;
+            return Content::Bytes(sealed[first].slice(start - base..end - base));
+        }
+        let mut out = Vec::with_capacity(end - start);
+        let mut pos = start;
+        while pos < end {
+            let chunk: &[u8] = sealed.get(pos / SEAL).map_or(tail, |c| c);
+            let at = pos % SEAL;
+            let n = (chunk.len() - at).min(end - pos);
+            out.extend_from_slice(&chunk[at..at + n]);
+            pos += n;
+        }
+        Content::bytes(out)
+    }
 }
 
 /// An in-memory file system rooted at `/`.
@@ -69,7 +184,7 @@ impl MemFs {
             .read()
             .values()
             .map(|n| match n {
-                Node::File(b) => b.len() as u64,
+                Node::File(f) => f.len() as u64,
                 Node::Dir(_) => 0,
             })
             .sum()
@@ -134,11 +249,11 @@ impl MemFs {
     fn do_create(nodes: &mut HashMap<String, Node>, path: &str, exclusive: bool) -> Result<()> {
         let path = try_normalize(path)?;
         match nodes.get_mut(&path) {
-            Some(Node::File(bytes)) => {
+            Some(Node::File(file)) => {
                 if exclusive {
                     Err(PlfsError::AlreadyExists(path))
                 } else {
-                    bytes.clear();
+                    file.clear();
                     Ok(())
                 }
             }
@@ -146,16 +261,16 @@ impl MemFs {
                 path,
                 expected: "file",
             }),
-            None => Self::insert_child(nodes, &path, Node::File(Vec::new())),
+            None => Self::insert_child(nodes, &path, Node::File(FileData::Flat(Vec::new()))),
         }
     }
 
     fn do_append(nodes: &mut HashMap<String, Node>, path: &str, content: &Content) -> Result<u64> {
         let path = try_normalize_cow(path)?;
         match nodes.get_mut(path.as_ref()) {
-            Some(Node::File(bytes)) => {
-                let off = bytes.len() as u64;
-                bytes.extend_from_slice(&content.as_bytes());
+            Some(Node::File(file)) => {
+                let off = file.len() as u64;
+                file.extend(&content.as_bytes());
                 Ok(off)
             }
             Some(Node::Dir(_)) => Err(PlfsError::WrongKind {
@@ -174,11 +289,7 @@ impl MemFs {
     ) -> Result<Content> {
         let path = try_normalize_cow(path)?;
         match nodes.get(path.as_ref()) {
-            Some(Node::File(bytes)) => {
-                let start = (offset as usize).min(bytes.len());
-                let end = ((offset + len) as usize).min(bytes.len());
-                Ok(Content::bytes(bytes[start..end].to_vec()))
-            }
+            Some(Node::File(file)) => Ok(file.range(offset, len)),
             Some(Node::Dir(_)) => Err(PlfsError::WrongKind {
                 path: path.into_owned(),
                 expected: "file",
@@ -190,7 +301,7 @@ impl MemFs {
     fn do_size(nodes: &HashMap<String, Node>, path: &str) -> Result<u64> {
         let path = try_normalize_cow(path)?;
         match nodes.get(path.as_ref()) {
-            Some(Node::File(bytes)) => Ok(bytes.len() as u64),
+            Some(Node::File(file)) => Ok(file.len() as u64),
             Some(Node::Dir(_)) => Err(PlfsError::WrongKind {
                 path: path.into_owned(),
                 expected: "file",
@@ -660,7 +771,8 @@ mod tests {
         let fs = crowded(10_000);
         fs.mkdir("/big/c00042x").unwrap();
         let orphan = "/big/c00042/unlisted".to_string();
-        fs.nodes.write().insert(orphan, Node::File(Vec::new()));
+        let empty = Node::File(FileData::Flat(Vec::new()));
+        fs.nodes.write().insert(orphan, empty);
         let nodes = fs.nodes.read();
         assert_eq!(nodes.len(), 40_004);
         assert_eq!(
@@ -745,5 +857,162 @@ mod tests {
         fs.append("/f", &Content::bytes(vec![0; 10])).unwrap();
         assert_eq!(fs.total_bytes(), 10);
         assert_eq!(fs.node_count(), 2); // root + file
+    }
+
+    /// One step of the chunked-storage model test.
+    enum Step {
+        /// Append this many bytes at once.
+        Append(usize),
+        /// Many small appends in a row, so runs of them cross a seal.
+        Burst(Vec<usize>),
+        /// `ReadAt` of `(offset, len)`, kept to be checked at the end.
+        Read(u64, u64),
+        /// Non-exclusive `create`: truncate to empty.
+        Truncate,
+        /// `unlink`, then `create` the path afresh.
+        Unlink,
+        /// `rename` the file to the other name.
+        Rename,
+    }
+
+    fn arb_step() -> impl proptest::Strategy<Value = Step> {
+        use proptest::prelude::*;
+        let seal = SEAL as u64;
+        let sizes = [0, 1, SEAL - 1, SEAL, SEAL + 1, 3 * SEAL + 7];
+        let lens = [0, 1, seal - 1, seal];
+        let size = (0..8usize, 1..300usize);
+        let burst = prop::collection::vec(1..2000usize, 1..120);
+        // Anywhere in six chunks, or a byte either side of a boundary.
+        let offset = (0..2u8, 0..6 * seal, 0..6u64, 0..3u64);
+        let len = (0..6usize, 1..64u64, seal..3 * seal);
+        (0..15u8, size, burst, offset, len).prop_map(
+            move |(kind, (s, small), burst, (aligned, anywhere, k, d), (l, short, long))| {
+                let offset = match aligned {
+                    0 => anywhere,
+                    _ => (k * seal + d).saturating_sub(1),
+                };
+                let len = match l {
+                    4 => short,
+                    5 => long,
+                    i => lens[i],
+                };
+                match kind {
+                    0..=3 => Step::Append(sizes.get(s).copied().unwrap_or(small)),
+                    4..=5 => Step::Burst(burst),
+                    6..=11 => Step::Read(offset, len),
+                    12 => Step::Truncate,
+                    13 => Step::Unlink,
+                    _ => Step::Rename,
+                }
+            },
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Chunked storage against a flat `Vec<u8>`: every size and read
+        /// agrees with the model; a read inside one sealed chunk shares
+        /// it (a second read of the range sees the same buffer) and any
+        /// other read is a private copy; and every read handed out keeps
+        /// its bytes through all that follows it — appends, truncation,
+        /// unlink and rename included.
+        #[test]
+        fn chunked_files_match_a_flat_model(
+            steps in proptest::collection::vec(arb_step(), 1..40)
+        ) {
+            use proptest::prop_assert_eq;
+            let fs = MemFs::new();
+            let (mut path, mut other) = ("/f", "/g");
+            fs.create(path, true).unwrap();
+            let mut model: Vec<u8> = Vec::new();
+            let mut next = 0u64;
+            let mut held: Vec<(Content, Vec<u8>)> = Vec::new();
+            let seal = SEAL as u64;
+            let mut append = |fs: &MemFs, model: &mut Vec<u8>, path: &str, n: usize| {
+                let data: Vec<u8> = (next..next + n as u64).map(|i| (i % 251) as u8).collect();
+                next += n as u64;
+                let off = fs.append(path, &Content::bytes(data.clone())).unwrap();
+                assert_eq!(off, model.len() as u64);
+                model.extend_from_slice(&data);
+            };
+            for step in steps {
+                match step {
+                    Step::Append(n) => append(&fs, &mut model, path, n),
+                    Step::Burst(ns) => {
+                        ns.into_iter().for_each(|n| append(&fs, &mut model, path, n))
+                    }
+                    Step::Read(offset, len) => {
+                        let size = model.len() as u64;
+                        let (start, end) = (offset.min(size), (offset + len).min(size));
+                        let want = model[start as usize..end as usize].to_vec();
+                        let got = fs.read_at(path, offset, len).unwrap();
+                        prop_assert_eq!(got.as_bytes(), &want[..]);
+                        if start < end {
+                            let in_one_chunk = start / seal == (end - 1) / seal
+                                && end <= size - size % seal;
+                            let again = fs.read_at(path, offset, len).unwrap();
+                            let shared = got.as_bytes().as_ptr() == again.as_bytes().as_ptr();
+                            prop_assert_eq!(shared, in_one_chunk, "[{start}, {end}) of {size}");
+                        }
+                        held.push((got, want));
+                    }
+                    Step::Truncate => {
+                        fs.create(path, false).unwrap();
+                        model.clear();
+                    }
+                    Step::Unlink => {
+                        fs.unlink(path).unwrap();
+                        fs.create(path, true).unwrap();
+                        model.clear();
+                    }
+                    Step::Rename => {
+                        fs.rename(path, other).unwrap();
+                        (path, other) = (other, path);
+                    }
+                }
+                prop_assert_eq!(fs.size(path).unwrap(), model.len() as u64);
+            }
+            prop_assert_eq!(fs.read_at(path, 0, u64::MAX).unwrap().as_bytes(), &model[..]);
+            for (content, want) in &held {
+                prop_assert_eq!(content.as_bytes(), &want[..]);
+            }
+        }
+    }
+
+    #[test]
+    fn a_file_node_is_no_larger_than_a_flat_one() {
+        // One `Node` per namespace entry: a `Node::File(Vec<u8>)` beside
+        // `Node::Dir` took a `Vec` and a tag word, and a chunked file
+        // must not grow every entry past that.
+        let flat = std::mem::size_of::<Vec<u8>>() + std::mem::size_of::<usize>();
+        assert!(std::mem::size_of::<Node>() <= flat);
+    }
+
+    #[test]
+    fn a_files_tails_never_outgrow_a_chunk() {
+        // 40 B records double a tail 40, 80, ..., 40,960 B; a plain `Vec`
+        // would go on to 81,920 B before it held a chunk, and the sealed
+        // chunk would keep the spare 16 KiB.
+        let mut file = FileData::Flat(Vec::new());
+        while file.len() + 40 <= SEAL {
+            file.extend(&[7; 40]);
+        }
+        let FileData::Flat(tail) = &file else {
+            panic!("sealed before a chunk filled")
+        };
+        assert_eq!(tail.capacity(), SEAL);
+        file.extend(&[7; 40]);
+        let FileData::Chunked(c) = &file else {
+            panic!("a full chunk was not sealed")
+        };
+        assert_eq!((c.sealed.len(), c.tail.len()), (1, 40 - SEAL % 40));
+        while file.len() + 40 <= 2 * SEAL {
+            file.extend(&[7; 40]);
+        }
+        let FileData::Chunked(c) = &file else {
+            unreachable!("a chunked file stays chunked")
+        };
+        assert_eq!(c.tail.capacity(), SEAL, "later tails double alike");
     }
 }

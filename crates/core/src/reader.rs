@@ -137,7 +137,8 @@ impl<B: Backend> ReadHandle<B> {
     /// Read `len` logical bytes at `offset` as contiguous materialized
     /// bytes. Holes read as zeros; reads past EOF are truncated (POSIX
     /// short read). Each mapping is copied straight out of its coalesced
-    /// read into the one returned buffer.
+    /// read's borrowed bytes into the one returned buffer: the read's
+    /// only copy when the backend shares its storage (`MemFs`).
     pub fn read(&mut self, offset: u64, len: u64) -> Result<Vec<u8>> {
         self.fetch(offset, len)?;
         let s = &self.scratch;
@@ -145,9 +146,9 @@ impl<B: Backend> ReadHandle<B> {
         for (m, &(read, off)) in s.mappings.iter().zip(&s.at) {
             match m.source {
                 Source::Hole => out.resize(out.len() + m.length as usize, 0),
-                Source::Writer { .. } => {
-                    out.extend_from_slice(&s.plan.read(read)?.slice(off, m.length).as_bytes())
-                }
+                Source::Writer { .. } => out.extend_from_slice(
+                    &s.plan.read(read)?.as_bytes()[off as usize..(off + m.length) as usize],
+                ),
             }
         }
         self.scratch.plan.clear();
@@ -426,14 +427,15 @@ mod tests {
     fn a_strided_read_is_one_read_at_per_data_log() {
         use crate::backend::TracingBackend;
         use crate::ioplane::IoOp;
+        use crate::vfs::{Plfs, PlfsConfig};
         let traced = Arc::new(TracingBackend::new(MemFs::new()));
-        let c = Container::new("/f", &Federation::single("/ns", 2));
-        let (writers, blocks, block) = (4u64, 8u64, 64u64);
+        let fs = Plfs::new(Arc::clone(&traced), PlfsConfig::basic("/ns")).unwrap();
+        // 12 KiB blocks: a log's first five lie in its first sealed
+        // 64 KiB `MemFs` chunk, and its last two in the unsealed tail.
+        let (writers, blocks, block) = (4u64, 8u64, 12u64 << 10);
         let mut want = vec![0; (writers * blocks * block) as usize];
         for w in 0..writers {
-            let mut h =
-                WriteHandle::open(Arc::clone(&traced), c.clone(), w, IndexPolicy::WriteClose)
-                    .unwrap();
+            let mut h = fs.open_write("/f", w).unwrap();
             for k in 0..blocks {
                 let data = Content::synthetic(w * 1000 + k, block);
                 let logical = (k * writers + w) * block;
@@ -443,7 +445,7 @@ mod tests {
             }
             h.close(9).unwrap();
         }
-        let mut r = ReadHandle::open(Arc::clone(&traced), c.clone(), logs(&traced, &c, 1));
+        let mut r = fs.open_read("/f").unwrap();
         let len = want.len() as u64;
         for as_pieces in [false, true] {
             traced.take_trace();
@@ -469,6 +471,22 @@ mod tests {
             assert!(data_reads.iter().all(
                 |op| matches!(op, IoOp::ReadAt { offset: 0, len, .. } if *len == blocks * block)
             ));
+        }
+        // Storage is shared through the plane: a piece of a sealed chunk
+        // is the very bytes a direct `read_at` of its log range returns,
+        // and a piece of a log's tail is a copy.
+        let c = fs.container("/f");
+        for (k, shared) in [(0, true), (1, true), (blocks - 1, false)] {
+            let pieces = r.read_pieces(k * writers * block, writers * block).unwrap();
+            for (w, piece) in (0..writers).zip(&pieces) {
+                let log = c.data_log(&*traced, w).unwrap();
+                let direct = traced.read_at(&log, k * block, block).unwrap();
+                let (Content::Bytes(got), Content::Bytes(own)) = (piece, &direct) else {
+                    panic!("MemFs reads are real bytes: {piece:?}, {direct:?}")
+                };
+                assert_eq!(got, own);
+                assert_eq!(got.as_ptr() == own.as_ptr(), shared, "block {k} of {w}");
+            }
         }
     }
 

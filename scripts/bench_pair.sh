@@ -4,7 +4,8 @@
 #   scripts/bench_pair.sh [-n SEEDS] [-s FIRST] [-w WORKLOAD]... [-d DIR] [-t] [PARENT [CHANGE]]
 #
 # PARENT defaults to HEAD~1 and CHANGE to the working tree (tracked and
-# untracked files that are not ignored); either may be any git revision.
+# untracked files that are not ignored and exist); either may be any git
+# revision.
 # Each side's source is unpacked into DIR/src and its benchmark binary
 # built there, one side after the other: both builds see the same
 # absolute path, because two builds of one source in two directories
@@ -63,7 +64,11 @@ build() {
     rm -rf "$dir/src"
     mkdir -p "$dir/src"
     if [ -z "$rev" ]; then
-        (cd "$repo" && git ls-files -co --exclude-standard -z | tar -c --null -T - -f -) |
+        # A tracked file deleted from the working tree is still listed.
+        (cd "$repo" && git ls-files -co --exclude-standard -z |
+            while IFS= read -r -d '' f; do
+                if [ -e "$f" ] || [ -L "$f" ]; then printf '%s\0' "$f"; fi
+            done | tar -c --null -T - -f -) |
             tar -x -C "$dir/src"
     else
         git -C "$repo" archive "$rev" | tar -x -C "$dir/src"
