@@ -27,7 +27,7 @@
 use crate::content::Content;
 use crate::error::Result;
 use crate::ioplane::{self, IoOp, IoOutcome};
-use parking_lot::Mutex;
+use crate::sync::{class, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -190,7 +190,7 @@ impl<B: Backend> Reactor<B> {
 /// (`Bytes`) or symbolic (`Synthetic`), so recording stays cheap.
 pub struct TracingBackend<B: Backend> {
     inner: B,
-    trace: Arc<Mutex<Vec<IoOp>>>,
+    trace: Arc<Mutex<Vec<IoOp>, class::RecordingTrace>>,
     trips: AtomicU64,
 }
 
@@ -205,7 +205,7 @@ impl<B: Backend> TracingBackend<B> {
     }
 
     /// A handle to the trace that survives moving `self` into PLFS.
-    pub fn trace_handle(&self) -> Arc<Mutex<Vec<IoOp>>> {
+    pub fn trace_handle(&self) -> Arc<Mutex<Vec<IoOp>, class::RecordingTrace>> {
         Arc::clone(&self.trace)
     }
 
@@ -477,11 +477,11 @@ mod tests {
     /// Transient blips on the probe are retried away entirely.
     #[test]
     fn exists_retries_transient_probes() {
-        let failures = Mutex::new(2u32);
+        let failures = std::sync::Mutex::new(2u32);
         let b = Gated {
             inner: MemFs::new(),
             gate: |op: &IoOp| {
-                let mut f = failures.lock();
+                let mut f = failures.lock().unwrap();
                 if matches!(op, IoOp::Kind { .. }) && *f > 0 {
                     *f -= 1;
                     return Err(PlfsError::Transient("blip".into()));
@@ -491,6 +491,6 @@ mod tests {
         };
         // Nothing created: after the blips clear, the honest answer is no.
         assert!(!b.exists("/nope"));
-        assert_eq!(*failures.lock(), 0, "both blips were spent on retries");
+        assert_eq!(*failures.lock().unwrap(), 0, "both blips were spent on retries");
     }
 }

@@ -25,6 +25,7 @@
 //! Each subdir holds, per writer, `dropping.data.<id>` (the data log, only
 //! ever appended) and `dropping.index.<id>` (the index log of
 //! [`crate::index::IndexEntry`] records).
+#![deny(clippy::wildcard_enum_match_arm)]
 
 use crate::backend::{Backend, NodeKind};
 use crate::content::Content;

@@ -78,6 +78,7 @@ pub fn next_backoff_us(backoff_us: u64) -> u64 {
 /// Only the writer's per-write data append uses this: every other call
 /// goes through the plane, whose batch loop has the same schedule.
 pub(crate) fn retry_transient<T>(mut op: impl FnMut() -> Result<T>) -> Result<T> {
+    crate::sync::check_io();
     let mut backoff_us = RETRY_BACKOFF_START_US;
     for _ in 1..DEFAULT_RETRY_ATTEMPTS {
         match op() {

@@ -24,7 +24,7 @@
 use crate::backend::Backend;
 use crate::error::{PlfsError, Result};
 use crate::ioplane::{self, IoOp, IoOutcome};
-use parking_lot::Mutex;
+use crate::sync::{class, Mutex};
 use rand::{Rng, SeedableRng};
 
 /// Knobs for one fault schedule. Probabilities are per data-path
@@ -87,7 +87,7 @@ struct FaultState {
 pub struct FaultBackend<B> {
     inner: B,
     cfg: FaultConfig,
-    state: Mutex<FaultState>,
+    state: Mutex<FaultState, class::FaultState>,
 }
 
 impl<B: Backend> FaultBackend<B> {

@@ -30,6 +30,7 @@
 //! through the one staged rewrite (`Container::rewrite_staged`), so a
 //! repair that dies part-way is itself repairable: `tests/crash_states.rs`
 //! checks that in every crash state (DESIGN.md §5c).
+#![deny(clippy::wildcard_enum_match_arm)]
 
 use crate::backend::Backend;
 use crate::container::{
@@ -689,7 +690,16 @@ fn settle<B: Backend>(b: &B, container: &Container, issues: &[Issue]) -> Result<
         .iter()
         .filter_map(|i| match i {
             Issue::BrokenSubdir { index, .. } => Some(*index),
-            _ => None,
+            Issue::NotAContainer
+            | Issue::TruncatedIndexLog { .. }
+            | Issue::DanglingExtent { .. }
+            | Issue::OrphanDataLog { .. }
+            | Issue::OrphanIndexLog { .. }
+            | Issue::StaleFlattenedIndex
+            | Issue::InvalidFlattenedIndex { .. }
+            | Issue::StaleOpenHost { .. }
+            | Issue::StaleRealignTemp { .. }
+            | Issue::MetadirDisagrees { .. } => None,
         })
         .collect();
     container.rebuild_subdirs(b, &broken)?;
@@ -704,7 +714,16 @@ fn settle<B: Backend>(b: &B, container: &Container, issues: &[Issue]) -> Result<
                 to: copy.strip_suffix(REALIGN_SUFFIX)?.to_string(),
             }),
             Issue::StaleRealignTemp { copy, .. } => Some(IoOp::Unlink { path: copy.clone() }),
-            _ => None,
+            Issue::NotAContainer
+            | Issue::BrokenSubdir { .. }
+            | Issue::TruncatedIndexLog { .. }
+            | Issue::DanglingExtent { .. }
+            | Issue::OrphanDataLog { .. }
+            | Issue::OrphanIndexLog { .. }
+            | Issue::StaleFlattenedIndex
+            | Issue::InvalidFlattenedIndex { .. }
+            | Issue::StaleOpenHost { .. }
+            | Issue::MetadirDisagrees { .. } => None,
         })
         .collect();
     for outcome in ioplane::submit_retried(b, &ops) {

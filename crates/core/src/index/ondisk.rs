@@ -25,7 +25,8 @@
 //! O(entries).
 //!
 //! The authoritative constants table lives in DESIGN.md §5j and is
-//! drift-checked both ways by `plfs-lint`.
+//! checked both ways by `tests/contracts.rs`.
+#![deny(clippy::wildcard_enum_match_arm)]
 
 use crate::backend::Backend;
 use crate::content::Content;

@@ -10,11 +10,12 @@
 //! telemetry plane as `spancache.*` counters.
 
 use crate::index::IndexEntry;
+use crate::sync::{class, Mutex, MutexGuard};
 use crate::telemetry::{
     self, CTR_SPANCACHE_EVICTIONS, CTR_SPANCACHE_HITS, CTR_SPANCACHE_MISSES,
 };
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Shards the cache splits its budget and locking across.
 pub const SPANCACHE_SHARDS: u64 = 8;
@@ -54,7 +55,7 @@ impl Shard {
 /// A sharded LRU over decoded record windows, keyed by
 /// `(owner index id, window number)` and bounded by a total byte budget.
 pub struct SpanCache {
-    shards: Vec<Mutex<Shard>>,
+    shards: Vec<Mutex<Shard, class::SpancacheShard>>,
     shard_budget: u64,
 }
 
@@ -78,17 +79,10 @@ impl SpanCache {
         self.shard_budget * SPANCACHE_SHARDS
     }
 
-    fn shard(&self, owner: u64, window: u64) -> &Mutex<Shard> {
+    fn lock(&self, owner: u64, window: u64) -> MutexGuard<'_, Shard, class::SpancacheShard> {
         // Mix both key halves so one index's windows spread across shards.
         let h = (owner ^ window.rotate_left(17)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        &self.shards[(h % SPANCACHE_SHARDS) as usize]
-    }
-
-    fn lock(&self, owner: u64, window: u64) -> std::sync::MutexGuard<'_, Shard> {
-        match self.shard(owner, window).lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        self.shards[(h % SPANCACHE_SHARDS) as usize].lock()
     }
 
     /// Probe one window; counts a `spancache.hits` or `spancache.misses`.
@@ -144,13 +138,7 @@ impl SpanCache {
 
     /// Decoded bytes currently resident across all shards.
     pub fn resident_bytes(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|shard| match shard.lock() {
-                Ok(g) => g.bytes,
-                Err(p) => p.into_inner().bytes,
-            })
-            .sum()
+        self.shards.iter().map(|shard| shard.lock().bytes).sum()
     }
 }
 
@@ -220,5 +208,18 @@ mod tests {
             8 * crate::index::INDEX_RECORD_BYTES
         );
         assert_eq!(c.get(1, 0).unwrap().len(), 8);
+    }
+
+    /// Shards are one class with no order between them: a thread holds
+    /// one at a time (DESIGN.md §5i).
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(
+        expected = "lock order: `spancache-shard` (rank 75) acquired while holding `spancache-shard` (rank 75)"
+    )]
+    fn two_shards_on_one_thread_fail() {
+        let c = SpanCache::new();
+        let _first = c.shards[0].lock();
+        drop(c.shards[1].lock());
     }
 }

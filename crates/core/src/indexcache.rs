@@ -23,12 +23,12 @@
 use crate::container::IndexStamp;
 use crate::error::Result;
 use crate::index::IndexSource;
+use crate::sync::{class, Condvar, Mutex};
 use crate::telemetry::{
     self, CTR_INDEX_CACHE_EVICTIONS, CTR_INDEX_CACHE_HITS, CTR_INDEX_CACHE_MISSES,
     CTR_INDEX_CACHE_WAITS,
 };
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Estimated bytes of shared indices one mount keeps: the 131,072-span
 /// index of a 128-writer × 1,024-block checkpoint is ~5 MiB, so this
@@ -120,7 +120,7 @@ impl State {
 /// See the module docs.
 pub(crate) struct IndexCache {
     budget: u64,
-    slots: Mutex<State>,
+    slots: Mutex<State, class::IndexCache>,
     landed: Condvar,
 }
 
@@ -133,7 +133,7 @@ struct Flight<'a> {
 
 impl Drop for Flight<'_> {
     fn drop(&mut self) {
-        self.cache.locked().in_flight.remove(self.key);
+        self.cache.slots.lock().in_flight.remove(self.key);
         self.cache.landed.notify_all();
     }
 }
@@ -151,13 +151,6 @@ impl IndexCache {
         }
     }
 
-    fn locked(&self) -> MutexGuard<'_, State> {
-        match self.slots.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
     /// The index of the container at `key` as `stamp` describes it: the
     /// cached one when it was built from an equal stamp, else `load`'s —
     /// run by one caller at a time per key, with no lock held — which is
@@ -169,7 +162,7 @@ impl IndexCache {
         load: impl FnOnce() -> Result<IndexSource>,
     ) -> Result<IndexSource> {
         let mut waited = false;
-        let mut slots = self.locked();
+        let mut slots = self.slots.lock();
         let shared = loop {
             if let Some(index) = slots.hit(key, stamp) {
                 break Some(index);
@@ -179,10 +172,7 @@ impl IndexCache {
                 break None;
             }
             waited = true;
-            slots = match self.landed.wait(slots) {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            slots = self.landed.wait(slots);
         };
         drop(slots);
         if waited {
@@ -196,7 +186,8 @@ impl IndexCache {
         let flight = Flight { cache: self, key };
         let index = load()?;
         let evicted = self
-            .locked()
+            .slots
+            .lock()
             .insert(key, stamp.clone(), index.clone(), self.budget);
         // Only now: a waiter woken earlier would find nothing to share.
         drop(flight);
@@ -209,7 +200,7 @@ impl IndexCache {
     /// Estimated bytes of the indices currently retained.
     #[cfg(test)]
     fn resident_bytes(&self) -> u64 {
-        self.locked().resident
+        self.slots.lock().resident
     }
 }
 

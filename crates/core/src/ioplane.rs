@@ -32,8 +32,8 @@
 //!   coalesce ratio `ops / batches` is the plane's figure of merit.
 //!
 //! The authoritative op table (kinds, batchability, retry class) lives in
-//! DESIGN.md §5e; `plfs-lint`'s drift check keeps this enum and that
-//! table in lockstep.
+//! DESIGN.md §5e; `tests/contracts.rs` keeps this enum and that table in
+//! lockstep.
 
 use crate::backend::{Backend, NodeKind};
 use crate::content::Content;
@@ -349,6 +349,7 @@ fn account(batch: &[IoOp], outcomes: &[IoOutcome]) {
 /// failed op still run (partial-batch outcomes). Counters are updated
 /// here, uniformly for every backend.
 pub fn submit_retried<B: Backend + ?Sized>(b: &B, batch: &[IoOp]) -> Vec<IoOutcome> {
+    crate::sync::check_io();
     if batch.is_empty() {
         return Vec::new();
     }
@@ -422,6 +423,7 @@ pub fn exists<B: Backend + ?Sized>(b: &B, path: &str) -> bool {
 /// (re-traced) the identical op sequence; `tests/trace_fidelity.rs` pins
 /// that round trip.
 pub fn replay<B: Backend + ?Sized>(b: &B, ops: &[IoOp]) -> Vec<IoOutcome> {
+    crate::sync::check_io();
     ops.iter().map(|op| lower(b, op)).collect()
 }
 
@@ -511,8 +513,7 @@ mod tests {
     use super::*;
     use crate::backend::Gated;
     use crate::memfs::MemFs;
-    use parking_lot::Mutex;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
     /// Spy gate: injects the scheduled number of transient failures per
     /// op and logs every *execution*, so tests can prove a succeeded op
@@ -537,8 +538,8 @@ mod tests {
             Gated {
                 inner: MemFs::new(),
                 gate: |op: &IoOp| {
-                    self.log.lock().push(op.clone());
-                    let mut flaky = self.flaky.lock();
+                    self.log.lock().unwrap().push(op.clone());
+                    let mut flaky = self.flaky.lock().unwrap();
                     if let Some(slot) = flaky.iter_mut().find(|(f, n)| f == op && *n > 0) {
                         slot.1 -= 1;
                         return Err(PlfsError::Transient(format!("{op:?}")));
@@ -549,7 +550,7 @@ mod tests {
         }
 
         fn executions(&self, op: &IoOp) -> usize {
-            self.log.lock().iter().filter(|o| *o == op).count()
+            self.log.lock().unwrap().iter().filter(|o| *o == op).count()
         }
     }
 

@@ -60,6 +60,7 @@ pub mod memfs;
 pub mod path;
 pub mod reader;
 pub mod service;
+pub mod sync;
 pub mod telemetry;
 pub mod truncate;
 pub mod vfs;

@@ -179,9 +179,7 @@ impl LocalFs {
         }
     }
 
-    // One helper per op, behind `os_apply`. They are not `do_*` as in
-    // `MemFs`: `plfs-lint` resolves a call by its bare name, and a shared
-    // name would have `MemFs`'s lock-holding `apply` reach these syscalls.
+    // One helper per op, behind `os_apply`.
 
     fn os_mkdir(&self, path: &str) -> Result<()> {
         let host = self.host(path)?;

@@ -39,16 +39,16 @@
 //! long one. *Per-file
 //! locks with appends under the shared namespace lock* cost
 //! single-threaded `ckpt_n1_mem` 9–16% and took `writer.threads2_speedup`
-//! 0.97 → 0.71: the vendored `parking_lot` wraps `std` locks, and two
-//! cores contend on the reader count as hard as on the writer bit.
+//! 0.97 → 0.71: the locks are `std` locks, and two cores contend on the
+//! reader count as hard as on the writer bit.
 
 use crate::backend::{Backend, NodeKind};
 use crate::content::Content;
 use crate::error::{PlfsError, Result};
 use crate::ioplane::{IoOp, IoOutcome, IoValue};
 use crate::path::{is_inside, join, parent, try_normalize, try_normalize_cow};
+use crate::sync::{class, RwLock};
 use bytes::Bytes;
-use parking_lot::RwLock;
 use std::collections::{BTreeSet, HashMap};
 
 #[derive(Debug)]
@@ -159,7 +159,7 @@ impl FileData {
 /// An in-memory file system rooted at `/`.
 #[derive(Debug)]
 pub struct MemFs {
-    nodes: RwLock<HashMap<String, Node>>,
+    nodes: RwLock<HashMap<String, Node>, class::MemfsNodes>,
 }
 
 impl Default for MemFs {

@@ -71,11 +71,11 @@ use crate::backend::Backend;
 use crate::content::Content;
 use crate::error::{PlfsError, Result};
 use crate::reader::ReadHandle;
+use crate::sync::{class, Mutex};
 use crate::telemetry;
 use crate::vfs::{Plfs, PlfsConfig};
 use crate::writer::WriteHandle;
 use admission::{DirtyBudget, Grant, TokenBucket};
-use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -85,7 +85,7 @@ use std::time::Instant;
 
 // ---------------------------------------------------------------------
 // Service-layer constants. DESIGN.md §5k is the authoritative table,
-// drift-checked against these both ways by the linter, like §5d/§5j.
+// checked against these both ways by `tests/contracts.rs`, like §5d/§5j.
 
 /// Shards in the open-handle table. Handle ids spread across shards by
 /// a multiplicative hash, so contention on one shard is 1/64th of the
@@ -223,10 +223,13 @@ struct TenantState {
     dirty: DirtyBudget,
 }
 
-type SessionSlot<B> = Arc<Mutex<Option<Session<B>>>>;
+type SessionSlot<B> = Arc<Mutex<Option<Session<B>>, class::SvcSession>>;
 
 /// One handle-table shard: handle id → its session slot.
-type HandleShard<B> = Mutex<HashMap<u64, SessionSlot<B>>>;
+type HandleShard<B> = Mutex<HashMap<u64, SessionSlot<B>>, class::SvcHandleShard>;
+
+/// One tenant-map shard: tenant name → its admission state.
+type TenantShard = Mutex<HashMap<String, TenantState>, class::SvcTenantShard>;
 
 /// The shared-instance front end. See the module docs for the
 /// architecture; construction wires the §5k constants (overridable via
@@ -236,7 +239,7 @@ pub struct Service<B: Backend + Clone> {
     /// Sharded handle table: `svc-handle-shard` (§5i rank 12).
     handle_shards: Box<[HandleShard<B>]>,
     /// Sharded tenant admission state: `svc-tenant-shard` (§5i rank 18).
-    tenant_shards: Box<[Mutex<HashMap<String, TenantState>>]>,
+    tenant_shards: Box<[TenantShard]>,
     cfg: ServiceConfig,
     next_handle: AtomicU64,
     epoch: Instant,
@@ -281,13 +284,13 @@ impl<B: Backend + Clone> Service<B> {
 
     /// The shard holding handle id `id` (multiplicative hash, so
     /// sequential and adversarial id patterns both spread).
-    fn shard(&self, id: u64) -> &Mutex<HashMap<u64, SessionSlot<B>>> {
+    fn shard(&self, id: u64) -> &HandleShard<B> {
         let mixed = (id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize;
         &self.handle_shards[mixed % SVC_HANDLE_SHARDS]
     }
 
     /// The shard holding tenant `tenant`'s admission state.
-    fn tshard(&self, tenant: &str) -> &Mutex<HashMap<String, TenantState>> {
+    fn tshard(&self, tenant: &str) -> &TenantShard {
         let mut h = DefaultHasher::new();
         tenant.hash(&mut h);
         &self.tenant_shards[h.finish() as usize % SVC_TENANT_SHARDS]
@@ -417,10 +420,8 @@ impl<B: Backend + Clone> Service<B> {
         }
         *unflushed += content.len();
         let ts = self.fs.timestamp();
-        // plfs-lint: allow(guard-across-io): the session lock intentionally serializes one handle's I/O; no shard or tenant lock is held here
         handle.write(offset, content, ts)?;
         if must_flush {
-            // plfs-lint: allow(guard-across-io): the session lock intentionally serializes one handle's I/O; no shard or tenant lock is held here
             handle.flush_index()?;
             telemetry::count(telemetry::CTR_SVC_DIRTY_FLUSHES, 1);
             self.release_dirty(tenant, std::mem::take(unflushed));
@@ -442,7 +443,6 @@ impl<B: Backend + Clone> Service<B> {
             telemetry::count(telemetry::CTR_SVC_THROTTLED, 1);
             return Ok(Admitted::Throttled { wait_ns });
         }
-        // plfs-lint: allow(guard-across-io): the session lock intentionally serializes one handle's I/O; no shard or tenant lock is held here
         let bytes = handle.read(offset, len)?;
         self.finish_op(start);
         Ok(Admitted::Granted(bytes))
@@ -462,7 +462,6 @@ impl<B: Backend + Clone> Service<B> {
         match session_guard.as_mut() {
             Some(Session::Writer { handle, .. }) => {
                 let ts = self.fs.timestamp();
-                // plfs-lint: allow(guard-across-io): the session lock intentionally serializes one handle's I/O; no shard or tenant lock is held here
                 handle.close_in_place(ts)?;
             }
             Some(Session::Reader { .. }) => {}

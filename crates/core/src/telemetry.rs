@@ -15,8 +15,8 @@
 //!
 //! Three instrument kinds, all drawn from the **closed vocabulary**
 //! defined by the `SPAN_`/`CTR_`/`HIST_` constants below (DESIGN.md §5f
-//! is the authoritative table; `plfs-lint`'s drift check keeps the two
-//! in lockstep, exactly like the §5d format and §5e op tables):
+//! is the authoritative table; `tests/contracts.rs` keeps the two in
+//! lockstep, exactly like the §5d format and §5e op tables):
 //!
 //! * **Spans** ([`span`]) — RAII-guarded regions with monotonic timing,
 //!   parent links, and a per-thread span stack. Nesting stays
@@ -64,7 +64,7 @@
 //! telemetry::reset();
 //! ```
 
-use parking_lot::{Mutex, RwLock};
+use crate::sync::{class, Mutex, RwLock};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -73,9 +73,9 @@ use std::time::Instant;
 
 // ---------------------------------------------------------------------
 // Vocabulary. Every name the registry speaks is one of these constants;
-// DESIGN.md §5f is the authoritative table and plfs-lint checks the two
-// against each other both ways (an undocumented constant and a table
-// row naming a dead constant are both findings).
+// DESIGN.md §5f is the authoritative table and `tests/contracts.rs`
+// checks the two against each other both ways (an undocumented constant
+// and a table row naming a dead constant both fail).
 
 /// Span: `WriteHandle::open` — container create + openhosts registration.
 pub const SPAN_WRITE_OPEN: &str = "write.open";
@@ -231,8 +231,8 @@ struct Registry {
     hists: BTreeMap<&'static str, Box<[AtomicU64]>>,
 }
 
-fn registry() -> &'static RwLock<Registry> {
-    static REGISTRY: OnceLock<RwLock<Registry>> = OnceLock::new();
+fn registry() -> &'static RwLock<Registry, class::TelemetryRegistry> {
+    static REGISTRY: OnceLock<RwLock<Registry, class::TelemetryRegistry>> = OnceLock::new();
     REGISTRY.get_or_init(|| {
         RwLock::new(Registry {
             counters: BTreeMap::new(),
@@ -258,8 +258,8 @@ struct SpanStore {
     stats: BTreeMap<&'static str, SpanStat>,
 }
 
-fn span_store() -> &'static Mutex<SpanStore> {
-    static STORE: OnceLock<Mutex<SpanStore>> = OnceLock::new();
+fn span_store() -> &'static Mutex<SpanStore, class::TelemetrySpans> {
+    static STORE: OnceLock<Mutex<SpanStore, class::TelemetrySpans>> = OnceLock::new();
     STORE.get_or_init(|| Mutex::new(SpanStore::default()))
 }
 
@@ -329,8 +329,8 @@ pub struct SpanGuard {
 }
 
 /// Open a span named `name` on this thread. `name` should be one of the
-/// `SPAN_` vocabulary constants — DESIGN.md §5f documents them and the
-/// lint gate holds the two sets equal.
+/// `SPAN_` vocabulary constants — DESIGN.md §5f documents them and
+/// `tests/contracts.rs` holds the two sets equal.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
     if !enabled() {

@@ -2,6 +2,7 @@
 //! for real PLFS: users see logical files and directories; this layer maps
 //! them onto containers, resolving federation and hiding shadow
 //! directories.
+#![deny(clippy::wildcard_enum_match_arm)]
 
 use crate::backend::{Backend, NodeKind};
 use crate::container::{Container, IndexProbe, GENERATION_FILE};

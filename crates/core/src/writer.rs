@@ -12,6 +12,7 @@
 //! writer buffers index entries up to a threshold; if every writer stayed
 //! under the threshold, close-time aggregation produces the flattened
 //! global index (see [`flatten_close`]).
+#![deny(clippy::wildcard_enum_match_arm)]
 
 use crate::backend::Backend;
 use crate::container::Container;

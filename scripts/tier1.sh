@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
 # Tier-1 gate: release build and tests of the benchmark package too,
-# full test suite, the byte-verifying examples, clippy with warnings
+# full test suite, the byte-verifying examples, and clippy with warnings
 # denied (the root Cargo.toml's
 # [workspace.lints.clippy] table bans unwrap/expect/panic, discarded
 # results and unreasoned #[allow] in every crate and bin; clippy.toml
-# bans per-op Backend calls outside the I/O plane), and the
-# plfs-lint gate. Crash recovery needs no stage of its own: the
+# bans per-op Backend calls outside the I/O plane and unranked locks).
+# Crash recovery needs no stage of its own: the
 # workspace tests include tests/crash_states.rs, which checks every
-# crash state of its scenarios with no seed to pin. Everything runs
+# crash state of its scenarios with no seed to pin. Lock order and
+# guards across I/O are checked by the ranked locks of plfs::sync in
+# every debug test, and DESIGN.md's contract tables and the suppression
+# budget by tests/contracts.rs. Everything runs
 # offline against the vendored dependencies.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -31,7 +34,8 @@ cargo run --release --offline --example crash_recovery
 # on a suppression that no longer suppresses anything. The root
 # clippy.toml adds disallowed-methods: a per-op `Backend` call outside
 # the I/O plane fails here, so every backend call is retried by the
-# plane (DESIGN.md §5d).
+# plane; and disallowed-types: a std Mutex or RwLock outside plfs::sync
+# would be a lock with no rank (DESIGN.md §5d).
 cargo clippy --workspace --offline -- -D warnings
 
 # Docs are part of the contract: rustdoc must build warning-clean
@@ -39,12 +43,3 @@ cargo clippy --workspace --offline -- -D warnings
 # the public API must pass.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 cargo test -q --doc --offline --workspace
-
-# Workspace invariant checker (DESIGN.md §5d): zero unannotated
-# findings, no malformed/unknown/unused pragmas, and the budget in
-# results/lint_baseline.md (pragmas per rule, #[expect(clippy::..)]
-# sites per lint) only ratchets down. The scan covers crates/ and src/
-# (src/bin/ included) with every rule, checked against the DESIGN.md
-# §5d–§5f and §5i tables.
-cargo run --release --offline --bin plfsctl -- lint --deny-warnings \
-    --baseline results/lint_baseline.md

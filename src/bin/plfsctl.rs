@@ -11,16 +11,8 @@
 //! plfsctl truncate <mount-root> <logical> <size>   logical truncate
 //! plfsctl du    <mount-root> <logical>       physical vs logical space
 //! plfsctl index inspect <mount-root> <logical>   spanidx header/fence summary
-//! plfsctl lint  [flags] [workspace-root]     run the static invariant checker
 //! plfsctl obs   [--json]                     telemetry demo: spans/counters/histograms
 //! ```
-//!
-//! `lint` flags: `--json` (machine-readable output), `--deny-warnings`
-//! (warnings fail the gate), `--baseline <file>` (ratchet check against
-//! committed pragma and `#[expect(clippy::..)]` counts),
-//! `--write-baseline <file>` (regenerate the
-//! baseline). Exit codes: 0 clean, 1 findings (or warnings under
-//! `--deny-warnings`, or a baseline ratchet violation), 2 usage/config.
 //!
 //! `obs` enables the telemetry plane (DESIGN.md §5f), drives a built-in
 //! in-memory write/read round trip through the real middleware, and
@@ -54,99 +46,9 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: plfsctl <ls|stat|map|check|repair|cat|truncate|du> <mount-root> [logical-path] [size]\n\
          \x20      plfsctl index inspect <mount-root> <logical-path>\n\
-         \x20      plfsctl lint [--json] [--deny-warnings] [--baseline <file>] [--write-baseline <file>] [--root <dir>] [--design <file>] [workspace-root]\n\
          \x20      plfsctl obs [--json]"
     );
     ExitCode::from(2)
-}
-
-/// `plfsctl lint`: run the workspace invariant checker (DESIGN.md §5d).
-fn cmd_lint(args: &[String]) -> ExitCode {
-    let mut json = false;
-    let mut deny_warnings = false;
-    let mut baseline: Option<String> = None;
-    let mut write_baseline: Option<String> = None;
-    let mut root: Option<String> = None;
-    let mut design: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--deny-warnings" => deny_warnings = true,
-            "--baseline" => match it.next() {
-                Some(f) => baseline = Some(f.clone()),
-                None => return usage(),
-            },
-            "--write-baseline" => match it.next() {
-                Some(f) => write_baseline = Some(f.clone()),
-                None => return usage(),
-            },
-            "--root" => match it.next() {
-                Some(d) => {
-                    if root.replace(d.clone()).is_some() {
-                        return usage();
-                    }
-                }
-                None => return usage(),
-            },
-            "--design" => match it.next() {
-                Some(f) => design = Some(f.clone()),
-                None => return usage(),
-            },
-            flag if flag.starts_with('-') => return usage(),
-            path => {
-                if root.replace(path.to_string()).is_some() {
-                    return usage();
-                }
-            }
-        }
-    }
-    let mut cfg = plfs_lint::LintConfig::new(root.unwrap_or_else(|| ".".into()));
-    cfg.design_doc = design.map(Into::into);
-    let report = match plfs_lint::run(&cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("plfsctl lint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if let Some(path) = &write_baseline {
-        let text = plfs_lint::report::render_baseline(&report);
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("plfsctl lint: cannot write baseline {path}: {e}");
-            return ExitCode::from(2);
-        }
-        println!("wrote baseline to {path}");
-    }
-    let mut ratchet_violations = Vec::new();
-    if let Some(path) = &baseline {
-        match std::fs::read_to_string(path) {
-            Ok(text) => {
-                let budgets = plfs_lint::report::parse_baseline(&text);
-                ratchet_violations = plfs_lint::report::check_baseline(&report, &budgets);
-            }
-            Err(e) => {
-                eprintln!("plfsctl lint: cannot read baseline {path}: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if json {
-        print!("{}", report.render_json());
-    } else {
-        print!("{}", report.render_human());
-        for v in &ratchet_violations {
-            println!("error[baseline]: {v}");
-        }
-    }
-    let failed = !report.findings.is_empty()
-        || !ratchet_violations.is_empty()
-        || (deny_warnings && !report.warnings.is_empty());
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
 }
 
 /// `plfsctl obs`: run a built-in in-memory write/read round trip with the
@@ -342,9 +244,6 @@ fn main() -> ExitCode {
 }
 
 fn dispatch(args: &[String]) -> ExitCode {
-    if args.get(1).map(String::as_str) == Some("lint") {
-        return cmd_lint(&args[2..]);
-    }
     if args.get(1).map(String::as_str) == Some("obs") {
         return cmd_obs(&args[2..]);
     }
