@@ -861,8 +861,9 @@ impl Container {
     /// The `ReadAt`s go in [`INDEX_READ_CHUNK`]-op slices dealt in
     /// contiguous shares to at most `max_threads` scoped threads, so the
     /// round trips depend on the path count alone. Each shard thread
-    /// reopens `index.aggregate` under the caller's span, so what it
-    /// submits keeps its ancestry.
+    /// reopens `index.aggregate` under the caller's span through a
+    /// telemetry hand-off, so what it submits keeps its ancestry and
+    /// records where the caller records.
     fn read_logs_sized<B: Backend>(
         b: &B,
         paths: &[String],
@@ -883,15 +884,14 @@ impl Container {
         if threads == 1 {
             return Self::read_chunks(b, &chunks);
         }
-        let parent = telemetry::current_span_id();
+        let handoff = &telemetry::handoff();
         #[expect(clippy::expect_used, reason = "a panicked worker must propagate, not masquerade as an I/O error")]
         let shards: Vec<Result<Vec<Vec<LogRecord>>>> = std::thread::scope(|scope| {
             let handles: Vec<_> = chunks
                 .chunks(chunks.len().div_ceil(threads))
                 .map(|share| {
                     scope.spawn(move || {
-                        let _span =
-                            telemetry::span_with_parent(telemetry::SPAN_INDEX_AGGREGATE, parent);
+                        let _span = handoff.span(telemetry::SPAN_INDEX_AGGREGATE);
                         Self::read_chunks(b, share)
                     })
                 })
@@ -1683,6 +1683,149 @@ mod tests {
         assert_eq!(
             GlobalIndex::merge_all([group.clone(), GlobalIndex::new()]),
             flat
+        );
+    }
+
+    /// Figure-4 read-open shape: 16 writers × 20 strided 4 KiB blocks into
+    /// one 4-subdir container, written before recording starts.
+    fn build_fig4(backend: &Arc<MemFs>, cont: &Container) {
+        use crate::writer::{IndexPolicy, WriteHandle};
+        const WRITERS: u64 = 16;
+        const BLOCK: u64 = 4096;
+        for w in 0..WRITERS {
+            let mut h = WriteHandle::open(
+                Arc::clone(backend),
+                cont.clone(),
+                w,
+                IndexPolicy::WriteClose,
+            )
+            .unwrap();
+            for k in 0..20 {
+                h.write(
+                    (k * WRITERS + w) * BLOCK,
+                    &Content::synthetic(w, BLOCK),
+                    k + 1,
+                )
+                .unwrap();
+            }
+            h.close(99).unwrap();
+        }
+    }
+
+    /// Count spans named `name` anywhere in the forest.
+    fn count_named(nodes: &[telemetry::SpanNode], name: &str) -> usize {
+        nodes
+            .iter()
+            .map(|n| usize::from(n.name == name) + count_named(&n.children, name))
+            .sum()
+    }
+
+    /// A mount's read-open of a fig-4 container records a `read.open` root
+    /// whose subtree holds the index-aggregation fan-out, with the I/O plane
+    /// underneath.
+    #[test]
+    fn fig4_read_open_span_tree() {
+        use crate::telemetry::{SPAN_INDEX_AGGREGATE, SPAN_IOPLANE_SUBMIT, SPAN_READ_OPEN};
+        let backend = Arc::new(MemFs::new());
+        let federation = Federation::single("/panfs", 4);
+        build_fig4(&backend, &Container::new("/fig4/ckpt", &federation));
+        let config = crate::PlfsConfig {
+            federation,
+            index_policy: crate::writer::IndexPolicy::WriteClose,
+        };
+        let fs = crate::Plfs::new(backend, config).unwrap();
+        let (opened, snap) = telemetry::capture(|| fs.open_read("/fig4/ckpt"));
+        opened.unwrap();
+
+        // Exactly one span tree: the read.open root on the opening thread.
+        assert_eq!(snap.spans.len(), 1);
+        let open = &snap.spans[0];
+        assert_eq!(open.name, SPAN_READ_OPEN);
+        assert_eq!(count_named(&snap.spans, SPAN_READ_OPEN), 1);
+
+        // index.aggregate runs inside the open.
+        let agg = open
+            .children
+            .iter()
+            .find(|n| n.name == SPAN_INDEX_AGGREGATE)
+            .expect("index.aggregate must be a child of read.open");
+        assert!(agg.dur_ns <= open.dur_ns, "open covers aggregation");
+        assert!(
+            agg.start_ns >= open.start_ns,
+            "aggregation starts inside the open"
+        );
+
+        // Subdir listings and index-log reads all go through submit — on
+        // the opening thread or under a shard thread's nested
+        // `index.aggregate` — and every one of them is in the tree.
+        assert!(
+            count_named(&snap.spans, SPAN_IOPLANE_SUBMIT) > 0,
+            "read-open must hit the I/O plane"
+        );
+        assert_eq!(
+            snap.span_stats[SPAN_IOPLANE_SUBMIT].count as usize,
+            count_named(&snap.spans, SPAN_IOPLANE_SUBMIT)
+        );
+        assert_eq!(
+            snap.counters[telemetry::CTR_IOPLANE_BATCHES],
+            snap.span_stats[SPAN_IOPLANE_SUBMIT].count
+        );
+
+        // And the rollup agrees with the raw records.
+        let stat = &snap.span_stats[SPAN_READ_OPEN];
+        assert_eq!(stat.count, 1);
+        assert_eq!(stat.max_ns, open.dur_ns);
+    }
+
+    /// Cross-thread ancestry that holds on one core: 16 index logs are four
+    /// read slices, so a 4-thread aggregation runs four shard threads
+    /// whatever the core count, and every `index.aggregate` and
+    /// `ioplane.submit` they record nests under the caller's
+    /// `index.aggregate` — no orphan root.
+    #[test]
+    fn fig4_parallel_aggregation_keeps_cross_thread_ancestry() {
+        use crate::telemetry::{SPAN_INDEX_AGGREGATE, SPAN_IOPLANE_SUBMIT};
+        let backend = Arc::new(MemFs::new());
+        let cont = Container::new("/fig4/ckpt", &Federation::single("/panfs", 4));
+        build_fig4(&backend, &cont);
+        let resolved = cont.subdirs_phys_batch(&backend).unwrap();
+        let writers = cont.list_writers(&backend).unwrap();
+        let (aggregated, snap) = telemetry::capture(|| {
+            let _caller = telemetry::span(SPAN_INDEX_AGGREGATE);
+            cont.read_index_runs(&backend, &resolved, &writers, 4)
+        });
+        aggregated.unwrap();
+
+        assert_eq!(snap.spans.len(), 1, "one caller root: {:?}", snap.spans);
+        let root = &snap.spans[..1];
+        assert_eq!(root[0].name, SPAN_INDEX_AGGREGATE);
+        let shards = root[0]
+            .children
+            .iter()
+            .filter(|n| n.name == SPAN_INDEX_AGGREGATE)
+            .count();
+        assert_eq!(shards, 4, "one nested index.aggregate per shard thread");
+        assert_eq!(count_named(root, SPAN_INDEX_AGGREGATE), 5);
+        // Each shard thread submits its one 4-log slice, nested under it.
+        for shard in root[0]
+            .children
+            .iter()
+            .filter(|n| n.name == SPAN_INDEX_AGGREGATE)
+        {
+            assert_eq!(count_named(&shard.children, SPAN_IOPLANE_SUBMIT), 1);
+        }
+        assert_eq!(
+            snap.span_stats[SPAN_IOPLANE_SUBMIT].count as usize,
+            count_named(root, SPAN_IOPLANE_SUBMIT)
+        );
+        // One `Size` per log on the caller, then one `ReadAt` per log: 20
+        // records each.
+        let c = |name| snap.counters[name];
+        assert_eq!(c(telemetry::CTR_IOPLANE_BATCHES), 5);
+        assert_eq!(c(telemetry::CTR_IOPLANE_OPS), 32);
+        assert_eq!(
+            c(telemetry::CTR_IOPLANE_BYTES_READ),
+            16 * 20 * index::INDEX_RECORD_BYTES
         );
     }
 }

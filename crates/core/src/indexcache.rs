@@ -363,4 +363,70 @@ mod tests {
         let records = n * INDEX_RECORD_BYTES;
         assert!(charged < 1024, "{charged} B charged for {records} B of records");
     }
+
+    /// A mount over a one-writer container at `/f`.
+    fn mount_with_f() -> crate::Plfs<Arc<MemFs>> {
+        let fs =
+            crate::Plfs::new(Arc::new(MemFs::new()), crate::PlfsConfig::basic("/panfs")).unwrap();
+        let mut w = fs.open_write("/f", 0).unwrap();
+        w.write(0, &Content::bytes(vec![1; 8]), 1).unwrap();
+        w.close(2).unwrap();
+        fs
+    }
+
+    #[test]
+    fn index_cache_counts_say_whether_an_open_aggregated_or_shared() {
+        let fs = mount_with_f();
+        let ((), snap) = telemetry::capture(|| {
+            for _ in 0..3 {
+                fs.open_read("/f").unwrap();
+            }
+        });
+        assert_eq!(snap.counters[CTR_INDEX_CACHE_MISSES], 1);
+        assert_eq!(snap.counters[CTR_INDEX_CACHE_HITS], 2);
+        assert!(!snap.counters.contains_key(CTR_INDEX_CACHE_WAITS));
+        assert!(!snap.counters.contains_key(CTR_INDEX_CACHE_EVICTIONS));
+        // All three opens are `read.open` roots; only the miss aggregated.
+        assert_eq!(snap.spans.len(), 3);
+        assert!(snap
+            .spans
+            .iter()
+            .all(|s| s.name == telemetry::SPAN_READ_OPEN));
+        let aggregated = snap.spans.iter().filter(|s| {
+            s.children
+                .iter()
+                .any(|c| c.name == telemetry::SPAN_INDEX_AGGREGATE)
+        });
+        assert_eq!(aggregated.count(), 1);
+    }
+
+    #[test]
+    fn index_cache_followers_count_as_waits_and_then_as_hits() {
+        const THREADS: u64 = 4;
+        let fs = mount_with_f();
+        let start = std::sync::Barrier::new(THREADS as usize);
+        let mut snap = telemetry::TelemetrySnapshot::default();
+        std::thread::scope(|scope| {
+            let opens: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        telemetry::capture(|| {
+                            start.wait();
+                            fs.open_read("/f").unwrap();
+                        })
+                        .1
+                    })
+                })
+                .collect();
+            for open in opens {
+                snap.merge(&open.join().unwrap());
+            }
+        });
+        // One leader whatever the schedule; a follower waited only if it
+        // arrived while the leader was still aggregating.
+        assert_eq!(snap.counters[CTR_INDEX_CACHE_MISSES], 1);
+        assert_eq!(snap.counters[CTR_INDEX_CACHE_HITS], THREADS - 1);
+        let waits = snap.counters.get(CTR_INDEX_CACHE_WAITS).copied();
+        assert!(waits.unwrap_or(0) < THREADS);
+    }
 }

@@ -23,13 +23,15 @@
 //!   lock acquisition and `LocalFs` groups adjacent same-file appends
 //!   and reads over one descriptor.
 //! * [`submit_retried`] is the plane's entry point for middleware call
-//!   sites: it layers bounded per-op transient retry **and** the global
-//!   op counters on top of any backend. Retries re-submit only the ops
-//!   that failed transiently — an op that succeeded is never executed
-//!   again (re-sending an acknowledged append would duplicate bytes).
-//! * [`stats`]/[`reset_stats`] expose the per-process counters (ops
-//!   issued, batches submitted, bytes moved, transient retries); the
-//!   coalesce ratio `ops / batches` is the plane's figure of merit.
+//!   sites: it layers bounded per-op transient retry **and** the plane
+//!   totals (telemetry counters) on top of any backend. Retries
+//!   re-submit only the ops that failed transiently — an op that
+//!   succeeded is never executed again (re-sending an acknowledged
+//!   append would duplicate bytes).
+//! * [`stats`] reads the default telemetry recorder's plane totals (ops
+//!   issued, batches submitted, bytes moved, transient retries), and
+//!   [`reset_stats`] resets that recorder; the coalesce ratio
+//!   `ops / batches` is the plane's figure of merit.
 //!
 //! The authoritative op table (kinds, batchability, retry class) lives in
 //! DESIGN.md §5e; `tests/contracts.rs` keeps this enum and that table in
@@ -41,7 +43,6 @@ use crate::error::{
     next_backoff_us, PlfsError, Result, DEFAULT_RETRY_ATTEMPTS, RETRY_BACKOFF_START_US,
 };
 use crate::telemetry;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One physical operation against the underlying file system.
 ///
@@ -264,16 +265,10 @@ pub fn take(outcomes: &mut std::vec::IntoIter<IoOutcome>) -> IoOutcome {
 }
 
 // ---------------------------------------------------------------------
-// Per-process plane counters. Monotonic atomics: every layer that goes
-// through `submit_retried` is accounted uniformly, whatever the backend.
+// Plane totals: five telemetry counters (DESIGN.md §5f), counted in
+// `submit_retried` for every backend while the thread records.
 
-static BATCHES: AtomicU64 = AtomicU64::new(0);
-static OPS: AtomicU64 = AtomicU64::new(0);
-static RETRIES: AtomicU64 = AtomicU64::new(0);
-static BYTES_WRITTEN: AtomicU64 = AtomicU64::new(0);
-static BYTES_READ: AtomicU64 = AtomicU64::new(0);
-
-/// Snapshot of the plane's per-process counters.
+/// The plane totals of the default telemetry recorder.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoStats {
     /// Batches submitted through the plane.
@@ -300,43 +295,22 @@ impl IoStats {
     }
 }
 
-/// Read the counters.
+/// Read the plane totals the default recorder holds: what the plane
+/// counted while `telemetry::set_enabled` had recording on.
 pub fn stats() -> IoStats {
     IoStats {
-        batches: BATCHES.load(Ordering::Relaxed),
-        ops: OPS.load(Ordering::Relaxed),
-        retries: RETRIES.load(Ordering::Relaxed),
-        bytes_written: BYTES_WRITTEN.load(Ordering::Relaxed),
-        bytes_read: BYTES_READ.load(Ordering::Relaxed),
+        batches: telemetry::counter(telemetry::CTR_IOPLANE_BATCHES),
+        ops: telemetry::counter(telemetry::CTR_IOPLANE_OPS),
+        retries: telemetry::counter(telemetry::CTR_IOPLANE_RETRIES),
+        bytes_written: telemetry::counter(telemetry::CTR_IOPLANE_BYTES_WRITTEN),
+        bytes_read: telemetry::counter(telemetry::CTR_IOPLANE_BYTES_READ),
     }
 }
 
-/// Zero the counters (benchmark harnesses bracket runs with this).
+/// Zero the default recorder, plane totals included: the same as
+/// `telemetry::reset` (benchmark harnesses bracket runs with this).
 pub fn reset_stats() {
-    BATCHES.store(0, Ordering::Relaxed);
-    OPS.store(0, Ordering::Relaxed);
-    RETRIES.store(0, Ordering::Relaxed);
-    BYTES_WRITTEN.store(0, Ordering::Relaxed);
-    BYTES_READ.store(0, Ordering::Relaxed);
-}
-
-fn account(batch: &[IoOp], outcomes: &[IoOutcome]) {
-    let mut written = 0u64;
-    let mut read = 0u64;
-    for (op, out) in batch.iter().zip(outcomes) {
-        match (op, out) {
-            (IoOp::Append { content, .. }, Ok(_)) => written += content.len(),
-            (IoOp::ReadAt { .. }, Ok(IoValue::Data(c))) => read += c.len(),
-            _ => {} // structural op or failure: no bytes moved
-        }
-    }
-    // A metadata-only batch moves no bytes: skip its two atomic adds.
-    if written > 0 {
-        BYTES_WRITTEN.fetch_add(written, Ordering::Relaxed);
-    }
-    if read > 0 {
-        BYTES_READ.fetch_add(read, Ordering::Relaxed);
-    }
+    telemetry::reset();
 }
 
 /// Submit a batch through the plane: one [`Backend::submit`] call, then
@@ -346,30 +320,18 @@ fn account(batch: &[IoOp], outcomes: &[IoOutcome]) {
 /// and only those, so an op that already succeeded is **never executed
 /// twice** (re-sending an acknowledged append would duplicate its
 /// bytes). Non-transient failures are final immediately; ops after a
-/// failed op still run (partial-batch outcomes). Counters are updated
-/// here, uniformly for every backend.
+/// failed op still run (partial-batch outcomes). While the thread
+/// records, the plane totals are counted here, uniformly for every
+/// backend.
 pub fn submit_retried<B: Backend + ?Sized>(b: &B, batch: &[IoOp]) -> Vec<IoOutcome> {
     crate::sync::check_io();
     if batch.is_empty() {
         return Vec::new();
     }
     let _span = telemetry::span(telemetry::SPAN_IOPLANE_SUBMIT);
-    BATCHES.fetch_add(1, Ordering::Relaxed);
-    OPS.fetch_add(batch.len() as u64, Ordering::Relaxed);
-    // Per-op latency inside a native batched submit is unobservable, so
-    // the per-variant histograms record the batch's *amortized* per-op
-    // latency (batch duration / batch length) — DESIGN.md §5f.
-    let timed = telemetry::enabled();
-    let t0 = timed.then(std::time::Instant::now);
+    let t0 = telemetry::enabled().then(std::time::Instant::now);
     let mut outcomes = b.submit(batch);
-    if let Some(t0) = t0 {
-        let batch_ns = t0.elapsed().as_nanos() as u64;
-        telemetry::record_ns(telemetry::HIST_IOPLANE_BATCH, batch_ns);
-        let per_op_ns = batch_ns / batch.len() as u64;
-        for op in batch {
-            telemetry::record_ns(op.hist_name(), per_op_ns);
-        }
-    }
+    let batch_ns = t0.map(|t0| t0.elapsed().as_nanos() as u64);
     debug_assert_eq!(
         outcomes.len(),
         batch.len(),
@@ -388,14 +350,36 @@ pub fn submit_retried<B: Backend + ?Sized>(b: &B, batch: &[IoOp]) -> Vec<IoOutco
         }
         std::thread::sleep(std::time::Duration::from_micros(backoff_us));
         backoff_us = next_backoff_us(backoff_us);
-        RETRIES.fetch_add(pending.len() as u64, Ordering::Relaxed);
+        telemetry::count(telemetry::CTR_IOPLANE_RETRIES, pending.len() as u64);
         let retry_batch: Vec<IoOp> = pending.iter().map(|&i| batch[i].clone()).collect();
         let retried = b.submit(&retry_batch);
         for (slot, outcome) in pending.into_iter().zip(retried) {
             outcomes[slot] = outcome;
         }
     }
-    account(batch, &outcomes);
+    if let Some(batch_ns) = batch_ns {
+        // Per-op latency inside a native batched submit is unobservable,
+        // so the per-variant histograms record the batch's *amortized*
+        // per-op latency (batch duration / batch length) — DESIGN.md §5f.
+        let per_op_ns = batch_ns / batch.len() as u64;
+        telemetry::record(|r| {
+            r.record_ns(telemetry::HIST_IOPLANE_BATCH, batch_ns);
+            r.count(telemetry::CTR_IOPLANE_BATCHES, 1);
+            r.count(telemetry::CTR_IOPLANE_OPS, batch.len() as u64);
+            for (op, out) in batch.iter().zip(&outcomes) {
+                r.record_ns(op.hist_name(), per_op_ns);
+                match (op, out) {
+                    (IoOp::Append { content, .. }, Ok(_)) => {
+                        r.count(telemetry::CTR_IOPLANE_BYTES_WRITTEN, content.len())
+                    }
+                    (IoOp::ReadAt { .. }, Ok(IoValue::Data(c))) => {
+                        r.count(telemetry::CTR_IOPLANE_BYTES_READ, c.len())
+                    }
+                    _ => {} // structural op or failure: no bytes moved
+                }
+            }
+        });
+    }
     outcomes
 }
 
@@ -659,8 +643,6 @@ mod tests {
 
     #[test]
     fn counters_track_ops_batches_bytes_and_retries() {
-        // Counters are process-global; measure deltas.
-        let before = stats();
         let flaky_append = IoOp::Append {
             path: "/f".into(),
             content: Content::bytes(vec![0; 10]),
@@ -681,16 +663,32 @@ mod tests {
                 len: 4,
             },
         ];
-        let out = submit_retried(&b, &batch);
+        let (out, snap) = telemetry::capture(|| submit_retried(&b, &batch));
         assert!(out.iter().all(Result::is_ok));
-        let after = stats();
-        // Counters are monotonic and shared with concurrently-running
-        // tests, so assert the floor contributed by this batch.
-        assert!(after.batches - before.batches >= 1);
-        assert!(after.ops - before.ops >= 2);
-        assert!(after.retries - before.retries >= 1);
-        assert!(after.bytes_written - before.bytes_written >= 10);
-        assert!(after.bytes_read - before.bytes_read >= 4);
+        // The five plane totals, in name order, and no other counter.
+        let totals: Vec<(&str, u64)> = snap
+            .counters
+            .iter()
+            .map(|(k, v)| (k.as_str(), *v))
+            .collect();
+        assert_eq!(
+            totals,
+            [
+                (telemetry::CTR_IOPLANE_BATCHES, 1),
+                (telemetry::CTR_IOPLANE_BYTES_READ, 4),
+                (telemetry::CTR_IOPLANE_BYTES_WRITTEN, 10),
+                (telemetry::CTR_IOPLANE_OPS, 2),
+                (telemetry::CTR_IOPLANE_RETRIES, 1),
+            ]
+        );
+    }
+
+    /// An empty batch never reaches the backend and counts as nothing.
+    #[test]
+    fn empty_batch_is_free() {
+        let (out, snap) = telemetry::capture(|| submit_retried(&MemFs::new(), &[]));
+        assert!(out.is_empty());
+        assert_eq!(snap, telemetry::TelemetrySnapshot::default());
     }
 
     #[test]

@@ -234,8 +234,10 @@ impl<B: Backend> ReadHandle<B> {
         s.plan.submit(&self.backend, "data log")?;
         s.bytes = s.mappings.iter().map(|m| m.length).sum();
         let holes = s.mappings.len() - s.order.len();
-        telemetry::count(telemetry::CTR_READ_HOLES, holes as u64);
-        telemetry::count(telemetry::CTR_READ_BYTES, s.bytes);
+        telemetry::record(|r| {
+            r.count(telemetry::CTR_READ_HOLES, holes as u64);
+            r.count(telemetry::CTR_READ_BYTES, s.bytes);
+        });
         self.scratch = s;
         Ok(())
     }

@@ -517,9 +517,11 @@ impl<B: Backend + Clone> Service<B> {
 
     /// Record one completed (admitted) op in the `svc.*` telemetry.
     fn finish_op(&self, start: Instant) {
-        telemetry::count(telemetry::CTR_SVC_OPS, 1);
         let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        telemetry::record_ns(telemetry::HIST_SVC_OP, ns);
+        telemetry::record(|r| {
+            r.count(telemetry::CTR_SVC_OPS, 1);
+            r.record_ns(telemetry::HIST_SVC_OP, ns);
+        });
     }
 }
 
@@ -761,5 +763,26 @@ mod tests {
         for h in handles {
             s.close(h).unwrap();
         }
+    }
+
+    #[test]
+    fn svc_telemetry_counts_ops_and_throttles() {
+        use crate::telemetry::{self, CTR_SVC_OPENS, CTR_SVC_OPS, CTR_SVC_THROTTLED, HIST_SVC_OP};
+        let mut cfg = ServiceConfig::basic("/panfs");
+        cfg.token_rate = 1;
+        cfg.token_burst = 2;
+        let s = Service::new(Arc::new(MemFs::new()), cfg).unwrap();
+        let ((), snap) = telemetry::capture(|| {
+            let h = grant(s.open_write("t", "/f").unwrap());
+            s.append(h, 0, &Content::bytes(vec![1])).unwrap();
+            assert!(s
+                .append(h, 1, &Content::bytes(vec![2]))
+                .unwrap()
+                .is_throttled());
+        });
+        assert_eq!(snap.counters[CTR_SVC_OPENS], 1);
+        assert_eq!(snap.counters[CTR_SVC_THROTTLED], 1);
+        assert_eq!(snap.counters[CTR_SVC_OPS], 2);
+        assert_eq!(snap.histograms[HIST_SVC_OP].count(), 2);
     }
 }

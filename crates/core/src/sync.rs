@@ -70,7 +70,7 @@ macro_rules! classes {
     };
 }
 
-/// The ten classes of DESIGN.md §5i: `Name = "name", rank, io_ok;`.
+/// The nine classes of DESIGN.md §5i: `Name = "name", rank, io_ok;`.
 pub mod class {
     classes! {
         /// One shard of the service handle table (§5k); held only for a
@@ -94,10 +94,8 @@ pub mod class {
         /// A mount's shared-index cache (§5l); released across the
         /// aggregation it single-flights.
         IndexCache = "index-cache", 77, false;
-        /// The telemetry counter and histogram registry.
-        TelemetryRegistry = "telemetry-registry", 80, false;
-        /// The telemetry span store.
-        TelemetrySpans = "telemetry-spans", 90, false;
+        /// One telemetry recorder: counters, histograms and finished spans.
+        Telemetry = "telemetry", 80, false;
     }
 }
 
@@ -404,13 +402,11 @@ mod tests {
 
     #[test]
     #[should_panic(
-        expected = "lock order: `index-cache` (rank 77) acquired while holding `telemetry-registry` (rank 80)"
+        expected = "lock order: `index-cache` (rank 77) acquired while holding `telemetry` (rank 80)"
     )]
     fn a_condvar_wait_above_a_later_lock_fails() {
-        let (cache, registry): (
-            Mutex<(), class::IndexCache>,
-            Mutex<(), class::TelemetryRegistry>,
-        ) = Default::default();
+        let (cache, registry): (Mutex<(), class::IndexCache>, Mutex<(), class::Telemetry>) =
+            Default::default();
         let landed = Condvar::new();
         let guard = cache.lock();
         let _later = registry.lock();

@@ -8,8 +8,10 @@
 //! loop: every hot path — writer open/append/flush/close, index
 //! flatten, the read-open fan-out, subindex merge, coalesced lookup,
 //! fsck scan/repair, federation routing, and every [`Backend::submit`]
-//! batch — records into one process-global registry that exports as a
-//! [`TelemetrySnapshot`] (`plfsctl obs` renders it).
+//! batch — records into a *recorder* that exports as a
+//! [`TelemetrySnapshot`] (`plfsctl obs` renders it). A thread records
+//! into the process default while [`set_enabled`] has it on, or into a
+//! recorder of its own inside [`capture`], whatever the switch says.
 //!
 //! [`Backend::submit`]: crate::backend::Backend::submit
 //!
@@ -22,9 +24,12 @@
 //!   parent links, and a per-thread span stack. Nesting stays
 //!   well-formed under early returns and panics because closing happens
 //!   in [`SpanGuard`]'s `Drop`, and a guard dropped out of order pops
-//!   every (leaked) child above it.
+//!   every (leaked) child above it. A worker thread joins its
+//!   submitter's tree and recorder through a [`Handoff`].
 //! * **Counters** ([`count`]) — named monotonic totals (bytes served,
-//!   holes read, shadow-subdir routes, fsck issues).
+//!   holes read, shadow-subdir routes, fsck issues, and the I/O plane's
+//!   batches, ops, retries and bytes that [`crate::ioplane::stats`]
+//!   reads).
 //! * **Histograms** ([`record_ns`]) — fixed-bucket latency histograms:
 //!   [`HIST_BUCKET_COUNT`] power-of-two buckets, bucket `i` covering
 //!   `[2^i, 2^(i+1))` nanoseconds with the last bucket open-ended. The
@@ -34,45 +39,41 @@
 //!
 //! # Cost model
 //!
-//! Telemetry is **off by default**. Disabled, every instrumentation
-//! point is a single relaxed atomic load and an early return — the
-//! instrumented index-aggregation microbenches are required (tier-1
-//! acceptance) to stay within noise of `results/index_ops_perf.md`.
-//! Enabled, recording is lock-cheap: span records accumulate in a
-//! thread-local buffer and only drain into the global store (one mutex
-//! acquisition) when the thread's **root** span closes; counters and
-//! histogram buckets are relaxed atomic adds behind a read lock that is
-//! only write-acquired the first time a name is seen.
+//! Telemetry is **off by default**. While nothing records anywhere — the
+//! switch off and no capture live — every instrumentation point is a
+//! single relaxed atomic load and an early return. Recording is
+//! lock-cheap: span records accumulate in a thread-local buffer and only
+//! drain into the recorder (one mutex acquisition) when the thread's
+//! **root** span closes; a counter or histogram bucket is one add under
+//! the recorder's mutex.
 //!
 //! # Example
 //!
 //! ```
 //! use plfs::telemetry;
 //!
-//! telemetry::set_enabled(true);
-//! {
+//! let ((), snap) = telemetry::capture(|| {
 //!     let _root = telemetry::span(telemetry::SPAN_READ_OPEN);
 //!     let _child = telemetry::span(telemetry::SPAN_INDEX_AGGREGATE);
 //!     telemetry::count(telemetry::CTR_READ_BYTES, 4096);
 //!     telemetry::record_ns(telemetry::HIST_IOPLANE_READ_AT, 1500);
-//! } // guards close innermost-first; the root drains the thread buffer
-//! let snap = telemetry::snapshot();
+//! }); // guards close innermost-first; the root drains the thread buffer
 //! assert_eq!(snap.counters["read.bytes"], 4096);
 //! assert_eq!(snap.spans[0].name, "read.open");
 //! assert_eq!(snap.spans[0].children[0].name, "index.aggregate");
-//! telemetry::set_enabled(false);
-//! telemetry::reset();
+//! // The process default saw none of it.
+//! assert!(telemetry::snapshot().counters.is_empty());
 //! ```
 
-use crate::sync::{class, Mutex, RwLock};
+use crate::sync::{class, Mutex};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------
-// Vocabulary. Every name the registry speaks is one of these constants;
+// Vocabulary. Every name a recorder speaks is one of these constants;
 // DESIGN.md §5f is the authoritative table and `tests/contracts.rs`
 // checks the two against each other both ways (an undocumented constant
 // and a table row naming a dead constant both fail).
@@ -150,6 +151,16 @@ pub const CTR_SVC_THROTTLED: &str = "svc.throttled";
 pub const CTR_SVC_OPENS: &str = "svc.opens";
 /// Counter: index flushes forced by a tenant's dirty-byte budget.
 pub const CTR_SVC_DIRTY_FLUSHES: &str = "svc.dirty_flushes";
+/// Counter: batches submitted through `ioplane::submit_retried`.
+pub const CTR_IOPLANE_BATCHES: &str = "ioplane.batches";
+/// Counter: ops in those batches (first submissions, not retries).
+pub const CTR_IOPLANE_OPS: &str = "ioplane.ops";
+/// Counter: transiently-failed ops the plane re-submitted.
+pub const CTR_IOPLANE_RETRIES: &str = "ioplane.retries";
+/// Counter: bytes the plane's appends wrote.
+pub const CTR_IOPLANE_BYTES_WRITTEN: &str = "ioplane.bytes_written";
+/// Counter: bytes the plane's reads returned.
+pub const CTR_IOPLANE_BYTES_READ: &str = "ioplane.bytes_read";
 
 /// Histogram: whole-batch `Backend::submit` latency.
 pub const HIST_IOPLANE_BATCH: &str = "ioplane.batch";
@@ -209,39 +220,22 @@ pub fn bucket_index(ns: u64) -> usize {
 }
 
 // ---------------------------------------------------------------------
-// Global state.
+// Recorders.
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
+/// One sink of telemetry: everything recorded into it, under one lock.
+type Recorder = Mutex<Recorded, class::Telemetry>;
 
-/// Turn recording on or off process-wide. Off is the default; disabled,
-/// every instrumentation point is one relaxed load and an early return.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Release);
+/// What a recorder holds; [`record`] lends it out locked.
+pub(crate) struct Recorded {
+    counters: BTreeMap<&'static str, u64>,
+    hists: BTreeMap<&'static str, [u64; HIST_BUCKET_COUNT]>,
+    /// Finished spans, flat (the tree is rebuilt at snapshot).
+    records: Vec<SpanRecord>,
+    dropped: u64,
+    stats: BTreeMap<&'static str, SpanStat>,
 }
 
-/// Whether telemetry is currently recording.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-struct Registry {
-    counters: BTreeMap<&'static str, AtomicU64>,
-    hists: BTreeMap<&'static str, Box<[AtomicU64]>>,
-}
-
-fn registry() -> &'static RwLock<Registry, class::TelemetryRegistry> {
-    static REGISTRY: OnceLock<RwLock<Registry, class::TelemetryRegistry>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        RwLock::new(Registry {
-            counters: BTreeMap::new(),
-            hists: BTreeMap::new(),
-        })
-    })
-}
-
-/// One finished span, as stored (flat; the tree is rebuilt at snapshot).
+/// One finished span, as stored.
 #[derive(Debug, Clone)]
 struct SpanRecord {
     id: u64,
@@ -251,34 +245,123 @@ struct SpanRecord {
     dur_ns: u64,
 }
 
-#[derive(Default)]
-struct SpanStore {
-    records: Vec<SpanRecord>,
-    dropped: u64,
-    stats: BTreeMap<&'static str, SpanStat>,
+impl Recorded {
+    const fn new() -> Recorded {
+        Recorded {
+            counters: BTreeMap::new(),
+            hists: BTreeMap::new(),
+            records: Vec::new(),
+            dropped: 0,
+            stats: BTreeMap::new(),
+        }
+    }
+
+    /// Add `delta` to counter `name`; a zero adds no entry.
+    pub(crate) fn count(&mut self, name: &'static str, delta: u64) {
+        if delta != 0 {
+            *self.counters.entry(name).or_default() += delta;
+        }
+    }
+
+    /// Count a latency of `ns` nanoseconds in histogram `name`.
+    pub(crate) fn record_ns(&mut self, name: &'static str, ns: u64) {
+        self.hists.entry(name).or_default()[bucket_index(ns)] += 1;
+    }
+
+    fn drain(&mut self, buf: &mut Vec<SpanRecord>) {
+        for span in buf.iter() {
+            let s = self.stats.entry(span.name).or_default();
+            s.count += 1;
+            s.total_ns += span.dur_ns;
+            s.max_ns = s.max_ns.max(span.dur_ns);
+        }
+        let room = SPAN_CAPACITY.saturating_sub(self.records.len());
+        if buf.len() > room {
+            self.dropped += (buf.len() - room) as u64;
+        }
+        self.records.extend(buf.drain(..).take(room));
+        buf.clear();
+    }
+
+    fn snapshot(&self) -> TelemetrySnapshot {
+        let hist = |b: &[u64; HIST_BUCKET_COUNT]| HistogramSnapshot {
+            buckets: b.to_vec(),
+        };
+        TelemetrySnapshot {
+            counters: named(&self.counters, |&n| n),
+            histograms: named(&self.hists, hist),
+            span_stats: named(&self.stats, |&s| s),
+            spans: build_forest(&self.records),
+            dropped_spans: self.dropped,
+        }
+    }
 }
 
-fn span_store() -> &'static Mutex<SpanStore, class::TelemetrySpans> {
-    static STORE: OnceLock<Mutex<SpanStore, class::TelemetrySpans>> = OnceLock::new();
-    STORE.get_or_init(|| Mutex::new(SpanStore::default()))
+/// `m` keyed by owned names, each value through `f`.
+fn named<V, W>(m: &BTreeMap<&'static str, V>, f: impl Fn(&V) -> W) -> BTreeMap<String, W> {
+    m.iter().map(|(k, v)| (k.to_string(), f(v))).collect()
 }
 
-/// Monotonic epoch shared by every thread, so span start times are
-/// comparable across threads within one process.
-fn epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
+// ---------------------------------------------------------------------
+// Process state: the default recorder and the gate in front of it.
+
+/// The recorder behind [`snapshot`] and [`reset`], which a thread outside
+/// any capture records into while the switch is on.
+static DEFAULT: Recorder = Mutex::new(Recorded::new());
+
+/// Bit 0 is the switch ([`set_enabled`]); the bits above it count the
+/// sinks entered by live captures and hand-offs. Zero means nothing
+/// records anywhere, so every instrumentation point returns after this
+/// one load. Relaxed: the gate publishes no data, each recorder guards
+/// its own.
+static GATE: AtomicUsize = AtomicUsize::new(0);
+const SWITCH: usize = 1;
+const ENTERED: usize = 2;
+
+static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
+
+/// Turn recording into the default recorder on or off process-wide. Off
+/// is the default. A [`capture`] records whatever this says.
+pub fn set_enabled(on: bool) {
+    if on {
+        GATE.fetch_or(SWITCH, Ordering::Relaxed);
+    } else {
+        GATE.fetch_and(!SWITCH, Ordering::Relaxed);
+    }
 }
 
+/// Whether what this thread records right now lands anywhere: it is
+/// inside a capture or a hand-off from one, or the switch is on.
+#[inline]
+pub fn enabled() -> bool {
+    with_sink(|_, _| ()).is_some()
+}
+
+/// Nanoseconds since an epoch shared by every thread, so span start
+/// times are comparable across threads within one process.
 fn epoch_ns() -> u64 {
-    epoch().elapsed().as_nanos() as u64
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
+/// A thread's recording state.
 struct Tls {
     /// Ids of currently-open spans on this thread, outermost first.
     stack: Vec<u64>,
     /// Finished spans awaiting the root-span drain.
     buf: Vec<SpanRecord>,
+    /// The capture's recorder this thread records into; `None` is the
+    /// default, which records only while the switch is on.
+    sink: Option<Arc<Recorder>>,
+}
+
+impl Tls {
+    fn drain(&mut self) {
+        if !self.buf.is_empty() {
+            let sink = self.sink.as_deref().unwrap_or(&DEFAULT);
+            sink.lock().drain(&mut self.buf);
+        }
+    }
 }
 
 thread_local! {
@@ -286,27 +369,121 @@ thread_local! {
         RefCell::new(Tls {
             stack: Vec::new(),
             buf: Vec::new(),
+            sink: None,
         })
     };
 }
 
-fn drain(buf: &mut Vec<SpanRecord>) {
-    if buf.is_empty() {
-        return;
+/// Run `f` on this thread's span stack and the recorder it records into,
+/// if it records.
+#[inline]
+fn with_sink<R>(f: impl FnOnce(&mut Vec<u64>, &Recorder) -> R) -> Option<R> {
+    let gate = GATE.load(Ordering::Relaxed);
+    if gate == 0 {
+        return None;
     }
-    let mut store = span_store().lock();
-    for r in buf.iter() {
-        let s = store.stats.entry(r.name).or_default();
-        s.count += 1;
-        s.total_ns += r.dur_ns;
-        s.max_ns = s.max_ns.max(r.dur_ns);
+    TLS.try_with(|t| {
+        let t = &mut *t.borrow_mut();
+        let sink = match t.sink.as_deref() {
+            Some(r) => r,
+            None if gate & SWITCH != 0 => &DEFAULT,
+            None => return None,
+        };
+        Some(f(&mut t.stack, sink))
+    })
+    .ok()
+    .flatten()
+}
+
+/// Make `sink` this thread's recorder, with a fresh span stack and
+/// buffer, and return the state it replaces.
+fn enter(sink: Arc<Recorder>) -> Option<Tls> {
+    let fresh = Tls {
+        stack: Vec::new(),
+        buf: Vec::new(),
+        sink: Some(sink),
+    };
+    let saved = TLS
+        .try_with(|t| std::mem::replace(&mut *t.borrow_mut(), fresh))
+        .ok()?;
+    GATE.fetch_add(ENTERED, Ordering::Relaxed);
+    Some(saved)
+}
+
+/// A thread's stint in another recorder, made by [`capture`] and
+/// [`Handoff::span`]: the span it opened closes, then the thread's own
+/// state comes back.
+#[must_use = "a hand-off records only while its guard is alive"]
+pub struct Entered {
+    span: Option<SpanGuard>,
+    saved: Option<Tls>,
+}
+
+impl Drop for Entered {
+    fn drop(&mut self) {
+        drop(self.span.take());
+        let Some(saved) = self.saved.take() else {
+            return;
+        };
+        GATE.fetch_sub(ENTERED, Ordering::Relaxed);
+        if let Ok(mut mine) = TLS.try_with(|t| std::mem::replace(&mut *t.borrow_mut(), saved)) {
+            // A span left open inside (a forgotten guard) strands its
+            // finished children in the buffer.
+            mine.drain();
+        }
     }
-    let room = SPAN_CAPACITY.saturating_sub(store.records.len());
-    if buf.len() > room {
-        store.dropped += (buf.len() - room) as u64;
+}
+
+/// Run `f` with a fresh recorder as this thread's sink and return what it
+/// recorded: spans, counters and histograms of `f` and of every worker it
+/// hands work to through a [`Handoff`], and nothing else. They land there
+/// and nowhere else, whether or not the switch is on; a thread `f` starts
+/// without a hand-off records nothing into it.
+pub fn capture<T>(f: impl FnOnce() -> T) -> (T, TelemetrySnapshot) {
+    let recorder = Arc::new(Mutex::new(Recorded::new()));
+    let entered = Entered {
+        span: None,
+        saved: enter(Arc::clone(&recorder)),
+    };
+    let out = f();
+    drop(entered);
+    let snap = recorder.lock().snapshot();
+    (out, snap)
+}
+
+/// What a worker thread needs to record as part of the work that
+/// started it: the submitter's capture, if any, and its innermost open
+/// span. Take it with [`handoff`] on the submitting thread and open the
+/// worker's span with [`Handoff::span`], so the worker's spans nest under
+/// the submitter's in the same recorder instead of surfacing as roots.
+#[derive(Default)]
+pub struct Handoff {
+    parent: Option<u64>,
+    sink: Option<Arc<Recorder>>,
+}
+
+/// This thread's [`Handoff`]; inert while the thread does not record.
+pub fn handoff() -> Handoff {
+    TLS.try_with(|t| {
+        let t = t.borrow();
+        Handoff {
+            parent: t.stack.last().copied(),
+            sink: t.sink.clone(),
+        }
+    })
+    .unwrap_or_default()
+}
+
+impl Handoff {
+    /// Open `name` on this (worker) thread as a child of the submitter's
+    /// span, recording where the submitter records until the guard drops.
+    pub fn span(&self, name: &'static str) -> Entered {
+        let saved = self.sink.clone().and_then(enter);
+        Entered {
+            span: Some(open(name, self.parent)),
+            saved,
+        }
     }
-    store.records.extend(buf.drain(..).take(room));
-    buf.clear();
 }
 
 // ---------------------------------------------------------------------
@@ -320,132 +497,52 @@ fn drain(buf: &mut Vec<SpanRecord>) {
 /// while children are still open (a leaked child guard) pops those
 /// children too rather than corrupting the stack.
 #[must_use = "a span measures the scope it is alive in; binding it to `_` drops it immediately"]
-pub struct SpanGuard {
-    id: u64,
-    parent: Option<u64>,
-    name: &'static str,
-    start: Option<Instant>,
-    start_ns: u64,
-}
+pub struct SpanGuard(Option<SpanRecord>);
 
 /// Open a span named `name` on this thread. `name` should be one of the
 /// `SPAN_` vocabulary constants — DESIGN.md §5f documents them and
 /// `tests/contracts.rs` holds the two sets equal.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard {
-            id: 0,
-            parent: None,
-            name,
-            start: None,
-            start_ns: 0,
-        };
-    }
-    let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
-    let parent = TLS
-        .try_with(|t| {
-            let mut t = t.borrow_mut();
-            let p = t.stack.last().copied();
-            t.stack.push(id);
-            p
-        })
-        .unwrap_or(None);
-    SpanGuard {
-        id,
-        parent,
-        name,
-        start: Some(Instant::now()),
-        start_ns: epoch_ns(),
-    }
+    open(name, None)
 }
 
-/// Id of the innermost span currently open on this thread, if any.
-///
-/// This is the handle for carrying span ancestry across an execution
-/// boundary that TLS cannot follow: capture it on the submitting thread,
-/// ship it with the work, and reopen with [`span_with_parent`] on the
-/// thread that actually runs the work. Returns `None` while telemetry is
-/// disabled or no span is open.
+/// Open `name` under `parent`, or under this thread's innermost span.
 #[inline]
-pub fn current_span_id() -> Option<u64> {
-    if !enabled() {
-        return None;
-    }
-    TLS.try_with(|t| t.borrow().stack.last().copied())
-        .unwrap_or(None)
-}
-
-/// Open a span with an explicit parent id instead of the thread-local
-/// stack top.
-///
-/// Per-thread span stacks mean a span opened on a spawned worker thread
-/// is a root there — it has no way to know it logically belongs under
-/// the span that *submitted* the work. `span_with_parent` closes that
-/// gap: pass the submitting thread's [`current_span_id`] and the worker
-/// span (and, via the normal TLS stack, all of its children) nests under
-/// the submitter in the exported forest. `None` makes an explicit root.
-#[inline]
-pub fn span_with_parent(name: &'static str, parent: Option<u64>) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard {
-            id: 0,
-            parent: None,
+fn open(name: &'static str, parent: Option<u64>) -> SpanGuard {
+    SpanGuard(with_sink(|stack, _| {
+        let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
+        let parent = parent.or(stack.last().copied());
+        stack.push(id);
+        SpanRecord {
+            id,
+            parent,
             name,
-            start: None,
-            start_ns: 0,
-        };
-    }
-    let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
-    // Still push onto the local stack so children opened on this thread
-    // nest under this span; only the *parent link* is overridden. A
-    // failed push means TLS is mid-teardown: the span still records,
-    // its children just cannot nest on this thread.
-    let _pushed: std::result::Result<(), _> =
-        TLS.try_with(|t| t.borrow_mut().stack.push(id));
-    SpanGuard {
-        id,
-        parent,
-        name,
-        start: Some(Instant::now()),
-        start_ns: epoch_ns(),
-    }
+            start_ns: epoch_ns(),
+            dur_ns: 0,
+        }
+    }))
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(start) = self.start else {
-            return; // created while disabled: a no-op
+        let Some(mut record) = self.0.take() else {
+            return; // opened while not recording: a no-op
         };
-        let dur_ns = start.elapsed().as_nanos() as u64;
-        let record = SpanRecord {
-            id: self.id,
-            parent: self.parent,
-            name: self.name,
-            start_ns: self.start_ns,
-            dur_ns,
-        };
-        // try_with: thread-local storage may already be gone during
-        // thread teardown; the record cannot be buffered then, so it
-        // counts against `dropped_spans` like a capacity overflow.
-        let teardown = TLS
-            .try_with(|t| {
-                let mut t = t.borrow_mut();
-                // Pop until our own id: tolerates leaked child guards.
-                while let Some(top) = t.stack.pop() {
-                    if top == self.id {
-                        break;
-                    }
-                }
-                t.buf.push(record);
-                if t.stack.is_empty() {
-                    drain(&mut t.buf);
-                }
-            })
-            .is_err();
-        if teardown {
-            span_store().lock().dropped += 1;
-        }
+        record.dur_ns = epoch_ns().saturating_sub(record.start_ns);
+        // Thread-local storage is gone only while the thread is torn
+        // down, and a span closed then is lost.
+        let _kept: std::result::Result<(), _> = TLS.try_with(|t| {
+            let t = &mut *t.borrow_mut();
+            // Pop through our own id: tolerates leaked child guards.
+            if let Some(at) = t.stack.iter().rposition(|&id| id == record.id) {
+                t.stack.truncate(at);
+            }
+            t.buf.push(record);
+            if t.stack.is_empty() {
+                t.drain();
+            }
+        });
     }
 }
 
@@ -453,49 +550,30 @@ impl Drop for SpanGuard {
 // Counters and histograms.
 
 /// Add `delta` to the counter named `name` (a `CTR_` vocabulary
-/// constant). No-op while disabled.
+/// constant). No-op while this thread does not record.
 #[inline]
 pub fn count(name: &'static str, delta: u64) {
-    if !enabled() || delta == 0 {
-        return;
-    }
-    {
-        let reg = registry().read();
-        if let Some(c) = reg.counters.get(name) {
-            c.fetch_add(delta, Ordering::Relaxed);
-            return;
-        }
-    }
-    let mut reg = registry().write();
-    reg.counters
-        .entry(name)
-        .or_insert_with(|| AtomicU64::new(0))
-        .fetch_add(delta, Ordering::Relaxed);
+    record(|r| r.count(name, delta));
 }
 
 /// Record a latency of `ns` nanoseconds into the histogram named `name`
-/// (a `HIST_` vocabulary constant). No-op while disabled.
+/// (a `HIST_` vocabulary constant). No-op while this thread does not
+/// record.
 #[inline]
 pub fn record_ns(name: &'static str, ns: u64) {
-    if !enabled() {
-        return;
-    }
-    let idx = bucket_index(ns);
-    {
-        let reg = registry().read();
-        if let Some(h) = reg.hists.get(name) {
-            h[idx].fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-    }
-    let mut reg = registry().write();
-    reg.hists.entry(name).or_insert_with(|| {
-        (0..HIST_BUCKET_COUNT)
-            .map(|_| AtomicU64::new(0))
-            .collect::<Vec<_>>()
-            .into_boxed_slice()
-    })[idx]
-        .fetch_add(1, Ordering::Relaxed);
+    record(|r| r.record_ns(name, ns));
+}
+
+/// Run `f` on this thread's recorder, locked, if the thread records:
+/// several adds for one lock acquisition.
+#[inline]
+pub(crate) fn record(f: impl FnOnce(&mut Recorded)) {
+    with_sink(|_, r| f(&mut r.lock()));
+}
+
+/// The default recorder's total for counter `name`.
+pub(crate) fn counter(name: &str) -> u64 {
+    DEFAULT.lock().counters.get(name).copied().unwrap_or(0)
 }
 
 // ---------------------------------------------------------------------
@@ -525,6 +603,19 @@ impl HistogramSnapshot {
     pub fn count(&self) -> u64 {
         self.buckets.iter().sum()
     }
+
+    /// The non-empty buckets as `(ge_ns, lt_ns, count)`; the last bucket
+    /// has no upper bound.
+    fn nonzero(&self) -> impl Iterator<Item = (u64, Option<u64>, u64)> + '_ {
+        self.buckets
+            .iter()
+            .enumerate()
+            .filter(|&(_, &n)| n > 0)
+            .map(|(b, &n)| {
+                let lt = (b + 1 < HIST_BUCKET_COUNT).then(|| bucket_floor_ns(b + 1));
+                (bucket_floor_ns(b), lt, n)
+            })
+    }
 }
 
 /// One node of the exported span tree.
@@ -540,9 +631,9 @@ pub struct SpanNode {
     pub children: Vec<SpanNode>,
 }
 
-/// A point-in-time export of everything the registry holds: counters,
+/// A point-in-time export of everything a recorder holds: counters,
 /// histograms, per-name span statistics, and the reconstructed span
-/// forest. Obtained from [`snapshot`]; merged with
+/// forest. Obtained from [`snapshot`] or [`capture`]; merged with
 /// [`TelemetrySnapshot::merge`] (associative, so shards combine in any
 /// grouping); rendered with [`TelemetrySnapshot::render_json`] /
 /// [`TelemetrySnapshot::render_tree`].
@@ -562,66 +653,27 @@ pub struct TelemetrySnapshot {
     pub dropped_spans: u64,
 }
 
-/// Export the registry's current contents. Non-destructive: the
+/// Export the default recorder's current contents. Non-destructive: the
 /// counters keep accumulating; bracket with [`snapshot`]-before /
 /// [`snapshot`]-after or call [`reset`] for per-run numbers. Spans
 /// still open (or finished but not yet drained by their root) are not
 /// included.
 pub fn snapshot() -> TelemetrySnapshot {
-    let reg = registry().read();
-    let counters = reg
-        .counters
-        .iter()
-        .map(|(k, v)| (k.to_string(), v.load(Ordering::Relaxed)))
-        .collect();
-    let histograms = reg
-        .hists
-        .iter()
-        .map(|(k, v)| {
-            (
-                k.to_string(),
-                HistogramSnapshot {
-                    buckets: v.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-                },
-            )
-        })
-        .collect();
-    drop(reg);
-    let store = span_store().lock();
-    let span_stats = store
-        .stats
-        .iter()
-        .map(|(k, v)| (k.to_string(), *v))
-        .collect();
-    let spans = build_forest(&store.records);
-    TelemetrySnapshot {
-        counters,
-        histograms,
-        span_stats,
-        spans,
-        dropped_spans: store.dropped,
-    }
+    DEFAULT.lock().snapshot()
 }
 
-/// Zero every counter, histogram, and retained span. Open spans on
-/// other threads drain into the fresh store when their roots close.
+/// Zero every counter, histogram, and retained span of the default
+/// recorder. Open spans on other threads drain into it when their roots
+/// close.
 pub fn reset() {
-    let mut reg = registry().write();
-    reg.counters.clear();
-    reg.hists.clear();
-    drop(reg);
-    let mut store = span_store().lock();
-    *store = SpanStore::default();
+    *DEFAULT.lock() = Recorded::new();
 }
 
 fn build_forest(records: &[SpanRecord]) -> Vec<SpanNode> {
     // Children grouped by parent id; present ids for root detection (a
     // parent evicted by the capacity cap promotes its children to roots).
     let mut children: BTreeMap<u64, Vec<&SpanRecord>> = BTreeMap::new();
-    let mut present: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    for r in records {
-        present.insert(r.id);
-    }
+    let present: std::collections::HashSet<u64> = records.iter().map(|r| r.id).collect();
     let mut roots: Vec<&SpanRecord> = Vec::new();
     for r in records {
         match r.parent {
@@ -657,12 +709,7 @@ impl TelemetrySnapshot {
             *self.counters.entry(k.clone()).or_insert(0) += v;
         }
         for (k, h) in &other.histograms {
-            let mine = self
-                .histograms
-                .entry(k.clone())
-                .or_insert_with(|| HistogramSnapshot {
-                    buckets: vec![0; HIST_BUCKET_COUNT],
-                });
+            let mine = self.histograms.entry(k.clone()).or_default();
             mine.buckets
                 .resize(HIST_BUCKET_COUNT.max(h.buckets.len()), 0);
             for (m, o) in mine.buckets.iter_mut().zip(&h.buckets) {
@@ -683,72 +730,40 @@ impl TelemetrySnapshot {
     /// Observability section). Histograms list only non-empty buckets,
     /// each with its `[ge_ns, lt_ns)` bounds.
     pub fn render_json(&self) -> String {
-        let mut s = String::from("{\n  \"counters\": {");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\n    {}: {}", json_str(k), v));
-        }
-        s.push_str("\n  },\n  \"histograms\": {");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\n    {}: {{\"count\": {}, \"buckets\": [",
+        let counters = self
+            .counters
+            .iter()
+            .map(|(k, v)| format!("\n    {}: {v}", json_str(k)));
+        let histograms = self.histograms.iter().map(|(k, h)| {
+            let buckets = h.nonzero().map(|(ge, lt, n)| {
+                let lt = lt.map_or("null".to_string(), |lt| lt.to_string());
+                format!("{{\"ge_ns\": {ge}, \"lt_ns\": {lt}, \"count\": {n}}}")
+            });
+            format!(
+                "\n    {}: {{\"count\": {}, \"buckets\": [{}]}}",
                 json_str(k),
-                h.count()
-            ));
-            let mut first = true;
-            for (b, &n) in h.buckets.iter().enumerate() {
-                if n == 0 {
-                    continue;
-                }
-                if !first {
-                    s.push_str(", ");
-                }
-                first = false;
-                let lt = if b + 1 >= HIST_BUCKET_COUNT {
-                    "null".to_string()
-                } else {
-                    bucket_floor_ns(b + 1).to_string()
-                };
-                s.push_str(&format!(
-                    "{{\"ge_ns\": {}, \"lt_ns\": {}, \"count\": {}}}",
-                    bucket_floor_ns(b),
-                    lt,
-                    n
-                ));
-            }
-            s.push_str("]}");
-        }
-        s.push_str("\n  },\n  \"span_stats\": {");
-        for (i, (k, st)) in self.span_stats.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
+                h.count(),
+                buckets.collect::<Vec<_>>().join(", ")
+            )
+        });
+        let span_stats = self.span_stats.iter().map(|(k, st)| {
+            format!(
                 "\n    {}: {{\"count\": {}, \"total_ns\": {}, \"max_ns\": {}}}",
                 json_str(k),
                 st.count,
                 st.total_ns,
                 st.max_ns
-            ));
-        }
-        s.push_str(&format!(
-            "\n  }},\n  \"dropped_spans\": {},\n  \"spans\": [",
-            self.dropped_spans
-        ));
-        for (i, n) in self.spans.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('\n');
-            json_span(&mut s, n, 4);
-        }
-        s.push_str("\n  ]\n}\n");
-        s
+            )
+        });
+        let spans = self.spans.iter().map(|n| json_span(n, 4));
+        format!(
+            "{{\n  \"counters\": {{{}\n  }},\n  \"histograms\": {{{}\n  }},\n  \"span_stats\": {{{}\n  }},\n  \"dropped_spans\": {},\n  \"spans\": [{}\n  ]\n}}\n",
+            counters.collect::<Vec<_>>().join(","),
+            histograms.collect::<Vec<_>>().join(","),
+            span_stats.collect::<Vec<_>>().join(","),
+            self.dropped_spans,
+            spans.collect::<Vec<_>>().join(",")
+        )
     }
 
     /// Render as a human-readable report: the span tree (indented,
@@ -763,73 +778,59 @@ impl TelemetrySnapshot {
         }
         if self.dropped_spans > 0 {
             s.push_str(&format!(
-                "  ({} span(s) past the {} retained-span cap kept stats only)",
+                "  ({} span(s) past the {} retained-span cap kept stats only)\n",
                 self.dropped_spans, SPAN_CAPACITY
             ));
-            s.push('\n');
         }
         s.push_str("span totals:\n");
         for (name, st) in &self.span_stats {
             s.push_str(&format!(
-                "  {name:<20} count {:>6}  total {:>10}  max {:>10}",
+                "  {name:<20} count {:>6}  total {:>10}  max {:>10}\n",
                 st.count,
                 fmt_ns(st.total_ns),
                 fmt_ns(st.max_ns)
             ));
-            s.push('\n');
         }
         s.push_str("counters:\n");
         if self.counters.is_empty() {
             s.push_str("  (none)\n");
         }
         for (name, v) in &self.counters {
-            s.push_str(&format!("  {name:<28} {v}"));
-            s.push('\n');
+            s.push_str(&format!("  {name:<28} {v}\n"));
         }
         s.push_str("histograms:\n");
         for (name, h) in &self.histograms {
-            s.push_str(&format!("  {name:<20} count {:>6}  ", h.count()));
-            let mut first = true;
-            for (b, &n) in h.buckets.iter().enumerate() {
-                if n == 0 {
-                    continue;
-                }
-                if !first {
-                    s.push_str("  ");
-                }
-                first = false;
-                let lt = if b + 1 >= HIST_BUCKET_COUNT {
-                    "inf".into()
-                } else {
-                    fmt_ns(bucket_floor_ns(b + 1))
-                };
-                s.push_str(&format!("[{},{lt}):{n}", fmt_ns(bucket_floor_ns(b))));
-            }
-            s.push('\n');
+            let buckets = h.nonzero().map(|(ge, lt, n)| {
+                format!("[{},{}):{n}", fmt_ns(ge), lt.map_or("inf".into(), fmt_ns))
+            });
+            let buckets = buckets.collect::<Vec<_>>().join("  ");
+            s.push_str(&format!("  {name:<20} count {:>6}  {buckets}\n", h.count()));
         }
         s
     }
 }
 
-fn json_span(s: &mut String, n: &SpanNode, indent: usize) {
+/// `n` and its subtree as a JSON object on lines indented by `indent`,
+/// each line led by its newline.
+fn json_span(n: &SpanNode, indent: usize) -> String {
     let pad = " ".repeat(indent);
-    s.push_str(&format!(
-        "{pad}{{\"name\": {}, \"start_ns\": {}, \"dur_ns\": {}, \"children\": [",
+    let children: Vec<String> = n
+        .children
+        .iter()
+        .map(|c| json_span(c, indent + 2))
+        .collect();
+    let close = if children.is_empty() {
+        String::new()
+    } else {
+        format!("\n{pad}")
+    };
+    format!(
+        "\n{pad}{{\"name\": {}, \"start_ns\": {}, \"dur_ns\": {}, \"children\": [{}{close}]}}",
         json_str(&n.name),
         n.start_ns,
-        n.dur_ns
-    ));
-    for (i, c) in n.children.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push('\n');
-        json_span(s, c, indent + 2);
-    }
-    if !n.children.is_empty() {
-        s.push_str(&format!("\n{pad}"));
-    }
-    s.push_str("]}");
+        n.dur_ns,
+        children.join(",")
+    )
 }
 
 fn tree_lines(s: &mut String, n: &SpanNode, pad: &str, rail: &str) {
@@ -886,7 +887,11 @@ fn json_str(s: &str) -> String {
 
 #[cfg(test)]
 mod tests {
+    //! Every test records into a [`capture`] of its own; none turns the
+    //! process switch on, so they run in parallel without seeing each
+    //! other and the default recorder stays empty.
     use super::*;
+    use std::sync::Barrier;
 
     #[test]
     fn bucket_boundaries_are_powers_of_two() {
@@ -906,5 +911,235 @@ mod tests {
                 assert!(bucket_index(bucket_floor_ns(i) - 1) < i);
             }
         }
+    }
+
+    fn roots(snap: &TelemetrySnapshot) -> Vec<&str> {
+        snap.spans.iter().map(|s| s.name.as_str()).collect()
+    }
+
+    #[test]
+    fn spans_nest_and_export_as_a_tree() {
+        let ((), snap) = capture(|| {
+            let _root = span(SPAN_READ_OPEN);
+            {
+                let _child = span(SPAN_INDEX_AGGREGATE);
+                let _grandchild = span(SPAN_INDEX_MERGE);
+            }
+            let _sibling = span(SPAN_READ_LOOKUP);
+        });
+        assert_eq!(snap.spans.len(), 1);
+        let root = &snap.spans[0];
+        assert_eq!(root.name, SPAN_READ_OPEN);
+        assert_eq!(root.children.len(), 2);
+        assert_eq!(root.children[0].name, SPAN_INDEX_AGGREGATE);
+        assert_eq!(root.children[0].children[0].name, SPAN_INDEX_MERGE);
+        assert_eq!(root.children[1].name, SPAN_READ_LOOKUP);
+        assert_eq!(snap.span_stats[SPAN_READ_OPEN].count, 1);
+    }
+
+    #[test]
+    fn early_return_and_panic_keep_nesting_well_formed() {
+        fn early(x: bool) -> u32 {
+            let _s = span(SPAN_WRITE_FLUSH);
+            if x {
+                return 1; // guard drops here
+            }
+            2
+        }
+        let ((), snap) = capture(|| {
+            assert_eq!(early(true), 1);
+            let caught = std::panic::catch_unwind(|| {
+                let _root = span(SPAN_WRITE_CLOSE);
+                let _child = span(SPAN_WRITE_FLUSH);
+                panic!("boom");
+            });
+            assert!(caught.is_err());
+            // Stack unwound cleanly: a fresh root still exports as a root.
+            let _r = span(SPAN_FSCK_SCAN);
+        });
+        assert_eq!(
+            roots(&snap),
+            [SPAN_WRITE_FLUSH, SPAN_WRITE_CLOSE, SPAN_FSCK_SCAN]
+        );
+        // The panicking pair still closed child-inside-parent.
+        let close = &snap.spans[1];
+        assert_eq!(close.children.len(), 1);
+        assert_eq!(close.children[0].name, SPAN_WRITE_FLUSH);
+    }
+
+    #[test]
+    fn leaked_child_guard_does_not_corrupt_the_stack() {
+        let ((), snap) = capture(|| {
+            let root = span(SPAN_WRITE_OPEN);
+            let child = span(SPAN_WRITE_APPEND);
+            // Drop out of order: root first, then child.
+            drop(root);
+            drop(child);
+            let _next = span(SPAN_FSCK_REPAIR);
+        });
+        // The next span must be a root, not a child of the leaked one.
+        assert_eq!(roots(&snap), [SPAN_WRITE_OPEN, SPAN_FSCK_REPAIR]);
+        assert_eq!(snap.span_stats[SPAN_WRITE_APPEND].count, 1);
+    }
+
+    #[test]
+    fn disabled_mode_records_nothing() {
+        // Outside a capture with the switch off (other tests' live
+        // captures open the gate, not this thread's sink).
+        assert!(!enabled());
+        {
+            let _s = span(SPAN_READ_OPEN);
+            count(CTR_READ_BYTES, 100);
+            record_ns(HIST_IOPLANE_READ_AT, 500);
+        }
+        assert_eq!(snapshot(), TelemetrySnapshot::default());
+    }
+
+    #[test]
+    fn counters_and_histograms_accumulate() {
+        let ((), snap) = capture(|| {
+            count(CTR_WRITE_BYTES, 10);
+            count(CTR_WRITE_BYTES, 5);
+            record_ns(HIST_IOPLANE_APPEND, 3); // bucket 1
+            record_ns(HIST_IOPLANE_APPEND, 3);
+            record_ns(HIST_IOPLANE_APPEND, 1 << 20); // bucket 20
+        });
+        assert_eq!(snap.counters[CTR_WRITE_BYTES], 15);
+        let h = &snap.histograms[HIST_IOPLANE_APPEND];
+        assert_eq!(h.count(), 3);
+        assert_eq!(h.buckets[1], 2);
+        assert_eq!(h.buckets[20], 1);
+    }
+
+    #[test]
+    fn merge_is_associative_and_snapshot_nondestructive() {
+        let mut recorder = Recorded::new();
+        recorder.count(CTR_READ_BYTES, 7);
+        let a = recorder.snapshot();
+        let b = recorder.snapshot();
+        assert_eq!(a, b, "snapshot must not drain state");
+        let mut ab = a.clone();
+        ab.merge(&b);
+        assert_eq!(ab.counters[CTR_READ_BYTES], 14);
+    }
+
+    /// Two threads capture at once, each opening its span while the
+    /// other's is open: each sees only its own span, as a root, and its
+    /// own counter.
+    #[test]
+    fn per_thread_stacks_are_independent() {
+        let both_open = Barrier::new(2);
+        let record = |name: &'static str, bytes: u64| {
+            capture(|| {
+                let _s = span(name);
+                count(CTR_READ_BYTES, bytes);
+                both_open.wait();
+            })
+            .1
+        };
+        let (a, b) = std::thread::scope(|sc| {
+            let a = sc.spawn(|| record(SPAN_READ_OPEN, 1));
+            let b = sc.spawn(|| record(SPAN_INDEX_MERGE, 2));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        for (snap, name, bytes) in [(a, SPAN_READ_OPEN, 1), (b, SPAN_INDEX_MERGE, 2)] {
+            assert_eq!(roots(&snap), [name]);
+            assert!(snap.spans[0].children.is_empty());
+            assert_eq!(snap.counters.len(), 1);
+            assert_eq!(snap.counters[CTR_READ_BYTES], bytes);
+        }
+    }
+
+    #[test]
+    fn a_handoff_carries_ancestry_and_sink_across_threads() {
+        let ((), snap) = capture(|| {
+            let _outer = span(SPAN_WRITE_FLUSH);
+            let handoff = handoff();
+            std::thread::scope(|sc| {
+                sc.spawn(|| {
+                    // Without the hand-off this thread would record
+                    // nothing into the capture.
+                    let _worker = handoff.span(SPAN_INDEX_AGGREGATE);
+                    let _inner = span(SPAN_IOPLANE_SUBMIT);
+                    count(CTR_READ_BYTES, 3);
+                });
+            });
+        });
+        assert_eq!(roots(&snap), [SPAN_WRITE_FLUSH]);
+        let worker = &snap.spans[0].children;
+        assert_eq!(worker.len(), 1);
+        assert_eq!(worker[0].name, SPAN_INDEX_AGGREGATE);
+        // TLS nesting still works underneath the carried parent.
+        assert_eq!(worker[0].children[0].name, SPAN_IOPLANE_SUBMIT);
+        assert_eq!(snap.counters[CTR_READ_BYTES], 3);
+    }
+
+    #[test]
+    fn a_thread_started_without_a_handoff_records_nothing_into_the_capture() {
+        let ((), snap) = capture(|| {
+            let _outer = span(SPAN_WRITE_FLUSH);
+            std::thread::scope(|sc| {
+                sc.spawn(|| {
+                    assert!(!enabled());
+                    let _s = span(SPAN_INDEX_AGGREGATE);
+                    count(CTR_READ_BYTES, 3);
+                });
+            });
+        });
+        assert_eq!(roots(&snap), [SPAN_WRITE_FLUSH]);
+        assert!(snap.spans[0].children.is_empty());
+        assert!(snap.counters.is_empty());
+        assert_eq!(snapshot(), TelemetrySnapshot::default());
+    }
+
+    #[test]
+    fn a_handoff_is_inert_when_not_recording_or_idle() {
+        let idle = handoff();
+        assert!(idle.parent.is_none() && idle.sink.is_none());
+        capture(|| {
+            let idle = handoff();
+            assert!(idle.parent.is_none() && idle.sink.is_some());
+            let _root = span(SPAN_READ_OPEN);
+            assert!(handoff().parent.is_some());
+        });
+    }
+
+    #[test]
+    fn json_export_is_structurally_sound() {
+        let ((), snap) = capture(|| {
+            let _r = span(SPAN_READ_OPEN);
+            count(CTR_READ_BYTES, 1);
+            record_ns(HIST_IOPLANE_READ_AT, 100);
+        });
+        let j = snap.render_json();
+        for key in [
+            "\"counters\"",
+            "\"histograms\"",
+            "\"span_stats\"",
+            "\"spans\"",
+            "\"dropped_spans\"",
+        ] {
+            assert!(j.contains(key), "missing {key} in {j}");
+        }
+        assert!(j.contains("\"read.open\""));
+        // Balanced braces/brackets (cheap structural check; the CLI test
+        // exercises a real consumer).
+        assert_eq!(j.matches('{').count(), j.matches('}').count());
+        assert_eq!(j.matches('[').count(), j.matches(']').count());
+    }
+
+    #[test]
+    fn capacity_cap_drops_trees_but_keeps_stats() {
+        let ((), snap) = capture(|| {
+            for _ in 0..(SPAN_CAPACITY + 10) {
+                let _s = span(SPAN_WRITE_APPEND);
+            }
+        });
+        assert_eq!(snap.spans.len(), SPAN_CAPACITY);
+        assert_eq!(snap.dropped_spans, 10);
+        assert_eq!(
+            snap.span_stats[SPAN_WRITE_APPEND].count,
+            (SPAN_CAPACITY + 10) as u64
+        );
     }
 }

@@ -150,8 +150,10 @@ impl<B: Backend> WriteHandle<B> {
             writer: self.writer,
             timestamp,
         };
-        telemetry::count(telemetry::CTR_WRITE_BYTES, content.len());
-        telemetry::count(telemetry::CTR_WRITE_RECORDS, 1);
+        telemetry::record(|r| {
+            r.count(telemetry::CTR_WRITE_BYTES, content.len());
+            r.count(telemetry::CTR_WRITE_RECORDS, 1);
+        });
         self.data_off = phys + content.len();
         self.bytes_written += content.len();
         self.eof = self.eof.max(offset + content.len());

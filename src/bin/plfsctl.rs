@@ -20,14 +20,10 @@
 //! as a human-readable tree by default, or as machine-readable JSON
 //! with `--json`.
 //!
-//! `--io-stats` (any command, any position) prints the I/O plane's
-//! per-op counters to stderr after the command: ops vs batches (the
-//! coalesce ratio), transient retries, and bytes moved. Reading the
-//! stats is non-destructive: the counters keep accumulating for the
-//! life of the process. Pass `--reset` alongside it to zero the
-//! counters *after* they are printed (the printed values are always
-//! the pre-reset totals); `--reset` without `--io-stats` zeroes them
-//! silently.
+//! `--io-stats` (any command, any position) turns telemetry recording on
+//! for the command and prints the I/O plane's totals to stderr after it:
+//! ops vs batches (the coalesce ratio), transient retries, and bytes
+//! moved.
 //!
 //! The mount root is an ordinary directory (single-namespace federation,
 //! like a one-volume PLFS mount). Subdir count is auto-detected from the
@@ -215,15 +211,13 @@ fn detect_subdirs(backend: &LocalFs, logical: &str) -> usize {
 }
 
 fn main() -> ExitCode {
-    // `--io-stats` (any position): after the command, print the I/O
-    // plane's per-op counters to stderr — batches vs ops shows how well
-    // the command's backend traffic coalesced. Reading the stats never
-    // zeroes them; `--reset` zeroes the counters after any printing, so
-    // the printed numbers are always the pre-reset totals.
+    // `--io-stats` (any position): record the command, then print the I/O
+    // plane's totals to stderr — batches vs ops shows how well the
+    // command's backend traffic coalesced.
     let mut args: Vec<String> = std::env::args().collect();
     let io_stats = args.iter().any(|a| a == "--io-stats");
-    let reset = args.iter().any(|a| a == "--reset");
-    args.retain(|a| a != "--io-stats" && a != "--reset");
+    args.retain(|a| a != "--io-stats");
+    plfs::telemetry::set_enabled(io_stats);
     let code = dispatch(&args);
     if io_stats {
         let s = plfs::ioplane::stats();
@@ -236,9 +230,6 @@ fn main() -> ExitCode {
             s.bytes_written,
             s.bytes_read
         );
-    }
-    if reset {
-        plfs::ioplane::reset_stats();
     }
     code
 }

@@ -5,7 +5,9 @@
 //!   subject in the code with no row fails, and so does a row with no
 //!   subject or with another value;
 //! * the `#[expect(clippy::<lint>)]` budget: suppressions per lint in
-//!   production code, which only moves down.
+//!   production code, which only moves down;
+//! * the process-global state of `crates/core`: its `static` items,
+//!   which must be exactly the listed ones.
 //!
 //! A table sits between `<!-- table:<name> -->` and `<!-- /table:<name> -->`
 //! in DESIGN.md, and [`read_table`] is the one reader of all six.
@@ -422,4 +424,51 @@ fn suppressions_are_counted_per_lint_outside_tests() {
         clippy_expects(production(src)),
         ["panic", "expect_used", "too_many_arguments"]
     );
+}
+
+// ---------------------------------------------------------------------
+// Process-global state.
+
+/// Every `static` in `crates/core`'s production code, `thread_local!`s
+/// included, as `"<file> <name>"`: the state every test and tenant
+/// shares. Anything else is owned by a mount, a handle or a capture.
+const STATICS: [&str; 7] = [
+    "crates/core/src/index/ondisk.rs NEXT_CACHE_ID",
+    "crates/core/src/sync.rs HELD",
+    "crates/core/src/telemetry.rs DEFAULT",
+    "crates/core/src/telemetry.rs EPOCH",
+    "crates/core/src/telemetry.rs GATE",
+    "crates/core/src/telemetry.rs NEXT_SPAN_ID",
+    "crates/core/src/telemetry.rs TLS",
+];
+
+/// The name of each `static` item declared in `src`, comments skipped.
+fn statics(src: &str) -> Vec<String> {
+    let item = |line: &str| {
+        let mut words = line.split_whitespace().skip_while(|w| w.starts_with("pub"));
+        if words.next()? != "static" {
+            return None;
+        }
+        let name = words.find(|w| *w != "mut")?;
+        Some(name.trim_end_matches(':').to_string())
+    };
+    src.lines().filter_map(item).collect()
+}
+
+#[test]
+fn process_globals_are_the_listed_ones() {
+    let sample = "//! static hashing: one\n    static A: u8 = 0;\npub(crate) static mut B: u8 = 0;\nfn f(x: &'static str) {}\n";
+    assert_eq!(statics(sample), ["A", "B"]);
+    let mut found = Vec::new();
+    for (path, src) in workspace_sources() {
+        if path.starts_with("crates/core/src/") {
+            found.extend(
+                statics(&src)
+                    .into_iter()
+                    .map(|name| format!("{path} {name}")),
+            );
+        }
+    }
+    found.sort();
+    assert_eq!(found, STATICS, "crates/core statics against `STATICS`");
 }

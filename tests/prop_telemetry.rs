@@ -3,13 +3,13 @@
 //! associative (and commutative on the aggregate maps) so per-thread or
 //! per-run shards combine in any grouping, randomly nested spans must
 //! always reconstruct into a well-formed forest, and a disabled plane
-//! must record nothing at all.
+//! must record nothing at all. Nothing here turns the switch on, so the
+//! default recorder stays empty while the nesting test captures.
 
 use plfs::telemetry::{
     self, HistogramSnapshot, SpanNode, SpanStat, TelemetrySnapshot, HIST_BUCKET_COUNT,
 };
 use proptest::prelude::*;
-use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Names drawn from the real vocabulary (recording requires `&'static
 /// str` names; these are the ones the middleware itself uses).
@@ -18,15 +18,6 @@ const NAMES: &[&str] = &[
     telemetry::SPAN_READ_OPEN,
     telemetry::SPAN_INDEX_AGGREGATE,
 ];
-
-/// The registry is process-global; tests that touch it hold this lock
-/// so cases from different `#[test]` fns cannot interleave.
-fn global_lock() -> MutexGuard<'static, ()> {
-    static M: OnceLock<Mutex<()>> = OnceLock::new();
-    M.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
 
 /// A histogram built the same way the registry builds one: every sample
 /// dropped into its `bucket_index` slot.
@@ -169,28 +160,25 @@ proptest! {
     /// their parents.
     #[test]
     fn random_nesting_reconstructs_wellformed(script in prop::collection::vec(0usize..3, 0..48)) {
-        let _g = global_lock();
-        telemetry::reset();
-        telemetry::set_enabled(true);
-        let mut open = Vec::new();
-        let mut created = 0u64;
-        for step in script {
-            match step {
-                // Two opens per close on average keeps nesting deep.
-                0 | 1 => {
-                    open.push(telemetry::span(NAMES[created as usize % NAMES.len()]));
-                    created += 1;
-                }
-                _ => {
-                    open.pop();
+        let (created, snap) = telemetry::capture(|| {
+            let mut open = Vec::new();
+            let mut created = 0u64;
+            for &step in &script {
+                match step {
+                    // Two opens per close on average keeps nesting deep.
+                    0 | 1 => {
+                        open.push(telemetry::span(NAMES[created as usize % NAMES.len()]));
+                        created += 1;
+                    }
+                    _ => {
+                        open.pop();
+                    }
                 }
             }
-        }
-        // Close leftovers innermost-first.
-        while open.pop().is_some() {}
-        telemetry::set_enabled(false);
-        let snap = telemetry::snapshot();
-        telemetry::reset();
+            // Close leftovers innermost-first.
+            while open.pop().is_some() {}
+            created
+        });
         prop_assert_eq!(forest_len(&snap.spans) as u64, created);
         prop_assert_eq!(
             snap.span_stats.values().map(|s| s.count).sum::<u64>(),
@@ -203,9 +191,6 @@ proptest! {
     /// observable effect: the next snapshot is completely empty.
     #[test]
     fn disabled_plane_records_nothing(ops in prop::collection::vec((0usize..3, 0usize..NAMES.len(), 1u64..1 << 20), 0..32)) {
-        let _g = global_lock();
-        telemetry::reset();
-        telemetry::set_enabled(false);
         for (kind, n, v) in ops {
             match kind {
                 0 => drop(telemetry::span(NAMES[n])),
