@@ -103,11 +103,16 @@ impl Federation {
 
     /// Physical path of the canonical container directory for `logical`.
     pub fn canonical_container_path(&self, logical: &str) -> String {
-        let ns = &self.namespaces[self.container_namespace(logical)];
-        if ns == "/" {
+        self.namespace_path(self.container_namespace(logical), logical)
+    }
+
+    /// Physical path of `logical` in namespace `ns`.
+    pub fn namespace_path(&self, ns: usize, logical: &str) -> String {
+        let root = &self.namespaces[ns];
+        if root == "/" {
             logical.to_string()
         } else {
-            format!("{ns}{logical}")
+            format!("{root}{logical}")
         }
     }
 
@@ -120,45 +125,6 @@ impl Federation {
         } else {
             self.container_namespace(logical)
         }
-    }
-
-    /// Where subdir `i` physically lives when it is *not* in the canonical
-    /// namespace: the shadow directory path, or `None` when the subdir is
-    /// a plain directory inside the canonical container.
-    pub fn shadow_subdir_path(&self, logical: &str, i: usize) -> Option<String> {
-        let home = self.subdir_namespace(logical, i);
-        if home == self.container_namespace(logical) {
-            None
-        } else {
-            Some(format!(
-                "{}/subdir.{i}",
-                self.shadow_container(home, logical)
-            ))
-        }
-    }
-
-    /// `logical`'s shadow container in namespace `ns`: the directory that
-    /// holds whichever of its subdirs hash there.
-    fn shadow_container(&self, ns: usize, logical: &str) -> String {
-        format!("{}/.plfs_shadow{logical}", self.namespaces[ns])
-    }
-
-    /// Every shadow container directory `logical` can own: one per
-    /// foreign namespace that at least one of its subdirs hashes to, in
-    /// namespace order. Empty without subdir spreading. What unlink and
-    /// rename remove so that no empty directory outlives the container.
-    pub fn shadow_container_paths(&self, logical: &str) -> Vec<String> {
-        let home = self.container_namespace(logical);
-        let mut foreign: Vec<usize> = (0..self.subdirs_per_container)
-            .map(|i| self.subdir_namespace(logical, i))
-            .filter(|&ns| ns != home)
-            .collect();
-        foreign.sort_unstable();
-        foreign.dedup();
-        foreign
-            .into_iter()
-            .map(|ns| self.shadow_container(ns, logical))
-            .collect()
     }
 }
 
@@ -183,7 +149,6 @@ mod tests {
         assert_eq!(f.namespace_count(), 1);
         assert_eq!(f.container_namespace("/a"), 0);
         assert_eq!(f.canonical_container_path("/a/b"), "/ns/a/b");
-        assert_eq!(f.shadow_subdir_path("/a/b", 3), None);
     }
 
     #[test]
@@ -212,36 +177,6 @@ mod tests {
         let used: std::collections::BTreeSet<usize> =
             (0..16).map(|i| f.subdir_namespace("/ckpt", i)).collect();
         assert!(used.len() >= 3, "poor subdir spread: {used:?}");
-        // Subdirs landing off-canonical get shadow paths; on-canonical do not.
-        for i in 0..16 {
-            let shadow = f.shadow_subdir_path("/ckpt", i);
-            if f.subdir_namespace("/ckpt", i) == f.container_namespace("/ckpt") {
-                assert!(shadow.is_none());
-            } else {
-                let s = shadow.unwrap();
-                assert!(s.contains(".plfs_shadow"), "{s}");
-                assert!(s.ends_with(&format!("subdir.{i}")), "{s}");
-            }
-        }
-    }
-
-    #[test]
-    fn shadow_containers_are_the_parents_of_the_shadow_subdirs() {
-        let f = Federation::new((0..4).map(|i| format!("/vol{i}")).collect(), 16, true, true);
-        let want: std::collections::BTreeSet<String> = (0..16)
-            .filter_map(|i| f.shadow_subdir_path("/dir/ckpt", i))
-            .map(|s| crate::path::parent(&s))
-            .collect();
-        let got = f.shadow_container_paths("/dir/ckpt");
-        assert_eq!(got.len(), want.len(), "one path per foreign namespace");
-        assert_eq!(
-            got.into_iter().collect::<std::collections::BTreeSet<_>>(),
-            want
-        );
-        assert!(want.iter().all(|p| p.ends_with("/.plfs_shadow/dir/ckpt")));
-        // No subdir spreading, no shadows.
-        let plain = Federation::new(vec!["/a".into(), "/b".into()], 8, true, false);
-        assert!(plain.shadow_container_paths("/dir/ckpt").is_empty());
     }
 
     #[test]

@@ -141,19 +141,25 @@ impl IndexEntry {
     }
 }
 
+/// An index log of `len` bytes as its whole-record prefix and the bytes
+/// of a torn record after it: `(whole bytes, trailing bytes)`.
+pub(crate) fn whole_prefix(len: u64) -> (u64, u64) {
+    let trailing = len % INDEX_RECORD_BYTES;
+    (len - trailing, trailing)
+}
+
 /// `bytes` as fixed-width records; `CorruptContainer` unless they are a
 /// whole number of them.
 fn whole_records(bytes: &[u8]) -> Result<&[[u8; INDEX_RECORD_BYTES as usize]]> {
-    let (records, tail) = bytes.as_chunks();
-    if !tail.is_empty() {
+    let (whole, trailing) = whole_prefix(bytes.len() as u64);
+    if trailing != 0 {
         return Err(PlfsError::CorruptContainer(format!(
-            "index log length {} not a multiple of record size: {} whole records then {} trailing bytes",
+            "index log length {} not a multiple of record size: {} whole records then {trailing} trailing bytes",
             bytes.len(),
-            records.len(),
-            tail.len()
+            whole / INDEX_RECORD_BYTES,
         )));
     }
-    Ok(records)
+    Ok(bytes.as_chunks().0)
 }
 
 /// Refuse records read off `log` whose extents overflow `u64`

@@ -317,17 +317,23 @@ impl<B: Backend + Clone> Service<B> {
     /// is granted; the bool is the dirty budget's flush trigger.
     fn admit(&self, tenant: &str, dirty: u64) -> (Grant, bool) {
         let now = self.now_ns();
-        let mut tshard = self.tshard(tenant).lock();
-        let state = tshard.entry(tenant.to_string()).or_insert_with(|| TenantState {
-            bucket: TokenBucket::new(self.cfg.token_rate, self.cfg.token_burst),
-            dirty: DirtyBudget::new(self.cfg.dirty_budget),
-        });
-        let grant = state.bucket.try_take(now);
-        let must_flush = match grant {
-            Grant::Granted if dirty > 0 => state.dirty.charge(dirty),
-            _ => false,
+        let take = |state: &mut TenantState| {
+            let grant = state.bucket.try_take(now);
+            let must_flush = match grant {
+                Grant::Granted if dirty > 0 => state.dirty.charge(dirty),
+                _ => false,
+            };
+            (grant, must_flush)
         };
-        (grant, must_flush)
+        let mut tshard = self.tshard(tenant).lock();
+        // The tenant's name is copied only on its first contact.
+        match tshard.get_mut(tenant) {
+            Some(state) => take(state),
+            None => take(tshard.entry(tenant.to_string()).or_insert_with(|| TenantState {
+                bucket: TokenBucket::new(self.cfg.token_rate, self.cfg.token_burst),
+                dirty: DirtyBudget::new(self.cfg.dirty_budget),
+            })),
+        }
     }
 
     /// Return `bytes` of tenant `tenant`'s dirty account: a writer
@@ -353,7 +359,7 @@ impl<B: Backend + Clone> Service<B> {
     /// `logical`. Costs one token; the writer identity is the handle
     /// id, so concurrent opens of one file are distinct PLFS writers.
     pub fn open_write(&self, tenant: &str, logical: &str) -> Result<Admitted<SvcHandle>> {
-        let start = Instant::now();
+        let start = telemetry::enabled().then(Instant::now);
         let path = Self::tenant_path(tenant, logical)?;
         if let (Grant::Denied { wait_ns }, _) = self.admit(tenant, 0) {
             telemetry::count(telemetry::CTR_SVC_THROTTLED, 1);
@@ -377,7 +383,7 @@ impl<B: Backend + Clone> Service<B> {
     /// Open a reader session for `tenant` on its logical file
     /// `logical`. Costs one token.
     pub fn open_read(&self, tenant: &str, logical: &str) -> Result<Admitted<SvcHandle>> {
-        let start = Instant::now();
+        let start = telemetry::enabled().then(Instant::now);
         let path = Self::tenant_path(tenant, logical)?;
         if let (Grant::Denied { wait_ns }, _) = self.admit(tenant, 0) {
             telemetry::count(telemetry::CTR_SVC_THROTTLED, 1);
@@ -402,7 +408,7 @@ impl<B: Backend + Clone> Service<B> {
     /// crossing the budget flushes this writer's index to its index log
     /// before the call returns and releases what the writer had charged.
     pub fn append(&self, h: SvcHandle, offset: u64, content: &Content) -> Result<Admitted<()>> {
-        let start = Instant::now();
+        let start = telemetry::enabled().then(Instant::now);
         let session = self.lookup(h)?;
         let mut session_guard = session.lock();
         let Some(Session::Writer {
@@ -433,7 +439,7 @@ impl<B: Backend + Clone> Service<B> {
     /// Read `len` bytes at logical `offset` through reader session
     /// `h`. Costs one token.
     pub fn read(&self, h: SvcHandle, offset: u64, len: u64) -> Result<Admitted<Vec<u8>>> {
-        let start = Instant::now();
+        let start = telemetry::enabled().then(Instant::now);
         let session = self.lookup(h)?;
         let mut session_guard = session.lock();
         let Some(Session::Reader { handle, tenant }) = session_guard.as_mut() else {
@@ -456,7 +462,7 @@ impl<B: Backend + Clone> Service<B> {
     /// retry instead of losing acknowledged appends. Once a close has
     /// succeeded the handle is stale.
     pub fn close(&self, h: SvcHandle) -> Result<()> {
-        let start = Instant::now();
+        let start = telemetry::enabled().then(Instant::now);
         let session = self.lookup(h)?;
         let mut session_guard = session.lock();
         match session_guard.as_mut() {
@@ -515,8 +521,13 @@ impl<B: Backend + Clone> Service<B> {
             .map_or(0, |s| s.dirty.dirty())
     }
 
-    /// Record one completed (admitted) op in the `svc.*` telemetry.
-    fn finish_op(&self, start: Instant) {
+    /// Record one completed (admitted) op in the `svc.*` telemetry, timed
+    /// from `start`: each op reads the clock only while its thread
+    /// records, so the untraced path reads none for telemetry.
+    fn finish_op(&self, start: Option<Instant>) {
+        let Some(start) = start else {
+            return;
+        };
         let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         telemetry::record(|r| {
             r.count(telemetry::CTR_SVC_OPS, 1);

@@ -28,15 +28,17 @@
 //!
 //! Federated metadata (§V) falls out of path placement: the `plfs`
 //! crate's [`plfs::Federation`] decides which namespace (= which simulated
-//! MDS) owns the canonical container and each subdir.
+//! MDS) owns the canonical container and each subdir. Every path inside a
+//! container or a shadow comes from the `plfs::container` builders the
+//! middleware itself names its files with, so the two cannot drift apart
+//! on a name; only the metadir record differs, `meta.<writer>` here
+//! against the middleware's `meta.<eof>.<bytes>.<writer>`, because the
+//! simulator carries no sizes to encode.
 
 use crate::driver::{exec_io, generic_collective, Ctx, Driver, Step};
 use crate::ops::{FileTag, LogicalOp};
 use plfs::index::ondisk::{fences_for, SPANIDX_FENCE_BYTES, SPANIDX_FENCE_STRIDE, SPANIDX_FOOTER_BYTES};
-use plfs::container::{
-    ACCESS_FILE, DATA_PREFIX, FLATTENED_INDEX, HOST_PREFIX, INDEX_PREFIX, METADIR, META_PREFIX,
-    OPENHOSTS, SUBDIR_PREFIX,
-};
+use plfs::container;
 use plfs::index::INDEX_RECORD_BYTES;
 use pfs::cache::IdMap;
 use pfs::state::FileId;
@@ -280,7 +282,7 @@ impl PlfsDriver {
             .is_some()
     }
 
-    // --- path / namespace helpers (mirror plfs::Container) ---
+    // --- placement from the federation; every name from `plfs::container` ---
 
     fn canonical(&self, logical: &str) -> String {
         self.cfg.federation.canonical_container_path(logical)
@@ -290,12 +292,8 @@ impl PlfsDriver {
         self.cfg.federation.container_namespace(logical)
     }
 
-    fn subdirs(&self) -> usize {
-        self.cfg.federation.subdirs_per_container()
-    }
-
     fn subdir_of(&self, writer: u64) -> usize {
-        (writer % self.subdirs() as u64) as usize
+        (writer % self.cfg.federation.subdirs_per_container() as u64) as usize
     }
 
     fn subdir_ns(&self, logical: &str, i: usize) -> usize {
@@ -303,28 +301,20 @@ impl PlfsDriver {
     }
 
     fn subdir_dir(&self, logical: &str, i: usize) -> String {
-        match self.cfg.federation.shadow_subdir_path(logical, i) {
-            Some(shadow) => shadow,
-            None => format!("{}/{SUBDIR_PREFIX}{i}", self.canonical(logical)),
-        }
+        container::shadow_dir(&self.cfg.federation, logical, i)
+            .unwrap_or_else(|| container::subdir_entry(&self.canonical(logical), i))
     }
 
     fn data_log(&self, logical: &str, writer: u64) -> String {
-        format!(
-            "{}/{DATA_PREFIX}{writer}",
-            self.subdir_dir(logical, self.subdir_of(writer))
-        )
+        container::data_log_in(&self.subdir_dir(logical, self.subdir_of(writer)), writer)
     }
 
     fn index_log(&self, logical: &str, writer: u64) -> String {
-        format!(
-            "{}/{INDEX_PREFIX}{writer}",
-            self.subdir_dir(logical, self.subdir_of(writer))
-        )
+        container::index_log_in(&self.subdir_dir(logical, self.subdir_of(writer)), writer)
     }
 
     fn flattened_path(&self, logical: &str) -> String {
-        format!("{}/{FLATTENED_INDEX}", self.canonical(logical))
+        container::flattened_index(&self.canonical(logical))
     }
 
     /// The id of `writer`'s data log in `logical` (slot `fs`), cached in
@@ -391,7 +381,7 @@ impl PlfsDriver {
             return vec![io(
                 cns,
                 IoOp::Kind {
-                    path: format!("{canonical}/{ACCESS_FILE}"),
+                    path: container::access_file(&canonical),
                 },
             )];
         }
@@ -406,7 +396,7 @@ impl PlfsDriver {
             io(
                 cns,
                 IoOp::Create {
-                    path: format!("{canonical}/{ACCESS_FILE}"),
+                    path: container::access_file(&canonical),
                     exclusive: true,
                 },
             ),
@@ -424,14 +414,14 @@ impl PlfsDriver {
             plan.push(io(
                 cns,
                 IoOp::Mkdir {
-                    path: format!("{canonical}/{OPENHOSTS}"),
+                    path: container::openhosts_dir(&canonical),
                 },
             ));
         }
         plan.push(io(
             cns,
             IoOp::Create {
-                path: format!("{canonical}/{OPENHOSTS}/{HOST_PREFIX}{writer}"),
+                path: container::host_entry(&canonical, writer),
                 exclusive: false,
             },
         ));
@@ -459,7 +449,7 @@ impl PlfsDriver {
                 plan.push(io(
                     cns,
                     IoOp::Create {
-                        path: format!("{canonical}/{SUBDIR_PREFIX}{sub}"),
+                        path: container::subdir_entry(&canonical, sub),
                         exclusive: true,
                     },
                 ));
@@ -519,21 +509,21 @@ impl PlfsDriver {
             plan.push(io(
                 cns,
                 IoOp::Mkdir {
-                    path: format!("{canonical}/{METADIR}"),
+                    path: container::metadir(&canonical),
                 },
             ));
         }
         plan.push(io(
             cns,
             IoOp::Create {
-                path: format!("{canonical}/{METADIR}/{META_PREFIX}{writer}"),
+                path: container::meta_record(&canonical, writer),
                 exclusive: false,
             },
         ));
         plan.push(io(
             cns,
             IoOp::Unlink {
-                path: format!("{canonical}/{OPENHOSTS}/{HOST_PREFIX}{writer}"),
+                path: container::host_entry(&canonical, writer),
             },
         ));
         plan
@@ -547,7 +537,7 @@ impl PlfsDriver {
         let mut plan = vec![io(
             cns,
             IoOp::Kind {
-                path: format!("{canonical}/{ACCESS_FILE}"),
+                path: container::access_file(&canonical),
             },
         )];
         let created: Vec<usize> = self
@@ -627,7 +617,7 @@ impl PlfsDriver {
         plan.push(io(
             cns,
             IoOp::Unlink {
-                path: format!("{canonical}/{ACCESS_FILE}"),
+                path: container::access_file(&canonical),
             },
         ));
         plan
@@ -1019,6 +1009,7 @@ impl Driver for PlfsDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use plfs::container::{data_log_in, host_entry, index_log_in, meta_record, subdir_entry};
     use crate::exec::Exec;
     use crate::layout::Layout;
     use crate::metrics::OpKind;
@@ -1114,7 +1105,7 @@ mod tests {
         for w in 0..32 {
             let fs = ctx.pfs.namespace();
             let found = (0..4).any(|i| {
-                fs.file_exists(&format!("/panfs/ckpt/{SUBDIR_PREFIX}{i}/{DATA_PREFIX}{w}"))
+                fs.file_exists(&data_log_in(&subdir_entry("/panfs/ckpt", i), w))
             });
             assert!(found, "missing data log for writer {w}");
         }
@@ -1125,7 +1116,7 @@ mod tests {
         let (_, _, ctx) = run(8, ReadStrategy::ParallelIndexRead, 1);
         for w in 0..8u64 {
             let sub = (w % 4) as usize;
-            let path = format!("/panfs/ckpt/{SUBDIR_PREFIX}{sub}/{DATA_PREFIX}{w}");
+            let path = data_log_in(&subdir_entry("/panfs/ckpt", sub), w);
             assert_eq!(ctx.pfs.file_size(&path), 8 * 64 * 1024, "writer {w}");
         }
     }
@@ -1135,7 +1126,7 @@ mod tests {
         let (_, _, ctx) = run(8, ReadStrategy::ParallelIndexRead, 1);
         for w in 0..8u64 {
             let sub = (w % 4) as usize;
-            let path = format!("/panfs/ckpt/{SUBDIR_PREFIX}{sub}/{INDEX_PREFIX}{w}");
+            let path = index_log_in(&subdir_entry("/panfs/ckpt", sub), w);
             assert_eq!(
                 ctx.pfs.file_size(&path),
                 8 * INDEX_RECORD_BYTES,
@@ -1203,25 +1194,23 @@ mod tests {
         // The crashed rank never flushed its index...
         assert_eq!(
             ctx.pfs
-                .file_size(&format!("/panfs/ckpt/{SUBDIR_PREFIX}3/{INDEX_PREFIX}3")),
+                .file_size(&index_log_in(&subdir_entry("/panfs/ckpt", 3), 3)),
             0,
             "dead writer's index log must stay empty"
         );
         // ...never recorded metadata, and never deregistered.
-        assert!(!fs.file_exists(&format!("/panfs/ckpt/{METADIR}/{META_PREFIX}3")));
-        assert!(fs.file_exists(&format!("/panfs/ckpt/{OPENHOSTS}/{HOST_PREFIX}3")));
+        assert!(!fs.file_exists(&meta_record("/panfs/ckpt", 3)));
+        assert!(fs.file_exists(&host_entry("/panfs/ckpt", 3)));
         // Surviving ranks closed normally.
         for w in [0u64, 1, 2, 4, 5, 6, 7] {
             let sub = (w % 4) as usize;
             assert_eq!(
-                ctx.pfs.file_size(&format!(
-                    "/panfs/ckpt/{SUBDIR_PREFIX}{sub}/{INDEX_PREFIX}{w}"
-                )),
+                ctx.pfs.file_size(&index_log_in(&subdir_entry("/panfs/ckpt", sub), w)),
                 8 * INDEX_RECORD_BYTES,
                 "writer {w}"
             );
-            assert!(fs.file_exists(&format!("/panfs/ckpt/{METADIR}/{META_PREFIX}{w}")));
-            assert!(!fs.file_exists(&format!("/panfs/ckpt/{OPENHOSTS}/{HOST_PREFIX}{w}")));
+            assert!(fs.file_exists(&meta_record("/panfs/ckpt", w)));
+            assert!(!fs.file_exists(&host_entry("/panfs/ckpt", w)));
         }
     }
 
@@ -1322,7 +1311,7 @@ mod tests {
             assert!(ctx
                 .pfs
                 .namespace()
-                .file_exists(&format!("{canonical}/{ACCESS_FILE}")));
+                .file_exists(&container::access_file(&canonical)));
         }
     }
 
@@ -1403,7 +1392,7 @@ mod tests {
         // Rank 1's next write takes its handle and lands in its log.
         assert!(matches!(d.step(1, 3, &write, t, &mut ctx), Step::Done(_)));
         assert_eq!(d.handle(1, &file).map(|h| (h.fs, h.dlog)), h1);
-        let dlog = format!("/panfs/ckpt/{SUBDIR_PREFIX}1/{DATA_PREFIX}1");
+        let dlog = data_log_in(&subdir_entry("/panfs/ckpt", 1), 1);
         assert_eq!(ctx.pfs.file_size(&dlog), 8 << 20);
         assert_eq!(ctx.pfs.file_id(&dlog), h1.and_then(|h| h.1));
     }

@@ -32,9 +32,7 @@
 use plfs::fsck;
 use plfs::reader::ReadHandle;
 use plfs::writer::{IndexPolicy, WriteHandle};
-use plfs::{
-    ioplane, Container, Federation, GlobalIndex, IoOp, LocalFs, Plfs, PlfsConfig, PlfsError,
-};
+use plfs::{container, ioplane, Container, Federation, IoOp, LocalFs, Plfs, PlfsConfig, PlfsError};
 use std::io::Write as _;
 use std::process::ExitCode;
 
@@ -155,8 +153,7 @@ fn cmd_index(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let subdirs = detect_subdirs(&backend, logical);
-    let cont = Container::new(logical, &Federation::single("/", subdirs));
+    let cont = open_container(&backend, logical);
     let flat = cont.flattened_path();
     let size = ioplane::submit_one(&backend, IoOp::Size { path: flat.clone() });
     if let Err(PlfsError::NotFound(_)) = size {
@@ -191,23 +188,16 @@ fn cmd_index(args: &[String]) -> ExitCode {
     }
 }
 
-/// Detect how many subdirs a container uses by scanning its entries.
-fn detect_subdirs(backend: &LocalFs, logical: &str) -> usize {
+/// `logical`'s container under the mount root, its subdir count read off
+/// the `subdir.<i>` entries it holds.
+fn open_container(backend: &LocalFs, logical: &str) -> Container {
     let cont = Container::new(logical, &Federation::single("/", 1));
-    let mut max = 0usize;
     let listing = IoOp::Readdir {
         path: cont.canonical_path().into(),
     };
-    if let Ok(entries) = ioplane::as_names(ioplane::submit_one(backend, listing)) {
-        for e in entries {
-            if let Some(n) = e.strip_prefix("subdir.") {
-                if let Ok(i) = n.parse::<usize>() {
-                    max = max.max(i + 1);
-                }
-            }
-        }
-    }
-    max.max(1)
+    let names = ioplane::as_names(ioplane::submit_one(backend, listing)).unwrap_or_default();
+    let subdirs = names.iter().filter_map(|e| container::subdir_index(e)).max();
+    Container::new(logical, &Federation::single("/", subdirs.map_or(1, |i| i + 1)))
 }
 
 fn main() -> ExitCode {
@@ -282,8 +272,7 @@ fn dispatch(args: &[String]) -> ExitCode {
             }
         }
         ("stat", Some(logical)) => {
-            let subdirs = detect_subdirs(&backend, logical);
-            let cont = Container::new(logical, &Federation::single("/", subdirs));
+            let cont = open_container(&backend, logical);
             match fsck::check(&backend, &cont) {
                 Ok(r) => {
                     println!("logical size : {} bytes", r.logical_size);
@@ -299,12 +288,12 @@ fn dispatch(args: &[String]) -> ExitCode {
             }
         }
         ("map", Some(logical)) => {
-            let subdirs = detect_subdirs(&backend, logical);
-            let cont = Container::new(logical, &Federation::single("/", subdirs));
-            let aggregated = cont.subdirs_phys_batch(&backend).and_then(|resolved| {
-                let writers = cont.list_writers(&backend)?;
-                let runs = cont.read_index_runs(&backend, &resolved, &writers, 1)?;
-                Ok(GlobalIndex::from_runs(&runs, true))
+            let cont = open_container(&backend, logical);
+            // The logs at the sizes one probe stamps, never the flattened
+            // index.
+            let aggregated = cont.probe_index(&backend).and_then(|probe| match probe {
+                Some(probe) => probe.aggregate(&backend),
+                None => Err(PlfsError::NotFound(logical.clone())),
             });
             match aggregated {
                 Ok(idx) => {
@@ -324,8 +313,7 @@ fn dispatch(args: &[String]) -> ExitCode {
             }
         }
         ("check", Some(logical)) => {
-            let subdirs = detect_subdirs(&backend, logical);
-            let cont = Container::new(logical, &Federation::single("/", subdirs));
+            let cont = open_container(&backend, logical);
             match fsck::check(&backend, &cont) {
                 Ok(r) if r.is_clean() => {
                     println!("{logical}: clean ({} writers, {} bytes)", r.writers.len(), r.logical_size);
@@ -344,8 +332,7 @@ fn dispatch(args: &[String]) -> ExitCode {
             }
         }
         ("repair", Some(logical)) => {
-            let subdirs = detect_subdirs(&backend, logical);
-            let cont = Container::new(logical, &Federation::single("/", subdirs));
+            let cont = open_container(&backend, logical);
             match fsck::repair(&backend, &cont) {
                 Ok(r) => {
                     for issue in &r.fixed {
@@ -379,8 +366,7 @@ fn dispatch(args: &[String]) -> ExitCode {
             }
         }
         ("du", Some(logical)) => {
-            let subdirs = detect_subdirs(&backend, logical);
-            let cont = Container::new(logical, &Federation::single("/", subdirs));
+            let cont = open_container(&backend, logical);
             match fsck::space_usage(&backend, &cont) {
                 Ok(u) => {
                     println!("logical    : {} bytes", u.logical_bytes);
@@ -401,8 +387,7 @@ fn dispatch(args: &[String]) -> ExitCode {
             let Some(size) = args.get(4).and_then(|s| s.parse::<u64>().ok()) else {
                 return usage();
             };
-            let subdirs = detect_subdirs(&backend, logical);
-            let cont = Container::new(logical, &Federation::single("/", subdirs));
+            let cont = open_container(&backend, logical);
             match plfs::truncate::truncate(&backend, &cont, size) {
                 Ok(()) => {
                     println!("{logical}: truncated to {size} bytes");
@@ -415,8 +400,7 @@ fn dispatch(args: &[String]) -> ExitCode {
             }
         }
         ("cat", Some(logical)) => {
-            let subdirs = detect_subdirs(&backend, logical);
-            let cont = Container::new(logical, &Federation::single("/", subdirs));
+            let cont = open_container(&backend, logical);
             let mut r = match ReadHandle::open_bounded(backend, cont, Default::default()) {
                 Ok(r) => r,
                 Err(e) => {

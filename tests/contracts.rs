@@ -7,7 +7,10 @@
 //! * the `#[expect(clippy::<lint>)]` budget: suppressions per lint in
 //!   production code, which only moves down;
 //! * the process-global state of `crates/core`: its `static` items,
-//!   which must be exactly the listed ones.
+//!   which must be exactly the listed ones;
+//! * one owner of the container layout: each name inside a container or
+//!   a shadow is spelled in exactly one string literal of production
+//!   code, its constant in `crates/core/src/container.rs`.
 //!
 //! A table sits between `<!-- table:<name> -->` and `<!-- /table:<name> -->`
 //! in DESIGN.md, and [`read_table`] is the one reader of all six.
@@ -471,4 +474,57 @@ fn process_globals_are_the_listed_ones() {
     }
     found.sort();
     assert_eq!(found, STATICS, "crates/core statics against `STATICS`");
+}
+
+// ---------------------------------------------------------------------
+// One owner of the container layout.
+
+/// Every name inside a container or a shadow. `plfs::container` owns the
+/// layout: each is spelled on one production line of the workspace, its
+/// constant there, and everything else names files through its builders.
+const LAYOUT_LITERALS: [&str; 10] = [
+    "dropping.data.", "dropping.index.", "subdir.", ".plfs_shadow", ".plfsaccess",
+    "openhosts", "metadir", "flattened.index", ".plfsgen", ".realign",
+];
+
+/// The string literals of each line of `src` that is not a comment, as
+/// `(line from 1, text)`: what lies between pairs of quotes once escaped
+/// quotes and `'"'` are dropped. A quote in a trailing comment counts too,
+/// which can only make the check below stricter.
+fn string_literals(src: &str) -> Vec<(usize, String)> {
+    let mut out = Vec::new();
+    for (n, line) in src.lines().enumerate() {
+        if line.trim_start().starts_with("//") {
+            continue;
+        }
+        let code = line.replace("\\\\", "").replace("\\\"", "").replace("'\"'", "");
+        let quoted = code.split('"').skip(1).step_by(2);
+        out.extend(quoted.map(|text| (n + 1, text.to_string())));
+    }
+    out
+}
+
+/// Each layout literal and the `path:line`s of `sources` that spell it.
+fn layout_owners(sources: &[(String, String)]) -> Vec<(&'static str, Vec<String>)> {
+    let literals: Vec<(String, String)> = (sources.iter())
+        .flat_map(|(path, src)| string_literals(src).into_iter().map(move |(n, s)| (format!("{path}:{n}"), s)))
+        .collect();
+    let spelling = |name: &str| {
+        let mut at: Vec<String> = (literals.iter()).filter(|(_, s)| s.contains(name)).map(|(at, _)| at.clone()).collect();
+        at.dedup();
+        at
+    };
+    LAYOUT_LITERALS.iter().map(|&name| (name, spelling(name))).collect()
+}
+
+#[test]
+fn every_layout_name_is_spelled_on_one_line() {
+    let sample = "  /// \"subdir.\" in a comment\nlet q = '\"'; fn f<'a>(x: &'a str) {}\n\
+                  let s = (\"a \\\" metadir\", \"b metadir\");\n";
+    assert_eq!(string_literals(sample), [(3, "a  metadir".into()), (3, "b metadir".into())]);
+    let owners = layout_owners(&[("a.rs".into(), sample.into())]);
+    assert_eq!((owners[2].1.len(), &owners[6].1[..]), (0, &["a.rs:3".to_string()][..]));
+    for (name, lines) in layout_owners(&workspace_sources()) {
+        assert_eq!(lines.len(), 1, "`{name}` is spelled on {lines:?}, not on one line");
+    }
 }

@@ -190,8 +190,9 @@ proptest! {
         seed in 0u64..1_000_000,
         ops in prop::collection::vec(arb_op(), 0..40),
     ) {
-        // Same seed + same op order ⇒ the default submit must gate each
-        // op through the injector exactly as sequential calls do.
+        // Same seed + same op order ⇒ `FaultBackend`'s own submit must
+        // gate each op through the injector exactly as sequential calls
+        // do.
         let cfg = FaultConfig::flaky(seed);
         let batched = FaultBackend::new(MemFs::new(), cfg.clone());
         let sequential = FaultBackend::new(MemFs::new(), cfg);
