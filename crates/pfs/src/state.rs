@@ -105,14 +105,6 @@ impl Namespace {
         }
         Some(id)
     }
-
-    pub fn file_count(&self) -> usize {
-        self.ids.len()
-    }
-
-    pub fn dir_count(&self) -> usize {
-        self.dirs.len()
-    }
 }
 
 /// The directory holding `path` (`/` for top-level entries).
