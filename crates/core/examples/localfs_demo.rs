@@ -21,7 +21,7 @@ fn pattern(offset: u64) -> u8 {
     (offset % 251) as u8
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let corrupt = args.iter().any(|a| a == "--corrupt");
     let pos: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
@@ -29,25 +29,23 @@ fn main() {
         eprintln!("usage: localfs_demo <root-dir> [writers] [blocks] [block-bytes] [--corrupt]");
         std::process::exit(2);
     };
-    let writers: u64 = pos.get(1).map_or(4, |s| s.parse().expect("writers"));
-    let blocks: u64 = pos.get(2).map_or(8, |s| s.parse().expect("blocks"));
-    let bs: u64 = pos.get(3).map_or(4096, |s| s.parse().expect("block-bytes"));
+    let writers = number(&pos, 1, "writers", 4)?;
+    let blocks = number(&pos, 2, "blocks", 8)?;
+    let bs = number(&pos, 3, "block-bytes", 4096)?;
 
-    let backend = LocalFs::new(root).expect("backend root");
-    let fs = Plfs::new(backend, PlfsConfig::basic("/")).expect("mount");
+    let backend = LocalFs::new(root)?;
+    let fs = Plfs::new(backend, PlfsConfig::basic("/"))?;
 
     // Phase 1: N-1 strided write. Writer w owns every w-th block.
     let t0 = Instant::now();
     for w in 0..writers {
-        let mut handle = fs.open_write("/ckpt", 1000 + w).expect("open write");
+        let mut handle = fs.open_write("/ckpt", 1000 + w)?;
         for b in 0..blocks {
             let off = (b * writers + w) * bs;
             let buf: Vec<u8> = (off..off + bs).map(pattern).collect();
-            handle
-                .write(off, &Content::bytes(buf), fs.timestamp())
-                .expect("write");
+            handle.write(off, &Content::bytes(buf), fs.timestamp())?;
         }
-        handle.close(fs.timestamp()).expect("close writer");
+        handle.close(fs.timestamp())?;
     }
     let total = writers * blocks * bs;
     println!(
@@ -57,13 +55,10 @@ fn main() {
 
     if corrupt {
         // Truncate one data log behind the middleware's back.
-        let victim = walk_find(root, "dropping.data").expect("find a data log");
-        let len = std::fs::metadata(&victim).expect("stat").len();
-        let f = std::fs::OpenOptions::new()
-            .write(true)
-            .open(&victim)
-            .expect("open victim");
-        f.set_len(len / 2).expect("truncate");
+        let victim = walk_find(root, "dropping.data").ok_or("no data log to truncate")?;
+        let len = std::fs::metadata(&victim)?.len();
+        let f = std::fs::OpenOptions::new().write(true).open(&victim)?;
+        f.set_len(len / 2)?;
         println!(
             "truncated {} from {len} to {} bytes",
             victim.display(),
@@ -81,7 +76,7 @@ fn main() {
         }
     };
     let open_t = t1.elapsed();
-    let size = fs.stat("/ckpt").expect("stat").size;
+    let size = fs.stat("/ckpt")?.size;
     let mut got = Vec::with_capacity(size as usize);
     let mut off = 0u64;
     while off < size {
@@ -112,6 +107,14 @@ fn main() {
             std::process::exit(1);
         }
     }
+    Ok(())
+}
+
+/// Positional argument `i` as a number, `default` when it is absent.
+fn number(pos: &[&String], i: usize, name: &str, default: u64) -> Result<u64, String> {
+    pos.get(i).map_or(Ok(default), |s| {
+        s.parse().map_err(|e| format!("{name}: {e}"))
+    })
 }
 
 /// Find a file whose name starts with `prefix` anywhere under `root`.

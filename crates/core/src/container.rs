@@ -139,24 +139,27 @@ pub fn index_log_in(dir: &str, writer: WriterId) -> String {
 }
 
 /// The staged copy `Container::rewrite_staged` writes beside `log`.
-pub fn staged_copy(log: &str) -> String {
+pub(crate) fn staged_copy(log: &str) -> String {
     format!("{log}{REALIGN_SUFFIX}")
 }
 
-/// The log a [`staged_copy`] at `copy` stands in for.
+/// The log a `staged_copy` at `copy` stands in for.
 pub fn staged_log(copy: &str) -> Option<&str> {
     copy.strip_suffix(REALIGN_SUFFIX)
 }
 
 /// The generation file of the namespace holding `logical`'s canonical
 /// container.
-pub fn generation_file(fed: &Federation, logical: &str) -> String {
-    join(&fed.namespaces()[fed.container_namespace(logical)], GENERATION_FILE)
+pub(crate) fn generation_file(fed: &Federation, logical: &str) -> String {
+    join(
+        &fed.namespaces()[fed.container_namespace(logical)],
+        GENERATION_FILE,
+    )
 }
 
 /// Whether `name`, listed in a logical directory, is PLFS's own — a
 /// shadow container or the generation file — and never a logical file.
-pub fn is_internal(name: &str) -> bool {
+pub(crate) fn is_internal(name: &str) -> bool {
     name.starts_with(SHADOW_ROOT) || name == GENERATION_FILE
 }
 
@@ -734,7 +737,7 @@ impl Container {
     /// Mark `writer` as having the file open for write (creating the
     /// openhosts directory on first use). One two-op batch: the mkdir
     /// tolerates `AlreadyExists`, the host-entry create follows in order.
-    pub fn register_open<B: Backend>(&self, b: &B, writer: WriterId) -> Result<()> {
+    pub(crate) fn register_open<B: Backend>(&self, b: &B, writer: WriterId) -> Result<()> {
         let batch = [
             IoOp::Mkdir {
                 path: openhosts_dir(&self.canonical),
@@ -747,14 +750,6 @@ impl Container {
         let mut out = ioplane::submit_retried(b, &batch).into_iter();
         existing_ok(ioplane::as_unit(ioplane::take(&mut out)))?;
         ioplane::as_unit(ioplane::take(&mut out))
-    }
-
-    /// Writers that currently have the file open for write.
-    pub fn open_writers<B: Backend>(&self, b: &B) -> Result<Vec<WriterId>> {
-        let listing = IoOp::Readdir {
-            path: openhosts_dir(&self.canonical),
-        };
-        Self::open_writers_in(ioplane::submit_one(b, listing))
     }
 
     /// What `stat` reads before any index, as one batch: the access-file
@@ -774,8 +769,19 @@ impl Container {
         ]
     }
 
-    /// [`Container::open_writers`] from the outcome of the openhosts
-    /// `Readdir`.
+    /// `(cached size, open writers)` read as `Plfs::stat` reads them:
+    /// [`Container::stat_ops`] through [`Container::cached_size_in`] and
+    /// [`Container::open_writers_in`].
+    #[cfg(test)]
+    pub(crate) fn stat_listings<B: Backend>(&self, b: &B) -> Result<(Option<u64>, Vec<WriterId>)> {
+        let mut out = ioplane::submit_retried(b, &self.stat_ops()).into_iter();
+        let _access = ioplane::take(&mut out);
+        let cached = Self::cached_size_in(ioplane::take(&mut out))?;
+        Ok((cached, Self::open_writers_in(ioplane::take(&mut out))?))
+    }
+
+    /// Writers that currently have the file open for write, from the
+    /// outcome of the openhosts `Readdir`.
     pub(crate) fn open_writers_in(listing: IoOutcome) -> Result<Vec<WriterId>> {
         let names = absent_as_none(ioplane::as_names(listing))?.unwrap_or_default();
         Ok(names
@@ -787,7 +793,7 @@ impl Container {
 
     /// Record a closed writer's view of logical EOF in the metadir. These
     /// cached records make `stat` cheap: no index aggregation needed.
-    pub fn record_meta<B: Backend>(
+    pub(crate) fn record_meta<B: Backend>(
         &self,
         b: &B,
         writer: WriterId,
@@ -849,7 +855,7 @@ impl Container {
     /// openhosts deregistration in a single three-op submission instead
     /// of three sequential round-trips (the write-close hot path —
     /// every writer of an N-1 job pays this at the same moment).
-    pub fn finish_close<B: Backend>(
+    pub(crate) fn finish_close<B: Backend>(
         &self,
         b: &B,
         writer: WriterId,
@@ -865,18 +871,9 @@ impl Container {
         absent_as_none(ioplane::as_unit(ioplane::take(&mut out))).map(|_| ())
     }
 
-    /// Cheap logical size from metadir records: max EOF over closed
-    /// writers. Returns `None` if no writer has closed yet (caller must
-    /// fall back to index aggregation).
-    pub fn cached_size<B: Backend>(&self, b: &B) -> Result<Option<u64>> {
-        let listing = IoOp::Readdir {
-            path: metadir(&self.canonical),
-        };
-        Self::cached_size_in(ioplane::submit_one(b, listing))
-    }
-
-    /// [`Container::cached_size`] from the outcome of the metadir
-    /// `Readdir`.
+    /// Cheap logical size from the outcome of the metadir `Readdir`: max
+    /// EOF over closed writers' records. `None` if no writer has closed
+    /// yet (caller must fall back to index aggregation).
     pub(crate) fn cached_size_in(listing: IoOutcome) -> Result<Option<u64>> {
         let names = absent_as_none(ioplane::as_names(listing))?.unwrap_or_default();
         let mut eof: Option<u64> = None;
@@ -1067,7 +1064,7 @@ impl Container {
     /// reference fsck's staleness check compares (readers open the file
     /// bounded, [`IndexProbe::load`]). `None` when absent; a file failing
     /// [`ondisk::verify_deep`] is `CorruptContainer` with the reason.
-    pub fn read_flattened<B: Backend>(&self, b: &B) -> Result<Option<GlobalIndex>> {
+    pub(crate) fn read_flattened<B: Backend>(&self, b: &B) -> Result<Option<GlobalIndex>> {
         let path = self.flattened_path();
         let size = ioplane::submit_one(b, IoOp::Size { path: path.clone() });
         let Some(len) = absent_as_none(ioplane::as_size(size))? else {
@@ -1089,7 +1086,7 @@ impl Container {
 
     /// Physical path of the generation file of this container's canonical
     /// namespace (see [`IndexStamp`]).
-    pub fn generation_path(&self) -> String {
+    pub(crate) fn generation_path(&self) -> String {
         generation_file(&self.fed, &self.logical)
     }
 
@@ -1121,7 +1118,7 @@ impl Container {
 
     /// Advance this container's namespace generation on its own (one
     /// batch), for destructive paths with no batch of their own to ride.
-    pub fn bump_generation<B: Backend>(&self, b: &B) -> Result<()> {
+    pub(crate) fn bump_generation<B: Backend>(&self, b: &B) -> Result<()> {
         let mut out = ioplane::submit_retried(b, &self.generation_bump_ops()).into_iter();
         Self::generation_bumped(&mut out)
     }
@@ -1130,7 +1127,7 @@ impl Container {
     /// access-file probe, the namespace generation, the flattened index's
     /// size and the subdir probes, then the writer listing and one `Size`
     /// batch over the index logs — no log is read. `None` when there is
-    /// no container here. The returned probe holds the [`IndexStamp`] to
+    /// no container here. The returned probe holds the `IndexStamp` to
     /// validate a cached index against and can [`IndexProbe::load`] the
     /// index that stamp describes.
     pub fn probe_index<B: Backend>(&self, b: &B) -> Result<Option<IndexProbe>> {
@@ -1244,7 +1241,7 @@ pub(crate) fn existing_ok(r: Result<()>) -> Result<()> {
 /// reopened — advances the namespace generation instead: each of those
 /// paths appends one byte to the namespace's [`generation_file`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IndexStamp {
+pub(crate) struct IndexStamp {
     /// Size of the canonical namespace's generation file (0 if absent).
     generation: u64,
     /// Size of the flattened index, if there is one.
@@ -1266,7 +1263,7 @@ impl IndexStamp {
     }
 }
 
-/// An [`IndexStamp`] and what finishing the acquisition it began needs.
+/// An `IndexStamp` and what finishing the acquisition it began needs.
 #[derive(Debug)]
 pub struct IndexProbe {
     stamp: IndexStamp,
@@ -1276,7 +1273,7 @@ pub struct IndexProbe {
 
 impl IndexProbe {
     /// The stamp these batches fetched.
-    pub fn stamp(&self) -> &IndexStamp {
+    pub(crate) fn stamp(&self) -> &IndexStamp {
         &self.stamp
     }
 
@@ -1289,7 +1286,7 @@ impl IndexProbe {
 
     /// The index the stamp describes, byte for byte: the flattened index
     /// at the size stamped, opened bounded through `cache` when it parses
-    /// ([`OnDiskIndex::open_sized`]: footer and fences, no `Size`), else
+    /// (`OnDiskIndex::open_sized`: footer and fences, no `Size`), else
     /// the stamped prefix of every log aggregated (`IndexProbe::aggregate`).
     pub fn load<B: Backend>(&self, b: &B, cache: &Arc<SpanCache>) -> Result<IndexSource> {
         if let Some(len) = self.stamp.flattened {
@@ -1461,9 +1458,9 @@ mod tests {
         c.create(&b).unwrap();
         c.register_open(&b, 3).unwrap();
         c.register_open(&b, 9).unwrap();
-        assert_eq!(c.open_writers(&b).unwrap(), vec![3, 9]);
+        assert_eq!(c.stat_listings(&b).unwrap().1, vec![3, 9]);
         c.finish_close(&b, 3, 0, 0).unwrap();
-        assert_eq!(c.open_writers(&b).unwrap(), vec![9]);
+        assert_eq!(c.stat_listings(&b).unwrap().1, vec![9]);
         // Closing twice is fine.
         c.finish_close(&b, 3, 0, 0).unwrap();
     }
@@ -1473,11 +1470,11 @@ mod tests {
         let b = MemFs::new();
         let c = Container::new("/f", &fed1());
         c.create(&b).unwrap();
-        assert_eq!(c.cached_size(&b).unwrap(), None);
+        assert_eq!(c.stat_listings(&b).unwrap().0, None);
         c.record_meta(&b, 0, 1000, 500).unwrap();
         c.record_meta(&b, 1, 4000, 500).unwrap();
         c.record_meta(&b, 2, 2000, 500).unwrap();
-        assert_eq!(c.cached_size(&b).unwrap(), Some(4000));
+        assert_eq!(c.stat_listings(&b).unwrap().0, Some(4000));
     }
 
     #[test]
@@ -1579,9 +1576,9 @@ mod tests {
         // compact to 1.
         seed_index_logs(&b, &c, 1, 6);
         let loaded = load(&b, &c);
-        let mut expect = aggregate(&b, &c, 1);
+        let expect = aggregate(&b, &c, 1);
         assert_eq!(expect.span_count(), 6);
-        expect.compact();
+        let expect = GlobalIndex::from_runs(&[expect.to_entries()], true);
         assert_eq!(loaded.mem().map(|idx| &**idx), Some(&expect));
         assert_eq!(expect.span_count(), 1);
     }
@@ -1615,8 +1612,7 @@ mod tests {
         assert_eq!(at_stamp.eof(), 6 * 256);
         let now = c.probe_index(&b).unwrap().unwrap();
         assert_ne!(now.stamp(), probe.stamp(), "an append changes the stamp");
-        let mut whole = aggregate(&b, &c, 1);
-        whole.compact();
+        let whole = GlobalIndex::from_runs(&[aggregate(&b, &c, 1).to_entries()], true);
         let loaded = now.load(&b, &cache).unwrap();
         assert_eq!(loaded.mem().map(|idx| &**idx), Some(&whole));
         assert_eq!(loaded.eof(), (1 << 20) + 1);
@@ -1797,9 +1793,8 @@ mod tests {
             flat.lookup_into(at, n, &mut b);
             assert_eq!(a, b, "lookup {at}+{n}");
         }
-        // Merging and inserting expand it; compaction leaves it alone.
-        let mut merged = group.clone();
-        merged.merge(&GlobalIndex::from_entries([logs[0][0]]));
+        // Merging and inserting expand it.
+        let merged = GlobalIndex::from_runs(&[group.to_entries(), vec![logs[0][0]]], false);
         assert_eq!(merged, flat);
         let mut inserted = group.clone();
         let over = IndexEntry {
@@ -1813,9 +1808,6 @@ mod tests {
         let mut want = flat.clone();
         want.insert(&over);
         assert_eq!(inserted, want);
-        let mut compacted = group.clone();
-        compacted.compact();
-        assert!(compacted.is_group());
         assert_eq!(
             GlobalIndex::merge_all([group.clone(), GlobalIndex::new()]),
             flat

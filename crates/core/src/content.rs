@@ -140,7 +140,7 @@ pub fn synth_byte(seed: u64, pos: u64) -> u8 {
 }
 
 /// Generate `len` bytes of stream `seed` starting at `start`.
-pub fn synth_bytes(seed: u64, start: u64, len: u64) -> Vec<u8> {
+pub(crate) fn synth_bytes(seed: u64, start: u64, len: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(len as usize);
     let mut pos = start;
     let end = start + len;

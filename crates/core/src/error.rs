@@ -53,19 +53,19 @@ pub const DEFAULT_RETRY_ATTEMPTS: u32 = 8;
 /// workspace (the writer's data-append closure loop here and the batch
 /// loop in `ioplane::submit_retried`) start from this value and step
 /// with [`next_backoff_us`].
-pub const RETRY_BACKOFF_START_US: u64 = 1;
+pub(crate) const RETRY_BACKOFF_START_US: u64 = 1;
 
 /// Ceiling on the per-retry delay in microseconds. Doubling saturates
 /// here, so an arbitrarily large attempt count can neither overflow the
 /// delay arithmetic nor sleep unboundedly.
-pub const RETRY_BACKOFF_CAP_US: u64 = 256;
+pub(crate) const RETRY_BACKOFF_CAP_US: u64 = 256;
 
 /// Next step of the capped exponential backoff: doubles, saturating (no
 /// wrap at `u64::MAX`), then clamps to [`RETRY_BACKOFF_CAP_US`]. Every
 /// retry loop shares this one step function so the schedule cannot drift
 /// between call sites.
 #[inline]
-pub fn next_backoff_us(backoff_us: u64) -> u64 {
+pub(crate) fn next_backoff_us(backoff_us: u64) -> u64 {
     backoff_us.saturating_mul(2).min(RETRY_BACKOFF_CAP_US)
 }
 

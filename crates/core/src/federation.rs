@@ -78,7 +78,7 @@ impl Federation {
     }
 
     /// Number of metadata namespaces (the paper's "PLFS-X" X).
-    pub fn namespace_count(&self) -> usize {
+    pub(crate) fn namespace_count(&self) -> usize {
         self.namespaces.len()
     }
 
@@ -107,7 +107,7 @@ impl Federation {
     }
 
     /// Physical path of `logical` in namespace `ns`.
-    pub fn namespace_path(&self, ns: usize, logical: &str) -> String {
+    pub(crate) fn namespace_path(&self, ns: usize, logical: &str) -> String {
         let root = &self.namespaces[ns];
         if root == "/" {
             logical.to_string()
@@ -206,7 +206,7 @@ mod tests {
             true,
             false,
         );
-        let mut counts = vec![0usize; 20];
+        let mut counts = [0usize; 20];
         for i in 0..1000 {
             counts[f.container_namespace(&format!("/out/ckpt.{i}"))] += 1;
         }

@@ -796,7 +796,7 @@ mod tests {
         assert_eq!(r.issues, vec![Issue::StaleOpenHost { writer: 42 }]);
         let after = repair(&b, &cont).unwrap();
         assert!(after.fully_repaired(), "{after:?}");
-        assert!(cont.open_writers(&b).unwrap().is_empty());
+        assert!(cont.stat_listings(&b).unwrap().1.is_empty());
     }
 
     #[test]
@@ -845,7 +845,7 @@ mod tests {
         );
         let after = repair(&b, &cont).unwrap();
         assert!(after.fully_repaired(), "{after:?}");
-        assert_eq!(cont.cached_size(&b).unwrap(), Some(1500));
+        assert_eq!(cont.stat_listings(&b).unwrap().0, Some(1500));
     }
 
     #[test]
@@ -919,7 +919,7 @@ mod tests {
             reader.read(2000, 100).unwrap(),
             Content::synthetic(7, 100).materialize()
         );
-        assert_eq!(cont.cached_size(&b).unwrap(), Some(2100));
+        assert_eq!(cont.stat_listings(&b).unwrap().0, Some(2100));
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub use ondisk::OnDiskIndex;
 pub use spancache::SpanCache;
 
 /// Identifies one writer's data log within a container (rank or pid).
-pub type WriterId = u64;
+pub(crate) type WriterId = u64;
 
 /// One record in a writer's index log: "logical range `[logical_offset,
 /// logical_offset + length)` lives at `physical_offset` in my data log,
@@ -71,7 +71,7 @@ impl IndexEntry {
     }
 
     /// Deserialize one record.
-    pub fn from_bytes(b: &[u8]) -> Result<IndexEntry> {
+    pub(crate) fn from_bytes(b: &[u8]) -> Result<IndexEntry> {
         b.first_chunk().map(Self::from_record).ok_or_else(|| {
             PlfsError::CorruptContainer(format!("index record truncated: {} bytes", b.len()))
         })
@@ -136,7 +136,7 @@ impl IndexEntry {
     /// Decode records straight out of a [`crate::Content`]: real bytes are
     /// borrowed (no whole-buffer copy); synthetic or zero content — which
     /// never legitimately holds index records — is generated once.
-    pub fn decode_content(content: &crate::content::Content) -> Result<Vec<IndexEntry>> {
+    pub(crate) fn decode_content(content: &crate::content::Content) -> Result<Vec<IndexEntry>> {
         Self::decode_all(&content.as_bytes())
     }
 }
@@ -212,8 +212,8 @@ pub struct Mapping {
 /// record starts lower (real PLFS relies on clocks differing; the
 /// simulation and same-tick rewrites can produce exact ties).
 ///
-/// Every bulk build (`from_entries`, `from_runs`, `merge`, `merge_all`,
-/// `merge_streamed`, `compact`) is a thin caller of one k-way
+/// Every bulk build (`from_entries`, `from_runs`, `merge_all`,
+/// `merge_streamed`) is a thin caller of one k-way
 /// resolve-and-compact kernel: O(n log k) over `k` ascending runs, one
 /// pass, whose sorted output *is* the index (cost model in DESIGN.md §5b).
 /// A read-open's aggregation may instead keep an N-1 strided
@@ -307,10 +307,21 @@ impl GlobalIndex {
 
     /// Build from any number of entry sequences — one per writer log, in
     /// log order — in a single pass: a k-way merge that resolves
-    /// overwrites and compacts inline when `compact` is set (by
-    /// [`GlobalIndex::compact`]'s rule; for terminal aggregations only,
-    /// see DESIGN.md §5b). The outcome is what overlaying the
-    /// concatenated sequences one entry at a time would give.
+    /// overwrites and compacts inline when `compact` is set (for terminal
+    /// aggregations only, see DESIGN.md §5b). The outcome is what
+    /// overlaying the concatenated sequences one entry at a time would
+    /// give; an exact tie goes to the later run.
+    ///
+    /// Compaction merges adjacent spans that are contiguous both
+    /// logically and physically within the same writer's log. Checkpoint
+    /// patterns produce long runs of such spans (a writer's strided blocks
+    /// land back-to-back in its log), so compaction routinely shrinks a
+    /// flattened index by the transfer-count factor — smaller
+    /// `flattened.index` files and faster broadcasts. It is purely
+    /// representational: lookups resolve identically with and without it
+    /// (the merged span keeps the later timestamp, which cannot change any
+    /// outcome because the merged spans were already the winners of their
+    /// ranges), and compacting a compacted index changes nothing.
     pub fn from_runs<R: AsRef<[IndexEntry]>>(runs: &[R], compact: bool) -> Self {
         let _span = crate::telemetry::span(crate::telemetry::SPAN_INDEX_MERGE);
         let mut spans = Vec::with_capacity(runs.iter().map(|r| r.as_ref().len()).sum());
@@ -389,16 +400,6 @@ impl GlobalIndex {
         *self = Self::of_spans(spans);
     }
 
-    /// Merge another index into this one (used by Parallel Index Read group
-    /// leaders). Order-independent: precedence decides, not merge order
-    /// (an exact `(timestamp, writer)` tie goes to `other`).
-    pub fn merge(&mut self, other: &GlobalIndex) {
-        if !other.is_empty() {
-            let mine = std::mem::take(self).into_spans();
-            *self = Self::from_runs(&[&mine[..], &other.spans()[..]], false);
-        }
-    }
-
     /// Merge many partial indices into one — the Parallel Index Read
     /// group tree collapsed into a single k-way pass over the parts'
     /// sorted spans (an exact tie goes to the later part).
@@ -446,7 +447,7 @@ impl GlobalIndex {
 
     /// Heap bytes of the span vector, or of a group's per-writer lanes,
     /// by capacity (what the mount's index cache budgets by).
-    pub fn heap_bytes(&self) -> u64 {
+    pub(crate) fn heap_bytes(&self) -> u64 {
         match &self.repr {
             Repr::Spans(spans) => (spans.capacity() * std::mem::size_of::<IndexEntry>()) as u64,
             Repr::Group(g) => g.heap_bytes(),
@@ -467,35 +468,17 @@ impl GlobalIndex {
         }
     }
 
-    /// Merge adjacent spans that are contiguous both logically and
-    /// physically within the same writer's log. Checkpoint patterns
-    /// produce long runs of such spans (a writer's strided blocks land
-    /// back-to-back in its log), so compaction routinely shrinks a
-    /// flattened index by the transfer-count factor — smaller
-    /// `flattened.index` files and faster broadcasts.
-    ///
-    /// Compaction is purely representational: lookups resolve identically
-    /// before and after (the merged span keeps the later timestamp, which
-    /// cannot change any outcome because the merged spans were already
-    /// the winners of their ranges). A group has nothing to fuse: its
-    /// logical neighbours are always two writers.
-    pub fn compact(&mut self) {
-        if let Repr::Spans(spans) = &self.repr {
-            *self = Self::from_runs(&[spans], true);
-        }
-    }
-
     /// Serialize as index records (for the flattened `global.index` file).
     pub fn to_entries(&self) -> Vec<IndexEntry> {
         self.spans().into_owned()
     }
 
-    /// Streaming form of [`GlobalIndex::merge_all`] `+`
-    /// [`GlobalIndex::compact`]: merge the partial indices and hand the
-    /// resolved, compacted entries to `emit` in sorted chunks of at most
-    /// `chunk_entries`, without ever building the merged index. The
-    /// emitted stream is bit-for-bit the entry sequence `merge_all` +
-    /// `compact` + [`GlobalIndex::to_entries`] would produce.
+    /// Streaming form of [`GlobalIndex::merge_all`] with compaction:
+    /// merge the partial indices and hand the resolved, compacted entries
+    /// to `emit` in sorted chunks of at most `chunk_entries`, without ever
+    /// building the merged index. The emitted stream is bit-for-bit the
+    /// entry sequence [`GlobalIndex::to_entries`] gives for
+    /// [`GlobalIndex::from_runs`] of the parts' entries, compacted.
     pub fn merge_streamed<I, F>(parts: I, chunk_entries: usize, emit: F) -> Result<()>
     where
         I: IntoIterator<Item = GlobalIndex>,
@@ -1123,7 +1106,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_matches_bulk_build() {
+    fn merging_partial_indices_in_any_order_matches_bulk_build() {
         let all = [
             e(0, 50, 0, 1, 1),
             e(25, 50, 0, 2, 2),
@@ -1134,10 +1117,12 @@ mod tests {
         // Partial merge in arbitrary group order (as Parallel Index Read does).
         let g1 = GlobalIndex::from_entries([all[2], all[0]]);
         let g2 = GlobalIndex::from_entries([all[3], all[1]]);
-        let mut merged = GlobalIndex::new();
-        merged.merge(&g2);
-        merged.merge(&g1);
-        assert_eq!(merged, bulk);
+        assert_eq!(merged(&[&g2, &g1]), bulk);
+        assert_eq!(merged(&[&g1, &g2]), bulk);
+        // An exact `(timestamp, writer)` tie goes to the later run.
+        let (x, y) = (e(0, 10, 0, 1, 7), e(0, 10, 100, 1, 7));
+        assert_eq!(GlobalIndex::from_runs(&[[x], [y]], false).to_entries(), [y]);
+        assert_eq!(GlobalIndex::from_runs(&[[y], [x]], false).to_entries(), [x]);
     }
 
     #[test]
@@ -1189,10 +1174,11 @@ mod tests {
         // A writer's segmented region: 4 blocks, contiguous logically and
         // physically — compacts to one span.
         let idx_entries = (0..4u64).map(|k| e(k * 100, 100, k * 100, 1, k + 1));
-        let mut idx = GlobalIndex::from_entries(idx_entries);
+        let idx = GlobalIndex::from_entries(idx_entries);
         assert_eq!(idx.span_count(), 4);
-        idx.compact();
+        let idx = compacted(&idx);
         assert_eq!(idx.span_count(), 1);
+        assert_eq!(compacted(&idx), idx, "compaction is idempotent");
         assert_eq!(idx.eof(), 400);
         // Lookups unchanged.
         let m = lookup(&idx, 150, 100);
@@ -1218,12 +1204,12 @@ mod tests {
             e(0, 10, 10, 2, 5),
             e(10, 10, 20, 2, 5),
         ];
-        let mut idx = GlobalIndex::from_entries(entries.clone());
+        let idx = GlobalIndex::from_entries(entries.clone());
         // Byte-level resolution must be identical before and after
         // compaction (mapping boundaries may differ).
         let resolve = |idx: &GlobalIndex| -> Vec<(u64, Source)> {
             let mut out = Vec::new();
-            for m in lookup(&idx, 0, 30) {
+            for m in lookup(idx, 0, 30) {
                 for i in 0..m.length {
                     out.push((
                         m.logical_offset + i,
@@ -1243,7 +1229,7 @@ mod tests {
             out
         };
         let before = resolve(&idx);
-        idx.compact();
+        let idx = compacted(&idx);
         assert_eq!(resolve(&idx), before);
         // Writer 2's two overwrite spans merged into one.
         assert_eq!(idx.span_count(), 2);
@@ -1251,13 +1237,12 @@ mod tests {
 
     #[test]
     fn compact_does_not_merge_across_holes_or_phys_gaps() {
-        let mut idx = GlobalIndex::from_entries([
+        let idx = GlobalIndex::from_entries([
             e(0, 10, 0, 1, 1),
             e(20, 10, 10, 1, 1), // logical hole before it
             e(30, 10, 50, 1, 1), // physical gap in the log
         ]);
-        idx.compact();
-        assert_eq!(idx.span_count(), 3);
+        assert_eq!(compacted(&idx).span_count(), 3);
     }
 
     #[test]
@@ -1269,6 +1254,18 @@ mod tests {
         // The bulk build must filter them too.
         let bulk = GlobalIndex::from_entries([e(5, 0, 0, 1, 1), e(0, 4, 0, 2, 1)]);
         assert_eq!(bulk.span_count(), 1);
+    }
+
+    /// The parts' entries merged by the bulk kernel, uncompacted, in
+    /// order: an exact tie goes to the later part.
+    fn merged(parts: &[&GlobalIndex]) -> GlobalIndex {
+        let runs: Vec<Vec<IndexEntry>> = parts.iter().map(|p| p.to_entries()).collect();
+        GlobalIndex::from_runs(&runs, false)
+    }
+
+    /// `idx` compacted by the bulk kernel.
+    fn compacted(idx: &GlobalIndex) -> GlobalIndex {
+        GlobalIndex::from_runs(&[idx.to_entries()], true)
     }
 
     /// Reference merge: per-span precedence-resolving insert.
@@ -1286,8 +1283,7 @@ mod tests {
             GlobalIndex::from_entries((0..64u64).map(|b| e(2 * b * 100, 100, b * 100, 1, 1)));
         let odds =
             GlobalIndex::from_entries((0..64u64).map(|b| e((2 * b + 1) * 100, 100, b * 100, 2, 1)));
-        let mut fast = evens.clone();
-        fast.merge(&odds);
+        let fast = merged(&[&evens, &odds]);
         let mut slow = evens.clone();
         merge_by_insert(&mut slow, &odds);
         assert_eq!(fast, slow);
@@ -1299,8 +1295,7 @@ mod tests {
     fn overlapping_merge_falls_back_to_precedence_resolution() {
         let base = GlobalIndex::from_entries([e(0, 100, 0, 1, 1)]);
         let over = GlobalIndex::from_entries([e(40, 20, 500, 2, 2), e(200, 10, 0, 2, 2)]);
-        let mut fast = base.clone();
-        fast.merge(&over);
+        let fast = merged(&[&base, &over]);
         let mut slow = base.clone();
         merge_by_insert(&mut slow, &over);
         assert_eq!(fast, slow);
@@ -1330,7 +1325,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_all_resolves_overlaps_like_serial_merge() {
+    fn merge_all_resolves_overlaps_like_serial_insert() {
         let parts = vec![
             GlobalIndex::from_entries([e(0, 100, 0, 1, 1)]),
             GlobalIndex::from_entries([e(40, 20, 0, 2, 2)]),
@@ -1339,7 +1334,7 @@ mod tests {
         ];
         let mut serial = GlobalIndex::new();
         for p in &parts {
-            serial.merge(p);
+            merge_by_insert(&mut serial, p);
         }
         assert_eq!(GlobalIndex::merge_all(parts), serial);
     }
@@ -1429,9 +1424,7 @@ mod tests {
     /// Reference for streaming-merge tests: materialize the whole merge,
     /// compact, serialize.
     fn merged_compacted(parts: Vec<GlobalIndex>) -> Vec<IndexEntry> {
-        let mut m = GlobalIndex::merge_all(parts);
-        m.compact();
-        m.to_entries()
+        compacted(&GlobalIndex::merge_all(parts)).to_entries()
     }
 
     fn streamed(parts: Vec<GlobalIndex>, chunk: usize) -> Vec<IndexEntry> {
@@ -1558,7 +1551,7 @@ mod tests {
     }
 
     #[test]
-    fn from_runs_compacts_inline_like_compact() {
+    fn from_runs_compacts_inline_like_a_compacting_pass() {
         // Two writers' segmented regions, plus an overwrite that splits
         // one of them: inline compaction must equal build-then-compact.
         let runs = vec![
@@ -1572,9 +1565,9 @@ mod tests {
                 .map(|k| e(100 + k * 10, 10, k * 10, 3, 1))
                 .collect(),
         ];
-        let mut want = built_by_insert(&runs.concat());
+        let want = built_by_insert(&runs.concat());
         assert_eq!(GlobalIndex::from_runs(&runs, false), want);
-        want.compact();
+        let want = compacted(&want);
         assert_eq!(GlobalIndex::from_runs(&runs, true), want);
         assert_eq!(want.span_count(), 4);
     }

@@ -37,9 +37,9 @@ use crate::ioplane::{self, IoOp};
 use std::sync::Arc;
 
 /// Magic tag in the footer's first 8 bytes.
-pub const SPANIDX_MAGIC: [u8; 8] = *b"PLFSIDX1";
+pub(crate) const SPANIDX_MAGIC: [u8; 8] = *b"PLFSIDX1";
 /// Format version the footer carries.
-pub const SPANIDX_VERSION: u64 = 1;
+pub(crate) const SPANIDX_VERSION: u64 = 1;
 /// Fixed footer size at the end of a spanidx file.
 pub const SPANIDX_FOOTER_BYTES: u64 = 64;
 /// Size of one fence pointer (the logical offset of its window's first record).
@@ -50,7 +50,7 @@ pub const SPANIDX_FENCE_STRIDE: u64 = 1024;
 /// The parsed, validated footer of a spanidx file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanIdxFooter {
-    /// Format version ([`SPANIDX_VERSION`] is the only one readable today).
+    /// Format version (`SPANIDX_VERSION` is the only one readable today).
     pub version: u64,
     /// Records in the file, sorted by logical offset, pairwise disjoint.
     pub record_count: u64,
@@ -104,7 +104,7 @@ impl SpanIdxFooter {
     }
 
     /// Parse and validate a footer from its 64 raw bytes.
-    pub fn from_bytes(b: &[u8]) -> Result<SpanIdxFooter> {
+    pub(crate) fn from_bytes(b: &[u8]) -> Result<SpanIdxFooter> {
         if b.len() != SPANIDX_FOOTER_BYTES as usize {
             return Err(PlfsError::CorruptContainer(format!(
                 "spanidx footer must be {SPANIDX_FOOTER_BYTES} bytes, got {}",
@@ -148,7 +148,7 @@ impl SpanIdxFooter {
     }
 
     /// Total file size this footer's geometry implies.
-    pub fn expected_file_size(&self) -> u64 {
+    pub(crate) fn expected_file_size(&self) -> u64 {
         self.record_count * INDEX_RECORD_BYTES
             + self.fence_count * SPANIDX_FENCE_BYTES
             + SPANIDX_FOOTER_BYTES
@@ -355,7 +355,7 @@ pub struct OnDiskIndex {
 }
 
 impl OnDiskIndex {
-    /// Bootstrap from `path`: size probe, then [`OnDiskIndex::open_sized`]
+    /// Bootstrap from `path`: size probe, then `OnDiskIndex::open_sized`
     /// — two small plane submissions for up to ~8 Mi records, O(fences)
     /// memory. Returns `Ok(None)` when the file is absent **or** is not a
     /// structurally valid spanidx (legacy or torn flattened indices are a
@@ -377,7 +377,7 @@ impl OnDiskIndex {
     /// — the footer, and the fence region with it whenever that fits (up
     /// to ~8 Mi records) — else a second read for the fences. `Ok(None)`
     /// as for `open`, and when the file is gone or no longer `size` bytes.
-    pub fn open_sized<B: Backend>(
+    pub(crate) fn open_sized<B: Backend>(
         b: &B,
         path: &str,
         size: u64,

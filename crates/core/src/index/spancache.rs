@@ -18,9 +18,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Shards the cache splits its budget and locking across.
-pub const SPANCACHE_SHARDS: u64 = 8;
+pub(crate) const SPANCACHE_SHARDS: u64 = 8;
 /// Default total byte budget for decoded windows (4 MiB).
-pub const SPANCACHE_DEFAULT_BUDGET: u64 = 4 * 1024 * 1024;
+pub(crate) const SPANCACHE_DEFAULT_BUDGET: u64 = 4 * 1024 * 1024;
 
 struct Slot {
     entries: Arc<Vec<IndexEntry>>,
@@ -60,13 +60,13 @@ pub struct SpanCache {
 }
 
 impl SpanCache {
-    /// Cache with the default budget ([`SPANCACHE_DEFAULT_BUDGET`]).
+    /// Cache with the default budget (`SPANCACHE_DEFAULT_BUDGET`).
     pub fn new() -> SpanCache {
         SpanCache::with_budget(SPANCACHE_DEFAULT_BUDGET)
     }
 
     /// Cache holding at most `budget_bytes` of decoded records, split
-    /// evenly across [`SPANCACHE_SHARDS`] shards.
+    /// evenly across `SPANCACHE_SHARDS` shards.
     pub fn with_budget(budget_bytes: u64) -> SpanCache {
         SpanCache {
             shards: (0..SPANCACHE_SHARDS).map(|_| Mutex::default()).collect(),
@@ -137,7 +137,8 @@ impl SpanCache {
     }
 
     /// Decoded bytes currently resident across all shards.
-    pub fn resident_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn resident_bytes(&self) -> u64 {
         self.shards.iter().map(|shard| shard.lock().bytes).sum()
     }
 }

@@ -33,7 +33,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 /// Estimated bytes of shared indices one mount keeps: the 131,072-span
 /// index of a 128-writer × 1,024-block checkpoint is ~5 MiB, so this
 /// holds a dozen of them (`SpanCache`'s 4 MiB would not hold one).
-pub const INDEX_CACHE_BUDGET_BYTES: u64 = 64 * 1024 * 1024;
+pub(crate) const INDEX_CACHE_BUDGET_BYTES: u64 = 64 * 1024 * 1024;
 
 struct Entry {
     stamp: IndexStamp,

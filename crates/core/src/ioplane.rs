@@ -148,7 +148,7 @@ impl IoOp {
 
     /// The telemetry latency histogram this op variant records into
     /// (the `HIST_IOPLANE_*` vocabulary, DESIGN.md §5f).
-    pub fn hist_name(&self) -> &'static str {
+    pub(crate) fn hist_name(&self) -> &'static str {
         match self {
             IoOp::Mkdir { .. } => telemetry::HIST_IOPLANE_MKDIR,
             IoOp::MkdirAll { .. } => telemetry::HIST_IOPLANE_MKDIR_ALL,
@@ -199,7 +199,7 @@ fn mismatch(want: &'static str, got: &IoValue) -> PlfsError {
 }
 
 /// Outcome of a structural op (`Mkdir`/`Create`/`Unlink`/...).
-pub fn as_unit(o: IoOutcome) -> Result<()> {
+pub(crate) fn as_unit(o: IoOutcome) -> Result<()> {
     match o? {
         IoValue::Unit => Ok(()),
         v => Err(mismatch("unit", &v)),
@@ -207,7 +207,7 @@ pub fn as_unit(o: IoOutcome) -> Result<()> {
 }
 
 /// Outcome of an `Append`: physical landing offset.
-pub fn as_offset(o: IoOutcome) -> Result<u64> {
+pub(crate) fn as_offset(o: IoOutcome) -> Result<u64> {
     match o? {
         IoValue::Offset(n) => Ok(n),
         v => Err(mismatch("offset", &v)),
@@ -223,7 +223,7 @@ pub fn as_size(o: IoOutcome) -> Result<u64> {
 }
 
 /// Outcome of a `Kind`.
-pub fn as_kind(o: IoOutcome) -> Result<NodeKind> {
+pub(crate) fn as_kind(o: IoOutcome) -> Result<NodeKind> {
     match o? {
         IoValue::Kind(k) => Ok(k),
         v => Err(mismatch("kind", &v)),
@@ -423,7 +423,7 @@ pub fn replay<B: Backend + ?Sized>(b: &B, ops: &[IoOp]) -> Vec<IoOutcome> {
 /// submitted, its reads. Reusable: [`ListReadPlan::clear`] keeps the
 /// allocations, so a caller on a hot path keeps one plan as scratch.
 #[derive(Debug, Default)]
-pub struct ListReadPlan {
+pub(crate) struct ListReadPlan {
     ops: Vec<IoOp>,
     reads: Vec<Content>,
 }

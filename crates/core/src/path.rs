@@ -13,7 +13,7 @@ use std::borrow::Cow;
 /// arrive from *outside* (VFS entry points, backends fed user strings)
 /// go through this fallible form so a hostile path is an error, not an
 /// abort.
-pub fn try_normalize(path: &str) -> Result<String> {
+pub(crate) fn try_normalize(path: &str) -> Result<String> {
     let mut out = String::with_capacity(path.len() + 1);
     for seg in path.split('/') {
         match seg {
@@ -41,7 +41,7 @@ pub fn try_normalize(path: &str) -> Result<String> {
 /// returned `Borrowed`, with no allocation; anything else gets
 /// [`try_normalize`]'s owned result or its error. For per-op use on a
 /// backend's data path.
-pub fn try_normalize_cow(path: &str) -> Result<Cow<'_, str>> {
+pub(crate) fn try_normalize_cow(path: &str) -> Result<Cow<'_, str>> {
     let normal = path == "/"
         || path
             .strip_prefix('/')
@@ -55,7 +55,7 @@ pub fn try_normalize_cow(path: &str) -> Result<Cow<'_, str>> {
 
 /// Whether normalized `path` names something strictly inside normalized
 /// `dir` (every path other than `/` is inside `/`).
-pub fn is_inside(path: &str, dir: &str) -> bool {
+pub(crate) fn is_inside(path: &str, dir: &str) -> bool {
     match dir {
         "/" => path != "/",
         _ => path
@@ -66,7 +66,7 @@ pub fn is_inside(path: &str, dir: &str) -> bool {
 
 /// Infallible [`try_normalize`] for internally-generated paths, whose
 /// segments the container layer controls end to end.
-pub fn normalize(path: &str) -> String {
+pub(crate) fn normalize(path: &str) -> String {
     match try_normalize(path) {
         Ok(p) => p,
         #[expect(clippy::panic, reason = "internal paths never contain '..'; a hit here is a container-layout bug worth aborting on")]
@@ -92,25 +92,11 @@ pub fn parent(path: &str) -> String {
 }
 
 /// Final component of a normalized path (empty for `/`).
-pub fn basename(path: &str) -> &str {
+pub(crate) fn basename(path: &str) -> &str {
     match path.rfind('/') {
         Some(i) => &path[i + 1..],
         None => path,
     }
-}
-
-/// All ancestor directories from the root down, excluding the path itself.
-/// `/a/b/c` yields `["/", "/a", "/a/b"]`.
-pub fn ancestors(path: &str) -> Vec<String> {
-    let mut out = vec!["/".to_string()];
-    let mut cur = String::new();
-    let segs: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-    for seg in segs.iter().take(segs.len().saturating_sub(1)) {
-        cur.push('/');
-        cur.push_str(seg);
-        out.push(cur.clone());
-    }
-    out
 }
 
 #[cfg(test)]
@@ -174,12 +160,6 @@ mod tests {
         assert_eq!(parent("/"), "/");
         assert_eq!(basename("/a/b/c"), "c");
         assert_eq!(basename("/"), "");
-    }
-
-    #[test]
-    fn ancestors_walk_down() {
-        assert_eq!(ancestors("/a/b/c"), vec!["/", "/a", "/a/b"]);
-        assert_eq!(ancestors("/a"), vec!["/"]);
     }
 
     #[test]

@@ -343,14 +343,15 @@ mod tests {
         // Index Read in two groups) indices serve the same bytes.
         let serial = logs(&*ab, &ac, 1);
         assert_eq!(logs(&*ab, &ac, 4), serial, "threaded aggregation diverged");
-        let mut compacted = serial.clone();
-        compacted.compact();
+        let compacted = GlobalIndex::from_runs(&[serial.to_entries()], true);
         let group = |ws: &[u64]| {
             let runs: Vec<_> = ws.iter().map(|&w| ac.read_index_log(&*ab, w).unwrap()).collect();
             GlobalIndex::from_runs(&runs, false)
         };
-        let mut merged = group(&[2]);
-        merged.merge(&group(&[0, 1]));
+        let merged = GlobalIndex::from_runs(
+            &[group(&[2]).to_entries(), group(&[0, 1]).to_entries()],
+            false,
+        );
         assert_eq!(merged, serial);
         for idx in [serial, compacted, merged] {
             let mut r = ReadHandle::open(Arc::clone(&ab), ac.clone(), idx);

@@ -8,7 +8,7 @@
 //! (DESIGN.md §5k). Three pieces cooperate:
 //!
 //! * **Sharded open-handle table.** Handles live in
-//!   [`SVC_HANDLE_SHARDS`] independently-locked shards
+//!   `SVC_HANDLE_SHARDS` independently-locked shards
 //!   (`svc-handle-shard`, rank 12 in the §5i hierarchy): a shard lock
 //!   is held only for lookup/insert/remove, each open handle owns its
 //!   own session lock
@@ -19,7 +19,7 @@
 //!   a token bucket ([`admission::TokenBucket`]) pacing its op rate
 //!   and a dirty-byte budget ([`admission::DirtyBudget`]) bounding the
 //!   bytes its open writers have appended but not yet indexed in their
-//!   index logs; both live in [`SVC_TENANT_SHARDS`] sharded maps
+//!   index logs; both live in `SVC_TENANT_SHARDS` sharded maps
 //!   (`svc-tenant-shard`, rank 18). A denied probe surfaces as
 //!   [`Admitted::Throttled`] with a precise retry delay —
 //!   backpressure, not an error — and an append that takes its tenant
@@ -90,31 +90,31 @@ use std::time::Instant;
 /// Shards in the open-handle table. Handle ids spread across shards by
 /// a multiplicative hash, so contention on one shard is 1/64th of the
 /// open/close traffic even under adversarial id patterns.
-pub const SVC_HANDLE_SHARDS: usize = 64;
+pub(crate) const SVC_HANDLE_SHARDS: usize = 64;
 
 /// Pre-reservation headroom per handle shard: each shard reserves
 /// `expected_clients * SVC_HANDLE_LOAD_FACTOR / SVC_HANDLE_SHARDS`
 /// slots at construction, so steady-state opens never rehash a shard
 /// map under its lock even when hashing skews this factor against a
 /// uniform spread.
-pub const SVC_HANDLE_LOAD_FACTOR: usize = 4;
+pub(crate) const SVC_HANDLE_LOAD_FACTOR: usize = 4;
 
 /// Shards in the per-tenant admission-state map. Tenant populations
 /// are much smaller than handle populations (many handles per tenant),
 /// so fewer, coarser shards suffice.
-pub const SVC_TENANT_SHARDS: usize = 16;
+pub(crate) const SVC_TENANT_SHARDS: usize = 16;
 
 /// Default sustained op rate per tenant, tokens (ops) per second.
-pub const SVC_TOKEN_RATE: u64 = 65536;
+pub(crate) const SVC_TOKEN_RATE: u64 = 65536;
 
 /// Default token-bucket depth per tenant: how many ops a tenant may
 /// burst above the sustained rate after banking idle time.
-pub const SVC_TOKEN_BURST: u64 = 4096;
+pub(crate) const SVC_TOKEN_BURST: u64 = 4096;
 
 /// Default dirty-byte budget per tenant: bytes a tenant's open writers
 /// may have appended without their index records reaching the index
 /// logs before the service forces the appending writer's index flush.
-pub const SVC_DIRTY_BUDGET: u64 = 8 * 1024 * 1024;
+pub(crate) const SVC_DIRTY_BUDGET: u64 = 8 * 1024 * 1024;
 
 // ---------------------------------------------------------------------
 
@@ -156,11 +156,6 @@ impl<T> Admitted<T> {
             Admitted::Throttled { .. } => None,
         }
     }
-
-    /// Whether the op was deferred by admission control.
-    pub fn is_throttled(&self) -> bool {
-        matches!(self, Admitted::Throttled { .. })
-    }
 }
 
 /// Shared-instance service configuration. Field defaults come from the
@@ -170,14 +165,14 @@ impl<T> Admitted<T> {
 pub struct ServiceConfig {
     /// Mount configuration for the shared [`Plfs`] instance.
     pub plfs: PlfsConfig,
-    /// Per-tenant sustained op rate, tokens/sec ([`SVC_TOKEN_RATE`]).
+    /// Per-tenant sustained op rate, tokens/sec (`SVC_TOKEN_RATE`).
     pub token_rate: u64,
-    /// Per-tenant token-bucket depth ([`SVC_TOKEN_BURST`]).
+    /// Per-tenant token-bucket depth (`SVC_TOKEN_BURST`).
     pub token_burst: u64,
-    /// Per-tenant unflushed-byte budget ([`SVC_DIRTY_BUDGET`]).
+    /// Per-tenant unflushed-byte budget (`SVC_DIRTY_BUDGET`).
     pub dirty_budget: u64,
     /// Expected concurrent handle count, used with
-    /// [`SVC_HANDLE_LOAD_FACTOR`] to pre-size the handle shards.
+    /// `SVC_HANDLE_LOAD_FACTOR` to pre-size the handle shards.
     pub expected_clients: usize,
 }
 
@@ -666,7 +661,11 @@ mod tests {
         assert!(wait_ns > 0 && wait_ns <= 1_000_000_000);
         // Other tenants are unaffected — fairness is per-tenant.
         let h2 = grant(s.open_write("fast", "/f").unwrap());
-        assert!(!s.append(h2, 0, &Content::bytes(vec![9])).unwrap().is_throttled());
+        assert!(s
+            .append(h2, 0, &Content::bytes(vec![9]))
+            .unwrap()
+            .granted()
+            .is_some());
     }
 
     #[test]
@@ -677,7 +676,11 @@ mod tests {
         let s = Service::new(Arc::new(MemFs::new()), cfg).unwrap();
         let h = grant(s.open_write("t", "/f").unwrap());
         s.append(h, 0, &Content::bytes(vec![1])).unwrap();
-        assert!(s.append(h, 1, &Content::bytes(vec![2])).unwrap().is_throttled());
+        assert!(s
+            .append(h, 1, &Content::bytes(vec![2]))
+            .unwrap()
+            .granted()
+            .is_none());
         s.close(h).unwrap();
         // Read below the service (admission would throttle this tenant's
         // own probe): only the admitted byte ever landed.
@@ -789,7 +792,8 @@ mod tests {
             assert!(s
                 .append(h, 1, &Content::bytes(vec![2]))
                 .unwrap()
-                .is_throttled());
+                .granted()
+                .is_none());
         });
         assert_eq!(snap.counters[CTR_SVC_OPENS], 1);
         assert_eq!(snap.counters[CTR_SVC_THROTTLED], 1);

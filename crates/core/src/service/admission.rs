@@ -34,13 +34,6 @@ pub enum Grant {
     },
 }
 
-impl Grant {
-    /// Whether the probe was granted.
-    pub fn is_granted(&self) -> bool {
-        matches!(self, Grant::Granted)
-    }
-}
-
 /// A classic token bucket: refills continuously at `rate` tokens per
 /// second up to a `burst` ceiling; each admitted op drains one token.
 ///
@@ -52,17 +45,17 @@ impl Grant {
 /// // 2 ops/sec sustained, at most 1 banked: the second probe at t=0
 /// // is denied and told exactly when half a second will have passed.
 /// let mut bucket = TokenBucket::new(2, 1);
-/// assert!(bucket.try_take(0).is_granted());
+/// assert_eq!(bucket.try_take(0), Grant::Granted);
 /// assert_eq!(bucket.try_take(0), Grant::Denied { wait_ns: 500_000_000 });
-/// assert!(bucket.try_take(500_000_000).is_granted());
+/// assert_eq!(bucket.try_take(500_000_000), Grant::Granted);
 ///
 /// // Idle time banks tokens, but never more than the burst ceiling.
 /// let mut bucket = TokenBucket::new(1000, 4);
 /// let later = 60 * 1_000_000_000;
 /// for _ in 0..4 {
-///     assert!(bucket.try_take(later).is_granted());
+///     assert_eq!(bucket.try_take(later), Grant::Granted);
 /// }
-/// assert!(!bucket.try_take(later).is_granted());
+/// assert_ne!(bucket.try_take(later), Grant::Granted);
 /// ```
 #[derive(Debug, Clone)]
 pub struct TokenBucket {
@@ -190,9 +183,9 @@ mod tests {
     #[test]
     fn bucket_grants_burst_then_denies() {
         let mut b = TokenBucket::new(10, 3);
-        assert!(b.try_take(0).is_granted());
-        assert!(b.try_take(0).is_granted());
-        assert!(b.try_take(0).is_granted());
+        assert_eq!(b.try_take(0), Grant::Granted);
+        assert_eq!(b.try_take(0), Grant::Granted);
+        assert_eq!(b.try_take(0), Grant::Granted);
         let Grant::Denied { wait_ns } = b.try_take(0) else {
             panic!("fourth probe at t=0 must be denied");
         };
@@ -202,17 +195,17 @@ mod tests {
     #[test]
     fn bucket_refills_exactly_at_rate() {
         let mut b = TokenBucket::new(1_000_000, 1);
-        assert!(b.try_take(0).is_granted());
+        assert_eq!(b.try_take(0), Grant::Granted);
         // One token at 1M/sec takes exactly 1000 ns; 999 is too early.
-        assert!(!b.try_take(999).is_granted());
-        assert!(b.try_take(1000).is_granted());
+        assert_ne!(b.try_take(999), Grant::Granted);
+        assert_eq!(b.try_take(1000), Grant::Granted);
     }
 
     #[test]
     fn bucket_never_banks_past_burst() {
         let mut b = TokenBucket::new(1_000_000_000, 2);
         let granted = (0..100)
-            .filter(|_| b.try_take(u64::MAX / 2).is_granted())
+            .filter(|_| b.try_take(u64::MAX / 2) == Grant::Granted)
             .count();
         assert_eq!(granted, 2);
     }
@@ -220,25 +213,33 @@ mod tests {
     #[test]
     fn denied_wait_is_sufficient() {
         let mut b = TokenBucket::new(7, 1);
-        assert!(b.try_take(0).is_granted());
+        assert_eq!(b.try_take(0), Grant::Granted);
         let Grant::Denied { wait_ns } = b.try_take(0) else {
             panic!("empty bucket must deny");
         };
-        assert!(b.try_take(wait_ns).is_granted(), "waiting wait_ns must suffice");
+        assert_eq!(
+            b.try_take(wait_ns),
+            Grant::Granted,
+            "waiting wait_ns must suffice"
+        );
     }
 
     #[test]
     fn clock_regression_is_inert() {
         let mut b = TokenBucket::new(1000, 1);
-        assert!(b.try_take(1_000_000_000).is_granted());
+        assert_eq!(b.try_take(1_000_000_000), Grant::Granted);
         // Going backwards neither panics nor mints tokens.
-        assert!(!b.try_take(0).is_granted());
+        assert_ne!(b.try_take(0), Grant::Granted);
     }
 
     #[test]
     fn zero_rate_and_burst_are_clamped() {
         let mut b = TokenBucket::new(0, 0);
-        assert!(b.try_take(0).is_granted(), "clamped bucket starts with one token");
+        assert_eq!(
+            b.try_take(0),
+            Grant::Granted,
+            "clamped bucket starts with one token"
+        );
         match b.try_take(0) {
             Grant::Denied { wait_ns } => assert_eq!(wait_ns, TOKEN_SCALE),
             g => panic!("expected denial, got {g:?}"),

@@ -2,7 +2,7 @@
 //!
 //! The middleware stacks interposition layers — service over mount over
 //! I/O plane over backend — and each layer keeps locks of its own. Every
-//! one of them is a [`Mutex`] or [`RwLock`] from this module, and its
+//! one of them is a [`Mutex`] or `RwLock` from this module, and its
 //! type names the [`Class`] it belongs to (one of [`class::ALL`]). A
 //! class carries a rank and an `io_ok` flag, and two rules keep the
 //! stack free of deadlock and of serialisation behind storage:
@@ -187,7 +187,7 @@ pub struct Guard<G, C: Class> {
 }
 
 /// A [`Mutex`]'s guard.
-pub type MutexGuard<'a, T, C> = Guard<std_sync::MutexGuard<'a, T>, C>;
+pub(crate) type MutexGuard<'a, T, C> = Guard<std_sync::MutexGuard<'a, T>, C>;
 
 impl<G: Deref, C: Class> Deref for Guard<G, C> {
     type Target = G::Target;
@@ -236,7 +236,7 @@ impl<T: Default, C: Class> Default for Mutex<T, C> {
 /// A reader-writer lock of class `C`. A read is an acquisition like any
 /// other: two reads of one class on one thread break the order, since a
 /// writer queued between them would deadlock the thread.
-pub struct RwLock<T: ?Sized, C: Class> {
+pub(crate) struct RwLock<T: ?Sized, C: Class> {
     class: PhantomData<C>,
     inner: std_sync::RwLock<T>,
 }
@@ -275,7 +275,7 @@ impl<T: ?Sized + fmt::Debug, C: Class> fmt::Debug for RwLock<T, C> {
 
 /// A condition variable over a [`Mutex`].
 #[derive(Default)]
-pub struct Condvar(std_sync::Condvar);
+pub(crate) struct Condvar(std_sync::Condvar);
 
 impl Condvar {
     /// A condition variable no thread waits on.
@@ -295,7 +295,7 @@ impl Condvar {
     }
 
     /// Wake every waiter.
-    pub fn notify_all(&self) {
+    pub(crate) fn notify_all(&self) {
         self.0.notify_all();
     }
 }

@@ -148,7 +148,7 @@ mod tests {
         let mut r = ReadHandle::open_bounded(Arc::clone(&b), cont.clone(), Arc::default()).unwrap();
         assert_eq!(r.size(), 0);
         assert!(r.read(0, 100).unwrap().is_empty());
-        assert_eq!(cont.cached_size(&b).unwrap(), Some(0));
+        assert_eq!(cont.stat_listings(&b).unwrap().0, Some(0));
         // Droppings gone.
         assert!(cont.list_writers(&b).unwrap().is_empty());
         // The file can be written again afterwards.
@@ -175,7 +175,7 @@ mod tests {
         // Reads past the cut return nothing.
         assert!(r.read(450, 100).unwrap().is_empty());
         // Stat agrees.
-        assert_eq!(cont.cached_size(&b).unwrap(), Some(450));
+        assert_eq!(cont.stat_listings(&b).unwrap().0, Some(450));
     }
 
     #[test]

@@ -309,11 +309,6 @@ impl<B: Backend> WriteHandle<B> {
         self.bytes_written
     }
 
-    /// Highest logical offset written + 1, from this writer's view.
-    pub fn local_eof(&self) -> u64 {
-        self.eof
-    }
-
     /// Close: flush the index log, record cached size metadata, and
     /// deregister from openhosts. Returns this writer's full index
     /// contribution (for a caller that is coordinating Index Flatten).
@@ -380,14 +375,6 @@ pub fn flatten_close<B: Backend>(
     Ok(true)
 }
 
-/// Guard against the access mode PLFS cannot serve (the paper had to
-/// patch IOR and MADbench to stop opening read-write).
-pub fn reject_read_write() -> PlfsError {
-    PlfsError::Unsupported(
-        "PLFS does not support read-write access to files shared by multiple processes".into(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,8 +406,9 @@ mod tests {
         w.write(0, &Content::bytes(vec![2; 10]), 2).unwrap();
         w.write(5000, &Content::bytes(vec![3; 10]), 3).unwrap();
         assert_eq!(w.bytes_written(), 30);
-        assert_eq!(w.local_eof(), 5010);
         w.close(4).unwrap();
+        // ...recorded its view of EOF in the metadir,
+        assert_eq!(c.stat_listings(&b).unwrap().0, Some(5010));
         // ...landed sequentially in the data log,
         let dlog = c.data_log(&b, 0).unwrap();
         assert_eq!(b.size(&dlog).unwrap(), 30);
@@ -476,11 +464,11 @@ mod tests {
         let (b, c) = setup();
         let mut w =
             WriteHandle::open(Arc::clone(&b), c.clone(), 7, IndexPolicy::WriteClose).unwrap();
-        assert_eq!(c.open_writers(&b).unwrap(), vec![7]);
+        assert_eq!(c.stat_listings(&b).unwrap().1, vec![7]);
         w.write(0, &Content::bytes(vec![0; 100]), 1).unwrap();
         w.close(2).unwrap();
-        assert!(c.open_writers(&b).unwrap().is_empty());
-        assert_eq!(c.cached_size(&b).unwrap(), Some(100));
+        assert!(c.stat_listings(&b).unwrap().1.is_empty());
+        assert_eq!(c.stat_listings(&b).unwrap().0, Some(100));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::Result;
 
 /// One variable: name, element size, shape, and its region's offset.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VarDef {
+pub(crate) struct VarDef {
     pub name: String,
     pub elem_size: u32,
     pub shape: Vec<u64>,
@@ -25,7 +25,7 @@ pub struct VarDef {
 
 impl VarDef {
     /// Total bytes of the variable's region.
-    pub fn byte_len(&self) -> u64 {
+    pub(crate) fn byte_len(&self) -> u64 {
         self.shape.iter().product::<u64>() * self.elem_size as u64
     }
 }
@@ -34,7 +34,7 @@ const MAGIC: &[u8; 4] = b"NCL1";
 
 /// The dataset header.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Header {
+pub(crate) struct Header {
     vars: Vec<VarDef>,
     finalized: bool,
 }
@@ -90,12 +90,8 @@ impl Header {
         self.vars.iter().position(|v| v.name == name)
     }
 
-    pub fn var_count(&self) -> usize {
-        self.vars.len()
-    }
-
     /// Serialize.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 * self.vars.len() + 8);
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&(self.vars.len() as u32).to_le_bytes());

@@ -16,6 +16,15 @@
 //! variable (a strided N-1 pattern determined by the array decomposition,
 //! not by the programmer); readers fetch the header first, then slabs.
 
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::disallowed_methods,
+        reason = "unit tests: a failed unwrap is the test's failure report; setup and checks call one backend op at a time"
+    )
+)]
+
 pub mod header;
 pub mod slab;
 pub mod spanidx;
@@ -32,7 +41,7 @@ use slab::slab_runs;
 pub type Result<T> = std::result::Result<T, PlfsError>;
 
 /// Bytes reserved for the serialized header at the front of the file.
-pub const HEADER_REGION: u64 = 8192;
+pub(crate) const HEADER_REGION: u64 = 8192;
 
 /// A dataset being defined and written (the `NC_DEFINE` → `NC_WRITE`
 /// lifecycle of netCDF).
@@ -245,9 +254,9 @@ mod tests {
         let b = w.def_var("b", 2, &[3, 5]).unwrap();
         let c = w.def_var("c", 8, &[2]).unwrap();
         w.enddef().unwrap();
-        w.put_slab(a, &[0, 0], &[4, 4], &vec![0xAA; 16]).unwrap();
-        w.put_slab(b, &[0, 0], &[3, 5], &vec![0xBB; 30]).unwrap();
-        w.put_slab(c, &[0], &[2], &vec![0xCC; 16]).unwrap();
+        w.put_slab(a, &[0, 0], &[4, 4], &[0xAA; 16]).unwrap();
+        w.put_slab(b, &[0, 0], &[3, 5], &[0xBB; 30]).unwrap();
+        w.put_slab(c, &[0], &[2], &[0xCC; 16]).unwrap();
         w.close().unwrap();
         let mut r = NcReader::open(&fs, "/multi").unwrap();
         assert_eq!(r.get_slab(a, &[0, 0], &[4, 4]).unwrap(), vec![0xAA; 16]);

@@ -11,13 +11,13 @@ use plfs::PlfsError;
 
 /// One contiguous byte run within the file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Run {
+pub(crate) struct Run {
     pub file_offset: u64,
     pub len: u64,
 }
 
 /// Decompose a hyperslab into file runs, validating bounds.
-pub fn slab_runs(v: &VarDef, start: &[u64], count: &[u64]) -> Result<Vec<Run>> {
+pub(crate) fn slab_runs(v: &VarDef, start: &[u64], count: &[u64]) -> Result<Vec<Run>> {
     let nd = v.shape.len();
     if start.len() != nd || count.len() != nd {
         return Err(PlfsError::InvalidArg(format!(

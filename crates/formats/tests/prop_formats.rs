@@ -1,6 +1,11 @@
 //! Property tests: arbitrary variable shapes and slab partitions always
 //! round-trip byte-faithfully through pnetcdf-lite over PLFS.
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "test code: a failed unwrap is the test's failure report"
+)]
+
 use formats::{NcReader, NcWriter};
 use plfs::{MemFs, Plfs, PlfsConfig};
 use proptest::prelude::*;

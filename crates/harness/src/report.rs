@@ -38,10 +38,6 @@ impl Series {
         });
     }
 
-    pub fn push_value(&mut self, x: u64, mean: f64) {
-        self.points.push(Point { x, mean, std: 0.0 });
-    }
-
     /// Mean at a given x, if present.
     pub fn at(&self, x: u64) -> Option<f64> {
         self.points.iter().find(|p| p.x == x).map(|p| p.mean)
@@ -80,33 +76,6 @@ pub fn render_figure(title: &str, x_label: &str, y_label: &str, series: &[Series
     out
 }
 
-/// Render series as CSV (`x,<label> mean,<label> std,...`) for external
-/// plotting tools.
-pub fn render_csv(series: &[Series]) -> String {
-    let mut out = String::from("x");
-    for s in series {
-        out.push_str(&format!(",{} mean,{} std", s.label, s.label));
-    }
-    out.push('\n');
-    let mut xs: Vec<u64> = series
-        .iter()
-        .flat_map(|s| s.points.iter().map(|p| p.x))
-        .collect();
-    xs.sort_unstable();
-    xs.dedup();
-    for x in xs {
-        out.push_str(&x.to_string());
-        for s in series {
-            match s.points.iter().find(|p| p.x == x) {
-                Some(p) => out.push_str(&format!(",{},{}", p.mean, p.std)),
-                None => out.push_str(",,"),
-            }
-        }
-        out.push('\n');
-    }
-    out
-}
-
 /// Render a simple two-column table (label, value) — e.g. Figure 2's
 /// speedup summary.
 pub fn render_table(title: &str, rows: &[(String, f64)], unit: &str) -> String {
@@ -127,7 +96,7 @@ mod tests {
     fn series_accumulates_points() {
         let mut s = Series::new("plfs");
         s.push(16, &Summary::from_iter([1.0, 2.0, 3.0]));
-        s.push_value(32, 5.0);
+        s.push(32, &Summary::from_iter([5.0]));
         assert_eq!(s.points.len(), 2);
         assert_eq!(s.at(16), Some(2.0));
         assert_eq!(s.at(32), Some(5.0));
@@ -137,10 +106,10 @@ mod tests {
     #[test]
     fn figure_renders_all_series_and_x_values() {
         let mut a = Series::new("direct");
-        a.push_value(16, 1.0);
-        a.push_value(64, 2.0);
+        a.push(16, &Summary::from_iter([1.0]));
+        a.push(64, &Summary::from_iter([2.0]));
         let mut b = Series::new("plfs");
-        b.push_value(16, 3.0);
+        b.push(16, &Summary::from_iter([3.0]));
         let text = render_figure("Fig Test", "procs", "MB/s", &[a, b]);
         assert!(text.contains("Fig Test"));
         assert!(text.contains("direct"));
@@ -148,20 +117,6 @@ mod tests {
         // x=64 exists with a '-' for the missing series.
         let line64 = text.lines().find(|l| l.trim_start().starts_with("64")).unwrap();
         assert!(line64.contains('-'));
-    }
-
-    #[test]
-    fn csv_renders_all_series() {
-        let mut a = Series::new("direct");
-        a.push_value(16, 1.5);
-        let mut b = Series::new("plfs");
-        b.push_value(16, 3.0);
-        b.push_value(32, 4.0);
-        let csv = render_csv(&[a, b]);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "x,direct mean,direct std,plfs mean,plfs std");
-        assert_eq!(lines[1], "16,1.5,0,3,0");
-        assert_eq!(lines[2], "32,,,4,0");
     }
 
     #[test]

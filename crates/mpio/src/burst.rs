@@ -83,8 +83,13 @@ impl<D: Driver> BurstDriver<D> {
 
     /// Latest drain completion across nodes (diagnostic: when the data is
     /// actually safe on the parallel file system).
-    pub fn last_drain_done(&self) -> SimTime {
-        self.last_done.iter().copied().max().unwrap_or(SimTime::ZERO)
+    #[cfg(test)]
+    pub(crate) fn last_drain_done(&self) -> SimTime {
+        self.last_done
+            .iter()
+            .copied()
+            .max()
+            .unwrap_or(SimTime::ZERO)
     }
 
     /// Retire every drain that has completed by `at`, releasing its

@@ -26,7 +26,7 @@ impl Ctx {
     }
 
     /// Compute node hosting `rank`.
-    pub fn node_of(&self, rank: usize) -> usize {
+    pub(crate) fn node_of(&self, rank: usize) -> usize {
         self.layout.node_of(rank)
     }
 }
@@ -100,7 +100,11 @@ pub fn exec_io(
 
 /// Default handling for the driver-agnostic collectives (barrier and
 /// all-to-all exchange); drivers call this for ops they don't specialize.
-pub fn generic_collective(op: &LogicalOp, arrivals: &[SimTime], ctx: &mut Ctx) -> Vec<SimTime> {
+pub(crate) fn generic_collective(
+    op: &LogicalOp,
+    arrivals: &[SimTime],
+    ctx: &mut Ctx,
+) -> Vec<SimTime> {
     let sync = arrivals.iter().copied().max().unwrap_or(SimTime::ZERO);
     let p = arrivals.len();
     let release = match op {

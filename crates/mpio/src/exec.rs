@@ -252,7 +252,21 @@ mod tests {
     use super::*;
     use crate::driver::generic_collective;
     use crate::layout::Layout;
-    use crate::ops::{FnProgram, LogicalOp, VecProgram};
+    use crate::ops::{FnProgram, LogicalOp, Program};
+
+    /// A trivially materialized program: the same op list for every rank.
+    struct VecProgram {
+        ops: Vec<LogicalOp>,
+    }
+
+    impl Program for VecProgram {
+        fn len(&self, _rank: usize) -> usize {
+            self.ops.len()
+        }
+        fn op(&self, _rank: usize, pc: usize) -> LogicalOp {
+            self.ops[pc].clone()
+        }
+    }
     use pfs::{PfsParams, SimPfs};
     use simnet::{Interconnect, InterconnectParams};
     use std::collections::HashMap;

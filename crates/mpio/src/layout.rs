@@ -21,18 +21,13 @@ impl Layout {
     }
 
     /// The node hosting `rank`.
-    pub fn node_of(&self, rank: usize) -> usize {
+    pub(crate) fn node_of(&self, rank: usize) -> usize {
         rank / self.ppn
     }
 
     /// Number of nodes the job spans.
     pub fn nodes(&self) -> usize {
         self.nprocs.div_ceil(self.ppn)
-    }
-
-    /// Are two ranks on the same node?
-    pub fn colocated(&self, a: usize, b: usize) -> bool {
-        self.node_of(a) == self.node_of(b)
     }
 }
 
@@ -47,8 +42,8 @@ mod tests {
         assert_eq!(l.node_of(15), 0);
         assert_eq!(l.node_of(16), 1);
         assert_eq!(l.nodes(), 4);
-        assert!(l.colocated(0, 15));
-        assert!(!l.colocated(15, 16));
+        assert_eq!(l.node_of(0), l.node_of(15));
+        assert_ne!(l.node_of(15), l.node_of(16));
     }
 
     #[test]
@@ -62,6 +57,6 @@ mod tests {
     fn one_rank_per_node() {
         let l = Layout::new(8, 1);
         assert_eq!(l.nodes(), 8);
-        assert!(!l.colocated(0, 1));
+        assert_ne!(l.node_of(0), l.node_of(1));
     }
 }

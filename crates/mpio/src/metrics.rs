@@ -78,7 +78,8 @@ impl PhaseStat {
     }
 
     /// Wall span of the phase: first entry to last exit, in seconds.
-    pub fn span_s(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn span_s(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -120,12 +121,14 @@ impl Metrics {
     }
 
     /// Wall span of the phase.
-    pub fn span_s(&self, kind: OpKind) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn span_s(&self, kind: OpKind) -> f64 {
         self.get(kind).map(|s| s.span_s()).unwrap_or(0.0)
     }
 
     /// Plain bandwidth of the data phase alone, bytes/second.
-    pub fn phase_bandwidth(&self, kind: OpKind) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn phase_bandwidth(&self, kind: OpKind) -> f64 {
         let s = match self.get(kind) {
             Some(s) if s.span_s() > 0.0 => s,
             _ => return 0.0,
@@ -135,9 +138,8 @@ impl Metrics {
 
     /// The paper's *effective bandwidth*: bytes of the data phase over the
     /// span from the first open start to the last close finish.
-    pub fn effective_bandwidth(&self, open: OpKind, data: OpKind, close: OpKind) -> f64 {
-        let (Some(o), Some(d), Some(c)) = (self.get(open), self.get(data), self.get(close))
-        else {
+    pub(crate) fn effective_bandwidth(&self, open: OpKind, data: OpKind, close: OpKind) -> f64 {
+        let (Some(o), Some(d), Some(c)) = (self.get(open), self.get(data), self.get(close)) else {
             return 0.0;
         };
         let span = c.last_finish.since(o.first_start).as_secs_f64();

@@ -42,7 +42,7 @@ impl FileTag {
     /// Write the logical path for `rank` into `out` (cleared first).
     /// Hot-path form of [`FileTag::path`]: with a reused buffer the
     /// per-event path build stops allocating.
-    pub fn path_into(&self, rank: usize, out: &mut String) {
+    pub(crate) fn path_into(&self, rank: usize, out: &mut String) {
         use std::fmt::Write as _;
         out.clear();
         match self {
@@ -119,20 +119,6 @@ impl LogicalOp {
         match self {
             LogicalOp::Write { len, reps, .. } | LogicalOp::Read { len, reps, .. } => len * reps,
             _ => 0,
-        }
-    }
-
-    /// Whether this op synchronizes all ranks of the job.
-    pub fn is_collective_for(&self, shared_write_collective: bool) -> bool {
-        match self {
-            LogicalOp::Barrier
-            | LogicalOp::Exchange { .. }
-            | LogicalOp::FlushCaches
-            | LogicalOp::Unlink { .. } => true,
-            LogicalOp::OpenWrite { file } | LogicalOp::CloseWrite { file } => {
-                shared_write_collective && file.is_shared()
-            }
-            _ => false,
         }
     }
 }
@@ -343,7 +329,7 @@ impl CompiledProgram {
 
 impl OpCode {
     /// The file-table index this instruction touches, if any.
-    pub fn file_index(&self) -> Option<u16> {
+    pub(crate) fn file_index(&self) -> Option<u16> {
         match *self {
             OpCode::OpenWrite { file }
             | OpCode::Write { file, .. }
@@ -363,21 +349,6 @@ impl Program for CompiledProgram {
     }
     fn op(&self, rank: usize, pc: usize) -> LogicalOp {
         self.decode(rank, pc)
-    }
-}
-
-/// A trivially materialized program: the same op list for every rank,
-/// with per-rank ops computed by closures. Used by tests.
-pub struct VecProgram {
-    pub ops: Vec<LogicalOp>,
-}
-
-impl Program for VecProgram {
-    fn len(&self, _rank: usize) -> usize {
-        self.ops.len()
-    }
-    fn op(&self, _rank: usize, pc: usize) -> LogicalOp {
-        self.ops[pc].clone()
     }
 }
 
@@ -424,16 +395,6 @@ mod tests {
         };
         assert_eq!(w.bytes(), 700);
         assert_eq!(LogicalOp::Barrier.bytes(), 0);
-    }
-
-    #[test]
-    fn collectivity_rules() {
-        let shared = FileTag::shared("/f");
-        let own = FileTag::per_rank("/f", 0);
-        assert!(LogicalOp::Barrier.is_collective_for(false));
-        assert!(LogicalOp::OpenWrite { file: shared.clone() }.is_collective_for(true));
-        assert!(!LogicalOp::OpenWrite { file: shared }.is_collective_for(false));
-        assert!(!LogicalOp::OpenWrite { file: own }.is_collective_for(true));
     }
 
     #[test]

@@ -17,7 +17,6 @@
 //!   seek behaviour *is* the phenomenon being measured (used at the
 //!   smaller scales of Figures 4/5/7).
 
-use crate::params::MetaKind;
 use crate::sim::{AccessMode, SimPfs};
 use crate::state::FileId;
 use simcore::{SimDuration, SimTime};
@@ -233,21 +232,6 @@ impl SimPfs {
         }
         finish
     }
-
-    /// Charge a batch of `count` identical metadata ops against one MDS.
-    pub fn meta_batch(
-        &mut self,
-        mds: usize,
-        kind: MetaKind,
-        count: u64,
-        arrival: SimTime,
-    ) -> SimTime {
-        let mut now = arrival;
-        for _ in 0..count {
-            now = self.meta(mds, kind, now);
-        }
-        now
-    }
 }
 
 #[cfg(test)]
@@ -332,13 +316,6 @@ mod tests {
         let (_, fin) = fs.append_batch(0, "/f", 0, 1024, t(1.0));
         assert_eq!(fin, t(1.0));
         assert_eq!(fs.read_batch(0, "/f", 0, 4096, 1, t(2.0)), t(2.0));
-    }
-
-    #[test]
-    fn meta_batch_serializes_on_one_mds() {
-        let mut fs = pfs();
-        let fin = fs.meta_batch(0, MetaKind::Open, 100, t(0.0));
-        assert!((fin.as_secs_f64() - 100.0 * 350e-6).abs() < 1e-6);
     }
 
     #[test]

@@ -64,7 +64,7 @@ struct Slot {
 /// One node's page cache: an intrusive LRU over a slab, so a hit, an
 /// insert and an eviction are each one hash probe plus O(1) relinking.
 #[derive(Debug)]
-pub struct PageCache {
+pub(crate) struct PageCache {
     capacity_blocks: u64,
     block_size: u64,
     /// (file, block index / `RUN`) → slot in `slab` of each block of the
@@ -236,7 +236,8 @@ impl PageCache {
     /// the resident blocks. The simulated file system never calls this —
     /// unlinks leave a dead file's blocks to age out, since ids are never
     /// reused.
-    pub fn invalidate_file(&mut self, file: FileId) {
+    #[cfg(test)]
+    pub(crate) fn invalidate_file(&mut self, file: FileId) {
         let runs: Vec<(FileId, u64)> = self.index.keys().filter(|k| k.0 == file).copied().collect();
         for run in runs {
             let Some(slots) = self.index.remove(&run) else {
@@ -250,15 +251,18 @@ impl PageCache {
         }
     }
 
-    pub fn resident_blocks(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn resident_blocks(&self) -> u64 {
         self.resident
     }
 
-    pub fn hit_count(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn hit_count(&self) -> u64 {
         self.hits
     }
 
-    pub fn miss_count(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn miss_count(&self) -> u64 {
         self.misses
     }
 }

@@ -6,7 +6,7 @@
 //! the mechanisms those file systems share and that PLFS's transformations
 //! exploit:
 //!
-//! * **Metadata servers** ([`sim::SimPfs::meta`]) — each namespace is
+//! * **Metadata servers** ([`sim::SimPfs`]'s metadata ops) — each namespace is
 //!   served by one MDS modeled as a FIFO queue with per-operation service
 //!   times. Create storms against one directory all land on one MDS: the
 //!   N-N bottleneck of §V.
@@ -27,6 +27,14 @@
 //! [`simcore::SimTime`] and returns a completion time computed against the
 //! contended resources.
 
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        reason = "unit tests: a failed unwrap is the test's failure report"
+    )
+)]
+
 pub mod batch;
 pub mod cache;
 pub mod locks;
@@ -34,5 +42,5 @@ pub mod params;
 pub mod sim;
 pub mod state;
 
-pub use params::{MetaKind, PfsParams};
+pub use params::PfsParams;
 pub use sim::{AccessMode, SimPfs};

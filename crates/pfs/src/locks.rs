@@ -69,7 +69,7 @@ impl FileLocks {
 
 /// Lock manager across all shared files.
 #[derive(Debug)]
-pub struct LockManager {
+pub(crate) struct LockManager {
     files: HashMap<FileId, FileLocks>,
     generation_cap: usize,
     transfers: u64,
@@ -157,7 +157,7 @@ impl LockManager {
     }
 
     /// Drop all lock state (e.g. when a file is deleted).
-    pub fn forget_file(&mut self, file: FileId) {
+    pub(crate) fn forget_file(&mut self, file: FileId) {
         self.files.remove(&file);
     }
 }

@@ -12,24 +12,13 @@ use simnet::StorageNetParams;
 
 /// Metadata operation kinds with distinct service costs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetaKind {
-    /// Create a file (allocate inode, update directory).
-    Create,
+pub(crate) enum MetaKind {
     /// Open an existing file (lookup + capability grant).
     Open,
-    /// stat / getattr.
-    Stat,
-    /// Create a directory.
-    Mkdir,
     /// Remove a file.
     Unlink,
     /// List a directory of `entries` entries.
     Readdir { entries: usize },
-    /// Path resolution only.
-    Lookup,
-    /// Close bookkeeping on the MDS (lightweight — the paper's Fig. 7b
-    /// shows close ≪ create).
-    Close,
 }
 
 /// Full parameter set for one simulated parallel file system.
@@ -40,8 +29,6 @@ pub struct PfsParams {
     pub meta_create_s: f64,
     /// Seconds to open/lookup an existing file.
     pub meta_open_s: f64,
-    /// Seconds for stat.
-    pub meta_stat_s: f64,
     /// Seconds for mkdir.
     pub meta_mkdir_s: f64,
     /// Seconds for unlink.
@@ -49,8 +36,6 @@ pub struct PfsParams {
     /// Base seconds for readdir plus per-entry cost.
     pub meta_readdir_base_s: f64,
     pub meta_readdir_per_entry_s: f64,
-    /// Seconds for close bookkeeping.
-    pub meta_close_s: f64,
     /// Directory contention threshold: creates into a directory slow
     /// down superlinearly once it grows past this size — service is
     /// scaled by `1 + (entries/threshold)²`. GIGA+ (cited by the paper)
@@ -113,12 +98,10 @@ impl PfsParams {
         PfsParams {
             meta_create_s: 600e-6,
             meta_open_s: 350e-6,
-            meta_stat_s: 200e-6,
             meta_mkdir_s: 500e-6,
             meta_unlink_s: 400e-6,
             meta_readdir_base_s: 400e-6,
             meta_readdir_per_entry_s: 4e-6,
-            meta_close_s: 80e-6,
             dir_contention_entries: 4800,
             mds_count: 1,
             oss_count: 64,
@@ -177,18 +160,13 @@ impl PfsParams {
     }
 
     /// Service time for a metadata operation.
-    pub fn meta_service(&self, kind: MetaKind) -> f64 {
+    pub(crate) fn meta_service(&self, kind: MetaKind) -> f64 {
         match kind {
-            MetaKind::Create => self.meta_create_s,
             MetaKind::Open => self.meta_open_s,
-            MetaKind::Stat => self.meta_stat_s,
-            MetaKind::Mkdir => self.meta_mkdir_s,
             MetaKind::Unlink => self.meta_unlink_s,
             MetaKind::Readdir { entries } => {
                 self.meta_readdir_base_s + entries as f64 * self.meta_readdir_per_entry_s
             }
-            MetaKind::Lookup => self.meta_open_s * 0.6,
-            MetaKind::Close => self.meta_close_s,
         }
     }
 }
@@ -207,8 +185,6 @@ mod tests {
         assert!((p.stripe_width as f64) * p.oss_bw < p.net.aggregate_bw);
         // Seeks are much dearer than sequential access.
         assert!(p.seek_penalty_s > 10.0 * p.sequential_overhead_s);
-        // Close ≪ create (Fig. 7b precondition).
-        assert!(p.meta_close_s < p.meta_create_s / 5.0);
         let c = PfsParams::panfs_cielo(8894);
         assert!(c.net.aggregate_bw > p.net.aggregate_bw);
         assert!(c.oss_count > p.oss_count);
@@ -226,14 +202,9 @@ mod tests {
     fn all_meta_kinds_have_positive_cost() {
         let p = PfsParams::panfs_production(64);
         for k in [
-            MetaKind::Create,
             MetaKind::Open,
-            MetaKind::Stat,
-            MetaKind::Mkdir,
             MetaKind::Unlink,
             MetaKind::Readdir { entries: 0 },
-            MetaKind::Lookup,
-            MetaKind::Close,
         ] {
             assert!(p.meta_service(k) > 0.0, "{k:?}");
         }

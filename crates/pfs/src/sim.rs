@@ -138,7 +138,7 @@ impl SimPfs {
         &self.ns
     }
 
-    pub fn namespace_mut(&mut self) -> &mut Namespace {
+    pub(crate) fn namespace_mut(&mut self) -> &mut Namespace {
         &mut self.ns
     }
 
@@ -159,7 +159,7 @@ impl SimPfs {
     }
 
     /// Charge a bare metadata operation to metadata server `mds`.
-    pub fn meta(&mut self, mds: usize, kind: MetaKind, arrival: SimTime) -> SimTime {
+    pub(crate) fn meta(&mut self, mds: usize, kind: MetaKind, arrival: SimTime) -> SimTime {
         let service = SimDuration::from_secs_f64(self.params.meta_service(kind));
         let service = self.jitter.apply(service);
         let idx = mds % self.mds.len();
@@ -257,8 +257,11 @@ impl SimPfs {
 
     /// Write `len` bytes at `offset` of `path` from `node`, issued by
     /// `client` (the rank — stripe-lock ownership is per client process).
-    #[expect(clippy::too_many_arguments, reason = "one simulated write is node, client, path, offset, length, access mode and arrival; a struct would only rename them")]
-    pub fn write_at(
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one simulated write is node, client, path, offset, length, access mode and arrival; a struct would only rename them"
+    )]
+    pub(crate) fn write_at(
         &mut self,
         node: usize,
         client: u64,

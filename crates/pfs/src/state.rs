@@ -87,13 +87,13 @@ impl Namespace {
     }
 
     /// Extend file `id` to cover a write at `offset` of `len` bytes.
-    pub fn write_extent(&mut self, id: FileId, offset: u64, len: u64) {
+    pub(crate) fn write_extent(&mut self, id: FileId, offset: u64, len: u64) {
         let size = &mut self.sizes[id as usize];
         *size = (*size).max(offset + len);
     }
 
     /// Children counted under a directory.
-    pub fn child_count(&self, path: &str) -> usize {
+    pub(crate) fn child_count(&self, path: &str) -> usize {
         self.dirs.get(path).copied().unwrap_or(0)
     }
 

@@ -30,7 +30,7 @@ use crate::time::SimTime;
 /// indexes whatever side table the class implies (for the SPMD executor:
 /// `kind == 0`, `arg == rank`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct EventRecord {
+pub(crate) struct EventRecord {
     /// Virtual timestamp.
     pub time: SimTime,
     /// Global assignment order; breaks timestamp ties FIFO.
@@ -331,13 +331,6 @@ impl EventArena {
         }
     }
 
-    /// Timestamp of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.min_bucket()
-            .and_then(|(b, _)| self.buckets[b].first())
-            .map(|r| r.time)
-    }
-
     /// Pending event count.
     pub fn len(&self) -> usize {
         self.len
@@ -356,11 +349,6 @@ impl EventArena {
     /// Current wheel size (test/bench introspection).
     pub fn buckets(&self) -> usize {
         self.buckets.len()
-    }
-
-    /// Current bucket-width exponent (test/bench introspection).
-    pub fn width_shift(&self) -> u32 {
-        self.shift
     }
 
     /// Resize the wheel to `nbuckets` (a power of two), re-estimating the
@@ -446,16 +434,15 @@ mod tests {
     fn now_tracks_last_pop() {
         let mut q = EventArena::new();
         assert_eq!(q.now(), SimTime::ZERO);
-        q.push(t(1.0) + SimDuration::from_millis_f64(500.0), 0, 0);
+        q.push(t(1.0) + SimDuration::from_secs_f64(0.5), 0, 0);
         q.pop();
         assert_eq!(q.now(), t(1.5));
     }
 
     #[test]
-    fn peek_does_not_remove() {
+    fn len_counts_pending_events() {
         let mut q = EventArena::new();
         q.push(t(4.0), 0, 0);
-        assert_eq!(q.peek_time(), Some(t(4.0)));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
     }
@@ -522,7 +509,7 @@ mod tests {
             for _ in 0..pops {
                 let a = arena.pop();
                 let o = oracle.pop();
-                assert_eq!(a.map(|(time, _, arg)| (time, arg)), o.map(|(time, p)| (time, p)));
+                assert_eq!(a.map(|(time, _, arg)| (time, arg)), o);
                 if let Some((time, _, _)) = a {
                     now = time.as_nanos();
                 }
@@ -531,7 +518,7 @@ mod tests {
         loop {
             let a = arena.pop();
             let o = oracle.pop();
-            assert_eq!(a.map(|(time, _, arg)| (time, arg)), o.map(|(time, p)| (time, p)));
+            assert_eq!(a.map(|(time, _, arg)| (time, arg)), o);
             if a.is_none() {
                 break;
             }

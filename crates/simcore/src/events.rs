@@ -85,11 +85,6 @@ impl<T> EventQueue<T> {
         Some((entry.time, entry.payload))
     }
 
-    /// Timestamp of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.time)
-    }
-
     pub fn len(&self) -> usize {
         self.heap.len()
     }
@@ -160,16 +155,15 @@ mod tests {
     fn now_tracks_last_pop() {
         let mut q = EventQueue::new();
         assert_eq!(q.now(), SimTime::ZERO);
-        q.push(t(1.0) + SimDuration::from_millis_f64(500.0), ());
+        q.push(t(1.0) + SimDuration::from_secs_f64(0.5), ());
         q.pop();
         assert_eq!(q.now(), t(1.5));
     }
 
     #[test]
-    fn peek_does_not_remove() {
+    fn len_counts_pending_events() {
         let mut q = EventQueue::new();
         q.push(t(4.0), ());
-        assert_eq!(q.peek_time(), Some(t(4.0)));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
     }

@@ -22,15 +22,24 @@
 //! parallel file system meet. Keeping the core passive makes each primitive
 //! independently testable.
 
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        reason = "unit tests: a failed unwrap or expect is the test's failure report"
+    )
+)]
+
 pub mod arena;
-pub mod calendar;
+mod calendar;
 pub mod events;
-pub mod resource;
+mod resource;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use arena::{EventArena, EventRecord};
+pub use arena::EventArena;
 pub use calendar::Calendar;
 pub use events::EventQueue;
 pub use resource::{Fifo, Grant};

@@ -26,13 +26,6 @@ pub struct Grant {
     pub finish: SimTime,
 }
 
-impl Grant {
-    /// Time spent waiting in queue before service.
-    pub fn queue_wait(&self, arrival: SimTime) -> SimDuration {
-        self.start.since(arrival)
-    }
-}
-
 /// A multi-server FIFO resource.
 #[derive(Debug, Clone)]
 pub struct Fifo {
@@ -46,7 +39,6 @@ pub struct Fifo {
     ops: u64,
     busy: SimDuration,
     waited: SimDuration,
-    max_wait: SimDuration,
     last_arrival: SimTime,
 }
 
@@ -64,7 +56,6 @@ impl Fifo {
             ops: 0,
             busy: SimDuration::ZERO,
             waited: SimDuration::ZERO,
-            max_wait: SimDuration::ZERO,
             last_arrival: SimTime::ZERO,
         }
     }
@@ -95,9 +86,7 @@ impl Fifo {
 
         self.ops += 1;
         self.busy += service;
-        let wait = start.since(arrival);
-        self.waited += wait;
-        self.max_wait = self.max_wait.max(wait);
+        self.waited += start.since(arrival);
         Grant { start, finish }
     }
 
@@ -125,16 +114,6 @@ impl Fifo {
         self.busy
     }
 
-    /// Aggregate time requests spent queued.
-    pub fn total_wait(&self) -> SimDuration {
-        self.waited
-    }
-
-    /// Worst single queueing delay seen.
-    pub fn max_wait(&self) -> SimDuration {
-        self.max_wait
-    }
-
     /// Mean queueing delay per admitted request.
     pub fn mean_wait(&self) -> SimDuration {
         if self.ops == 0 {
@@ -159,7 +138,6 @@ impl Fifo {
         self.ops = 0;
         self.busy = SimDuration::ZERO;
         self.waited = SimDuration::ZERO;
-        self.max_wait = SimDuration::ZERO;
         self.last_arrival = SimTime::ZERO;
     }
 }
@@ -194,7 +172,6 @@ mod tests {
         r.acquire(t(0.0), d(1.0));
         let g = r.acquire(t(5.0), d(1.0));
         assert_eq!(g.start, t(5.0));
-        assert_eq!(g.queue_wait(t(5.0)), SimDuration::ZERO);
     }
 
     #[test]
@@ -226,8 +203,6 @@ mod tests {
         r.acquire(t(0.0), d(2.0));
         r.acquire(t(0.0), d(2.0)); // waits 2
         r.acquire(t(1.0), d(2.0)); // waits 3
-        assert_eq!(r.total_wait(), d(5.0));
-        assert_eq!(r.max_wait(), d(3.0));
         assert_eq!(r.mean_wait(), d(5.0) / 3);
     }
 
@@ -253,7 +228,7 @@ mod tests {
     #[test]
     fn heap_tracking_matches_linear_scan_reference() {
         let mut fifo = Fifo::new("pool", 7);
-        let mut reference = vec![SimTime::ZERO; 7];
+        let mut reference = [SimTime::ZERO; 7];
         let mut state = 0x243f6a8885a308d3u64;
         let mut next = move || {
             state ^= state << 13;
@@ -263,7 +238,7 @@ mod tests {
         };
         let mut arrival = SimTime::ZERO;
         for _ in 0..5000 {
-            arrival = arrival + SimDuration(next() % 1000);
+            arrival += SimDuration(next() % 1000);
             // Frequent identical service times force free_at ties.
             let service = SimDuration((next() % 4) * 500);
             let g = fifo.acquire(arrival, service);

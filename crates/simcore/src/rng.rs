@@ -65,33 +65,6 @@ impl Jitter {
     pub fn apply(&mut self, d: SimDuration) -> SimDuration {
         d.scale(self.factor())
     }
-
-    /// Draw a uniform value in `[0, n)` (deterministic helper for placement).
-    pub fn pick(&mut self, n: usize) -> usize {
-        if n <= 1 {
-            0
-        } else {
-            self.rng.gen_range(0..n)
-        }
-    }
-}
-
-/// Stable 64-bit hash for static placement decisions (subdir → MDS, file →
-/// namespace). FNV-1a: trivially portable and deterministic across runs and
-/// platforms, which matters because placement must match between a writer's
-/// simulation and a reader's.
-pub fn stable_hash64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Convenience: stable hash of a string key.
-pub fn stable_hash_str(s: &str) -> u64 {
-    stable_hash64(s.as_bytes())
 }
 
 #[cfg(test)]
@@ -136,23 +109,5 @@ mod tests {
         let mut j = Jitter::with_tail(9, 0.0, 0.5, 10.0);
         let inflated = (0..200).filter(|_| j.factor() > 1.5).count();
         assert!(inflated > 20, "expected tail events, got {inflated}");
-    }
-
-    #[test]
-    fn stable_hash_is_stable() {
-        // Pinned values: placement decisions must never change across builds.
-        assert_eq!(stable_hash_str(""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(stable_hash_str("a"), stable_hash64(b"a"));
-        assert_ne!(stable_hash_str("subdir.0"), stable_hash_str("subdir.1"));
-    }
-
-    #[test]
-    fn pick_bounds() {
-        let mut j = Jitter::uniform(3, 0.1);
-        assert_eq!(j.pick(0), 0);
-        assert_eq!(j.pick(1), 0);
-        for _ in 0..100 {
-            assert!(j.pick(7) < 7);
-        }
     }
 }

@@ -85,24 +85,6 @@ impl Summary {
         }
     }
 
-    /// Linear-interpolated percentile, `p` in [0, 100].
-    pub fn percentile(&self, p: f64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        let rank = (p.clamp(0.0, 100.0) / 100.0) * (sorted.len() - 1) as f64;
-        let lo = rank.floor() as usize;
-        let hi = rank.ceil() as usize;
-        if lo == hi {
-            sorted[lo]
-        } else {
-            let frac = rank - lo as f64;
-            sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-        }
-    }
-
     /// Coefficient of variation (std/mean), 0 when mean is 0.
     pub fn cv(&self) -> f64 {
         let m = self.mean();
@@ -132,7 +114,6 @@ mod tests {
         assert_eq!(s.std(), 0.0);
         assert_eq!(s.min(), 0.0);
         assert_eq!(s.max(), 0.0);
-        assert_eq!(s.percentile(50.0), 0.0);
     }
 
     #[test]
@@ -150,14 +131,6 @@ mod tests {
         let s = Summary::from_iter([3.5]);
         assert_eq!(s.mean(), 3.5);
         assert_eq!(s.std(), 0.0);
-    }
-
-    #[test]
-    fn percentiles_interpolate() {
-        let s = Summary::from_iter([1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(s.percentile(0.0), 1.0);
-        assert_eq!(s.percentile(100.0), 4.0);
-        assert!((s.percentile(50.0) - 2.5).abs() < 1e-12);
     }
 
     #[test]

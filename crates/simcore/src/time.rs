@@ -64,11 +64,6 @@ impl SimDuration {
         Self::from_secs_f64(us * 1e-6)
     }
 
-    /// Construct from milliseconds.
-    pub fn from_millis_f64(ms: f64) -> Self {
-        Self::from_secs_f64(ms * 1e-3)
-    }
-
     /// Construct from whole nanoseconds.
     pub fn from_nanos(ns: u64) -> Self {
         SimDuration(ns)
@@ -96,7 +91,7 @@ impl SimDuration {
         Self::from_secs_f64(self.as_secs_f64() * factor.max(0.0))
     }
 
-    pub fn is_zero(self) -> bool {
+    pub(crate) fn is_zero(self) -> bool {
         self.0 == 0
     }
 
@@ -222,7 +217,7 @@ mod tests {
 
     #[test]
     fn add_duration_advances_time() {
-        let t = SimTime::from_secs_f64(1.0) + SimDuration::from_millis_f64(250.0);
+        let t = SimTime::from_secs_f64(1.0) + SimDuration::from_secs_f64(0.25);
         assert_eq!(t, SimTime::from_secs_f64(1.25));
     }
 
@@ -259,7 +254,7 @@ mod tests {
     #[test]
     fn display_picks_sensible_units() {
         assert_eq!(format!("{}", SimDuration::from_secs_f64(2.5)), "2.500s");
-        assert_eq!(format!("{}", SimDuration::from_millis_f64(2.5)), "2.500ms");
+        assert_eq!(format!("{}", SimDuration::from_secs_f64(2.5e-3)), "2.500ms");
         assert_eq!(format!("{}", SimDuration::from_micros_f64(2.5)), "2.500us");
     }
 

@@ -80,7 +80,7 @@ proptest! {
         let mut cal = Calendar::new("pool", servers);
         let mut arrival = SimTime::ZERO;
         for (gap, service) in requests {
-            arrival = arrival + SimDuration(gap);
+            arrival += SimDuration(gap);
             let service = SimDuration(service);
             let gf = fifo.acquire(arrival, service);
             let gc = cal.acquire(arrival, service);

@@ -30,11 +30,6 @@ impl Interconnect {
         self.params.latency_s + self.params.sw_overhead_s + bytes as f64 / self.params.node_bw
     }
 
-    /// Point-to-point message of `bytes`.
-    pub fn p2p(&self, bytes: u64) -> SimDuration {
-        SimDuration::from_secs_f64(self.hop(bytes))
-    }
-
     /// Rounds in a binomial tree over `p` participants.
     pub fn rounds(p: usize) -> u32 {
         if p <= 1 {
@@ -70,15 +65,9 @@ impl Interconnect {
         SimDuration::from_secs_f64(lat + bw)
     }
 
-    /// Reduce has the same communication shape as gather (combining is
-    /// charged by the caller as compute, if at all).
-    pub fn reduce(&self, p: usize, bytes_per_rank: u64) -> SimDuration {
-        self.gather(p, bytes_per_rank)
-    }
-
     /// Allgather `bytes_per_rank` from everyone to everyone
     /// (recursive-doubling: log rounds, `(p−1)·b` bytes through each node).
-    pub fn allgather(&self, p: usize, bytes_per_rank: u64) -> SimDuration {
+    pub(crate) fn allgather(&self, p: usize, bytes_per_rank: u64) -> SimDuration {
         if p <= 1 {
             return SimDuration::ZERO;
         }
@@ -208,14 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_equals_gather_shape() {
-        let n = net();
-        for p in [2usize, 17, 1024] {
-            assert_eq!(n.reduce(p, 512), n.gather(p, 512));
-        }
-    }
-
-    #[test]
     fn degenerate_group_equals_flat_composition() {
         // group_size == p: hierarchy is one gather + leader "exchange" of
         // one group + in-group bcast — the flat strategy.
@@ -224,14 +205,5 @@ mod tests {
         let hier = n.hierarchical_aggregate(p, p, 1000, 256_000);
         let flat = n.gather(p, 1000) + n.allgather(1, 256_000) + n.bcast(p, 256_000);
         assert_eq!(hier, flat);
-    }
-
-    #[test]
-    fn p2p_includes_latency_and_bandwidth() {
-        let n = net();
-        let small = n.p2p(0).as_secs_f64();
-        assert!((small - 2e-6).abs() < 1e-9);
-        let big = n.p2p(3_200_000_000).as_secs_f64();
-        assert!((big - 1.000002).abs() < 1e-4);
     }
 }

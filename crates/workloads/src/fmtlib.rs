@@ -17,8 +17,8 @@ use crate::spec::{OpSpec, Workload};
 use mpio::ops::FileTag;
 
 /// Header sizes modeled after typical checkpoint headers.
-pub const PNETCDF_HEADER_BYTES: u64 = 8 * 1024;
-pub const HDF5_SUPERBLOCK_BYTES: u64 = 64 * 1024;
+pub(crate) const PNETCDF_HEADER_BYTES: u64 = 8 * 1024;
+pub(crate) const HDF5_SUPERBLOCK_BYTES: u64 = 64 * 1024;
 
 #[expect(clippy::panic, reason = "fmtlib wraps only workloads built by this crate, all of which open for write")]
 fn file_of(w: &Workload) -> FileTag {
@@ -33,7 +33,7 @@ fn file_of(w: &Workload) -> FileTag {
 /// Wrap a workload in Parallel-NetCDF-style behaviour: rank 0 writes the
 /// header right after the collective open; every reader fetches the
 /// header right after read-open.
-pub fn with_pnetcdf_lite(mut w: Workload) -> Workload {
+pub(crate) fn with_pnetcdf_lite(mut w: Workload) -> Workload {
     let file = file_of(&w);
     insert_after_open_write(
         &mut w,
@@ -56,7 +56,7 @@ pub fn with_pnetcdf_lite(mut w: Workload) -> Workload {
 /// Wrap a workload in HDF5-style behaviour: superblock write at open,
 /// metadata flush (superblock rewrite) before close, superblock read at
 /// read-open.
-pub fn with_hdf5_lite(mut w: Workload) -> Workload {
+pub(crate) fn with_hdf5_lite(mut w: Workload) -> Workload {
     let file = file_of(&w);
     insert_after_open_write(
         &mut w,

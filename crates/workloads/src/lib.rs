@@ -19,19 +19,28 @@
 //! defeat (or, at high ranks-per-node, accidentally hit) client caches;
 //! see `pattern::IoPattern::read_op`.
 
-pub mod fmtlib;
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::panic,
+        reason = "unit tests: a failed unwrap or panic is the test's failure report"
+    )
+)]
+
+mod fmtlib;
 pub mod kernels;
 pub mod metadata;
 pub mod pattern;
 pub mod restart;
-pub mod rotation;
+mod rotation;
 pub mod spec;
 pub mod traffic;
 
 pub use kernels::{aramco, ior, lanl1, lanl3, madbench, mpiio_test, nn_checkpoint, pixie3d, Kernel};
 pub use metadata::metadata_storm;
 pub use pattern::IoPattern;
-pub use restart::{shrunk_restart, ShrunkRestart};
+pub use restart::shrunk_restart;
 pub use rotation::checkpoint_rotation;
-pub use spec::{OpSpec, SpecProgram, Workload};
+pub use spec::Workload;
 pub use traffic::{ClientOp, TrafficEvent, TrafficSpec};

@@ -22,7 +22,7 @@ pub struct IoPattern {
 
 impl IoPattern {
     /// Number of transfers each rank performs.
-    pub fn calls_per_rank(&self) -> u64 {
+    pub(crate) fn calls_per_rank(&self) -> u64 {
         self.object_bytes / self.transfer
     }
 
@@ -53,7 +53,7 @@ impl IoPattern {
     }
 
     /// Stride between consecutive transfers of one rank.
-    pub fn rank_stride(&self) -> u64 {
+    pub(crate) fn rank_stride(&self) -> u64 {
         if self.segmented || self.own_file {
             self.transfer
         } else {
@@ -62,7 +62,7 @@ impl IoPattern {
     }
 
     /// The write burst for batch `b` of `nbatches` from `rank`.
-    pub fn write_op(&self, file: &FileTag, rank: usize, b: u64, nbatches: u64) -> LogicalOp {
+    pub(crate) fn write_op(&self, file: &FileTag, rank: usize, b: u64, nbatches: u64) -> LogicalOp {
         let (start, end) = self.batch_range(b, nbatches);
         LogicalOp::Write {
             file: file.clone(),
@@ -78,7 +78,7 @@ impl IoPattern {
     /// hint locates those bytes in the writer's data log: the writer's
     /// `k`-th transfer sits at physical offset `k × transfer` (PLFS logs
     /// are pure appends).
-    pub fn read_op(
+    pub(crate) fn read_op(
         &self,
         file: &FileTag,
         rank: usize,

@@ -87,23 +87,6 @@ pub struct TrafficSpec {
     pub seed: u64,
 }
 
-impl TrafficSpec {
-    /// A small smoke-test trace (64 clients, 8 tenants).
-    pub fn smoke(seed: u64) -> TrafficSpec {
-        TrafficSpec {
-            clients: 64,
-            tenants: 8,
-            ops_per_client: 24,
-            appends_per_file: 4,
-            append_bytes: 4096,
-            read_bytes: 4096,
-            mean_gap_ns: 1_000,
-            alpha: 1.5,
-            seed,
-        }
-    }
-}
-
 /// Per-client lifecycle state machine: open → N appends → close →
 /// open-read → N reads → close, repeating over fresh files.
 struct ClientWalk {
@@ -202,17 +185,32 @@ pub fn generate(spec: &TrafficSpec) -> Vec<TrafficEvent> {
 mod tests {
     use super::*;
 
+    /// A small smoke-test trace (64 clients, 8 tenants).
+    fn smoke(seed: u64) -> TrafficSpec {
+        TrafficSpec {
+            clients: 64,
+            tenants: 8,
+            ops_per_client: 24,
+            appends_per_file: 4,
+            append_bytes: 4096,
+            read_bytes: 4096,
+            mean_gap_ns: 1_000,
+            alpha: 1.5,
+            seed,
+        }
+    }
+
     #[test]
     fn trace_is_deterministic() {
-        let spec = TrafficSpec::smoke(42);
+        let spec = smoke(42);
         assert_eq!(generate(&spec), generate(&spec));
-        let other = TrafficSpec::smoke(43);
+        let other = smoke(43);
         assert_ne!(generate(&spec), generate(&other));
     }
 
     #[test]
     fn trace_is_time_sorted_and_complete() {
-        let spec = TrafficSpec::smoke(7);
+        let spec = smoke(7);
         let events = generate(&spec);
         assert_eq!(events.len(), 64 * 24);
         assert!(events.windows(2).all(|w| w[0].at_ns <= w[1].at_ns));
@@ -223,7 +221,7 @@ mod tests {
 
     #[test]
     fn lifecycles_are_well_formed_per_client() {
-        let mut spec = TrafficSpec::smoke(3);
+        let mut spec = smoke(3);
         spec.clients = 4;
         spec.ops_per_client = 100;
         for client in 0..spec.clients {
@@ -248,7 +246,7 @@ mod tests {
 
     #[test]
     fn appends_are_sequential_per_file() {
-        let mut spec = TrafficSpec::smoke(11);
+        let mut spec = smoke(11);
         spec.clients = 1;
         spec.ops_per_client = 60;
         let mut expect = 0;
@@ -267,7 +265,7 @@ mod tests {
 
     #[test]
     fn gaps_are_heavy_tailed_but_bounded() {
-        let mut spec = TrafficSpec::smoke(5);
+        let mut spec = smoke(5);
         spec.clients = 32;
         spec.ops_per_client = 200;
         let events = generate(&spec);

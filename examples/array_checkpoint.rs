@@ -9,8 +9,8 @@
 //! Run with: `cargo run --release --example array_checkpoint`
 
 use formats::{NcReader, NcWriter};
-use plfs::{Federation, LocalFs, Plfs, PlfsConfig};
 use plfs::writer::IndexPolicy;
+use plfs::{Federation, LocalFs, Plfs, PlfsConfig, PlfsError};
 
 const ROWS: u64 = 64;
 const COLS: u64 = 128;
@@ -21,7 +21,9 @@ fn cell(row: u64, col: u64) -> u8 {
 
 fn main() -> plfs::Result<()> {
     let root = std::env::temp_dir().join(format!("plfs-array-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
+    if root.exists() {
+        std::fs::remove_dir_all(&root)?;
+    }
     let fs = Plfs::new(
         LocalFs::new(&root)?,
         PlfsConfig {
@@ -50,7 +52,7 @@ fn main() -> plfs::Result<()> {
     let readers = 8u64;
     for rank in 0..readers {
         let mut r = NcReader::open(&fs, "/dump.nc")?;
-        let var = r.var_id("field").expect("field exists");
+        let var = (r.var_id("field")).ok_or_else(|| PlfsError::NotFound("field".into()))?;
         assert_eq!(r.shape(var)?, &[ROWS, COLS]);
         let my_rows = ROWS / readers;
         let r0 = rank * my_rows;
@@ -72,6 +74,6 @@ fn main() -> plfs::Result<()> {
         report.spans,
         report.is_clean()
     );
-    std::fs::remove_dir_all(&root).ok();
+    std::fs::remove_dir_all(&root)?;
     Ok(())
 }

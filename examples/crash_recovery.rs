@@ -27,14 +27,14 @@ const BLOCK: u64 = 4096;
 const WRITERS: u64 = 4;
 const ROUNDS: u64 = 8;
 
-fn main() {
+fn main() -> plfs::Result<()> {
     println!("== checkpointing: {WRITERS} writers, strided {BLOCK}-byte blocks ==");
     let traced = Arc::new(TracingBackend::new(MemFs::new()));
     let trace = traced.trace_handle();
-    let fs = Plfs::new(Arc::clone(&traced), PlfsConfig::basic("/panfs")).expect("mount");
-    let mut handles: Vec<_> = (0..WRITERS)
-        .map(|w| fs.open_write("/ckpt", w).expect("open"))
-        .collect();
+    let fs = Plfs::new(Arc::clone(&traced), PlfsConfig::basic("/panfs"))?;
+    let mut handles = (0..WRITERS)
+        .map(|w| fs.open_write("/ckpt", w))
+        .collect::<plfs::Result<Vec<_>>>()?;
     // A write is only durable once a flush_index covering it succeeded:
     // `(trace length at that flush, block)` for every durable block.
     let mut acked: Vec<(usize, u64)> = Vec::new();
@@ -43,11 +43,10 @@ fn main() {
         for w in 0..WRITERS as usize {
             let block = k * WRITERS + w as u64;
             let h = &mut handles[w];
-            h.write(block * BLOCK, &Content::synthetic(block, BLOCK), block + 1)
-                .expect("write");
+            h.write(block * BLOCK, &Content::synthetic(block, BLOCK), block + 1)?;
             buffered[w].push(block);
             if k % 2 == 1 {
-                h.flush_index().expect("flush");
+                h.flush_index()?;
                 let at = trace.lock().len();
                 acked.extend(buffered[w].drain(..).map(|b| (at, b)));
             }
@@ -81,12 +80,12 @@ fn main() {
 
     let container = fs.container("/ckpt");
     println!("\n== fsck: what did the crash leave behind? ==");
-    for issue in fsck::check(&backend, &container).expect("check").issues {
+    for issue in fsck::check(&backend, &container)?.issues {
         println!("  issue: {issue:?}");
     }
 
     println!("\n== repair ==");
-    let outcome = fsck::repair(&backend, &container).expect("repair");
+    let outcome = fsck::repair(&backend, &container)?;
     for issue in &outcome.fixed {
         println!("  fixed: {issue:?}");
     }
@@ -100,11 +99,11 @@ fn main() {
     );
 
     println!("\n== restart: read back every durable block ==");
-    let restarted = Plfs::new(Arc::clone(&backend), PlfsConfig::basic("/panfs")).expect("mount");
-    let mut r = restarted.open_read("/ckpt").expect("open for read");
+    let restarted = Plfs::new(Arc::clone(&backend), PlfsConfig::basic("/panfs"))?;
+    let mut r = restarted.open_read("/ckpt")?;
     let durable = acked.iter().filter(|&&(at, _)| at <= cut).count() as u64;
     for &(_, block) in acked.iter().filter(|&&(at, _)| at <= cut) {
-        let got = r.read(block * BLOCK, BLOCK).expect("read");
+        let got = r.read(block * BLOCK, BLOCK)?;
         let want = Content::synthetic(block, BLOCK).materialize();
         assert_eq!(got, want, "durable block {block} must survive recovery");
     }
@@ -112,4 +111,5 @@ fn main() {
     println!("verified {durable} durable blocks byte-exact; {lost} blocks were never");
     println!("acknowledged, so recovery may drop them — lost work is bounded by the");
     println!("flush interval, and recovery never invents a byte.");
+    Ok(())
 }

@@ -13,7 +13,9 @@ use std::sync::Arc;
 
 fn main() -> plfs::Result<()> {
     let root = std::env::temp_dir().join(format!("plfs-quickstart-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
+    if root.exists() {
+        std::fs::remove_dir_all(&root)?;
+    }
 
     // Mount: one namespace, four subdirs per container.
     let backend = Arc::new(LocalFs::new(&root)?);
@@ -97,7 +99,7 @@ fn main() -> plfs::Result<()> {
     let listing = fs.readdir("/")?;
     println!("\nlogical view: {listing:?}");
 
-    std::fs::remove_dir_all(&root).ok();
+    std::fs::remove_dir_all(&root)?;
     println!("\nok: logical N-1 file stored as physical N-N logs, byte-verified.");
     Ok(())
 }

@@ -35,8 +35,12 @@ cargo run --release --offline --example crash_recovery
 # clippy.toml adds disallowed-methods: a per-op `Backend` call outside
 # the I/O plane fails here, so every backend call is retried by the
 # plane; and disallowed-types: a std Mutex or RwLock outside plfs::sync
-# would be a lock with no rank (DESIGN.md §5d).
-cargo clippy --workspace --offline -- -D warnings
+# would be a lock with no rank (DESIGN.md §5d). Every target is checked:
+# a test crate that needs it (and a library's unit tests, through a
+# `cfg_attr(test, ..)`) carries one reasoned `#![allow(..)]` for the
+# unwraps, expects and panics, per-op setup calls or unranked test locks
+# it has, and every other lint holds there as in production.
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # Docs are part of the contract: rustdoc must build warning-clean
 # (missing_docs is deny-by-lint in crates/core) and every doctest in

@@ -14,6 +14,13 @@
 //! deliberate one-line diff here. `-- --nocapture` prints what was
 //! measured.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test code: a failed unwrap, expect or panic is the test's failure report"
+)]
+
 mod common;
 
 use common::TempDir;

@@ -1,8 +1,10 @@
 //! Shared by the integration tests (`mod common;`): a private temp
 //! directory for the ones that touch the real file system.
 
-// Each test binary compiles this module and uses its own subset.
-#![allow(dead_code)]
+#![allow(
+    dead_code,
+    reason = "each test binary compiles this module and uses its own subset"
+)]
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,8 +23,12 @@ impl TempDir {
         static NEXT: AtomicU64 = AtomicU64::new(0);
         let n = NEXT.fetch_add(1, Ordering::Relaxed);
         let dir = std::env::temp_dir().join(format!("{tag}-{}-{n}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        TempDir(dir)
+        match std::fs::remove_dir_all(&dir) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                panic!("clearing {}: {e}", dir.display())
+            }
+            _ => TempDir(dir),
+        }
     }
 
     /// The directory's path.
@@ -33,6 +39,8 @@ impl TempDir {
 
 impl Drop for TempDir {
     fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
+        if let Err(e) = std::fs::remove_dir_all(&self.0) {
+            eprintln!("leaving {}: {e}", self.0.display());
+        }
     }
 }

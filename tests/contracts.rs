@@ -10,12 +10,22 @@
 //!   which must be exactly the listed ones;
 //! * one owner of the container layout: each name inside a container or
 //!   a shadow is spelled in exactly one string literal of production
-//!   code, its constant in `crates/core/src/container.rs`.
+//!   code, its constant in `crates/core/src/container.rs`;
+//! * the public surface: each `pub` item of a library crate is named
+//!   outside the crate's `src/`, or is a type a kept `pub` signature
+//!   exposes and has an [`EXPOSED`] row;
+//! * the crash-state total DESIGN.md §5c states: the sum of
+//!   `tests/crash_states.rs`'s pinned rows.
 //!
 //! A table sits between `<!-- table:<name> -->` and `<!-- /table:<name> -->`
 //! in DESIGN.md, and [`read_table`] is the one reader of all six.
 //! Production code is each `.rs` file under `crates/*/src` and `src/`
 //! above its first top-level `#[cfg(test)]` (EXPERIMENTS.md §I's rule).
+
+#![allow(
+    clippy::unwrap_used,
+    reason = "test code: a failed unwrap is the test's failure report"
+)]
 
 use plfs::sync::class;
 use plfs::{Content, IoOp};
@@ -95,8 +105,9 @@ fn consts(src: &str) -> Vec<(String, String)> {
     out
 }
 
-/// Production source of the workspace: `(path from the root, text)`.
-fn workspace_sources() -> Vec<(String, String)> {
+/// Every `.rs` file under `dir` (relative to the repository root), whole:
+/// `(path from the root, text)`.
+fn rust_files(dir: &str) -> Vec<(String, String)> {
     fn walk(dir: &Path, root: &Path, out: &mut Vec<(String, String)>) {
         for entry in std::fs::read_dir(dir).unwrap() {
             let path = entry.unwrap().path();
@@ -109,16 +120,36 @@ fn workspace_sources() -> Vec<(String, String)> {
                     .unwrap()
                     .to_string_lossy()
                     .replace('\\', "/");
-                out.push((rel, production(&text).to_string()));
+                out.push((rel, text));
             }
         }
     }
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut out = Vec::new();
-    for krate in std::fs::read_dir(root.join("crates")).unwrap() {
-        walk(&krate.unwrap().path().join("src"), root, &mut out);
+    walk(&root.join(dir), root, &mut out);
+    out
+}
+
+/// The crates under `crates/`, by directory name.
+fn crate_names() -> Vec<String> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut names: Vec<String> = (std::fs::read_dir(root).unwrap())
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+/// Production source of the workspace: `(path from the root, text)`.
+fn workspace_sources() -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    for krate in crate_names() {
+        out.extend(rust_files(&format!("crates/{krate}/src")));
     }
-    walk(&root.join("src"), root, &mut out);
+    out.extend(rust_files("src"));
+    for (_, text) in &mut out {
+        *text = production(text).to_string();
+    }
     out
 }
 
@@ -527,4 +558,268 @@ fn every_layout_name_is_spelled_on_one_line() {
     for (name, lines) in layout_owners(&workspace_sources()) {
         assert_eq!(lines.len(), 1, "`{name}` is spelled on {lines:?}, not on one line");
     }
+}
+
+// ---------------------------------------------------------------------
+// The public surface.
+
+/// `pub` items that no user names but that stay `pub`, as
+/// `(crate, item, signature)`: each is a type or trait the kept `pub`
+/// signature exposes, so making it crate-private would leak a private
+/// type through that signature. The signature's last segment must itself
+/// be a `pub` item or field its crate's users name.
+#[rustfmt::skip]
+const EXPOSED: [(&str, &str, &str); 22] = [
+    ("core", "CheckReport", "fsck::check"),
+    ("core", "Class", "sync::Mutex"),
+    ("core", "ClassInfo", "sync::class::ALL"),
+    ("core", "DataLogTail", "CheckReport::tails"),
+    ("core", "FaultStats", "FaultBackend::stats"),
+    ("core", "FileStat", "Plfs::stat"),
+    ("core", "Guard", "sync::Mutex::lock"),
+    ("core", "IndexProbe", "Container::probe_index"),
+    ("core", "Mapping", "GlobalIndex::lookup_into"),
+    ("core", "RepairOutcome", "fsck::repair"),
+    ("core", "SpaceUsage", "fsck::space_usage"),
+    ("core", "SpanGuard", "telemetry::span"),
+    ("formats", "SpanIdxSummary", "spanidx::describe"),
+    ("harness", "Point", "Series::points"),
+    ("mpio", "PhaseStat", "Metrics::get"),
+    ("mpio", "RankQueue", "Exec::run_on"),
+    ("pfs", "IdHasher", "cache::IdMap"),
+    ("pfs", "Namespace", "SimPfs::namespace"),
+    ("workloads", "OpSpec", "Workload::new"),
+    ("workloads", "ShrunkProgram", "ShrunkRestart::program"),
+    ("workloads", "ShrunkRestart", "shrunk_restart"),
+    ("workloads", "SpecProgram", "Workload::program"),
+];
+
+/// Every directory whose Rust files may name a library crate's items:
+/// the crates (their tests, examples and binaries included), the
+/// umbrella crate and its binaries, the integration tests, the examples
+/// and the benchmark.
+const SURFACE_DIRS: [&str; 5] = ["crates", "src", "tests", "examples", "benchmark/src"];
+
+/// `src` with every `//` comment cut off, doc comments included.
+fn strip_comments(src: &str) -> String {
+    let code = src
+        .lines()
+        .map(|line| line.split("//").next().unwrap_or(""));
+    code.collect::<Vec<_>>().join("\n")
+}
+
+/// The `pub` items and `pub` fields declared in `src`, as `(line from 1,
+/// kind, name)`; a field's kind is `field`. `pub(crate)` and `pub use`
+/// declare neither.
+fn pub_declarations(src: &str) -> Vec<(usize, &str, String)> {
+    const KINDS: [&str; 9] = [
+        "fn", "struct", "enum", "trait", "type", "const", "static", "mod", "union",
+    ];
+    let mut out = Vec::new();
+    for (n, line) in src.lines().enumerate() {
+        let Some(rest) = line.trim_start().strip_prefix("pub ") else {
+            continue;
+        };
+        let mut words = rest.split_whitespace().peekable();
+        // Qualifiers before the kind: `pub const fn`, `pub unsafe fn`, ...
+        while words
+            .next_if(|w| matches!(*w, "async" | "unsafe" | "extern" | "\"C\""))
+            .is_some()
+        {}
+        let Some(first) = words.next() else { continue };
+        let (kind, name) = match KINDS.iter().find(|k| **k == first) {
+            Some(&"const") if words.peek() == Some(&"fn") => ("fn", words.nth(1)),
+            Some(&"static") if words.peek() == Some(&"mut") => ("static", words.nth(1)),
+            Some(kind) => (*kind, words.next()),
+            None => ("field", Some(first)),
+        };
+        let name: String = (name.unwrap_or("").chars())
+            .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+            .collect();
+        if !name.is_empty() && name != "use" {
+            out.push((n + 1, kind, name));
+        }
+    }
+    out
+}
+
+/// The surface rule over `files` (`(path from the root, text)`, whole):
+/// each `pub` item of a crate in `crates` (its `crates/<name>/src`,
+/// binaries aside, above the first top-level `#[cfg(test)]`) is named as
+/// a word in some file outside that directory, or has an `exposed` row.
+/// Also refuses a row that matches no such item or names no signature
+/// its crate's users call.
+fn surface_problems(
+    files: &[(String, String)],
+    crates: &[String],
+    exposed: &[(&str, &str, &str)],
+) -> Vec<String> {
+    let is_word = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let words: Vec<(&str, std::collections::BTreeSet<String>)> = (files.iter())
+        .map(|(path, text)| {
+            let code = strip_comments(text);
+            (
+                path.as_str(),
+                code.split(|c| !is_word(c)).map(str::to_string).collect(),
+            )
+        })
+        .collect();
+    let mut problems = Vec::new();
+    for krate in crates {
+        let src_dir = format!("crates/{krate}/src/");
+        let own =
+            |path: &str| path.starts_with(&src_dir) && !path.starts_with(&format!("{src_dir}bin/"));
+        let mut outside = std::collections::BTreeSet::new();
+        for (_, file_words) in words.iter().filter(|(path, _)| !own(path)) {
+            outside.extend(file_words.iter().cloned());
+        }
+        let (mut kept, mut listed) = (Vec::new(), Vec::new());
+        for (path, text) in files.iter().filter(|(path, _)| own(path)) {
+            for (line, kind, name) in pub_declarations(&strip_comments(production(text))) {
+                if outside.contains(&name) {
+                    kept.push(name);
+                } else if kind == "field" {
+                    // A field is not an item: reachable only through its type.
+                } else if exposed
+                    .iter()
+                    .any(|(k, item, _)| k == krate && *item == name)
+                {
+                    listed.push(name);
+                } else {
+                    problems.push(format!(
+                        "{path}:{line}: `pub {kind} {name}` is named nowhere outside {src_dir}; make it pub(crate), or delete it"
+                    ));
+                }
+            }
+        }
+        for (k, item, signature) in exposed.iter().filter(|(k, _, _)| k == krate) {
+            let via = signature.rsplit("::").next().unwrap_or("");
+            if !listed.iter().any(|name| name == item) {
+                problems.push(format!(
+                    "EXPOSED row `{k} {item}` matches no unnamed pub item of {src_dir}"
+                ));
+            } else if via.is_empty() || !kept.iter().any(|name| name == via) {
+                problems.push(format!(
+                    "EXPOSED row `{k} {item}` names `{signature}`, not a pub signature that users of {src_dir} call"
+                ));
+            }
+        }
+    }
+    problems
+}
+
+#[test]
+fn every_pub_item_is_named_outside_its_crate() {
+    let mut files = Vec::new();
+    for dir in SURFACE_DIRS {
+        files.extend(rust_files(dir));
+    }
+    // The table that lists an item is not a user of it.
+    if let Some((_, text)) = files
+        .iter_mut()
+        .find(|(path, _)| path == "tests/contracts.rs")
+    {
+        let start = text.find("const EXPOSED").unwrap();
+        let len = text[start..].find("];").unwrap();
+        text.replace_range(start..start + len, "");
+    }
+    let problems = surface_problems(&files, &crate_names(), &EXPOSED);
+    assert!(problems.is_empty(), "the public surface: {problems:#?}");
+}
+
+#[test]
+fn an_unnamed_pub_item_and_a_bad_exposed_row_fail() {
+    let files = |lib: &str| {
+        vec![
+            ("crates/a/src/lib.rs".to_string(), lib.to_string()),
+            (
+                "crates/a/src/bin/tool.rs".to_string(),
+                "fn main() { a::run(); }".to_string(),
+            ),
+            (
+                "tests/t.rs".to_string(),
+                "a::Stat::of(a::open()).size; // a::lonely".to_string(),
+            ),
+        ]
+    };
+    let lib = "/// pub fn in_a_doc() {}\npub fn run() {}\npub(crate) fn inner() {}\n\
+               pub struct Stat { pub size: u64 }\npub struct Handle;\n\
+               pub fn open() -> Handle { Handle }\n#[cfg(test)]\nmod tests { pub fn helper() {} }\n";
+    let crates = ["a".to_string()];
+    let row = [("a", "Handle", "open")];
+    assert_eq!(
+        surface_problems(&files(lib), &crates, &row),
+        Vec::<String>::new()
+    );
+
+    let lonely = files(&format!("pub fn lonely() {{}}\n{lib}"));
+    assert_eq!(
+        surface_problems(&lonely, &crates, &row),
+        ["crates/a/src/lib.rs:1: `pub fn lonely` is named nowhere outside crates/a/src/; make it pub(crate), or delete it"]
+    );
+
+    let stale = [("a", "Handle", "open"), ("a", "Stat", "open")];
+    assert_eq!(
+        surface_problems(&files(lib), &crates, &stale),
+        ["EXPOSED row `a Stat` matches no unnamed pub item of crates/a/src/"]
+    );
+
+    for signature in ["", "a::Handle", "inner"] {
+        let unreasoned = [("a", "Handle", signature)];
+        let problems = surface_problems(&files(lib), &crates, &unreasoned);
+        assert_eq!(problems.len(), 1, "{signature:?}: {problems:?}");
+        assert!(problems[0].contains("not a pub signature"), "{problems:?}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// The crash-state total.
+
+/// The sum of the `states:` pins of `tests/crash_states.rs`'s
+/// `SCENARIOS` rows, and the number DESIGN.md §5c puts before "of their
+/// states".
+fn crash_state_totals(scenarios: &str, doc: &str) -> (usize, Option<usize>) {
+    let rows = scenarios
+        .lines()
+        .filter(|l| l.trim_start().starts_with("Scenario {"));
+    let pinned = rows
+        .filter_map(|row| row.split("states: ").nth(1))
+        .map(|rest| {
+            rest.chars()
+                .take_while(char::is_ascii_digit)
+                .collect::<String>()
+        })
+        .map(|n| n.parse::<usize>().unwrap())
+        .sum();
+    let before = doc
+        .split("of their states")
+        .next()
+        .filter(|b| b.len() < doc.len());
+    let stated = before
+        .and_then(|b| b.split_whitespace().last())
+        .map(|n| n.replace(',', ""));
+    (pinned, stated.and_then(|n| n.parse().ok()))
+}
+
+#[test]
+fn design_states_the_pinned_crash_state_total() {
+    let sample =
+        "const S: [Scenario; 2] = [\n    Scenario { name: \"a\", states: 63, x: 1 },\n    \
+                  Scenario { name: \"b\", states: 1200, x: 2 },\n];\n";
+    assert_eq!(
+        crash_state_totals(sample, "checks all\n1,263 of their states"),
+        (1263, Some(1263))
+    );
+    assert_eq!(
+        crash_state_totals(sample, "checks every state"),
+        (1263, None)
+    );
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let scenarios = std::fs::read_to_string(root.join("tests/crash_states.rs")).unwrap();
+    let (pinned, stated) = crash_state_totals(&scenarios, &design_md());
+    assert_eq!(
+        stated,
+        Some(pinned),
+        "DESIGN.md §5c's crash-state total against the pinned rows"
+    );
 }

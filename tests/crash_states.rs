@@ -20,6 +20,14 @@
 //! No seed and no sampling: the state count of each row is pinned, and
 //! the result is the same on any core count.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::disallowed_methods,
+    reason = "test code: a failed unwrap, expect or panic is the test's failure report; setup and checks call one backend op at a time"
+)]
+
 use plfs::container::staged_log;
 use plfs::faults::{FaultBackend, FaultConfig};
 use plfs::reader::ReadHandle;
@@ -181,7 +189,7 @@ fn write_close() -> Rec {
     let mut handles: Vec<_> = (0..2)
         .map(|w| writer(&b, &c, w, IndexPolicy::WriteClose))
         .collect();
-    let mut pending = vec![Vec::new(), Vec::new()];
+    let mut pending = [Vec::new(), Vec::new()];
     for s in 0..6u64 {
         let w = (s % 2) as usize;
         pending[w].push(rec.put(f, s));

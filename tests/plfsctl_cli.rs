@@ -1,5 +1,12 @@
 //! Integration test of the `plfsctl` CLI against a real on-disk mount.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::panic,
+    clippy::disallowed_methods,
+    reason = "test code: a failed unwrap or panic is the test's failure report; setup and checks call one backend op at a time"
+)]
+
 mod common;
 
 use common::TempDir;

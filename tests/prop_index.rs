@@ -6,6 +6,12 @@
 //! * the full middleware write/read path is byte-faithful for arbitrary
 //!   patterns over a real backend.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test code: a failed unwrap or expect is the test's failure report"
+)]
+
 use plfs::reader::ReadHandle;
 use plfs::writer::{IndexPolicy, WriteHandle};
 use plfs::{Container, Content, Federation, GlobalIndex, IndexEntry, MemFs};
@@ -114,22 +120,20 @@ proptest! {
         let entries = entries_from(&writes);
         let bulk = GlobalIndex::from_entries(entries.clone());
 
-        // Partition entries into groups and merge in two different orders.
-        let groups: Vec<GlobalIndex> = (0..split)
+        // Partition entries into groups by writer, so no exact
+        // `(timestamp, writer)` tie spans two groups, and merge the
+        // groups' resolved spans as runs in two different orders.
+        let groups: Vec<Vec<IndexEntry>> = (0..split)
             .map(|g| {
                 GlobalIndex::from_entries(
                     entries.iter().copied().filter(|e| (e.writer as usize) % split == g),
                 )
+                .to_entries()
             })
             .collect();
-        let mut forward = GlobalIndex::new();
-        for g in &groups {
-            forward.merge(g);
-        }
-        let mut backward = GlobalIndex::new();
-        for g in groups.iter().rev() {
-            backward.merge(g);
-        }
+        let forward = GlobalIndex::from_runs(&groups, false);
+        let reversed: Vec<_> = groups.iter().rev().cloned().collect();
+        let backward = GlobalIndex::from_runs(&reversed, false);
         prop_assert_eq!(&forward, &backward);
         prop_assert_eq!(&forward, &bulk);
     }

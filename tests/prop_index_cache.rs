@@ -23,6 +23,13 @@
 //!
 //! The 8-thread single-flight test lives here too.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::panic,
+    clippy::disallowed_methods,
+    reason = "test code: a failed unwrap or panic is the test's failure report; setup and checks call one backend op at a time"
+)]
+
 use plfs::reader::ReadHandle;
 use plfs::writer::{flatten_close, IndexPolicy, WriteHandle};
 use plfs::{

@@ -20,6 +20,13 @@
 //! transiently costs exactly `DEFAULT_RETRY_ATTEMPTS` tries, then the
 //! error surfaces as retryable.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::panic,
+    clippy::disallowed_methods,
+    reason = "test code: a failed unwrap or panic is the test's failure report; setup and checks call one backend op at a time"
+)]
+
 mod common;
 
 use common::TempDir;

@@ -13,6 +13,13 @@
 //! the final per-file bytes must match the reference exactly — along
 //! with the open-handle accounting draining to zero.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::disallowed_types,
+    reason = "test code: a failed unwrap or expect is the test's failure report; test-only locks need no rank"
+)]
+
 use plfs::service::{Admitted, Service, ServiceConfig};
 use plfs::writer::WriteHandle;
 use plfs::{Content, MemFs, Plfs, PlfsConfig};

@@ -1,6 +1,12 @@
 //! Cross-crate integration tests of the simulated evaluation stack:
 //! paper-level claims that must hold for the figures to be trustworthy.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test code: a failed unwrap or expect is the test's failure report"
+)]
+
 use harness::{run_workload, run_workload_tweaked, ClusterProfile, Middleware};
 use mpio::{OpKind, ReadStrategy};
 use workloads::{ior, lanl1, metadata_storm, mpiio_test, nn_checkpoint};

@@ -11,6 +11,12 @@
 //! byte-exact through the service, `fsck::repair` on `dead`'s container
 //! must converge, and the repair must leave `live`'s bytes untouched.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::panic,
+    reason = "test code: a failed unwrap or panic is the test's failure report"
+)]
+
 use plfs::faults::{FaultBackend, FaultConfig};
 use plfs::fsck;
 use plfs::service::{Admitted, Service, ServiceConfig};

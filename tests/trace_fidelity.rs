@@ -21,6 +21,11 @@
 //! `meta.<writer>`, the middleware's `meta.<eof>.<bytes>.<writer>` — the
 //! simulator carries no sizes to encode in the name.
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "test code: a failed unwrap is the test's failure report"
+)]
+
 use mpio::ops::{FileTag, LogicalOp, Program, ReadSrc};
 use mpio::{Ctx, Exec, Layout, PlfsDriver, PlfsDriverConfig, ReadStrategy};
 use pfs::{PfsParams, SimPfs};
