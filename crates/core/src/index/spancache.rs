@@ -74,11 +74,6 @@ impl SpanCache {
         }
     }
 
-    /// Total byte budget across all shards.
-    pub fn budget(&self) -> u64 {
-        self.shard_budget * SPANCACHE_SHARDS
-    }
-
     fn lock(&self, owner: u64, window: u64) -> MutexGuard<'_, Shard, class::SpancacheShard> {
         // Mix both key halves so one index's windows spread across shards.
         let h = (owner ^ window.rotate_left(17)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -182,11 +177,12 @@ mod tests {
         // Budget for ~2 windows per shard; inserting many keyed to the
         // same shard must keep resident bytes under the shard budget.
         let per_window = 4 * crate::index::INDEX_RECORD_BYTES;
-        let c = SpanCache::with_budget(2 * per_window * SPANCACHE_SHARDS);
+        let budget = 2 * per_window * SPANCACHE_SHARDS;
+        let c = SpanCache::with_budget(budget);
         for w in 0..64 {
             c.insert(7, w, window(4));
         }
-        assert!(c.resident_bytes() <= c.budget());
+        assert!(c.resident_bytes() <= budget);
         // The most recently inserted window in some shard survives.
         assert!((0..64).any(|w| c.get(7, w).is_some()));
     }

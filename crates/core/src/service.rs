@@ -267,11 +267,6 @@ impl<B: Backend + Clone> Service<B> {
         &self.fs
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &ServiceConfig {
-        &self.cfg
-    }
-
     /// Nanoseconds since service construction (the admission clock).
     fn now_ns(&self) -> u64 {
         u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)

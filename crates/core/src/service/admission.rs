@@ -107,19 +107,14 @@ impl TokenBucket {
         let wait_ns = deficit.div_ceil(self.rate);
         Grant::Denied { wait_ns }
     }
-
-    /// Whole tokens currently banked (diagnostics).
-    pub fn available(&self) -> u64 {
-        self.level / TOKEN_SCALE
-    }
 }
 
 /// Bounded dirt: bytes a tenant has appended whose index records are
 /// not yet in an index log.
 ///
 /// [`DirtyBudget::charge`] returns `true` when the addition crosses the
-/// limit — the caller's cue to force a flush and then
-/// [`DirtyBudget::release`] what that flush persisted. Charging is never
+/// limit — the caller's cue to force a flush and then give back what
+/// that flush persisted. Charging is never
 /// refused: the byte that crosses the line is accepted and *then* the
 /// flush is forced, so a single oversized append cannot wedge.
 ///
@@ -131,10 +126,8 @@ impl TokenBucket {
 /// let mut dirty = DirtyBudget::new(1024);
 /// assert!(!dirty.charge(512));      // 512 dirty: under budget
 /// assert!(dirty.charge(512));       // 1024 dirty: at the line — flush
-/// dirty.release(512);               // one writer's 512 reached its log
-/// assert_eq!(dirty.dirty(), 512);
-/// dirty.drain();
-/// assert_eq!(dirty.dirty(), 0);
+/// dirty.drain();                    // the flush persisted every byte
+/// assert!(!dirty.charge(512));      // 512 dirty: under budget again
 /// ```
 #[derive(Debug, Clone)]
 pub struct DirtyBudget {
@@ -161,7 +154,7 @@ impl DirtyBudget {
 
     /// `bytes` of accounted dirt were flushed (or their writer went
     /// away); never drops below zero.
-    pub fn release(&mut self, bytes: u64) {
+    pub(crate) fn release(&mut self, bytes: u64) {
         self.dirty = self.dirty.saturating_sub(bytes);
     }
 
@@ -171,7 +164,7 @@ impl DirtyBudget {
     }
 
     /// Bytes currently accounted as dirty.
-    pub fn dirty(&self) -> u64 {
+    pub(crate) fn dirty(&self) -> u64 {
         self.dirty
     }
 }

@@ -243,7 +243,7 @@ pub(crate) struct RwLock<T: ?Sized, C: Class> {
 
 impl<T, C: Class> RwLock<T, C> {
     /// A lock of class `C` around `value`.
-    pub const fn new(value: T) -> Self {
+    pub(crate) const fn new(value: T) -> Self {
         RwLock {
             class: PhantomData,
             inner: std_sync::RwLock::new(value),
@@ -279,7 +279,7 @@ pub(crate) struct Condvar(std_sync::Condvar);
 
 impl Condvar {
     /// A condition variable no thread waits on.
-    pub const fn new() -> Condvar {
+    pub(crate) const fn new() -> Condvar {
         Condvar(std_sync::Condvar::new())
     }
 

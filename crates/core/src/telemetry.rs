@@ -478,7 +478,7 @@ pub(crate) fn handoff() -> Handoff {
 impl Handoff {
     /// Open `name` on this (worker) thread as a child of the submitter's
     /// span, recording where the submitter records until the guard drops.
-    pub fn span(&self, name: &'static str) -> Entered {
+    pub(crate) fn span(&self, name: &'static str) -> Entered {
         let saved = self.sink.clone().and_then(enter);
         Entered {
             span: Some(open(name, self.parent)),

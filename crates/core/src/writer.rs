@@ -294,7 +294,7 @@ impl<B: Backend> WriteHandle<B> {
     }
 
     /// Whether close-time flattening is still possible for this writer.
-    pub fn can_flatten(&self) -> bool {
+    pub(crate) fn can_flatten(&self) -> bool {
         matches!(self.policy, IndexPolicy::Flatten { .. }) && !self.overflowed
     }
 

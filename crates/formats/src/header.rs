@@ -40,7 +40,7 @@ pub(crate) struct Header {
 }
 
 impl Header {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Header::default()
     }
 
@@ -70,7 +70,7 @@ impl Header {
 
     /// Assign file offsets: variables laid out back to back after the
     /// header region.
-    pub fn finalize(&mut self, header_region: u64) -> Result<()> {
+    pub(crate) fn finalize(&mut self, header_region: u64) -> Result<()> {
         let mut off = header_region;
         for v in &mut self.vars {
             v.file_offset = off;
@@ -80,7 +80,7 @@ impl Header {
         Ok(())
     }
 
-    pub fn var(&self, id: usize) -> Result<&VarDef> {
+    pub(crate) fn var(&self, id: usize) -> Result<&VarDef> {
         self.vars
             .get(id)
             .ok_or_else(|| PlfsError::InvalidArg(format!("no variable {id}")))

@@ -19,10 +19,6 @@ use crate::ops::LogicalOp;
 use simcore::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
-/// Max in-flight drains per node before a new absorb must wait for the
-/// oldest completion.
-const DRAIN_WINDOW: usize = 16;
-
 /// Burst-buffer parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct BurstParams {
@@ -50,7 +46,10 @@ impl BurstParams {
 /// Buffer space comes back as individual drains complete, instead of the
 /// all-or-nothing wait a single scalar "drain done" timestamp forces — a
 /// checkpoint that needs only a little room blocks only on the oldest
-/// completion(s), not on the entire backlog.
+/// completion(s), not on the entire backlog. The node's capacity is the
+/// only backpressure: each write op is one drain, so a cap on drains in
+/// flight would make every absorb past the cap wait on the parallel file
+/// system, and the buffer would hide nothing at scale.
 pub struct BurstDriver<D: Driver> {
     inner: D,
     params: BurstParams,
@@ -118,13 +117,10 @@ impl<D: Driver> Driver for BurstDriver<D> {
                 let mut start = now.max(self.local_free[node]);
                 self.retire(node, start);
 
-                // Backpressure: while the buffer lacks room or the drain
-                // window is full, block on the *oldest* completion only —
-                // not on the whole backlog.
+                // Backpressure: while the buffer lacks room, block on the
+                // *oldest* completion only — not on the whole backlog.
                 while let Some(&(done, b)) = self.in_flight[node].front() {
-                    if self.buffered[node] + bytes <= self.params.capacity
-                        && self.in_flight[node].len() < DRAIN_WINDOW
-                    {
+                    if self.buffered[node] + bytes <= self.params.capacity {
                         break;
                     }
                     start = start.max(done);

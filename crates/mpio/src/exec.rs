@@ -10,9 +10,9 @@
 //!
 //! The loop is built for 65,536-rank scale:
 //!
-//! * events go through the calendar-queue [`simcore::EventArena`]; the
-//!   seed [`simcore::EventQueue`] heap stays as the differential oracle
-//!   the determinism suite hands to [`Exec::run_on`];
+//! * a rank has at most one pending wake-up, so the [`EventQueue`] heap
+//!   holds at most one event per rank and pops them in `(time, push
+//!   order)` order, which makes a run deterministic;
 //! * a rank's decoded current op is cached across `Step::Yield`
 //!   micro-steps instead of re-derived from the program every event;
 //! * collective rendezvous state is one reusable arrival buffer — SPMD
@@ -25,7 +25,7 @@ use crate::metrics::{Metrics, OpKind};
 use crate::ops::Program;
 use crate::timeline::Timeline;
 use plfs::telemetry;
-use simcore::{EventArena, EventQueue, SimTime};
+use simcore::{EventQueue, SimTime};
 
 /// Executes one job (program × driver × context) to completion.
 pub struct Exec<'a, P: Program, D: Driver> {
@@ -43,43 +43,6 @@ pub struct RunResult {
     pub events: u64,
     /// Highest simultaneous pending-event count the scheduler saw.
     pub peak_live_events: usize,
-}
-
-/// What the loop needs from its event queue: rank wake-ups out in
-/// `(time, push order)` order. Production runs on the [`EventArena`];
-/// the [`EventQueue`] heap is the reference the determinism suite
-/// compares it against.
-pub trait RankQueue {
-    /// Wake `rank` at `at`.
-    fn push(&mut self, at: SimTime, rank: u32);
-    /// The earliest pending wake-up.
-    fn pop(&mut self) -> Option<(SimTime, u32)>;
-    /// Wake-ups not yet popped.
-    fn pending(&self) -> usize;
-}
-
-impl RankQueue for EventArena {
-    fn push(&mut self, at: SimTime, rank: u32) {
-        EventArena::push(self, at, 0, rank);
-    }
-    fn pop(&mut self) -> Option<(SimTime, u32)> {
-        EventArena::pop(self).map(|(at, _kind, rank)| (at, rank))
-    }
-    fn pending(&self) -> usize {
-        EventArena::len(self)
-    }
-}
-
-impl RankQueue for EventQueue<u32> {
-    fn push(&mut self, at: SimTime, rank: u32) {
-        EventQueue::push(self, at, rank);
-    }
-    fn pop(&mut self) -> Option<(SimTime, u32)> {
-        EventQueue::pop(self)
-    }
-    fn pending(&self) -> usize {
-        EventQueue::len(self)
-    }
 }
 
 /// The (single) collective currently gathering arrivals. SPMD programs
@@ -105,33 +68,24 @@ impl<'a, P: Program, D: Driver> Exec<'a, P, D> {
     /// Run all ranks to program completion; panics on deadlock (a
     /// collective some ranks never reach).
     pub fn run(self) -> RunResult {
-        self.run_on(EventArena::new())
-    }
-
-    /// [`Exec::run`] on a caller-supplied (empty) queue — the
-    /// determinism suite runs the same job on the heap and compares.
-    pub fn run_on(self, queue: impl RankQueue) -> RunResult {
-        self.run_impl(queue, None)
+        self.run_impl(None)
     }
 
     /// Like [`Exec::run`], additionally recording every completed op into
     /// `timeline` (opt-in: costs one span per op).
     pub fn run_with_timeline(self, timeline: &mut Timeline) -> RunResult {
-        self.run_impl(EventArena::new(), Some(timeline))
+        self.run_impl(Some(timeline))
     }
 
-    fn run_impl<Q: RankQueue>(
-        self,
-        mut queue: Q,
-        mut timeline: Option<&mut Timeline>,
-    ) -> RunResult {
+    fn run_impl(self, mut timeline: Option<&mut Timeline>) -> RunResult {
         let n = self.ctx.layout.nprocs;
+        let mut queue: EventQueue<u32> = EventQueue::new();
         // Engine counters: events popped, and the most ever pending.
         let mut events = 0u64;
         let mut peak_live_events = 0usize;
-        let mut wake = |queue: &mut Q, at: SimTime, rank: usize| {
+        let mut wake = |queue: &mut EventQueue<u32>, at: SimTime, rank: usize| {
             queue.push(at, rank as u32);
-            peak_live_events = peak_live_events.max(queue.pending());
+            peak_live_events = peak_live_events.max(queue.len());
         };
         // Hot per-rank state in one compact record — program counter and
         // op start time — so dispatching an event touches one cache line

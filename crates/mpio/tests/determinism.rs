@@ -1,17 +1,14 @@
-//! Differential determinism for the rebuilt engine (DESIGN.md §5g): a
-//! full simulated job — drivers, resources, caches, jittered RNG — must
-//! produce identical results whether the event loop runs on the seed
-//! binary-heap oracle or the calendar-queue arena. Any divergence in
-//! event order would reorder resource admissions and RNG draws and show
-//! up as a different makespan, event count, or metric.
+//! Determinism of the engine (DESIGN.md §5g): a full simulated job —
+//! drivers, resources, caches, jittered RNG — run twice on fresh
+//! contexts must produce identical results. Any divergence in event
+//! order would reorder resource admissions and RNG draws and show up as
+//! a different makespan, event count, or metric.
 
 use mpio::ops::{FileTag, FnProgram, LogicalOp};
-use mpio::exec::RunResult;
 use mpio::{Ctx, DirectDriver, Exec, Layout, PlfsDriver, PlfsDriverConfig, ReadStrategy};
 use pfs::{PfsParams, SimPfs};
 use plfs::Federation;
 use proptest::prelude::*;
-use simcore::EventQueue;
 use simnet::{Interconnect, InterconnectParams};
 
 /// One generated job shape: every rank opens, writes a (possibly
@@ -101,37 +98,23 @@ fn program_for(shape: &Shape) -> FnProgram<impl Fn(usize, usize) -> LogicalOp + 
     }
 }
 
-/// What drives the event loop: the reference heap, or `Exec::run`'s
-/// arena.
-#[derive(Clone, Copy)]
-enum Queue {
-    Heap,
-    Arena,
-}
-
-/// Run the shape's job on one queue; return a full fingerprint.
-fn fingerprint(shape: &Shape, queue: Queue, plfs: bool) -> String {
+/// Run the shape's job on a fresh context; return a full fingerprint.
+fn fingerprint(shape: &Shape, plfs: bool) -> String {
     let mut ctx = Ctx::new(
         SimPfs::new(PfsParams::panfs_production(64), 7),
         Interconnect::new(InterconnectParams::infiniband()),
         Layout::new(shape.nprocs, shape.ppn),
     );
     let program = program_for(shape);
-    fn run<D: mpio::Driver>(exec: Exec<'_, impl mpio::ops::Program, D>, on: Queue) -> RunResult {
-        match on {
-            Queue::Heap => exec.run_on(EventQueue::new()),
-            Queue::Arena => exec.run(),
-        }
-    }
     let result = if plfs {
         let mut d = PlfsDriver::new(PlfsDriverConfig::new(
             Federation::single("/panfs", 4),
             ReadStrategy::ParallelIndexRead,
         ));
-        run(Exec::new(&program, &mut d, &mut ctx), queue)
+        Exec::new(&program, &mut d, &mut ctx).run()
     } else {
         let mut d = DirectDriver::new();
-        run(Exec::new(&program, &mut d, &mut ctx), queue)
+        Exec::new(&program, &mut d, &mut ctx).run()
     };
     use mpio::OpKind;
     // Metrics holds a HashMap, so fingerprint the kinds in a fixed order.
@@ -161,22 +144,16 @@ fn fingerprint(shape: &Shape, queue: Queue, plfs: bool) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// PLFS jobs: heap and arena runs are observationally identical.
+    /// PLFS jobs: two runs of one shape are observationally identical.
     #[test]
-    fn plfs_runs_identical_under_both_schedulers(shape in shape_strategy()) {
-        prop_assert_eq!(
-            fingerprint(&shape, Queue::Heap, true),
-            fingerprint(&shape, Queue::Arena, true)
-        );
+    fn plfs_runs_are_reproducible(shape in shape_strategy()) {
+        prop_assert_eq!(fingerprint(&shape, true), fingerprint(&shape, true));
     }
 
     /// Direct-to-PFS jobs: same property on the other driver, which
     /// exercises the strided per-op path and its event grouping.
     #[test]
-    fn direct_runs_identical_under_both_schedulers(shape in shape_strategy()) {
-        prop_assert_eq!(
-            fingerprint(&shape, Queue::Heap, false),
-            fingerprint(&shape, Queue::Arena, false)
-        );
+    fn direct_runs_are_reproducible(shape in shape_strategy()) {
+        prop_assert_eq!(fingerprint(&shape, false), fingerprint(&shape, false));
     }
 }

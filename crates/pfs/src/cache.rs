@@ -86,7 +86,7 @@ pub(crate) struct PageCache {
 
 impl PageCache {
     /// A cache of `capacity_bytes`, managed in `block_size`-byte blocks.
-    pub fn new(capacity_bytes: u64, block_size: u64) -> Self {
+    pub(crate) fn new(capacity_bytes: u64, block_size: u64) -> Self {
         assert!(block_size > 0);
         PageCache {
             capacity_blocks: capacity_bytes / block_size,

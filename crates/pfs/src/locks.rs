@@ -88,7 +88,7 @@ impl Default for LockManager {
 }
 
 impl LockManager {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LockManager::default()
     }
 
@@ -147,12 +147,12 @@ impl LockManager {
     }
 
     /// Total ownership transfers observed (the contention diagnostic).
-    pub fn transfers(&self) -> u64 {
+    pub(crate) fn transfers(&self) -> u64 {
         self.transfers
     }
 
     /// Total stripe grants requested.
-    pub fn grants(&self) -> u64 {
+    pub(crate) fn grants(&self) -> u64 {
         self.grants
     }
 

@@ -28,7 +28,7 @@ pub struct Namespace {
 }
 
 impl Namespace {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         let mut ns = Namespace::default();
         ns.dirs.insert("/".to_string(), 0);
         ns

@@ -11,10 +11,9 @@
 //! [`Calendar`] keeps per-server busy-interval sets and places each
 //! request into the earliest gap that fits, regardless of processing
 //! order. It costs O(log n + gaps scanned) per acquisition instead of
-//! O(servers), and is used by tests and the engine-validation ablation
-//! to quantify how close the cheap bookkeeping is for our workloads
-//! (the drivers keep chains to ≤ a handful of ops precisely so the two
-//! agree).
+//! O(servers). It is `Fifo`'s test oracle: the property tests check that
+//! the two agree grant for grant on in-order arrivals, the case the
+//! drivers keep to (their chains are at most a handful of ops).
 
 use crate::resource::Grant;
 use crate::time::{SimDuration, SimTime};

@@ -99,6 +99,30 @@ impl<T> EventQueue<T> {
     }
 }
 
+/// [`EventQueue`] under the `(time, kind, arg)` signature that the
+/// benchmark's `arena_event_ns` probe (`benchmark/src/workloads/sim.rs`)
+/// calls. It exists only for that probe, and goes when the
+/// benchmark-only change of ROADMAP item 2(i) points the probe at
+/// `EventQueue`.
+#[derive(Debug, Default)]
+pub struct EventArena(EventQueue<(u32, u32)>);
+
+impl EventArena {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Schedule `(kind, arg)` at `time`, as [`EventQueue::push`].
+    pub fn push(&mut self, time: SimTime, kind: u32, arg: u32) {
+        self.0.push(time, (kind, arg));
+    }
+
+    /// Remove and return the earliest event as `(time, kind, arg)`.
+    pub fn pop(&mut self) -> Option<(SimTime, u32, u32)> {
+        self.0.pop().map(|(time, (kind, arg))| (time, kind, arg))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

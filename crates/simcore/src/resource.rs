@@ -90,11 +90,6 @@ impl Fifo {
         Grant { start, finish }
     }
 
-    /// Number of servers in the pool.
-    pub fn servers(&self) -> usize {
-        self.free_at.len()
-    }
-
     /// Instant at which all servers are idle.
     pub fn drained_at(&self) -> SimTime {
         self.free_at
@@ -125,20 +120,6 @@ impl Fifo {
 
     pub fn name(&self) -> &'static str {
         self.name
-    }
-
-    /// Reset server availability and statistics (new simulation run).
-    pub fn reset(&mut self) {
-        for t in &mut self.free_at {
-            *t = SimTime::ZERO;
-        }
-        self.earliest = (0..self.free_at.len())
-            .map(|i| Reverse((SimTime::ZERO, i)))
-            .collect();
-        self.ops = 0;
-        self.busy = SimDuration::ZERO;
-        self.waited = SimDuration::ZERO;
-        self.last_arrival = SimTime::ZERO;
     }
 }
 
@@ -204,17 +185,6 @@ mod tests {
         r.acquire(t(0.0), d(2.0)); // waits 2
         r.acquire(t(1.0), d(2.0)); // waits 3
         assert_eq!(r.mean_wait(), d(5.0) / 3);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut r = Fifo::new("mds", 2);
-        r.acquire(t(0.0), d(5.0));
-        r.reset();
-        assert_eq!(r.ops(), 0);
-        assert_eq!(r.drained_at(), SimTime::ZERO);
-        let g = r.acquire(t(0.0), d(1.0));
-        assert_eq!(g.start, t(0.0));
     }
 
     #[test]

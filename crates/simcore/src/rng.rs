@@ -25,11 +25,6 @@ pub struct Jitter {
 }
 
 impl Jitter {
-    /// Jitter with uniform spread only.
-    pub fn uniform(seed: u64, spread: f64) -> Self {
-        Self::with_tail(seed, spread, 0.0, 0.0)
-    }
-
     /// Jitter with uniform spread and a heavy-tail straggler component.
     pub fn with_tail(seed: u64, spread: f64, tail_prob: f64, tail_mag: f64) -> Self {
         assert!((0.0..1.0).contains(&spread), "spread must be in [0,1)");
@@ -43,13 +38,8 @@ impl Jitter {
         }
     }
 
-    /// A jitter that always returns exactly 1.0 (for deterministic tests).
-    pub fn none(seed: u64) -> Self {
-        Self::uniform(seed, 0.0)
-    }
-
     /// Draw the next jitter factor.
-    pub fn factor(&mut self) -> f64 {
+    pub(crate) fn factor(&mut self) -> f64 {
         let mut f = if self.spread == 0.0 {
             1.0
         } else {
@@ -73,8 +63,8 @@ mod tests {
 
     #[test]
     fn same_seed_same_sequence() {
-        let mut a = Jitter::uniform(42, 0.1);
-        let mut b = Jitter::uniform(42, 0.1);
+        let mut a = Jitter::with_tail(42, 0.1, 0.0, 0.0);
+        let mut b = Jitter::with_tail(42, 0.1, 0.0, 0.0);
         for _ in 0..100 {
             assert_eq!(a.factor(), b.factor());
         }
@@ -82,15 +72,15 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let mut a = Jitter::uniform(1, 0.1);
-        let mut b = Jitter::uniform(2, 0.1);
+        let mut a = Jitter::with_tail(1, 0.1, 0.0, 0.0);
+        let mut b = Jitter::with_tail(2, 0.1, 0.0, 0.0);
         let same = (0..100).filter(|_| a.factor() == b.factor()).count();
         assert!(same < 100);
     }
 
     #[test]
     fn factors_stay_in_range_without_tail() {
-        let mut j = Jitter::uniform(7, 0.05);
+        let mut j = Jitter::with_tail(7, 0.05, 0.0, 0.0);
         for _ in 0..1000 {
             let f = j.factor();
             assert!((0.95..=1.05).contains(&f), "factor {f} out of range");
@@ -98,8 +88,8 @@ mod tests {
     }
 
     #[test]
-    fn none_is_identity() {
-        let mut j = Jitter::none(0);
+    fn zero_spread_is_identity() {
+        let mut j = Jitter::with_tail(0, 0.0, 0.0, 0.0);
         let d = SimDuration::from_secs_f64(3.0);
         assert_eq!(j.apply(d), d);
     }

@@ -2,9 +2,9 @@
 //!
 //! Each paper data point is "mean of 10 runs with stddev error bars"; the
 //! harness feeds per-run measurements into a [`Summary`] and reports
-//! mean ± std. Percentiles are available for latency-distribution ablations.
+//! mean ± std.
 
-/// Online mean/variance (Welford) plus retained samples for percentiles.
+/// Online mean/variance (Welford), minimum and maximum.
 #[derive(Debug, Clone, Default)]
 pub struct Summary {
     n: u64,
@@ -12,7 +12,6 @@ pub struct Summary {
     m2: f64,
     min: f64,
     max: f64,
-    samples: Vec<f64>,
 }
 
 impl Summary {
@@ -23,7 +22,6 @@ impl Summary {
             m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
-            samples: Vec::new(),
         }
     }
 
@@ -45,7 +43,6 @@ impl Summary {
         self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-        self.samples.push(x);
     }
 
     pub fn count(&self) -> u64 {

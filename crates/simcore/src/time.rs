@@ -87,7 +87,7 @@ impl SimDuration {
     }
 
     /// Scale by a non-negative factor (used for jitter).
-    pub fn scale(self, factor: f64) -> Self {
+    pub(crate) fn scale(self, factor: f64) -> Self {
         Self::from_secs_f64(self.as_secs_f64() * factor.max(0.0))
     }
 

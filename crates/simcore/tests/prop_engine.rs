@@ -1,32 +1,38 @@
-//! Property tests for the rebuilt DES engine (DESIGN.md §5g): the
-//! calendar-queue arena is trace-identical to the binary-heap oracle
-//! under arbitrary push/pop interleavings, and the cheap `Fifo`
-//! bookkeeping is grant-for-grant exact against the gap-filling
-//! `Calendar` whenever arrivals are processed in nondecreasing order —
-//! the invariant the simulation loop guarantees.
+//! Property tests for the DES engine (DESIGN.md §5g): the event queue
+//! pops exactly what a linear-scan reference pops under arbitrary
+//! push/pop interleavings, and the cheap `Fifo` bookkeeping is
+//! grant-for-grant exact against the gap-filling `Calendar` whenever
+//! arrivals are processed in nondecreasing order — the invariant the
+//! simulation loop guarantees.
 
 use proptest::prelude::*;
-use simcore::{Calendar, EventArena, EventQueue, Fifo, SimDuration, SimTime};
+use simcore::{Calendar, EventQueue, Fifo, SimDuration, SimTime};
+
+/// The queue's contract spelled out over `pending`, kept in push order:
+/// a pop takes the event with the smallest `(time, push order)`.
+fn pop_linear_scan(pending: &mut Vec<(SimTime, u32)>) -> Option<(SimTime, u32)> {
+    let first = (0..pending.len()).min_by_key(|&i| (pending[i].0, i))?;
+    Some(pending.remove(first))
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Same pushes, same pop schedule → byte-identical `(time, payload)`
-    /// traces from the arena and the heap oracle, including FIFO order
+    /// Same pushes, same pop schedule → identical `(time, payload)`
+    /// traces from the queue and the reference, including FIFO order
     /// within timestamp ties. Each round pushes a burst whose deltas are
     /// drawn from one of four regimes (ties, near-term, mid-range,
-    /// far-future — the last forces wheel-revolution fallbacks), then
-    /// pops roughly half.
+    /// far-future), then pops roughly half.
     #[test]
-    fn arena_trace_matches_heap_oracle(
+    fn queue_trace_matches_linear_scan(
         rounds in prop::collection::vec((0u8..4, 1usize..8, 1u64..u64::MAX), 1..120),
     ) {
-        let mut arena = EventArena::new();
-        let mut oracle: EventQueue<u32> = EventQueue::new();
+        let mut queue: EventQueue<u32> = EventQueue::new();
+        let mut reference: Vec<(SimTime, u32)> = Vec::new();
         let mut now = 0u64;
         let mut id = 0u32;
-        let mut trace_arena: Vec<(SimTime, u32)> = Vec::new();
-        let mut trace_oracle: Vec<(SimTime, u32)> = Vec::new();
+        let mut trace_queue: Vec<(SimTime, u32)> = Vec::new();
+        let mut trace_reference: Vec<(SimTime, u32)> = Vec::new();
         for (class, burst, seed) in rounds {
             let mut s = seed | 1;
             let mut next = move || {
@@ -43,28 +49,24 @@ proptest! {
                     _ => next() % 50_000_000,
                 };
                 let time = SimTime(now + delta);
-                arena.push(time, 0, id);
-                oracle.push(time, id);
+                queue.push(time, id);
+                reference.push((time, id));
                 id += 1;
             }
             for _ in 0..burst.div_ceil(2) {
-                let a = arena.pop();
-                let o = oracle.pop();
-                prop_assert_eq!(a.is_some(), o.is_some());
-                if let (Some((ta, _, arg)), Some((to, p))) = (a, o) {
-                    trace_arena.push((ta, arg));
-                    trace_oracle.push((to, p));
-                    now = ta.as_nanos();
+                let q = queue.pop();
+                let r = pop_linear_scan(&mut reference);
+                prop_assert_eq!(q.is_some(), r.is_some());
+                if let (Some(q), Some(r)) = (q, r) {
+                    trace_queue.push(q);
+                    trace_reference.push(r);
+                    now = q.0.as_nanos();
                 }
             }
         }
-        while let Some((t, _, arg)) = arena.pop() {
-            trace_arena.push((t, arg));
-        }
-        while let Some((t, p)) = oracle.pop() {
-            trace_oracle.push((t, p));
-        }
-        prop_assert_eq!(trace_arena, trace_oracle);
+        trace_queue.extend(std::iter::from_fn(|| queue.pop()));
+        trace_reference.extend(std::iter::from_fn(|| pop_linear_scan(&mut reference)));
+        prop_assert_eq!(trace_queue, trace_reference);
     }
 
     /// In arrival order every server's busy run is contiguous from some

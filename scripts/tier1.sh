@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: release build and tests of the benchmark package too,
-# full test suite, the byte-verifying examples, and clippy with warnings
+# full test suite, the quick figure records, the byte-verifying
+# examples, and clippy with warnings
 # denied (the root Cargo.toml's
 # [workspace.lints.clippy] table bans unwrap/expect/panic, discarded
 # results and unreasoned #[allow] in every crate and bin; clippy.toml
@@ -23,6 +24,14 @@ cargo build --release --offline
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --workspace --offline
+# The quick figure records are checked, not trusted: each of these bins
+# prints simulated quantities only, so a run at the default repetitions
+# must reproduce its committed `results/<bin>.txt` byte for byte (about
+# 15 s in all). fig2, fig4, fig5 and fig8 take minutes and stay out.
+for fig in fig7 fig_burst whatif ablate_threshold ablate_groups ablate_subdirs ablate_locks; do
+    env -u FIG_REPS -u FIG_QUICK \
+        cargo run -q --release --offline -p plfs-bench --bin "$fig" | diff -u "results/$fig.txt" -
+done
 # `cargo test` compiles the examples but runs none of them: run the two
 # that byte-verify what they read back (each exits non-zero on a
 # mismatch) — the mount over a real directory, and crash recovery.

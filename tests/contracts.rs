@@ -585,7 +585,7 @@ const EXPOSED: [(&str, &str, &str); 22] = [
     ("formats", "SpanIdxSummary", "spanidx::describe"),
     ("harness", "Point", "Series::points"),
     ("mpio", "PhaseStat", "Metrics::get"),
-    ("mpio", "RankQueue", "Exec::run_on"),
+    ("mpio", "RunResult", "Exec::run"),
     ("pfs", "IdHasher", "cache::IdMap"),
     ("pfs", "Namespace", "SimPfs::namespace"),
     ("workloads", "OpSpec", "Workload::new"),
@@ -608,16 +608,52 @@ fn strip_comments(src: &str) -> String {
     code.collect::<Vec<_>>().join("\n")
 }
 
+/// The type an `impl` header line implements on, or `None` for a trait
+/// impl: `impl<T: X> a::Queue<T> {` gives `Queue`.
+fn inherent_impl_type(header: &str) -> Option<String> {
+    let mut rest = header.trim_start().strip_prefix("impl")?.replace("->", "");
+    if rest.starts_with('<') {
+        let mut depth = 0;
+        let end = rest.find(|c| {
+            depth += match c {
+                '<' => 1,
+                '>' => -1,
+                _ => 0,
+            };
+            depth == 0
+        })?;
+        rest = rest[end + 1..].to_string();
+    }
+    let target = rest.split(['{', '<']).next()?.trim();
+    if target.contains(" for ") || target.contains(" where") {
+        return None;
+    }
+    target.rsplit("::").next().map(str::to_string)
+}
+
 /// The `pub` items and `pub` fields declared in `src`, as `(line from 1,
-/// kind, name)`; a field's kind is `field`. `pub(crate)` and `pub use`
-/// declare neither.
-fn pub_declarations(src: &str) -> Vec<(usize, &str, String)> {
+/// kind, name, owner)`: a field's kind is `field`, and `owner` is the
+/// type of the inherent `impl` a `pub fn` is a method of. `pub(crate)`
+/// and `pub use` declare neither. An `impl` block ends at the first `}`
+/// line indented as its header, as rustfmt lays it out.
+fn pub_declarations(src: &str) -> Vec<(usize, &str, String, Option<String>)> {
     const KINDS: [&str; 9] = [
         "fn", "struct", "enum", "trait", "type", "const", "static", "mod", "union",
     ];
     let mut out = Vec::new();
+    // Open `impl` blocks, innermost last: (header indent, inherent type).
+    let mut impls: Vec<(usize, Option<String>)> = Vec::new();
     for (n, line) in src.lines().enumerate() {
-        let Some(rest) = line.trim_start().strip_prefix("pub ") else {
+        let trimmed = line.trim_start();
+        let indent = line.len() - trimmed.len();
+        if trimmed == "}" && impls.last().is_some_and(|(at, _)| *at == indent) {
+            impls.pop();
+        }
+        if (trimmed.starts_with("impl<") || trimmed.starts_with("impl ")) && !trimmed.ends_with('}')
+        {
+            impls.push((indent, inherent_impl_type(trimmed)));
+        }
+        let Some(rest) = trimmed.strip_prefix("pub ") else {
             continue;
         };
         let mut words = rest.split_whitespace().peekable();
@@ -636,47 +672,130 @@ fn pub_declarations(src: &str) -> Vec<(usize, &str, String)> {
         let name: String = (name.unwrap_or("").chars())
             .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
             .collect();
+        let owner = match impls.last() {
+            Some((_, owner)) if kind == "fn" => owner.clone(),
+            _ => None,
+        };
         if !name.is_empty() && name != "use" {
-            out.push((n + 1, kind, name));
+            out.push((n + 1, kind, name, owner));
         }
     }
     out
+}
+
+/// What a file names: every word; the words called or read as `.word`;
+/// and the `Type::word` pairs, a turbofish (`Type::<T>::word`) skipped.
+#[derive(Default)]
+struct Names {
+    words: std::collections::BTreeSet<String>,
+    dotted: std::collections::BTreeSet<String>,
+    pathed: std::collections::BTreeSet<(String, String)>,
+}
+
+impl Names {
+    /// The names in `code` (comments already cut).
+    fn of(code: &str) -> Names {
+        let is_word = |c: char| c.is_ascii_alphanumeric() || c == '_';
+        // Tokens: words, `::`, `..` and single punctuation marks.
+        let mut tokens: Vec<&str> = Vec::new();
+        let mut rest = code.trim_start();
+        while let Some(c) = rest.chars().next() {
+            let len = if is_word(c) {
+                rest.find(|c| !is_word(c)).unwrap_or(rest.len())
+            } else if rest.starts_with("::") || rest.starts_with("..") {
+                2
+            } else {
+                c.len_utf8()
+            };
+            tokens.push(&rest[..len]);
+            rest = rest[len..].trim_start();
+        }
+        let mut names = Names::default();
+        for (i, token) in tokens.iter().enumerate() {
+            if !token.starts_with(is_word) {
+                continue;
+            }
+            names.words.insert(token.to_string());
+            match i.checked_sub(1).map(|j| tokens[j]) {
+                Some(".") => {
+                    names.dotted.insert(token.to_string());
+                }
+                Some("::") => {
+                    // `j` is the `::` after the type the path names:
+                    // back over a turbofish `::<..>` to it.
+                    let mut j = i - 1;
+                    if j >= 1 && tokens[j - 1] == ">" {
+                        let (mut k, mut depth) = (j - 1, 0);
+                        loop {
+                            depth += match tokens[k] {
+                                ">" => 1,
+                                "<" => -1,
+                                _ => 0,
+                            };
+                            if depth == 0 || k == 0 {
+                                break;
+                            }
+                            k -= 1;
+                        }
+                        j = k.saturating_sub(1);
+                    }
+                    if let Some(owner) = j.checked_sub(1).map(|k| tokens[k]) {
+                        names.pathed.insert((owner.to_string(), token.to_string()));
+                    }
+                }
+                _ => {}
+            }
+        }
+        names
+    }
+
+    fn extend(&mut self, other: &Names) {
+        self.words.extend(other.words.iter().cloned());
+        self.dotted.extend(other.dotted.iter().cloned());
+        self.pathed.extend(other.pathed.iter().cloned());
+    }
+
+    /// Whether these names use `name`: as a method of `owner`, only
+    /// `.name` or `owner::name` does; otherwise any word spelled so.
+    fn uses(&self, owner: Option<&String>, name: &str) -> bool {
+        match owner {
+            Some(owner) => {
+                self.dotted.contains(name)
+                    || self.pathed.contains(&(owner.clone(), name.to_string()))
+            }
+            None => self.words.contains(name),
+        }
+    }
 }
 
 /// The surface rule over `files` (`(path from the root, text)`, whole):
 /// each `pub` item of a crate in `crates` (its `crates/<name>/src`,
 /// binaries aside, above the first top-level `#[cfg(test)]`) is named as
 /// a word in some file outside that directory, or has an `exposed` row.
-/// Also refuses a row that matches no such item or names no signature
-/// its crate's users call.
+/// A method of an inherent `impl T` counts as named only where it is
+/// called or referred to as `.name` or `T::name`. Also refuses a row that
+/// matches no such item or names no signature its crate's users call.
 fn surface_problems(
     files: &[(String, String)],
     crates: &[String],
     exposed: &[(&str, &str, &str)],
 ) -> Vec<String> {
-    let is_word = |c: char| c.is_ascii_alphanumeric() || c == '_';
-    let words: Vec<(&str, std::collections::BTreeSet<String>)> = (files.iter())
-        .map(|(path, text)| {
-            let code = strip_comments(text);
-            (
-                path.as_str(),
-                code.split(|c| !is_word(c)).map(str::to_string).collect(),
-            )
-        })
+    let names: Vec<(&str, Names)> = (files.iter())
+        .map(|(path, text)| (path.as_str(), Names::of(&strip_comments(text))))
         .collect();
     let mut problems = Vec::new();
     for krate in crates {
         let src_dir = format!("crates/{krate}/src/");
         let own =
             |path: &str| path.starts_with(&src_dir) && !path.starts_with(&format!("{src_dir}bin/"));
-        let mut outside = std::collections::BTreeSet::new();
-        for (_, file_words) in words.iter().filter(|(path, _)| !own(path)) {
-            outside.extend(file_words.iter().cloned());
+        let mut outside = Names::default();
+        for (_, file_names) in names.iter().filter(|(path, _)| !own(path)) {
+            outside.extend(file_names);
         }
         let (mut kept, mut listed) = (Vec::new(), Vec::new());
         for (path, text) in files.iter().filter(|(path, _)| own(path)) {
-            for (line, kind, name) in pub_declarations(&strip_comments(production(text))) {
-                if outside.contains(&name) {
+            for (line, kind, name, owner) in pub_declarations(&strip_comments(production(text))) {
+                if outside.uses(owner.as_ref(), &name) {
                     kept.push(name);
                 } else if kind == "field" {
                     // A field is not an item: reachable only through its type.
@@ -685,6 +804,10 @@ fn surface_problems(
                     .any(|(k, item, _)| k == krate && *item == name)
                 {
                     listed.push(name);
+                } else if let Some(owner) = owner {
+                    problems.push(format!(
+                        "{path}:{line}: `pub fn {owner}::{name}` is called nowhere outside {src_dir}; make it pub(crate), or delete it"
+                    ));
                 } else {
                     problems.push(format!(
                         "{path}:{line}: `pub {kind} {name}` is named nowhere outside {src_dir}; make it pub(crate), or delete it"
@@ -738,13 +861,14 @@ fn an_unnamed_pub_item_and_a_bad_exposed_row_fail() {
             ),
             (
                 "tests/t.rs".to_string(),
-                "a::Stat::of(a::open()).size; // a::lonely".to_string(),
+                "a::Stat::of(a::open()).size; a::open().close(); reset(); // a::lonely".to_string(),
             ),
         ]
     };
     let lib = "/// pub fn in_a_doc() {}\npub fn run() {}\npub(crate) fn inner() {}\n\
                pub struct Stat { pub size: u64 }\npub struct Handle;\n\
-               pub fn open() -> Handle { Handle }\n#[cfg(test)]\nmod tests { pub fn helper() {} }\n";
+               pub fn open() -> Handle { Handle }\nimpl Handle {\n    pub fn close(&self) {}\n}\n\
+               #[cfg(test)]\nmod tests { pub fn helper() {} }\n";
     let crates = ["a".to_string()];
     let row = [("a", "Handle", "open")];
     assert_eq!(
@@ -756,6 +880,16 @@ fn an_unnamed_pub_item_and_a_bad_exposed_row_fail() {
     assert_eq!(
         surface_problems(&lonely, &crates, &row),
         ["crates/a/src/lib.rs:1: `pub fn lonely` is named nowhere outside crates/a/src/; make it pub(crate), or delete it"]
+    );
+
+    // `reset` outside is a free function's name, not a call of the method.
+    let method = lib.replace(
+        "close(&self) {}\n",
+        "close(&self) {}\n    pub fn reset(&self) {}\n",
+    );
+    assert_eq!(
+        surface_problems(&files(&method), &crates, &row),
+        ["crates/a/src/lib.rs:9: `pub fn Handle::reset` is called nowhere outside crates/a/src/; make it pub(crate), or delete it"]
     );
 
     let stale = [("a", "Handle", "open"), ("a", "Stat", "open")];
